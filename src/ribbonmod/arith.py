@@ -1,30 +1,50 @@
 """Base-p digit vectors and exact/modular multinomial arithmetic.
 
 Everything here is pure integer arithmetic on Python ints, so results are
-exact at any size.  Moduli are validated as primes by trial division the
-first time they are used.
+exact at any size.  Moduli are validated as primes by a deterministic
+Miller-Rabin test the first time they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb
+
+from .compositions import CapacityError
+
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
+# this bound (Sorenson and Webster, 2015), so the test is exact under it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test (fine for word-sized p)."""
+    """Deterministic primality test, exact for p < MILLER_RABIN_LIMIT.
+
+    Raises CapacityError for larger p that no base divides, rather than
+    give an answer that might be wrong.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    limit = isqrt(p)
-    while d <= limit:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= MILLER_RABIN_LIMIT:
+        raise CapacityError(
+            f"primality of {p} is only decided below {MILLER_RABIN_LIMIT}"
+        )
+    shift = ((p - 1) & -(p - 1)).bit_length() - 1
+    odd = (p - 1) >> shift
+    for a in _MR_BASES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(shift - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -87,15 +87,33 @@ def format_multiset(sizes: Counter) -> str:
     return ", ".join(f"{size}^{mult}" for size, mult in sorted(sizes.items()))
 
 
+# str() refuses ints longer than the interpreter's digit limit (4300 by
+# default); exact counts are converted in chunks below it instead.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(x: int) -> str:
+    """Decimal text of an int of any size; the global digit limit is left alone."""
+    if x < 0:
+        return "-" + _decimal(-x)
+    chunks = []
+    while x >= _CHUNK:
+        x, r = divmod(x, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(x))
+    return "".join(reversed(chunks))
+
+
 def _vector_text(counts) -> str:
-    return "(" + ", ".join(str(c) for c in counts) + ")"
+    return "(" + ", ".join(_decimal(c) for c in counts) + ")"
 
 
 def _emit_csv(out, label: str, p: int, n, counts) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "p", "n", "residue", "count"])
     for i, c in enumerate(counts):
-        writer.writerow([label, p, "-" if n is None else n, i, c])
+        writer.writerow([label, p, "-" if n is None else n, i, _decimal(c)])
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +132,11 @@ def cmd_ribbon(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps({"family": args.family, "alpha": list(alpha.parts), "value": str(value)}))
+        print(json.dumps({"family": args.family, "alpha": list(alpha.parts), "value": _decimal(value)}))
     else:
         if args.family == "D" and alpha.n < 4:
             print("note: n < 4 is not a Coxeter group of type D", file=sys.stderr)
-        print(value)
+        print(_decimal(value))
     return 0
 
 
@@ -140,7 +158,7 @@ def cmd_cvec(args) -> int:
                     "n": vec.n,
                     "p": vec.p,
                     "method": vec.method,
-                    "vector": [str(c) for c in vec.counts],
+                    "vector": [_decimal(c) for c in vec.counts],
                 }
             )
         )
@@ -161,15 +179,15 @@ def cmd_coxeter(args) -> int:
             subset = [int(tok) for tok in args.subset.split(",")] if args.subset else []
             value = ribbon_general(diagram, subset)
             if args.format == "json":
-                print(json.dumps({"group": diagram.name, "subset": sorted(subset), "value": str(value)}))
+                print(json.dumps({"group": diagram.name, "subset": sorted(subset), "value": _decimal(value)}))
             else:
-                print(value)
+                print(_decimal(value))
             return 0
         if args.p is not None:
             check_prime(args.p)
             counts = residue_histogram(diagram, args.p)
             if args.format == "json":
-                print(json.dumps({"group": diagram.name, "p": args.p, "vector": [str(c) for c in counts]}))
+                print(json.dumps({"group": diagram.name, "p": args.p, "vector": [_decimal(c) for c in counts]}))
             elif args.format == "csv":
                 _emit_csv(sys.stdout, diagram.name, args.p, None, counts)
             else:
@@ -192,7 +210,7 @@ def cmd_coxeter(args) -> int:
 def cmd_macdonald(args) -> int:
     try:
         check_prime(args.p)
-        print(macdonald_mp(args.n, args.p))
+        print(_decimal(macdonald_mp(args.n, args.p)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

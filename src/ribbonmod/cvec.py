@@ -13,7 +13,11 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     refinement terms; sweeping the subsets T of that support set and
     weighting the residue tally by powers of two gives the vector without
     ever enumerating the index lattice, so n may be astronomically large
-    as long as the support stays small.
+    as long as the support stays small.  For m support positions it builds
+    an O(m^2) table of Lucas binomials between positions, fills the 2^m
+    subset terms by extending digitwise chains one position at a time (all
+    other terms are 0), and runs the O(m 2^m) inclusion-exclusion
+    butterfly.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes),
     evaluated through chain statistics or tiny frozen residue tallies.
@@ -28,7 +32,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .arith import base_p_digits, check_odd_prime, check_prime
-from .compositions import CapacityError
+from .compositions import CapacityError, _parts_from_mask
 from .ribbon import term_mod_p, _check_family, _digit_cache
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
@@ -115,21 +119,6 @@ def support_set(family: str, n: int, p: int) -> SupportSet:
     return SupportSet(family, n, p, tuple(sorted(base)))
 
 
-def _parts_from_selected(n: int, positions, mask: int) -> tuple[int, ...]:
-    # positions is sorted ascending; selected ones become the descent set.
-    parts = []
-    prev = 0
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        d = positions[b]
-        parts.append(d - prev)
-        prev = d
-        m &= m - 1
-    parts.append(n - prev)
-    return tuple(parts)
-
-
 def support_residue(family: str, subset, n: int, p: int) -> int:
     """Residue contributed by one support subset T.
 
@@ -146,11 +135,15 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
     nd = base_p_digits(n, p).digits
     digit_row = _digit_cache(n, p, len(nd))
     inv2 = pow(2, p - 2, p) if p > 2 else 1
+    lo = 1 if family == "A" else 0
     size = len(T)
     total = 0
     for sel in range(1 << size):
-        parts = _parts_from_selected(n, T, sel)
-        w = term_mod_p(family, parts, nd, p, digit_row, inv2)
+        mask = 0
+        for i, d in enumerate(T):
+            if sel >> i & 1:
+                mask |= 1 << (d - lo)
+        w = term_mod_p(family, _parts_from_mask(n, mask, lo), nd, p, digit_row, inv2)
         if w:
             total += w if (size - sel.bit_count()) % 2 == 0 else -w
     return total % p
@@ -161,16 +154,27 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
 
 
 def _inverse_zeta_mod(vals: list[int], p: int) -> None:
-    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod p."""
+    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod p.
+
+    Level ``step`` pairs each mask having that bit with the mask without it.
+    The pairs are rewritten either with one strided slice per offset below
+    ``step`` or with one contiguous slice per block of ``2 * step`` masks,
+    whichever takes fewer slice operations, so no level costs more than
+    about sqrt(len(vals)) Python-level steps.
+    """
     size = len(vals)
     step = 1
     while step < size:
         double = step * 2
-        for base in range(0, size, double):
-            lo = base + step
-            hi = base + double
-            ref = vals[base:lo]
-            vals[lo:hi] = [(x - y) % p for x, y in zip(vals[lo:hi], ref)]
+        if step <= size // double:
+            for lo in range(step):
+                hi = lo + step
+                vals[hi::double] = [(x - y) % p for x, y in zip(vals[hi::double], vals[lo::double])]
+        else:
+            for base in range(0, size, double):
+                lo = base + step
+                hi = base + double
+                vals[lo:hi] = [(x - y) % p for x, y in zip(vals[lo:hi], vals[base:lo])]
         step = double
     return None
 
@@ -262,6 +266,68 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _lucas(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int:
+    # C(top, bottom) mod p from little-endian base-p digits (Lucas's theorem)
+    if len(bottom) > len(top):
+        return 0
+    r = 1
+    for a, b in zip(top, bottom):
+        r = r * comb(a, b) % p
+        if not r:
+            return 0
+    return r
+
+
+def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
+    """vals[mask] = the refinement term of the descent set picked by mask
+    from the sorted support positions ``pos``, reduced mod p.
+
+    By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
+    chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
+    term of a mask follows from the term of the mask without its top bit by
+    one factor of a pair table.  The family's power-of-two weight depends
+    only on the lowest descent and seeds each chain.  A term is nonzero only
+    when its descents form a chain in digitwise order, and only those masks
+    are visited: past the O(m^2) pair table and the zeroed list, the fill
+    costs O(m) per nonzero term.  Agrees with ``term_mod_p`` on every mask.
+    """
+    m = len(pos)
+    digits = [base_p_digits(d, p).digits for d in pos]
+    nd = base_p_digits(n, p).digits
+    top = [_lucas(nd, dd, p) for dd in digits]
+    pair = [[_lucas(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
+    if family == "A":
+        first = [1] * m
+    else:
+        sn = sum(nd)
+        first = [pow(2, sn - sum(dd), p) for dd in digits]
+        if family == "D":
+            # positions 0 and 1 give a first part of at most 1: the covering
+            # count halves, and a lone descent at 1 acts as one at 0 (below)
+            first[0] = pow(2, sn, p) * pow(2, p - 2, p) % p
+            first[1] = 0
+    g = [0] * (1 << m)
+    g[0] = 1
+    # (mask, value without the factor C(n, top descent), top index) of every
+    # chain whose value is nonzero; a zero prefix is never extended
+    chains: list[tuple[int, int, int]] = []
+    for h in range(m):
+        row = pair[h]
+        bit = 1 << h
+        grown = [(bit, first[h], h)] if first[h] else []
+        grown += [(mask | bit, v * row[t] % p, h) for mask, v, t in chains if row[t]]
+        c = top[h]
+        for mask, v, _ in grown:
+            g[mask] = v * c % p
+        chains += grown
+    if family == "D":
+        # a descent at 1 without one at 0 merges into a descent at 0
+        for mask, _, _ in chains:
+            if mask & 3 == 1:
+                g[mask ^ 3] = g[mask]
+    return g
+
+
 def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
     sup = support_set(family, n, p)
     pos = sup.elements
@@ -270,13 +336,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
         raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
-    nd = base_p_digits(n, p).digits
-    digit_row = _digit_cache(n, p, len(nd))
-    inv2 = pow(2, p - 2, p) if p > 2 else 1
-    vals = [0] * (1 << m)
-    for mask in range(1 << m):
-        parts = _parts_from_selected(n, pos, mask)
-        vals[mask] = term_mod_p(family, parts, nd, p, digit_row, inv2)
+    vals = _term_table(family, n, p, pos)
     _inverse_zeta_mod(vals, p)
     tally = [0] * p
     for r in vals:

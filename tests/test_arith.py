@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
+    MILLER_RABIN_LIMIT,
     BasePDigits,
     base_p_digits,
     check_prime,
@@ -12,6 +13,7 @@ from ribbonmod.arith import (
     multinomial_mod_p,
     pow2_mod_p,
 )
+from ribbonmod.compositions import CapacityError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -21,6 +23,36 @@ def test_is_prime_small():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(-7)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-5, 20000))
+
+
+def test_is_prime_pseudoprimes_and_large_primes():
+    for carmichael in (561, 1105, 1729, 41041, 825265):
+        assert not is_prime(carmichael)
+    assert not is_prime(3215031751)  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**11 + 3)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    assert not is_prime(10**30)  # divisible by a base: still decided
+    for p in (MILLER_RABIN_LIMIT, 2**89 - 1):
+        with pytest.raises(CapacityError):
+            is_prime(p)
 
 
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 15, -3, 0])

@@ -18,6 +18,7 @@ from ribbonmod.cli import (
     load_golden_records,
     main,
 )
+from ribbonmod.cvec import cvec
 
 
 def run(capsys, *argv):
@@ -93,6 +94,28 @@ def test_cvec_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "11", "--p", "7", "--method", "closed")
     assert code == 1 and "closed" in err
+    code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
+    assert code == 2 and "primality" in err
+
+
+def _parse_long_decimal(text):
+    # int() has the same digit limit as str(), so read the digits in chunks
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_cvec_prints_counts_past_the_digit_limit(capsys):
+    counts = cvec("A", 19683, 3).counts
+    assert max(c.bit_length() for c in counts) > 4300 * 3.33
+    code, out, _ = run(capsys, "cvec", "--family", "A", "--n", "19683", "--p", "3", "--format", "json")
+    assert code == 0
+    assert [_parse_long_decimal(c) for c in json.loads(out)["vector"]] == list(counts)
+    code, out, _ = run(capsys, "cvec", "--family", "A", "--n", "19683", "--p", "3")
+    assert code == 0
+    assert [_parse_long_decimal(c) for c in out.strip()[1:-1].split(", ")] == list(counts)
 
 
 def test_methods_print_identical_vectors(capsys):

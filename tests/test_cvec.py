@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ribbonmod.arith import base_p_digits
 from ribbonmod.compositions import (
     CapacityError,
+    _parts_from_mask,
     enumerate_compositions,
     enumerate_pseudo_compositions,
 )
@@ -23,9 +24,11 @@ from ribbonmod.cvec import (
     support_residue,
     support_set,
     weighted_chain_count,
+    _inverse_zeta_mod,
+    _term_table,
     _theorem_tally,
 )
-from ribbonmod.ribbon import ribbon_mod_p
+from ribbonmod.ribbon import _digit_cache, ribbon_mod_p, term_mod_p
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -113,6 +116,52 @@ def test_support_residue_matches_bulk_sweep():
             subset = [pos[i] for i in range(len(pos)) if mask >> i & 1]
             recomputed[support_residue(family, subset, n, p)] += 1
         assert [recomputed[i] for i in range(p)] == tally
+
+
+def test_term_table_matches_term_mod_p():
+    # the prefix-product table against the per-subset digit evaluation
+    checked = 0
+    for family in ("A", "B", "D"):
+        lo = 1 if family == "A" else 0
+        for p in (2, 3, 5, 7):
+            if family != "A" and p == 2:
+                continue
+            for n in range(4 if family == "D" else 2, 80):
+                pos = support_set(family, n, p).elements
+                if len(pos) > 12:
+                    continue
+                nd = base_p_digits(n, p).digits
+                digit_row = _digit_cache(n, p, len(nd))
+                inv2 = pow(2, p - 2, p) if p > 2 else 1
+                table = _term_table(family, n, p, pos)
+                assert len(table) == 1 << len(pos)
+                for sel, got in enumerate(table):
+                    mask = sum(1 << (d - lo) for i, d in enumerate(pos) if sel >> i & 1)
+                    parts = _parts_from_mask(n, mask, lo)
+                    assert got == term_mod_p(family, parts, nd, p, digit_row, inv2), (family, n, p, sel)
+                checked += 1
+    assert checked > 300
+
+
+def test_inverse_zeta_mod_matches_inclusion_exclusion():
+    # sizes 2^0 .. 2^11 take both the strided and the contiguous branch
+    p = 7
+    for bits in range(12):
+        size = 1 << bits
+        vals = [(i * i + 3 * i + 1) % p for i in range(size)]
+        expected = []
+        for t in range(size):
+            total = 0
+            s = t
+            while True:
+                term = vals[s]
+                total += term if (t ^ s).bit_count() % 2 == 0 else -term
+                if s == 0:
+                    break
+                s = (s - 1) & t
+            expected.append(total % p)
+        _inverse_zeta_mod(vals, p)
+        assert vals == expected
 
 
 def test_theorem_tally_complement_pairing():
