@@ -1,4 +1,5 @@
-"""Base-p digit vectors and exact/modular multinomial arithmetic.
+"""Base-p digit vectors, exact/modular multinomial arithmetic, and the
+subset Moebius transform.
 
 Everything here is pure integer arithmetic on Python ints, so results are
 exact at any size.  Moduli are validated as primes by a deterministic
@@ -128,6 +129,19 @@ def multinomial_exact(n: int, parts) -> int:
     return result if total == n else 0
 
 
+def lucas_binomial(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int:
+    """C(top, bottom) mod p from little-endian base-p digit tuples, by
+    Lucas's theorem; 0 unless bottom is digitwise at most top."""
+    if len(bottom) > len(top):
+        return 0
+    r = 1
+    for a, b in zip(top, bottom):
+        r = r * comb(a, b) % p
+        if not r:
+            return 0
+    return r
+
+
 def multinomial_mod_p(n: int, parts, p: int) -> int:
     """Multinomial coefficient modulo a prime via base-p digit columns.
 
@@ -160,3 +174,30 @@ def pow2_mod_p(e: int, p: int) -> int:
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     return pow(2, e, p)
+
+
+def inverse_zeta(vals: list[int], p: int | None = None) -> None:
+    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S].
+
+    The subset Moebius transform (Yates 1937), exact or, with ``p``, mod p.
+    Level ``step`` pairs each mask having that bit with the mask without it.
+    The pairs are rewritten either with one strided slice per offset below
+    ``step`` or with one contiguous slice per block of ``2 * step`` masks,
+    whichever takes fewer slice operations, so no level costs more than
+    about sqrt(len(vals)) Python-level steps.
+    """
+    size = len(vals)
+    step = 1
+    while step < size:
+        double = step * 2
+        if step <= size // double:
+            cuts = [(slice(lo + step, None, double), slice(lo, None, double)) for lo in range(step)]
+        else:
+            cuts = [(slice(base + step, base + double), slice(base, base + step))
+                    for base in range(0, size, double)]
+        for hi, lo in cuts:
+            if p is None:
+                vals[hi] = [x - y for x, y in zip(vals[hi], vals[lo])]
+            else:
+                vals[hi] = [(x - y) % p for x, y in zip(vals[hi], vals[lo])]
+        step = double

@@ -5,7 +5,9 @@ against the classification of finite irreducible diagrams, never from
 element enumeration, so even the largest exceptional groups take only a
 subset sweep of the generator set.  The descent-class size for a generator
 subset I is recovered by inclusion-exclusion over the coset counts
-|W| / |W_(S minus J)| for J inside I.
+|W| / |W_(S minus J)| for J inside I: for a single I term by term, and for
+all 2^rank subsets at once by one O(rank 2^rank) subset Moebius butterfly
+over the coset counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .arith import check_prime
+from .arith import check_prime, inverse_zeta
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -245,15 +247,6 @@ def parabolic_order(diagram: CoxeterDiagram, subset=None) -> int:
     return order
 
 
-def _subset_orders(diagram: CoxeterDiagram) -> tuple[dict[frozenset, int], int]:
-    gens = diagram.generators
-    orders: dict[frozenset, int] = {}
-    for mask in range(1 << len(gens)):
-        subset = frozenset(g for i, g in enumerate(gens) if mask >> i & 1)
-        orders[subset] = parabolic_order(diagram, subset)
-    return orders, orders[frozenset(gens)]
-
-
 def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     """Size of the descent class of a generator subset, by inclusion-
     exclusion over the coset counts of the complementary parabolics."""
@@ -274,23 +267,19 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
 
 
 def descent_class_sizes(diagram: CoxeterDiagram) -> dict[frozenset, int]:
-    """Every descent class size, keyed by the generator subset."""
-    orders, group_order = _subset_orders(diagram)
+    """Every descent class size, keyed by the generator subset.
+
+    One parabolic order per subset gives the coset counts |W| / |W_(S minus J)|
+    indexed by the mask of J, and one subset Moebius butterfly turns them
+    into the class sizes.
+    """
     gens = diagram.generators
-    full = frozenset(gens)
-    rank = len(gens)
-    # coset counts indexed by the subset J, then inclusion-exclusion per I
-    cosets = {J: group_order // orders[full - J] for J in orders}
-    sizes = {}
-    for mask in range(1 << rank):
-        items = [g for i, g in enumerate(gens) if mask >> i & 1]
-        total = 0
-        for sub in range(1 << len(items)):
-            J = frozenset(items[i] for i in range(len(items)) if sub >> i & 1)
-            c = cosets[J]
-            total += c if (len(items) - len(J)) % 2 == 0 else -c
-        sizes[frozenset(items)] = total
-    return sizes
+    full = (1 << len(gens)) - 1
+    subsets = [tuple(g for i, g in enumerate(gens) if mask >> i & 1) for mask in range(full + 1)]
+    orders = [parabolic_order(diagram, subset) for subset in subsets]
+    sizes = [orders[full] // orders[full ^ mask] for mask in range(full + 1)]
+    inverse_zeta(sizes)
+    return {frozenset(subset): size for subset, size in zip(subsets, sizes)}
 
 
 def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
-from .arith import base_p_digits, check_odd_prime, check_prime
-from .compositions import CapacityError, _parts_from_mask
-from .ribbon import term_mod_p, _check_family, _digit_cache
+from .arith import base_p_digits, check_odd_prime, check_prime, inverse_zeta, lucas_binomial
+from .compositions import CapacityError
+from .ribbon import _check_family, chain_mod_p
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.
@@ -125,58 +125,19 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
     The alternating sum, over (pseudo-)compositions beta with descents
     inside T whose digit rows survive the vanishing test, of the Dickson
     digit product (with the family's power-of-two weights, and the type-D
-    first-part adjustment).  Every index whose descent pattern restricted
-    to the support equals T has ribbon number congruent to +/- this value.
+    first-part adjustment), evaluated as one chain sum over T.  Every index
+    whose descent pattern restricted to the support equals T has ribbon
+    number congruent to +/- this value.
     """
     sup = support_set(family, n, p)
     T = tuple(sorted(set(subset)))
     if not set(T) <= set(sup.elements):
         raise ValueError("subset must lie inside the support set")
-    nd = base_p_digits(n, p).digits
-    digit_row = _digit_cache(n, p, len(nd))
-    inv2 = pow(2, p - 2, p) if p > 2 else 1
-    lo = 1 if family == "A" else 0
-    size = len(T)
-    total = 0
-    for sel in range(1 << size):
-        mask = 0
-        for i, d in enumerate(T):
-            if sel >> i & 1:
-                mask |= 1 << (d - lo)
-        w = term_mod_p(family, _parts_from_mask(n, mask, lo), nd, p, digit_row, inv2)
-        if w:
-            total += w if (size - sel.bit_count()) % 2 == 0 else -w
-    return total % p
+    return chain_mod_p(family, n, T, p)
 
 
 # ---------------------------------------------------------------------------
 # naive method: butterfly over the full index lattice
-
-
-def _inverse_zeta_mod(vals: list[int], p: int) -> None:
-    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod p.
-
-    Level ``step`` pairs each mask having that bit with the mask without it.
-    The pairs are rewritten either with one strided slice per offset below
-    ``step`` or with one contiguous slice per block of ``2 * step`` masks,
-    whichever takes fewer slice operations, so no level costs more than
-    about sqrt(len(vals)) Python-level steps.
-    """
-    size = len(vals)
-    step = 1
-    while step < size:
-        double = step * 2
-        if step <= size // double:
-            for lo in range(step):
-                hi = lo + step
-                vals[hi::double] = [(x - y) % p for x, y in zip(vals[hi::double], vals[lo::double])]
-        else:
-            for base in range(0, size, double):
-                lo = base + step
-                hi = base + double
-                vals[lo:hi] = [(x - y) % p for x, y in zip(vals[lo:hi], vals[base:lo])]
-        step = double
-    return None
 
 
 def _multinomial_table(n: int, lo: int) -> list[int]:
@@ -232,7 +193,7 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
         )
     weights = _exact_weight_table(family, n)
     vals = [w % p for w in weights]
-    _inverse_zeta_mod(vals, p)
+    inverse_zeta(vals, p)
     # vals[mask] is now the ribbon number of the index with that descent mask
     tally = [0] * p
     for r in vals:
@@ -266,18 +227,6 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _lucas(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int:
-    # C(top, bottom) mod p from little-endian base-p digits (Lucas's theorem)
-    if len(bottom) > len(top):
-        return 0
-    r = 1
-    for a, b in zip(top, bottom):
-        r = r * comb(a, b) % p
-        if not r:
-            return 0
-    return r
-
-
 def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
     """vals[mask] = the refinement term of the descent set picked by mask
     from the sorted support positions ``pos``, reduced mod p.
@@ -294,8 +243,8 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
     m = len(pos)
     digits = [base_p_digits(d, p).digits for d in pos]
     nd = base_p_digits(n, p).digits
-    top = [_lucas(nd, dd, p) for dd in digits]
-    pair = [[_lucas(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
+    top = [lucas_binomial(nd, dd, p) for dd in digits]
+    pair = [[lucas_binomial(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
     if family == "A":
         first = [1] * m
     else:
@@ -337,7 +286,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     vals = _term_table(family, n, p, pos)
-    _inverse_zeta_mod(vals, p)
+    inverse_zeta(vals, p)
     tally = [0] * p
     for r in vals:
         tally[r] += 1

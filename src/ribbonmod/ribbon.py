@@ -2,25 +2,27 @@
 
 Three independent routes are provided and cross-checked by the test suite:
 
-  * exact alternating sums of (weighted) multinomial coefficients over the
-    coarsenings of the index (``ribbon_a`` / ``ribbon_b`` / ``ribbon_d``);
+  * the alternating sum of (weighted) multinomial coefficients over the
+    coarsenings of the index, evaluated by an O(l^2) recurrence over the
+    chains of descent positions (``ribbon_a`` / ``ribbon_b`` / ``ribbon_d``);
   * for type A only, an equivalent determinant evaluated exactly over the
     integers (``ribbon_a_det``);
   * brute-force enumeration of the group itself, tallying descent sets
     (``oracle_descent_class_sizes``).
 
-``ribbon_mod_p`` evaluates a single ribbon number modulo a prime using the
-base-p digit factorization of each term, skipping the terms that provably
-vanish before summing.
+``ribbon_mod_p`` runs the same recurrence modulo a prime with binomials
+from Lucas's theorem, after dropping the descent positions whose base-p
+digits are not bounded by those of n: every chain through one of them
+vanishes.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
-from .arith import base_p_digits, check_prime, multinomial_exact
+from .arith import base_p_digits, check_prime, lucas_binomial, multinomial_exact
 from .compositions import (
     CapacityError,
     Composition,
@@ -35,10 +37,6 @@ FAMILIES = ("A", "B", "D")
 
 # Group-enumeration budgets for the oracle: #elements stays below ~10^6.
 ORACLE_MAX_N = {"A": 9, "B": 7, "D": 7}
-
-# Below rank 4 the even-signed-permutation group is not a type-D Coxeter
-# group; the formulas still apply and are flagged degenerate by callers.
-D_MIN_COXETER_RANK = 4
 
 
 def _check_family(family: str) -> str:
@@ -57,18 +55,99 @@ def _check_index(family: str, alpha):
 
 
 # ---------------------------------------------------------------------------
+# the chain kernel
+
+
+def _chain_sum(n: int, pos, first, binom, p: int | None = None) -> int:
+    """Signed sum over the subsets T of the sorted descent positions ``pos``.
+
+    Each T = {t_1 < ... < t_k} contributes (-1)^(|pos| - k) times
+    w C(t_2, b) C(t_3, t_2) ... C(n, t_k), where ``first(t_1)`` returns the
+    family's first-step weight w and the binomial base b of a chain that
+    starts at t_1 (b = t_1 except for a type-D descent at 1, which merges
+    into the next part); the empty T contributes (-1)^|pos|.  With the
+    multinomial written as a chain of binomials, this is the coarsening sum
+    of a ribbon number.
+
+    Grouping the chains by their top descent gives the recurrence
+    h(s) = w(s) - sum over earlier states (base, h) of C(s, base) h, where
+    h is the chain sum times (-1)^(index of its top descent), which takes
+    the signs of the skipped positions out of it: O(|pos|^2) calls of
+    ``binom`` in place of 2^|pos| terms.  A chain started at s with a base
+    other than s keeps a state of its own, which chains through s do not
+    extend.  With ``p`` given, every value is reduced mod p.
+    """
+    states: list[tuple[int, int]] = []  # (binomial base, h) per chain end
+    for s in pos:
+        h = 0
+        for base, v in states:
+            h -= binom(s, base) * v
+        weight, base = first(s)
+        if base == s:
+            h += weight
+        else:
+            states.append((base, weight))
+        states.append((s, h if p is None else h % p))
+    total = 1
+    for base, v in states:
+        total -= binom(n, base) * v
+    if len(pos) % 2:
+        total = -total
+    return total if p is None else total % p
+
+
+def _first_step(family: str, n: int, pow2):
+    """The family's first-step rule for ``_chain_sum``: descent -> (weight,
+    base), with ``pow2(e)`` computing 2^e exactly or mod p."""
+    if family == "A":
+        return lambda s: (1, s)
+    if family == "B":
+        return lambda s: (pow2(n - s), s)
+    half = pow2(n - 1)
+    # a first part of at most 1 halves the count 2^n; a descent at 1 taken
+    # straight from the start merges into the next part (base 0), while one
+    # reached from a descent at 0 closes a part of size 1 (base 1)
+    return lambda s: (half, 0) if s <= 1 else (pow2(n - s), s)
+
+
+def chain_mod_p(family: str, n: int, pos, p: int) -> int:
+    """The signed chain sum of the sorted descent positions ``pos`` mod p.
+
+    Binomials come from Lucas's theorem on digit tuples computed once per
+    position.  A position whose digits are not bounded by those of n lies
+    on no nonzero chain, so it only flips the sign; a type-D descent at 1
+    is kept, because a chain started there merges into the next part.
+    """
+    nd = base_p_digits(n, p).digits
+    digits = {0: (0,), n: nd}
+    live = []
+    for s in pos:
+        row = base_p_digits(s, p).digits
+        if lucas_binomial(nd, row, p) or (family == "D" and s == 1):
+            digits[s] = row
+            live.append(s)
+    value = _chain_sum(
+        n,
+        live,
+        _first_step(family, n, lambda e: pow(2, e, p)),
+        lambda top, bottom: lucas_binomial(digits[top], digits[bottom], p),
+        p,
+    )
+    return -value % p if (len(pos) - len(live)) % 2 else value
+
+
+# ---------------------------------------------------------------------------
 # exact values
 
 
-def ribbon_a(alpha: Composition) -> int:
-    """Type-A ribbon number by inclusion-exclusion over coarsenings."""
+def _exact_chain(family: str, alpha) -> int:
     n = alpha.n
-    ell = len(alpha)
-    total = 0
-    for beta in alpha.coarsenings():
-        term = multinomial_exact(n, beta.parts)
-        total += term if (ell - len(beta)) % 2 == 0 else -term
-    return total
+    return _chain_sum(n, alpha.descents(), _first_step(family, n, lambda e: 1 << e), comb)
+
+
+def ribbon_a(alpha: Composition) -> int:
+    """Type-A ribbon number: signed sum of C(n; beta) over beta <= alpha."""
+    return _exact_chain("A", alpha)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -134,25 +213,7 @@ def ribbon_a_det(alpha: Composition) -> int:
 
 def ribbon_b(alpha: PseudoComposition) -> int:
     """Type-B ribbon number: signed sum of 2^(n-b_1) C(n; b) over b <= alpha."""
-    n = alpha.n
-    ell = len(alpha)
-    total = 0
-    for beta in alpha.coarsenings():
-        parts = beta.parts
-        term = (1 << (n - parts[0])) * multinomial_exact(n, parts)
-        total += term if (ell - len(beta)) % 2 == 0 else -term
-    return total
-
-
-def _covering_count_d(n: int, parts: tuple[int, ...]) -> int:
-    """Elements of the even-signed-permutation group with descents inside D(beta)."""
-    first = parts[0]
-    if first == 0:
-        return (1 << (n - 1)) * multinomial_exact(n, parts)
-    if first == 1:
-        merged = (1 + parts[1],) + parts[2:]
-        return (1 << (n - 1)) * multinomial_exact(n, merged)
-    return (1 << (n - first)) * multinomial_exact(n, parts)
+    return _exact_chain("B", alpha)
 
 
 def ribbon_d(alpha: PseudoComposition) -> int:
@@ -162,15 +223,9 @@ def ribbon_d(alpha: PseudoComposition) -> int:
     the even-signed-permutation group even though that group is not an
     irreducible type-D Coxeter group.
     """
-    n = alpha.n
-    if n < 2:
+    if alpha.n < 2:
         raise ValueError("type D needs n >= 2")
-    ell = len(alpha)
-    total = 0
-    for beta in alpha.coarsenings():
-        term = _covering_count_d(n, beta.parts)
-        total += term if (ell - len(beta)) % 2 == 0 else -term
-    return total
+    return _exact_chain("D", alpha)
 
 
 def ribbon_exact(family: str, alpha) -> int:
@@ -208,7 +263,9 @@ def term_mod_p(family: str, parts: tuple[int, ...], nd: tuple[int, ...],
     ``nd`` holds the digits of n, ``digit_row(m)`` the padded digits of m,
     and ``inv2`` the inverse of 2 mod p (unused for family A).  Returns 0
     exactly when the digit rows of the (adjusted) parts fail to form a
-    vector composition of the digits of n.
+    vector composition of the digits of n.  No route of the package calls it:
+    it is the independent per-term reference the term table is tested
+    against.
     """
     halve = False
     if family == "D":
@@ -231,28 +288,9 @@ def term_mod_p(family: str, parts: tuple[int, ...], nd: tuple[int, ...],
     return w
 
 
-def useful_descent_mask(family: str, alpha, p: int) -> int:
-    """Mask of descent positions of alpha that can carry mod-p survivors.
-
-    A refinement term survives the digit test only if all its descents are
-    digit-bounded sums of powers of p (position 1 is also allowed in type D).
-    """
-    nd = base_p_digits(alpha.n, p)
-    width = len(nd)
-    lo = 1 if family == "A" else 0
-    mask = 0
-    for d in alpha.descents():
-        if family == "D" and d == 1:
-            mask |= 1 << (d - lo)
-            continue
-        row = base_p_digits(d, p).padded(width)
-        if all(row[j] <= nd[j] for j in range(width)):
-            mask |= 1 << (d - lo)
-    return mask
-
-
 def ribbon_mod_p(family: str, alpha, p: int) -> int:
-    """Ribbon number of alpha modulo p, term by term with the vanishing filter.
+    """Ribbon number of alpha modulo p, by the chain recurrence over the
+    descents whose digits are bounded by those of n.
 
     For families B and D with p = 2 the answer is 1 outright, since every
     ribbon number there is odd.
@@ -263,25 +301,9 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
     n = alpha.n
     if family in ("B", "D") and p == 2:
         return 1
-    if family == "D" and n < D_MIN_COXETER_RANK:
-        return ribbon_d(alpha) % p
-    nd = base_p_digits(n, p).digits
-    digit_row = _digit_cache(n, p, len(nd))
-    inv2 = pow(2, p - 2, p) if p > 2 else 1
-    ell = len(alpha)
-    cls = type(alpha)
-    live = useful_descent_mask(family, alpha, p)
-    total = 0
-    sub = 0
-    while True:
-        beta = cls.from_mask(n, sub)
-        w = term_mod_p(family, beta.parts, nd, p, digit_row, inv2)
-        if w:
-            total += w if (ell - len(beta)) % 2 == 0 else -w
-        if sub == live:
-            break
-        sub = (sub - live) & live
-    return total % p
+    if family == "D" and n < 2:
+        raise ValueError("type D needs n >= 2")
+    return chain_mod_p(family, n, alpha.descents(), p)
 
 
 # ---------------------------------------------------------------------------

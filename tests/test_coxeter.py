@@ -20,6 +20,7 @@ from ribbonmod.coxeter import (
     residue_histogram,
     ribbon_general,
 )
+from ribbonmod.cli import TABLE_FILES, golden_vectors
 from ribbonmod.ribbon import ribbon_a, ribbon_b, ribbon_d
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
@@ -183,6 +184,20 @@ def test_residue_histograms():
     assert residue_histogram(builtin_diagram("E7"), 7) == (0, 64, 0, 0, 0, 0, 64)
     with pytest.raises(ValueError):
         residue_histogram(builtin_diagram("F4"), 6)
+
+
+def test_residue_histograms_match_golden_tables():
+    # a fourth route to the type A/B/D vectors: parabolic orders and the
+    # subset butterfly, with no ribbon formula and no digit machinery
+    checked = 0
+    for name in TABLE_FILES:
+        for (family, p, n), expected in golden_vectors(name).items():
+            rank = n - 1 if family == "A" else n
+            if rank > 10:
+                continue
+            assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, n, p)
+            checked += 1
+    assert checked > 100
 
 
 def test_ribbon_general_rejects_foreign_generators():

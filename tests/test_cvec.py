@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonmod.arith import base_p_digits
+from ribbonmod.arith import base_p_digits, inverse_zeta
 from ribbonmod.compositions import (
     CapacityError,
     _parts_from_mask,
@@ -24,7 +25,6 @@ from ribbonmod.cvec import (
     support_residue,
     support_set,
     weighted_chain_count,
-    _inverse_zeta_mod,
     _term_table,
     _theorem_tally,
 )
@@ -106,6 +106,20 @@ def test_support_residue_rejects_foreign_positions():
         support_residue("A", (2,), 4, 3)  # support of n=4, p=3 is {1, 3}
 
 
+def test_support_residue_large_n_in_bounded_memory():
+    # two support positions at n = 3^18 + 1: the residue comes from their
+    # digits alone, never from an n-bit descent mask per subset
+    n = 3**18 + 1
+    tracemalloc.start()
+    try:
+        got = support_residue("A", (1, 3**18), n, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 2
+    assert peak < 2 << 20
+
+
 def test_support_residue_matches_bulk_sweep():
     for family, n, p in (("A", 8, 3), ("A", 10, 5), ("B", 7, 3), ("D", 8, 3), ("D", 10, 5)):
         sup = support_set(family, n, p)
@@ -144,24 +158,29 @@ def test_term_table_matches_term_mod_p():
 
 
 def test_inverse_zeta_mod_matches_inclusion_exclusion():
-    # sizes 2^0 .. 2^11 take both the strided and the contiguous branch
+    # sizes 2^0 .. 2^11 take both the strided and the contiguous branch,
+    # exactly and mod p
     p = 7
     for bits in range(12):
         size = 1 << bits
-        vals = [(i * i + 3 * i + 1) % p for i in range(size)]
+        raw = [i * i - 5 * i + 1 for i in range(size)]
         expected = []
         for t in range(size):
             total = 0
             s = t
             while True:
-                term = vals[s]
+                term = raw[s]
                 total += term if (t ^ s).bit_count() % 2 == 0 else -term
                 if s == 0:
                     break
                 s = (s - 1) & t
-            expected.append(total % p)
-        _inverse_zeta_mod(vals, p)
-        assert vals == expected
+            expected.append(total)
+        exact = raw[:]
+        inverse_zeta(exact)
+        assert exact == expected
+        vals = [v % p for v in raw]
+        inverse_zeta(vals, p)
+        assert vals == [e % p for e in expected]
 
 
 def test_theorem_tally_complement_pairing():

@@ -1,8 +1,9 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from ribbonmod.arith import multinomial_exact
 from ribbonmod.compositions import (
     CapacityError,
     Composition,
@@ -24,6 +25,7 @@ from ribbonmod.ribbon import (
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+ODD_PRIMES = PRIMES[1:]
 
 
 # -- exact values -----------------------------------------------------------
@@ -61,6 +63,64 @@ def test_ribbon_d_known_values():
     assert sum(ribbon_d(a) for a in enumerate_pseudo_compositions(4)) == 192
     with pytest.raises(ValueError):
         ribbon_d(PseudoComposition((0, 1)))
+
+
+def _coarsening_sum(family, alpha):
+    # reference: the signed sum of covering counts over every coarsening
+    n = alpha.n
+    total = 0
+    for beta in alpha.coarsenings():
+        parts = beta.parts
+        if family == "A":
+            weight = 1
+        elif family == "B" or parts[0] > 1:
+            weight = 1 << (n - parts[0])
+        else:
+            weight = 1 << (n - 1)
+            if parts[0] == 1:  # a lone descent at 1 merges into the next part
+                parts = (1 + parts[1],) + parts[2:]
+        term = weight * multinomial_exact(n, parts)
+        total += term if (len(alpha) - len(beta)) % 2 == 0 else -term
+    return total
+
+
+def test_chain_recurrence_matches_coarsening_sum():
+    for n in range(1, 11):
+        for alpha in enumerate_compositions(n):
+            assert ribbon_a(alpha) == _coarsening_sum("A", alpha)
+        for alpha in enumerate_pseudo_compositions(n):
+            assert ribbon_b(alpha) == _coarsening_sum("B", alpha)
+            if n >= 2:
+                assert ribbon_d(alpha) == _coarsening_sum("D", alpha)
+
+
+@given(
+    family=st.sampled_from("ABD"),
+    first=st.integers(min_value=0, max_value=6),
+    rest=st.lists(st.integers(min_value=1, max_value=6), max_size=15),
+)
+@settings(max_examples=40, deadline=None)
+def test_chain_recurrence_matches_coarsening_sum_random(family, first, rest):
+    if family == "A":
+        alpha = Composition((first + 1, *rest))
+    else:
+        alpha = PseudoComposition((first, *rest))
+    assume(family != "D" or alpha.n >= 2)
+    expected = _coarsening_sum(family, alpha)
+    assert ribbon_exact(family, alpha) == expected
+    for p in PRIMES[:4]:  # n > p for most draws, so several Lucas digits
+        assert ribbon_mod_p(family, alpha, p) == expected % p
+
+
+def test_ribbon_d_descents_at_zero_and_one():
+    # a descent at 1 is the end of a part of size 1 after a descent at 0,
+    # and merges into the next part without one
+    for parts in ((0, 1, 1, 1, 1, 3, 4), (0, 1, 3), (1, 1, 2, 5), (0, 2, 1, 1)):
+        alpha = PseudoComposition(parts)
+        expected = _coarsening_sum("D", alpha)
+        assert ribbon_d(alpha) == expected
+        for p in ODD_PRIMES:
+            assert ribbon_mod_p("D", alpha, p) == expected % p
 
 
 def test_ribbon_a_det_known_values():
