@@ -19,21 +19,24 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     other terms are 0), and runs the O(m 2^m) inclusion-exclusion
     butterfly.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
-    (single nonzero digit, digits all 0/1, and a handful of type-D shapes),
-    evaluated through chain statistics or tiny frozen residue tallies.
+    (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
+    A single digit m at p^d (types A, B) runs the naive method on m; every
+    other pattern picks one entry of a frozen table of exact residue
+    tallies and support sizes.
 
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
 from .arith import base_p_digits, check_odd_prime, check_prime, inverse_zeta, lucas_binomial
 from .compositions import CapacityError
-from .ribbon import _check_family, chain_mod_p
+from .ribbon import _chain_sum, _check_family, chain_mod_p
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.
@@ -185,6 +188,14 @@ def _exact_weight_table(family: str, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _tally(counts, p: int) -> list[int]:
+    # residue tally [#0, ..., #(p-1)] from {value: count}, values taken mod p
+    tally = [0] * p
+    for v, c in counts.items():
+        tally[v % p] += c
+    return tally
+
+
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
     bits = n - 1 if family == "A" else n
     if bits > NAIVE_MAX_BITS:
@@ -195,10 +206,7 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
     vals = [w % p for w in weights]
     inverse_zeta(vals, p)
     # vals[mask] is now the ribbon number of the index with that descent mask
-    tally = [0] * p
-    for r in vals:
-        tally[r] += 1
-    return tally
+    return _tally(Counter(vals), p)
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
@@ -287,9 +295,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
         )
     vals = _term_table(family, n, p, pos)
     inverse_zeta(vals, p)
-    tally = [0] * p
-    for r in vals:
-        tally[r] += 1
+    tally = _tally(Counter(vals), p)
     free = (n - 1 - m) if family == "A" else (n - m)
     return tally, free
 
@@ -315,21 +321,26 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 # chain statistics on sub-sum posets
 
 
+def _poset_chain_sum(elems: list[frozenset], weight) -> int:
+    # ribbon._chain_sum with inclusion for the binomial, the weight of a
+    # chain's bottom element as its first step, and a top strictly above
+    # every element (a fresh object keeps it strict whatever the sets hold)
+    if len(set(elems)) != len(elems):
+        raise ValueError("poset elements must be distinct")
+    elems.sort(key=len)
+    top = frozenset().union(*elems, [object()])
+    value = _chain_sum(top, elems, lambda x: (weight(x), x), lambda a, b: int(b < a))
+    # _chain_sum carries the sign (-1)^|elements|
+    return -value if len(elems) % 2 else value
+
+
 def signed_chain_count(elements) -> int:
     """Even-size chains minus odd-size chains in a poset of sets.
 
     ``elements`` is a collection of sets ordered by inclusion; the empty
     chain counts as even, so the empty poset gives 1.
     """
-    elems = [frozenset(x) for x in elements]
-    if len(set(elems)) != len(elems):
-        raise ValueError("poset elements must be distinct")
-    elems.sort(key=len)
-    ending: list[int] = []
-    for i, x in enumerate(elems):
-        below = sum(ending[j] for j in range(i) if elems[j] < x)
-        ending.append(-(1 + below))
-    return 1 + sum(ending)
+    return _poset_chain_sum([frozenset(x) for x in elements], lambda x: 1)
 
 
 def weighted_chain_count(elements, k: int) -> int:
@@ -340,77 +351,9 @@ def weighted_chain_count(elements, k: int) -> int:
     contributes 1.
     """
     elems = [frozenset(x) for x in elements]
-    if len(set(elems)) != len(elems):
-        raise ValueError("poset elements must be distinct")
     if any(len(x) >= k for x in elems):
         raise ValueError("elements must be proper subsets of the k powers")
-    elems.sort(key=len, reverse=True)
-    starting: list[int] = []
-    for i, x in enumerate(elems):
-        above = sum(starting[j] for j in range(i) if elems[j] > x)
-        starting.append(-(1 + above))
-    return 1 + sum(t << (k - len(x)) for t, x in zip(starting, elems))
-
-
-def _chi_tally(k: int, p: int) -> list[int]:
-    # chain statistic chi over all subsets T of the 2^k - 2 nonempty proper
-    # sums; a subset relation among sums is a submask relation among members
-    members = list(range(1, (1 << k) - 1))  # ascending: subsets come first
-    m = len(members)
-    below = [0] * m
-    for i, a in enumerate(members):
-        for j in range(i):
-            if members[j] & a == members[j]:
-                below[i] |= 1 << j
-    tally = [0] * p
-    for tmask in range(1 << m):
-        ending = [0] * m
-        total = 1
-        rem = tmask
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            acc = 1
-            sub = below[i] & tmask
-            while sub:
-                j = (sub & -sub).bit_length() - 1
-                sub &= sub - 1
-                acc += ending[j]
-            ending[i] = -acc
-            total -= acc
-        tally[total % p] += 1
-    return tally
-
-
-def _chi_b_tally(k: int, p: int) -> list[int]:
-    # weighted chain statistic over all subsets T of the 2^k - 1 proper sums
-    # (the empty sum included); chains extend upward, so supersets come first
-    members = list(range((1 << k) - 2, -1, -1))  # descending mask order
-    m = len(members)
-    above = [0] * m
-    for i, a in enumerate(members):
-        for j in range(i):
-            if members[j] & a == a and members[j] != a:
-                above[i] |= 1 << j
-    shifts = [k - x.bit_count() for x in members]
-    tally = [0] * p
-    for tmask in range(1 << m):
-        starting = [0] * m
-        total = 1
-        rem = tmask
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            acc = 1
-            sub = above[i] & tmask
-            while sub:
-                j = (sub & -sub).bit_length() - 1
-                sub &= sub - 1
-                acc += starting[j]
-            starting[i] = -acc
-            total -= acc << shifts[i]
-        tally[total % p] += 1
-    return tally
+    return _poset_chain_sum(elems, lambda x: 1 << (k - len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +364,41 @@ class NoClosedFormError(LookupError):
     """No closed form applies to the requested (family, n, p)."""
 
 
-# Frozen residue tallies for the type-D digit shapes, straight from the
-# support-subset analysis; keys are exact integers, reduced mod p on use.
-_D_RULES = {
-    "p^d": ({1: 1, 0: 2, -1: 1}, 2),
-    "2p^d": ({1: 3, -1: 3, 3: 1, -3: 1}, 3),
-    "3p^d": ({1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1}, 4),
-    "1+p^d": ({1: 4, -1: 4}, 3),
-    "p^a+p^b": ({1: 10, -1: 4, -3: 2}, 4),
+# Exact residue tallies {value: count} and support sizes of the closed-form
+# rules, keyed by (family, rule, number of nonzero base-p digits of n) and
+# reduced mod p on use.  The p-powers rows (n a sum of k distinct powers of
+# p) tally, over every subset of the proper sub-sums, signed_chain_count of
+# the nonempty ones (type A) or weighted_chain_count (type B);
+# tests/test_cvec.py rebuilds them.  The other rows come from the
+# support-subset analysis of their digit shapes.
+_RULES = {
+    ("A", "p-powers", 2): ({1: 1, 0: 2, -1: 1}, 2),
+    ("A", "p-powers", 3): ({1: 2, 0: 30, -1: 30, -2: 2}, 6),
+    ("A", "p-powers", 4): (
+        {5: 1, -5: 1, 4: 6, -4: 6, 3: 81, -3: 81, 2: 672, -2: 672, 1: 3630, -1: 3630, 0: 7604},
+        14,
+    ),
+    ("A", "2p^d+p^e", 2): ({0: 6, 1: 6, -1: 2, -2: 2}, 4),
+    ("B", "p-powers", 2): ({1: 2, -1: 4, -3: 2}, 3),
+    ("D", "p^d", 1): ({1: 1, 0: 2, -1: 1}, 2),
+    ("D", "2p^d", 1): ({1: 3, -1: 3, 3: 1, -3: 1}, 3),
+    ("D", "3p^d", 1): ({1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1}, 4),
+    ("D", "1+p^d", 2): ({1: 4, -1: 4}, 3),
+    ("D", "p^a+p^b", 2): ({1: 10, -1: 4, -3: 2}, 4),
 }
 
-_A_TWO_PLUS_ONE = ({0: 6, 1: 6, -1: 2, -2: 2}, 4)
 
-
-def _reduce_tally(raw: dict[int, int], p: int) -> list[int]:
-    tally = [0] * p
-    for v, c in raw.items():
-        tally[v % p] += c
-    return tally
-
-
-def _vector(family, n, p, tally, free, rule) -> DimensionPVector:
-    counts = _assemble(p, tally, free)
-    return DimensionPVector(family, n, p, counts, f"closed-form:{rule}")
+def _closed_rule(family: str, nonzero) -> str | None:
+    # the rule named by the nonzero (position, digit) pairs of n; whether it
+    # holds for this many digits is up to _RULES
+    digits = sorted(d for _, d in nonzero)
+    if family == "D" and len(digits) == 1:
+        return {1: "p^d", 2: "2p^d", 3: "3p^d"}.get(digits[0])
+    if digits == [1] * len(digits):
+        if family != "D":
+            return "p-powers"
+        return "1+p^d" if nonzero[0][0] == 0 else "p^a+p^b"
+    return "2p^d+p^e" if digits == [1, 2] else None
 
 
 def cvec_closed_form(family: str, n: int, p: int):
@@ -456,58 +411,23 @@ def cvec_closed_form(family: str, n: int, p: int):
     check_prime(p)
     if n < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={n} out of range for family {family}")
-    if p == 2 and family == "B":
-        return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
-    if p == 2 and family == "D":
-        if n < 4:
-            return None
+    if family == "D" and n < 4:
+        return None
+    if p == 2 and family != "A":
         return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
     nonzero = [(j, d) for j, d in enumerate(base_p_digits(n, p).digits) if d]
-    if family == "A":
-        return _closed_a(n, p, nonzero)
-    if family == "B":
-        return _closed_b(n, p, nonzero)
-    return _closed_d(n, p, nonzero)
-
-
-def _closed_a(n, p, nonzero):
-    if len(nonzero) == 1 and nonzero[0][0] >= 1:
+    if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:
+        rule = "m*p^d"
         m = nonzero[0][1]
-        tally = _naive_tally("A", m, p)
-        return _vector("A", n, p, tally, n - m, "m*p^d")
-    if all(d == 1 for _, d in nonzero) and 2 <= len(nonzero) <= 4:
-        k = len(nonzero)
-        tally = _chi_tally(k, p)
-        return _vector("A", n, p, tally, n - (1 << k) + 1, "p-powers")
-    if p > 2 and sorted(d for _, d in nonzero) == [1, 2]:
-        raw, support = _A_TWO_PLUS_ONE
-        return _vector("A", n, p, _reduce_tally(raw, p), n - 1 - support, "2p^d+p^e")
-    return None
-
-
-def _closed_b(n, p, nonzero):
-    if len(nonzero) == 1 and nonzero[0][0] >= 1:
-        m = nonzero[0][1]
-        tally = _naive_tally("B", m, p)
-        return _vector("B", n, p, tally, n - m, "m*p^d")
-    if len(nonzero) == 2 and all(d == 1 for _, d in nonzero):
-        tally = _chi_b_tally(2, p)
-        return _vector("B", n, p, tally, n - 3, "p-powers")
-    return None
-
-
-def _closed_d(n, p, nonzero):
-    if n < 4:
-        return None
-    rule = None
-    if len(nonzero) == 1 and nonzero[0][0] >= 1:
-        rule = {1: "p^d", 2: "2p^d", 3: "3p^d"}.get(nonzero[0][1])
-    elif len(nonzero) == 2 and all(d == 1 for _, d in nonzero):
-        rule = "1+p^d" if nonzero[0][0] == 0 else "p^a+p^b"
-    if rule is None:
-        return None
-    raw, support = _D_RULES[rule]
-    return _vector("D", n, p, _reduce_tally(raw, p), n - support, rule)
+        tally, free = _naive_tally(family, m, p), n - m
+    else:
+        rule = _closed_rule(family, nonzero)
+        entry = _RULES.get((family, rule, len(nonzero)))
+        if entry is None:
+            return None
+        raw, support = entry
+        tally, free = _tally(raw, p), (n - 1 if family == "A" else n) - support
+    return DimensionPVector(family, n, p, _assemble(p, tally, free), f"closed-form:{rule}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,6 @@ from .compositions import (
     PseudoComposition,
 )
 
-# Descent-class sizes are plain arbitrary-precision ints.
-RibbonValue = int
-
 FAMILIES = ("A", "B", "D")
 
 # Group-enumeration budgets for the oracle: #elements stays below ~10^6.

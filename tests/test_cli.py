@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import pathlib
+from importlib import resources
 
 import pytest
 
@@ -10,7 +12,6 @@ from ribbonmod.cli import (
     EXCEPTIONAL_MULTISETS,
     TABLE_FILES,
     GoldenRecord,
-    _data_text,
     build_parser,
     format_multiset,
     golden_multisets,
@@ -195,7 +196,12 @@ def test_parser_help_smoke():
     assert parser.prog == "ribbonmod"
 
 
-def test_repo_data_matches_package_data():
-    root = pathlib.Path(__file__).resolve().parent.parent
+def test_make_golden_regenerates_package_data(tmp_path):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", script)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.main(tmp_path)
     for name in TABLE_FILES + (EXCEPTIONAL_HISTOGRAMS, EXCEPTIONAL_MULTISETS):
-        assert (root / "data" / name).read_text() == _data_text(name)
+        packaged = resources.files("ribbonmod").joinpath(f"data/{name}").read_bytes()
+        assert (tmp_path / name).read_bytes() == packaged, name

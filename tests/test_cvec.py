@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -25,6 +26,7 @@ from ribbonmod.cvec import (
     support_residue,
     support_set,
     weighted_chain_count,
+    _RULES,
     _term_table,
     _theorem_tally,
 )
@@ -326,6 +328,9 @@ def test_signed_chain_count_examples():
     assert signed_chain_count([u, v, w]) == -2
     # two comparable elements admit the chains {}, {a}, {b}, {a, b}
     assert signed_chain_count([u, frozenset("uv")]) == 0
+    # the members of the sets are arbitrary, None included
+    assert signed_chain_count([{None}]) == 0
+    assert signed_chain_count([{None}, {None, 1}]) == 0
     with pytest.raises(ValueError):
         signed_chain_count([u, u])
 
@@ -340,6 +345,48 @@ def test_weighted_chain_count_examples():
     assert weighted_chain_count([empty, u, v], 2) == 1
     with pytest.raises(ValueError):
         weighted_chain_count([frozenset("uv")], 2)
+    assert weighted_chain_count([{None}], 2) == -1
+    with pytest.raises(ValueError):
+        weighted_chain_count([u, u], 2)
+
+
+def _brute_chain_sum(elements, weight):
+    # (-1)^h * weight(bottom) summed over the totally ordered h-subsets
+    pool = sorted(elements, key=len)
+    total = 0
+    for h in range(len(pool) + 1):
+        for chain in itertools.combinations(pool, h):
+            if all(a < b for a, b in zip(chain, chain[1:])):
+                total += (-1) ** h * (weight(chain[0]) if chain else 1)
+    return total
+
+
+@given(k=st.integers(min_value=0, max_value=4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_statistics_match_brute_force(k, data):
+    subsets = [frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+    elems = data.draw(st.lists(st.sampled_from(subsets), unique=True, max_size=10))
+    assert signed_chain_count([set(u) for u in elems]) == _brute_chain_sum(elems, lambda u: 1)
+    proper = [u for u in elems if len(u) < k]
+    expected = _brute_chain_sum(proper, lambda u: 1 << (k - len(u)))
+    assert weighted_chain_count(proper, k) == expected
+
+
+def test_rule_table_p_powers_rows_from_chain_statistics():
+    # n a sum of k distinct powers of p: its proper sub-sums are the proper
+    # subsets of the k powers, and each subset T of them carries one chain
+    # statistic; the rule table freezes the tally of those statistics
+    def tally(members, statistic):
+        values = Counter()
+        for picks in itertools.product((False, True), repeat=len(members)):
+            values[statistic([u for u, pick in zip(members, picks) if pick])] += 1
+        return dict(values), len(members)
+
+    for k in (2, 3, 4):
+        members = [frozenset(c) for r in range(1, k) for c in itertools.combinations(range(k), r)]
+        assert _RULES["A", "p-powers", k] == tally(members, signed_chain_count)
+    members = [frozenset(c) for r in range(2) for c in itertools.combinations(range(2), r)]
+    assert _RULES["B", "p-powers", 2] == tally(members, lambda t: weighted_chain_count(t, 2))
 
 
 # -- closed forms -----------------------------------------------------------
