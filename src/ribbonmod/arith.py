@@ -3,11 +3,15 @@ subset Moebius transform.
 
 Everything here is pure integer arithmetic on Python ints, so results are
 exact at any size.  Moduli are validated as primes by a deterministic
-Miller-Rabin test the first time they are used.
+Miller-Rabin test the first time they are used.  The Moebius transform packs
+its values into the byte fields of one big int and runs each level of the
+butterfly as a few whole-int operations (SIMD within a register).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -17,6 +21,12 @@ from .compositions import CapacityError
 # this bound (Sorenson and Webster, 2015), so the test is exact under it.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+# unsigned array typecodes of the field widths packed natively, by byte
+# count (the lower-case code is the signed one); lists convert to and from
+# arrays in chunks, so no temporary list is as long as the input
+_NATIVE_CODES = {array(code).itemsize: code for code in "QIHB"}
+_CHUNK = 1 << 14
 
 
 def is_prime(p: int) -> bool:
@@ -179,25 +189,80 @@ def pow2_mod_p(e: int, p: int) -> int:
 def inverse_zeta(vals: list[int], p: int | None = None) -> None:
     """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S].
 
-    The subset Moebius transform (Yates 1937), exact or, with ``p``, mod p.
-    Level ``step`` pairs each mask having that bit with the mask without it.
-    The pairs are rewritten either with one strided slice per offset below
-    ``step`` or with one contiguous slice per block of ``2 * step`` masks,
-    whichever takes fewer slice operations, so no level costs more than
-    about sqrt(len(vals)) Python-level steps.
+    The subset Moebius transform (Yates 1937), exact or, with ``p``, mod p
+    (inputs need not be reduced; outputs are).  ``len(vals)`` must be a
+    power of two.
+
+    The values are packed into one int of fixed-width byte fields, field i
+    at bit i * w, so each level of the butterfly is a handful of linear-time
+    big-int operations instead of one Python step per pair.  Mod p a field
+    holds a residue and is at least bit_length(p) + 1 bits wide.  Exactly a
+    field holds v + B with the bias B = 2^(w-1) > 2^levels * max|v|, so no
+    field ever goes negative; flipping the top bit of a w-bit two's
+    complement field adds B, so packing and unpacking need no per-value
+    arithmetic.  The level of bit s moves the fields without bit s onto the
+    fields with it (``up``) and subtracts; mod p, the top bit of each field
+    h - l + 2^(w-1) says whether h - l stayed nonnegative, and p is added
+    back to the fields where it did not.  Borrows between fields in the
+    middle of a level cancel, because every field ends the level inside
+    [0, 2^w).
     """
     size = len(vals)
-    step = 1
-    while step < size:
-        double = step * 2
-        if step <= size // double:
-            cuts = [(slice(lo + step, None, double), slice(lo, None, double)) for lo in range(step)]
+    if not size or size & (size - 1):
+        raise ValueError("the butterfly needs a power-of-two length")
+    signed = p is None
+    if signed:
+        bits = max(max(vals), -min(vals)).bit_length() + size.bit_length()
+    else:
+        bits = p.bit_length() + 1
+    width = (bits + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    w = 8 * width
+    code = _NATIVE_CODES.get(width)
+    if code and signed:
+        code = code.lower()
+    if code:
+        if signed:
+            packed = array(code, vals)
         else:
-            cuts = [(slice(base + step, base + double), slice(base, base + step))
-                    for base in range(0, size, double)]
-        for hi, lo in cuts:
-            if p is None:
-                vals[hi] = [x - y for x, y in zip(vals[hi], vals[lo])]
-            else:
-                vals[hi] = [(x - y) % p for x, y in zip(vals[hi], vals[lo])]
-        step = double
+            packed = array(code)
+            for i in range(0, size, _CHUNK):
+                packed.fromlist([v % p for v in vals[i:i + _CHUNK]])
+        if sys.byteorder == "big":
+            packed.byteswap()
+    else:
+        fields = vals if signed else (v % p for v in vals)
+        packed = b"".join(v.to_bytes(width, "little", signed=signed) for v in fields)
+    x = int.from_bytes(packed, "little")
+    del packed
+    if signed:
+        top = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+        x ^= top
+    # the levels commute, so they run from the top bit down: the fields
+    # whose index has bit s set are m ^ (m >> (2^s fields)), m those of bit s + 1
+    step = size // 2
+    m1 = int.from_bytes(bytes(width * step) + (1).to_bytes(width, "little") * step, "little")
+    while step:
+        up = (x << (w * step)) & ((m1 << w) - m1)
+        if signed:
+            x = x - up + (m1 << (w - 1))
+        else:
+            t = x + (m1 << (w - 1)) - up
+            x = x - up + p * (m1 ^ ((t >> (w - 1)) & m1))
+        step //= 2
+        m1 ^= m1 >> (w * step)
+    if signed:
+        x ^= top
+    data = x.to_bytes(size * width, "little")
+    del x
+    if code:
+        out = array(code, data)
+        del data
+        if sys.byteorder == "big":
+            out.byteswap()
+        for i in range(0, size, _CHUNK):
+            vals[i:i + _CHUNK] = out[i:i + _CHUNK]
+    else:
+        vals[:] = [int.from_bytes(data[i:i + width], "little", signed=signed)
+                   for i in range(0, len(data), width)]

@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .arith import check_prime, inverse_zeta
+from .arith import inverse_zeta
+from .cvec import _check_tally_prime, _tally
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -288,9 +289,9 @@ def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
 
 
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
-    """Tally of the descent-class sizes modulo p, indexed by residue."""
-    check_prime(p)
-    counts = [0] * p
-    for size, mult in descent_class_multiset(diagram).items():
-        counts[size % p] += mult
-    return tuple(counts)
+    """Tally of the descent-class sizes modulo p, indexed by residue.
+
+    A prime past the index budget of ``cvec`` is refused with CapacityError.
+    """
+    _check_tally_prime(p)
+    return tuple(_tally(descent_class_multiset(diagram), p))

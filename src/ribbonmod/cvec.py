@@ -7,7 +7,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
   * ``cvec_naive``    -- reduce every ribbon number mod p and tally.  The
     whole index lattice is processed at once with an inclusion-exclusion
     butterfly over exact multinomial weights, so nothing here touches the
-    digit machinery used by the other two methods.
+    digit machinery used by the other two methods.  The weight table is
+    built block by block (the masks with top descent d are scaled copies
+    of the blocks below, one constant per block; the B/D first-part
+    weights are one strided slice per lowest descent) and kept for the
+    next prime; the butterfly is ``arith.inverse_zeta`` on packed integer
+    fields.
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
@@ -25,6 +30,8 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     tallies and support sizes.
 
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
+Every p-vector has p entries, so a prime past the index budget
+2^NAIVE_MAX_BITS is refused with ``CapacityError`` before any work.
 """
 
 from __future__ import annotations
@@ -39,9 +46,20 @@ from .compositions import CapacityError
 from .ribbon import _chain_sum, _check_family, chain_mod_p
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
-# (theorem method) are capped to keep memory and time sane.
+# (theorem method) are capped to keep memory and time sane.  The index
+# budget also caps p, the length of every residue tally.
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
+
+
+def _check_tally_prime(p: int) -> None:
+    # refuse a prime whose p-entry residue tally would be past the index
+    # budget, before anything of size p is allocated
+    check_prime(p)
+    if p > 1 << NAIVE_MAX_BITS:
+        raise CapacityError(
+            f"a tally of {p} residue classes is past the budget of 2^{NAIVE_MAX_BITS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,19 +163,21 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
 
 def _multinomial_table(n: int, lo: int) -> list[int]:
     # out[mask] = multinomial of the composition whose descent set is mask,
-    # where bit b encodes descent position b + lo.
+    # where bit b encodes descent position b + lo.  The masks whose top bit
+    # is h (top descent d = h + lo) form the block [2^h, 2^(h+1)).  Adding d
+    # above a rest whose top descent is t splits the last part n - t into
+    # d - t and n - d, which multiplies the multinomial by C(n - t, d - t);
+    # so block h is 2^h scaled copies of the blocks below it, one constant
+    # per lower block (t = k + lo on block k, and t = 0 for the empty rest).
     bits = n - 1 if lo else n
-    size = 1 << bits
-    g = [1] * size
-    top = [0] * size
-    out = [1] * size
-    for mask in range(1, size):
-        h = mask.bit_length() - 1
+    out = [1]
+    for h in range(bits):
         d = h + lo
-        rest = mask ^ (1 << h)
-        g[mask] = g[rest] * comb(d, d - top[rest])
-        top[mask] = d
-        out[mask] = g[mask] * comb(n, n - d)
+        out.append(comb(n, d))
+        for k in range(h):
+            t = k + lo
+            c = comb(n - t, d - t)
+            out += [c * x for x in out[1 << k:2 << k]]
     return out
 
 
@@ -168,23 +188,19 @@ def _exact_weight_table(family: str, n: int) -> tuple[int, ...]:
     if family == "A":
         return tuple(_multinomial_table(n, 1))
     mult = _multinomial_table(n, 0)
-    size = len(mult)
-    out = [0] * size
-    out[0] = 1
-    if family == "B":
-        for mask in range(1, size):
-            first = (mask & -mask).bit_length() - 1
-            out[mask] = mult[mask] << (n - first)
-        return tuple(out)
-    # family D: the covering count depends on the first part of the index
-    for mask in range(1, size):
-        first = (mask & -mask).bit_length() - 1
-        if first == 0:
-            out[mask] = mult[mask] << (n - 1)
-        elif first == 1:
-            out[mask] = mult[(mask & ~2) | 1] << (n - 1)
-        else:
-            out[mask] = mult[mask] << (n - first)
+    out = [1] * len(mult)
+    # the masks whose lowest descent is f are the stride [2^f :: 2^(f+1)];
+    # in type B their covering count is the multinomial times 2^(n - f)
+    for f in range(n):
+        source = slice(1 << f, None, 2 << f)
+        weight = 1 << (n - f)
+        if family == "D" and f < 2:
+            # a first part of at most 1 halves the weight, and a lone
+            # descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1
+            weight = 1 << (n - 1)
+            if f == 1:
+                source = slice(1, None, 4)
+        out[1 << f::2 << f] = [weight * x for x in mult[source]]
     return tuple(out)
 
 
@@ -202,8 +218,7 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
-    weights = _exact_weight_table(family, n)
-    vals = [w % p for w in weights]
+    vals = list(_exact_weight_table(family, n))
     inverse_zeta(vals, p)
     # vals[mask] is now the ribbon number of the index with that descent mask
     return _tally(Counter(vals), p)
@@ -212,7 +227,7 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
     """Histogram of all ribbon numbers mod p, by sweeping the index lattice."""
     _check_family(family)
-    check_prime(p)
+    _check_tally_prime(p)
     if n < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={n} out of range for family {family}")
     return DimensionPVector(family, n, p, tuple(_naive_tally(family, n, p)), "naive")
@@ -303,7 +318,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
     """Dimension p-vector by the digit method; never enumerates the lattice."""
     _check_family(family)
-    check_prime(p)
+    _check_tally_prime(p)
     if family == "D":
         if n < 4:
             raise ValueError("the theorem method needs n >= 4 in type D")
@@ -408,7 +423,7 @@ def cvec_closed_form(family: str, n: int, p: int):
     pattern, e.g. ``closed-form:p^a+p^b``.
     """
     _check_family(family)
-    check_prime(p)
+    _check_tally_prime(p)
     if n < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={n} out of range for family {family}")
     if family == "D" and n < 4:
@@ -441,7 +456,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     naive sweep.
     """
     _check_family(family)
-    check_prime(p)
+    _check_tally_prime(p)
     if n < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={n} out of range for family {family}")
     if method == "naive":

@@ -97,6 +97,8 @@ def test_cvec_exit_codes(capsys):
     assert code == 1 and "closed" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
     assert code == 2 and "primality" in err
+    code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**31 - 1))
+    assert code == 2 and "budget" in err
 
 
 def _parse_long_decimal(text):

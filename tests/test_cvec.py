@@ -1,17 +1,19 @@
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonmod.arith import base_p_digits, inverse_zeta
+from ribbonmod.arith import base_p_digits, inverse_zeta, multinomial_exact
 from ribbonmod.compositions import (
     CapacityError,
     _parts_from_mask,
     enumerate_compositions,
     enumerate_pseudo_compositions,
 )
+from ribbonmod.coxeter import builtin_diagram, residue_histogram
 from ribbonmod.cvec import (
     DimensionPVector,
     NoClosedFormError,
@@ -27,6 +29,7 @@ from ribbonmod.cvec import (
     support_set,
     weighted_chain_count,
     _RULES,
+    _exact_weight_table,
     _term_table,
     _theorem_tally,
 )
@@ -183,6 +186,78 @@ def test_inverse_zeta_mod_matches_inclusion_exclusion():
         vals = [v % p for v in raw]
         inverse_zeta(vals, p)
         assert vals == [e % p for e in expected]
+
+
+def _moebius_reference(raw):
+    # vals[T] = sum over S subset T of (-1)^|T\S| raw[S], term by term
+    out = []
+    for t in range(len(raw)):
+        total = 0
+        s = t
+        while True:
+            total += raw[s] if (t ^ s).bit_count() % 2 == 0 else -raw[s]
+            if s == 0:
+                break
+            s = (s - 1) & t
+        out.append(total)
+    return out
+
+
+def test_inverse_zeta_packed_field_widths():
+    # signed inputs past 2^64 take fields wider than 8 bytes exactly; mod p
+    # the inputs are unreduced and partly negative, and the moduli give
+    # 1-, 2-, 4-, 8- and 12-byte fields
+    rng = random.Random(5)
+    for bits in range(13):
+        size = 1 << bits
+        raw = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(size)]
+        expected = _moebius_reference(raw)
+        exact = raw[:]
+        inverse_zeta(exact)
+        assert exact == expected, bits
+        for p in (2, 7, 251, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+            vals = raw[:]
+            inverse_zeta(vals, p)
+            assert vals == [e % p for e in expected], (bits, p)
+        # the worst case of the exact field bound: every term of the full
+        # mask adds, so its value reaches 2^bits * top, past 2^63
+        top = (1 << (64 - bits)) - 1
+        worst = [top if (bits - s.bit_count()) % 2 == 0 else -top for s in range(size)]
+        expected = _moebius_reference(worst)
+        inverse_zeta(worst)
+        assert worst == expected and worst[-1] == top << bits
+    small = [-3, 5, 0, 2**64, -(2**64), 1, 7, -7]
+    for p in (None, 3):
+        vals = small[:]
+        inverse_zeta(vals, p)
+        assert vals == [e if p is None else e % p for e in _moebius_reference(small)]
+    with pytest.raises(ValueError):
+        inverse_zeta([1, 2, 3])
+
+
+def test_weight_table_matches_per_mask_reference():
+    # covering counts: the multinomial of the mask's parts times the
+    # family's power of two; in type D a lowest descent at 0 or 1 weighs
+    # 2^(n-1), and a lone descent at 1 counts as one at 0
+    for family in "ABD":
+        for n in range(2 if family == "D" else 1, 11):
+            table = _exact_weight_table(family, n)
+            lo = 1 if family == "A" else 0
+            bits = n - 1 if family == "A" else n
+            assert len(table) == 1 << bits
+            for mask, got in enumerate(table):
+                first = (mask & -mask).bit_length() - 1
+                source = mask
+                if family == "A" or mask == 0:
+                    weight = 1
+                elif family == "D" and first <= 1:
+                    weight = 1 << (n - 1)
+                    if first == 1:
+                        source = mask ^ 3
+                else:
+                    weight = 1 << (n - first)
+                want = weight * multinomial_exact(n, _parts_from_mask(n, source, lo))
+                assert got == want, (family, n, mask)
 
 
 def test_theorem_tally_complement_pairing():
@@ -466,6 +541,28 @@ def test_capacity_errors():
         cvec_naive("A", 40, 3)
     with pytest.raises(ValueError):
         DimensionPVector("A", 4, 3, (1, 2))
+
+
+def test_huge_prime_refused_before_the_tally():
+    # a p-entry tally of p = 2^31 - 1 would take gigabytes; every entry
+    # point refuses the prime before allocating anything of size p
+    p = 2**31 - 1
+    calls = [
+        lambda: cvec("A", 7, p),
+        lambda: cvec_naive("A", 7, p),
+        lambda: cvec_theorem("A", 7, p),
+        lambda: cvec_closed_form("A", 7, p),
+        lambda: residue_histogram(builtin_diagram("A3"), p),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @given(
