@@ -19,7 +19,7 @@ from importlib import resources
 from .arith import check_prime
 from .compositions import CapacityError, from_descent_set, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
-from .cvec import NoClosedFormError, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
+from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
 
 TABLE_FILES = ("type_a.csv", "type_b.csv", "type_d.csv")
@@ -280,14 +280,12 @@ def _verify_oracles(report) -> bool:
             width = n - 1 if family == "A" else n
             if len(classes) != 1 << width:
                 bad += 1
+            sizes = Counter(classes.values())
             for p in ORACLE_PRIMES:
                 # cvec_naive refuses a p past the tally budget before the
-                # histogram below allocates p entries
+                # tally below allocates p entries
                 expected = cvec_naive(family, n, p).counts
-                histogram = [0] * p
-                for size in classes.values():
-                    histogram[size % p] += 1
-                if tuple(histogram) != expected:
+                if tuple(_tally(sizes, p)) != expected:
                     bad += 1
             if bad:
                 ok = False

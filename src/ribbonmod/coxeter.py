@@ -7,7 +7,9 @@ subset sweep of the generator set.  The descent-class size for a generator
 subset I is recovered by inclusion-exclusion over the coset counts
 |W| / |W_(S minus J)| for J inside I: for a single I term by term, and for
 all 2^rank subsets at once by one O(rank 2^rank) subset Moebius butterfly
-over the coset counts.
+over the coset counts, modulo |W| + 1 (a class size is at most |W|, so its
+residue is the size itself).  Both sweeps refuse more than 2^SUBSET_MAX_RANK
+subsets with CapacityError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from dataclasses import dataclass
 from math import factorial
 
 from .arith import inverse_zeta
+from .compositions import CapacityError
 from .cvec import _check_tally_prime, _tally
+
+# Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
+# terms of one class) are capped to keep memory and time sane.
+SUBSET_MAX_RANK = 18
 
 _EXCEPTIONAL_ORDERS = {
     ("E", 6): 51840,
@@ -248,6 +255,13 @@ def parabolic_order(diagram: CoxeterDiagram, subset=None) -> int:
     return order
 
 
+def _check_subset_sweep(size: int) -> None:
+    if size > SUBSET_MAX_RANK:
+        raise CapacityError(
+            f"a sweep over 2^{size} generator subsets is past the budget of 2^{SUBSET_MAX_RANK}"
+        )
+
+
 def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     """Size of the descent class of a generator subset, by inclusion-
     exclusion over the coset counts of the complementary parabolics."""
@@ -255,6 +269,7 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     I = frozenset(subset)
     if not I <= gens:
         raise ValueError("subset must consist of generators of the diagram")
+    _check_subset_sweep(len(I))
     group_order = parabolic_order(diagram)
     items = sorted(I)
     total = 0
@@ -272,14 +287,16 @@ def descent_class_sizes(diagram: CoxeterDiagram) -> dict[frozenset, int]:
 
     One parabolic order per subset gives the coset counts |W| / |W_(S minus J)|
     indexed by the mask of J, and one subset Moebius butterfly turns them
-    into the class sizes.
+    into the class sizes.  Every class size lies in [0, |W|], so the
+    butterfly runs modulo |W| + 1 and each residue is the exact size.
     """
     gens = diagram.generators
+    _check_subset_sweep(len(gens))
     full = (1 << len(gens)) - 1
     subsets = [tuple(g for i, g in enumerate(gens) if mask >> i & 1) for mask in range(full + 1)]
     orders = [parabolic_order(diagram, subset) for subset in subsets]
     sizes = [orders[full] // orders[full ^ mask] for mask in range(full + 1)]
-    inverse_zeta(sizes)
+    inverse_zeta(sizes, orders[full] + 1)
     return {frozenset(subset): size for subset, size in zip(subsets, sizes)}
 
 

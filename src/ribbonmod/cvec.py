@@ -43,7 +43,7 @@ from math import comb, factorial
 
 from .arith import base_p_digits, check_odd_prime, check_prime, inverse_zeta, lucas_binomial
 from .compositions import CapacityError
-from .ribbon import _chain_sum, _check_family, chain_mod_p
+from .ribbon import _check_family, chain_mod_p
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.  The index
@@ -333,45 +333,6 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 
 
 # ---------------------------------------------------------------------------
-# chain statistics on sub-sum posets
-
-
-def _poset_chain_sum(elems: list[frozenset], weight) -> int:
-    # ribbon._chain_sum with inclusion for the binomial, the weight of a
-    # chain's bottom element as its first step, and a top strictly above
-    # every element (a fresh object keeps it strict whatever the sets hold)
-    if len(set(elems)) != len(elems):
-        raise ValueError("poset elements must be distinct")
-    elems.sort(key=len)
-    top = frozenset().union(*elems, [object()])
-    value = _chain_sum(top, elems, lambda x: (weight(x), x), lambda a, b: int(b < a))
-    # _chain_sum carries the sign (-1)^|elements|
-    return -value if len(elems) % 2 else value
-
-
-def signed_chain_count(elements) -> int:
-    """Even-size chains minus odd-size chains in a poset of sets.
-
-    ``elements`` is a collection of sets ordered by inclusion; the empty
-    chain counts as even, so the empty poset gives 1.
-    """
-    return _poset_chain_sum([frozenset(x) for x in elements], lambda x: 1)
-
-
-def weighted_chain_count(elements, k: int) -> int:
-    """Type-B chain statistic over a poset of proper subsets of k powers.
-
-    Sums (-1)^h * 2^(k - |U_1|) over the chains U_1 < ... < U_h drawn from
-    ``elements`` (again sets ordered by inclusion); the empty chain
-    contributes 1.
-    """
-    elems = [frozenset(x) for x in elements]
-    if any(len(x) >= k for x in elems):
-        raise ValueError("elements must be proper subsets of the k powers")
-    return _poset_chain_sum(elems, lambda x: 1 << (k - len(x)))
-
-
-# ---------------------------------------------------------------------------
 # closed forms
 
 
@@ -382,8 +343,9 @@ class NoClosedFormError(LookupError):
 # Exact residue tallies {value: count} and support sizes of the closed-form
 # rules, keyed by (family, rule, number of nonzero base-p digits of n) and
 # reduced mod p on use.  The p-powers rows (n a sum of k distinct powers of
-# p) tally, over every subset of the proper sub-sums, signed_chain_count of
-# the nonempty ones (type A) or weighted_chain_count (type B);
+# p) tally, over every subset of the proper sub-sums, a chain statistic of
+# the nonempty ones: signed chain counts (type A) or 2-weighted ones (type
+# B); test_rule_table_p_powers_rows_from_chain_statistics in
 # tests/test_cvec.py rebuilds them.  The other rows come from the
 # support-subset analysis of their digit shapes.
 _RULES = {

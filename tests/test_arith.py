@@ -9,9 +9,8 @@ from ribbonmod.arith import (
     base_p_digits,
     check_prime,
     is_prime,
+    lucas_binomial,
     multinomial_exact,
-    multinomial_mod_p,
-    pow2_mod_p,
 )
 from ribbonmod.compositions import CapacityError
 
@@ -61,8 +60,6 @@ def test_nonprime_modulus_rejected(bad):
         check_prime(bad)
     with pytest.raises(ValueError):
         base_p_digits(10, bad)
-    with pytest.raises(ValueError):
-        multinomial_mod_p(4, (2, 2), bad)
 
 
 def test_base_p_digits_known_values():
@@ -108,18 +105,6 @@ def test_multinomial_exact_rejects_negative():
         multinomial_exact(4, (5, -1))
 
 
-def test_multinomial_mod_p_known_values():
-    assert multinomial_mod_p(5, (2, 3), 3) == 10 % 3
-    assert multinomial_mod_p(4, (1, 3), 2) == 0  # C(4;1,3)=4
-    # n a sum of two distinct powers of p: the split along the powers is 1
-    for p in (2, 3, 5):
-        for a, b in ((1, p), (1, p * p), (p, p * p)):
-            n = a + b
-            assert multinomial_mod_p(n, (a, b), p) == 1
-            assert multinomial_mod_p(n, (b, a), p) == 1
-            assert multinomial_mod_p(n, (n,), p) == 1
-
-
 def _weak_compositions(n, length):
     if length == 1:
         yield (n,)
@@ -129,6 +114,29 @@ def _weak_compositions(n, length):
             yield (first,) + rest
 
 
+def _digit_column_product(n, parts, p):
+    # Dickson: the multinomial mod p is the product over base-p digit
+    # positions of the multinomial of the parts' digits with top n's digit
+    width = max(len(base_p_digits(m, p)) for m in (n, *parts))
+    rows = [base_p_digits(m, p).padded(width) for m in parts]
+    result = 1
+    for j, nj in enumerate(base_p_digits(n, p).padded(width)):
+        result = result * multinomial_exact(nj, [row[j] for row in rows]) % p
+    return result
+
+
+def _lucas_product(n, parts, p):
+    # the multinomial as a product of binomials C(m_1 + ... + m_i, m_i),
+    # each mod p by Lucas's theorem; 0 unless the parts sum to n
+    if sum(parts) != n:
+        return 0
+    result, total = 1, 0
+    for m in parts:
+        total += m
+        result = result * lucas_binomial(base_p_digits(total, p).digits, base_p_digits(m, p).digits, p) % p
+    return result
+
+
 def test_digit_factorization_agrees_with_exact():
     # all part sequences of length <= 4 summing to n, n <= 12
     for n in range(0, 13):
@@ -136,7 +144,8 @@ def test_digit_factorization_agrees_with_exact():
             for parts in _weak_compositions(n, length):
                 exact = multinomial_exact(n, parts)
                 for p in (2, 3, 5, 7, 11):
-                    assert multinomial_mod_p(n, parts, p) == exact % p
+                    assert _digit_column_product(n, parts, p) == exact % p
+                    assert _lucas_product(n, parts, p) == exact % p
 
 
 @given(
@@ -146,20 +155,9 @@ def test_digit_factorization_agrees_with_exact():
 )
 @settings(max_examples=300)
 def test_digit_factorization_agrees_including_mismatches(n, parts, p):
-    assert multinomial_mod_p(n, parts, p) == multinomial_exact(n, parts) % p
-
-
-def test_pow2_known_values():
-    assert pow2_mod_p(10, 7) == 1024 % 7
-    for p in (3, 5, 7, 11, 13):
-        assert pow2_mod_p(0, p) == 1
-
-
-def test_pow2_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pow2_mod_p(3, 2)
-    with pytest.raises(ValueError):
-        pow2_mod_p(-1, 7)
+    expected = multinomial_exact(n, parts) % p
+    assert _digit_column_product(n, parts, p) == expected
+    assert _lucas_product(n, parts, p) == expected
 
 
 def test_pow2_digitwise_identity():
@@ -170,7 +168,7 @@ def test_pow2_digitwise_identity():
             digit_product = 1
             for nj in base_p_digits(n, p):
                 digit_product = digit_product * pow(2, nj, p) % p
-            assert pow2_mod_p(n - 1, p) == digit_product * inv2 % p
+            assert pow(2, n - 1, p) == digit_product * inv2 % p
 
 
 def test_digit_vector_is_value_object():

@@ -145,6 +145,13 @@ def test_coxeter_errors(capsys):
     assert code == 2 and "--p" in err
 
 
+def test_coxeter_budget_exit_codes(capsys):
+    code, _, err = run(capsys, "coxeter", "--group", "A30")
+    assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 41))))
+    assert code == 2 and "budget" in err
+
+
 def test_coxeter_csv(capsys):
     code, out, _ = run(capsys, "coxeter", "--group", "H3", "--p", "5", "--format", "csv")
     assert code == 0

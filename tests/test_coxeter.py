@@ -1,14 +1,18 @@
+import tracemalloc
+from collections import Counter
 from math import factorial
 
 import pytest
 
 from ribbonmod.compositions import (
+    CapacityError,
     Composition,
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
 )
 from ribbonmod.coxeter import (
+    SUBSET_MAX_RANK,
     CoxeterDiagram,
     IrreducibleType,
     UnclassifiableError,
@@ -21,7 +25,7 @@ from ribbonmod.coxeter import (
     ribbon_general,
 )
 from ribbonmod.cli import TABLE_FILES, golden_vectors
-from ribbonmod.ribbon import ribbon_a, ribbon_b, ribbon_d
+from ribbonmod.ribbon import ribbon_a, ribbon_b, ribbon_d, ribbon_exact
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
 
@@ -198,6 +202,38 @@ def test_residue_histograms_match_golden_tables():
             assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, n, p)
             checked += 1
     assert checked > 100
+
+
+def test_multisets_match_chain_recurrence_across_field_widths():
+    # the butterfly runs mod |W| + 1, whose field width grows with the
+    # group: A11 takes 4-byte fields, A12 (|W| of 33 bits) is the first to
+    # take 8-byte ones, B12 and D13 take 8, and D14 (50 bits) 8 as well
+    for family, rank in (("A", 11), ("A", 12), ("B", 12), ("D", 13), ("D", 14)):
+        if family == "A":
+            indices = enumerate_compositions(rank + 1)
+        else:
+            indices = enumerate_pseudo_compositions(rank)
+        expected = Counter(ribbon_exact(family, alpha) for alpha in indices)
+        assert descent_class_multiset(builtin_diagram(f"{family}{rank}")) == expected, (family, rank)
+
+
+def test_subset_sweeps_past_the_budget_refused_before_allocating():
+    # 2^30 descent classes, and one class of 2^40 inclusion-exclusion terms
+    wide, wider = builtin_diagram("A30"), builtin_diagram("A40")
+    for call in (lambda: descent_class_sizes(wide),
+                 lambda: descent_class_multiset(wide),
+                 lambda: residue_histogram(wide, 3),
+                 lambda: ribbon_general(wider, wider.generators)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    with pytest.raises(CapacityError):
+        ribbon_general(wider, wider.generators[:SUBSET_MAX_RANK + 1])
 
 
 def test_ribbon_general_rejects_foreign_generators():

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +24,15 @@ from ribbonmod.cvec import (
     cvec_theorem,
     macdonald_mp,
     partitions,
-    signed_chain_count,
     standard_tableau_count,
     support_residue,
     support_set,
-    weighted_chain_count,
     _RULES,
     _exact_weight_table,
     _term_table,
     _theorem_tally,
 )
-from ribbonmod.ribbon import _digit_cache, ribbon_mod_p, term_mod_p
+from ribbonmod.ribbon import _chain_sum, _digit_cache, ribbon_mod_p, term_mod_p
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -164,8 +163,8 @@ def test_term_table_matches_term_mod_p():
 
 def test_inverse_zeta_mod_matches_inclusion_exclusion():
     # sizes 2^0 .. 2^11 take both the strided and the contiguous branch,
-    # exactly and mod p
-    p = 7
+    # mod a prime, mod composites (|A12| + 1 among them, a modulus the
+    # Coxeter classes use) and mod a modulus past 2^bits * max|v|
     for bits in range(12):
         size = 1 << bits
         raw = [i * i - 5 * i + 1 for i in range(size)]
@@ -180,12 +179,11 @@ def test_inverse_zeta_mod_matches_inclusion_exclusion():
                     break
                 s = (s - 1) & t
             expected.append(total)
-        exact = raw[:]
-        inverse_zeta(exact)
-        assert exact == expected
-        vals = [v % p for v in raw]
-        inverse_zeta(vals, p)
-        assert vals == [e % p for e in expected]
+        past = (max(abs(v) for v in raw) << bits) + 1
+        for m in (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, past):
+            vals = [v % m for v in raw]
+            inverse_zeta(vals, m)
+            assert vals == [e % m for e in expected], (bits, m)
 
 
 def _moebius_reference(raw):
@@ -204,35 +202,36 @@ def _moebius_reference(raw):
 
 
 def test_inverse_zeta_packed_field_widths():
-    # signed inputs past 2^64 take fields wider than 8 bytes exactly; mod p
-    # the inputs are unreduced and partly negative, and the moduli give
-    # 1-, 2-, 4-, 8- and 12-byte fields
+    # the inputs are unreduced and partly negative; the moduli give 1-, 2-,
+    # 4- and 8-byte fields and wide ones (9 bytes and more), prime or not,
+    # and the last one exceeds 2^bits * max|v|, so the residues are the
+    # exact signed values shifted into [0, m)
     rng = random.Random(5)
     for bits in range(13):
         size = 1 << bits
         raw = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(size)]
         expected = _moebius_reference(raw)
-        exact = raw[:]
-        inverse_zeta(exact)
-        assert exact == expected, bits
-        for p in (2, 7, 251, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+        past = (max(abs(v) for v in raw) << bits) + 1
+        for m in (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, past):
             vals = raw[:]
-            inverse_zeta(vals, p)
-            assert vals == [e % p for e in expected], (bits, p)
-        # the worst case of the exact field bound: every term of the full
-        # mask adds, so its value reaches 2^bits * top, past 2^63
+            inverse_zeta(vals, m)
+            assert vals == [e % m for e in expected], (bits, m)
+        # the worst case of the field bound: every term of the full mask
+        # adds, so its value reaches 2^bits * top, past 2^63, and is the
+        # largest residue mod 2^bits * top + 1
         top = (1 << (64 - bits)) - 1
         worst = [top if (bits - s.bit_count()) % 2 == 0 else -top for s in range(size)]
+        m = (top << bits) + 1
         expected = _moebius_reference(worst)
-        inverse_zeta(worst)
-        assert worst == expected and worst[-1] == top << bits
+        inverse_zeta(worst, m)
+        assert worst == [e % m for e in expected] and worst[-1] == m - 1
     small = [-3, 5, 0, 2**64, -(2**64), 1, 7, -7]
-    for p in (None, 3):
+    for m in (3, 2**68):
         vals = small[:]
-        inverse_zeta(vals, p)
-        assert vals == [e if p is None else e % p for e in _moebius_reference(small)]
+        inverse_zeta(vals, m)
+        assert vals == [e % m for e in _moebius_reference(small)]
     with pytest.raises(ValueError):
-        inverse_zeta([1, 2, 3])
+        inverse_zeta([1, 2, 3], 7)
 
 
 def test_weight_table_matches_per_mask_reference():
@@ -394,6 +393,37 @@ def test_two_adic_divisibility():
 
 
 # -- chain statistics -------------------------------------------------------
+# The closed-form rule table freezes tallies of these statistics; they live
+# here, next to the test that rebuilds the table from them.
+
+
+def _poset_chain_sum(elems: list[frozenset], weight) -> int:
+    # ribbon._chain_sum with inclusion for the binomial, the weight of a
+    # chain's bottom element as its first step, and a top strictly above
+    # every element (a fresh object keeps it strict whatever the sets hold)
+    if len(set(elems)) != len(elems):
+        raise ValueError("poset elements must be distinct")
+    elems.sort(key=len)
+    top = frozenset().union(*elems, [object()])
+    value = _chain_sum(top, elems, lambda x: (weight(x), x), lambda a, b: int(b < a))
+    # _chain_sum carries the sign (-1)^|elements|
+    return -value if len(elems) % 2 else value
+
+
+def signed_chain_count(elements) -> int:
+    # even-size chains minus odd-size chains in a poset of sets ordered by
+    # inclusion; the empty chain counts as even, so the empty poset gives 1
+    return _poset_chain_sum([frozenset(x) for x in elements], lambda x: 1)
+
+
+def weighted_chain_count(elements, k: int) -> int:
+    # type-B statistic over proper subsets of k powers: (-1)^h * 2^(k - |U_1|)
+    # summed over the chains U_1 < ... < U_h; the empty chain contributes 1
+    elems = [frozenset(x) for x in elements]
+    if any(len(x) >= k for x in elems):
+        raise ValueError("elements must be proper subsets of the k powers")
+    return _poset_chain_sum(elems, lambda x: 1 << (k - len(x)))
+
 
 def test_signed_chain_count_examples():
     u, v, w = frozenset("u"), frozenset("v"), frozenset("w")
@@ -593,7 +623,6 @@ def test_standard_tableau_count():
 
 
 def test_rsk_identity():
-    from math import factorial
 
     for n in range(1, 9):
         assert sum(standard_tableau_count(lam) ** 2 for lam in partitions(n)) == factorial(n)
