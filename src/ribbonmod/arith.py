@@ -4,9 +4,12 @@ modular subset Moebius transform.
 Everything here is pure integer arithmetic on Python ints, so results are
 exact at any size.  Prime moduli are validated by a deterministic
 Miller-Rabin test the first time they are used.  The Moebius transform works
-modulo any integer m >= 2: it packs the residues into the byte fields of one
-big int and runs each level of the butterfly as a few whole-int operations
-(SIMD within a register).
+modulo any integer m >= 2 on residues packed into fixed-width little-endian
+byte fields: ``inverse_zeta_packed`` reads them as one big int and runs each
+level of the butterfly as a few whole-int operations (SIMD within a
+register).  Callers that build their fields mod m in a ``field_buffer``
+never leave the packed form; ``inverse_zeta`` is the same kernel for a list
+of ints.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 # unsigned array typecodes of the field widths packed natively, by byte
-# count; lists convert to and from arrays in chunks, so no temporary list is
-# as long as the input
+# count; lists convert to and from arrays, and the naive table scales its
+# multi-byte blocks, in chunks, so no temporary list is as long as the input
 _NATIVE_CODES = {array(code).itemsize: code for code in "QIHB"}
 _CHUNK = 1 << 14
 
@@ -153,61 +156,112 @@ def lucas_binomial(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int
     return r
 
 
-def inverse_zeta(vals: list[int], m: int) -> None:
-    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod m.
+def field_width(m: int) -> int:
+    """Bytes per packed field of residues mod m.
 
-    The subset Moebius transform (Yates 1937) modulo any integer m >= 2,
-    prime or not (inputs need not be reduced; outputs are).  An exact
-    result whose values are known to lie in [0, m) is its own residue, so
-    callers with such a bound need no separate exact mode.  ``len(vals)``
-    must be a power of two.
-
-    The residues are packed into one int of fixed-width byte fields, field i
-    at bit i * w with w at least bit_length(m) + 1, so each level of the
-    butterfly is a handful of linear-time big-int operations instead of one
-    Python step per pair.  The level of bit s moves the fields without bit s
-    onto the fields with it (``up``) and subtracts; the top bit of each
-    field h - l + 2^(w-1) says whether h - l stayed nonnegative, and m is
-    added back to the fields where it did not.  Borrows between fields in
-    the middle of a level cancel, because every field ends the level inside
-    [0, 2^w).
+    At least bit_length(m) + 1 bits, so a field holds the difference of two
+    residues plus a sign bit; rounded up to 1, 2, 4 or 8 bytes (a native
+    array item) when that is enough.  m < 128 gives 1 byte, m < 2^15 2
+    bytes, and every m < 2^31 fits in 4.
     """
-    size = len(vals)
-    if not size or size & (size - 1):
-        raise ValueError("the butterfly needs a power-of-two length")
     width = (m.bit_length() + 8) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def field_buffer(size: int, width: int):
+    """``size`` zeroed fields of a native width: a bytearray for 1-byte
+    fields, an unsigned ``array`` otherwise.  Both take item and slice
+    assignment, and ``little_endian`` turns either into kernel input."""
+    if width == 1:
+        return bytearray(size)
+    return array(_NATIVE_CODES[width], [0]) * size
+
+
+def little_endian(fields):
+    """A field buffer as packed little-endian bytes-like data (a copy only
+    for multi-byte arrays on a big-endian machine)."""
+    if sys.byteorder == "big" and isinstance(fields, array) and fields.itemsize > 1:
+        fields = array(fields.typecode, fields)
+        fields.byteswap()
+    return fields
+
+
+def read_fields(data, width: int):
+    """The residues of packed little-endian data of a native width: the
+    data itself for 1-byte fields, an unsigned ``array`` otherwise."""
+    if width == 1:
+        return data
+    out = array(_NATIVE_CODES[width], data)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def inverse_zeta_packed(data, width: int, m: int) -> bytes:
+    """The subset Moebius transform (Yates 1937) modulo any integer m >= 2,
+    on packed little-endian fields: field T <- sum over S subset T of
+    (-1)^|T\\S| field S, mod m.
+
+    ``data`` is any bytes-like object of 2^k fields of ``width`` bytes,
+    each a residue in [0, m), and ``width`` is at least ``field_width(m)``;
+    the result is packed the same way.  The fields are read as one int, so
+    each level of the butterfly is a handful of linear-time big-int
+    operations instead of one Python step per pair (SIMD within a
+    register).  The level of bit s moves the fields without bit s onto the
+    fields with it (``up``) and subtracts; the top bit of each field
+    h - l + 2^(w-1) says whether h - l stayed nonnegative, and m is added
+    back to the fields where it did not.  Borrows between fields in the
+    middle of a level cancel (the difference may even be a negative int),
+    because every field ends the level inside [0, 2^w).
+    """
+    if width < field_width(m):
+        raise ValueError(f"fields of {width} bytes are too narrow for modulus {m}")
+    nbytes = memoryview(data).nbytes
+    size = nbytes // width
+    if not size or size & (size - 1) or size * width != nbytes:
+        raise ValueError("the butterfly needs a power-of-two number of fields")
     w = 8 * width
-    code = _NATIVE_CODES.get(width)
-    if code:
-        packed = array(code)
-        for i in range(0, size, _CHUNK):
-            packed.fromlist([v % m for v in vals[i:i + _CHUNK]])
-        if sys.byteorder == "big":
-            packed.byteswap()
-    else:
-        packed = b"".join((v % m).to_bytes(width, "little") for v in vals)
-    x = int.from_bytes(packed, "little")
-    del packed
+    x = int.from_bytes(data, "little")
     # the levels commute, so they run from the top bit down: the fields
     # whose index has bit s set are m1 ^ (m1 >> (2^s fields)), m1 those of bit s + 1
     step = size // 2
     m1 = int.from_bytes(bytes(width * step) + (1).to_bytes(width, "little") * step, "little")
+    ones = (1 << w) - 1
     while step:
-        up = (x << (w * step)) & ((m1 << w) - m1)
-        t = x + (m1 << (w - 1)) - up
-        x = x - up + m * (m1 ^ ((t >> (w - 1)) & m1))
+        up = (x << (w * step)) & (m1 * ones)
+        x -= up
+        x += m * (m1 ^ (((x + (m1 << (w - 1))) >> (w - 1)) & m1))
         step //= 2
         m1 ^= m1 >> (w * step)
-    data = x.to_bytes(size * width, "little")
-    del x
+    return x.to_bytes(nbytes, "little")
+
+
+def inverse_zeta(vals: list[int], m: int) -> None:
+    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod m.
+
+    The list form of ``inverse_zeta_packed``, for any integer m >= 2, prime
+    or not (inputs need not be reduced; outputs are).  An exact result
+    whose values are known to lie in [0, m) is its own residue, so callers
+    with such a bound need no separate exact mode.  ``len(vals)`` must be a
+    power of two.  Native field widths go through ``array`` in chunks, so
+    no temporary list is as long as the input; wider fields (moduli past 8
+    bytes) are packed one value at a time.
+    """
+    width = field_width(m)
+    code = _NATIVE_CODES.get(width)
     if code:
-        out = array(code, data)
+        packed = array(code)
+        for i in range(0, len(vals), _CHUNK):
+            packed.fromlist([v % m for v in vals[i:i + _CHUNK]])
+        packed = little_endian(packed)
+    else:
+        packed = b"".join((v % m).to_bytes(width, "little") for v in vals)
+    data = inverse_zeta_packed(packed, width, m)
+    del packed
+    if code:
+        out = read_fields(data, width)
         del data
-        if sys.byteorder == "big":
-            out.byteswap()
-        for i in range(0, size, _CHUNK):
+        for i in range(0, len(vals), _CHUNK):
             vals[i:i + _CHUNK] = out[i:i + _CHUNK]
     else:
         vals[:] = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]

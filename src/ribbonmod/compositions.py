@@ -156,22 +156,6 @@ class _MaskBacked:
             sums.append(acc)
         return tuple(sums)
 
-    def coarsenings(self):
-        """Every composition of the same kind refined by this one.
-
-        Yields the 2**len(descents) compositions whose descent set is a
-        subset of this one's, in ascending submask order.
-        """
-        cls = type(self)
-        n = self.n
-        mask = self.mask
-        sub = 0
-        while True:
-            yield cls.from_mask(n, sub)
-            if sub == mask:
-                return
-            sub = (sub - mask) & mask
-
     def complement(self):
         """The composition whose descent set is the complement of this one's."""
         width = self.n - 1 if self._family == "A" else self.n

@@ -6,13 +6,15 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
 
   * ``cvec_naive``    -- reduce every ribbon number mod p and tally.  The
     whole index lattice is processed at once with an inclusion-exclusion
-    butterfly over exact multinomial weights, so nothing here touches the
-    digit machinery used by the other two methods.  The weight table is
-    built block by block (the masks with top descent d are scaled copies
-    of the blocks below, one constant per block; the B/D first-part
-    weights are one strided slice per lowest descent) and kept for the
-    next prime; the butterfly is ``arith.inverse_zeta`` on packed integer
-    fields.
+    butterfly over multinomial weights, so nothing here touches the digit
+    machinery used by the other two methods.  The weight table is built
+    mod p straight into packed fields, block by block (the masks with top
+    descent d are scaled copies of the blocks below, one constant per
+    block: one ``bytes.translate`` for 1-byte fields, p < 128; the B/D
+    first-part weights are one strided slice per lowest descent).  The
+    butterfly is ``arith.inverse_zeta_packed`` on those fields, and the
+    tally counts its output in place (one ``bytes.count`` per residue for
+    1-byte fields); no list of 2^n ints and no exact weight is ever made.
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
@@ -20,9 +22,9 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     ever enumerating the index lattice, so n may be astronomically large
     as long as the support stays small.  For m support positions it builds
     an O(m^2) table of Lucas binomials between positions, fills the 2^m
-    subset terms by extending digitwise chains one position at a time (all
-    other terms are 0), and runs the O(m 2^m) inclusion-exclusion
-    butterfly.
+    subset terms by extending digitwise chains one position at a time into
+    a zeroed field buffer (all other terms are 0), and runs the same
+    packed O(m 2^m) inclusion-exclusion butterfly and tally.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
     A single digit m at p^d (types A, B) runs the naive method on m; every
@@ -36,12 +38,23 @@ Every p-vector has p entries, so a prime past the index budget
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, factorial
 
-from .arith import base_p_digits, check_odd_prime, check_prime, inverse_zeta, lucas_binomial
+from .arith import (
+    _CHUNK,
+    base_p_digits,
+    check_odd_prime,
+    check_prime,
+    field_buffer,
+    field_width,
+    inverse_zeta_packed,
+    little_endian,
+    lucas_binomial,
+    read_fields,
+)
 from .compositions import CapacityError
 from .ribbon import _check_family, chain_mod_p
 
@@ -161,47 +174,66 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
 # naive method: butterfly over the full index lattice
 
 
-def _multinomial_table(n: int, lo: int) -> list[int]:
-    # out[mask] = multinomial of the composition whose descent set is mask,
-    # where bit b encodes descent position b + lo.  The masks whose top bit
-    # is h (top descent d = h + lo) form the block [2^h, 2^(h+1)).  Adding d
-    # above a rest whose top descent is t splits the last part n - t into
-    # d - t and n - d, which multiplies the multinomial by C(n - t, d - t);
-    # so block h is 2^h scaled copies of the blocks below it, one constant
-    # per lower block (t = k + lo on block k, and t = 0 for the empty rest).
-    bits = n - 1 if lo else n
-    out = [1]
+def _scaler(p: int, width: int):
+    # scale(block, c): a block of a field buffer of residues mod p times c,
+    # mod p, field by field; one translate table per constant for 1-byte
+    # fields, one pass per field (in chunks) for wider ones
+    if width == 1:
+        mul = [bytes(c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
+
+        def scale(block, c):
+            return block.translate(mul[c % p])
+    else:
+        def scale(block, c):
+            c %= p
+            out = array(block.typecode)
+            for i in range(0, len(block), _CHUNK):
+                out.fromlist([c * x % p for x in block[i:i + _CHUNK]])
+            return out
+    return scale
+
+
+def _weight_table(family: str, n: int, p: int):
+    """Covering counts mod p, indexed by descent mask, in a field buffer
+    of ``field_width(p)``: the number of group elements whose descent set
+    is contained in the mask's descent set."""
+    # First the multinomials: table[mask] = multinomial mod p of the
+    # composition whose descent set is mask, where bit b encodes descent
+    # position b + lo.  The masks whose top bit is h (top descent
+    # d = h + lo) form the block [2^h, 2^(h+1)).  Adding d above a rest
+    # whose top descent is t splits the last part n - t into d - t and
+    # n - d, which multiplies the multinomial by C(n - t, d - t); so block h
+    # is 2^h scaled copies of the blocks below it, one constant per lower
+    # block (t = k + lo on block k, and t = 0 for the empty rest).
+    lo = 1 if family == "A" else 0
+    bits = n - lo
+    width = field_width(p)
+    scale = _scaler(p, width)
+    table = field_buffer(1 << bits, width)
+    table[0] = 1
     for h in range(bits):
         d = h + lo
-        out.append(comb(n, d))
+        base = 1 << h
+        table[base] = comb(n, d) % p
         for k in range(h):
             t = k + lo
-            c = comb(n - t, d - t)
-            out += [c * x for x in out[1 << k:2 << k]]
-    return out
-
-
-@lru_cache(maxsize=4)
-def _exact_weight_table(family: str, n: int) -> tuple[int, ...]:
-    """Covering counts indexed by descent mask: the number of group elements
-    whose descent set is contained in the mask's descent set."""
+            table[base + (1 << k):base + (2 << k)] = scale(table[1 << k:2 << k], comb(n - t, d - t))
     if family == "A":
-        return tuple(_multinomial_table(n, 1))
-    mult = _multinomial_table(n, 0)
-    out = [1] * len(mult)
+        return table
     # the masks whose lowest descent is f are the stride [2^f :: 2^(f+1)];
-    # in type B their covering count is the multinomial times 2^(n - f)
+    # in type B their covering count is the multinomial times 2^(n - f),
+    # scaled in place (the empty mask keeps its 1)
     for f in range(n):
-        source = slice(1 << f, None, 2 << f)
-        weight = 1 << (n - f)
-        if family == "D" and f < 2:
+        stride = slice(1 << f, None, 2 << f)
+        if family == "D" and f == 1:
             # a first part of at most 1 halves the weight, and a lone
-            # descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1
-            weight = 1 << (n - 1)
-            if f == 1:
-                source = slice(1, None, 4)
-        out[1 << f::2 << f] = [weight * x for x in mult[source]]
-    return tuple(out)
+            # descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1,
+            # which f = 0 has already scaled by the same 2^(n - 1)
+            table[stride] = table[1::4]
+        else:
+            shift = n - 1 if family == "D" and f == 0 else n - f
+            table[stride] = scale(table[stride], pow(2, shift, p))
+    return table
 
 
 def _tally(counts, p: int) -> list[int]:
@@ -212,16 +244,24 @@ def _tally(counts, p: int) -> list[int]:
     return tally
 
 
+def _field_tally(data: bytes, width: int, p: int) -> list[int]:
+    # residue tally of packed residues mod p: one bytes.count per residue
+    # for 1-byte fields, a Counter over the array otherwise
+    if width == 1:
+        return [data.count(r) for r in range(p)]
+    return _tally(Counter(read_fields(data, width)), p)
+
+
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
     bits = n - 1 if family == "A" else n
     if bits > NAIVE_MAX_BITS:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
-    vals = list(_exact_weight_table(family, n))
-    inverse_zeta(vals, p)
-    # vals[mask] is now the ribbon number of the index with that descent mask
-    return _tally(Counter(vals), p)
+    width = field_width(p)
+    data = inverse_zeta_packed(little_endian(_weight_table(family, n, p)), width, p)
+    # field mask is now the ribbon number mod p of the index with that descent mask
+    return _field_tally(data, width, p)
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
@@ -250,9 +290,10 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
-    """vals[mask] = the refinement term of the descent set picked by mask
-    from the sorted support positions ``pos``, reduced mod p.
+def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
+    """g[mask] = the refinement term of the descent set picked by mask
+    from the sorted support positions ``pos``, reduced mod p, in a field
+    buffer of ``field_width(p)``.
 
     By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
     chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
@@ -260,7 +301,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
     one factor of a pair table.  The family's power-of-two weight depends
     only on the lowest descent and seeds each chain.  A term is nonzero only
     when its descents form a chain in digitwise order, and only those masks
-    are visited: past the O(m^2) pair table and the zeroed list, the fill
+    are visited: past the O(m^2) pair table and the zeroed buffer, the fill
     costs O(m) per nonzero term.  Agrees with ``term_mod_p`` on every mask.
     """
     m = len(pos)
@@ -278,7 +319,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]) -> list[int]:
             # count halves, and a lone descent at 1 acts as one at 0 (below)
             first[0] = pow(2, sn, p) * pow(2, p - 2, p) % p
             first[1] = 0
-    g = [0] * (1 << m)
+    g = field_buffer(1 << m, field_width(p))
     g[0] = 1
     # (mask, value without the factor C(n, top descent), top index) of every
     # chain whose value is nonzero; a zero prefix is never extended
@@ -308,9 +349,9 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
         raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
-    vals = _term_table(family, n, p, pos)
-    inverse_zeta(vals, p)
-    tally = _tally(Counter(vals), p)
+    width = field_width(p)
+    data = inverse_zeta_packed(little_endian(_term_table(family, n, p, pos)), width, p)
+    tally = _field_tally(data, width, p)
     free = (n - 1 - m) if family == "A" else (n - m)
     return tally, free
 

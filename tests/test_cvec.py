@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonmod.arith import base_p_digits, inverse_zeta, multinomial_exact
+from ribbonmod.arith import base_p_digits, field_width, inverse_zeta, inverse_zeta_packed, multinomial_exact
 from ribbonmod.compositions import (
     CapacityError,
     _parts_from_mask,
@@ -28,9 +28,9 @@ from ribbonmod.cvec import (
     support_residue,
     support_set,
     _RULES,
-    _exact_weight_table,
     _term_table,
     _theorem_tally,
+    _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, _digit_cache, ribbon_mod_p, term_mod_p
 
@@ -234,17 +234,40 @@ def test_inverse_zeta_packed_field_widths():
         inverse_zeta([1, 2, 3], 7)
 
 
+def test_inverse_zeta_packed_matches_list_form():
+    # the packed entry point on little-endian fields against the list
+    # wrapper, for 1-, 2-, 4- and 8-byte fields and a wide one
+    rng = random.Random(11)
+    for bits in range(13):
+        size = 1 << bits
+        for m in (3, 127, 131, 32749, 65537, 2**61 - 1, 2**80 + 13):
+            width = field_width(m)
+            vals = [rng.randrange(m) for _ in range(size)]
+            data = b"".join(v.to_bytes(width, "little") for v in vals)
+            out = inverse_zeta_packed(data, width, m)
+            inverse_zeta(vals, m)
+            assert len(out) == len(data)
+            got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
+            assert got == vals, (bits, m)
+    with pytest.raises(ValueError):
+        inverse_zeta_packed(bytes(4), 1, 131)  # 1-byte fields are too narrow past 127
+    with pytest.raises(ValueError):
+        inverse_zeta_packed(bytes(6), 2, 7)  # three fields
+
+
 def test_weight_table_matches_per_mask_reference():
-    # covering counts: the multinomial of the mask's parts times the
+    # covering counts mod p: the multinomial of the mask's parts times the
     # family's power of two; in type D a lowest descent at 0 or 1 weighs
-    # 2^(n-1), and a lone descent at 1 counts as one at 0
+    # 2^(n-1), and a lone descent at 1 counts as one at 0.  The primes give
+    # 1-byte fields (up to 127), 2-byte (131) and 4-byte ones (65537)
+    primes = (2, 3, 7, 127, 131, 65537)
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 11):
-            table = _exact_weight_table(family, n)
+            tables = {p: _weight_table(family, n, p) for p in primes}
             lo = 1 if family == "A" else 0
             bits = n - 1 if family == "A" else n
-            assert len(table) == 1 << bits
-            for mask, got in enumerate(table):
+            assert all(len(table) == 1 << bits for table in tables.values())
+            for mask in range(1 << bits):
                 first = (mask & -mask).bit_length() - 1
                 source = mask
                 if family == "A" or mask == 0:
@@ -256,7 +279,8 @@ def test_weight_table_matches_per_mask_reference():
                 else:
                     weight = 1 << (n - first)
                 want = weight * multinomial_exact(n, _parts_from_mask(n, source, lo))
-                assert got == want, (family, n, mask)
+                for p, table in tables.items():
+                    assert table[mask] == want % p, (family, n, p, mask)
 
 
 def test_theorem_tally_complement_pairing():
@@ -305,6 +329,40 @@ def test_methods_agree_small_grid():
             assert cvec_naive("B", n, p) == cvec_theorem("B", n, p)
         for n in range(4, 11):
             assert cvec_naive("D", n, p) == cvec_theorem("D", n, p)
+
+
+def test_methods_agree_across_field_widths():
+    # 127 is the last prime with 1-byte fields, 131 and 32749 take 2 bytes
+    # and 65537 takes 4, in the naive table and the theorem term table
+    # alike; n = 7 is also reduced index by index
+    for p in (127, 131, 32749, 65537):
+        for n in range(2, 10):
+            assert cvec_naive("A", n, p) == cvec_theorem("A", n, p), (n, p)
+            assert cvec_naive("B", n, p) == cvec_theorem("B", n, p), (n, p)
+        for n in range(4, 10):
+            assert cvec_naive("D", n, p) == cvec_theorem("D", n, p), (n, p)
+        for family in "ABD":
+            n = 7
+            hist = [0] * p
+            indices = enumerate_compositions(n) if family == "A" else enumerate_pseudo_compositions(n)
+            for alpha in indices:
+                hist[ribbon_mod_p(family, alpha, p)] += 1
+            assert cvec_naive(family, n, p).counts == tuple(hist), (family, p)
+
+
+def test_naive_sweep_in_bounded_memory():
+    # 2^20 indices: the table, the butterfly and the tally stay in packed
+    # fields, so the peak is a few copies of the 1 MB field buffer (with an
+    # exact weight table and a list of ints the peaks were 60 MB and 96 MB)
+    for family, n, p in (("A", 21, 3), ("D", 20, 13)):
+        tracemalloc.start()
+        try:
+            vec = cvec_naive(family, n, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vec.total() == 1 << 20
+        assert peak < 16 << 20, (family, n, p, peak)
 
 
 def test_methods_agree_type_d_sixteen():
