@@ -3,12 +3,19 @@
 Parabolic subgroup orders come from pattern-matching induced subdiagrams
 against the classification of finite irreducible diagrams, never from
 element enumeration, so even the largest exceptional groups take only a
-subset sweep of the generator set.  The descent-class size for a generator
-subset I is recovered by inclusion-exclusion over the coset counts
-|W| / |W_(S minus J)| for J inside I: for a single I term by term, and for
-all 2^rank subsets at once by one O(rank 2^rank) subset Moebius butterfly
-over the coset counts, modulo |W| + 1 (a class size is at most |W|, so its
-residue is the size itself).  Both sweeps refuse more than 2^SUBSET_MAX_RANK
+subset sweep of the generator set.  The sweeps read one order table
+indexed by generator bitmask: each generator has a neighbour bitmask, the
+component of a mask's lowest set bit is found by frontier expansion, each
+connected mask is classified once (memoised), and in increasing mask order
+order[mask] = |W_component| * order[mask minus component].  The
+descent-class size for a generator subset I is recovered by inclusion-
+exclusion over the coset counts |W| / |W_(S minus J)| for J inside I: for a
+single I term by term, over a table of I whose nodes are the generators of
+I and the components of S minus I (so a term costs O(|I| + components)
+bit operations and one division, whatever the rank), and for all 2^rank
+subsets at once by one O(rank 2^rank) subset Moebius butterfly over the
+coset counts, modulo |W| + 1 (a class size is at most |W|, so its residue
+is the size itself).  Both sweeps refuse more than 2^SUBSET_MAX_RANK
 subsets with CapacityError.
 """
 
@@ -78,6 +85,8 @@ class CoxeterDiagram:
 
     def __post_init__(self):
         gens = set(self.generators)
+        if len(gens) != len(self.generators):
+            raise ValueError("duplicate generator")
         seen = set()
         for s, t, m in self.edges:
             if s >= t or s not in gens or t not in gens:
@@ -262,47 +271,132 @@ def _check_subset_sweep(size: int) -> None:
         )
 
 
+def _component(nbr: list[int], seed: int, allowed: int) -> int:
+    # the connected component of the seed bits inside the allowed mask, by
+    # frontier expansion over the neighbour bitmasks nbr[i] of node i
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & allowed & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
+    """The order table of a generator subset I: entry K is the index
+    |W_(K + S minus I)| / |W_(S minus I)| for every K inside I, with bit j of
+    K standing for the j-th generator of I in ``diagram.generators`` order.
+    For I = S it is the parabolic order |W_K|; for a smaller I, dividing out
+    the order of S minus I keeps the entries (and the coset counts taken
+    from them) down to the size of the answer.
+
+    Every subdiagram K + (S minus I) is a union of the nodes of a quotient
+    graph: the generators of I (bits 0 .. |I| - 1) and the components of S
+    minus I (the bits above), two of which never touch.  In increasing
+    order of K, the component of its lowest set bit is found by frontier
+    expansion over neighbour bitmasks, and order[K] = ratio(comp) *
+    order[K minus comp], where ratio(comp) is |W_comp| over the orders of
+    the components of S minus I inside it (for I = S, |W_comp| itself).  The
+    ratio is memoised by the quotient mask, which names one connected
+    generator mask, so each connected mask met is classified once, by the
+    rules of ``_classify_component``.
+    """
+    gens = diagram.generators
+    index = {g: i for i, g in enumerate(gens)}
+    nbr = [0] * len(gens)
+    links: list[list[tuple[int, int]]] = [[] for _ in gens]
+    for s, t, m in diagram.edges:
+        i, j = index[s], index[t]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        links[i].append((j, m))
+        links[j].append((i, m))
+
+    def component_order(mask: int) -> int:
+        nodes = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        adj = {gens[i]: [(gens[j], m) for j, m in links[i] if mask >> j & 1] for i in nodes}
+        return _classify_component([gens[i] for i in nodes], adj).order
+
+    items = [i for i, g in enumerate(gens) if g in subset]
+    blocks = [1 << i for i in items]
+    k = len(items)
+    rest = (1 << len(gens)) - 1 - sum(blocks)
+    while rest:
+        comp = _component(nbr, rest & -rest, rest)
+        blocks.append(comp)
+        rest ^= comp
+    block_orders = [component_order(block) for block in blocks[k:]]
+    qnbr = [0] * len(blocks)
+    for a in range(k):
+        for b, block in enumerate(blocks):
+            if nbr[items[a]] & block:
+                qnbr[a] |= 1 << b
+                qnbr[b] |= 1 << a
+    outside = (1 << len(blocks)) - (1 << k)
+    orders = [1] * (1 << k)
+    ratios: dict[int, int] = {}
+    for K in range(1, 1 << k):
+        comp = _component(qnbr, K & -K, K | outside)
+        ratio = ratios.get(comp)
+        if ratio is None:
+            mask, shared = 0, 1
+            for b, block in enumerate(blocks):
+                if comp >> b & 1:
+                    mask |= block
+                    if b >= k:
+                        shared *= block_orders[b - k]
+            ratio = ratios[comp] = component_order(mask) // shared
+        orders[K] = ratio * orders[K & ~comp]
+    return orders
+
+
 def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
-    """Size of the descent class of a generator subset, by inclusion-
-    exclusion over the coset counts of the complementary parabolics."""
-    gens = frozenset(diagram.generators)
+    """Size of the descent class of a generator subset I, by inclusion-
+    exclusion over the coset counts |W| / |W_(S minus J)|, J inside I, read
+    from the order table of I: they are order[I] / order[K] for K = I minus J."""
     I = frozenset(subset)
-    if not I <= gens:
+    if not I <= frozenset(diagram.generators):
         raise ValueError("subset must consist of generators of the diagram")
     _check_subset_sweep(len(I))
-    group_order = parabolic_order(diagram)
-    items = sorted(I)
-    total = 0
-    for mask in range(1 << len(items)):
-        J = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-        cosets, rem = divmod(group_order, parabolic_order(diagram, gens - J))
-        if rem:
-            raise ArithmeticError("parabolic order does not divide the group order")
-        total += cosets if (len(I) - len(J)) % 2 == 0 else -cosets
-    return total
+    orders = _parabolic_orders(diagram, I)
+    whole = orders[-1]
+    return sum(
+        -(whole // order) if K.bit_count() & 1 else whole // order
+        for K, order in enumerate(orders)
+    )
+
+
+def _class_sizes(diagram: CoxeterDiagram) -> list[int]:
+    # every descent class size, indexed by the generator bitmask of its subset
+    _check_subset_sweep(diagram.rank())
+    orders = _parabolic_orders(diagram, diagram.generators)
+    # the coset count of J is |W| / |W_(S minus J)|, and S minus J has the
+    # complementary mask, read from the other end of the table
+    sizes = [orders[-1] // order for order in reversed(orders)]
+    inverse_zeta(sizes, orders[-1] + 1)
+    return sizes
 
 
 def descent_class_sizes(diagram: CoxeterDiagram) -> dict[frozenset, int]:
     """Every descent class size, keyed by the generator subset.
 
-    One parabolic order per subset gives the coset counts |W| / |W_(S minus J)|
-    indexed by the mask of J, and one subset Moebius butterfly turns them
-    into the class sizes.  Every class size lies in [0, |W|], so the
-    butterfly runs modulo |W| + 1 and each residue is the exact size.
+    The order table gives the coset counts |W| / |W_(S minus J)| indexed by
+    the mask of J, and one subset Moebius butterfly turns them into the
+    class sizes.  Every class size lies in [0, |W|], so the butterfly runs
+    modulo |W| + 1 and each residue is the exact size.
     """
     gens = diagram.generators
-    _check_subset_sweep(len(gens))
-    full = (1 << len(gens)) - 1
-    subsets = [tuple(g for i, g in enumerate(gens) if mask >> i & 1) for mask in range(full + 1)]
-    orders = [parabolic_order(diagram, subset) for subset in subsets]
-    sizes = [orders[full] // orders[full ^ mask] for mask in range(full + 1)]
-    inverse_zeta(sizes, orders[full] + 1)
-    return {frozenset(subset): size for subset, size in zip(subsets, sizes)}
+    return {
+        frozenset(g for i, g in enumerate(gens) if mask >> i & 1): size
+        for mask, size in enumerate(_class_sizes(diagram))
+    }
 
 
 def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
     """Sizes of all 2^rank descent classes, as a Counter {size: multiplicity}."""
-    return Counter(descent_class_sizes(diagram).values())
+    return Counter(_class_sizes(diagram))
 
 
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:

@@ -64,6 +64,13 @@ from .ribbon import _check_family, chain_mod_p
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
 
+# Largest p whose 1-byte residues are tallied by one bytes.count scan per
+# residue; above it one Counter pass over the bytes is faster.  On 2^20
+# fields (2-core machine, Python 3.11, best of 7): bytes.count 23 / 44 /
+# 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
+# at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
+_COUNT_TALLY_MAX_P = 53
+
 
 def _check_tally_prime(p: int) -> None:
     # refuse a prime whose p-entry residue tally would be past the index
@@ -246,9 +253,11 @@ def _tally(counts, p: int) -> list[int]:
 
 def _field_tally(data: bytes, width: int, p: int) -> list[int]:
     # residue tally of packed residues mod p: one bytes.count per residue
-    # for 1-byte fields, a Counter over the array otherwise
+    # for 1-byte fields of a small p, a Counter over the fields otherwise
     if width == 1:
-        return [data.count(r) for r in range(p)]
+        if p <= _COUNT_TALLY_MAX_P:
+            return [data.count(r) for r in range(p)]
+        return _tally(Counter(data), p)
     return _tally(Counter(read_fields(data, width)), p)
 
 

@@ -11,6 +11,7 @@ from ribbonmod.compositions import (
     enumerate_compositions,
     enumerate_pseudo_compositions,
 )
+import ribbonmod.coxeter as coxeter
 from ribbonmod.coxeter import (
     SUBSET_MAX_RANK,
     CoxeterDiagram,
@@ -23,8 +24,10 @@ from ribbonmod.coxeter import (
     parabolic_order,
     residue_histogram,
     ribbon_general,
+    _parabolic_orders,
 )
 from ribbonmod.cli import TABLE_FILES, golden_vectors
+from ribbonmod.cvec import cvec_naive
 from ribbonmod.ribbon import ribbon_a, ribbon_b, ribbon_d, ribbon_exact
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
@@ -57,6 +60,8 @@ def test_diagram_validation():
         CoxeterDiagram((1, 2), ((2, 1, 3),))
     with pytest.raises(ValueError):
         CoxeterDiagram((1, 2), ((1, 2, 3), (1, 2, 4)))
+    with pytest.raises(ValueError):
+        CoxeterDiagram((1, 1, 2), ((1, 2, 3),))  # one bit per generator
 
 
 def test_classification_of_sub_diagrams():
@@ -92,6 +97,98 @@ def test_unclassifiable_component():
         classify_components(triangle)
     with pytest.raises(UnclassifiableError):
         classify_components(CoxeterDiagram((1, 2, 3), ((1, 2, 6), (2, 3, 3))))
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _check_order_table(diagram, subset):
+    # entry K of the table of I is |W_(K + S minus I)| / |W_(S minus I)|,
+    # bit j of K the j-th generator of I in diagram order: compare every
+    # entry with the per-subset classification
+    items = [g for g in diagram.generators if g in subset]
+    rest = [g for g in diagram.generators if g not in subset]
+    orders = _parabolic_orders(diagram, subset)
+    assert len(orders) == 1 << len(items)
+    base = parabolic_order(diagram, rest)
+    for K, order in enumerate(orders):
+        kept = [g for j, g in enumerate(items) if K >> j & 1]
+        assert order * base == parabolic_order(diagram, kept + rest), (diagram.name, subset, K)
+
+
+BUILTINS_TO_RANK_10 = (
+    [f"A{r}" for r in range(1, 11)]
+    + [f"B{r}" for r in range(2, 11)]
+    + [f"D{r}" for r in range(4, 11)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2:{m}" for m in (3, 4, 5, 6, 9)]
+)
+
+# two components, generators neither sorted nor contiguous: B3 on 12 - 7 - 3
+# (the 4-edge at the end 12) and I2(5) on {20, 5}
+SCATTERED = CoxeterDiagram((7, 20, 3, 12, 5), ((3, 7, 3), (7, 12, 4), (5, 20, 5)))
+
+
+def test_order_table_matches_per_subset_reference():
+    for name in BUILTINS_TO_RANK_10:
+        diagram = builtin_diagram(name)
+        _check_order_table(diagram, diagram.generators)
+    _check_order_table(SCATTERED, SCATTERED.generators)
+    assert parabolic_order(SCATTERED) == 48 * 10
+
+
+def test_order_table_of_a_subset_matches_per_subset_reference():
+    # the quotient sweep: components of S minus I stand as single nodes
+    for diagram in (builtin_diagram("D6"), builtin_diagram("E7"), builtin_diagram("H4"),
+                    builtin_diagram("F4"), builtin_diagram("A9"), SCATTERED):
+        gens = diagram.generators
+        for mask in range(1 << len(gens)):
+            _check_order_table(diagram, {g for i, g in enumerate(gens) if mask >> i & 1})
+
+
+def test_each_connected_mask_classified_once(monkeypatch):
+    seen = []
+
+    def counting(nodes, adj):
+        seen.append(frozenset(nodes))
+        return classify(nodes, adj)
+
+    classify = coxeter._classify_component
+    monkeypatch.setattr(coxeter, "_classify_component", counting)
+    # a path of rank 12 has 12 * 13 / 2 = 78 connected masks, against 4096
+    # subsets that each classified every component before
+    assert sum(descent_class_multiset(builtin_diagram("A12")).values()) == 1 << 12
+    assert len(seen) == len(set(seen)) <= 78
+    sweeps = (("E8", range(1, 9)), ("D10", [0, 3, 5, 9]), ("A200", range(10, 200, 16)))
+    for name, subset in sweeps:
+        seen.clear()
+        ribbon_general(builtin_diagram(name), subset)
+        assert len(seen) == len(set(seen)), name
+
+
+def test_unclassifiable_diagram_refused_by_the_sweeps():
+    triangle = CoxeterDiagram((1, 2, 3), ((1, 2, 3), (1, 3, 3), (2, 3, 3)))
+    with pytest.raises(UnclassifiableError):
+        descent_class_sizes(triangle)
+    for subset in ([], [2], [1, 2, 3]):
+        with pytest.raises(UnclassifiableError):
+            ribbon_general(triangle, subset)
+
+
+def test_ribbon_general_at_rank_1000():
+    # twelve generators of A1000: 2^12 terms over a quotient path of 25
+    # nodes (the generators and the 13 runs between them), not 1000
+    cuts = [round((j + 1) * 1001 / 13) for j in range(12)]
+    bounds = [0] + cuts + [1001]
+    alpha = Composition(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    assert alpha.descents() == tuple(cuts)
+    assert ribbon_general(builtin_diagram("A1000"), cuts) == ribbon_exact("A", alpha)
 
 
 def test_orders():
@@ -202,6 +299,19 @@ def test_residue_histograms_match_golden_tables():
             assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, n, p)
             checked += 1
     assert checked > 100
+
+
+def test_residue_histograms_match_naive_route_at_high_rank():
+    # the fourth route past the golden tables: every A/B/D group of rank
+    # 12-16 against the naive sweep, two primes each, all five per family
+    primes = (2, 3, 5, 7, 13)
+    for family in "ABD":
+        for rank in range(12, 17):
+            n = rank + 1 if family == "A" else rank
+            diagram = builtin_diagram(f"{family}{rank}")
+            for p in (primes[rank % 5], primes[(rank + 2) % 5]):
+                expected = cvec_naive(family, n, p).counts
+                assert residue_histogram(diagram, p) == expected, (family, rank, p)
 
 
 def test_multisets_match_chain_recurrence_across_field_widths():

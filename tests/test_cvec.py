@@ -27,7 +27,9 @@ from ribbonmod.cvec import (
     standard_tableau_count,
     support_residue,
     support_set,
+    _COUNT_TALLY_MAX_P,
     _RULES,
+    _field_tally,
     _term_table,
     _theorem_tally,
     _weight_table,
@@ -363,6 +365,17 @@ def test_naive_sweep_in_bounded_memory():
             tracemalloc.stop()
         assert vec.total() == 1 << 20
         assert peak < 16 << 20, (family, n, p, peak)
+
+
+def test_field_tally_matches_counter():
+    # 1-byte residues are tallied by bytes.count up to the crossover prime
+    # and by one Counter pass above it; both sides of it are covered
+    rng = random.Random(8)
+    assert 53 <= _COUNT_TALLY_MAX_P < 59
+    for p in (2, 53, 59, 127):
+        data = bytes(rng.randrange(p) for _ in range(4099))
+        counts = Counter(data)
+        assert _field_tally(data, 1, p) == [counts[r] for r in range(p)], p
 
 
 def test_methods_agree_type_d_sixteen():
