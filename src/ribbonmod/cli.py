@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .arith import check_prime
-from .compositions import CapacityError, from_descent_set, parse_parts
+from .compositions import from_descent_set, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
 from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
@@ -105,15 +105,40 @@ def _decimal(x: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _vector_text(counts) -> str:
-    return "(" + ", ".join(_decimal(c) for c in counts) + ")"
+D_NOTE = "note: n < 4 is not a Coxeter group of type D"
 
 
-def _emit_csv(out, label: str, p: int, n, counts) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "p", "n", "residue", "count"])
-    for i, c in enumerate(counts):
-        writer.writerow([label, p, "-" if n is None else n, i, _decimal(c)])
+def _emit(fmt: str, record: dict, notes=()) -> int:
+    """Print one result and return the exit code.
+
+    ``record`` is the JSON record of a residue ``vector``, one ``value`` or
+    the ``classes`` multiset; its counts become decimal text here, once.
+    Only a residue vector has a CSV form.  Text prints one line, with
+    ``notes`` on stderr.
+    """
+    if fmt == "csv" and "vector" not in record:
+        print("error: csv output needs --p", file=sys.stderr)
+        return 2
+    if "vector" in record:
+        record["vector"] = [_decimal(c) for c in record["vector"]]
+        line = "(" + ", ".join(record["vector"]) + ")"
+    elif "value" in record:
+        record["value"] = line = _decimal(record["value"])
+    else:
+        line = format_multiset(dict(record["classes"]))
+    if fmt == "json":
+        print(json.dumps(record))
+    elif fmt == "csv":
+        label = record.get("family", record.get("group"))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["family", "p", "n", "residue", "count"])
+        for i, c in enumerate(record["vector"]):
+            writer.writerow([label, record["p"], record.get("n", "-"), i, c])
+    else:
+        for note in notes:
+            print(note, file=sys.stderr)
+        print(line)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,146 +146,80 @@ def _emit_csv(out, label: str, p: int, n, counts) -> None:
 
 
 def cmd_ribbon(args) -> int:
-    try:
-        alpha = parse_parts(args.alpha, pseudo=args.family in ("B", "D"))
-        if args.mod is not None:
-            check_prime(args.mod)
-            value = ribbon_mod_p(args.family, alpha, args.mod)
-        else:
-            value = ribbon_exact(args.family, alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps({"family": args.family, "alpha": list(alpha.parts), "value": _decimal(value)}))
+    alpha = parse_parts(args.alpha, pseudo=args.family in ("B", "D"))
+    if args.mod is not None:
+        check_prime(args.mod)
+        value = ribbon_mod_p(args.family, alpha, args.mod)
     else:
-        if args.family == "D" and alpha.n < 4:
-            print("note: n < 4 is not a Coxeter group of type D", file=sys.stderr)
-        print(_decimal(value))
-    return 0
+        value = ribbon_exact(args.family, alpha)
+    notes = [D_NOTE] if args.family == "D" and alpha.n < 4 else []
+    return _emit(args.format, {"family": args.family, "alpha": list(alpha.parts), "value": value}, notes)
 
 
 def cmd_cvec(args) -> int:
+    check_prime(args.p)
     try:
-        check_prime(args.p)
         vec = cvec(args.family, args.n, args.p, method=args.method)
     except NoClosedFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": vec.family,
-                    "n": vec.n,
-                    "p": vec.p,
-                    "method": vec.method,
-                    "vector": [_decimal(c) for c in vec.counts],
-                }
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(sys.stdout, vec.family, vec.p, vec.n, vec.counts)
-    else:
-        if args.family == "D" and args.n < 4:
-            print("note: n < 4 is not a Coxeter group of type D", file=sys.stderr)
-        print(_vector_text(vec.counts))
-        print(f"method: {vec.method}", file=sys.stderr)
-    return 0
+    notes = [D_NOTE] if args.family == "D" and args.n < 4 else []
+    record = {"family": vec.family, "n": vec.n, "p": vec.p, "method": vec.method, "vector": vec.counts}
+    return _emit(args.format, record, notes + [f"method: {vec.method}"])
 
 
 def cmd_coxeter(args) -> int:
-    try:
-        diagram = builtin_diagram(args.group)
-        if args.subset is not None:
-            subset = [int(tok) for tok in args.subset.split(",")] if args.subset else []
-            value = ribbon_general(diagram, subset)
-            if args.format == "json":
-                print(json.dumps({"group": diagram.name, "subset": sorted(subset), "value": _decimal(value)}))
-            else:
-                print(_decimal(value))
-            return 0
-        if args.p is not None:
-            check_prime(args.p)
-            counts = residue_histogram(diagram, args.p)
-            if args.format == "json":
-                print(json.dumps({"group": diagram.name, "p": args.p, "vector": [_decimal(c) for c in counts]}))
-            elif args.format == "csv":
-                _emit_csv(sys.stdout, diagram.name, args.p, None, counts)
-            else:
-                print(_vector_text(counts))
-            return 0
-        sizes = descent_class_multiset(diagram)
-        if args.format == "json":
-            print(json.dumps({"group": diagram.name, "classes": sorted(sizes.items())}))
-        elif args.format == "csv":
-            print("error: csv output needs --p", file=sys.stderr)
-            return 2
-        else:
-            print(format_multiset(sizes))
-        return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    diagram = builtin_diagram(args.group)
+    if args.subset is not None:
+        subset = sorted(int(tok) for tok in args.subset.split(",")) if args.subset else []
+        if len(set(subset)) < len(subset):
+            raise ValueError(f"--subset repeats a generator: {args.subset}")
+        value = ribbon_general(diagram, subset)
+        return _emit(args.format, {"group": diagram.name, "subset": subset, "value": value})
+    if args.p is not None:
+        check_prime(args.p)
+        counts = residue_histogram(diagram, args.p)
+        return _emit(args.format, {"group": diagram.name, "p": args.p, "vector": counts})
+    sizes = descent_class_multiset(diagram)
+    return _emit(args.format, {"group": diagram.name, "classes": sorted(sizes.items())})
 
 
 def cmd_macdonald(args) -> int:
-    try:
-        check_prime(args.p)
-        print(_decimal(macdonald_mp(args.n, args.p)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    check_prime(args.p)
+    return _emit("text", {"value": macdonald_mp(args.n, args.p)})
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
 
+def _compare(report, title: str, unit: str, triples, fmt=str) -> bool:
+    """Report a FAIL line for each (label, expected, computed) triple that
+    disagrees, or else one PASS line counting the triples."""
+    checked = 0
+    ok = True
+    for label, expected, computed in triples:
+        checked += 1
+        if computed != expected:
+            ok = False
+            report(f"FAIL {title} {label}: expected {fmt(expected)}, computed {fmt(computed)}")
+    if ok:
+        report(f"PASS {title} ({checked} {unit})")
+    return ok
+
+
 def _verify_tables(report) -> bool:
     ok = True
     for name in TABLE_FILES:
-        mismatches = 0
-        vectors = golden_vectors(name)
-        for (family, p, n), expected in sorted(vectors.items()):
-            got = cvec(family, n, p).counts
-            if got != expected:
-                mismatches += 1
-                report(f"FAIL {name} {family} p={p} n={n}: expected {expected}, computed {got}")
-        if mismatches == 0:
-            report(f"PASS {name} ({len(vectors)} vectors)")
-        else:
-            ok = False
-    vectors = golden_vectors(EXCEPTIONAL_HISTOGRAMS)
-    mismatches = 0
-    for (group, p, _), expected in sorted(vectors.items()):
-        got = residue_histogram(builtin_diagram(group), p)
-        if got != expected:
-            mismatches += 1
-            report(f"FAIL {EXCEPTIONAL_HISTOGRAMS} {group} p={p}: expected {expected}, computed {got}")
-    if mismatches == 0:
-        report(f"PASS {EXCEPTIONAL_HISTOGRAMS} ({len(vectors)} vectors)")
-    else:
-        ok = False
-    mismatches = 0
-    sizes_by_group = golden_multisets()
-    for group, expected in sorted(sizes_by_group.items()):
-        got = descent_class_multiset(builtin_diagram(group))
-        if got != expected:
-            mismatches += 1
-            report(
-                f"FAIL {EXCEPTIONAL_MULTISETS} {group}: expected {format_multiset(expected)}, "
-                f"computed {format_multiset(got)}"
-            )
-    if mismatches == 0:
-        report(f"PASS {EXCEPTIONAL_MULTISETS} ({len(sizes_by_group)} groups)")
-    else:
-        ok = False
-    return ok
+        vectors = sorted(golden_vectors(name).items())
+        triples = ((f"{fam} p={p} n={n}", want, cvec(fam, n, p).counts) for (fam, p, n), want in vectors)
+        ok = _compare(report, name, "vectors", triples) and ok
+    vectors = sorted(golden_vectors(EXCEPTIONAL_HISTOGRAMS).items())
+    triples = ((f"{g} p={p}", want, residue_histogram(builtin_diagram(g), p)) for (g, p, _), want in vectors)
+    ok = _compare(report, EXCEPTIONAL_HISTOGRAMS, "vectors", triples) and ok
+    multisets = sorted(golden_multisets().items())
+    triples = ((g, want, descent_class_multiset(builtin_diagram(g))) for g, want in multisets)
+    return _compare(report, EXCEPTIONAL_MULTISETS, "groups", triples, format_multiset) and ok
 
 
 ORACLE_GRID = {"A": range(2, 9), "B": range(2, 7), "D": range(2, 8)}
@@ -331,25 +290,14 @@ def closed_form_grid():
 
 
 def _verify_formulas(report) -> bool:
-    ok = True
-    checked = 0
-    for family, n, p in closed_form_grid():
-        closed = cvec_closed_form(family, n, p)
-        if closed is None:
-            ok = False
-            report(f"FAIL closed-form missing for ({family}, n={n}, p={p})")
-            continue
-        reference = cvec_theorem(family, n, p)
-        if closed.counts != reference.counts:
-            ok = False
-            report(
-                f"FAIL closed-form ({family}, n={n}, p={p}) [{closed.method}]: "
-                f"{closed.counts} != theorem {reference.counts}"
-            )
-        checked += 1
-    if ok:
-        report(f"PASS closed forms against the theorem method ({checked} vectors)")
-    return ok
+    def triples():
+        for family, n, p in closed_form_grid():
+            closed = cvec_closed_form(family, n, p)
+            method = closed.method if closed else "missing"
+            computed = closed.counts if closed else None
+            yield f"({family}, n={n}, p={p}) [{method}]", cvec_theorem(family, n, p).counts, computed
+
+    return _compare(report, "closed forms against the theorem method", "vectors", triples())
 
 
 def cmd_verify(args) -> int:
@@ -395,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cox = sub.add_parser("coxeter", help="descent-class data for any finite Coxeter group")
     p_cox.add_argument("--group", required=True, help="A5 | B4 | D6 | E7 | F4 | H3 | I2:9 ...")
-    p_cox.add_argument("--subset", default=None, help="generator indices, e.g. 0,2")
-    p_cox.add_argument("--p", type=int, default=None)
+    one = p_cox.add_mutually_exclusive_group()
+    one.add_argument("--subset", default=None, help="distinct generator indices, e.g. 0,2")
+    one.add_argument("--p", type=int, default=None)
     p_cox.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_cox.set_defaults(func=cmd_coxeter)
 
@@ -414,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_entry() -> None:

@@ -18,7 +18,6 @@ vanishes.
 
 from __future__ import annotations
 
-import os
 from itertools import permutations
 from math import comb, factorial
 
@@ -240,19 +239,6 @@ def ribbon_exact(family: str, alpha) -> int:
 # modular values
 
 
-def _digit_cache(n: int, p: int, width: int):
-    cache: dict[int, tuple[int, ...]] = {}
-
-    def padded(m: int) -> tuple[int, ...]:
-        row = cache.get(m)
-        if row is None:
-            row = base_p_digits(m, p).padded(width)
-            cache[m] = row
-        return row
-
-    return padded
-
-
 def term_mod_p(family: str, parts: tuple[int, ...], nd: tuple[int, ...],
                p: int, digit_row, inv2: int) -> int:
     """One refinement term of a ribbon number, reduced mod p digitwise.
@@ -296,10 +282,10 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
     _check_index(family, alpha)
     check_prime(p)
     n = alpha.n
-    if family in ("B", "D") and p == 2:
-        return 1
     if family == "D" and n < 2:
         raise ValueError("type D needs n >= 2")
+    if family in ("B", "D") and p == 2:
+        return 1
     return chain_mod_p(family, n, alpha.descents(), p)
 
 
@@ -357,48 +343,11 @@ def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
     return mask
 
 
-def worker_limit() -> int:
-    """Upper bound on worker parallelism, from RIBBONMOD_THREADS (default 1)."""
-    raw = os.environ.get("RIBBONMOD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _oracle_chunk(family: str, n: int, first: int) -> dict[int, int]:
-    """Tally descent masks over all group elements whose window starts with
-    the letter ``first`` (up to sign for families B and D)."""
-    counts: dict[int, int] = {}
-    rest = [v for v in range(1, n + 1) if v != first]
-    if family == "A":
-        for tail in permutations(rest):
-            w = (first,) + tail
-            mask = 0
-            for i in range(1, n):
-                if w[i - 1] > w[i]:
-                    mask |= 1 << (i - 1)
-            counts[mask] = counts.get(mask, 0) + 1
-        return counts
-    even_only = family == "D"
-    for tail in permutations(rest):
-        base = (first,) + tail
-        for signs in range(1 << n):
-            if even_only and signs.bit_count() % 2:
-                continue
-            w = tuple(-v if signs >> i & 1 else v for i, v in enumerate(base))
-            mask = _signed_descent_mask(w, family)
-            counts[mask] = counts.get(mask, 0) + 1
-    return counts
-
-
 def oracle_descent_class_sizes(family: str, n: int) -> dict[DescentSet, int]:
-    """Descent-class sizes by enumerating the whole group.
+    """Descent-class sizes by enumerating the whole group in one serial sweep.
 
     Family A sweeps permutations of [n]; B sweeps signed permutations; D
-    keeps the even ones.  The sweep may be partitioned over processes, up
-    to the RIBBONMOD_THREADS bound; tallies merge by addition, so the
-    result does not depend on the schedule.
+    keeps the even ones.
     """
     _check_family(family)
     lo = 2 if family == "D" else 1
@@ -406,18 +355,21 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[DescentSet, int]:
         raise CapacityError(
             f"oracle budget for family {family} is {lo} <= n <= {ORACLE_MAX_N[family]}"
         )
-    jobs = [(family, n, first) for first in range(1, n + 1)]
-    workers = min(worker_limit(), len(jobs))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.starmap(_oracle_chunk, jobs)
-    else:
-        chunks = [_oracle_chunk(*job) for job in jobs]
-    merged: dict[int, int] = {}
-    for chunk in chunks:
-        for mask, c in chunk.items():
-            merged[mask] = merged.get(mask, 0) + c
-    dfam = "A" if family == "A" else "BD"
-    return {DescentSet(n, mask, dfam): c for mask, c in merged.items()}
+    counts: dict[int, int] = {}
+    if family == "A":
+        for w in permutations(range(1, n + 1)):
+            mask = 0
+            for i in range(1, n):
+                if w[i - 1] > w[i]:
+                    mask |= 1 << (i - 1)
+            counts[mask] = counts.get(mask, 0) + 1
+        return {DescentSet(n, mask, "A"): c for mask, c in counts.items()}
+    even_only = family == "D"
+    for base in permutations(range(1, n + 1)):
+        for signs in range(1 << n):
+            if even_only and signs.bit_count() % 2:
+                continue
+            w = tuple(-v if signs >> i & 1 else v for i, v in enumerate(base))
+            mask = _signed_descent_mask(w, family)
+            counts[mask] = counts.get(mask, 0) + 1
+    return {DescentSet(n, mask, "BD"): c for mask, c in counts.items()}

@@ -17,6 +17,7 @@ from ribbonmod.cli import (
     golden_multisets,
     golden_vectors,
     load_golden_records,
+    _compare,
     main,
 )
 from ribbonmod.cvec import cvec
@@ -145,6 +146,31 @@ def test_coxeter_errors(capsys):
     assert code == 2 and "--p" in err
 
 
+def test_coxeter_subset_excludes_p(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["coxeter", "--group", "B3", "--subset", "0", "--p", "5"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_coxeter_subset_has_no_csv(capsys):
+    code, out, err = run(capsys, "coxeter", "--group", "B3", "--subset", "0", "--format", "csv")
+    assert (code, out) == (2, "") and "csv" in err
+
+
+def test_coxeter_subset_rejects_repeated_generators(capsys):
+    code, out, err = run(capsys, "coxeter", "--group", "B3", "--subset", "0,0")
+    assert (code, out) == (2, "") and "repeats" in err
+    code, out, _ = run(capsys, "coxeter", "--group", "B3", "--subset", "2,0,1")
+    assert (code, out) == (0, "1\n")
+
+
+def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):
+    for mod in ("2", "3"):
+        code, out, err = run(capsys, "ribbon", "--family", "D", "--alpha", "1", "--mod", mod)
+        assert (code, out) == (2, "") and "n >= 2" in err
+
+
 def test_coxeter_budget_exit_codes(capsys):
     code, _, err = run(capsys, "coxeter", "--group", "A30")
     assert code == 2 and "budget" in err
@@ -200,6 +226,19 @@ def test_verify_formulas_suite(capsys):
     assert "PASS closed forms" in out
 
 
+def test_compare_reports_each_mismatch():
+    lines = []
+    triples = [("x", (1, 2), (1, 2)), ("y", (3,), (4,)), ("z", 5, 5)]
+    assert not _compare(lines.append, "t.csv", "vectors", triples)
+    assert lines == ["FAIL t.csv y: expected (3,), computed (4,)"]
+    lines.clear()
+    assert _compare(lines.append, "t.csv", "vectors", triples[::2])
+    assert lines == ["PASS t.csv (2 vectors)"]
+    lines.clear()
+    assert not _compare(lines.append, "m.txt", "groups", [("g", 3, 4)], lambda v: f"<{v}>")
+    assert lines == ["FAIL m.txt g: expected <3>, computed <4>"]
+
+
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "ribbonmod"
@@ -214,3 +253,46 @@ def test_make_golden_regenerates_package_data(tmp_path):
     for name in TABLE_FILES + (EXCEPTIONAL_HISTOGRAMS, EXCEPTIONAL_MULTISETS):
         packaged = resources.files("ribbonmod").joinpath(f"data/{name}").read_bytes()
         assert (tmp_path / name).read_bytes() == packaged, name
+
+
+D_NOTE = "note: n < 4 is not a Coxeter group of type D\n"
+H3_CSV = "family,p,n,residue,count\n" + "".join(
+    f"H3,5,-,{i},{c}\n" for i, c in enumerate((0, 4, 0, 0, 4))
+)
+
+# (argv, exit code, stdout, stderr): one row per (command, format) pair
+SURFACE = [
+    ("ribbon --family A --alpha 1,2,1", 0, "5\n", ""),
+    ("ribbon --family A --alpha 1,2,1 --format json", 0,
+     '{"family": "A", "alpha": [1, 2, 1], "value": "5"}\n', ""),
+    ("ribbon --family B --alpha 0,3 --mod 5", 0, "2\n", ""),
+    ("ribbon --family B --alpha 0,3 --mod 5 --format json", 0,
+     '{"family": "B", "alpha": [0, 3], "value": "2"}\n', ""),
+    ("ribbon --family D --alpha 0,3", 0, "3\n", D_NOTE),
+    ("ribbon --family D --alpha 0,3 --format json", 0,
+     '{"family": "D", "alpha": [0, 3], "value": "3"}\n', ""),
+    ("cvec --family A --n 5 --p 3", 0, "(6, 8, 2)\n", "method: closed-form:2p^d+p^e\n"),
+    ("cvec --family A --n 5 --p 3 --format json", 0,
+     '{"family": "A", "n": 5, "p": 3, "method": "closed-form:2p^d+p^e", "vector": ["6", "8", "2"]}\n', ""),
+    ("cvec --family A --n 5 --p 3 --format csv", 0,
+     "family,p,n,residue,count\nA,3,5,0,6\nA,3,5,1,8\nA,3,5,2,2\n", ""),
+    ("cvec --family D --n 3 --p 3", 0, "(4, 2, 2)\n", D_NOTE + "method: naive\n"),
+    ("cvec --family D --n 3 --p 3 --format json", 0,
+     '{"family": "D", "n": 3, "p": 3, "method": "naive", "vector": ["4", "2", "2"]}\n', ""),
+    ("coxeter --group H3", 0, "1^2, 11^2, 19^2, 29^2\n", ""),
+    ("coxeter --group H3 --format json", 0,
+     '{"group": "H3", "classes": [[1, 2], [11, 2], [19, 2], [29, 2]]}\n', ""),
+    ("coxeter --group H3 --p 5", 0, "(0, 4, 0, 0, 4)\n", ""),
+    ("coxeter --group H3 --p 5 --format json", 0,
+     '{"group": "H3", "p": 5, "vector": ["0", "4", "0", "0", "4"]}\n', ""),
+    ("coxeter --group H3 --p 5 --format csv", 0, H3_CSV, ""),
+    ("coxeter --group B3 --subset 0,2", 0, "11\n", ""),
+    ("coxeter --group B3 --subset 2,0 --format json", 0,
+     '{"group": "B3", "subset": [0, 2], "value": "11"}\n', ""),
+    ("macdonald --n 6 --p 2", 0, "8\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", SURFACE, ids=[row[0] for row in SURFACE])
+def test_cli_surface_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, *argv.split()) == (code, out, err)

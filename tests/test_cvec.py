@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -34,7 +35,7 @@ from ribbonmod.cvec import (
     _theorem_tally,
     _weight_table,
 )
-from ribbonmod.ribbon import _chain_sum, _digit_cache, ribbon_mod_p, term_mod_p
+from ribbonmod.ribbon import _chain_sum, ribbon_mod_p, term_mod_p
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -138,6 +139,12 @@ def test_support_residue_matches_bulk_sweep():
         assert [recomputed[i] for i in range(p)] == tally
 
 
+def _digit_cache(p: int, width: int):
+    """The ``digit_row`` argument of ``term_mod_p``: padded base-p digits,
+    memoised per integer."""
+    return functools.cache(lambda m: base_p_digits(m, p).padded(width))
+
+
 def test_term_table_matches_term_mod_p():
     # the prefix-product table against the per-subset digit evaluation
     checked = 0
@@ -151,7 +158,7 @@ def test_term_table_matches_term_mod_p():
                 if len(pos) > 12:
                     continue
                 nd = base_p_digits(n, p).digits
-                digit_row = _digit_cache(n, p, len(nd))
+                digit_row = _digit_cache(p, len(nd))
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
                 table = _term_table(family, n, p, pos)
                 assert len(table) == 1 << len(pos)

@@ -21,7 +21,6 @@ from ribbonmod.ribbon import (
     ribbon_d,
     ribbon_exact,
     ribbon_mod_p,
-    worker_limit,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -196,6 +195,16 @@ def test_ribbon_mod_p_known_values():
         assert ribbon_mod_p("D", alpha, 2) == 1
 
 
+def test_ribbon_mod_p_type_d_needs_n_at_least_2():
+    # the n check comes before the p = 2 parity shortcut
+    for p in (2, 3):
+        with pytest.raises(ValueError, match="n >= 2"):
+            ribbon_mod_p("D", PseudoComposition((1,)), p)
+        with pytest.raises(ValueError, match="n >= 2"):
+            ribbon_mod_p("D", PseudoComposition((0, 1)), p)
+    assert ribbon_mod_p("B", PseudoComposition((1,)), 2) == 1
+
+
 def test_ribbon_mod_p_matches_exact():
     exact_a = {n: {a: ribbon_a(a) for a in enumerate_compositions(n)} for n in range(1, 11)}
     exact_bd = {
@@ -272,22 +281,6 @@ def test_oracle_budget():
         oracle_descent_class_sizes("B", 8)
     with pytest.raises(CapacityError):
         oracle_descent_class_sizes("D", 1)
-
-
-def test_oracle_parallel_matches_serial(monkeypatch):
-    serial = oracle_descent_class_sizes("D", 5)
-    monkeypatch.setenv("RIBBONMOD_THREADS", "2")
-    assert worker_limit() == 2
-    assert oracle_descent_class_sizes("D", 5) == serial
-
-
-def test_worker_limit_parsing(monkeypatch):
-    monkeypatch.delenv("RIBBONMOD_THREADS", raising=False)
-    assert worker_limit() == 1
-    monkeypatch.setenv("RIBBONMOD_THREADS", "junk")
-    assert worker_limit() == 1
-    monkeypatch.setenv("RIBBONMOD_THREADS", "0")
-    assert worker_limit() == 1
 
 
 # -- signed permutations ----------------------------------------------------
