@@ -4,12 +4,13 @@ modular subset Moebius transform.
 Everything here is pure integer arithmetic on Python ints, so results are
 exact at any size.  Prime moduli are validated by a deterministic
 Miller-Rabin test the first time they are used.  The Moebius transform works
-modulo any integer m >= 2 on residues packed into fixed-width little-endian
-byte fields: ``inverse_zeta_packed`` reads them as one big int and runs each
+modulo any integer m >= 2 on residues packed into fixed-width fields, and
+the field format is known only here: callers build their residues mod m in
+a ``field_buffer(size, m)`` and hand it with m to ``inverse_zeta_packed``,
+which picks the width from m, reads the fields as one big int, runs each
 level of the butterfly as a few whole-int operations (SIMD within a
-register).  Callers that build their fields mod m in a ``field_buffer``
-never leave the packed form; ``inverse_zeta`` is the same kernel for a list
-of ints.
+register) and returns them in the same kind of buffer.  ``inverse_zeta`` is
+the same kernel for a list of ints.
 """
 
 from __future__ import annotations
@@ -168,60 +169,52 @@ def field_width(m: int) -> int:
     return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
-def field_buffer(size: int, width: int):
-    """``size`` zeroed fields of a native width: a bytearray for 1-byte
-    fields, an unsigned ``array`` otherwise.  Both take item and slice
-    assignment, and ``little_endian`` turns either into kernel input."""
+def field_buffer(size: int, m: int):
+    """``size`` zeroed fields for residues mod m, of ``field_width(m)``
+    bytes: a bytearray for 1-byte fields, an unsigned ``array`` for 2, 4
+    or 8.  Both take item and slice assignment, and both are input to
+    ``inverse_zeta_packed`` as they stand."""
+    width = field_width(m)
     if width == 1:
         return bytearray(size)
     return array(_NATIVE_CODES[width], [0]) * size
 
 
-def little_endian(fields):
-    """A field buffer as packed little-endian bytes-like data (a copy only
-    for multi-byte arrays on a big-endian machine)."""
-    if sys.byteorder == "big" and isinstance(fields, array) and fields.itemsize > 1:
-        fields = array(fields.typecode, fields)
-        fields.byteswap()
-    return fields
-
-
-def read_fields(data, width: int):
-    """The residues of packed little-endian data of a native width: the
-    data itself for 1-byte fields, an unsigned ``array`` otherwise."""
-    if width == 1:
-        return data
-    out = array(_NATIVE_CODES[width], data)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
-def inverse_zeta_packed(data, width: int, m: int) -> bytes:
+def inverse_zeta_packed(fields, m: int):
     """The subset Moebius transform (Yates 1937) modulo any integer m >= 2,
-    on packed little-endian fields: field T <- sum over S subset T of
-    (-1)^|T\\S| field S, mod m.
+    on packed fields: field T <- sum over S subset T of (-1)^|T\\S| field S,
+    mod m.
 
-    ``data`` is any bytes-like object of 2^k fields of ``width`` bytes,
-    each a residue in [0, m), and ``width`` is at least ``field_width(m)``;
-    the result is packed the same way.  The fields are read as one int, so
-    each level of the butterfly is a handful of linear-time big-int
-    operations instead of one Python step per pair (SIMD within a
-    register).  The level of bit s moves the fields without bit s onto the
-    fields with it (``up``) and subtracts; the top bit of each field
-    h - l + 2^(w-1) says whether h - l stayed nonnegative, and m is added
-    back to the fields where it did not.  Borrows between fields in the
-    middle of a level cancel (the difference may even be a negative int),
-    because every field ends the level inside [0, 2^w).
+    ``fields`` holds 2^k residues in [0, m): an ``array`` whose items fit
+    m (a ``field_buffer``), or bytes-like data of little-endian fields of
+    ``field_width(m)`` bytes (the form for moduli past 8 bytes).  The
+    result comes back in the same form: an array of the same typecode, or
+    bytes.  The fields are read as one int, so each level of the butterfly
+    is a handful of linear-time big-int operations instead of one Python
+    step per pair (SIMD within a register).  The level of bit s moves the
+    fields without bit s onto the fields with it (``up``) and subtracts;
+    the top bit of each field h - l + 2^(w-1) says whether h - l stayed
+    nonnegative, and m is added back to the fields where it did not.
+    Borrows between fields in the middle of a level cancel (the difference
+    may even be a negative int), because every field ends the level inside
+    [0, 2^w).
     """
-    if width < field_width(m):
-        raise ValueError(f"fields of {width} bytes are too narrow for modulus {m}")
-    nbytes = memoryview(data).nbytes
+    width = field_width(m)
+    typecode = fields.typecode if isinstance(fields, array) else None
+    if typecode:
+        if fields.itemsize < width:
+            raise ValueError(f"fields of {fields.itemsize} bytes are too narrow for modulus {m}")
+        width = fields.itemsize
+        if sys.byteorder == "big":
+            fields = array(typecode, fields)
+            fields.byteswap()
+    nbytes = memoryview(fields).nbytes
     size = nbytes // width
     if not size or size & (size - 1) or size * width != nbytes:
         raise ValueError("the butterfly needs a power-of-two number of fields")
     w = 8 * width
-    x = int.from_bytes(data, "little")
+    x = int.from_bytes(fields, "little")
+    del fields  # a buffer the caller passed as a temporary is freed here
     # the levels commute, so they run from the top bit down: the fields
     # whose index has bit s set are m1 ^ (m1 >> (2^s fields)), m1 those of bit s + 1
     step = size // 2
@@ -233,7 +226,13 @@ def inverse_zeta_packed(data, width: int, m: int) -> bytes:
         x += m * (m1 ^ (((x + (m1 << (w - 1))) >> (w - 1)) & m1))
         step //= 2
         m1 ^= m1 >> (w * step)
-    return x.to_bytes(nbytes, "little")
+    data = x.to_bytes(nbytes, "little")
+    if not typecode:
+        return data
+    out = array(typecode, data)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def inverse_zeta(vals: list[int], m: int) -> None:
@@ -253,15 +252,10 @@ def inverse_zeta(vals: list[int], m: int) -> None:
         packed = array(code)
         for i in range(0, len(vals), _CHUNK):
             packed.fromlist([v % m for v in vals[i:i + _CHUNK]])
-        packed = little_endian(packed)
-    else:
-        packed = b"".join((v % m).to_bytes(width, "little") for v in vals)
-    data = inverse_zeta_packed(packed, width, m)
-    del packed
-    if code:
-        out = read_fields(data, width)
-        del data
+        out = inverse_zeta_packed(packed, m)
+        del packed
         for i in range(0, len(vals), _CHUNK):
             vals[i:i + _CHUNK] = out[i:i + _CHUNK]
     else:
+        data = inverse_zeta_packed(b"".join((v % m).to_bytes(width, "little") for v in vals), m)
         vals[:] = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]

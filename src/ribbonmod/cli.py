@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .arith import check_prime
 from .compositions import from_descent_set, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
 from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
@@ -148,7 +147,6 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
 def cmd_ribbon(args) -> int:
     alpha = parse_parts(args.alpha, pseudo=args.family in ("B", "D"))
     if args.mod is not None:
-        check_prime(args.mod)
         value = ribbon_mod_p(args.family, alpha, args.mod)
     else:
         value = ribbon_exact(args.family, alpha)
@@ -157,7 +155,6 @@ def cmd_ribbon(args) -> int:
 
 
 def cmd_cvec(args) -> int:
-    check_prime(args.p)
     try:
         vec = cvec(args.family, args.n, args.p, method=args.method)
     except NoClosedFormError as exc:
@@ -177,7 +174,6 @@ def cmd_coxeter(args) -> int:
         value = ribbon_general(diagram, subset)
         return _emit(args.format, {"group": diagram.name, "subset": subset, "value": value})
     if args.p is not None:
-        check_prime(args.p)
         counts = residue_histogram(diagram, args.p)
         return _emit(args.format, {"group": diagram.name, "p": args.p, "vector": counts})
     sizes = descent_class_multiset(diagram)
@@ -185,7 +181,6 @@ def cmd_coxeter(args) -> int:
 
 
 def cmd_macdonald(args) -> int:
-    check_prime(args.p)
     return _emit("text", {"value": macdonald_mp(args.n, args.p)})
 
 

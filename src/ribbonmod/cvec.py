@@ -8,23 +8,27 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     whole index lattice is processed at once with an inclusion-exclusion
     butterfly over multinomial weights, so nothing here touches the digit
     machinery used by the other two methods.  The weight table is built
-    mod p straight into packed fields, block by block (the masks with top
-    descent d are scaled copies of the blocks below, one constant per
-    block: one ``bytes.translate`` for 1-byte fields, p < 128; the B/D
-    first-part weights are one strided slice per lowest descent).  The
-    butterfly is ``arith.inverse_zeta_packed`` on those fields, and the
-    tally counts its output in place (one ``bytes.count`` per residue for
-    1-byte fields); no list of 2^n ints and no exact weight is ever made.
+    mod p straight into an ``arith.field_buffer`` for p, block by block
+    (the masks with top descent d are scaled copies of the blocks below,
+    one constant per block: one ``bytes.translate`` for 1-byte fields,
+    p < 128; the B/D first-part weights are one strided slice per lowest
+    descent).  ``arith.inverse_zeta_packed(table, p)`` returns the
+    butterfly's output in the same kind of buffer, and the tally counts it
+    in place (one ``count`` per residue for a small p); no list of 2^n ints
+    and no exact weight is ever made.  The field format is arith's alone:
+    this module passes moduli, never widths.
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
     weighting the residue tally by powers of two gives the vector without
     ever enumerating the index lattice, so n may be astronomically large
-    as long as the support stays small.  For m support positions it builds
-    an O(m^2) table of Lucas binomials between positions, fills the 2^m
-    subset terms by extending digitwise chains one position at a time into
-    a zeroed field buffer (all other terms are 0), and runs the same
-    packed O(m 2^m) inclusion-exclusion butterfly and tally.
+    as long as the support stays small.  The support's size is read off the
+    digits of n and refused past 2^SUPPORT_MAX subsets before the support
+    is made.  For m support positions it builds an O(m^2) table of Lucas
+    binomials between positions, fills the 2^m subset terms by extending
+    digitwise chains one position at a time into a zeroed field buffer (all
+    other terms are 0), and runs the same packed O(m 2^m) butterfly and
+    tally.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
     A single digit m at p^d (types A, B) runs the naive method on m; every
@@ -41,7 +45,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .arith import (
     _CHUNK,
@@ -51,9 +55,7 @@ from .arith import (
     field_buffer,
     field_width,
     inverse_zeta_packed,
-    little_endian,
     lucas_binomial,
-    read_fields,
 )
 from .compositions import CapacityError
 from .ribbon import _check_family, chain_mod_p
@@ -64,8 +66,8 @@ from .ribbon import _check_family, chain_mod_p
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
 
-# Largest p whose 1-byte residues are tallied by one bytes.count scan per
-# residue; above it one Counter pass over the bytes is faster.  On 2^20
+# Largest p whose residues (1-byte fields) are tallied by one bytes.count
+# scan per residue; above it one Counter pass is faster.  On 2^20
 # fields (2-core machine, Python 3.11, best of 7): bytes.count 23 / 44 /
 # 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
 # at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
@@ -80,6 +82,14 @@ def _check_tally_prime(p: int) -> None:
         raise CapacityError(
             f"a tally of {p} residue classes is past the budget of 2^{NAIVE_MAX_BITS}"
         )
+
+
+def _check_query(family: str, n: int, p: int) -> None:
+    # the argument gate of cvec_naive and cvec_closed_form: family, prime, n
+    _check_family(family)
+    _check_tally_prime(p)
+    if n < 1 or (family == "D" and n < 2):
+        raise ValueError(f"n={n} out of range for family {family}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +132,23 @@ class SupportSet:
         return len(self.elements)
 
 
+def _support_size(family: str, n: int, digits) -> int:
+    # |support_set| from the base-p digits of n alone: prod(d_j + 1)
+    # digit-bounded sums, less {0, n} in type A and {n} in type B; type D
+    # adjoins 1, which is a new element only when the lowest digit is 0
+    size = prod(d + 1 for d in digits)
+    if family == "A":
+        return size - 2
+    return size if family == "D" and digits[0] == 0 else size - 1
+
+
 def support_set(family: str, n: int, p: int) -> SupportSet:
     """The family-adjusted set of digit-bounded sums of powers of p.
 
     Starting from all sums b_0 + b_1 p + ... with 0 <= b_j <= (j-th digit
     of n): family A drops {0, n}, family B drops {n}, family D adjoins {1}
-    and drops {n}.
+    and drops {n}.  A set of more than 2^SUPPORT_MAX sums is refused with
+    CapacityError before any is made.
     """
     _check_family(family)
     check_prime(p)
@@ -141,12 +162,12 @@ def support_set(family: str, n: int, p: int) -> SupportSet:
         if family == "B":
             check_odd_prime(p)
     digits = base_p_digits(n, p).digits
+    if _support_size(family, n, digits) > 1 << SUPPORT_MAX:
+        raise CapacityError("support set too large to materialize")
     vals = [0]
     for j, dj in enumerate(digits):
         if dj == 0:
             continue
-        if len(vals) * (dj + 1) > 1 << SUPPORT_MAX:
-            raise CapacityError("support set too large to materialize")
         step = p**j
         vals = [v + b * step for v in vals for b in range(dj + 1)]
     base = set(vals)
@@ -181,11 +202,11 @@ def support_residue(family: str, subset, n: int, p: int) -> int:
 # naive method: butterfly over the full index lattice
 
 
-def _scaler(p: int, width: int):
+def _scaler(p: int):
     # scale(block, c): a block of a field buffer of residues mod p times c,
     # mod p, field by field; one translate table per constant for 1-byte
     # fields, one pass per field (in chunks) for wider ones
-    if width == 1:
+    if field_width(p) == 1:
         mul = [bytes(c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
 
         def scale(block, c):
@@ -201,8 +222,8 @@ def _scaler(p: int, width: int):
 
 
 def _weight_table(family: str, n: int, p: int):
-    """Covering counts mod p, indexed by descent mask, in a field buffer
-    of ``field_width(p)``: the number of group elements whose descent set
+    """Covering counts mod p, indexed by descent mask, in a
+    ``field_buffer`` for p: the number of group elements whose descent set
     is contained in the mask's descent set."""
     # First the multinomials: table[mask] = multinomial mod p of the
     # composition whose descent set is mask, where bit b encodes descent
@@ -214,9 +235,8 @@ def _weight_table(family: str, n: int, p: int):
     # block (t = k + lo on block k, and t = 0 for the empty rest).
     lo = 1 if family == "A" else 0
     bits = n - lo
-    width = field_width(p)
-    scale = _scaler(p, width)
-    table = field_buffer(1 << bits, width)
+    scale = _scaler(p)
+    table = field_buffer(1 << bits, p)
     table[0] = 1
     for h in range(bits):
         d = h + lo
@@ -251,14 +271,12 @@ def _tally(counts, p: int) -> list[int]:
     return tally
 
 
-def _field_tally(data: bytes, width: int, p: int) -> list[int]:
-    # residue tally of packed residues mod p: one bytes.count per residue
-    # for 1-byte fields of a small p, a Counter over the fields otherwise
-    if width == 1:
-        if p <= _COUNT_TALLY_MAX_P:
-            return [data.count(r) for r in range(p)]
-        return _tally(Counter(data), p)
-    return _tally(Counter(read_fields(data, width)), p)
+def _field_tally(fields, p: int) -> list[int]:
+    # residue tally of a field buffer of residues mod p: one count per
+    # residue for a small p (1-byte fields), one Counter pass otherwise
+    if p <= _COUNT_TALLY_MAX_P:
+        return [fields.count(r) for r in range(p)]
+    return _tally(Counter(fields), p)
 
 
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
@@ -267,18 +285,13 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
-    width = field_width(p)
-    data = inverse_zeta_packed(little_endian(_weight_table(family, n, p)), width, p)
-    # field mask is now the ribbon number mod p of the index with that descent mask
-    return _field_tally(data, width, p)
+    # field mask becomes the ribbon number mod p of the index with that descent mask
+    return _field_tally(inverse_zeta_packed(_weight_table(family, n, p), p), p)
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
     """Histogram of all ribbon numbers mod p, by sweeping the index lattice."""
-    _check_family(family)
-    _check_tally_prime(p)
-    if n < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={n} out of range for family {family}")
+    _check_query(family, n, p)
     return DimensionPVector(family, n, p, tuple(_naive_tally(family, n, p)), "naive")
 
 
@@ -301,8 +314,8 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
 
 def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     """g[mask] = the refinement term of the descent set picked by mask
-    from the sorted support positions ``pos``, reduced mod p, in a field
-    buffer of ``field_width(p)``.
+    from the sorted support positions ``pos``, reduced mod p, in a
+    ``field_buffer`` for p.
 
     By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
     chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
@@ -328,7 +341,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
             # count halves, and a lone descent at 1 acts as one at 0 (below)
             first[0] = pow(2, sn, p) * pow(2, p - 2, p) % p
             first[1] = 0
-    g = field_buffer(1 << m, field_width(p))
+    g = field_buffer(1 << m, p)
     g[0] = 1
     # (mask, value without the factor C(n, top descent), top index) of every
     # chain whose value is nonzero; a zero prefix is never extended
@@ -351,16 +364,15 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
 
 
 def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
-    sup = support_set(family, n, p)
-    pos = sup.elements
-    m = len(pos)
+    # the support's size is refused from the digits of n, before the set
+    # or anything of its size is made
+    m = _support_size(family, n, base_p_digits(n, p).digits)
     if m > SUPPORT_MAX:
         raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
-    width = field_width(p)
-    data = inverse_zeta_packed(little_endian(_term_table(family, n, p, pos)), width, p)
-    tally = _field_tally(data, width, p)
+    pos = support_set(family, n, p).elements
+    tally = _field_tally(inverse_zeta_packed(_term_table(family, n, p, pos), p), p)
     free = (n - 1 - m) if family == "A" else (n - m)
     return tally, free
 
@@ -434,10 +446,7 @@ def cvec_closed_form(family: str, n: int, p: int):
     Returns None when no pattern applies.  The provenance tag records the
     pattern, e.g. ``closed-form:p^a+p^b``.
     """
-    _check_family(family)
-    _check_tally_prime(p)
-    if n < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={n} out of range for family {family}")
+    _check_query(family, n, p)
     if family == "D" and n < 4:
         return None
     if p == 2 and family != "A":
@@ -465,26 +474,19 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
     ``auto`` prefers a closed form, then the theorem method, then the
-    naive sweep.
+    naive sweep.  Each method's function checks the arguments.
     """
-    _check_family(family)
-    _check_tally_prime(p)
-    if n < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={n} out of range for family {family}")
+    if method not in ("auto", "naive", "theorem", "closed"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "naive":
         return cvec_naive(family, n, p)
     if method == "theorem":
         return cvec_theorem(family, n, p)
-    if method == "closed":
-        vec = cvec_closed_form(family, n, p)
-        if vec is None:
-            raise NoClosedFormError(f"no closed form applies to ({family}, n={n}, p={p})")
-        return vec
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     vec = cvec_closed_form(family, n, p)
     if vec is not None:
         return vec
+    if method == "closed":
+        raise NoClosedFormError(f"no closed form applies to ({family}, n={n}, p={p})")
     if n >= (4 if family == "D" else 2):
         try:
             return cvec_theorem(family, n, p)

@@ -102,6 +102,22 @@ def test_cvec_exit_codes(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_every_command_refuses_a_composite_modulus(capsys):
+    # the library call behind each command checks the prime first
+    calls = [
+        ("ribbon", "--family", "B", "--alpha", "0,2,1", "--mod", "9"),
+        ("coxeter", "--group", "A3", "--p", "4"),
+        ("macdonald", "--n", "4", "--p", "8"),
+    ] + [
+        ("cvec", "--family", "D", "--n", "1", "--p", "4", "--method", method)
+        for method in ("auto", "naive", "theorem", "closed")
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "modulus must be a prime" in err, argv
+
+
 def _parse_long_decimal(text):
     # int() has the same digit limit as str(), so read the digits in chunks
     value = 0

@@ -2,13 +2,21 @@ import functools
 import itertools
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribbonmod.arith import base_p_digits, field_width, inverse_zeta, inverse_zeta_packed, multinomial_exact
+from ribbonmod.arith import (
+    base_p_digits,
+    field_buffer,
+    field_width,
+    inverse_zeta,
+    inverse_zeta_packed,
+    multinomial_exact,
+)
 from ribbonmod.compositions import (
     CapacityError,
     _parts_from_mask,
@@ -31,6 +39,7 @@ from ribbonmod.cvec import (
     _COUNT_TALLY_MAX_P,
     _RULES,
     _field_tally,
+    _support_size,
     _term_table,
     _theorem_tally,
     _weight_table,
@@ -61,15 +70,15 @@ def test_support_set_two_powers():
 def test_support_set_sizes():
     for p in ODD_PRIMES:
         for n in range(2, 30):
+            digits = base_p_digits(n, p).digits
             prod = 1
-            for dj in base_p_digits(n, p):
+            for dj in digits:
                 prod *= dj + 1
-            assert len(support_set("A", n, p)) == prod - 2
-            assert len(support_set("B", n, p)) == prod - 1
+            assert len(support_set("A", n, p)) == prod - 2 == _support_size("A", n, digits)
+            assert len(support_set("B", n, p)) == prod - 1 == _support_size("B", n, digits)
             if n >= 4:
-                n0 = base_p_digits(n, p)[0]
-                expected = prod if n0 == 0 else prod - 1
-                assert len(support_set("D", n, p)) == expected
+                expected = prod if digits[0] == 0 else prod - 1
+                assert len(support_set("D", n, p)) == expected == _support_size("D", n, digits)
 
 
 def test_support_set_type_d_adjoins_one():
@@ -244,24 +253,40 @@ def test_inverse_zeta_packed_field_widths():
 
 
 def test_inverse_zeta_packed_matches_list_form():
-    # the packed entry point on little-endian fields against the list
-    # wrapper, for 1-, 2-, 4- and 8-byte fields and a wide one
+    # the packed entry point against the list wrapper, on little-endian
+    # bytes of field_width(m) bytes per field (1, 2, 4, 8 and 11), on the
+    # field_buffer of each native modulus (a bytearray, or an array of 2-,
+    # 4- or 8-byte items) and on an array wider than the modulus needs;
+    # each result comes back in the form it went in, and no input changes
     rng = random.Random(11)
     for bits in range(13):
         size = 1 << bits
         for m in (3, 127, 131, 32749, 65537, 2**61 - 1, 2**80 + 13):
             width = field_width(m)
             vals = [rng.randrange(m) for _ in range(size)]
-            data = b"".join(v.to_bytes(width, "little") for v in vals)
-            out = inverse_zeta_packed(data, width, m)
-            inverse_zeta(vals, m)
-            assert len(out) == len(data)
-            got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
-            assert got == vals, (bits, m)
+            want = vals[:]
+            inverse_zeta(want, m)
+            inputs = [b"".join(v.to_bytes(width, "little") for v in vals)]
+            if width <= 8:
+                buf = field_buffer(size, m)
+                assert memoryview(buf).itemsize == width
+                buf[:] = bytearray(vals) if width == 1 else array(buf.typecode, vals)
+                inputs += [buf, array("Q", vals)]
+            for data in inputs:
+                out = inverse_zeta_packed(data, m)
+                if isinstance(data, array):
+                    assert out.typecode == data.typecode and out.tolist() == want, (bits, m)
+                    assert data.tolist() == vals
+                elif isinstance(data, bytearray):
+                    assert type(out) is bytes and list(out) == want and list(data) == vals
+                else:
+                    assert type(out) is bytes and len(out) == len(data)
+                    got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
+                    assert got == want, (bits, m)
     with pytest.raises(ValueError):
-        inverse_zeta_packed(bytes(4), 1, 131)  # 1-byte fields are too narrow past 127
+        inverse_zeta_packed(array("B", bytes(4)), 131)  # 1-byte fields are too narrow past 127
     with pytest.raises(ValueError):
-        inverse_zeta_packed(bytes(6), 2, 7)  # three fields
+        inverse_zeta_packed(bytes(6), 131)  # three 2-byte fields
 
 
 def test_weight_table_matches_per_mask_reference():
@@ -375,14 +400,16 @@ def test_naive_sweep_in_bounded_memory():
 
 
 def test_field_tally_matches_counter():
-    # 1-byte residues are tallied by bytes.count up to the crossover prime
-    # and by one Counter pass above it; both sides of it are covered
+    # residues are tallied by bytes.count up to the crossover prime and by
+    # one Counter pass above it, over bytes or a field_buffer array; both
+    # sides of the crossover are covered, and 2- and 4-byte fields
     rng = random.Random(8)
     assert 53 <= _COUNT_TALLY_MAX_P < 59
-    for p in (2, 53, 59, 127):
-        data = bytes(rng.randrange(p) for _ in range(4099))
-        counts = Counter(data)
-        assert _field_tally(data, 1, p) == [counts[r] for r in range(p)], p
+    for p in (2, 53, 59, 127, 131, 65537):
+        vals = [rng.randrange(p) for _ in range(4099)]
+        data = bytes(vals) if p < 128 else array(field_buffer(0, p).typecode, vals)
+        counts = Counter(vals)
+        assert _field_tally(data, p) == [counts[r] for r in range(p)], p
 
 
 def test_methods_agree_type_d_sixteen():
@@ -661,6 +688,29 @@ def test_huge_prime_refused_before_the_tally():
         lambda: cvec_theorem("A", 7, p),
         lambda: cvec_closed_form("A", 7, p),
         lambda: residue_histogram(builtin_diagram("A3"), p),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_oversized_support_refused_before_it_is_built():
+    # n = 3^13 - 1 has thirteen digits 2, so its support would hold
+    # 3^13 - 2 positions, and building its 1.6 million sums takes over
+    # 100 MB; the size is read off the digits before anything is built.
+    # n = 3^15 - 1 is past support_set's own cap of 2^22 sums
+    n = 3**13 - 1
+    calls = [
+        lambda: cvec("A", n, 3),
+        lambda: cvec_theorem("A", n, 3),
+        lambda: cvec_theorem("D", n, 3),
+        lambda: support_set("B", 3**15 - 1, 3),
     ]
     for call in calls:
         tracemalloc.start()
