@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .compositions import from_descent_set, parse_parts
+from .compositions import from_descent_set, mask_offset, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
 from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
@@ -231,8 +231,7 @@ def _verify_oracles(report) -> bool:
                 alpha = from_descent_set(n, descents)
                 if ribbon_exact(family, alpha) != size:
                     bad += 1
-            width = n - 1 if family == "A" else n
-            if len(classes) != 1 << width:
+            if len(classes) != 1 << (n - mask_offset(family)):
                 bad += 1
             sizes = Counter(classes.values())
             for p in ORACLE_PRIMES:

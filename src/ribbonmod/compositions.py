@@ -6,9 +6,10 @@ is determined by its descent set (the set of proper prefix sums), so the
 canonical in-memory form is a bitmask over the descent positions together
 with n; the parts sequence is derived on demand.
 
-Bit conventions:
-  * family "A"  -- descent positions live in [1, n-1]; position j is bit j-1;
-  * family "BD" -- descent positions live in {0, ..., n-1}; position j is bit j.
+The encoding lives here alone.  ``mask_offset`` is the descent position of
+bit 0 and the least first part: 1 in type A (positions [1, n-1]), 0 in
+types B and D (family "BD", positions {0, ..., n-1}).  ``DescentSet`` and
+``from_mask`` share one check: n >= offset and a mask of n - offset bits.
 
 Full enumeration is capped at 63 mask bits.
 """
@@ -16,6 +17,8 @@ Full enumeration is capped at 63 mask bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 MAX_MASK_BITS = 63
@@ -23,6 +26,30 @@ MAX_MASK_BITS = 63
 
 class CapacityError(ValueError):
     """A requested enumeration exceeds the documented budget."""
+
+
+def mask_offset(family: str) -> int:
+    """The descent position that mask bit 0 encodes: 1 for family A, 0 for
+    B, D or BD.  A mask for n has n - mask_offset(family) bits."""
+    if family not in ("A", "B", "D", "BD"):
+        raise ValueError(f"unknown descent family {family!r}")
+    return 1 if family == "A" else 0
+
+
+def _check_mask(n: int, mask: int, family: str) -> None:
+    width = n - mask_offset(family)
+    if width < 0 or mask < 0 or mask >> width:
+        raise ValueError(f"descent mask {mask} out of range for n={n} in family {family}")
+
+
+def _positions(mask: int, lo: int) -> tuple[int, ...]:
+    # the descent positions of a mask whose bit 0 is position lo, ascending
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1 + lo)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -36,13 +63,11 @@ class DescentSet:
     def __post_init__(self):
         if self.family not in ("A", "BD"):
             raise ValueError(f"unknown descent family {self.family!r}")
-        width = self.n - 1 if self.family == "A" else self.n
-        if self.mask < 0 or self.mask >> max(width, 0):
-            raise ValueError("descent mask out of range for n")
+        _check_mask(self.n, self.mask, self.family)
 
     @classmethod
     def from_positions(cls, n: int, positions, family: str) -> "DescentSet":
-        lo = 1 if family == "A" else 0
+        lo = mask_offset(family)
         mask = 0
         for j in positions:
             if not lo <= j <= n - 1:
@@ -51,39 +76,17 @@ class DescentSet:
         return cls(n, mask, family)
 
     def positions(self) -> tuple[int, ...]:
-        lo = 1 if self.family == "A" else 0
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1 + lo)
-            mask ^= low
-        return tuple(out)
+        return _positions(self.mask, mask_offset(self.family))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.positions())
 
     def __contains__(self, j: int) -> bool:
-        lo = 1 if self.family == "A" else 0
+        lo = mask_offset(self.family)
         return lo <= j <= self.n - 1 and self.mask >> (j - lo) & 1 == 1
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-
-def _parts_from_mask(n: int, mask: int, lo: int) -> tuple[int, ...]:
-    # lo is the descent position encoded by bit 0.
-    parts = []
-    prev = 0
-    m = mask
-    while m:
-        low = m & -m
-        d = low.bit_length() - 1 + lo
-        parts.append(d - prev)
-        prev = d
-        m ^= low
-    parts.append(n - prev)
-    return tuple(parts)
 
 
 class _MaskBacked:
@@ -94,23 +97,18 @@ class _MaskBacked:
 
     def __init__(self, parts):
         parts = tuple(int(a) for a in parts)
-        self._validate(parts)
+        lo = mask_offset(self._family)
+        if not parts or parts[0] < lo or any(a < 1 for a in parts[1:]):
+            raise ValueError(f"{type(self).__name__} needs a first part >= {lo} and the rest >= 1: {parts}")
         n = sum(parts)
-        lo = 1 if self._family == "A" else 0
-        mask = 0
-        acc = 0
-        for a in parts[:-1]:
-            acc += a
-            mask |= 1 << (acc - lo)
+        mask = DescentSet.from_positions(n, accumulate(parts[:-1]), self._family).mask
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_mask(cls, n: int, mask: int):
+        _check_mask(n, mask, cls._family)
         self = object.__new__(cls)
-        width = n - 1 if cls._family == "A" else n
-        if mask < 0 or mask >> max(width, 0):
-            raise ValueError("descent mask out of range for n")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
         return self
@@ -120,8 +118,8 @@ class _MaskBacked:
 
     @property
     def parts(self) -> tuple[int, ...]:
-        lo = 1 if self._family == "A" else 0
-        return _parts_from_mask(self.n, self.mask, lo)
+        cuts = (0, *self.descents(), self.n)
+        return tuple(map(sub, cuts[1:], cuts))
 
     def __len__(self) -> int:
         return self.mask.bit_count() + 1
@@ -141,41 +139,25 @@ class _MaskBacked:
 
     def descents(self) -> tuple[int, ...]:
         """Proper prefix sums, ascending."""
-        return self.descent_set().positions()
+        return _positions(self.mask, mask_offset(self._family))
 
     def descent_set(self) -> DescentSet:
-        family = "A" if self._family == "A" else "BD"
-        return DescentSet(self.n, self.mask, family)
+        return DescentSet(self.n, self.mask, self._family)
 
     def prefix_sums(self) -> tuple[int, ...]:
         """All prefix sums, from the empty one (0) up to n."""
-        acc = 0
-        sums = [0]
-        for a in self.parts:
-            acc += a
-            sums.append(acc)
-        return tuple(sums)
+        return (0, *accumulate(self.parts))
 
     def complement(self):
         """The composition whose descent set is the complement of this one's."""
-        width = self.n - 1 if self._family == "A" else self.n
-        full = (1 << width) - 1
+        full = (1 << (self.n - mask_offset(self._family))) - 1
         return type(self).from_mask(self.n, self.mask ^ full)
-
-    def _validate(self, parts):
-        raise NotImplementedError
 
 
 class Composition(_MaskBacked):
     """Composition of n: positive parts, in bijection with subsets of [n-1]."""
 
     _family = "A"
-
-    def _validate(self, parts):
-        if not parts:
-            raise ValueError("a composition needs at least one part")
-        if any(a < 1 for a in parts):
-            raise ValueError(f"composition parts must be positive: {parts}")
 
 
 class PseudoComposition(_MaskBacked):
@@ -186,14 +168,6 @@ class PseudoComposition(_MaskBacked):
 
     _family = "BD"
 
-    def _validate(self, parts):
-        if not parts:
-            raise ValueError("a pseudo-composition needs at least one part")
-        if parts[0] < 0 or any(a < 1 for a in parts[1:]):
-            raise ValueError(
-                f"pseudo-composition needs first part >= 0 and the rest positive: {parts}"
-            )
-
 
 def from_descent_set(n: int, descents: DescentSet):
     """The unique (pseudo-)composition of n with the given descent set."""
@@ -203,27 +177,26 @@ def from_descent_set(n: int, descents: DescentSet):
     return cls.from_mask(n, descents.mask)
 
 
-def _check_enum_width(n: int):
+def _enumerate(cls, n: int):
+    # every index of cls for n, in ascending descent-mask order
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_MASK_BITS:
         raise CapacityError(
             f"full enumeration is limited to n <= {MAX_MASK_BITS} (mask width)"
         )
+    for mask in range(1 << (n - mask_offset(cls._family))):
+        yield cls.from_mask(n, mask)
 
 
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """All 2**(n-1) compositions of n, in ascending descent-mask order."""
-    _check_enum_width(n)
-    for mask in range(1 << (n - 1)):
-        yield Composition.from_mask(n, mask)
+    return _enumerate(Composition, n)
 
 
 def enumerate_pseudo_compositions(n: int) -> Iterator[PseudoComposition]:
     """All 2**n pseudo-compositions of n, in ascending descent-mask order."""
-    _check_enum_width(n)
-    for mask in range(1 << n):
-        yield PseudoComposition.from_mask(n, mask)
+    return _enumerate(PseudoComposition, n)
 
 
 def parse_parts(text: str, pseudo: bool = False):

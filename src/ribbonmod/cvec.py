@@ -57,7 +57,7 @@ from .arith import (
     inverse_zeta_packed,
     lucas_binomial,
 )
-from .compositions import CapacityError
+from .compositions import CapacityError, mask_offset
 from .ribbon import _check_family, chain_mod_p
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
@@ -72,6 +72,11 @@ SUPPORT_MAX = 22
 # 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
 # at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
 _COUNT_TALLY_MAX_P = 53
+
+# Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
+# series, about m^2 big-int steps): m = 1000 took 0.56 s with p > n and 1.9 s
+# at p = 1009, j = 1; m = 2000 took 2.5 s and 20 s (2-core machine).
+MACDONALD_DIGIT_MAX = 1000
 
 
 def _check_tally_prime(p: int) -> None:
@@ -132,7 +137,7 @@ class SupportSet:
         return len(self.elements)
 
 
-def _support_size(family: str, n: int, digits) -> int:
+def _support_size(family: str, digits) -> int:
     # |support_set| from the base-p digits of n alone: prod(d_j + 1)
     # digit-bounded sums, less {0, n} in type A and {n} in type B; type D
     # adjoins 1, which is a new element only when the lowest digit is 0
@@ -162,7 +167,7 @@ def support_set(family: str, n: int, p: int) -> SupportSet:
         if family == "B":
             check_odd_prime(p)
     digits = base_p_digits(n, p).digits
-    if _support_size(family, n, digits) > 1 << SUPPORT_MAX:
+    if _support_size(family, digits) > 1 << SUPPORT_MAX:
         raise CapacityError("support set too large to materialize")
     vals = [0]
     for j, dj in enumerate(digits):
@@ -233,7 +238,7 @@ def _weight_table(family: str, n: int, p: int):
     # n - d, which multiplies the multinomial by C(n - t, d - t); so block h
     # is 2^h scaled copies of the blocks below it, one constant per lower
     # block (t = k + lo on block k, and t = 0 for the empty rest).
-    lo = 1 if family == "A" else 0
+    lo = mask_offset(family)
     bits = n - lo
     scale = _scaler(p)
     table = field_buffer(1 << bits, p)
@@ -280,7 +285,7 @@ def _field_tally(fields, p: int) -> list[int]:
 
 
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
-    bits = n - 1 if family == "A" else n
+    bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
@@ -312,10 +317,10 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
+def _term_table(family: str, nd: tuple[int, ...], p: int, pos: tuple[int, ...]):
     """g[mask] = the refinement term of the descent set picked by mask
     from the sorted support positions ``pos``, reduced mod p, in a
-    ``field_buffer`` for p.
+    ``field_buffer`` for p; ``nd`` holds the base-p digits of n.
 
     By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
     chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
@@ -328,7 +333,6 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     """
     m = len(pos)
     digits = [base_p_digits(d, p).digits for d in pos]
-    nd = base_p_digits(n, p).digits
     top = [lucas_binomial(nd, dd, p) for dd in digits]
     pair = [[lucas_binomial(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
     if family == "A":
@@ -366,15 +370,15 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
 def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
-    m = _support_size(family, n, base_p_digits(n, p).digits)
+    nd = base_p_digits(n, p).digits
+    m = _support_size(family, nd)
     if m > SUPPORT_MAX:
         raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p).elements
-    tally = _field_tally(inverse_zeta_packed(_term_table(family, n, p, pos), p), p)
-    free = (n - 1 - m) if family == "A" else (n - m)
-    return tally, free
+    tally = _field_tally(inverse_zeta_packed(_term_table(family, nd, p, pos), p), p)
+    return tally, n - mask_offset(family) - m
 
 
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
@@ -462,7 +466,7 @@ def cvec_closed_form(family: str, n: int, p: int):
         if entry is None:
             return None
         raw, support = entry
-        tally, free = _tally(raw, p), (n - 1 if family == "A" else n) - support
+        tally, free = _tally(raw, p), n - mask_offset(family) - support
     return DimensionPVector(family, n, p, _assemble(p, tally, free), f"closed-form:{rule}")
 
 
@@ -474,7 +478,9 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
     ``auto`` prefers a closed form, then the theorem method, then the
-    naive sweep.  Each method's function checks the arguments.
+    naive sweep; when both sweeps are past their budgets, the
+    ``CapacityError`` names both.  Each method's function checks the
+    arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -487,12 +493,16 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return vec
     if method == "closed":
         raise NoClosedFormError(f"no closed form applies to ({family}, n={n}, p={p})")
-    if n >= (4 if family == "D" else 2):
-        try:
-            return cvec_theorem(family, n, p)
-        except CapacityError:
-            pass
-    return cvec_naive(family, n, p)
+    if n < (4 if family == "D" else 2):
+        return cvec_naive(family, n, p)
+    try:
+        return cvec_theorem(family, n, p)
+    except CapacityError as exc:
+        refused = exc
+    try:
+        return cvec_naive(family, n, p)
+    except CapacityError as exc:
+        raise CapacityError(f"theorem route: {refused}; naive route: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +560,11 @@ def macdonald_mp(n: int, p: int) -> int:
     check_prime(p)
     if n < 1:
         raise ValueError("n must be positive")
+    digits = base_p_digits(n, p).digits
+    if max(digits) > MACDONALD_DIGIT_MAX:
+        raise CapacityError(f"base-{p} digit {max(digits)} of n is past the budget of {MACDONALD_DIGIT_MAX}")
     result = 1
-    for j, nj in enumerate(base_p_digits(n, p)):
+    for j, nj in enumerate(digits):
         if nj:
             result *= _colored_partition_count(nj, p**j)
     return result

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,52 @@ def test_descent_positions_out_of_range():
         DescentSet(4, -1, "BD")
     with pytest.raises(ValueError):
         DescentSet(4, 0, "C")
+
+
+def test_mask_below_the_family_minimum_refused():
+    # no composition of n <= 0 exists, nor a pseudo-composition of n < 0
+    for make in (lambda: Composition.from_mask(-3, 0),
+                 lambda: Composition.from_mask(0, 0),
+                 lambda: PseudoComposition.from_mask(-1, 0),
+                 lambda: DescentSet(-3, 0, "A"),
+                 lambda: DescentSet(-1, 0, "BD")):
+        with pytest.raises(ValueError):
+            make()
+    assert PseudoComposition.from_mask(0, 0) == PseudoComposition((0,))
+
+
+@given(n=st.integers(min_value=-4, max_value=20), mask=st.integers(min_value=-4, max_value=1 << 21))
+def test_every_accepted_mask_is_a_constructor_value(n, mask):
+    for cls in (Composition, PseudoComposition):
+        try:
+            alpha = cls.from_mask(n, mask)
+        except ValueError:
+            continue
+        assert cls(alpha.parts) == alpha
+
+
+def _compositions(n):
+    # every tuple of positive parts summing to n, built without the package
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_descent_positions_agree_with_the_constructors():
+    # bit 0 is position 1 in type A and position 0 in types B and D; every
+    # route to a mask gives the same one, and the mask gives back the parts
+    for n in range(1, 11):
+        for parts in _compositions(n):
+            for cls, family, lo, alpha in ((Composition, "A", 1, parts),
+                                           (PseudoComposition, "BD", 0, parts),
+                                           (PseudoComposition, "BD", 0, (0,) + parts)):
+                descents = tuple(accumulate(alpha[:-1]))
+                mask = sum(1 << (d - lo) for d in descents)
+                assert DescentSet.from_positions(n, descents, family).mask == mask
+                assert cls(alpha).mask == mask
+                assert cls.from_mask(n, mask).parts == alpha
 
 
 def test_invalid_parts():

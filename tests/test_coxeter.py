@@ -13,6 +13,7 @@ from ribbonmod.compositions import (
 )
 import ribbonmod.coxeter as coxeter
 from ribbonmod.coxeter import (
+    DIAGRAM_MAX_RANK,
     SUBSET_MAX_RANK,
     CoxeterDiagram,
     IrreducibleType,
@@ -325,6 +326,21 @@ def test_multisets_match_chain_recurrence_across_field_widths():
             indices = enumerate_pseudo_compositions(rank)
         expected = Counter(ribbon_exact(family, alpha) for alpha in indices)
         assert descent_class_multiset(builtin_diagram(f"{family}{rank}")) == expected, (family, rank)
+
+
+def test_diagram_rank_past_the_budget_refused_before_allocating():
+    # A10^9 would be 10^9 generator ints and edge tuples; the rank is
+    # checked as soon as it is parsed from the label
+    for label in ("A1000000000", "B1000000000", "D1000000000", f"A{DIAGRAM_MAX_RANK + 1}"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                builtin_diagram(label)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert len(builtin_diagram(f"D{DIAGRAM_MAX_RANK}").generators) == DIAGRAM_MAX_RANK
 
 
 def test_subset_sweeps_past_the_budget_refused_before_allocating():

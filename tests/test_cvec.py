@@ -19,12 +19,16 @@ from ribbonmod.arith import (
 )
 from ribbonmod.compositions import (
     CapacityError,
-    _parts_from_mask,
+    Composition,
+    PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
 )
 from ribbonmod.coxeter import builtin_diagram, residue_histogram
 from ribbonmod.cvec import (
+    MACDONALD_DIGIT_MAX,
+    NAIVE_MAX_BITS,
+    SUPPORT_MAX,
     DimensionPVector,
     NoClosedFormError,
     cvec,
@@ -74,11 +78,11 @@ def test_support_set_sizes():
             prod = 1
             for dj in digits:
                 prod *= dj + 1
-            assert len(support_set("A", n, p)) == prod - 2 == _support_size("A", n, digits)
-            assert len(support_set("B", n, p)) == prod - 1 == _support_size("B", n, digits)
+            assert len(support_set("A", n, p)) == prod - 2 == _support_size("A", digits)
+            assert len(support_set("B", n, p)) == prod - 1 == _support_size("B", digits)
             if n >= 4:
                 expected = prod if digits[0] == 0 else prod - 1
-                assert len(support_set("D", n, p)) == expected == _support_size("D", n, digits)
+                assert len(support_set("D", n, p)) == expected == _support_size("D", digits)
 
 
 def test_support_set_type_d_adjoins_one():
@@ -159,6 +163,7 @@ def test_term_table_matches_term_mod_p():
     checked = 0
     for family in ("A", "B", "D"):
         lo = 1 if family == "A" else 0
+        cls = Composition if family == "A" else PseudoComposition
         for p in (2, 3, 5, 7):
             if family != "A" and p == 2:
                 continue
@@ -169,11 +174,11 @@ def test_term_table_matches_term_mod_p():
                 nd = base_p_digits(n, p).digits
                 digit_row = _digit_cache(p, len(nd))
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
-                table = _term_table(family, n, p, pos)
+                table = _term_table(family, nd, p, pos)
                 assert len(table) == 1 << len(pos)
                 for sel, got in enumerate(table):
                     mask = sum(1 << (d - lo) for i, d in enumerate(pos) if sel >> i & 1)
-                    parts = _parts_from_mask(n, mask, lo)
+                    parts = cls.from_mask(n, mask).parts
                     assert got == term_mod_p(family, parts, nd, p, digit_row, inv2), (family, n, p, sel)
                 checked += 1
     assert checked > 300
@@ -298,7 +303,7 @@ def test_weight_table_matches_per_mask_reference():
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 11):
             tables = {p: _weight_table(family, n, p) for p in primes}
-            lo = 1 if family == "A" else 0
+            cls = Composition if family == "A" else PseudoComposition
             bits = n - 1 if family == "A" else n
             assert all(len(table) == 1 << bits for table in tables.values())
             for mask in range(1 << bits):
@@ -312,7 +317,7 @@ def test_weight_table_matches_per_mask_reference():
                         source = mask ^ 3
                 else:
                     weight = 1 << (n - first)
-                want = weight * multinomial_exact(n, _parts_from_mask(n, source, lo))
+                want = weight * multinomial_exact(n, cls.from_mask(n, source).parts)
                 for p, table in tables.items():
                     assert table[mask] == want % p, (family, n, p, mask)
 
@@ -723,6 +728,15 @@ def test_oversized_support_refused_before_it_is_built():
         assert peak < 1 << 20
 
 
+def test_auto_refusal_names_both_budgets():
+    # past both sweeps' budgets, the auto path says why each route refused
+    with pytest.raises(CapacityError) as excinfo:
+        cvec("A", 3**13 - 1, 3)
+    message = str(excinfo.value)
+    assert f"2^{SUPPORT_MAX}" in message and "support sweep" in message
+    assert f"2^{NAIVE_MAX_BITS}" in message and "naive sweep" in message
+
+
 @given(
     family=st.sampled_from(["A", "B", "D"]),
     n=st.integers(min_value=4, max_value=13),
@@ -765,6 +779,22 @@ def test_macdonald_known_values():
         macdonald_mp(0, 3)
     with pytest.raises(ValueError):
         macdonald_mp(4, 6)
+
+
+def test_macdonald_digit_past_the_budget_refused_before_allocating():
+    # n = 10^9 below p = 10^9 + 7 is one digit of 10^9: its series would be
+    # a list of 10^9 + 1 ints.  The largest allowed digit still runs
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            macdonald_mp(10**9, 10**9 + 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CapacityError):
+        macdonald_mp(MACDONALD_DIGIT_MAX + 1, 1009)
+    assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) > 0
 
 
 def test_macdonald_matches_hook_sweep():
