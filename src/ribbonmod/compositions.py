@@ -9,7 +9,8 @@ with n; the parts sequence is derived on demand.
 The encoding lives here alone.  ``mask_offset`` is the descent position of
 bit 0 and the least first part: 1 in type A (positions [1, n-1]), 0 in
 types B and D (family "BD", positions {0, ..., n-1}).  ``DescentSet`` and
-``from_mask`` share one check: n >= offset and a mask of n - offset bits.
+``from_mask`` share one check: offset <= n <= MAX_DESCENT_N and a mask of
+n - offset bits.
 
 Full enumeration is capped at 63 mask bits.
 """
@@ -22,6 +23,12 @@ from operator import sub
 from typing import Iterator
 
 MAX_MASK_BITS = 63
+
+# Largest n of any descent mask.  A mask is one int of n - offset bits
+# however few descents it has: `ribbonmod ribbon --family A --alpha
+# 1000000000,1 --mod 3` took 1.4 s and 525 MB peak RSS (2-core machine,
+# Python 3.11), and n = 10^10 would ask for several GB.
+MAX_DESCENT_N = 1 << 30
 
 
 class CapacityError(ValueError):
@@ -38,6 +45,8 @@ def mask_offset(family: str) -> int:
 
 def _check_mask(n: int, mask: int, family: str) -> None:
     width = n - mask_offset(family)
+    if n > MAX_DESCENT_N:
+        raise CapacityError(f"a descent mask for n={n} is past the budget of n <= {MAX_DESCENT_N}")
     if width < 0 or mask < 0 or mask >> width:
         raise ValueError(f"descent mask {mask} out of range for n={n} in family {family}")
 
@@ -68,6 +77,7 @@ class DescentSet:
     @classmethod
     def from_positions(cls, n: int, positions, family: str) -> "DescentSet":
         lo = mask_offset(family)
+        _check_mask(n, 0, family)  # before any n-bit int is built
         mask = 0
         for j in positions:
             if not lo <= j <= n - 1:

@@ -13,10 +13,11 @@ exclusion over the coset counts |W| / |W_(S minus J)| for J inside I: for a
 single I term by term, over a table of I whose nodes are the generators of
 I and the components of S minus I (so a term costs O(|I| + components)
 bit operations and one division, whatever the rank), and for all 2^rank
-subsets at once by one O(rank 2^rank) subset Moebius butterfly over the
-coset counts, modulo |W| + 1 (a class size is at most |W|, so its residue
-is the size itself).  Both sweeps refuse more than 2^SUBSET_MAX_RANK
-subsets with CapacityError.
+subsets at once by one O(rank 2^(rank - 1)) subset Moebius butterfly over
+the coset counts of the subsets without the last generator, modulo
+|W| + 1 (a class size is at most |W|, so its residue is the size itself);
+the class of each complement has the same size.  Both sweeps refuse more
+than 2^SUBSET_MAX_RANK subsets with CapacityError.
 """
 
 from __future__ import annotations
@@ -377,13 +378,16 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
 
 
 def _class_sizes(diagram: CoxeterDiagram) -> list[int]:
-    # every descent class size, indexed by the generator bitmask of its subset
+    # the descent class sizes of the generator subsets J that avoid the last
+    # generator, indexed by bitmask (the masks below 2^(rank - 1)); the class
+    # of S minus J has the same size.  Rank 0 has the one empty subset
     _check_subset_sweep(diagram.rank())
     orders = _parabolic_orders(diagram, diagram.generators)
     # the coset count of J is |W| / |W_(S minus J)|, and S minus J has the
-    # complementary mask, read from the other end of the table
-    sizes = [orders[-1] // order for order in reversed(orders)]
-    inverse_zeta(sizes, orders[-1] + 1)
+    # complementary mask, read from the upper half of the table backwards
+    whole = orders[-1]
+    sizes = [whole // order for order in reversed(orders[len(orders) // 2:])]
+    inverse_zeta(sizes, whole + 1)
     return sizes
 
 
@@ -393,18 +397,29 @@ def descent_class_sizes(diagram: CoxeterDiagram) -> dict[frozenset, int]:
     The order table gives the coset counts |W| / |W_(S minus J)| indexed by
     the mask of J, and one subset Moebius butterfly turns them into the
     class sizes.  Every class size lies in [0, |W|], so the butterfly runs
-    modulo |W| + 1 and each residue is the exact size.
+    modulo |W| + 1 and each residue is the exact size.  The butterfly runs
+    only over the subsets J that avoid the last generator (they are closed
+    under subsets): w -> w0 w maps the class of J onto the class of S minus
+    J, since l(w0 w) = l(w0) - l(w) turns every right descent of w into an
+    ascent and back (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    Prop. 2.3.2), so the other half is the first one mirrored.
     """
     gens = diagram.generators
+    half = _class_sizes(diagram)
+    # mask m of the upper half is the complement of mask 2^rank - 1 - m
+    sizes = half + half[::-1] if gens else half
     return {
         frozenset(g for i, g in enumerate(gens) if mask >> i & 1): size
-        for mask, size in enumerate(_class_sizes(diagram))
+        for mask, size in enumerate(sizes)
     }
 
 
 def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
-    """Sizes of all 2^rank descent classes, as a Counter {size: multiplicity}."""
-    return Counter(_class_sizes(diagram))
+    """Sizes of all 2^rank descent classes, as a Counter {size: multiplicity}:
+    the classes of the subsets without the last generator, each counted
+    twice, once for itself and once for its complement."""
+    counts = Counter(_class_sizes(diagram))
+    return counts + counts if diagram.generators else counts
 
 
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ For a family F in {A, B, D}, the vector counts the indices alpha (of the
 whose ribbon number is congruent to each residue mod p.  Three methods:
 
   * ``cvec_naive``    -- reduce every ribbon number mod p and tally.  The
-    whole index lattice is processed at once with an inclusion-exclusion
+    index lattice is processed at once with an inclusion-exclusion
     butterfly over multinomial weights, so nothing here touches the digit
     machinery used by the other two methods.  The weight table is built
     mod p straight into an ``arith.field_buffer`` for p, block by block
@@ -16,7 +16,26 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     butterfly's output in the same kind of buffer, and the tally counts it
     in place (one ``count`` per residue for a small p); no list of 2^n ints
     and no exact weight is ever made.  The field format is arith's alone:
-    this module passes moduli, never widths.
+    this module passes moduli, never widths.  Only the lower half of the
+    lattice is swept, the masks without the top descent (closed under
+    submasks, so the butterfly over them is exact), and the tally doubles,
+    by complement symmetry: bit b of a mask stands for the generator
+    s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A numbered
+    from 1; types B and D from 0, with s_0, s_1 the fork tips in type D),
+    and the covering count of a mask is the coset count |W| / |W_(S - J)|
+    of its generator set J: for the parts a_0, a_1, ... S - J splits into
+    B_(a_0) (type B) or D_(a_0) (type D, a_0 >= 2) times A_(a_i - 1) for
+    i >= 1, and in type D a first part of 1 (a lone descent at 1) leaves
+    s_0 on the path s_0 - s_2 - ..., as a descent at 0 leaves s_1.  So the
+    ribbon number of a mask is the size of the descent class of J, and
+    w -> w0 w maps that class onto the class of S - J, since
+    l(w0 w) = l(w0) - l(w) turns every right descent into an ascent and
+    back (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, Prop.
+    2.3.2).  The complement of a half mask has the top descent, so the
+    upper half repeats the lower one's ribbon numbers.  The tests check
+    the numbering against ``coxeter.ribbon_general`` (n <= 6) and the
+    doubled tally against a sweep of the whole lattice (n <= 12); the
+    theorem method does not use the symmetry.
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
@@ -77,6 +96,13 @@ _COUNT_TALLY_MAX_P = 53
 # series, about m^2 big-int steps): m = 1000 took 0.56 s with p > n and 1.9 s
 # at p = 1009, j = 1; m = 2000 took 2.5 s and 20 s (2-core machine).
 MACDONALD_DIGIT_MAX = 1000
+
+# Largest estimated size, in bits, of the digits' series coefficients
+# together: a digit m at position j has a coefficient of about
+# m * log2(p^j) bits, and its series costs about m^2 steps on numbers of
+# that size.  Digit 1000 took 1.8 s at p = 1009, j = 1 (about 10000 bits),
+# 5.8 s with 2^15 colours (16000) and 11.8 s with 1009^2 (20000).
+MACDONALD_BITS_MAX = 10_000
 
 
 def _check_tally_prime(p: int) -> None:
@@ -227,9 +253,11 @@ def _scaler(p: int):
 
 
 def _weight_table(family: str, n: int, p: int):
-    """Covering counts mod p, indexed by descent mask, in a
-    ``field_buffer`` for p: the number of group elements whose descent set
-    is contained in the mask's descent set."""
+    """Covering counts mod p of the lower half of the index lattice, in a
+    ``field_buffer`` for p: entry mask, for every mask without the top
+    descent (bit bits - 1, where bits = n - mask_offset(family) >= 1), is
+    the number of group elements whose descent set is contained in the
+    mask's descent set."""
     # First the multinomials: table[mask] = multinomial mod p of the
     # composition whose descent set is mask, where bit b encodes descent
     # position b + lo.  The masks whose top bit is h (top descent
@@ -237,13 +265,14 @@ def _weight_table(family: str, n: int, p: int):
     # whose top descent is t splits the last part n - t into d - t and
     # n - d, which multiplies the multinomial by C(n - t, d - t); so block h
     # is 2^h scaled copies of the blocks below it, one constant per lower
-    # block (t = k + lo on block k, and t = 0 for the empty rest).
+    # block (t = k + lo on block k, and t = 0 for the empty rest).  The
+    # half stops below the top block.
     lo = mask_offset(family)
-    bits = n - lo
+    top = n - lo - 1
     scale = _scaler(p)
-    table = field_buffer(1 << bits, p)
+    table = field_buffer(1 << top, p)
     table[0] = 1
-    for h in range(bits):
+    for h in range(top):
         d = h + lo
         base = 1 << h
         table[base] = comb(n, d) % p
@@ -255,13 +284,15 @@ def _weight_table(family: str, n: int, p: int):
     # the masks whose lowest descent is f are the stride [2^f :: 2^(f+1)];
     # in type B their covering count is the multinomial times 2^(n - f),
     # scaled in place (the empty mask keeps its 1)
-    for f in range(n):
+    for f in range(top):
         stride = slice(1 << f, None, 2 << f)
         if family == "D" and f == 1:
             # a first part of at most 1 halves the weight, and a lone
             # descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1,
-            # which f = 0 has already scaled by the same 2^(n - 1)
-            table[stride] = table[1::4]
+            # which f = 0 has already scaled by the same 2^(n - 1); the last
+            # field is never read, so both slices have the same length even
+            # in the two-field table of D n = 2
+            table[stride] = table[1:-1:4]
         else:
             shift = n - 1 if family == "D" and f == 0 else n - f
             table[stride] = scale(table[stride], pow(2, shift, p))
@@ -290,8 +321,14 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
-    # field mask becomes the ribbon number mod p of the index with that descent mask
-    return _field_tally(inverse_zeta_packed(_weight_table(family, n, p), p), p)
+    if not bits:
+        # A n = 1: the one index is its own complement, with ribbon number 1
+        return _tally({1: 1}, p)
+    # field mask becomes the ribbon number mod p of the index with that
+    # descent mask; the masks with the top descent are the complements of
+    # the half, with the same ribbon numbers, so each count doubles
+    half = _field_tally(inverse_zeta_packed(_weight_table(family, n, p), p), p)
+    return [2 * c for c in half]
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
@@ -556,13 +593,26 @@ def _colored_partition_count(m: int, colors: int) -> int:
 def macdonald_mp(n: int, p: int) -> int:
     """How many irreducible symmetric-group representations of S_n have
     dimension coprime to p: the product over base-p digits n_j of the
-    coefficient of x^(n_j) in prod_i (1 - x^i)^(-p^j)."""
+    coefficient of x^(n_j) in prod_i (1 - x^i)^(-p^j).
+
+    A digit past MACDONALD_DIGIT_MAX, or coefficients of more than
+    MACDONALD_BITS_MAX bits together (about n_j * log2(p^j) each), is
+    refused with CapacityError before any series is built."""
     check_prime(p)
     if n < 1:
         raise ValueError("n must be positive")
     digits = base_p_digits(n, p).digits
     if max(digits) > MACDONALD_DIGIT_MAX:
         raise CapacityError(f"base-{p} digit {max(digits)} of n is past the budget of {MACDONALD_DIGIT_MAX}")
+    size = 0
+    for j, nj in enumerate(digits):
+        if nj:
+            size += nj * (p**j).bit_length()
+            if size > MACDONALD_BITS_MAX:
+                raise CapacityError(
+                    f"the base-{p} digits of n give series coefficients of at least"
+                    f" {size} bits; the budget is {MACDONALD_BITS_MAX}"
+                )
     result = 1
     for j, nj in enumerate(digits):
         if nj:

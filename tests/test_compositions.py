@@ -1,9 +1,11 @@
+import tracemalloc
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ribbonmod.compositions import (
+    MAX_DESCENT_N,
     CapacityError,
     Composition,
     DescentSet,
@@ -130,6 +132,30 @@ def test_enumeration_capacity():
         next(enumerate_pseudo_compositions(64))
     with pytest.raises(ValueError):
         next(enumerate_compositions(0))
+
+
+def test_descent_mask_past_the_budget_refused_before_allocating():
+    # one part of 10^10 would make a mask of 10^10 bits (over a GB); n is
+    # refused by the one mask check before any n-bit int is built
+    calls = [
+        lambda: Composition((10**10, 1)),
+        lambda: PseudoComposition((0, 10**10)),
+        lambda: parse_parts("10000000000,1"),
+        lambda: DescentSet.from_positions(10**10, (1,), "A"),
+        lambda: DescentSet(MAX_DESCENT_N + 1, 1, "BD"),
+        lambda: Composition.from_mask(MAX_DESCENT_N + 2, 1),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert 10**9 + 1 <= MAX_DESCENT_N
+    assert PseudoComposition.from_mask(MAX_DESCENT_N, 1).parts == (0, MAX_DESCENT_N)
 
 
 def _coarsenings(alpha):

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from ribbonmod.arith import inverse_zeta
 from ribbonmod.compositions import (
     CapacityError,
     Composition,
@@ -25,6 +26,7 @@ from ribbonmod.coxeter import (
     parabolic_order,
     residue_histogram,
     ribbon_general,
+    _class_sizes,
     _parabolic_orders,
 )
 from ribbonmod.cli import TABLE_FILES, golden_vectors
@@ -259,6 +261,30 @@ def test_mass_and_symmetry_all_builtins():
         full = frozenset(diagram.generators)
         for subset, size in by_subset.items():
             assert size == by_subset[full - subset]
+
+
+def test_half_sweep_matches_full_butterfly():
+    # the sweeps run the butterfly over the subsets without the last
+    # generator and mirror by complement; here it runs over all 2^rank
+    # coset counts |W| / |W_(S minus J)|, modulo |W| + 1
+    for name in ("A12", "B12", "D11", "E8", "H4", "I2:8"):
+        diagram = builtin_diagram(name)
+        orders = _parabolic_orders(diagram, diagram.generators)
+        whole = orders[-1]
+        full = [whole // orders[-1 - mask] for mask in range(len(orders))]
+        inverse_zeta(full, whole + 1)
+        assert _class_sizes(diagram) == full[:len(full) // 2], name
+        gens = diagram.generators
+        by_subset = {
+            frozenset(g for i, g in enumerate(gens) if mask >> i & 1): size
+            for mask, size in enumerate(full)
+        }
+        assert descent_class_sizes(diagram) == by_subset, name
+        assert descent_class_multiset(diagram) == Counter(full), name
+    # rank 0: the empty subset is its own complement
+    empty = CoxeterDiagram((), ())
+    assert descent_class_sizes(empty) == {frozenset(): 1}
+    assert descent_class_multiset(empty) == {1: 1}
 
 
 def test_ribbon_general_agrees_with_bulk_sizes():
