@@ -1,7 +1,7 @@
 """Exact descent-class sizes of finite Coxeter groups, and how those sizes
 distribute over residue classes modulo a prime."""
 
-from .arith import BasePDigits, base_p_digits, is_prime, multinomial_exact
+from .arith import base_p_digits, is_prime, multinomial_exact
 from .compositions import (
     CapacityError,
     Composition,
@@ -27,7 +27,6 @@ from .coxeter import (
 from .cvec import (
     DimensionPVector,
     NoClosedFormError,
-    SupportSet,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -35,16 +34,12 @@ from .cvec import (
     macdonald_mp,
     partitions,
     standard_tableau_count,
-    support_residue,
     support_set,
 )
 from .ribbon import (
     SignedPermutation,
     oracle_descent_class_sizes,
-    ribbon_a,
     ribbon_a_det,
-    ribbon_b,
-    ribbon_d,
     ribbon_exact,
     ribbon_mod_p,
 )
@@ -52,7 +47,6 @@ from .ribbon import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasePDigits",
     "base_p_digits",
     "is_prime",
     "multinomial_exact",
@@ -65,18 +59,13 @@ __all__ = [
     "from_descent_set",
     "parse_parts",
     "SignedPermutation",
-    "ribbon_a",
     "ribbon_a_det",
-    "ribbon_b",
-    "ribbon_d",
     "ribbon_exact",
     "ribbon_mod_p",
     "oracle_descent_class_sizes",
     "DimensionPVector",
-    "SupportSet",
     "NoClosedFormError",
     "support_set",
-    "support_residue",
     "cvec",
     "cvec_naive",
     "cvec_theorem",

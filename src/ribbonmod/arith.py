@@ -1,9 +1,10 @@
-"""Base-p digit vectors, exact multinomials, Lucas binomials, and the
+"""Base-p digit tuples, exact multinomials, Lucas binomials, and the
 modular subset Moebius transform.
 
 Everything here is pure integer arithmetic on Python ints, so results are
-exact at any size.  Prime moduli are validated by a deterministic
-Miller-Rabin test the first time they are used.  The Moebius transform works
+exact at any size.  Base-p digits are plain tuples, least significant
+first, and ``lucas_binomial`` reads two of them.  Prime moduli are checked
+by a deterministic Miller-Rabin test on entry.  The Moebius transform works
 modulo any integer m >= 2 on residues packed into fixed-width fields, and
 the field format is known only here: callers build their residues mod m in
 a ``field_buffer(size, m)`` and hand it with m to ``inverse_zeta_packed``,
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from math import comb
 
 from .compositions import CapacityError
@@ -78,51 +78,20 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class BasePDigits:
-    """Little-endian base-p digit vector of a nonnegative integer.
-
-    ``digits[j]`` is the coefficient of p**j.  The top digit is nonzero
-    except for the vector of 0, which is stored as ``(0,)``.
-    """
-
-    digits: tuple[int, ...]
-    p: int
-
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.p + d
-        return total
-
-    def padded(self, size: int) -> tuple[int, ...]:
-        """Digits extended with high-order zeros to ``size`` entries."""
-        if size < len(self.digits):
-            raise ValueError("cannot pad below the digit count")
-        return self.digits + (0,) * (size - len(self.digits))
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __getitem__(self, j: int) -> int:
-        return self.digits[j]
-
-    def __iter__(self):
-        return iter(self.digits)
-
-
-def base_p_digits(n: int, p: int) -> BasePDigits:
-    """Digits of n in base p, least significant first."""
+def base_p_digits(n: int, p: int) -> tuple[int, ...]:
+    """Digits of n in base p, least significant first: entry j is the
+    coefficient of p**j, and the top digit is nonzero except in ``(0,)``,
+    the digits of 0."""
     check_prime(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     if n == 0:
-        return BasePDigits((0,), p)
+        return (0,)
     digits = []
     while n:
         n, r = divmod(n, p)
         digits.append(r)
-    return BasePDigits(tuple(digits), p)
+    return tuple(digits)
 
 
 def multinomial_exact(n: int, parts) -> int:

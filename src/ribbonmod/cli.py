@@ -13,7 +13,6 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 
 from .compositions import from_descent_set, mask_offset, parse_parts
@@ -26,38 +25,21 @@ EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.csv"
 EXCEPTIONAL_MULTISETS = "exceptional_multisets.txt"
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
-    family: str  # family letter or exceptional group label
-    p: int
-    n: int | None  # None for exceptional groups
-    residue: int
-    count: int
-
-
 def _data_text(name: str) -> str:
     return resources.files("ribbonmod").joinpath(f"data/{name}").read_text()
 
 
-def load_golden_records(name: str) -> list[GoldenRecord]:
+def golden_vectors(name: str) -> dict[tuple, tuple[int, ...]]:
+    """The rows of a golden table, (label, p, n, residue, count), grouped
+    into {(label, p, n): vector}; n is None for an exceptional group."""
     reader = csv.reader(io.StringIO(_data_text(name)))
     header = next(reader)
     if header[1:] != ["p", "n", "residue", "count"] or header[0] not in ("family", "group"):
         raise ValueError(f"unexpected header in {name}: {header}")
-    records = []
-    for row in reader:
-        fam, p, n, residue, count = row
-        records.append(
-            GoldenRecord(fam, int(p), None if n == "-" else int(n), int(residue), int(count))
-        )
-    return records
-
-
-def golden_vectors(name: str) -> dict[tuple, tuple[int, ...]]:
-    """Golden records grouped into {(label, p, n): vector}."""
     grouped: dict[tuple, dict[int, int]] = {}
-    for rec in load_golden_records(name):
-        grouped.setdefault((rec.family, rec.p, rec.n), {})[rec.residue] = rec.count
+    for label, p, n, residue, count in reader:
+        key = (label, int(p), None if n == "-" else int(n))
+        grouped.setdefault(key, {})[int(residue)] = int(count)
     out = {}
     for key, by_residue in grouped.items():
         p = key[1]

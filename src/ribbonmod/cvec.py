@@ -77,7 +77,7 @@ from .arith import (
     lucas_binomial,
 )
 from .compositions import CapacityError, mask_offset
-from .ribbon import _check_family, chain_mod_p
+from .ribbon import _check_family
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.  The index
@@ -116,9 +116,12 @@ def _check_tally_prime(p: int) -> None:
 
 
 def _check_query(family: str, n: int, p: int) -> None:
-    # the argument gate of cvec_naive and cvec_closed_form: family, prime, n
+    # the argument gate of every cvec method: family, prime, and an int n at
+    # least the family minimum (a bool is refused, as check_prime refuses it)
     _check_family(family)
     _check_tally_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={n} out of range for family {family}")
 
@@ -147,22 +150,6 @@ class DimensionPVector:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Descent positions that can carry mod-p survivors, for one (family, n, p)."""
-
-    family: str
-    n: int
-    p: int
-    elements: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _support_size(family: str, digits) -> int:
     # |support_set| from the base-p digits of n alone: prod(d_j + 1)
     # digit-bounded sums, less {0, n} in type A and {n} in type B; type D
@@ -173,8 +160,9 @@ def _support_size(family: str, digits) -> int:
     return size if family == "D" and digits[0] == 0 else size - 1
 
 
-def support_set(family: str, n: int, p: int) -> SupportSet:
-    """The family-adjusted set of digit-bounded sums of powers of p.
+def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
+    """The family-adjusted set of digit-bounded sums of powers of p, as a
+    sorted tuple of descent positions.
 
     Starting from all sums b_0 + b_1 p + ... with 0 <= b_j <= (j-th digit
     of n): family A drops {0, n}, family B drops {n}, family D adjoins {1}
@@ -192,7 +180,7 @@ def support_set(family: str, n: int, p: int) -> SupportSet:
             raise ValueError("the support set needs n >= 2")
         if family == "B":
             check_odd_prime(p)
-    digits = base_p_digits(n, p).digits
+    digits = base_p_digits(n, p)
     if _support_size(family, digits) > 1 << SUPPORT_MAX:
         raise CapacityError("support set too large to materialize")
     vals = [0]
@@ -209,24 +197,7 @@ def support_set(family: str, n: int, p: int) -> SupportSet:
     else:
         base.add(1)
         base -= {n}
-    return SupportSet(family, n, p, tuple(sorted(base)))
-
-
-def support_residue(family: str, subset, n: int, p: int) -> int:
-    """Residue contributed by one support subset T.
-
-    The alternating sum, over (pseudo-)compositions beta with descents
-    inside T whose digit rows survive the vanishing test, of the Dickson
-    digit product (with the family's power-of-two weights, and the type-D
-    first-part adjustment), evaluated as one chain sum over T.  Every index
-    whose descent pattern restricted to the support equals T has ribbon
-    number congruent to +/- this value.
-    """
-    sup = support_set(family, n, p)
-    T = tuple(sorted(set(subset)))
-    if not set(T) <= set(sup.elements):
-        raise ValueError("subset must lie inside the support set")
-    return chain_mod_p(family, n, T, p)
+    return tuple(sorted(base))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +340,7 @@ def _term_table(family: str, nd: tuple[int, ...], p: int, pos: tuple[int, ...]):
     costs O(m) per nonzero term.  Agrees with ``term_mod_p`` on every mask.
     """
     m = len(pos)
-    digits = [base_p_digits(d, p).digits for d in pos]
+    digits = [base_p_digits(d, p) for d in pos]
     top = [lucas_binomial(nd, dd, p) for dd in digits]
     pair = [[lucas_binomial(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
     if family == "A":
@@ -407,26 +378,23 @@ def _term_table(family: str, nd: tuple[int, ...], p: int, pos: tuple[int, ...]):
 def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
-    nd = base_p_digits(n, p).digits
+    nd = base_p_digits(n, p)
     m = _support_size(family, nd)
     if m > SUPPORT_MAX:
         raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
-    pos = support_set(family, n, p).elements
+    pos = support_set(family, n, p)
     tally = _field_tally(inverse_zeta_packed(_term_table(family, nd, p, pos), p), p)
     return tally, n - mask_offset(family) - m
 
 
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
     """Dimension p-vector by the digit method; never enumerates the lattice."""
-    _check_family(family)
-    _check_tally_prime(p)
-    if family == "D":
-        if n < 4:
-            raise ValueError("the theorem method needs n >= 4 in type D")
-    elif n < 2:
-        raise ValueError("the theorem method needs n >= 2")
+    _check_query(family, n, p)
+    low = 4 if family == "D" else 2
+    if n < low:
+        raise ValueError(f"the theorem method needs n >= {low} in type {family}")
     if p == 2 and family in ("B", "D"):
         # every type-B/D ribbon number is odd
         counts = (0, 1 << n)
@@ -492,7 +460,7 @@ def cvec_closed_form(family: str, n: int, p: int):
         return None
     if p == 2 and family != "A":
         return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
-    nonzero = [(j, d) for j, d in enumerate(base_p_digits(n, p).digits) if d]
+    nonzero = [(j, d) for j, d in enumerate(base_p_digits(n, p)) if d]
     if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:
         rule = "m*p^d"
         m = nonzero[0][1]
@@ -598,10 +566,9 @@ def macdonald_mp(n: int, p: int) -> int:
     A digit past MACDONALD_DIGIT_MAX, or coefficients of more than
     MACDONALD_BITS_MAX bits together (about n_j * log2(p^j) each), is
     refused with CapacityError before any series is built."""
-    check_prime(p)
+    digits = base_p_digits(n, p)
     if n < 1:
         raise ValueError("n must be positive")
-    digits = base_p_digits(n, p).digits
     if max(digits) > MACDONALD_DIGIT_MAX:
         raise CapacityError(f"base-{p} digit {max(digits)} of n is past the budget of {MACDONALD_DIGIT_MAX}")
     size = 0

@@ -2,9 +2,9 @@
 
 Three independent routes are provided and cross-checked by the test suite:
 
-  * the alternating sum of (weighted) multinomial coefficients over the
-    coarsenings of the index, evaluated by an O(l^2) recurrence over the
-    chains of descent positions (``ribbon_a`` / ``ribbon_b`` / ``ribbon_d``);
+  * ``ribbon_exact(family, alpha)``: the alternating sum of (weighted)
+    multinomial coefficients over the coarsenings of the index, evaluated
+    by an O(l^2) recurrence over the chains of descent positions;
   * for type A only, an equivalent determinant evaluated exactly over the
     integers (``ribbon_a_det``);
   * brute-force enumeration of the group itself, tallying descent sets
@@ -13,7 +13,12 @@ Three independent routes are provided and cross-checked by the test suite:
 ``ribbon_mod_p`` runs the same recurrence modulo a prime with binomials
 from Lucas's theorem, after dropping the descent positions whose base-p
 digits are not bounded by those of n: every chain through one of them
-vanishes.
+vanishes.  Its kernel ``chain_mod_p(family, n, pos, p)`` takes bare sorted
+descent positions, so it also gives the residue of any one subset of a
+theorem-method support set.
+
+Every index-taking entry checks the family, the index type (Composition
+in type A, PseudoComposition in types B and D) and n >= 2 in type D.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ def _check_family(family: str) -> str:
 
 
 def _check_index(family: str, alpha):
+    _check_family(family)
     if family == "A":
         if not isinstance(alpha, Composition):
             raise TypeError("family A is indexed by Composition")
     elif not isinstance(alpha, PseudoComposition):
         raise TypeError("families B and D are indexed by PseudoComposition")
+    if family == "D" and alpha.n < 2:
+        raise ValueError("type D needs n >= 2")
     return alpha
 
 
@@ -114,11 +122,11 @@ def chain_mod_p(family: str, n: int, pos, p: int) -> int:
     on no nonzero chain, so it only flips the sign; a type-D descent at 1
     is kept, because a chain started there merges into the next part.
     """
-    nd = base_p_digits(n, p).digits
+    nd = base_p_digits(n, p)
     digits = {0: (0,), n: nd}
     live = []
     for s in pos:
-        row = base_p_digits(s, p).digits
+        row = base_p_digits(s, p)
         if lucas_binomial(nd, row, p) or (family == "D" and s == 1):
             digits[s] = row
             live.append(s)
@@ -136,14 +144,18 @@ def chain_mod_p(family: str, n: int, pos, p: int) -> int:
 # exact values
 
 
-def _exact_chain(family: str, alpha) -> int:
+def ribbon_exact(family: str, alpha) -> int:
+    """The family's ribbon number of alpha, exactly: the signed sum over the
+    coarsenings beta <= alpha of C(n; beta) (type A), 2^(n - beta_1) C(n; beta)
+    (type B), or the type-D covering count, by the chain recurrence.
+
+    Type D needs n >= 2; for n < 4 the value still counts descent classes of
+    the even-signed-permutation group even though that group is not an
+    irreducible type-D Coxeter group.
+    """
+    _check_index(family, alpha)
     n = alpha.n
     return _chain_sum(n, alpha.descents(), _first_step(family, n, lambda e: 1 << e), comb)
-
-
-def ribbon_a(alpha: Composition) -> int:
-    """Type-A ribbon number: signed sum of C(n; beta) over beta <= alpha."""
-    return _exact_chain("A", alpha)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -177,8 +189,9 @@ def ribbon_a_det(alpha: Composition) -> int:
     s_i are the prefix sums of alpha and 1/k! is 0 for k < 0, is scaled by
     n!.  Row i is cleared to integers by (n - s_{i-1})!, so the whole
     computation stays in exact integer arithmetic.  This exists purely as an
-    independent cross-check of ribbon_a.
+    independent cross-check of ``ribbon_exact("A", alpha)``.
     """
+    _check_index("A", alpha)
     sigma = alpha.prefix_sums()
     n = alpha.n
     ell = len(alpha)
@@ -205,34 +218,6 @@ def ribbon_a_det(alpha: Composition) -> int:
     if num % denom:
         raise ArithmeticError("determinant route produced a non-integer")
     return num // denom
-
-
-def ribbon_b(alpha: PseudoComposition) -> int:
-    """Type-B ribbon number: signed sum of 2^(n-b_1) C(n; b) over b <= alpha."""
-    return _exact_chain("B", alpha)
-
-
-def ribbon_d(alpha: PseudoComposition) -> int:
-    """Type-D ribbon number.
-
-    Valid for n >= 2; for n < 4 the value still counts descent classes of
-    the even-signed-permutation group even though that group is not an
-    irreducible type-D Coxeter group.
-    """
-    if alpha.n < 2:
-        raise ValueError("type D needs n >= 2")
-    return _exact_chain("D", alpha)
-
-
-def ribbon_exact(family: str, alpha) -> int:
-    """Dispatch to the family's exact ribbon number."""
-    _check_family(family)
-    _check_index(family, alpha)
-    if family == "A":
-        return ribbon_a(alpha)
-    if family == "B":
-        return ribbon_b(alpha)
-    return ribbon_d(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +263,11 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
     For families B and D with p = 2 the answer is 1 outright, since every
     ribbon number there is odd.
     """
-    _check_family(family)
     _check_index(family, alpha)
     check_prime(p)
-    n = alpha.n
-    if family == "D" and n < 2:
-        raise ValueError("type D needs n >= 2")
     if family in ("B", "D") and p == 2:
         return 1
-    return chain_mod_p(family, n, alpha.descents(), p)
+    return chain_mod_p(family, alpha.n, alpha.descents(), p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
     MILLER_RABIN_LIMIT,
-    BasePDigits,
     base_p_digits,
     check_prime,
     is_prime,
@@ -63,32 +62,29 @@ def test_nonprime_modulus_rejected(bad):
 
 
 def test_base_p_digits_known_values():
-    assert base_p_digits(5, 3).digits == (2, 1)
-    assert base_p_digits(4, 2).digits == (0, 0, 1)
-    assert base_p_digits(20, 3).digits == (2, 0, 2)
-    assert base_p_digits(0, 7).digits == (0,)
+    assert base_p_digits(5, 3) == (2, 1)
+    assert base_p_digits(4, 2) == (0, 0, 1)
+    assert base_p_digits(20, 3) == (2, 0, 2)
+    assert base_p_digits(0, 7) == (0,)
+
+
+def _value(digits, p):
+    return sum(d * p**j for j, d in enumerate(digits))
 
 
 def test_base_p_digits_no_high_zero():
     for n in range(0, 2000):
         for p in PRIMES:
             d = base_p_digits(n, p)
-            assert d.value() == n
+            assert _value(d, p) == n
             assert all(0 <= x < p for x in d)
             if n:
-                assert d.digits[-1] != 0
+                assert d[-1] != 0
 
 
 @given(n=st.integers(min_value=0, max_value=10**6), p=st.sampled_from(PRIMES))
 def test_base_p_digits_round_trip(n, p):
-    assert base_p_digits(n, p).value() == n
-
-
-def test_padded():
-    d = base_p_digits(5, 3)
-    assert d.padded(4) == (2, 1, 0, 0)
-    with pytest.raises(ValueError):
-        d.padded(1)
+    assert _value(base_p_digits(n, p), p) == n
 
 
 def test_multinomial_exact_known_values():
@@ -118,9 +114,14 @@ def _digit_column_product(n, parts, p):
     # Dickson: the multinomial mod p is the product over base-p digit
     # positions of the multinomial of the parts' digits with top n's digit
     width = max(len(base_p_digits(m, p)) for m in (n, *parts))
-    rows = [base_p_digits(m, p).padded(width) for m in parts]
+
+    def padded(m):
+        digits = base_p_digits(m, p)
+        return digits + (0,) * (width - len(digits))
+
+    rows = [padded(m) for m in parts]
     result = 1
-    for j, nj in enumerate(base_p_digits(n, p).padded(width)):
+    for j, nj in enumerate(padded(n)):
         result = result * multinomial_exact(nj, [row[j] for row in rows]) % p
     return result
 
@@ -133,7 +134,7 @@ def _lucas_product(n, parts, p):
     result, total = 1, 0
     for m in parts:
         total += m
-        result = result * lucas_binomial(base_p_digits(total, p).digits, base_p_digits(m, p).digits, p) % p
+        result = result * lucas_binomial(base_p_digits(total, p), base_p_digits(m, p), p) % p
     return result
 
 
@@ -172,6 +173,6 @@ def test_pow2_digitwise_identity():
 
 
 def test_digit_vector_is_value_object():
-    assert base_p_digits(9, 3) == BasePDigits((0, 0, 1), 3)
+    assert base_p_digits(9, 3) == (0, 0, 1)
     assert len(base_p_digits(9, 3)) == 3
     assert base_p_digits(9, 3)[2] == 1

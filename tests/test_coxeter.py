@@ -31,7 +31,7 @@ from ribbonmod.coxeter import (
 )
 from ribbonmod.cli import TABLE_FILES, golden_vectors
 from ribbonmod.cvec import cvec_naive
-from ribbonmod.ribbon import ribbon_a, ribbon_b, ribbon_d, ribbon_exact
+from ribbonmod.ribbon import ribbon_exact
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
 
@@ -233,21 +233,21 @@ def test_ribbon_general_matches_type_a():
     for n in range(2, 9):
         diagram = builtin_diagram(f"A{n - 1}")
         for alpha in enumerate_compositions(n):
-            assert ribbon_general(diagram, alpha.descents()) == ribbon_a(alpha)
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("A", alpha)
 
 
 def test_ribbon_general_matches_type_b():
     for n in range(2, 7):
         diagram = builtin_diagram(f"B{n}")
         for alpha in enumerate_pseudo_compositions(n):
-            assert ribbon_general(diagram, alpha.descents()) == ribbon_b(alpha)
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("B", alpha)
 
 
 def test_ribbon_general_matches_type_d():
     for n in range(4, 7):
         diagram = builtin_diagram(f"D{n}")
         for alpha in enumerate_pseudo_compositions(n):
-            assert ribbon_general(diagram, alpha.descents()) == ribbon_d(alpha)
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("D", alpha)
 
 
 def test_mass_and_symmetry_all_builtins():

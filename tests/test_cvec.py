@@ -39,7 +39,6 @@ from ribbonmod.cvec import (
     macdonald_mp,
     partitions,
     standard_tableau_count,
-    support_residue,
     support_set,
     _COUNT_TALLY_MAX_P,
     _RULES,
@@ -49,7 +48,7 @@ from ribbonmod.cvec import (
     _theorem_tally,
     _weight_table,
 )
-from ribbonmod.ribbon import _chain_sum, ribbon_mod_p, term_mod_p
+from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -60,22 +59,22 @@ ODD_PRIMES = (3, 5, 7, 11, 13)
 def test_support_set_multiple_of_power():
     for p, m, d in ((3, 2, 2), (5, 4, 1), (7, 3, 2)):
         n = m * p**d
-        assert support_set("A", n, p).elements == tuple(j * p**d for j in range(1, m))
+        assert support_set("A", n, p) == tuple(j * p**d for j in range(1, m))
 
 
 def test_support_set_two_powers():
     for p in (2, 3, 5):
         for u, v in ((1, p), (p, p * p), (1, p**3)):
-            assert support_set("A", u + v, p).elements == (u, v)
+            assert support_set("A", u + v, p) == (u, v)
     for p in (3, 5):
         for u, v in ((1, p), (p, p * p)):
-            assert support_set("B", u + v, p).elements == (0, u, v)
+            assert support_set("B", u + v, p) == (0, u, v)
 
 
 def test_support_set_sizes():
     for p in ODD_PRIMES:
         for n in range(2, 30):
-            digits = base_p_digits(n, p).digits
+            digits = base_p_digits(n, p)
             prod = 1
             for dj in digits:
                 prod *= dj + 1
@@ -88,8 +87,8 @@ def test_support_set_sizes():
 
 def test_support_set_type_d_adjoins_one():
     sup = support_set("D", 9, 3)  # digits (0, 0, 1): the plain sums are {0, 9}
-    assert sup.elements == (0, 1)
-    assert 1 in set(support_set("D", 12, 3).elements)
+    assert sup == (0, 1)
+    assert 1 in set(support_set("D", 12, 3))
 
 
 def test_support_set_validation():
@@ -108,23 +107,18 @@ def test_support_set_validation():
 def test_support_residue_two_powers_full_subset():
     for p in (3, 5, 7):
         u, v = 1, p
-        assert support_residue("A", (u, v), u + v, p) == p - 1
+        assert chain_mod_p("A", u + v, (u, v), p) == p - 1
 
 
 def test_support_residue_type_b_zero_subset():
     for p in (3, 5, 7):
         u, v = 1, p
-        assert support_residue("B", (0,), u + v, p) == 3 % p
+        assert chain_mod_p("B", u + v, (0,), p) == 3 % p
 
 
 def test_support_residue_type_d_prime_power():
     for p, d in ((3, 2), (5, 1), (7, 1)):
-        assert support_residue("D", (0, 1), p**d, p) == p - 1
-
-
-def test_support_residue_rejects_foreign_positions():
-    with pytest.raises(ValueError):
-        support_residue("A", (2,), 4, 3)  # support of n=4, p=3 is {1, 3}
+        assert chain_mod_p("D", p**d, (0, 1), p) == p - 1
 
 
 def test_support_residue_large_n_in_bounded_memory():
@@ -133,7 +127,7 @@ def test_support_residue_large_n_in_bounded_memory():
     n = 3**18 + 1
     tracemalloc.start()
     try:
-        got = support_residue("A", (1, 3**18), n, 3)
+        got = chain_mod_p("A", n, (1, 3**18), 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -143,20 +137,23 @@ def test_support_residue_large_n_in_bounded_memory():
 
 def test_support_residue_matches_bulk_sweep():
     for family, n, p in (("A", 8, 3), ("A", 10, 5), ("B", 7, 3), ("D", 8, 3), ("D", 10, 5)):
-        sup = support_set(family, n, p)
-        pos = sup.elements
+        pos = support_set(family, n, p)
         tally, _ = _theorem_tally(family, n, p)
         recomputed = Counter()
         for mask in range(1 << len(pos)):
             subset = [pos[i] for i in range(len(pos)) if mask >> i & 1]
-            recomputed[support_residue(family, subset, n, p)] += 1
+            recomputed[chain_mod_p(family, n, subset, p)] += 1
         assert [recomputed[i] for i in range(p)] == tally
 
 
 def _digit_cache(p: int, width: int):
     """The ``digit_row`` argument of ``term_mod_p``: padded base-p digits,
     memoised per integer."""
-    return functools.cache(lambda m: base_p_digits(m, p).padded(width))
+    def row(m):
+        digits = base_p_digits(m, p)
+        return digits + (0,) * (width - len(digits))
+
+    return functools.cache(row)
 
 
 def test_term_table_matches_term_mod_p():
@@ -169,10 +166,10 @@ def test_term_table_matches_term_mod_p():
             if family != "A" and p == 2:
                 continue
             for n in range(4 if family == "D" else 2, 80):
-                pos = support_set(family, n, p).elements
+                pos = support_set(family, n, p)
                 if len(pos) > 12:
                     continue
-                nd = base_p_digits(n, p).digits
+                nd = base_p_digits(n, p)
                 digit_row = _digit_cache(p, len(nd))
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
                 table = _term_table(family, nd, p, pos)
@@ -486,7 +483,7 @@ def test_ground_truth_two_two_powers():
 # -- structural invariants --------------------------------------------------
 
 def _saturated(n, p):
-    digits = base_p_digits(n, p).digits
+    digits = base_p_digits(n, p)
     return all(d == p - 1 for d in digits[:-1])
 
 
@@ -516,7 +513,7 @@ def test_two_adic_divisibility():
     # by one; the n = p^d rows of the reference tables pin this down.
     for p in (3, 5, 7, 11):
         for n in range(2, 17):
-            digits = base_p_digits(n, p).digits
+            digits = base_p_digits(n, p)
             prod = 1
             for dj in digits:
                 prod *= dj + 1
@@ -710,6 +707,25 @@ def test_cvec_dispatch():
         cvec("A", 5, 4)
     with pytest.raises(ValueError):
         cvec("D", 1, 3)
+
+
+NOT_AN_INT = {
+    "base_p_digits": lambda n: base_p_digits(n, 3),
+    "cvec auto": lambda n: cvec("A", n, 3),
+    "cvec naive": lambda n: cvec("A", n, 3, method="naive"),
+    "cvec theorem": lambda n: cvec("A", n, 3, method="theorem"),
+    "cvec closed": lambda n: cvec("A", n, 3, method="closed"),
+    "macdonald_mp": lambda n: macdonald_mp(n, 3),
+}
+
+
+@pytest.mark.parametrize("n", [10.5, 9.0, True, "9"])
+@pytest.mark.parametrize("call", NOT_AN_INT.values(), ids=NOT_AN_INT.keys())
+def test_n_must_be_an_int(call, n):
+    # as check_prime refuses a bool or non-int p: a bool would pass for 0 or
+    # 1, and a float would give float digits
+    with pytest.raises(ValueError):
+        call(n)
 
 
 def test_method_tag_is_not_compared():

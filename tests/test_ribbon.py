@@ -15,10 +15,7 @@ from ribbonmod.compositions import (
 from ribbonmod.ribbon import (
     SignedPermutation,
     oracle_descent_class_sizes,
-    ribbon_a,
     ribbon_a_det,
-    ribbon_b,
-    ribbon_d,
     ribbon_exact,
     ribbon_mod_p,
 )
@@ -48,20 +45,20 @@ B_VALUES = {
 
 def test_ribbon_a_known_values():
     for parts, value in A_VALUES.items():
-        assert ribbon_a(Composition(parts)) == value
+        assert ribbon_exact("A", Composition(parts)) == value
 
 
 def test_ribbon_b_known_values():
     for parts, value in B_VALUES.items():
-        assert ribbon_b(PseudoComposition(parts)) == value
+        assert ribbon_exact("B", PseudoComposition(parts)) == value
 
 
 def test_ribbon_d_known_values():
-    assert ribbon_d(PseudoComposition((4,))) == 1
-    assert ribbon_d(PseudoComposition((0, 4))) == 7
-    assert sum(ribbon_d(a) for a in enumerate_pseudo_compositions(4)) == 192
+    assert ribbon_exact("D", PseudoComposition((4,))) == 1
+    assert ribbon_exact("D", PseudoComposition((0, 4))) == 7
+    assert sum(ribbon_exact("D", a) for a in enumerate_pseudo_compositions(4)) == 192
     with pytest.raises(ValueError):
-        ribbon_d(PseudoComposition((0, 1)))
+        ribbon_exact("D", PseudoComposition((0, 1)))
 
 
 def _coarsenings(alpha):
@@ -97,11 +94,11 @@ def _coarsening_sum(family, alpha):
 def test_chain_recurrence_matches_coarsening_sum():
     for n in range(1, 11):
         for alpha in enumerate_compositions(n):
-            assert ribbon_a(alpha) == _coarsening_sum("A", alpha)
+            assert ribbon_exact("A", alpha) == _coarsening_sum("A", alpha)
         for alpha in enumerate_pseudo_compositions(n):
-            assert ribbon_b(alpha) == _coarsening_sum("B", alpha)
+            assert ribbon_exact("B", alpha) == _coarsening_sum("B", alpha)
             if n >= 2:
-                assert ribbon_d(alpha) == _coarsening_sum("D", alpha)
+                assert ribbon_exact("D", alpha) == _coarsening_sum("D", alpha)
 
 
 @given(
@@ -128,7 +125,7 @@ def test_ribbon_d_descents_at_zero_and_one():
     for parts in ((0, 1, 1, 1, 1, 3, 4), (0, 1, 3), (1, 1, 2, 5), (0, 2, 1, 1)):
         alpha = PseudoComposition(parts)
         expected = _coarsening_sum("D", alpha)
-        assert ribbon_d(alpha) == expected
+        assert ribbon_exact("D", alpha) == expected
         for p in ODD_PRIMES:
             assert ribbon_mod_p("D", alpha, p) == expected % p
 
@@ -142,38 +139,38 @@ def test_ribbon_a_det_known_values():
 def test_determinant_route_matches_inclusion_exclusion():
     for n in range(1, 10):
         for alpha in enumerate_compositions(n):
-            assert ribbon_a_det(alpha) == ribbon_a(alpha)
+            assert ribbon_a_det(alpha) == ribbon_exact("A", alpha)
 
 
 def test_mass_sums():
     for n in range(1, 11):
-        assert sum(ribbon_a(a) for a in enumerate_compositions(n)) == factorial(n)
+        assert sum(ribbon_exact("A", a) for a in enumerate_compositions(n)) == factorial(n)
     for n in range(1, 9):
-        total_b = sum(ribbon_b(a) for a in enumerate_pseudo_compositions(n))
+        total_b = sum(ribbon_exact("B", a) for a in enumerate_pseudo_compositions(n))
         assert total_b == (1 << n) * factorial(n)
     for n in range(2, 9):
-        total_d = sum(ribbon_d(a) for a in enumerate_pseudo_compositions(n))
+        total_d = sum(ribbon_exact("D", a) for a in enumerate_pseudo_compositions(n))
         assert total_d == (1 << (n - 1)) * factorial(n)
 
 
 def test_positivity_and_oddness():
     for n in range(1, 9):
         for alpha in enumerate_pseudo_compositions(n):
-            b = ribbon_b(alpha)
+            b = ribbon_exact("B", alpha)
             assert b >= 1 and b % 2 == 1
             if n >= 4:
-                d = ribbon_d(alpha)
+                d = ribbon_exact("D", alpha)
                 assert d >= 1 and d % 2 == 1
 
 
 def test_complement_symmetry():
     for n in range(1, 13):
         for alpha in enumerate_compositions(n):
-            assert ribbon_a(alpha) == ribbon_a(alpha.complement())
+            assert ribbon_exact("A", alpha) == ribbon_exact("A", alpha.complement())
     for n in range(2, 11):
         for alpha in enumerate_pseudo_compositions(n):
-            assert ribbon_b(alpha) == ribbon_b(alpha.complement())
-            assert ribbon_d(alpha) == ribbon_d(alpha.complement())
+            assert ribbon_exact("B", alpha) == ribbon_exact("B", alpha.complement())
+            assert ribbon_exact("D", alpha) == ribbon_exact("D", alpha.complement())
 
 
 @given(n=st.integers(min_value=1, max_value=14), data=st.data())
@@ -181,7 +178,7 @@ def test_complement_symmetry():
 def test_complement_symmetry_random(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
     alpha = Composition.from_mask(n, mask)
-    assert ribbon_a(alpha) == ribbon_a(alpha.complement())
+    assert ribbon_exact("A", alpha) == ribbon_exact("A", alpha.complement())
 
 
 # -- modular values ---------------------------------------------------------
@@ -206,9 +203,9 @@ def test_ribbon_mod_p_type_d_needs_n_at_least_2():
 
 
 def test_ribbon_mod_p_matches_exact():
-    exact_a = {n: {a: ribbon_a(a) for a in enumerate_compositions(n)} for n in range(1, 11)}
+    exact_a = {n: {a: ribbon_exact("A", a) for a in enumerate_compositions(n)} for n in range(1, 11)}
     exact_bd = {
-        n: {a: (ribbon_b(a), ribbon_d(a)) for a in enumerate_pseudo_compositions(n)}
+        n: {a: (ribbon_exact("B", a), ribbon_exact("D", a)) for a in enumerate_pseudo_compositions(n)}
         for n in range(2, 10)
     }
     for p in PRIMES:
@@ -224,7 +221,7 @@ def test_ribbon_mod_p_matches_exact():
 def test_ribbon_mod_p_large_index():
     # a sparse index far beyond the exact-enumeration comfort zone
     alpha = Composition((81, 81, 81))  # n = 3^5
-    assert ribbon_mod_p("A", alpha, 3) == ribbon_a(alpha) % 3
+    assert ribbon_mod_p("A", alpha, 3) == ribbon_exact("A", alpha) % 3
 
 
 def test_ribbon_exact_dispatch():
@@ -237,6 +234,8 @@ def test_ribbon_exact_dispatch():
         ribbon_exact("A", PseudoComposition((0, 2)))
     with pytest.raises(TypeError):
         ribbon_exact("B", Composition((2,)))
+    with pytest.raises(TypeError):
+        ribbon_a_det(PseudoComposition((0, 3)))
 
 
 # -- the group oracle -------------------------------------------------------
