@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from math import comb
 
 from .compositions import CapacityError
@@ -34,11 +35,13 @@ _NATIVE_CODES = {array(code).itemsize: code for code in "QIHB"}
 _CHUNK = 1 << 14
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_prime(p: int) -> bool:
     """Deterministic primality test, exact for p < MILLER_RABIN_LIMIT.
 
     Raises CapacityError for larger p that no base divides, rather than
-    give an answer that might be wrong.
+    give an answer that might be wrong.  Answers are memoised per p, since
+    every digit expansion and entry point checks its modulus again.
     """
     if p < 2:
         return False

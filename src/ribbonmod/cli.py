@@ -69,21 +69,43 @@ def format_multiset(sizes: Counter) -> str:
 
 
 # str() refuses ints longer than the interpreter's digit limit (4300 by
-# default); exact counts are converted in chunks below it instead.
-_CHUNK_DIGITS = 4000
-_CHUNK = 10**_CHUNK_DIGITS
+# default) and is quadratic in their length.  Counts of at most _STR_BITS
+# bits (about 1233 digits) go through str(); longer ones are split into
+# binary halves down to that size and rebuilt in decimal arithmetic, whose
+# multiplication is subquadratic (Brent and Zimmermann, *Modern Computer
+# Arithmetic*, section 1.7).  The global digit limit is left alone.
+_STR_BITS = 4096
 
 
-def _decimal(x: int) -> str:
-    """Decimal text of an int of any size; the global digit limit is left alone."""
+def _decimal(x: int, pow2: list) -> str:
+    """Decimal text of an int of any size.
+
+    ``pow2`` memoises 2^(_STR_BITS 2^j), j = 0, 1, ..., as Decimals, which
+    cost about as much as the rest of a conversion: pass one list, empty at
+    first, for all the counts of one output.
+    """
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
     if x < 0:
-        return "-" + _decimal(-x)
-    chunks = []
-    while x >= _CHUNK:
-        x, r = divmod(x, _CHUNK)
-        chunks.append(str(r).zfill(_CHUNK_DIGITS))
-    chunks.append(str(x))
-    return "".join(reversed(chunks))
+        return "-" + _decimal(-x, pow2)
+    import decimal  # here, so short outputs do not pay for it at start-up
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    level = ((x.bit_length() - 1) // _STR_BITS).bit_length()
+    if not pow2:
+        pow2.append(decimal.Decimal(1 << _STR_BITS))
+    while len(pow2) < level:
+        pow2.append(ctx.multiply(pow2[-1], pow2[-1]))
+
+    def build(v: int, j: int):
+        # v < 2^(_STR_BITS 2^j), as v_hi 2^w + v_lo with w = _STR_BITS 2^(j-1)
+        if v.bit_length() <= _STR_BITS:
+            return decimal.Decimal(v)
+        w = _STR_BITS << (j - 1)
+        hi = v >> w
+        return ctx.fma(build(hi, j - 1), pow2[j - 1], build(v - (hi << w), j - 1))
+
+    return str(build(x, level))
 
 
 D_NOTE = "note: n < 4 is not a Coxeter group of type D"
@@ -93,18 +115,21 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     """Print one result and return the exit code.
 
     ``record`` is the JSON record of a residue ``vector``, one ``value`` or
-    the ``classes`` multiset; its counts become decimal text here, once.
-    Only a residue vector has a CSV form.  Text prints one line, with
-    ``notes`` on stderr.
+    the ``classes`` multiset; its counts become decimal text here, by
+    ``_decimal``, and each distinct count of a vector is converted once
+    (equal entries share the text).  Only a residue vector has a CSV form.
+    Text prints one line, with ``notes`` on stderr.
     """
     if fmt == "csv" and "vector" not in record:
         print("error: csv output needs --p", file=sys.stderr)
         return 2
+    pow2: list = []
     if "vector" in record:
-        record["vector"] = [_decimal(c) for c in record["vector"]]
+        text = {c: _decimal(c, pow2) for c in set(record["vector"])}
+        record["vector"] = [text[c] for c in record["vector"]]
         line = "(" + ", ".join(record["vector"]) + ")"
     elif "value" in record:
-        record["value"] = line = _decimal(record["value"])
+        record["value"] = line = _decimal(record["value"], pow2)
     else:
         line = format_multiset(dict(record["classes"]))
     if fmt == "json":

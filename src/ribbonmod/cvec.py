@@ -170,16 +170,12 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
     CapacityError before any is made.
     """
     _check_family(family)
-    check_prime(p)
+    (check_prime if family == "A" else check_odd_prime)(p)
     if family == "D":
         if n < 4:
             raise ValueError("the type-D support set needs n >= 4")
-        check_odd_prime(p)
-    else:
-        if n < 2:
-            raise ValueError("the support set needs n >= 2")
-        if family == "B":
-            check_odd_prime(p)
+    elif n < 2:
+        raise ValueError("the support set needs n >= 2")
     digits = base_p_digits(n, p)
     if _support_size(family, digits) > 1 << SUPPORT_MAX:
         raise CapacityError("support set too large to materialize")
@@ -313,16 +309,23 @@ def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
 
 
 def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
-    # free = number of descent positions outside the support; each support
-    # pattern is shared by 2^free indices.  When p is odd and some free
-    # position exists, half of those indices flip the sign of the residue,
-    # pairing i with p - i.
+    """The p-vector from a residue tally over the support patterns.
+
+    free = number of descent positions outside the support; each support
+    pattern is shared by 2^free indices.  When p is odd and some free
+    position exists, half of those indices flip the sign of the residue,
+    pairing i with p - i.  Every entry is a weight shifted left, as in the
+    paper's shorthand 2^k (a_0, ..., a_(p-1)); each distinct weight is
+    shifted once, so equal entries are one int object, not copies of a
+    number that may be megabytes long.
+    """
     if p == 2 or free == 0:
-        return tuple(t << free for t in tally)
-    counts = [tally[0] << free]
-    shift = free - 1
-    counts.extend((tally[i] + tally[p - i]) << shift for i in range(1, p))
-    return tuple(counts)
+        weights, shift = tally, free
+    else:
+        weights = [2 * tally[0]] + [tally[i] + tally[p - i] for i in range(1, p)]
+        shift = free - 1
+    shifted = {w: w << shift for w in set(weights)}
+    return tuple(shifted[w] for w in weights)
 
 
 def _term_table(family: str, nd: tuple[int, ...], p: int, pos: tuple[int, ...]):

@@ -1,8 +1,11 @@
 import csv
+import importlib
 import importlib.util
 import io
 import json
 import pathlib
+import random
+import sys
 from importlib import resources
 
 import pytest
@@ -16,6 +19,7 @@ from ribbonmod.cli import (
     golden_multisets,
     golden_vectors,
     _compare,
+    _decimal,
     main,
 )
 from ribbonmod.cvec import cvec
@@ -134,6 +138,46 @@ def test_cvec_prints_counts_past_the_digit_limit(capsys):
     code, out, _ = run(capsys, "cvec", "--family", "A", "--n", "19683", "--p", "3")
     assert code == 0
     assert [_parse_long_decimal(c) for c in out.strip()[1:-1].split(", ")] == list(counts)
+
+
+def _parse_signed_decimal(text):
+    if text.startswith("-"):
+        return -_parse_long_decimal(text[1:])
+    return _parse_long_decimal(text)
+
+
+def test_decimal_matches_a_chunked_parse():
+    # both sides of the str() cut at 4096 bits, and ints far past the
+    # interpreter's digit limit, which stays as it was
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(14)
+    edges = [0, 1, 2**4096 - 1, 2**4096, 2**4097, 2**8192, 2**8193 - 1]
+    sizes = [rng.randrange(4000, 20000) for _ in range(8)] + [rng.randrange(10**5, 10**6) for _ in range(3)]
+    values = edges + [rng.getrandbits(b) for b in sizes] + [(1 << 10**6) - 1]
+    pow2 = []
+    for x in values:
+        for v in (x, -x):
+            text = _decimal(v, pow2)
+            assert text.lstrip("-")[0] != "0" or v == 0
+            assert text != "-0"
+            assert _parse_signed_decimal(text) == v, v.bit_length()
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_each_distinct_count_is_converted_once(capsys, monkeypatch):
+    module = importlib.import_module("ribbonmod.cli")
+    converted = []
+
+    def recording(x, pow2):
+        converted.append(x)
+        return _decimal(x, pow2)
+
+    monkeypatch.setattr(module, "_decimal", recording)
+    counts = cvec("A", 3**12, 3).counts
+    code, out, _ = run(capsys, "cvec", "--family", "A", "--n", str(3**12), "--p", "3", "--format", "json")
+    assert code == 0
+    assert [_parse_long_decimal(c) for c in json.loads(out)["vector"]] == list(counts)
+    assert sorted(converted) == sorted(set(counts)) and len(converted) == 2
 
 
 def test_methods_print_identical_vectors(capsys):

@@ -1,6 +1,8 @@
 import functools
+import importlib
 import itertools
 import random
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
@@ -23,6 +25,7 @@ from ribbonmod.compositions import (
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
+    mask_offset,
 )
 from ribbonmod.coxeter import builtin_diagram, residue_histogram
 from ribbonmod.cvec import (
@@ -42,6 +45,7 @@ from ribbonmod.cvec import (
     support_set,
     _COUNT_TALLY_MAX_P,
     _RULES,
+    _assemble,
     _field_tally,
     _support_size,
     _term_table,
@@ -730,6 +734,69 @@ def test_n_must_be_an_int(call, n):
 
 def test_method_tag_is_not_compared():
     assert cvec_naive("A", 6, 3) == cvec_theorem("A", 6, 3)
+
+
+# -- shared entries ---------------------------------------------------------
+
+def _assemble_unshared(p, tally, free):
+    # the p-vector formula with every entry shifted on its own
+    if p == 2 or free == 0:
+        return tuple(t << free for t in tally)
+    counts = [tally[0] << free]
+    counts.extend((tally[i] + tally[p - i]) << (free - 1) for i in range(1, p))
+    return tuple(counts)
+
+
+def test_equal_entries_are_one_int():
+    counts = cvec("A", 3**12, 3).counts
+    assert counts[1] == counts[2] and counts[1] is counts[2]
+
+
+def test_assemble_matches_the_unshared_formula(monkeypatch):
+    # every closed-form and theorem p-vector of A/B/D with n <= 40 and
+    # p <= 7 (where the support fits the budget) is what shifting each entry
+    # on its own gives, its equal entries are one object, and the routes
+    # agree with each other and with the naive sweep where it is small
+    module = importlib.import_module("ribbonmod.cvec")
+    calls = []
+
+    def recording(p, tally, free):
+        counts = _assemble(p, tally, free)
+        calls.append((p, list(tally), free, counts))
+        return counts
+
+    monkeypatch.setattr(module, "_assemble", recording)
+    for family, low in (("A", 2), ("B", 2), ("D", 4)):
+        for n in range(low, 41):
+            for p in (2, 3, 5, 7):
+                vecs = [cvec_closed_form(family, n, p)]
+                if _support_size(family, base_p_digits(n, p)) <= SUPPORT_MAX:
+                    vecs.append(cvec_theorem(family, n, p))
+                if n - mask_offset(family) <= 14:
+                    vecs.append(cvec_naive(family, n, p))
+                vecs = [v for v in vecs if v is not None]
+                assert all(v == vecs[0] for v in vecs), (family, n, p)
+    assert len(calls) > 300
+    for p, tally, free, counts in calls:
+        assert counts == _assemble_unshared(p, tally, free), (p, tally, free)
+        first = {}
+        assert all(first.setdefault(c, c) is c for c in counts), (p, tally, free)
+
+
+def test_shared_entries_in_bounded_memory():
+    # B n = 3^15 p = 3 has two equal counts of 14348907 bits; shifting each
+    # on its own peaks at about two counts, one shared int at about one;
+    # a small query first, so no first-call set-up is traced
+    cvec("B", 3**5, 3)
+    tracemalloc.start()
+    try:
+        vec = cvec("B", 3**15, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(max(vec.counts))
+    assert vec.counts[1] is vec.counts[2]
+    assert peak < 1.5 * size, (peak, size)
 
 
 def test_capacity_errors():

@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ribbonmod.arith as arith
 from ribbonmod.arith import multinomial_exact
 from ribbonmod.compositions import (
     CapacityError,
@@ -303,3 +304,21 @@ def test_signed_permutation_descents():
     assert SignedPermutation((1, 2)).descent_set("D").positions() == ()
     with pytest.raises(ValueError):
         SignedPermutation((1, 2)).descent_set("A")
+
+
+def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
+    # 299 descents, each expanded in base p: the Miller-Rabin loop (one
+    # modular power per base for a prime) runs once, not once per descent
+    p = 10**11 + 3
+    powers = []
+
+    def counting(*args):
+        if args[2:] == (p,):
+            powers.append(args[0])
+        return pow(*args)
+
+    arith.is_prime.cache_clear()
+    monkeypatch.setattr(arith, "pow", counting, raising=False)
+    alpha = Composition((1,) * 300)
+    assert ribbon_mod_p("A", alpha, p) == ribbon_mod_p("A", alpha, p) == 1
+    assert powers == list(arith._MR_BASES)
