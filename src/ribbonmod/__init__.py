@@ -5,11 +5,9 @@ from .arith import base_p_digits, is_prime, multinomial_exact
 from .compositions import (
     CapacityError,
     Composition,
-    DescentSet,
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
-    from_descent_set,
     parse_parts,
 )
 from .coxeter import (
@@ -53,10 +51,8 @@ __all__ = [
     "CapacityError",
     "Composition",
     "PseudoComposition",
-    "DescentSet",
     "enumerate_compositions",
     "enumerate_pseudo_compositions",
-    "from_descent_set",
     "parse_parts",
     "SignedPermutation",
     "ribbon_a_det",

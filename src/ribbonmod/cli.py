@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from importlib import resources
 
-from .compositions import from_descent_set, mask_offset, parse_parts
+from .compositions import mask_offset, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
 from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
@@ -234,8 +234,7 @@ def _verify_oracles(report) -> bool:
         for n in ns:
             classes = oracle_descent_class_sizes(family, n)
             bad = 0
-            for descents, size in classes.items():
-                alpha = from_descent_set(n, descents)
+            for alpha, size in classes.items():
                 if ribbon_exact(family, alpha) != size:
                     bad += 1
             if len(classes) != 1 << (n - mask_offset(family)):

@@ -6,18 +6,18 @@ is determined by its descent set (the set of proper prefix sums), so the
 canonical in-memory form is a bitmask over the descent positions together
 with n; the parts sequence is derived on demand.
 
-The encoding lives here alone.  ``mask_offset`` is the descent position of
-bit 0 and the least first part: 1 in type A (positions [1, n-1]), 0 in
-types B and D (family "BD", positions {0, ..., n-1}).  ``DescentSet`` and
-``from_mask`` share one check: offset <= n <= MAX_DESCENT_N and a mask of
-n - offset bits.
+The encoding lives here alone.  Each class's ``offset`` is the descent
+position of bit 0 and the least first part: 1 for a ``Composition`` (type
+A, positions [1, n-1]), 0 for a ``PseudoComposition`` (types B and D,
+positions {0, ..., n-1}); ``mask_offset(family)`` gives it by family.  The
+constructor, ``from_descents`` and ``from_mask`` share one check:
+offset <= n <= MAX_DESCENT_N and a mask of n - offset bits.
 
 Full enumeration is capped at 63 mask bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Iterator
@@ -37,18 +37,18 @@ class CapacityError(ValueError):
 
 def mask_offset(family: str) -> int:
     """The descent position that mask bit 0 encodes: 1 for family A, 0 for
-    B, D or BD.  A mask for n has n - mask_offset(family) bits."""
-    if family not in ("A", "B", "D", "BD"):
+    B or D.  A mask for n has n - mask_offset(family) bits."""
+    if family not in ("A", "B", "D"):
         raise ValueError(f"unknown descent family {family!r}")
     return 1 if family == "A" else 0
 
 
-def _check_mask(n: int, mask: int, family: str) -> None:
-    width = n - mask_offset(family)
+def _check_mask(n: int, mask: int, offset: int) -> None:
     if n > MAX_DESCENT_N:
         raise CapacityError(f"a descent mask for n={n} is past the budget of n <= {MAX_DESCENT_N}")
+    width = n - offset
     if width < 0 or mask < 0 or mask >> width:
-        raise ValueError(f"descent mask {mask} out of range for n={n} in family {family}")
+        raise ValueError(f"descent mask {mask} out of range for n={n} with bit 0 at position {offset}")
 
 
 def _positions(mask: int, lo: int) -> tuple[int, ...]:
@@ -61,63 +61,33 @@ def _positions(mask: int, lo: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DescentSet:
-    """A set of descent positions for a fixed n and index family."""
+class _MaskBacked:
+    """Shared machinery for the two composition kinds."""
 
-    n: int
-    mask: int
-    family: str  # "A" or "BD"
+    __slots__ = ("n", "mask")
+    offset = 0  # the descent position of mask bit 0, and the least first part
 
-    def __post_init__(self):
-        if self.family not in ("A", "BD"):
-            raise ValueError(f"unknown descent family {self.family!r}")
-        _check_mask(self.n, self.mask, self.family)
+    def __new__(cls, parts):
+        parts = tuple(int(a) for a in parts)
+        if not parts or parts[0] < cls.offset or any(a < 1 for a in parts[1:]):
+            raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1: {parts}")
+        return cls.from_descents(sum(parts), accumulate(parts[:-1]))
 
     @classmethod
-    def from_positions(cls, n: int, positions, family: str) -> "DescentSet":
-        lo = mask_offset(family)
-        _check_mask(n, 0, family)  # before any n-bit int is built
+    def from_descents(cls, n: int, positions):
+        """The index of n whose descent set holds the given positions."""
+        lo = cls.offset
+        _check_mask(n, 0, lo)  # before any n-bit int is built
         mask = 0
         for j in positions:
             if not lo <= j <= n - 1:
                 raise ValueError(f"descent position {j} out of range for n={n}")
             mask |= 1 << (j - lo)
-        return cls(n, mask, family)
-
-    def positions(self) -> tuple[int, ...]:
-        return _positions(self.mask, mask_offset(self.family))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.positions())
-
-    def __contains__(self, j: int) -> bool:
-        lo = mask_offset(self.family)
-        return lo <= j <= self.n - 1 and self.mask >> (j - lo) & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
-class _MaskBacked:
-    """Shared machinery for the two composition kinds."""
-
-    __slots__ = ("n", "mask")
-    _family = ""  # "A" or "BD"
-
-    def __init__(self, parts):
-        parts = tuple(int(a) for a in parts)
-        lo = mask_offset(self._family)
-        if not parts or parts[0] < lo or any(a < 1 for a in parts[1:]):
-            raise ValueError(f"{type(self).__name__} needs a first part >= {lo} and the rest >= 1: {parts}")
-        n = sum(parts)
-        mask = DescentSet.from_positions(n, accumulate(parts[:-1]), self._family).mask
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
+        return cls.from_mask(n, mask)
 
     @classmethod
     def from_mask(cls, n: int, mask: int):
-        _check_mask(n, mask, cls._family)
+        _check_mask(n, mask, cls.offset)
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
@@ -149,10 +119,7 @@ class _MaskBacked:
 
     def descents(self) -> tuple[int, ...]:
         """Proper prefix sums, ascending."""
-        return _positions(self.mask, mask_offset(self._family))
-
-    def descent_set(self) -> DescentSet:
-        return DescentSet(self.n, self.mask, self._family)
+        return _positions(self.mask, self.offset)
 
     def prefix_sums(self) -> tuple[int, ...]:
         """All prefix sums, from the empty one (0) up to n."""
@@ -160,14 +127,14 @@ class _MaskBacked:
 
     def complement(self):
         """The composition whose descent set is the complement of this one's."""
-        full = (1 << (self.n - mask_offset(self._family))) - 1
+        full = (1 << (self.n - self.offset)) - 1
         return type(self).from_mask(self.n, self.mask ^ full)
 
 
 class Composition(_MaskBacked):
     """Composition of n: positive parts, in bijection with subsets of [n-1]."""
 
-    _family = "A"
+    offset = 1
 
 
 class PseudoComposition(_MaskBacked):
@@ -176,15 +143,7 @@ class PseudoComposition(_MaskBacked):
     In bijection with subsets of {0, ..., n-1}; there are 2**n of them.
     """
 
-    _family = "BD"
-
-
-def from_descent_set(n: int, descents: DescentSet):
-    """The unique (pseudo-)composition of n with the given descent set."""
-    if descents.n != n:
-        raise ValueError(f"descent set is for n={descents.n}, not n={n}")
-    cls = Composition if descents.family == "A" else PseudoComposition
-    return cls.from_mask(n, descents.mask)
+    offset = 0
 
 
 def _enumerate(cls, n: int):
@@ -195,7 +154,7 @@ def _enumerate(cls, n: int):
         raise CapacityError(
             f"full enumeration is limited to n <= {MAX_MASK_BITS} (mask width)"
         )
-    for mask in range(1 << (n - mask_offset(cls._family))):
+    for mask in range(1 << (n - cls.offset)):
         yield cls.from_mask(n, mask)
 
 

@@ -27,12 +27,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from .arith import base_p_digits, check_prime, lucas_binomial, multinomial_exact
-from .compositions import (
-    CapacityError,
-    Composition,
-    DescentSet,
-    PseudoComposition,
-)
+from .compositions import CapacityError, Composition, PseudoComposition
 
 FAMILIES = ("A", "B", "D")
 
@@ -297,10 +292,11 @@ class SignedPermutation:
         """Whether this element lies in the type-D subgroup."""
         return self.negatives() % 2 == 0
 
-    def descent_set(self, family: str) -> DescentSet:
+    def descent_set(self, family: str) -> tuple[int, ...]:
+        """The descent positions in {0, ..., n-1}, ascending."""
         if family not in ("B", "D"):
             raise ValueError("signed-permutation descents are defined for families B and D")
-        return DescentSet(self.n, _signed_descent_mask(self.images, family), "BD")
+        return PseudoComposition.from_mask(self.n, _signed_descent_mask(self.images, family)).descents()
 
     def __eq__(self, other):
         return isinstance(other, SignedPermutation) and self.images == other.images
@@ -324,8 +320,10 @@ def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
     return mask
 
 
-def oracle_descent_class_sizes(family: str, n: int) -> dict[DescentSet, int]:
-    """Descent-class sizes by enumerating the whole group in one serial sweep.
+def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | PseudoComposition, int]:
+    """Descent-class sizes by enumerating the whole group in one serial sweep,
+    keyed by the index (Composition in type A, PseudoComposition in types B
+    and D) whose descent set the class has.
 
     Family A sweeps permutations of [n]; B sweeps signed permutations; D
     keeps the even ones.
@@ -344,7 +342,7 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[DescentSet, int]:
                 if w[i - 1] > w[i]:
                     mask |= 1 << (i - 1)
             counts[mask] = counts.get(mask, 0) + 1
-        return {DescentSet(n, mask, "A"): c for mask, c in counts.items()}
+        return {Composition.from_mask(n, mask): c for mask, c in counts.items()}
     even_only = family == "D"
     for base in permutations(range(1, n + 1)):
         for signs in range(1 << n):
@@ -353,4 +351,4 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[DescentSet, int]:
             w = tuple(-v if signs >> i & 1 else v for i, v in enumerate(base))
             mask = _signed_descent_mask(w, family)
             counts[mask] = counts.get(mask, 0) + 1
-    return {DescentSet(n, mask, "BD"): c for mask, c in counts.items()}
+    return {PseudoComposition.from_mask(n, mask): c for mask, c in counts.items()}

@@ -1,4 +1,6 @@
+import tracemalloc
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +161,31 @@ def test_digit_factorization_agrees_including_mismatches(n, parts, p):
     expected = multinomial_exact(n, parts) % p
     assert _digit_column_product(n, parts, p) == expected
     assert _lucas_product(n, parts, p) == expected
+
+
+def test_lucas_binomial_of_large_digits_matches_exact():
+    # digits on both sides of the exact/modular crossover at min(b, a - b) = 512
+    a = 10**5
+    for p in (10**9 + 7, 100003, 65537):
+        top = base_p_digits(a, p)
+        for b in (0, 1, 511, 512, 513, 40000, a // 2, a - 513, a - 512, a - 511, a):
+            assert lucas_binomial(top, base_p_digits(b, p), p) == comb(a, b) % p, (p, b)
+        assert lucas_binomial(base_p_digits(a // 2, p), base_p_digits(a // 2 + 1, p), p) == 0
+
+
+def test_lucas_binomial_of_a_million_stays_small():
+    # C(10^6, 5*10^5) has about 10^6 bits; mod p it is built from residues.
+    # The expected value is math.comb(10**6, 5 * 10**5) % p, which takes
+    # about 11 s to compute
+    p = 10**9 + 7
+    tracemalloc.start()
+    try:
+        value = lucas_binomial((10**6,), (5 * 10**5,), p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 996692777
+    assert peak < 1 << 20
 
 
 def test_pow2_digitwise_identity():

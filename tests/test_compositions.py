@@ -8,11 +8,10 @@ from ribbonmod.compositions import (
     MAX_DESCENT_N,
     CapacityError,
     Composition,
-    DescentSet,
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
-    from_descent_set,
+    mask_offset,
     parse_parts,
 )
 
@@ -24,25 +23,38 @@ def test_descent_set_examples():
     assert PseudoComposition((1, 1, 1)).descents() == (1, 2)
 
 
-def test_from_descent_set_examples():
-    assert from_descent_set(4, DescentSet.from_positions(4, (1, 3), "A")) == Composition((1, 2, 1))
-    assert from_descent_set(3, DescentSet.from_positions(3, (0,), "BD")) == PseudoComposition((0, 3))
-    assert from_descent_set(5, DescentSet.from_positions(5, (), "A")) == Composition((5,))
+def test_from_descents_examples():
+    assert Composition.from_descents(4, (1, 3)) == Composition((1, 2, 1))
+    assert PseudoComposition.from_descents(3, (0,)) == PseudoComposition((0, 3))
+    assert Composition.from_descents(5, ()) == Composition((5,))
+    assert Composition.from_descents(6, iter((2, 5))).parts == (2, 3, 1)
 
 
 def test_descent_positions_out_of_range():
     with pytest.raises(ValueError):
-        DescentSet.from_positions(4, (0,), "A")  # 0 is not a type-A position
+        Composition.from_descents(4, (0,))  # 0 is not a type-A position
     with pytest.raises(ValueError):
-        DescentSet.from_positions(4, (4,), "A")
+        Composition.from_descents(4, (4,))
     with pytest.raises(ValueError):
-        DescentSet.from_positions(4, (4,), "BD")
+        PseudoComposition.from_descents(4, (4,))
     with pytest.raises(ValueError):
-        DescentSet(4, 1 << 3, "A")  # bit 3 encodes position 4
+        PseudoComposition.from_descents(4, (-1,))
     with pytest.raises(ValueError):
-        DescentSet(4, -1, "BD")
+        Composition.from_mask(4, 1 << 3)  # bit 3 encodes position 4
     with pytest.raises(ValueError):
-        DescentSet(4, 0, "C")
+        PseudoComposition.from_mask(4, 1 << 4)
+    with pytest.raises(ValueError):
+        PseudoComposition.from_mask(4, -1)
+    with pytest.raises(ValueError):
+        Composition.from_mask(4, -1)
+
+
+def test_mask_offset_by_family():
+    assert [mask_offset(f) for f in "ABD"] == [1, 0, 0]
+    assert (Composition.offset, PseudoComposition.offset) == (1, 0)
+    for family in ("C", "BD", "a", ""):
+        with pytest.raises(ValueError):
+            mask_offset(family)
 
 
 def test_mask_below_the_family_minimum_refused():
@@ -50,8 +62,9 @@ def test_mask_below_the_family_minimum_refused():
     for make in (lambda: Composition.from_mask(-3, 0),
                  lambda: Composition.from_mask(0, 0),
                  lambda: PseudoComposition.from_mask(-1, 0),
-                 lambda: DescentSet(-3, 0, "A"),
-                 lambda: DescentSet(-1, 0, "BD")):
+                 lambda: Composition.from_descents(-3, ()),
+                 lambda: Composition.from_descents(0, ()),
+                 lambda: PseudoComposition.from_descents(-1, ())):
         with pytest.raises(ValueError):
             make()
     assert PseudoComposition.from_mask(0, 0) == PseudoComposition((0,))
@@ -81,12 +94,12 @@ def test_descent_positions_agree_with_the_constructors():
     # route to a mask gives the same one, and the mask gives back the parts
     for n in range(1, 11):
         for parts in _compositions(n):
-            for cls, family, lo, alpha in ((Composition, "A", 1, parts),
-                                           (PseudoComposition, "BD", 0, parts),
-                                           (PseudoComposition, "BD", 0, (0,) + parts)):
+            for cls, lo, alpha in ((Composition, 1, parts),
+                                   (PseudoComposition, 0, parts),
+                                   (PseudoComposition, 0, (0,) + parts)):
                 descents = tuple(accumulate(alpha[:-1]))
                 mask = sum(1 << (d - lo) for d in descents)
-                assert DescentSet.from_positions(n, descents, family).mask == mask
+                assert cls.from_descents(n, descents).mask == mask
                 assert cls(alpha).mask == mask
                 assert cls.from_mask(n, mask).parts == alpha
 
@@ -141,8 +154,9 @@ def test_descent_mask_past_the_budget_refused_before_allocating():
         lambda: Composition((10**10, 1)),
         lambda: PseudoComposition((0, 10**10)),
         lambda: parse_parts("10000000000,1"),
-        lambda: DescentSet.from_positions(10**10, (1,), "A"),
-        lambda: DescentSet(MAX_DESCENT_N + 1, 1, "BD"),
+        lambda: Composition.from_descents(10**10, (1,)),
+        lambda: PseudoComposition.from_descents(MAX_DESCENT_N + 1, (0,)),
+        lambda: PseudoComposition.from_mask(MAX_DESCENT_N + 1, 1),
         lambda: Composition.from_mask(MAX_DESCENT_N + 2, 1),
     ]
     for call in calls:
@@ -191,14 +205,14 @@ def test_descent_bijection_exhaustive():
     for n in range(1, 17):
         seen = set()
         for alpha in enumerate_compositions(n):
-            ds = alpha.descent_set()
-            assert ds.mask not in seen
-            seen.add(ds.mask)
-            assert from_descent_set(n, ds) == alpha
-            assert len(alpha) == len(ds) + 1
+            descents = alpha.descents()
+            assert descents not in seen
+            seen.add(descents)
+            assert Composition.from_descents(n, descents) == alpha
+            assert len(alpha) == len(descents) + 1
     for n in range(1, 16):
         for alpha in enumerate_pseudo_compositions(n):
-            assert from_descent_set(n, alpha.descent_set()) == alpha
+            assert PseudoComposition.from_descents(n, alpha.descents()) == alpha
 
 
 def test_complement_involution():

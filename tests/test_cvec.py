@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 from array import array
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +46,7 @@ from ribbonmod.cvec import (
     _COUNT_TALLY_MAX_P,
     _RULES,
     _assemble,
+    _colored_partition_count,
     _field_tally,
     _support_size,
     _term_table,
@@ -860,6 +861,19 @@ def test_auto_refusal_names_both_budgets():
     assert f"2^{NAIVE_MAX_BITS}" in message and "naive sweep" in message
 
 
+def test_auto_refusal_names_both_budgets_for_a_single_digit():
+    # n = m * p^d takes the closed form that sweeps m naively; when that
+    # sweep is past its budget, auto still tries both sweeps on n
+    for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
+        with pytest.raises(CapacityError) as excinfo:
+            cvec(family, n, p)
+        message = str(excinfo.value)
+        assert f"support sweep needs 2^{support} subsets" in message
+        assert f"naive sweep needs 2^{n - mask_offset(family)} indices" in message
+        with pytest.raises(CapacityError):
+            cvec(family, n, p, method="closed")
+
+
 @given(
     family=st.sampled_from(["A", "B", "D"]),
     n=st.integers(min_value=4, max_value=13),
@@ -922,7 +936,8 @@ def test_macdonald_digit_past_the_budget_refused_before_allocating():
 
 def test_macdonald_coefficient_size_past_the_budget_refused_before_allocating():
     # digit 1000 at p^2 = 1009^2 colours has coefficients of about 20000 bits
-    # (11 s to expand); at p^0 and p^1 (about 10000 bits) it still answers.
+    # (past the budget, though its series takes only 0.4 s); at p^0 and p^1
+    # (about 10000 bits) it still answers.
     # Many small digits add up: 2^200 - 1 has 200 coefficients 2^j
     for n, p in ((1000 * 1009**2, 1009), (2**200 - 1, 2)):
         tracemalloc.start()
@@ -936,6 +951,27 @@ def test_macdonald_coefficient_size_past_the_budget_refused_before_allocating():
     assert 1000 * (1009).bit_length() <= MACDONALD_BITS_MAX < 1000 * (1009**2).bit_length()
     assert macdonald_mp(1000, 1009) == 24061467864032622473692149727991  # p(1000)
     assert macdonald_mp(2**100 - 1, 2) == 2 ** (100 * 99 // 2)
+
+
+def _convolved_partition_count(m, colors):
+    # x^m in prod_i (1 - x^i)^(-colors), by multiplying in one factor
+    # sum_t C(colors + t - 1, t) x^(i t) at a time
+    coeffs = [1] + [0] * m
+    for i in range(1, m + 1):
+        new = coeffs[:]
+        for t in range(1, m // i + 1):
+            c = comb(colors + t - 1, t)
+            for idx in range(i * t, m + 1):
+                new[idx] += c * coeffs[idx - i * t]
+        coeffs = new
+    return coeffs[m]
+
+
+def test_colored_partition_count_matches_the_convolution():
+    for colors in (1, 2, 3, 9, 1009, 2**15, 1009**2):
+        for m in range(40):
+            assert _colored_partition_count(m, colors) == _convolved_partition_count(m, colors), (m, colors)
+    assert _colored_partition_count(120, 7) == _convolved_partition_count(120, 7)
 
 
 def test_macdonald_matches_hook_sweep():

@@ -11,7 +11,6 @@ from ribbonmod.compositions import (
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
-    from_descent_set,
 )
 from ribbonmod.ribbon import (
     SignedPermutation,
@@ -243,16 +242,18 @@ def test_ribbon_exact_dispatch():
 
 def test_oracle_type_a_example():
     classes = oracle_descent_class_sizes("A", 4)
-    got = {tuple(ds.positions()): size for ds, size in classes.items()}
+    got = {alpha.descents(): size for alpha, size in classes.items()}
     assert got == {
         (): 1, (1,): 3, (2,): 5, (3,): 3,
         (1, 2): 3, (1, 3): 5, (2, 3): 3, (1, 2, 3): 1,
     }
+    assert classes[Composition((1, 2, 1))] == 5
 
 
 def test_oracle_type_b_small():
     classes = oracle_descent_class_sizes("B", 2)
     assert sorted(classes.values()) == [1, 1, 3, 3]
+    assert classes[PseudoComposition((0, 2))] == 3
     assert sum(classes.values()) == 8
 
 
@@ -269,8 +270,7 @@ def test_oracle_matches_formulas():
             classes = oracle_descent_class_sizes(family, n)
             width = n - 1 if family == "A" else n
             assert len(classes) == 1 << width
-            for descents, size in classes.items():
-                alpha = from_descent_set(n, descents)
+            for alpha, size in classes.items():
                 assert ribbon_exact(family, alpha) == size
 
 
@@ -298,10 +298,12 @@ def test_signed_permutation_descents():
     w = SignedPermutation((-1, 2))
     assert w.negatives() == 1
     assert not w.is_even()
-    assert w.descent_set("B").positions() == (0,)
-    assert SignedPermutation((-2, -1)).descent_set("D").positions() == (0,)
-    assert SignedPermutation((2, 1)).descent_set("D").positions() == (1,)
-    assert SignedPermutation((1, 2)).descent_set("D").positions() == ()
+    assert w.descent_set("B") == (0,)
+    assert SignedPermutation((-2, -1)).descent_set("D") == (0,)
+    assert SignedPermutation((2, 1)).descent_set("D") == (1,)
+    assert SignedPermutation((1, 2)).descent_set("D") == ()
+    assert SignedPermutation((3, -1, 2)).descent_set("B") == (1,)
+    assert SignedPermutation((-3, 1, -2)).descent_set("D") == (0, 2)
     with pytest.raises(ValueError):
         SignedPermutation((1, 2)).descent_set("A")
 

@@ -11,7 +11,6 @@ PUBLIC = {
     "CapacityError",
     "Composition",
     "CoxeterDiagram",
-    "DescentSet",
     "DimensionPVector",
     "IrreducibleType",
     "NoClosedFormError",
@@ -30,7 +29,6 @@ PUBLIC = {
     "descent_class_sizes",
     "enumerate_compositions",
     "enumerate_pseudo_compositions",
-    "from_descent_set",
     "is_prime",
     "macdonald_mp",
     "multinomial_exact",
@@ -49,7 +47,7 @@ PUBLIC = {
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 35
     assert set(ribbonmod.__all__) == PUBLIC
     assert len(ribbonmod.__all__) == len(PUBLIC)
     for name in PUBLIC:
