@@ -74,13 +74,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def check_odd_prime(p: int) -> int:
-    check_prime(p)
-    if p == 2:
-        raise ValueError("modulus must be an odd prime")
-    return p
-
-
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Digits of n in base p, least significant first: entry j is the
     coefficient of p**j, and the top digit is nonzero except in ``(0,)``,

@@ -11,7 +11,8 @@ position of bit 0 and the least first part: 1 for a ``Composition`` (type
 A, positions [1, n-1]), 0 for a ``PseudoComposition`` (types B and D,
 positions {0, ..., n-1}); ``mask_offset(family)`` gives it by family.  The
 constructor, ``from_descents`` and ``from_mask`` share one check:
-offset <= n <= MAX_DESCENT_N and a mask of n - offset bits.
+offset <= n <= MAX_DESCENT_N and a mask of n - offset bits.  Copies and
+pickles rebuild through ``from_descents``, so they pass it too.
 
 Full enumeration is capped at 63 mask bits.
 """
@@ -95,6 +96,11 @@ class _MaskBacked:
 
     def __setattr__(self, *_):
         raise AttributeError("immutable value")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through from_descents, so a payload runs
+        # the same range check as every constructor
+        return type(self).from_descents, (self.n, self.descents())
 
     @property
     def parts(self) -> tuple[int, ...]:

@@ -47,7 +47,11 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     binomials between positions, fills the 2^m subset terms by extending
     digitwise chains one position at a time into a zeroed field buffer (all
     other terms are 0), and runs the same packed O(m 2^m) butterfly and
-    tally.
+    tally.  Each chain is seeded by ``ribbon._first_step``, the first-step
+    rule (the power-of-two weight and binomial base of the lowest descent)
+    that the chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so
+    the family rules, type D's included, are stated once, for every
+    prime.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
     A single digit m at p^d (types A, B) runs the naive method on m; every
@@ -70,7 +74,6 @@ from operator import mul
 from .arith import (
     _CHUNK,
     base_p_digits,
-    check_odd_prime,
     check_prime,
     field_buffer,
     field_width,
@@ -78,7 +81,7 @@ from .arith import (
     lucas_binomial,
 )
 from .compositions import CapacityError, mask_offset
-from .ribbon import _check_family
+from .ribbon import _check_family, _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.  The index
@@ -169,11 +172,12 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 
     Starting from all sums b_0 + b_1 p + ... with 0 <= b_j <= (j-th digit
     of n): family A drops {0, n}, family B drops {n}, family D adjoins {1}
-    and drops {n}.  A set of more than 2^SUPPORT_MAX sums is refused with
-    CapacityError before any is made.
+    and drops {n}.  Any prime p is accepted in every family.  A set of
+    more than 2^SUPPORT_MAX sums is refused with CapacityError before any
+    is made.
     """
     _check_family(family)
-    (check_prime if family == "A" else check_odd_prime)(p)
+    check_prime(p)
     if family == "D":
         if n < 4:
             raise ValueError("the type-D support set needs n >= 4")
@@ -331,53 +335,43 @@ def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
     return tuple(shifted[w] for w in weights)
 
 
-def _term_table(family: str, nd: tuple[int, ...], p: int, pos: tuple[int, ...]):
+def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     """g[mask] = the refinement term of the descent set picked by mask
     from the sorted support positions ``pos``, reduced mod p, in a
-    ``field_buffer`` for p; ``nd`` holds the base-p digits of n.
+    ``field_buffer`` for p.
 
     By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
     chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
     term of a mask follows from the term of the mask without its top bit by
-    one factor of a pair table.  The family's power-of-two weight depends
-    only on the lowest descent and seeds each chain.  A term is nonzero only
-    when its descents form a chain in digitwise order, and only those masks
-    are visited: past the O(m^2) pair table and the zeroed buffer, the fill
-    costs O(m) per nonzero term.  Agrees with ``term_mod_p`` on every mask.
+    one factor of a pair table.  Each chain is seeded by the first-step
+    rule of the chain kernel, ``ribbon._first_step``: the family's
+    power-of-two weight of its lowest descent and the binomial base that
+    descent starts from (itself, except for a type-D chain started at 1,
+    whose base is 0).  A term is nonzero only when its descents form a
+    chain in digitwise order, and only those masks are visited: past the
+    O(m^2) pair table and the zeroed buffer, the fill costs O(m) per nonzero
+    term.  Agrees with ``term_mod_p`` on every mask.
     """
     m = len(pos)
+    nd = base_p_digits(n, p)
     digits = [base_p_digits(d, p) for d in pos]
     top = [lucas_binomial(nd, dd, p) for dd in digits]
     pair = [[lucas_binomial(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
-    if family == "A":
-        first = [1] * m
-    else:
-        sn = sum(nd)
-        first = [pow(2, sn - sum(dd), p) for dd in digits]
-        if family == "D":
-            # positions 0 and 1 give a first part of at most 1: the covering
-            # count halves, and a lone descent at 1 acts as one at 0 (below)
-            first[0] = pow(2, sn, p) * pow(2, p - 2, p) % p
-            first[1] = 0
+    first = _first_step(family, n, lambda e: pow(2, e, p))
     g = field_buffer(1 << m, p)
     g[0] = 1
-    # (mask, value without the factor C(n, top descent), top index) of every
-    # chain whose value is nonzero; a zero prefix is never extended
+    # (mask, value without the factor C(n, base), index of the base) of
+    # every chain whose value is nonzero; a zero prefix is never extended
     chains: list[tuple[int, int, int]] = []
-    for h in range(m):
+    for h, s in enumerate(pos):
         row = pair[h]
         bit = 1 << h
-        grown = [(bit, first[h], h)] if first[h] else []
-        grown += [(mask | bit, v * row[t] % p, h) for mask, v, t in chains if row[t]]
-        c = top[h]
-        for mask, v, _ in grown:
-            g[mask] = v * c % p
+        weight, base = first(s)
+        grown = [(bit, weight, pos.index(base))] if weight else []
+        grown += [(mask | bit, v * row[b] % p, h) for mask, v, b in chains if row[b]]
+        for mask, v, b in grown:
+            g[mask] = v * top[b] % p
         chains += grown
-    if family == "D":
-        # a descent at 1 without one at 0 merges into a descent at 0
-        for mask, _, _ in chains:
-            if mask & 3 == 1:
-                g[mask ^ 3] = g[mask]
     return g
 
 
@@ -391,7 +385,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p)
-    tally = _field_tally(inverse_zeta_packed(_term_table(family, nd, p, pos), p), p)
+    tally = _field_tally(inverse_zeta_packed(_term_table(family, n, p, pos), p), p)
     return tally, n - mask_offset(family) - m
 
 

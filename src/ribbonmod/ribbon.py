@@ -255,13 +255,12 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
     """Ribbon number of alpha modulo p, by the chain recurrence over the
     descents whose digits are bounded by those of n.
 
-    For families B and D with p = 2 the answer is 1 outright, since every
-    ribbon number there is odd.
+    For families B and D with p = 2 every first-step weight is a positive
+    power of 2, so every chain vanishes and the answer is 1: every ribbon
+    number there is odd.
     """
     _check_index(family, alpha)
     check_prime(p)
-    if family in ("B", "D") and p == 2:
-        return 1
     return chain_mod_p(family, alpha.n, alpha.descents(), p)
 
 

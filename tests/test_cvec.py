@@ -96,15 +96,35 @@ def test_support_set_type_d_adjoins_one():
     assert 1 in set(support_set("D", 12, 3))
 
 
+def test_support_set_at_p_2_in_types_b_and_d():
+    # base 2: the digit-bounded sums are the submasks of n; type B drops n,
+    # type D adjoins 1 and drops n
+    for n in range(4, 200):
+        sums = {s for s in range(n + 1) if s & n == s}
+        assert support_set("B", n, 2) == tuple(sorted(sums - {n})), n
+        assert support_set("D", n, 2) == tuple(sorted((sums | {1}) - {n})), n
+
+
+def test_theorem_tally_at_p_2_in_types_b_and_d_is_all_odd():
+    # mod 2 every first-step weight is a positive power of 2, so only the
+    # empty subset has a nonzero term and the route assembles to (0, 2^n)
+    # without the O(1) shortcut of cvec_theorem
+    checked = 0
+    for family in "BD":
+        for n in range(4, 300):
+            if _support_size(family, base_p_digits(n, 2)) > 14:
+                continue
+            tally, free = _theorem_tally(family, n, 2)
+            assert _assemble(2, tally, free) == (0, 1 << n), (family, n)
+            checked += 1
+    assert checked > 200
+
+
 def test_support_set_validation():
     with pytest.raises(ValueError):
         support_set("A", 1, 3)
     with pytest.raises(ValueError):
         support_set("D", 3, 5)
-    with pytest.raises(ValueError):
-        support_set("B", 6, 2)
-    with pytest.raises(ValueError):
-        support_set("D", 6, 2)
 
 
 # -- per-subset residues ----------------------------------------------------
@@ -141,7 +161,14 @@ def test_support_residue_large_n_in_bounded_memory():
 
 
 def test_support_residue_matches_bulk_sweep():
-    for family, n, p in (("A", 8, 3), ("A", 10, 5), ("B", 7, 3), ("D", 8, 3), ("D", 10, 5)):
+    # type D with a lowest digit 0 (so 1 is adjoined) at p = 3, 5 and 7,
+    # and p = 2 in types B and D
+    cases = (
+        ("A", 8, 3), ("A", 10, 5), ("B", 7, 3), ("D", 8, 3), ("D", 10, 5),
+        ("D", 12, 3), ("D", 18, 3), ("D", 14, 7), ("D", 21, 7),
+        ("B", 6, 2), ("B", 11, 2), ("D", 6, 2), ("D", 12, 2), ("D", 13, 2),
+    )
+    for family, n, p in cases:
         pos = support_set(family, n, p)
         tally, _ = _theorem_tally(family, n, p)
         recomputed = Counter()
@@ -177,7 +204,7 @@ def test_term_table_matches_term_mod_p():
                 nd = base_p_digits(n, p)
                 digit_row = _digit_cache(p, len(nd))
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
-                table = _term_table(family, nd, p, pos)
+                table = _term_table(family, n, p, pos)
                 assert len(table) == 1 << len(pos)
                 for sel, got in enumerate(table):
                     mask = sum(1 << (d - lo) for i, d in enumerate(pos) if sel >> i & 1)
