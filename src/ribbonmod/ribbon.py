@@ -8,7 +8,9 @@ Three independent routes are provided and cross-checked by the test suite:
   * for type A only, an equivalent determinant evaluated exactly over the
     integers (``ribbon_a_det``);
   * brute-force enumeration of the group itself, tallying descent sets
-    (``oracle_descent_class_sizes``).
+    (``oracle_descent_class_sizes``): one pass over the permutations of
+    [n], and in types B and D each sign pattern maps the permutations'
+    descent masks, with their counts, to signed descent masks.
 
 ``ribbon_mod_p`` runs the same recurrence modulo a prime with binomials
 from Lucas's theorem, after dropping the descent positions whose base-p
@@ -320,12 +322,19 @@ def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
 
 
 def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | PseudoComposition, int]:
-    """Descent-class sizes by enumerating the whole group in one serial sweep,
-    keyed by the index (Composition in type A, PseudoComposition in types B
-    and D) whose descent set the class has.
+    """Descent-class sizes by counting every group element once, keyed by the
+    index (Composition in type A, PseudoComposition in types B and D) whose
+    descent set the class has.
 
-    Family A sweeps permutations of [n]; B sweeps signed permutations; D
-    keeps the even ones.
+    Family A sweeps the permutations of [n] and tallies their descent masks.
+    Types B and D use W(B_n) = {sign patterns} x S_n (D keeps the even
+    patterns): the signed window with absolute values a_1, ..., a_n and sign
+    pattern ``neg`` has its descents fixed by ``neg`` and the type-A descents
+    of a, so each sign pattern maps every type-A mask, with its count, to one
+    signed mask by bit operations.  Adjacent entries ±a, ±b: (+, -) is always
+    a descent, (-, +) never, (+, +) iff a > b and (-, -) iff a < b.  Position
+    0 compares w(1) with w(0) = 0 in type B and with w(0) = -w(2) in type D
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1-8.2).
     """
     _check_family(family)
     lo = 2 if family == "D" else 1
@@ -333,21 +342,33 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
         raise CapacityError(
             f"oracle budget for family {family} is {lo} <= n <= {ORACLE_MAX_N[family]}"
         )
-    counts: dict[int, int] = {}
+    # bit i - 1 of a type-A mask: a_i > a_(i+1)
+    base: dict[int, int] = {}
+    for w in permutations(range(1, n + 1)):
+        mask = 0
+        for i in range(1, n):
+            if w[i - 1] > w[i]:
+                mask |= 1 << (i - 1)
+        base[mask] = base.get(mask, 0) + 1
     if family == "A":
-        for w in permutations(range(1, n + 1)):
-            mask = 0
-            for i in range(1, n):
-                if w[i - 1] > w[i]:
-                    mask |= 1 << (i - 1)
-            counts[mask] = counts.get(mask, 0) + 1
-        return {Composition.from_mask(n, mask): c for mask, c in counts.items()}
-    even_only = family == "D"
-    for base in permutations(range(1, n + 1)):
-        for signs in range(1 << n):
-            if even_only and signs.bit_count() % 2:
-                continue
-            w = tuple(-v if signs >> i & 1 else v for i, v in enumerate(base))
-            mask = _signed_descent_mask(w, family)
-            counts[mask] = counts.get(mask, 0) + 1
+        return {Composition.from_mask(n, mask): c for mask, c in base.items()}
+    low = (1 << (n - 1)) - 1
+    counts: dict[int, int] = {}
+    for neg in range(1 << n):  # bit j set: entry j + 1 is negative
+        if family == "D" and neg.bit_count() % 2:
+            continue
+        nxt = neg >> 1  # bit j: the sign of entry j + 2
+        always = ~neg & nxt & low  # (+, -)
+        keep = ~(neg ^ nxt) & low  # equal signs: the type-A bit, flipped if both are -
+        flip = neg & keep
+        # position 0 reads bit 0 of d the same way: (d & keep0) ^ set0
+        if family == "B" or not (neg ^ nxt) & 1:
+            # w(1) < 0 in type B; w(1) + w(2) < 0 with equal signs in type D
+            keep0, set0 = 0, neg & 1
+        else:
+            # (+, -) iff a < b, (-, +) iff a > b
+            keep0, set0 = 1, nxt & 1
+        for d, c in base.items():
+            mask = (always | (d & keep) ^ flip) << 1 | (d & keep0) ^ set0
+            counts[mask] = counts.get(mask, 0) + c
     return {PseudoComposition.from_mask(n, mask): c for mask, c in counts.items()}

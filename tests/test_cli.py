@@ -13,6 +13,7 @@ import pytest
 from ribbonmod.cli import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
+    ORACLE_GRID,
     TABLE_FILES,
     build_parser,
     format_multiset,
@@ -281,6 +282,15 @@ def test_verify_formulas_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "formulas")
     assert code == 0
     assert "PASS closed forms" in out
+
+
+def test_verify_oracles_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oracles")
+    assert code == 0
+    assert "verify: OK" in out
+    lines = [line for line in out.splitlines() if line.startswith("PASS oracle ")]
+    assert len(lines) == sum(len(ns) for ns in ORACLE_GRID.values())
+    assert "PASS oracle B n=7 (128 classes)" in lines
 
 
 def test_compare_reports_each_mismatch():

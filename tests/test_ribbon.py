@@ -1,3 +1,5 @@
+from collections import Counter
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -272,6 +274,26 @@ def test_oracle_matches_formulas():
             assert len(classes) == 1 << width
             for alpha, size in classes.items():
                 assert ribbon_exact(family, alpha) == size
+
+
+def _signed_windows(family, n):
+    """Every window of W(B_n), or of its even subgroup in type D."""
+    for base in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            if family == "D" and signs.count(-1) % 2:
+                continue
+            yield tuple(s * v for s, v in zip(signs, base))
+
+
+@pytest.mark.parametrize("family, n", [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+def test_oracle_counts_each_signed_window(family, n):
+    # the sign-pattern x permutation oracle against a tally of the
+    # element-level descent sets
+    expected = Counter(SignedPermutation(w).descent_set(family) for w in _signed_windows(family, n))
+    classes = oracle_descent_class_sizes(family, n)
+    assert {alpha.descents(): size for alpha, size in classes.items()} == expected
+    order = factorial(n) << n
+    assert sum(classes.values()) == (order if family == "B" else order // 2)
 
 
 def test_oracle_budget():
