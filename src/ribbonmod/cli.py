@@ -15,9 +15,10 @@ import sys
 from collections import Counter
 from importlib import resources
 
+from .arith import residue_tally
 from .compositions import mask_offset, parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
-from .cvec import NoClosedFormError, _tally, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
+from .cvec import NoClosedFormError, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
 
 TABLE_FILES = ("type_a.csv", "type_b.csv", "type_d.csv")
@@ -244,7 +245,7 @@ def _verify_oracles(report) -> bool:
                 # cvec_naive refuses a p past the tally budget before the
                 # tally below allocates p entries
                 expected = cvec_naive(family, n, p).counts
-                if tuple(_tally(sizes, p)) != expected:
+                if tuple(residue_tally(sizes, p)) != expected:
                     bad += 1
             if bad:
                 ok = False

@@ -15,9 +15,10 @@ I and the components of S minus I (so a term costs O(|I| + components)
 bit operations and one division, whatever the rank), and for all 2^rank
 subsets at once by one O(rank 2^(rank - 1)) subset Moebius butterfly over
 the coset counts of the subsets without the last generator, modulo
-|W| + 1 (a class size is at most |W|, so its residue is the size itself);
-the class of each complement has the same size.  Both sweeps refuse more
-than 2^SUBSET_MAX_RANK subsets with CapacityError.
+|W| + 1 (a class size is at most |W|, so its residue is the size itself;
+a residue histogram runs modulo p instead); the class of each complement
+has the same size.  Both sweeps refuse more than 2^SUBSET_MAX_RANK subsets
+with CapacityError.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .arith import inverse_zeta
+from .arith import inverse_zeta, residue_tally
 from .compositions import CapacityError
-from .cvec import _check_tally_prime, _tally
+from .cvec import _check_tally_prime
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
 # terms of one class) are capped to keep memory and time sane.
@@ -377,17 +378,18 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     )
 
 
-def _class_sizes(diagram: CoxeterDiagram) -> list[int]:
-    # the descent class sizes of the generator subsets J that avoid the last
-    # generator, indexed by bitmask (the masks below 2^(rank - 1)); the class
-    # of S minus J has the same size.  Rank 0 has the one empty subset
+def _class_sizes(diagram: CoxeterDiagram, p: int | None = None) -> list[int]:
+    # exact (or, given p, mod p) descent class sizes of the generator subsets
+    # J without the last generator, by bitmask: the masks below 2^(rank - 1),
+    # or the empty one at rank 0; the class of S minus J has the same size
     _check_subset_sweep(diagram.rank())
     orders = _parabolic_orders(diagram, diagram.generators)
     # the coset count of J is |W| / |W_(S minus J)|, and S minus J has the
     # complementary mask, read from the upper half of the table backwards
     whole = orders[-1]
-    sizes = [whole // order for order in reversed(orders[len(orders) // 2:])]
-    inverse_zeta(sizes, whole + 1)
+    m = whole + 1 if p is None else p
+    sizes = [whole // order % m for order in reversed(orders[len(orders) // 2:])]
+    inverse_zeta(sizes, m)
     return sizes
 
 
@@ -428,4 +430,5 @@ def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
     A prime past the index budget of ``cvec`` is refused with CapacityError.
     """
     _check_tally_prime(p)
-    return tuple(_tally(descent_class_multiset(diagram), p))
+    half = residue_tally(Counter(_class_sizes(diagram, p)), p)
+    return tuple(2 * c for c in half) if diagram.generators else tuple(half)

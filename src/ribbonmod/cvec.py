@@ -8,16 +8,15 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     index lattice is processed at once with an inclusion-exclusion
     butterfly over multinomial weights, so nothing here touches the digit
     machinery used by the other two methods.  The weight table is built
-    mod p straight into an ``arith.field_buffer`` for p, block by block
-    (the masks with top descent d are scaled copies of the blocks below,
-    one constant per block: one ``bytes.translate`` for 1-byte fields,
-    p < 128; the B/D first-part weights are one strided slice per lowest
-    descent).  ``arith.inverse_zeta_packed(table, p)`` returns the
-    butterfly's output in the same kind of buffer, and the tally counts it
-    in place (one ``count`` per residue for a small p); no list of 2^n ints
-    and no exact weight is ever made.  The field format is arith's alone:
-    this module passes moduli, never widths.  Only the lower half of the
-    lattice is swept, the masks without the top descent (closed under
+    mod p straight into an ``arith.field_buffer`` for p, block by block:
+    the masks with top descent d are a seed, the mask of d alone with the
+    B/D first-part weight of d, and scaled copies of the blocks below, one
+    constant per block (``arith.field_scaler``), so every mask carries the
+    weight of its lowest descent.  ``arith.inverse_zeta_tally(table, p)`` runs
+    the packed butterfly and tallies its output by residue; no list of 2^n
+    ints and no exact weight is ever made.  The field format is arith's
+    alone: this module passes moduli, never widths.  Only the lower half of
+    the lattice is swept, the masks without the top descent (closed under
     submasks, so the butterfly over them is exact), and the tally doubles,
     by complement symmetry: bit b of a mask stands for the generator
     s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A numbered
@@ -56,7 +55,7 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
     A single digit m at p^d (types A, B) runs the naive method on m; every
     other pattern picks one entry of a frozen table of exact residue
-    tallies and support sizes.
+    tallies.  Every pattern leaves the positions outside the support free.
 
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
 Every p-vector has p entries, so a prime past the index budget
@@ -65,20 +64,18 @@ Every p-vector has p entries, so a prime past the index budget
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
 from operator import mul
 
 from .arith import (
-    _CHUNK,
     base_p_digits,
     check_prime,
     field_buffer,
-    field_width,
-    inverse_zeta_packed,
+    field_scaler,
+    inverse_zeta_tally,
     lucas_binomial,
+    residue_tally,
 )
 from .compositions import CapacityError, mask_offset
 from .ribbon import _check_family, _first_step
@@ -88,13 +85,6 @@ from .ribbon import _check_family, _first_step
 # budget also caps p, the length of every residue tally.
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
-
-# Largest p whose residues (1-byte fields) are tallied by one bytes.count
-# scan per residue; above it one Counter pass is faster.  On 2^20
-# fields (2-core machine, Python 3.11, best of 7): bytes.count 23 / 44 /
-# 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
-# at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
-_COUNT_TALLY_MAX_P = 53
 
 # Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
 # series by the divisor-sum recurrence, about m^2 / 2 big-int products):
@@ -207,25 +197,6 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 # naive method: butterfly over the full index lattice
 
 
-def _scaler(p: int):
-    # scale(block, c): a block of a field buffer of residues mod p times c,
-    # mod p, field by field; one translate table per constant for 1-byte
-    # fields, one pass per field (in chunks) for wider ones
-    if field_width(p) == 1:
-        mul = [bytes(c * x % p for x in range(p)).ljust(256, b"\0") for c in range(p)]
-
-        def scale(block, c):
-            return block.translate(mul[c % p])
-    else:
-        def scale(block, c):
-            c %= p
-            out = array(block.typecode)
-            for i in range(0, len(block), _CHUNK):
-                out.fromlist([c * x % p for x in block[i:i + _CHUNK]])
-            return out
-    return scale
-
-
 def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
     ``field_buffer`` for p: entry mask, for every mask without the top
@@ -240,53 +211,29 @@ def _weight_table(family: str, n: int, p: int):
     # n - d, which multiplies the multinomial by C(n - t, d - t); so block h
     # is 2^h scaled copies of the blocks below it, one constant per lower
     # block (t = k + lo on block k, and t = 0 for the empty rest).  The
-    # half stops below the top block.
+    # half stops below the top block.  In types B and D a mask's covering
+    # count is its multinomial times 2^(n - f) for its lowest descent f
+    # (2^(n - 1) in type D for f <= 1), and every mask copies its lowest
+    # descent from the seed of its block, so the seeds carry the weights.
     lo = mask_offset(family)
     top = n - lo - 1
-    scale = _scaler(p)
+    scale = field_scaler(p)
     table = field_buffer(1 << top, p)
     table[0] = 1
     for h in range(top):
         d = h + lo
         base = 1 << h
-        table[base] = comb(n, d) % p
+        shift = 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d
+        table[base] = (comb(n, d) << shift) % p
         for k in range(h):
             t = k + lo
             table[base + (1 << k):base + (2 << k)] = scale(table[1 << k:2 << k], comb(n - t, d - t))
-    if family == "A":
-        return table
-    # the masks whose lowest descent is f are the stride [2^f :: 2^(f+1)];
-    # in type B their covering count is the multinomial times 2^(n - f),
-    # scaled in place (the empty mask keeps its 1)
-    for f in range(top):
-        stride = slice(1 << f, None, 2 << f)
-        if family == "D" and f == 1:
-            # a first part of at most 1 halves the weight, and a lone
-            # descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1,
-            # which f = 0 has already scaled by the same 2^(n - 1); the last
-            # field is never read, so both slices have the same length even
-            # in the two-field table of D n = 2
-            table[stride] = table[1:-1:4]
-        else:
-            shift = n - 1 if family == "D" and f == 0 else n - f
-            table[stride] = scale(table[stride], pow(2, shift, p))
+    if family == "D":
+        # a lone descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1;
+        # the last field is never read, so both slices have the same length
+        # even in the two-field table of D n = 2
+        table[2::4] = table[1:-1:4]
     return table
-
-
-def _tally(counts, p: int) -> list[int]:
-    # residue tally [#0, ..., #(p-1)] from {value: count}, values taken mod p
-    tally = [0] * p
-    for v, c in counts.items():
-        tally[v % p] += c
-    return tally
-
-
-def _field_tally(fields, p: int) -> list[int]:
-    # residue tally of a field buffer of residues mod p: one count per
-    # residue for a small p (1-byte fields), one Counter pass otherwise
-    if p <= _COUNT_TALLY_MAX_P:
-        return [fields.count(r) for r in range(p)]
-    return _tally(Counter(fields), p)
 
 
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
@@ -297,11 +244,11 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
         )
     if not bits:
         # A n = 1: the one index is its own complement, with ribbon number 1
-        return _tally({1: 1}, p)
+        return residue_tally({1: 1}, p)
     # field mask becomes the ribbon number mod p of the index with that
     # descent mask; the masks with the top descent are the complements of
     # the half, with the same ribbon numbers, so each count doubles
-    half = _field_tally(inverse_zeta_packed(_weight_table(family, n, p), p), p)
+    half = inverse_zeta_tally(_weight_table(family, n, p), p)
     return [2 * c for c in half]
 
 
@@ -385,7 +332,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p)
-    tally = _field_tally(inverse_zeta_packed(_term_table(family, n, p, pos), p), p)
+    tally = inverse_zeta_tally(_term_table(family, n, p, pos), p)
     return tally, n - mask_offset(family) - m
 
 
@@ -411,28 +358,26 @@ class NoClosedFormError(LookupError):
     """No closed form applies to the requested (family, n, p)."""
 
 
-# Exact residue tallies {value: count} and support sizes of the closed-form
-# rules, keyed by (family, rule, number of nonzero base-p digits of n) and
-# reduced mod p on use.  The p-powers rows (n a sum of k distinct powers of
-# p) tally, over every subset of the proper sub-sums, a chain statistic of
-# the nonempty ones: signed chain counts (type A) or 2-weighted ones (type
-# B); test_rule_table_p_powers_rows_from_chain_statistics in
-# tests/test_cvec.py rebuilds them.  The other rows come from the
-# support-subset analysis of their digit shapes.
+# Exact residue tallies {value: count} of the closed-form rules, one count
+# per subset of the support, keyed by (family, rule, number of nonzero
+# base-p digits of n) and reduced mod p on use.  The p-powers rows (n a sum
+# of k distinct powers of p) tally, over every subset of the proper
+# sub-sums, a chain statistic of the nonempty ones: signed chain counts
+# (type A) or 2-weighted ones (type B), as rebuilt by
+# test_rule_table_p_powers_rows_from_chain_statistics; the other rows come
+# from the support-subset analysis of their digit shapes.
 _RULES = {
-    ("A", "p-powers", 2): ({1: 1, 0: 2, -1: 1}, 2),
-    ("A", "p-powers", 3): ({1: 2, 0: 30, -1: 30, -2: 2}, 6),
-    ("A", "p-powers", 4): (
-        {5: 1, -5: 1, 4: 6, -4: 6, 3: 81, -3: 81, 2: 672, -2: 672, 1: 3630, -1: 3630, 0: 7604},
-        14,
-    ),
-    ("A", "2p^d+p^e", 2): ({0: 6, 1: 6, -1: 2, -2: 2}, 4),
-    ("B", "p-powers", 2): ({1: 2, -1: 4, -3: 2}, 3),
-    ("D", "p^d", 1): ({1: 1, 0: 2, -1: 1}, 2),
-    ("D", "2p^d", 1): ({1: 3, -1: 3, 3: 1, -3: 1}, 3),
-    ("D", "3p^d", 1): ({1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1}, 4),
-    ("D", "1+p^d", 2): ({1: 4, -1: 4}, 3),
-    ("D", "p^a+p^b", 2): ({1: 10, -1: 4, -3: 2}, 4),
+    ("A", "p-powers", 2): {1: 1, 0: 2, -1: 1},
+    ("A", "p-powers", 3): {1: 2, 0: 30, -1: 30, -2: 2},
+    ("A", "p-powers", 4): {5: 1, -5: 1, 4: 6, -4: 6, 3: 81, -3: 81,
+                           2: 672, -2: 672, 1: 3630, -1: 3630, 0: 7604},
+    ("A", "2p^d+p^e", 2): {0: 6, 1: 6, -1: 2, -2: 2},
+    ("B", "p-powers", 2): {1: 2, -1: 4, -3: 2},
+    ("D", "p^d", 1): {1: 1, 0: 2, -1: 1},
+    ("D", "2p^d", 1): {1: 3, -1: 3, 3: 1, -3: 1},
+    ("D", "3p^d", 1): {1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1},
+    ("D", "1+p^d", 2): {1: 4, -1: 4},
+    ("D", "p^a+p^b", 2): {1: 10, -1: 4, -3: 2},
 }
 
 
@@ -460,18 +405,18 @@ def cvec_closed_form(family: str, n: int, p: int):
         return None
     if p == 2 and family != "A":
         return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
-    nonzero = [(j, d) for j, d in enumerate(base_p_digits(n, p)) if d]
+    digits = base_p_digits(n, p)
+    nonzero = [(j, d) for j, d in enumerate(digits) if d]
     if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:
         rule = "m*p^d"
-        m = nonzero[0][1]
-        tally, free = _naive_tally(family, m, p), n - m
+        tally = _naive_tally(family, nonzero[0][1], p)
     else:
         rule = _closed_rule(family, nonzero)
-        entry = _RULES.get((family, rule, len(nonzero)))
-        if entry is None:
+        raw = _RULES.get((family, rule, len(nonzero)))
+        if raw is None:
             return None
-        raw, support = entry
-        tally, free = _tally(raw, p), n - mask_offset(family) - support
+        tally = residue_tally(raw, p)
+    free = n - mask_offset(family) - _support_size(family, digits)
     return DimensionPVector(family, n, p, _assemble(p, tally, free), f"closed-form:{rule}")
 
 

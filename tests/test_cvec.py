@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
+    _COUNT_TALLY_MAX_P,
     base_p_digits,
     field_buffer,
     field_width,
     inverse_zeta,
     inverse_zeta_packed,
+    inverse_zeta_tally,
     multinomial_exact,
 )
 from ribbonmod.compositions import (
@@ -43,11 +45,9 @@ from ribbonmod.cvec import (
     partitions,
     standard_tableau_count,
     support_set,
-    _COUNT_TALLY_MAX_P,
     _RULES,
     _assemble,
     _colored_partition_count,
-    _field_tally,
     _support_size,
     _term_table,
     _theorem_tally,
@@ -472,16 +472,18 @@ def test_naive_sweep_in_bounded_memory():
 
 
 def test_field_tally_matches_counter():
-    # residues are tallied by bytes.count up to the crossover prime and by
-    # one Counter pass above it, over bytes or a field_buffer array; both
-    # sides of the crossover are covered, and 2- and 4-byte fields
+    # the butterfly's output is tallied by bytes.count up to the crossover
+    # prime and by one Counter pass above it, from bytes or a field_buffer
+    # array; both sides of the crossover are covered, and 2- and 4-byte
+    # fields, against the list butterfly and a Counter
     rng = random.Random(8)
     assert 53 <= _COUNT_TALLY_MAX_P < 59
     for p in (2, 53, 59, 127, 131, 65537):
-        vals = [rng.randrange(p) for _ in range(4099)]
+        vals = [rng.randrange(p) for _ in range(4096)]
         data = bytes(vals) if p < 128 else array(field_buffer(0, p).typecode, vals)
+        inverse_zeta(vals, p)
         counts = Counter(vals)
-        assert _field_tally(data, p) == [counts[r] for r in range(p)], p
+        assert inverse_zeta_tally(data, p) == [counts[r] for r in range(p)], p
 
 
 def test_methods_agree_type_d_sixteen():
@@ -657,18 +659,21 @@ def test_chain_statistics_match_brute_force(k, data):
 def test_rule_table_p_powers_rows_from_chain_statistics():
     # n a sum of k distinct powers of p: its proper sub-sums are the proper
     # subsets of the k powers, and each subset T of them carries one chain
-    # statistic; the rule table freezes the tally of those statistics
+    # statistic; the rule table freezes the tally of those statistics, and
+    # the support, read off the k unit digits of n, is the set of members
     def tally(members, statistic):
         values = Counter()
         for picks in itertools.product((False, True), repeat=len(members)):
             values[statistic([u for u, pick in zip(members, picks) if pick])] += 1
-        return dict(values), len(members)
+        return dict(values)
 
     for k in (2, 3, 4):
         members = [frozenset(c) for r in range(1, k) for c in itertools.combinations(range(k), r)]
         assert _RULES["A", "p-powers", k] == tally(members, signed_chain_count)
+        assert _support_size("A", (1,) * k) == len(members)
     members = [frozenset(c) for r in range(2) for c in itertools.combinations(range(2), r)]
     assert _RULES["B", "p-powers", 2] == tally(members, lambda t: weighted_chain_count(t, 2))
+    assert _support_size("B", (1, 1)) == len(members)
 
 
 # -- closed forms -----------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The package's public names, and the names the benchmark tracer binds."""
+"""The package's public names, the names the benchmark tracer binds, and
+which module may import what from which."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -45,6 +47,16 @@ PUBLIC = {
     "support_set",
 }
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ribbonmod"
+
+# (importer, source, name) of every private name one module may take from
+# another: ribbon's family gate and first-step rule, and cvec's tally budget
+PRIVATE_IMPORTS = {
+    ("cvec", "ribbon", "_check_family"),
+    ("cvec", "ribbon", "_first_step"),
+    ("coxeter", "cvec", "_check_tally_prime"),
+}
+
 
 def test_public_surface_is_pinned():
     assert len(PUBLIC) == 35
@@ -66,3 +78,30 @@ def test_tracer_bindings_resolve(monkeypatch):
     assert bindings
     for label, (module, attr) in bindings.items():
         assert callable(getattr(importlib.import_module(module), attr)), label
+
+
+def test_layering():
+    # the packed-field format (array items, field widths, chunking) is
+    # known only to arith, every private import between modules is listed
+    # in PRIVATE_IMPORTS, and none of them reaches into arith
+    field_format = set()
+    private = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                if any(alias.name == "array" for alias in node.names):
+                    field_format.add(module)
+            elif isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rpartition(".")[2]
+                if node.module == "array":
+                    field_format.add(module)
+                if node.level or (node.module or "").startswith("ribbonmod"):
+                    private |= {(module, source, alias.name) for alias in node.names
+                                if alias.name.startswith("_")}
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+            if names & {"field_width", "_CHUNK"}:
+                field_format.add(module)
+    assert field_format == {"arith"}
+    assert not {entry for entry in private if entry[1] == "arith"}
+    assert private == PRIVATE_IMPORTS
