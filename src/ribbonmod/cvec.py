@@ -33,8 +33,8 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     2.3.2).  The complement of a half mask has the top descent, so the
     upper half repeats the lower one's ribbon numbers.  The tests check
     the numbering against ``coxeter.ribbon_general`` (n <= 6) and the
-    doubled tally against a sweep of the whole lattice (n <= 12); the
-    theorem method does not use the symmetry.
+    doubled tally against a sweep of the whole lattice (n <= 12).  The
+    theorem method mirrors its sweep by the same symmetry.
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
@@ -43,10 +43,19 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     as long as the support stays small.  The support's size is read off the
     digits of n and refused past 2^SUPPORT_MAX subsets before the support
     is made.  For m support positions it builds an O(m^2) table of Lucas
-    binomials between positions, fills the 2^m subset terms by extending
-    digitwise chains one position at a time into a zeroed field buffer (all
-    other terms are 0), and runs the same packed O(m 2^m) butterfly and
-    tally.  Each chain is seeded by ``ribbon._first_step``, the first-step
+    binomials between positions, fills the terms of the 2^(m - 1) subsets
+    without the top position by extending digitwise chains one position at
+    a time into a zeroed field buffer (all other terms are 0), runs the
+    same packed butterfly and tally over them (closed under submasks, so
+    exact), and mirrors the tally onto the subsets with the top position.
+    The mirror is complement symmetry: an index with descent set D and
+    T = D & S has beta(D) = (-1)^|D - S| r(T) mod p, where r(T) is the
+    residue of T and free the number of positions outside S; beta(D) =
+    beta(D^c) and D^c & S = S - T, so r(S - T) = (-1)^free r(T), and the
+    tally over all subsets is full[r] = half[r] + half[(-1)^free r mod p].
+    Plain doubling would tally wrongly when free is odd.  An empty
+    support (type A, n = p^d) keeps its one self-complementary subset.
+    Each chain is seeded by ``ribbon._first_step``, the first-step
     rule (the power-of-two weight and binomial base of the lowest descent)
     that the chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so
     the family rules, type D's included, are stated once, for every
@@ -332,8 +341,17 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p)
-    tally = inverse_zeta_tally(_term_table(family, n, p, pos), p)
-    return tally, n - mask_offset(family) - m
+    free = n - mask_offset(family) - m
+    if not pos:
+        # type A, n = p^d: the one subset is its own complement
+        return inverse_zeta_tally(_term_table(family, n, p, pos), p), free
+    # the subsets without the top position are closed under submasks, so
+    # the butterfly over them alone is exact; their complements, the
+    # subsets with it, have the residues r(S - T) = (-1)^free r(T) (module
+    # docstring), so the whole tally is the half one plus its signed mirror
+    half = inverse_zeta_tally(_term_table(family, n, p, pos[:-1]), p)
+    sign = -1 if free % 2 else 1
+    return [half[r] + half[sign * r % p] for r in range(p)], free
 
 
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:

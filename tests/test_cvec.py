@@ -407,6 +407,45 @@ def test_theorem_tally_complement_pairing():
     assert tally == [0, 1, 0] and free == 8
 
 
+def test_theorem_tally_matches_dense_reference():
+    # the route sweeps the subsets without the top support position and
+    # mirrors them by complement, r(S - T) = (-1)^free r(T); the reference
+    # runs the butterfly over every subset.  Odd free tells the signed
+    # mirror from plain doubling; free = 0 (A n = p^k - 1, S every
+    # position) and supports of sizes 0 and 1 are the edges
+    seen = set()
+    for family in "ABD":
+        for p in (2, 3, 5, 7, 13):
+            for n in range(4 if family == "D" else 2, 40):
+                m = _support_size(family, base_p_digits(n, p))
+                if m > 12:
+                    continue
+                pos = support_set(family, n, p)
+                dense = inverse_zeta_tally(_term_table(family, n, p, pos), p)
+                tally, free = _theorem_tally(family, n, p)
+                assert tally == dense, (family, n, p)
+                seen.add("free 0" if free == 0 else f"free {'odd' if free % 2 else 'even'}")
+                if m < 2:
+                    seen.add(f"support {m}")
+    assert seen == {"free 0", "free odd", "free even", "support 0", "support 1"}
+
+
+def test_theorem_route_at_the_support_budget_in_bounded_memory():
+    # A n=49 p=3 sweeps 2^21 of its 2^22 support subsets and D n=140 p=7
+    # 2^20 of its 2^21: 12.8 and 6.6 MB traced (25.7 and 13.3 MB over
+    # every subset); a small query first, so no first-call set-up is traced
+    cvec_theorem("A", 8, 3)
+    for family, n, p, ceiling in (("A", 49, 3, 16), ("D", 140, 7, 8)):
+        tracemalloc.start()
+        try:
+            vec = cvec_theorem(family, n, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vec.total() == 1 << (n - mask_offset(family))
+        assert peak < ceiling << 20, (family, n, p, peak)
+
+
 # -- the three methods agree ------------------------------------------------
 
 def test_cvec_naive_known_values():
