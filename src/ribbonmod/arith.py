@@ -12,7 +12,12 @@ and hand it with m to ``inverse_zeta_packed``, which picks the width from
 m, reads the fields as one big int, runs each level of the butterfly as a
 few whole-int operations (SIMD within a register) and returns them in the
 same kind of buffer, or to ``inverse_zeta_tally``, which tallies that output
-by residue.  ``residue_tally`` tallies a ``{value: count}`` mapping mod m,
+by residue.  Small moduli run in lanes narrower than a field: while a lane
+of half the width holds the difference of two residues plus a sign bit
+(m <= 2^(w/2 - 1) for w-bit lanes), the upper half of the fields is folded
+into the high half-lanes of the lower half, so moduli up to 8 run in 4-bit
+lanes and 2 in 2-bit lanes, and each whole-int operation touches half (a
+quarter) of the bytes.  ``residue_tally`` tallies a ``{value: count}`` mapping mod m,
 and ``inverse_zeta`` is the butterfly for a list of ints.
 """
 
@@ -199,6 +204,16 @@ def field_scaler(m: int):
     return scale
 
 
+def _lanes(unit: int, w: int, count: int) -> int:
+    # ``count`` lanes of w bits, each holding ``unit``; count * w is a
+    # whole number of bytes
+    while w < 8:
+        unit |= unit << w
+        w *= 2
+        count //= 2
+    return int.from_bytes(unit.to_bytes(w // 8, "little") * count, "little")
+
+
 def inverse_zeta_packed(fields, m: int):
     """The subset Moebius transform (Yates 1937) modulo any integer m >= 2,
     on packed fields: field T <- sum over S subset T of (-1)^|T\\S| field S,
@@ -217,6 +232,16 @@ def inverse_zeta_packed(fields, m: int):
     Borrows between fields in the middle of a level cancel (the difference
     may even be a negative int), because every field ends the level inside
     [0, 2^w).
+
+    Before the levels, the int is folded while m <= 2^(w/2 - 1), so that a
+    lane of w/2 bits still holds h - l + 2^(w/2 - 1), and while half the
+    fields fill at least a byte: ``x = lo | hi << (w/2)`` puts field
+    i + size/2 into the high half-lane of field i, so 1-byte fields run in
+    4-bit lanes for m <= 8 and in 2-bit lanes for m = 2 (wider fields of a
+    small modulus fold further).  A fold only moves the top index bit to
+    bit 0 of the lane index, and the levels, one per index bit, commute, so
+    the same levels over the lanes give the same transform; a mask, two
+    shifts and an OR per fold undo it afterwards.
     """
     width = field_width(m)
     typecode = fields.typecode if isinstance(fields, array) else None
@@ -234,10 +259,15 @@ def inverse_zeta_packed(fields, m: int):
     w = 8 * width
     x = int.from_bytes(fields, "little")
     del fields  # a buffer the caller passed as a temporary is freed here
-    # the levels commute, so they run from the top bit down: the fields
-    # whose index has bit s set are m1 ^ (m1 >> (2^s fields)), m1 those of bit s + 1
+    # fold into lanes of half the width (see above)
+    while m <= 1 << (w // 2 - 1) and size // 2 * w >= 8:
+        half = size * w // 2
+        x = x & ((1 << half) - 1) | (x >> half) << (w // 2)
+        w //= 2
+    # the levels commute, so they run from the top bit down: the lanes
+    # whose index has bit s set are m1 ^ (m1 >> (2^s lanes)), m1 those of bit s + 1
     step = size // 2
-    m1 = int.from_bytes(bytes(width * step) + (1).to_bytes(width, "little") * step, "little")
+    m1 = _lanes(1, w, size) >> (w * step) << (w * step)
     ones = (1 << w) - 1
     while step:
         up = (x << (w * step)) & (m1 * ones)
@@ -245,6 +275,11 @@ def inverse_zeta_packed(fields, m: int):
         x += m * (m1 ^ (((x + (m1 << (w - 1))) >> (w - 1)) & m1))
         step //= 2
         m1 ^= m1 >> (w * step)
+    # unfold: the high half-lanes go back above the lower half of the fields
+    while w < 8 * width:
+        low = _lanes((1 << w) - 1, 2 * w, size // 2)
+        x = x & low | (x >> w & low) << (size * w)
+        w *= 2
     data = x.to_bytes(nbytes, "little")
     if not typecode:
         return data

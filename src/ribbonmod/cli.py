@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from collections import Counter
+from functools import cache
 from importlib import resources
 
 from .arith import residue_tally
@@ -319,6 +320,10 @@ def cmd_verify(args) -> int:
 # parser
 
 
+# built once per process: every add_argument makes a help formatter, which
+# reads the terminal size, so a build costs about 1 ms, most of an
+# in-process closed-form query; parse_args leaves the parser unchanged
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ribbonmod",

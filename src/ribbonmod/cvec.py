@@ -101,13 +101,16 @@ SUPPORT_MAX = 22
 # took 0.18 s and 0.47 s (2-core machine, Python 3.11, best of 3).
 MACDONALD_DIGIT_MAX = 1000
 
-# Largest estimated size, in bits, of the digits' series coefficients
-# together: a digit m at position j has a coefficient of about
-# m * log2(p^j) bits, and its series costs about m^2 / 2 products on
-# numbers of that size.  Digit 1000 took 0.14 s at p = 1009, j = 1 (about
-# 10000 bits), 0.26 s with 2^15 colours (16000) and 0.44 s with 1009^2
-# (20000).
-MACDONALD_BITS_MAX = 10_000
+# Largest estimated cost of macdonald_mp, in bit steps of a big-int pass:
+# a digit m at position j has coefficients of about s = m * log2(p^j) bits,
+# and its series takes about m^2 / 2 products of one of them by a small
+# int, so m^2 * s; the product of the digits' coefficients, of S bits
+# together, adds about S^2 / 30 (30-bit int digits times each other).
+# Measured (2-core machine, Python 3.11, best of 3): digit 1000 at
+# p = 1009, j = 1 (1.0e10) 0.15 s, and at j = 2 (2.0e10) 0.32 s; the 1000
+# digits 1 of 2^1000 - 1 at p = 2 (8.4e9) 0.16 s, of 2^1250 - 1 (2.0e10)
+# 0.38 s; the 650 digits 2 of 3^650 - 1 (1.5e10) 0.31 s; 2^200 - 1 1.5 ms.
+MACDONALD_COST_MAX = 15 * 10**9
 
 
 def _check_tally_prime(p: int) -> None:
@@ -533,22 +536,27 @@ def macdonald_mp(n: int, p: int) -> int:
     dimension coprime to p: the product over base-p digits n_j of the
     coefficient of x^(n_j) in prod_i (1 - x^i)^(-p^j).
 
-    A digit past MACDONALD_DIGIT_MAX, or coefficients of more than
-    MACDONALD_BITS_MAX bits together (about n_j * log2(p^j) each), is
-    refused with CapacityError before any series is built."""
+    A digit past MACDONALD_DIGIT_MAX, or digits whose series and product
+    are estimated past MACDONALD_COST_MAX bit steps (about n_j^2 * s_j
+    for the series of digit n_j, whose coefficients have about
+    s_j = n_j * log2(p^j) bits, plus (sum of the s_j)^2 / 30 for the
+    product), is refused with CapacityError before any series is built."""
     digits = base_p_digits(n, p)
     if n < 1:
         raise ValueError("n must be positive")
     if max(digits) > MACDONALD_DIGIT_MAX:
         raise CapacityError(f"base-{p} digit {max(digits)} of n is past the budget of {MACDONALD_DIGIT_MAX}")
-    size = 0
+    series = size = 0
     for j, nj in enumerate(digits):
         if nj:
-            size += nj * (p**j).bit_length()
-            if size > MACDONALD_BITS_MAX:
+            bits = nj * (p**j).bit_length()
+            series += nj * nj * bits
+            size += bits
+            cost = series + size * size // 30
+            if cost > MACDONALD_COST_MAX:
                 raise CapacityError(
-                    f"the base-{p} digits of n give series coefficients of at least"
-                    f" {size} bits; the budget is {MACDONALD_BITS_MAX}"
+                    f"the base-{p} digits of n cost at least {cost:.2e} bit steps"
+                    f" to expand; the budget is {MACDONALD_COST_MAX:.2e}"
                 )
     result = 1
     for j, nj in enumerate(digits):

@@ -311,6 +311,19 @@ def test_parser_help_smoke():
     assert parser.prog == "ribbonmod"
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    # main parses with one shared parser; a usage error (exit 2) in the
+    # same process leaves it answering the next calls as it did before
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cvec", "--family", "Q", "--n", "4", "--p", "3"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    pinned = {row[0]: row[1:] for row in SURFACE}
+    for argv in ("ribbon --family B --alpha 0,3 --mod 5", "coxeter --group H3 --p 5"):
+        assert run(capsys, *argv.split()) == pinned[argv], argv
+
+
 def test_make_golden_regenerates_package_data(tmp_path):
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
     spec = importlib.util.spec_from_file_location("make_golden", script)

@@ -31,7 +31,7 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.coxeter import builtin_diagram, residue_histogram
 from ribbonmod.cvec import (
-    MACDONALD_BITS_MAX,
+    MACDONALD_COST_MAX,
     MACDONALD_DIGIT_MAX,
     NAIVE_MAX_BITS,
     SUPPORT_MAX,
@@ -285,20 +285,38 @@ def test_inverse_zeta_packed_field_widths():
         inverse_zeta([1, 2, 3], 7)
 
 
+def _butterfly_reference(vals, m):
+    # the subset Moebius transform mod m one pair at a time, level by level
+    out = list(vals)
+    bit = 1
+    while bit < len(out):
+        for t in range(len(out)):
+            if t & bit:
+                out[t] = (out[t] - out[t ^ bit]) % m
+        bit <<= 1
+    return out
+
+
 def test_inverse_zeta_packed_matches_list_form():
-    # the packed entry point against the list wrapper, on little-endian
-    # bytes of field_width(m) bytes per field (1, 2, 4, 8 and 11), on the
-    # field_buffer of each native modulus (a bytearray, or an array of 2-,
-    # 4- or 8-byte items) and on an array wider than the modulus needs;
-    # each result comes back in the form it went in, and no input changes
+    # the packed entry point and the list wrapper against a pair-at-a-time
+    # butterfly, on little-endian bytes of field_width(m) bytes per field
+    # (1, 2, 4, 8 and 11), on the field_buffer of each native modulus (a
+    # bytearray, or an array of 2-, 4- or 8-byte items) and on an array
+    # wider than the modulus needs; each result comes back in the form it
+    # went in, and no input changes.  The small moduli sit on the lane
+    # boundaries: 2 runs in 2-bit lanes, 3, 4 and 8 in 4-bit lanes (4 and
+    # 8 the largest moduli there), 9 is the first that keeps whole bytes,
+    # and the sizes 2^0 and 2^1 skip a fold
     rng = random.Random(11)
-    for bits in range(13):
+    for bits in range(14):
         size = 1 << bits
-        for m in (3, 127, 131, 32749, 65537, 2**61 - 1, 2**80 + 13):
+        for m in (2, 3, 4, 8, 9, 127, 131, 32749, 65537, 2**61 - 1, 2**80 + 13):
             width = field_width(m)
             vals = [rng.randrange(m) for _ in range(size)]
-            want = vals[:]
-            inverse_zeta(want, m)
+            want = _butterfly_reference(vals, m)
+            listed = vals[:]
+            inverse_zeta(listed, m)
+            assert listed == want, (bits, m)
             inputs = [b"".join(v.to_bytes(width, "little") for v in vals)]
             if width <= 8:
                 buf = field_buffer(size, m)
@@ -508,6 +526,22 @@ def test_naive_sweep_in_bounded_memory():
             tracemalloc.stop()
         assert vec.total() == 1 << 20
         assert peak < 5 << 20, (family, n, p, peak)
+
+
+def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
+    # moduli up to 8 run the butterfly in 4-bit lanes and 2 in 2-bit
+    # lanes, so its big ints are half (a quarter) of the 1-byte fields:
+    # traced peaks 8.5 MB for D n=22 p=3 (2^21 fields) and 4.0 MB for
+    # A n=22 p=2 (2^20), against 12.8 and 6.4 MB with whole bytes
+    for family, n, p, cap in (("D", 22, 3, 10 << 20), ("A", 22, 2, 5 << 20)):
+        tracemalloc.start()
+        try:
+            vec = cvec_naive(family, n, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vec.total() == 1 << (n - 1 if family == "A" else n)
+        assert peak < cap, (family, n, p, peak)
 
 
 def test_field_tally_matches_counter():
@@ -1003,12 +1037,13 @@ def test_macdonald_digit_past_the_budget_refused_before_allocating():
     assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) > 0
 
 
-def test_macdonald_coefficient_size_past_the_budget_refused_before_allocating():
-    # digit 1000 at p^2 = 1009^2 colours has coefficients of about 20000 bits
-    # (past the budget, though its series takes only 0.4 s); at p^0 and p^1
-    # (about 10000 bits) it still answers.
-    # Many small digits add up: 2^200 - 1 has 200 coefficients 2^j
-    for n, p in ((1000 * 1009**2, 1009), (2**200 - 1, 2)):
+def test_macdonald_cost_past_the_budget_refused_before_allocating():
+    # digit 1000 at p^2 = 1009^2 colours (series of about 20000-bit
+    # coefficients, 2.0e10 bit steps) and the 1250 digits 1 of 2^1250 - 1
+    # (a product of 2^j for j < 1250, 2.0e10) are past the budget; digit
+    # 1000 at p^1 (1.0e10) and the 200 digits 1 of 2^200 - 1 (1.3e7, a
+    # product that takes about a millisecond) still answer
+    for n, p in ((1000 * 1009**2, 1009), (2**1250 - 1, 2)):
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
@@ -1017,9 +1052,11 @@ def test_macdonald_coefficient_size_past_the_budget_refused_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-    assert 1000 * (1009).bit_length() <= MACDONALD_BITS_MAX < 1000 * (1009**2).bit_length()
+    assert 1000**3 * (1009).bit_length() <= MACDONALD_COST_MAX < 1000**3 * (1009**2).bit_length()
     assert macdonald_mp(1000, 1009) == 24061467864032622473692149727991  # p(1000)
     assert macdonald_mp(2**100 - 1, 2) == 2 ** (100 * 99 // 2)
+    assert macdonald_mp(2**200 - 1, 2) == 2 ** (200 * 199 // 2)
+    assert macdonald_mp(1000 * 1009, 1009) > 0
 
 
 def _convolved_partition_count(m, colors):
