@@ -17,8 +17,12 @@ of half the width holds the difference of two residues plus a sign bit
 (m <= 2^(w/2 - 1) for w-bit lanes), the upper half of the fields is folded
 into the high half-lanes of the lower half, so moduli up to 8 run in 4-bit
 lanes and 2 in 2-bit lanes, and each whole-int operation touches half (a
-quarter) of the bytes.  ``residue_tally`` tallies a ``{value: count}`` mapping mod m,
-and ``inverse_zeta`` is the butterfly for a list of ints.
+quarter) of the bytes.  Moduli that even the first fold would leave
+without a sign bit, but whose residues fit a half lane (9 to 16 in 1-byte
+fields), are folded once into such lanes, and each level reads every
+lane's borrow from its top bits instead.  ``residue_tally`` tallies a
+``{value: count}`` mapping mod m, and ``inverse_zeta`` is the butterfly
+for a list of ints.
 """
 
 from __future__ import annotations
@@ -226,22 +230,28 @@ def inverse_zeta_packed(fields, m: int):
     bytes.  The fields are read as one int, so each level of the butterfly
     is a handful of linear-time big-int operations instead of one Python
     step per pair (SIMD within a register).  The level of bit s moves the
-    fields without bit s onto the fields with it (``up``) and subtracts;
-    the top bit of each field h - l + 2^(w-1) says whether h - l stayed
-    nonnegative, and m is added back to the fields where it did not.
-    Borrows between fields in the middle of a level cancel (the difference
-    may even be a negative int), because every field ends the level inside
-    [0, 2^w).
+    lanes without bit s onto the lanes with it (``up``) and subtracts, lane
+    by lane; no borrow crosses a lane, so every lane ends the level inside
+    [0, 2^w) and holds (h - l) mod m.
 
-    Before the levels, the int is folded while m <= 2^(w/2 - 1), so that a
-    lane of w/2 bits still holds h - l + 2^(w/2 - 1), and while half the
-    fields fill at least a byte: ``x = lo | hi << (w/2)`` puts field
-    i + size/2 into the high half-lane of field i, so 1-byte fields run in
-    4-bit lanes for m <= 8 and in 2-bit lanes for m = 2 (wider fields of a
-    small modulus fold further).  A fold only moves the top index bit to
-    bit 0 of the lane index, and the levels, one per index bit, commute, so
-    the same levels over the lanes give the same transform; a mask, two
-    shifts and an OR per fold undo it afterwards.
+    Before the levels, the int is folded while m <= 2^(w/2 - 1) and half
+    the fields fill at least a byte: ``x = lo | hi << (w/2)`` puts field
+    i + size/2 into the high half-lane of field i.  Such a lane still holds
+    h - l + 2^(w-1) (the guarded level): its top bit says whether h - l
+    stayed nonnegative, and 2^(w-1) - m comes off the lanes where it did
+    not.  Where m is too large for that at the fields' own width
+    (``field_width(m)``) but its residues fit a half lane, m <= 2^(w/2),
+    the int is folded once into lanes without a sign bit (the
+    borrow-detecting level): the lanes subtract mod 2^w with their top bits
+    set aside, the borrow out of each lane is read from the top bits of h,
+    l and the difference, and 2^w - m comes off the lanes that borrowed.
+    So 1-byte fields run in 4-bit lanes for m <= 16 (without a sign bit
+    from 9 on) and in 2-bit lanes for m = 2, and 2-byte fields in 8-bit
+    lanes for m <= 256 (wider fields of a small modulus fold further).  A fold
+    only moves the top index bit to bit 0 of the lane index, and the
+    levels, one per index bit, commute, so the same levels over the lanes
+    give the same transform; a mask, two shifts and an OR per fold undo it
+    afterwards.
     """
     width = field_width(m)
     typecode = fields.typecode if isinstance(fields, array) else None
@@ -259,22 +269,53 @@ def inverse_zeta_packed(fields, m: int):
     w = 8 * width
     x = int.from_bytes(fields, "little")
     del fields  # a buffer the caller passed as a temporary is freed here
-    # fold into lanes of half the width (see above)
-    while m <= 1 << (w // 2 - 1) and size // 2 * w >= 8:
+    # fold into lanes of half the width (see above); ``free`` marks lanes
+    # without a sign bit, which only a fold from the fields' own width makes
+    free = False
+    first = 8 * field_width(m)
+    while size // 2 * w >= 8 and not free:
+        if m > 1 << (w // 2 - 1):
+            if w != first or m > 1 << (w // 2):
+                break
+            free = True
         half = size * w // 2
         x = x & ((1 << half) - 1) | (x >> half) << (w // 2)
         w //= 2
     # the levels commute, so they run from the top bit down: the lanes
-    # whose index has bit s set are m1 ^ (m1 >> (2^s lanes)), m1 those of bit s + 1
+    # whose index has bit s set are mask ^ (mask >> (2^s lanes)), mask those
+    # of bit s + 1, and bias holds the top bit of each of those lanes
     step = size // 2
-    m1 = _lanes(1, w, size) >> (w * step) << (w * step)
-    ones = (1 << w) - 1
-    while step:
-        up = (x << (w * step)) & (m1 * ones)
-        x -= up
-        x += m * (m1 ^ (((x + (m1 << (w - 1))) >> (w - 1)) & m1))
-        step //= 2
-        m1 ^= m1 >> (w * step)
+    mask = ((1 << (w * step)) - 1) << (w * step)
+    bias = _lanes(1 << (w - 1), w, size) >> (w * step) << (w * step)
+    if free:
+        k = (1 << w) - m
+        while step:
+            up = (x << (w * step)) & mask
+            e = x ^ up
+            z = ((x | bias) - (up ^ (up & bias))) ^ bias ^ (e & bias)
+            if k:
+                # borrow out of the top bit: ~x & up, or ~(x ^ up) & z
+                z -= ((((up ^ (up & x)) | (z ^ (z & e))) & bias) >> (w - 1)) * k
+            x = z
+            del up, e, z  # so that no temporary outlives the levels
+            step //= 2
+            mask ^= mask >> (w * step)
+            bias ^= bias >> (w * step)
+    else:
+        k = (1 << (w - 1)) - m
+        while step:
+            up = (x << (w * step)) & mask
+            x |= bias
+            x -= up
+            del up
+            sign = x & bias  # the top bits left set, where h - l >= 0
+            x ^= sign
+            if k:
+                x -= ((bias ^ sign) >> (w - 1)) * k
+            del sign
+            step //= 2
+            mask ^= mask >> (w * step)
+            bias ^= bias >> (w * step)
     # unfold: the high half-lanes go back above the lower half of the fields
     while w < 8 * width:
         low = _lanes((1 << w) - 1, 2 * w, size // 2)

@@ -304,13 +304,15 @@ def test_inverse_zeta_packed_matches_list_form():
     # bytearray, or an array of 2-, 4- or 8-byte items) and on an array
     # wider than the modulus needs; each result comes back in the form it
     # went in, and no input changes.  The small moduli sit on the lane
-    # boundaries: 2 runs in 2-bit lanes, 3, 4 and 8 in 4-bit lanes (4 and
-    # 8 the largest moduli there), 9 is the first that keeps whole bytes,
-    # and the sizes 2^0 and 2^1 skip a fold
+    # boundaries: 2 runs in 2-bit lanes, 3, 4 and 8 in 4-bit lanes with a
+    # sign bit (4 and 8 the largest moduli there), 9 and 16 in 4-bit lanes
+    # without one, 17 is the first that keeps whole bytes, 131 and 256 run
+    # 2-byte fields in 8-bit lanes without a sign bit, 257 keeps them, and
+    # the sizes 2^0 and 2^1 skip a fold
     rng = random.Random(11)
     for bits in range(14):
         size = 1 << bits
-        for m in (2, 3, 4, 8, 9, 127, 131, 32749, 65537, 2**61 - 1, 2**80 + 13):
+        for m in (2, 3, 4, 8, 9, 16, 17, 127, 131, 256, 257, 32749, 65537, 2**61 - 1, 2**80 + 13):
             width = field_width(m)
             vals = [rng.randrange(m) for _ in range(size)]
             want = _butterfly_reference(vals, m)
@@ -515,8 +517,9 @@ def test_methods_agree_across_field_widths():
 def test_naive_sweep_in_bounded_memory():
     # 2^20 indices: the table, the butterfly and the tally stay in packed
     # fields over the half lattice, so the peak is a few copies of the
-    # 0.5 MB field buffer: 3.2 and 3.3 MB (6.4 and 6.7 MB over the whole
-    # lattice; with an exact weight table and a list of ints 60 and 96 MB)
+    # 0.5 MB field buffer: 1.9 and 2.4 MB in 4-bit lanes, 3.2 and 3.3 MB
+    # in whole bytes (6.4 and 6.7 MB over the whole lattice; with an exact
+    # weight table and a list of ints 60 and 96 MB)
     for family, n, p in (("A", 21, 3), ("D", 20, 13)):
         tracemalloc.start()
         try:
@@ -531,7 +534,7 @@ def test_naive_sweep_in_bounded_memory():
 def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
     # moduli up to 8 run the butterfly in 4-bit lanes and 2 in 2-bit
     # lanes, so its big ints are half (a quarter) of the 1-byte fields:
-    # traced peaks 8.5 MB for D n=22 p=3 (2^21 fields) and 4.0 MB for
+    # traced peaks 7.5 MB for D n=22 p=3 (2^21 fields) and 3.7 MB for
     # A n=22 p=2 (2^20), against 12.8 and 6.4 MB with whole bytes
     for family, n, p, cap in (("D", 22, 3, 10 << 20), ("A", 22, 2, 5 << 20)):
         tracemalloc.start()
