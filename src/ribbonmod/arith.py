@@ -46,8 +46,8 @@ MILLER_RABIN_LIMIT = 3317044064679887385961981
 _NATIVE_CODES = {array(code).itemsize: code for code in "QIHB"}
 _CHUNK = 1 << 14
 
-# Largest m whose residues (1-byte fields) are tallied by one bytes.count
-# scan per residue; above it one Counter pass is faster.  On 2^20
+# Largest m whose residues (1-byte fields) are tallied by bytes.count scans,
+# one per residue but the last; above it one Counter pass is faster.  On 2^20
 # fields (2-core machine, Python 3.11, best of 7): bytes.count 23 / 44 /
 # 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
 # at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
@@ -368,12 +368,13 @@ def residue_tally(counts, m: int) -> list[int]:
 def inverse_zeta_tally(fields, m: int) -> list[int]:
     """The residue tally of ``inverse_zeta_packed(fields, m)`` for a
     ``field_buffer`` of residues mod m: entry r counts the output fields
-    equal to r.  Small moduli are tallied by one ``count`` scan per residue,
-    larger ones by one Counter pass."""
+    equal to r.  Small moduli are tallied by a ``count`` scan per residue
+    but the last, which takes what is left, larger ones by a Counter pass."""
     # handed over through a list, so no local here outlives the butterfly's del
     box = [fields]
     del fields
     out = inverse_zeta_packed(box.pop(), m)
     if m <= _COUNT_TALLY_MAX_P:
-        return [out.count(r) for r in range(m)]
+        tally = [out.count(r) for r in range(m - 1)]
+        return tally + [len(out) - sum(tally)]
     return residue_tally(Counter(out), m)

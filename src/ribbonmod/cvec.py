@@ -8,11 +8,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     index lattice is processed at once with an inclusion-exclusion
     butterfly over multinomial weights, so nothing here touches the digit
     machinery used by the other two methods.  The weight table is built
-    mod p straight into an ``arith.field_buffer`` for p, block by block:
-    the masks with top descent d are a seed, the mask of d alone with the
-    B/D first-part weight of d, and scaled copies of the blocks below, one
-    constant per block (``arith.field_scaler``), so every mask carries the
-    weight of its lowest descent.  ``arith.inverse_zeta_tally(table, p)`` runs
+    mod p by ``_chain_table`` into an ``arith.field_buffer`` for p, block
+    by block: the masks with top descent d are a seed, the mask of d alone
+    with the B/D first-part weight of d, and scaled copies of the blocks
+    below, one exact binomial per block (``arith.field_scaler``), so every
+    mask carries the weight of its lowest descent.
+    ``arith.inverse_zeta_tally(table, p)`` runs
     the packed butterfly and tallies its output by residue; no list of 2^n
     ints and no exact weight is ever made.  The field format is arith's
     alone: this module passes moduli, never widths.  Only the lower half of
@@ -42,12 +43,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     ever enumerating the index lattice, so n may be astronomically large
     as long as the support stays small.  The support's size is read off the
     digits of n and refused past 2^SUPPORT_MAX subsets before the support
-    is made.  For m support positions it builds an O(m^2) table of Lucas
-    binomials between positions, fills the terms of the 2^(m - 1) subsets
-    without the top position by extending digitwise chains one position at
-    a time into a zeroed field buffer (all other terms are 0), runs the
-    same packed butterfly and tally over them (closed under submasks, so
-    exact), and mirrors the tally onto the subsets with the top position.
+    is made.  For m support positions it fills the terms of the 2^(m - 1)
+    subsets without the top position by the naive method's
+    ``_chain_table``, with O(m^2) block constants from Lucas binomials on
+    digit tuples made once per position, runs the same packed butterfly
+    and tally over them (closed under submasks, so exact), and mirrors the
+    tally onto the subsets with the top position.
     The mirror is complement symmetry: an index with descent set D and
     T = D & S has beta(D) = (-1)^|D - S| r(T) mod p, where r(T) is the
     residue of T and free the number of positions outside S; beta(D) =
@@ -55,11 +56,10 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     tally over all subsets is full[r] = half[r] + half[(-1)^free r mod p].
     Plain doubling would tally wrongly when free is odd.  An empty
     support (type A, n = p^d) keeps its one self-complementary subset.
-    Each chain is seeded by ``ribbon._first_step``, the first-step
-    rule (the power-of-two weight and binomial base of the lowest descent)
-    that the chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so
-    the family rules, type D's included, are stated once, for every
-    prime.
+    The seeds come from ``ribbon._first_step``, the first-step rule (the
+    power-of-two weight and binomial base of the lowest descent) that the
+    chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so the
+    family rules, type D's included, are stated once, for every prime.
   * ``cvec_closed_form`` -- closed forms for special digit patterns of n
     (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
     A single digit m at p^d (types A, B) runs the naive method on m; every
@@ -209,43 +209,48 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 # naive method: butterfly over the full index lattice
 
 
+def _chain_table(family: str, p: int, seeds, const):
+    """Chain products mod p over len(seeds) positions, in a ``field_buffer``
+    for p.  The masks whose top bit is h form the block [2^h, 2^(h+1)):
+    ``seeds[h]`` at bit h alone, and one ``field_scaler`` copy of each lower
+    block k scaled by ``const(h, k)``, the factor of a step from position k
+    up to h.  So a mask holds the seed of its lowest bit times one constant
+    per step.  In type D (positions 0 and 1 at bits 0 and 1), one copy then
+    sets mask 4j + 2 to mask 4j + 1: a lone descent at 1 counts as one at 0,
+    ``ribbon._first_step``'s rule; the last field is never read, so the two
+    slices match even in a table of two fields."""
+    scale = field_scaler(p)
+    g = field_buffer(1 << len(seeds), p)
+    g[0] = 1
+    for h, seed in enumerate(seeds):
+        base = 1 << h
+        g[base] = seed
+        for k in range(h):
+            g[base + (1 << k):base + (2 << k)] = scale(g[1 << k:2 << k], const(h, k))
+    if family == "D":
+        g[2::4] = g[1:-1:4]
+    return g
+
+
 def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
     ``field_buffer`` for p: entry mask, for every mask without the top
     descent (bit bits - 1, where bits = n - mask_offset(family) >= 1), is
     the number of group elements whose descent set is contained in the
     mask's descent set."""
-    # First the multinomials: table[mask] = multinomial mod p of the
-    # composition whose descent set is mask, where bit b encodes descent
-    # position b + lo.  The masks whose top bit is h (top descent
-    # d = h + lo) form the block [2^h, 2^(h+1)).  Adding d above a rest
-    # whose top descent is t splits the last part n - t into d - t and
-    # n - d, which multiplies the multinomial by C(n - t, d - t); so block h
-    # is 2^h scaled copies of the blocks below it, one constant per lower
-    # block (t = k + lo on block k, and t = 0 for the empty rest).  The
-    # half stops below the top block.  In types B and D a mask's covering
-    # count is its multinomial times 2^(n - f) for its lowest descent f
-    # (2^(n - 1) in type D for f <= 1), and every mask copies its lowest
-    # descent from the seed of its block, so the seeds carry the weights.
+    # The multinomial of the composition whose descent set is mask (bit b
+    # encodes descent position b + lo) grows one factor per descent: adding
+    # d above a rest whose top descent is t splits the last part n - t into
+    # d - t and n - d, which multiplies the multinomial by C(n - t, d - t),
+    # and d alone gives C(n, d).  In types B and D a mask's covering count
+    # is its multinomial times 2^(n - f) for its lowest descent f
+    # (2^(n - 1) in type D for f <= 1), so the seeds carry the weights.
     lo = mask_offset(family)
-    top = n - lo - 1
-    scale = field_scaler(p)
-    table = field_buffer(1 << top, p)
-    table[0] = 1
-    for h in range(top):
-        d = h + lo
-        base = 1 << h
+    seeds = []
+    for d in range(lo, n - 1):
         shift = 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d
-        table[base] = (comb(n, d) << shift) % p
-        for k in range(h):
-            t = k + lo
-            table[base + (1 << k):base + (2 << k)] = scale(table[1 << k:2 << k], comb(n - t, d - t))
-    if family == "D":
-        # a lone descent at 1 counts as one at 0: mask 4j + 2 reads 4j + 1;
-        # the last field is never read, so both slices have the same length
-        # even in the two-field table of D n = 2
-        table[2::4] = table[1:-1:4]
-    return table
+        seeds.append((comb(n, d) << shift) % p)
+    return _chain_table(family, p, seeds, lambda h, k: comb(n - k - lo, h - k))
 
 
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
@@ -299,39 +304,28 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     from the sorted support positions ``pos``, reduced mod p, in a
     ``field_buffer`` for p.
 
-    By Lucas's theorem the multinomial of descents d_1 < ... < d_k is the
-    chain product C(d_2, d_1) ... C(d_k, d_(k-1)) C(n, d_k) mod p, so the
-    term of a mask follows from the term of the mask without its top bit by
-    one factor of a pair table.  Each chain is seeded by the first-step
-    rule of the chain kernel, ``ribbon._first_step``: the family's
-    power-of-two weight of its lowest descent and the binomial base that
-    descent starts from (itself, except for a type-D chain started at 1,
-    whose base is 0).  A term is nonzero only when its descents form a
-    chain in digitwise order, and only those masks are visited: past the
-    O(m^2) pair table and the zeroed buffer, the fill costs O(m) per nonzero
-    term.  Agrees with ``term_mod_p`` on every mask.
+    A term is the ``ribbon._first_step`` weight of its lowest descent times
+    the multinomial C(n, d_1) C(n - d_1, d_2 - d_1) ..., so ``_chain_table``
+    builds the terms from the seeds weight * C(n, base) and the constants
+    C(n - a, b - a) = C(n, b) C(b, a) / C(n, a), by Lucas's theorem on digit
+    tuples made once per position.  C(n, a) is a unit mod p at every
+    support position but type D's adjoined 1, where 0 stands in for its
+    inverse: there every chain from 0 through 1 is 0 (no support position
+    is digitwise above 1), and the type-D copy overwrites the chains that
+    start at 1.  Agrees with ``term_mod_p`` on every mask.
     """
-    m = len(pos)
     nd = base_p_digits(n, p)
     digits = [base_p_digits(d, p) for d in pos]
     top = [lucas_binomial(nd, dd, p) for dd in digits]
-    pair = [[lucas_binomial(digits[h], digits[i], p) for i in range(h)] for h in range(m)]
+    inv = [pow(t, -1, p) if t else 0 for t in top]
+    # C(n, base) of each position's first step (a type-D base 0 is pos[0])
+    binom = dict(zip(pos, top))
     first = _first_step(family, n, lambda e: pow(2, e, p))
-    g = field_buffer(1 << m, p)
-    g[0] = 1
-    # (mask, value without the factor C(n, base), index of the base) of
-    # every chain whose value is nonzero; a zero prefix is never extended
-    chains: list[tuple[int, int, int]] = []
-    for h, s in enumerate(pos):
-        row = pair[h]
-        bit = 1 << h
-        weight, base = first(s)
-        grown = [(bit, weight, pos.index(base))] if weight else []
-        grown += [(mask | bit, v * row[b] % p, h) for mask, v, b in chains if row[b]]
-        for mask, v, b in grown:
-            g[mask] = v * top[b] % p
-        chains += grown
-    return g
+    seeds = [weight * binom[base] % p for weight, base in map(first, pos)]
+    return _chain_table(
+        family, p, seeds,
+        lambda h, k: top[h] * lucas_binomial(digits[h], digits[k], p) * inv[k] % p,
+    )
 
 
 def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:

@@ -7,6 +7,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from math import comb, factorial
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,12 +190,11 @@ def _digit_cache(p: int, width: int):
 
 
 def test_term_table_matches_term_mod_p():
-    # the prefix-product table against the per-subset digit evaluation
+    # the block-scaled chain table against the per-subset digit evaluation;
+    # 11 and 13 have digits up to 12, and 131 takes 2-byte fields
     checked = 0
     for family in ("A", "B", "D"):
-        lo = 1 if family == "A" else 0
-        cls = Composition if family == "A" else PseudoComposition
-        for p in (2, 3, 5, 7):
+        for p in (2, 3, 5, 7, 11, 13, 131):
             for n in range(4 if family == "D" else 2, 80):
                 pos = support_set(family, n, p)
                 if len(pos) > 12:
@@ -204,9 +204,14 @@ def test_term_table_matches_term_mod_p():
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
                 table = _term_table(family, n, p, pos)
                 assert len(table) == 1 << len(pos)
-                for sel, got in enumerate(table):
-                    mask = sum(1 << (d - lo) for i, d in enumerate(pos) if sel >> i & 1)
-                    parts = cls.from_mask(n, mask).parts
+                # the descents of subset sel: those of sel without its top
+                # bit h, then pos[h]
+                chosen = [()]
+                for d in pos:
+                    chosen += [c + (d,) for c in chosen]
+                for sel, (got, descents) in enumerate(zip(table, chosen)):
+                    cuts = (0, *descents, n)
+                    parts = tuple(map(sub, cuts[1:], cuts))
                     assert got == term_mod_p(family, parts, nd, p, digit_row, inv2), (family, n, p, sel)
                 checked += 1
     assert checked > 300
@@ -452,10 +457,14 @@ def test_theorem_tally_matches_dense_reference():
 
 def test_theorem_route_at_the_support_budget_in_bounded_memory():
     # A n=49 p=3 sweeps 2^21 of its 2^22 support subsets and D n=140 p=7
-    # 2^20 of its 2^21: 12.8 and 6.6 MB traced (25.7 and 13.3 MB over
-    # every subset); a small query first, so no first-call set-up is traced
+    # 2^20 of its 2^21, in 4-bit lanes: 7.5 and 3.7 MB traced.  Every subset
+    # of the supports of A n=19 p=101 and B n=18 p=131 (18 positions each,
+    # one digit) is a chain, so a table kept per chain would grow with p:
+    # 0.8 and 1.2 MB traced, against 13.7 MB with a list of chains.  A
+    # small query first, so no first-call set-up is traced
     cvec_theorem("A", 8, 3)
-    for family, n, p, ceiling in (("A", 49, 3, 16), ("D", 140, 7, 8)):
+    for family, n, p, ceiling in (("A", 49, 3, 16), ("D", 140, 7, 8),
+                                  ("A", 19, 101, 4), ("B", 18, 131, 4)):
         tracemalloc.start()
         try:
             vec = cvec_theorem(family, n, p)

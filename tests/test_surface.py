@@ -105,3 +105,23 @@ def test_layering():
     assert field_format == {"arith"}
     assert not {entry for entry in private if entry[1] == "arith"}
     assert private == PRIVATE_IMPORTS
+
+
+def test_one_chain_table_in_cvec():
+    # the naive weight table and the theorem term table are both returned by
+    # cvec._chain_table, and no other code in cvec makes or scales a field
+    # buffer
+    tree = ast.parse((SRC / "cvec.py").read_text(encoding="utf-8"))
+    users = set()
+    returns = {}
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if {getattr(node, "id", None), getattr(node, "attr", None)} & {"field_buffer", "field_scaler"}:
+                users.add(getattr(stmt, "name", None))
+            if isinstance(node, ast.Return):
+                returns.setdefault(getattr(stmt, "name", None), []).append(node.value)
+    assert users == {"_chain_table"}
+    for name in ("_weight_table", "_term_table"):
+        assert returns[name]
+        for value in returns[name]:
+            assert isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_chain_table", name
