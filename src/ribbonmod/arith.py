@@ -12,17 +12,15 @@ and hand it with m to ``inverse_zeta_packed``, which picks the width from
 m, reads the fields as one big int, runs each level of the butterfly as a
 few whole-int operations (SIMD within a register) and returns them in the
 same kind of buffer, or to ``inverse_zeta_tally``, which tallies that output
-by residue.  Small moduli run in lanes narrower than a field: while a lane
-of half the width holds the difference of two residues plus a sign bit
-(m <= 2^(w/2 - 1) for w-bit lanes), the upper half of the fields is folded
-into the high half-lanes of the lower half, so moduli up to 8 run in 4-bit
-lanes and 2 in 2-bit lanes, and each whole-int operation touches half (a
-quarter) of the bytes.  Moduli that even the first fold would leave
-without a sign bit, but whose residues fit a half lane (9 to 16 in 1-byte
-fields), are folded once into such lanes, and each level reads every
-lane's borrow from its top bits instead.  ``residue_tally`` tallies a
-``{value: count}`` mapping mod m, and ``inverse_zeta`` is the butterfly
-for a list of ints.
+by residue.  A field holds one residue; while the residues fit lanes of
+half the width and half the lanes fill a byte, the upper half of the
+fields is folded into the high half-lanes of the lower half, so every
+whole-int operation touches as few bytes as m allows (1-bit lanes for
+m = 2, 2-bit for 3 and 4, 4-bit up to 16, 8-bit up to 256).  A lane keeps
+a sign bit where m allows one, and each level of the butterfly reads
+every lane's borrow from its top bits where it does not.
+``residue_tally`` tallies a ``{value: count}`` mapping mod m, and
+``inverse_zeta`` is the butterfly for a list of ints.
 """
 
 from __future__ import annotations
@@ -168,14 +166,11 @@ def lucas_binomial(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int
 
 
 def field_width(m: int) -> int:
-    """Bytes per packed field of residues mod m.
-
-    At least bit_length(m) + 1 bits, so a field holds the difference of two
-    residues plus a sign bit; rounded up to 1, 2, 4 or 8 bytes (a native
-    array item) when that is enough.  m < 128 gives 1 byte, m < 2^15 2
-    bytes, and every m < 2^31 fits in 4.
+    """Bytes per packed field of residues mod m: the bytes of m - 1,
+    rounded up to 1, 2, 4 or 8 (a native array item) when that is enough.
+    So m <= 256 gives 1 byte, m <= 2^16 2 bytes and m <= 2^32 4 bytes.
     """
-    width = (m.bit_length() + 8) // 8
+    width = ((m - 1).bit_length() + 7) // 8
     return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
@@ -192,19 +187,24 @@ def field_buffer(size: int, m: int):
 
 def field_scaler(m: int):
     """``scale(block, c)``: a slice of a ``field_buffer`` for m times c mod m,
-    in a new buffer of the same kind (1-byte fields by ``bytes.translate``)."""
-    if field_width(m) == 1:
-        mul = [bytes(c * x % m for x in range(m)).ljust(256, b"\0") for c in range(m)]
+    in a new buffer of the same kind.  A block of 1-byte fields at least m
+    long goes through ``bytes.translate``, with each constant's table made
+    on its first use; shorter blocks and wider fields are scaled field by
+    field, since a table costs about as much as m fields."""
+    @lru_cache(maxsize=None)
+    def row(c):
+        return bytes(c * x % m for x in range(m)).ljust(256, b"\0")
 
-        def scale(block, c):
-            return block.translate(mul[c % m])
-    else:
-        def scale(block, c):
-            c %= m
-            out = array(block.typecode)
-            for i in range(0, len(block), _CHUNK):
-                out.fromlist([c * x % m for x in block[i:i + _CHUNK]])
-            return out
+    def scale(block, c):
+        c %= m
+        if isinstance(block, bytearray):
+            if len(block) >= m:
+                return block.translate(row(c))
+            return bytearray([c * x % m for x in block])
+        out = array(block.typecode)
+        for i in range(0, len(block), _CHUNK):
+            out.fromlist([c * x % m for x in block[i:i + _CHUNK]])
+        return out
     return scale
 
 
@@ -234,24 +234,24 @@ def inverse_zeta_packed(fields, m: int):
     by lane; no borrow crosses a lane, so every lane ends the level inside
     [0, 2^w) and holds (h - l) mod m.
 
-    Before the levels, the int is folded while m <= 2^(w/2 - 1) and half
-    the fields fill at least a byte: ``x = lo | hi << (w/2)`` puts field
-    i + size/2 into the high half-lane of field i.  Such a lane still holds
-    h - l + 2^(w-1) (the guarded level): its top bit says whether h - l
-    stayed nonnegative, and 2^(w-1) - m comes off the lanes where it did
-    not.  Where m is too large for that at the fields' own width
-    (``field_width(m)``) but its residues fit a half lane, m <= 2^(w/2),
-    the int is folded once into lanes without a sign bit (the
-    borrow-detecting level): the lanes subtract mod 2^w with their top bits
-    set aside, the borrow out of each lane is read from the top bits of h,
-    l and the difference, and 2^w - m comes off the lanes that borrowed.
-    So 1-byte fields run in 4-bit lanes for m <= 16 (without a sign bit
-    from 9 on) and in 2-bit lanes for m = 2, and 2-byte fields in 8-bit
-    lanes for m <= 256 (wider fields of a small modulus fold further).  A fold
-    only moves the top index bit to bit 0 of the lane index, and the
-    levels, one per index bit, commute, so the same levels over the lanes
-    give the same transform; a mask, two shifts and an OR per fold undo it
-    afterwards.
+    Before the levels, the int is folded while half the fields fill at
+    least a byte and the residues fit a half lane, m <= 2^(w/2):
+    ``x = lo | hi << (w/2)`` puts field i + size/2 into the high half-lane
+    of field i.  A fold only moves the top index bit to bit 0 of the lane
+    index, and the levels, one per index bit, commute, so the same levels
+    over the lanes give the same transform; afterwards each fold is undone
+    by masking out the low and the high half-lanes and joining the two
+    halves' bytes.  The final width w decides the level.
+    Where m <= 2^(w-1), a lane holds h - l + 2^(w-1) (the guarded level):
+    its top bit says whether h - l stayed nonnegative, and 2^(w-1) - m
+    comes off the lanes where it did not.  Above that the lanes have no
+    sign bit (the borrow-detecting level): they subtract mod 2^w with
+    their top bits set aside, the borrow out of each lane is read from the
+    top bits of h, l and the difference, and 2^w - m comes off the lanes
+    that borrowed.  So m = 2 runs in 1-bit lanes (k = 0: the level is an
+    XOR), 3 and 4 in 2-bit lanes, 5 to 8 in 4-bit lanes with a sign bit,
+    9 to 16 without, 17 to 128 in 8-bit lanes with one and 129 to 256
+    without (wider fields of a small modulus fold further).
     """
     width = field_width(m)
     typecode = fields.typecode if isinstance(fields, array) else None
@@ -269,42 +269,30 @@ def inverse_zeta_packed(fields, m: int):
     w = 8 * width
     x = int.from_bytes(fields, "little")
     del fields  # a buffer the caller passed as a temporary is freed here
-    # fold into lanes of half the width (see above); ``free`` marks lanes
-    # without a sign bit, which only a fold from the fields' own width makes
-    free = False
-    first = 8 * field_width(m)
-    while size // 2 * w >= 8 and not free:
-        if m > 1 << (w // 2 - 1):
-            if w != first or m > 1 << (w // 2):
-                break
-            free = True
+    # fold into lanes of half the width (see above), then pick the level
+    while size // 2 * w >= 8 and m <= 1 << (w // 2):
         half = size * w // 2
         x = x & ((1 << half) - 1) | (x >> half) << (w // 2)
         w //= 2
+    free = m > 1 << (w - 1)
     # the levels commute, so they run from the top bit down: the lanes
     # whose index has bit s set are mask ^ (mask >> (2^s lanes)), mask those
-    # of bit s + 1, and bias holds the top bit of each of those lanes
+    # of bit s + 1, and bias holds the top bit of each of those lanes; k
+    # comes off the lanes where h < l
     step = size // 2
     mask = ((1 << (w * step)) - 1) << (w * step)
     bias = _lanes(1 << (w - 1), w, size) >> (w * step) << (w * step)
-    if free:
-        k = (1 << w) - m
-        while step:
-            up = (x << (w * step)) & mask
+    k = (1 << w if free else 1 << (w - 1)) - m
+    while step:
+        up = (x << (w * step)) & mask
+        if free:
             e = x ^ up
-            z = ((x | bias) - (up ^ (up & bias))) ^ bias ^ (e & bias)
+            x = ((x | bias) - (up ^ (up & bias))) ^ bias ^ (e & bias)
             if k:
-                # borrow out of the top bit: ~x & up, or ~(x ^ up) & z
-                z -= ((((up ^ (up & x)) | (z ^ (z & e))) & bias) >> (w - 1)) * k
-            x = z
-            del up, e, z  # so that no temporary outlives the levels
-            step //= 2
-            mask ^= mask >> (w * step)
-            bias ^= bias >> (w * step)
-    else:
-        k = (1 << (w - 1)) - m
-        while step:
-            up = (x << (w * step)) & mask
+                # borrow out of the top bit: ~h & l = e & l, or ~e & (h - l)
+                x -= ((((up & e) | (x ^ (x & e))) & bias) >> (w - 1)) * k
+            del up, e  # so that no temporary outlives the level
+        else:
             x |= bias
             x -= up
             del up
@@ -313,15 +301,24 @@ def inverse_zeta_packed(fields, m: int):
             if k:
                 x -= ((bias ^ sign) >> (w - 1)) * k
             del sign
-            step //= 2
-            mask ^= mask >> (w * step)
-            bias ^= bias >> (w * step)
-    # unfold: the high half-lanes go back above the lower half of the fields
+        step //= 2
+        mask ^= mask >> (w * step)
+        bias ^= bias >> (w * step)
+    # unfold: the high half-lanes go back above the lower half of the
+    # fields; the halves are joined as bytes, so no shifted copy of the
+    # whole int is made, and each temporary is freed as soon as it is used
+    data = x.to_bytes(size * w // 8, "little")
+    del x
     while w < 8 * width:
+        x = int.from_bytes(data, "little")
+        del data
         low = _lanes((1 << w) - 1, 2 * w, size // 2)
-        x = x & low | (x >> w & low) << (size * w)
+        lo = (x & low).to_bytes(size * w // 8, "little")
+        hi = (x >> w & low).to_bytes(size * w // 8, "little")
+        del x, low
+        data = lo + hi
+        del lo, hi
         w *= 2
-    data = x.to_bytes(nbytes, "little")
     if not typecode:
         return data
     out = array(typecode, data)

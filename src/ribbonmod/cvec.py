@@ -95,6 +95,11 @@ from .ribbon import _check_family, _first_step
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
 
+# The least n of the theorem route, by family: support_set and cvec_theorem
+# refuse a smaller n, cvec sweeps it naively, and no closed form applies
+# below it in type D
+_THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
+
 # Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
 # series by the divisor-sum recurrence, about m^2 / 2 big-int products):
 # m = 1000 took 0.05 s with p > n and 0.14 s at p = 1009, j = 1; m = 2000
@@ -180,11 +185,9 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
     """
     _check_family(family)
     check_prime(p)
-    if family == "D":
-        if n < 4:
-            raise ValueError("the type-D support set needs n >= 4")
-    elif n < 2:
-        raise ValueError("the support set needs n >= 2")
+    if n < _THEOREM_MIN_N[family]:
+        kind = "type-D support set" if family == "D" else "support set"
+        raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
     digits = base_p_digits(n, p)
     if _support_size(family, digits) > 1 << SUPPORT_MAX:
         raise CapacityError("support set too large to materialize")
@@ -354,7 +357,7 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
     """Dimension p-vector by the digit method; never enumerates the lattice."""
     _check_query(family, n, p)
-    low = 4 if family == "D" else 2
+    low = _THEOREM_MIN_N[family]
     if n < low:
         raise ValueError(f"the theorem method needs n >= {low} in type {family}")
     if p == 2 and family in ("B", "D"):
@@ -416,7 +419,7 @@ def cvec_closed_form(family: str, n: int, p: int):
     pattern, e.g. ``closed-form:p^a+p^b``.
     """
     _check_query(family, n, p)
-    if family == "D" and n < 4:
+    if family == "D" and n < _THEOREM_MIN_N[family]:
         return None
     if p == 2 and family != "A":
         return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
@@ -466,7 +469,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return vec
     if method == "closed":
         raise NoClosedFormError(f"no closed form applies to ({family}, n={n}, p={p})")
-    if n < (4 if family == "D" else 2):
+    if n < _THEOREM_MIN_N[family]:
         return cvec_naive(family, n, p)
     try:
         return cvec_theorem(family, n, p)

@@ -356,14 +356,14 @@ def test_multisets_match_chain_recurrence_across_field_widths():
 
 def test_residue_histograms_match_multiset_tallies_across_field_widths():
     # the histogram's butterfly runs mod p, the multiset's mod |W| + 1; the
-    # primes take 1-, 2- (131) and 4-byte (65537) fields, and the groups run
-    # from rank 0 to E8
+    # primes take 1- (up to 131), 2- (257) and 4-byte (65537) fields, and
+    # the groups run from rank 0 to E8
     names = [f"A{r}" for r in range(1, 13)] + [f"B{r}" for r in range(2, 12)]
     names += [f"D{r}" for r in range(4, 12)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
     names += [f"I2:{m}" for m in range(3, 13)]
     for diagram in [builtin_diagram(name) for name in names] + [CoxeterDiagram((), ())]:
         multiset = descent_class_multiset(diagram)
-        for p in (2, 3, 5, 7, 13, 131, 65537):
+        for p in (2, 3, 5, 7, 13, 131, 257, 65537):
             assert residue_histogram(diagram, p) == tuple(residue_tally(multiset, p)), (diagram.name, p)
 
 

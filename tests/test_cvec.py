@@ -191,10 +191,11 @@ def _digit_cache(p: int, width: int):
 
 def test_term_table_matches_term_mod_p():
     # the block-scaled chain table against the per-subset digit evaluation;
-    # 11 and 13 have digits up to 12, and 131 takes 2-byte fields
+    # 11 and 13 have digits up to 12, 131 takes 1-byte fields without a
+    # sign bit and 257 2-byte fields
     checked = 0
     for family in ("A", "B", "D"):
-        for p in (2, 3, 5, 7, 11, 13, 131):
+        for p in (2, 3, 5, 7, 11, 13, 131, 257):
             for n in range(4 if family == "D" else 2, 80):
                 pos = support_set(family, n, p)
                 if len(pos) > 12:
@@ -308,17 +309,25 @@ def test_inverse_zeta_packed_matches_list_form():
     # (1, 2, 4, 8 and 11), on the field_buffer of each native modulus (a
     # bytearray, or an array of 2-, 4- or 8-byte items) and on an array
     # wider than the modulus needs; each result comes back in the form it
-    # went in, and no input changes.  The small moduli sit on the lane
-    # boundaries: 2 runs in 2-bit lanes, 3, 4 and 8 in 4-bit lanes with a
-    # sign bit (4 and 8 the largest moduli there), 9 and 16 in 4-bit lanes
-    # without one, 17 is the first that keeps whole bytes, 131 and 256 run
-    # 2-byte fields in 8-bit lanes without a sign bit, 257 keeps them, and
-    # the sizes 2^0 and 2^1 skip a fold
+    # went in, and no input changes.  The moduli sit on both sides of every
+    # lane boundary, and the sizes 2^0 and 2^1 skip a fold:
+    #   m                   fields    lanes
+    #   2                   1 byte    1 bit, no sign bit (an XOR)
+    #   3 - 4               1 byte    2 bits, no sign bit
+    #   5 - 8               1 byte    4 bits with a sign bit
+    #   9 - 16              1 byte    4 bits, no sign bit
+    #   17 - 128            1 byte    8 bits with a sign bit
+    #   129 - 256           1 byte    8 bits, no sign bit
+    #   257 - 2^15          2 bytes   16 bits with a sign bit
+    #   2^15 + 1 - 2^16     2 bytes   16 bits, no sign bit
+    #   2^16 + 1 - 2^31     4 bytes   32 bits with a sign bit
     rng = random.Random(11)
     for bits in range(14):
         size = 1 << bits
-        for m in (2, 3, 4, 8, 9, 16, 17, 127, 131, 256, 257, 32749, 65537, 2**61 - 1, 2**80 + 13):
+        for m in (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, 32749, 32768, 32769,
+                  65536, 65537, 2**61 - 1, 2**80 + 13):
             width = field_width(m)
+            assert width == next(b for b in (1, 2, 4, 8, 11) if m <= 256**b), m
             vals = [rng.randrange(m) for _ in range(size)]
             want = _butterfly_reference(vals, m)
             listed = vals[:]
@@ -342,9 +351,9 @@ def test_inverse_zeta_packed_matches_list_form():
                     got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
                     assert got == want, (bits, m)
     with pytest.raises(ValueError):
-        inverse_zeta_packed(array("B", bytes(4)), 131)  # 1-byte fields are too narrow past 127
+        inverse_zeta_packed(array("B", bytes(4)), 257)  # 1-byte fields are too narrow past 256
     with pytest.raises(ValueError):
-        inverse_zeta_packed(bytes(6), 131)  # three 2-byte fields
+        inverse_zeta_packed(bytes(6), 257)  # three 2-byte fields
 
 
 def _covering_count(family, n, mask):
@@ -369,9 +378,9 @@ def _covering_count(family, n, mask):
 def test_weight_table_matches_per_mask_reference():
     # the table holds the lower half of the lattice, the masks without the
     # top descent, and every entry it holds is the covering count mod p.
-    # The primes give 1-byte fields (up to 127), 2-byte (131) and 4-byte
+    # The primes give 1-byte fields (up to 131), 2-byte (257) and 4-byte
     # ones (65537)
-    primes = (2, 3, 7, 127, 131, 65537)
+    primes = (2, 3, 7, 127, 131, 257, 65537)
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 11):
             bits = n - 1 if family == "A" else n
@@ -389,7 +398,7 @@ def test_half_lattice_tally_matches_full_lattice():
     # cvec_naive sweeps the masks without the top descent and doubles the
     # tally; here the whole lattice is swept instead: covering counts of all
     # 2^bits masks, the list butterfly, and a tally of every residue
-    primes = (2, 3, 5, 7, 13, 131, 65537)
+    primes = (2, 3, 5, 7, 13, 131, 257, 65537)
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 13):
             bits = n - 1 if family == "A" else n
@@ -457,14 +466,15 @@ def test_theorem_tally_matches_dense_reference():
 
 def test_theorem_route_at_the_support_budget_in_bounded_memory():
     # A n=49 p=3 sweeps 2^21 of its 2^22 support subsets and D n=140 p=7
-    # 2^20 of its 2^21, in 4-bit lanes: 7.5 and 3.7 MB traced.  Every subset
-    # of the supports of A n=19 p=101 and B n=18 p=131 (18 positions each,
+    # 2^20 of its 2^21: 7.5 and 3.7 MB traced.  Every subset of the
+    # supports of A n=19 p=101 and B n=18 p=131 and 257 (18 positions each,
     # one digit) is a chain, so a table kept per chain would grow with p:
-    # 0.8 and 1.2 MB traced, against 13.7 MB with a list of chains.  A
-    # small query first, so no first-call set-up is traced
+    # 0.8, 1.2 and 1.6 MB traced (1-, 1- and 2-byte fields), against
+    # 13.7 MB with a list of chains.  A small query first, so no first-call
+    # set-up is traced
     cvec_theorem("A", 8, 3)
     for family, n, p, ceiling in (("A", 49, 3, 16), ("D", 140, 7, 8),
-                                  ("A", 19, 101, 4), ("B", 18, 131, 4)):
+                                  ("A", 19, 101, 4), ("B", 18, 131, 4), ("B", 18, 257, 4)):
         tracemalloc.start()
         try:
             vec = cvec_theorem(family, n, p)
@@ -505,10 +515,10 @@ def test_methods_agree_small_grid():
 
 
 def test_methods_agree_across_field_widths():
-    # 127 is the last prime with 1-byte fields, 131 and 32749 take 2 bytes
-    # and 65537 takes 4, in the naive table and the theorem term table
-    # alike; n = 7 is also reduced index by index
-    for p in (127, 131, 32749, 65537):
+    # 127 and 131 take 1-byte fields, with a sign bit and without, 257 and
+    # 32749 take 2 bytes and 65537 takes 4, in the naive table and the
+    # theorem term table alike; n = 7 is also reduced index by index
+    for p in (127, 131, 257, 32749, 65537):
         for n in range(2, 10):
             assert cvec_naive("A", n, p) == cvec_theorem("A", n, p), (n, p)
             assert cvec_naive("B", n, p) == cvec_theorem("B", n, p), (n, p)
@@ -526,9 +536,9 @@ def test_methods_agree_across_field_widths():
 def test_naive_sweep_in_bounded_memory():
     # 2^20 indices: the table, the butterfly and the tally stay in packed
     # fields over the half lattice, so the peak is a few copies of the
-    # 0.5 MB field buffer: 1.9 and 2.4 MB in 4-bit lanes, 3.2 and 3.3 MB
-    # in whole bytes (6.4 and 6.7 MB over the whole lattice; with an exact
-    # weight table and a list of ints 60 and 96 MB)
+    # 0.5 MB field buffer: 1.9 MB in 2-bit and 2.4 MB in 4-bit lanes, 3.2
+    # and 3.3 MB in whole bytes (6.4 and 6.7 MB over the whole lattice;
+    # with an exact weight table and a list of ints 60 and 96 MB)
     for family, n, p in (("A", 21, 3), ("D", 20, 13)):
         tracemalloc.start()
         try:
@@ -541,10 +551,11 @@ def test_naive_sweep_in_bounded_memory():
 
 
 def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
-    # moduli up to 8 run the butterfly in 4-bit lanes and 2 in 2-bit
-    # lanes, so its big ints are half (a quarter) of the 1-byte fields:
-    # traced peaks 7.5 MB for D n=22 p=3 (2^21 fields) and 3.7 MB for
-    # A n=22 p=2 (2^20), against 12.8 and 6.4 MB with whole bytes
+    # moduli 3 and 4 run the butterfly in 2-bit lanes and 2 in 1-bit
+    # lanes, so its big ints are a quarter (an eighth) of the 1-byte
+    # fields: traced peaks 7.5 MB for D n=22 p=3 (2^21 fields) and 3.7 MB
+    # for A n=22 p=2 (2^20), as in 4- and 2-bit lanes, against 12.8 and
+    # 6.4 MB with whole bytes
     for family, n, p, cap in (("D", 22, 3, 10 << 20), ("A", 22, 2, 5 << 20)):
         tracemalloc.start()
         try:
@@ -558,14 +569,16 @@ def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
 
 def test_field_tally_matches_counter():
     # the butterfly's output is tallied by bytes.count up to the crossover
-    # prime and by one Counter pass above it, from bytes or a field_buffer
-    # array; both sides of the crossover are covered, and 2- and 4-byte
-    # fields, against the list butterfly and a Counter
+    # prime and by one Counter pass above it, from a field_buffer; both
+    # sides of the crossover are covered, and 1-, 2- and 4-byte fields,
+    # against the list butterfly and a Counter
     rng = random.Random(8)
     assert 53 <= _COUNT_TALLY_MAX_P < 59
-    for p in (2, 53, 59, 127, 131, 65537):
+    for p in (2, 53, 59, 127, 131, 257, 65537):
         vals = [rng.randrange(p) for _ in range(4096)]
-        data = bytes(vals) if p < 128 else array(field_buffer(0, p).typecode, vals)
+        data = field_buffer(len(vals), p)
+        for i, v in enumerate(vals):
+            data[i] = v
         inverse_zeta(vals, p)
         counts = Counter(vals)
         assert inverse_zeta_tally(data, p) == [counts[r] for r in range(p)], p
