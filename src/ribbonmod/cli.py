@@ -226,7 +226,7 @@ def _verify_tables(report) -> bool:
     return _compare(report, EXCEPTIONAL_MULTISETS, "groups", triples, format_multiset) and ok
 
 
-ORACLE_GRID = {"A": range(2, 9), "B": range(2, 8), "D": range(2, 8)}
+ORACLE_GRID = {"A": range(2, 10), "B": range(2, 8), "D": range(2, 8)}
 ORACLE_PRIMES = (2, 3, 5, 7)
 
 

@@ -110,11 +110,15 @@ MACDONALD_DIGIT_MAX = 1000
 # a digit m at position j has coefficients of about s = m * log2(p^j) bits,
 # and its series takes about m^2 / 2 products of one of them by a small
 # int, so m^2 * s; the product of the digits' coefficients, of S bits
-# together, adds about S^2 / 30 (30-bit int digits times each other).
-# Measured (2-core machine, Python 3.11, best of 3): digit 1000 at
-# p = 1009, j = 1 (1.0e10) 0.15 s, and at j = 2 (2.0e10) 0.32 s; the 1000
-# digits 1 of 2^1000 - 1 at p = 2 (8.4e9) 0.16 s, of 2^1250 - 1 (2.0e10)
-# 0.38 s; the 650 digits 2 of 3^650 - 1 (1.5e10) 0.31 s; 2^200 - 1 1.5 ms.
+# together, adds S^2 / 30, the cost of a running product (30-bit int
+# digits times each other).  The product is a balanced tree now, so that
+# term is a conservative bound that is still to be re-measured.
+# Measured with the running product (2-core machine, Python 3.11, best of
+# 3): digit 1000 at p = 1009, j = 1 (1.0e10) 0.15 s, and at j = 2 (2.0e10)
+# 0.32 s; the 1000 digits 1 of 2^1000 - 1 at p = 2 (8.4e9) 0.16 s, of
+# 2^1250 - 1 (2.0e10) 0.38 s; the 650 digits 2 of 3^650 - 1 (1.5e10)
+# 0.31 s; 2^200 - 1 1.5 ms.  With the tree, 2^1000 - 1 takes 0.008 s and
+# 3^650 - 1 0.12 s.
 MACDONALD_COST_MAX = 15 * 10**9
 
 
@@ -536,8 +540,9 @@ def macdonald_mp(n: int, p: int) -> int:
     A digit past MACDONALD_DIGIT_MAX, or digits whose series and product
     are estimated past MACDONALD_COST_MAX bit steps (about n_j^2 * s_j
     for the series of digit n_j, whose coefficients have about
-    s_j = n_j * log2(p^j) bits, plus (sum of the s_j)^2 / 30 for the
-    product), is refused with CapacityError before any series is built."""
+    s_j = n_j * log2(p^j) bits, plus (sum of the s_j)^2 / 30, a bound on
+    the balanced product of the coefficients), is refused with
+    CapacityError before any series is built."""
     digits = base_p_digits(n, p)
     if n < 1:
         raise ValueError("n must be positive")
@@ -555,8 +560,13 @@ def macdonald_mp(n: int, p: int) -> int:
                     f"the base-{p} digits of n cost at least {cost:.2e} bit steps"
                     f" to expand; the budget is {MACDONALD_COST_MAX:.2e}"
                 )
-    result = 1
-    for j, nj in enumerate(digits):
-        if nj:
-            result *= _colored_partition_count(nj, p**j)
-    return result
+    return _tree_product([_colored_partition_count(nj, p**j) for j, nj in enumerate(digits) if nj])
+
+
+def _tree_product(values: list[int]) -> int:
+    # multiply neighbours round by round, so that each big-int product joins
+    # factors of about the same size: quasi-linear in the total bits, where
+    # a running product is quadratic
+    while len(values) > 1:
+        values = [prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return values[0] if values else 1

@@ -8,9 +8,12 @@ Three independent routes are provided and cross-checked by the test suite:
   * for type A only, an equivalent determinant evaluated exactly over the
     integers (``ribbon_a_det``);
   * brute-force enumeration of the group itself, tallying descent sets
-    (``oracle_descent_class_sizes``): one pass over the permutations of
-    [n], and in types B and D each sign pattern maps the permutations'
-    descent masks, with their counts, to signed descent masks.
+    (``oracle_descent_class_sizes``): the permutations of [n] are counted
+    by parabolic cosets, a suffix table of S_k, k = min(n, (n + 3) // 2),
+    by first value and descent mask times the ordered (n - k)-prefixes by
+    descent mask and by c, the values left below their last value; in
+    types B and D each sign pattern maps the permutations' descent masks,
+    with their counts, to signed descent masks.
 
 ``ribbon_mod_p`` runs the same recurrence modulo a prime with binomials
 from Lucas's theorem, after dropping the descent positions whose base-p
@@ -321,12 +324,63 @@ def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
     return mask
 
 
+def _descent_bits(w) -> int:
+    # bit i: w[i] > w[i + 1]
+    mask = 0
+    bit = 1
+    prev = w[0]
+    for v in w[1:]:
+        if prev > v:
+            mask |= bit
+        bit <<= 1
+        prev = v
+    return mask
+
+
+def _type_a_mask_counts(n: int) -> dict[int, int]:
+    """How many permutations of [n] have each type-A descent mask (bit i - 1:
+    w(i) > w(i + 1)), by the coset tally of ``oracle_descent_class_sizes``."""
+    k = min(n, (n + 3) // 2)
+    m = n - k
+    counts: dict[int, int] = {}
+    if not m:
+        for w in permutations(range(n)):
+            mask = _descent_bits(w)
+            counts[mask] = counts.get(mask, 0) + 1
+        return counts
+    suffixes: dict[tuple[int, int], int] = {}
+    for s in permutations(range(k)):
+        key = (s[0], _descent_bits(s) << m)
+        suffixes[key] = suffixes.get(key, 0) + 1
+    prefixes: dict[tuple[int, int], int] = {}
+    for w in permutations(range(n), m):
+        last = w[-1]
+        key = (_descent_bits(w), last - sum(map(last.__gt__, w)))
+        prefixes[key] = prefixes.get(key, 0) + 1
+    boundary = 1 << m >> 1
+    for (head, c), count in prefixes.items():
+        below = head | boundary
+        for (f, tail), tally in suffixes.items():
+            mask = (below if f < c else head) | tail
+            counts[mask] = counts.get(mask, 0) + count * tally
+    return counts
+
+
 def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | PseudoComposition, int]:
     """Descent-class sizes by counting every group element once, keyed by the
     index (Composition in type A, PseudoComposition in types B and D) whose
     descent set the class has.
 
-    Family A sweeps the permutations of [n] and tallies their descent masks.
+    Family A counts each permutation once by its parabolic factorisation
+    w = w^J w_J, with W_J the permutations of the last k = min(n, (n + 3) // 2)
+    positions (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.4.4).
+    A suffix table tallies S_k by first value f and descent mask.  The
+    ordered (n - k)-prefixes are tallied by descent mask and by c, the number
+    of values left for the suffix that lie below the prefix's last value, so
+    the boundary descent holds exactly when f < c; each (prefix mask, c) pair
+    adds its count times each suffix count.  For n <= 3, k = n leaves no
+    prefix, and S_n is tallied by descent mask alone.
+
     Types B and D use W(B_n) = {sign patterns} x S_n (D keeps the even
     patterns): the signed window with absolute values a_1, ..., a_n and sign
     pattern ``neg`` has its descents fixed by ``neg`` and the type-A descents
@@ -342,14 +396,7 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
         raise CapacityError(
             f"oracle budget for family {family} is {lo} <= n <= {ORACLE_MAX_N[family]}"
         )
-    # bit i - 1 of a type-A mask: a_i > a_(i+1)
-    base: dict[int, int] = {}
-    for w in permutations(range(1, n + 1)):
-        mask = 0
-        for i in range(1, n):
-            if w[i - 1] > w[i]:
-                mask |= 1 << (i - 1)
-        base[mask] = base.get(mask, 0) + 1
+    base = _type_a_mask_counts(n)
     if family == "A":
         return {Composition.from_mask(n, mask): c for mask, c in base.items()}
     low = (1 << (n - 1)) - 1

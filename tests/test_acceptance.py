@@ -97,7 +97,7 @@ def test_criterion_4_exceptional_data():
     _finish(4, "exceptional multisets (H3 corrected) and residue histograms", started, 5, problems)
 
 
-ORACLE_GRID = {"A": (1, 8), "B": (1, 7), "D": (2, 7)}
+ORACLE_GRID = {"A": (1, 9), "B": (1, 7), "D": (2, 7)}
 ORACLE_PRIMES = (2, 3, 5, 7, 11)
 
 

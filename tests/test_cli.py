@@ -290,6 +290,7 @@ def test_verify_oracles_suite(capsys):
     assert "verify: OK" in out
     lines = [line for line in out.splitlines() if line.startswith("PASS oracle ")]
     assert len(lines) == sum(len(ns) for ns in ORACLE_GRID.values())
+    assert "PASS oracle A n=9 (256 classes)" in lines
     assert "PASS oracle B n=7 (128 classes)" in lines
 
 

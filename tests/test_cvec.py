@@ -1084,6 +1084,16 @@ def test_macdonald_cost_past_the_budget_refused_before_allocating():
     assert macdonald_mp(1000 * 1009, 1009) > 0
 
 
+def test_macdonald_tree_product_matches_the_running_product():
+    # the balanced product of the digit coefficients against a plain
+    # running product, over many equal digits and over mixed ones
+    for n, p in ((2**200 - 1, 2), (3**50 - 1, 3), (7 + 500 * 1009 + 3 * 1009**2 + 1009**3, 1009)):
+        running = 1
+        for j, nj in enumerate(base_p_digits(n, p)):
+            running *= _colored_partition_count(nj, p**j)
+        assert macdonald_mp(n, p) == running, (n, p)
+
+
 def _convolved_partition_count(m, colors):
     # x^m in prod_i (1 - x^i)^(-colors), by multiplying in one factor
     # sum_t C(colors + t - 1, t) x^(i t) at a time

@@ -276,6 +276,18 @@ def test_oracle_matches_formulas():
                 assert ribbon_exact(family, alpha) == size
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_counts_each_permutation(n):
+    # the coset tally against a plain loop over S_n; n = 1-8 runs every
+    # split from k = n (no prefix) to prefixes of length 3
+    expected = Counter()
+    for w in permutations(range(1, n + 1)):
+        expected[tuple(i for i in range(1, n) if w[i - 1] > w[i])] += 1
+    classes = oracle_descent_class_sizes("A", n)
+    assert {alpha.descents(): size for alpha, size in classes.items()} == expected
+    assert sum(classes.values()) == factorial(n)
+
+
 def _signed_windows(family, n):
     """Every window of W(B_n), or of its even subgroup in type D."""
     for base in permutations(range(1, n + 1)):
