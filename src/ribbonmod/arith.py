@@ -8,19 +8,11 @@ by a deterministic Miller-Rabin test on entry.  The Moebius transform works
 modulo any integer m >= 2 on residues packed into fixed-width fields, and
 the field format is known only here: callers build their residues mod m in
 a ``field_buffer(size, m)`` (scaling blocks of it with ``field_scaler(m)``)
-and hand it with m to ``inverse_zeta_packed``, which picks the width from
-m, reads the fields as one big int, runs each level of the butterfly as a
-few whole-int operations (SIMD within a register) and returns them in the
-same kind of buffer, or to ``inverse_zeta_tally``, which tallies that output
-by residue.  A field holds one residue; while the residues fit lanes of
-half the width and half the lanes fill a byte, the upper half of the
-fields is folded into the high half-lanes of the lower half, so every
-whole-int operation touches as few bytes as m allows (1-bit lanes for
-m = 2, 2-bit for 3 and 4, 4-bit up to 16, 8-bit up to 256).  A lane keeps
-a sign bit where m allows one, and each level of the butterfly reads
-every lane's borrow from its top bits where it does not.
-``residue_tally`` tallies a ``{value: count}`` mapping mod m, and
-``inverse_zeta`` is the butterfly for a list of ints.
+and hand it with m to ``inverse_zeta_tally``, which tallies the transform's
+output by residue, or to ``inverse_zeta_packed``, which returns the output
+fields in the same kind of buffer.  Both run one bit-sliced kernel, on the
+(m - 1).bit_length() bit planes of the fields, for every field width.
+``residue_tally`` tallies a ``{value: count}`` mapping mod m.
 """
 
 from __future__ import annotations
@@ -39,17 +31,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
 
 # unsigned array typecodes of the field widths packed natively, by byte
-# count; lists convert to and from arrays, and multi-byte blocks are scaled,
-# in chunks, so no temporary list is as long as the input
+# count; multi-byte blocks are scaled in chunks, so no temporary list is as
+# long as the input
 _NATIVE_CODES = {array(code).itemsize: code for code in "QIHB"}
 _CHUNK = 1 << 14
 
-# Largest m whose residues (1-byte fields) are tallied by bytes.count scans,
-# one per residue but the last; above it one Counter pass is faster.  On 2^20
-# fields (2-core machine, Python 3.11, best of 7): bytes.count 23 / 44 /
-# 46-53 / 48-60 / 89 ms against Counter 47 / 45-56 / 43-68 / 45-69 / 64 ms
-# at p = 13 / 47 / 53 / 59 / 127, so the crossover lies near p = 53-59.
-_COUNT_TALLY_MAX_P = 53
+# Largest m whose butterfly output is tallied by popcounts of the bit planes
+# (a prefix tree of about 2m plane ANDs); past it the planes go back into
+# fields for one Counter pass.  Butterfly and tally of 2^14 / 2^18 / 2^20
+# fields (2-core machine, Python 3.11, best of 7), popcounts against Counter:
+# m = 131 0.58 / 7.0 / 30 against 0.86 / 13.6 / 59 ms, m = 509 1.70 / 21.0 /
+# 83 against 1.68 / 24.7 / 103 ms, m = 641 1.99 / 25.1 / 99 against 1.76 /
+# 25.9 / 109 ms, m = 769 2.19 / 28.7 / 110 against 1.72 / 25.8 / 105 ms:
+# the crossover lies near m = 500 for 2^14 fields and 700 for 2^20.
+_POPCOUNT_TALLY_MAX_M = 640
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -177,8 +172,8 @@ def field_width(m: int) -> int:
 def field_buffer(size: int, m: int):
     """``size`` zeroed fields for residues mod m, of ``field_width(m)``
     bytes: a bytearray for 1-byte fields, an unsigned ``array`` for 2, 4
-    or 8.  Both take item and slice assignment, and both are input to
-    ``inverse_zeta_packed`` as they stand."""
+    or 8.  Both take item and slice assignment and ``extend``, and both
+    are input to ``inverse_zeta_packed`` as they stand."""
     width = field_width(m)
     if width == 1:
         return bytearray(size)
@@ -208,14 +203,114 @@ def field_scaler(m: int):
     return scale
 
 
-def _lanes(unit: int, w: int, count: int) -> int:
-    # ``count`` lanes of w bits, each holding ``unit``; count * w is a
-    # whole number of bytes
-    while w < 8:
-        unit |= unit << w
-        w *= 2
-        count //= 2
-    return int.from_bytes(unit.to_bytes(w // 8, "little") * count, "little")
+def _transpose(rows: list, step: int) -> list:
+    # eight ints of ``step`` bytes (missing ones 0) with the 8 x 8 bit matrix
+    # at each byte position transposed (bit j of byte i of row b becomes bit
+    # b of byte i of row j), by three rounds of block swaps (Warren, Hacker's
+    # Delight, 7-3); rows are replaced in the list, so each old one is freed
+    rows += [0] * (8 - len(rows))
+    for s, pattern in ((4, b"\x0f"), (2, b"\x33"), (1, b"\x55")):
+        mask = int.from_bytes(pattern * step, "little")
+        for j in range(8):
+            if not j & s:
+                t = (rows[j] >> s ^ rows[j + s]) & mask
+                rows[j] ^= t << s
+                rows[j + s] ^= t
+    return rows
+
+
+def _planes(fields, m: int):
+    # (planes, size, width, big): plane b holds bit b of every field, for
+    # b < (m - 1).bit_length(); big says the fields are native items of a
+    # big-endian machine.  Byte column c of the slices, read as ints and
+    # transposed, gives planes 8c to 8c + 7; all columns are read first, so
+    # a buffer the caller passed as a temporary is freed before that
+    if isinstance(fields, array):
+        width, big = fields.itemsize, sys.byteorder == "big"
+        if width < field_width(m):
+            raise ValueError(f"fields of {width} bytes are too narrow for modulus {m}")
+    else:
+        width, big = field_width(m), False
+    view = memoryview(fields).cast("B")
+    size = view.nbytes // width
+    if not size or size & (size - 1) or size * width != view.nbytes:
+        raise ValueError("the butterfly needs a power-of-two number of fields")
+    slices = min(8, size)
+    step = size // slices
+    w = (m - 1).bit_length()
+    columns = [
+        [int.from_bytes(view[j * step * width + offset:(j + 1) * step * width:width], "little")
+         for j in range(slices)]
+        for offset in (width - 1 - c if big else c for c in range((w + 7) // 8))
+    ]
+    del fields, view
+    planes = []
+    while columns:
+        planes += _transpose(columns.pop(0), step)[:w - len(planes)]
+    return planes, size, width, big
+
+
+def _fields(planes, size: int, width: int, big: bool) -> bytearray:
+    # the fields of ``_planes`` again, as bytes of ``width`` bytes each
+    slices = min(8, size)
+    step = size // slices
+    out = bytearray(size * width)
+    for c in range(0, len(planes), 8):
+        offset = width - 1 - c // 8 if big else c // 8
+        rows = _transpose(planes[c:c + 8], step)[:slices]
+        out[offset::width] = b"".join(row.to_bytes(step, "little") for row in rows)
+    return out
+
+
+def _butterfly(planes: list, m: int, size: int) -> None:
+    # the levels, in place: the partner of each position with the level's
+    # bit lies d positions below, so (x << d) & upper is plane x of the
+    # partners there and 0 elsewhere; m is added back with a ripple carry
+    d = size // 2
+    upper = ((1 << d) - 1) << d
+    while d:
+        borrow = 0
+        for b, x in enumerate(planes):
+            q = (x << d) & upper
+            x ^= q
+            planes[b] = x ^ borrow
+            borrow ^= (borrow ^ q) & x
+        del q, x
+        if borrow and m != 1 << len(planes):
+            carry = 0
+            for b, x in enumerate(planes):
+                if m >> b & 1:
+                    planes[b] = x ^ borrow ^ carry
+                    carry |= x & borrow
+                elif carry:
+                    planes[b] = x ^ carry
+                    carry &= x
+            del x, carry
+        del borrow
+        d //= 2
+        upper ^= upper >> d
+
+
+def _plane_tally(planes: list, m: int, size: int) -> list[int]:
+    # entry r counts the positions whose planes spell r: popcounts of the
+    # leaves of a prefix tree of ANDs, depth first from the top plane, and
+    # only down branches whose least value is below m
+    tally = [0] * m
+    stack = [((1 << size) - 1, len(planes), 0)]
+    while stack:
+        node, b, v = stack.pop()
+        b -= 1
+        one = node & planes[b]
+        if not b:
+            # the last plane: the lanes of 2v are the rest of the node's
+            tally[2 * v] = node.bit_count() - one.bit_count()
+            if 2 * v + 1 < m:
+                tally[2 * v + 1] = one.bit_count()
+            continue
+        if (2 * v + 1) << b < m:
+            stack.append((one, b, 2 * v + 1))
+        stack.append((node ^ one, b, 2 * v))
+    return tally
 
 
 def inverse_zeta_packed(fields, m: int):
@@ -225,132 +320,24 @@ def inverse_zeta_packed(fields, m: int):
 
     ``fields`` holds 2^k residues in [0, m): an ``array`` whose items fit
     m (a ``field_buffer``), or bytes-like data of little-endian fields of
-    ``field_width(m)`` bytes (the form for moduli past 8 bytes).  The
-    result comes back in the same form: an array of the same typecode, or
-    bytes.  The fields are read as one int, so each level of the butterfly
-    is a handful of linear-time big-int operations instead of one Python
-    step per pair (SIMD within a register).  The level of bit s moves the
-    lanes without bit s onto the lanes with it (``up``) and subtracts, lane
-    by lane; no borrow crosses a lane, so every lane ends the level inside
-    [0, 2^w) and holds (h - l) mod m.
-
-    Before the levels, the int is folded while half the fields fill at
-    least a byte and the residues fit a half lane, m <= 2^(w/2):
-    ``x = lo | hi << (w/2)`` puts field i + size/2 into the high half-lane
-    of field i.  A fold only moves the top index bit to bit 0 of the lane
-    index, and the levels, one per index bit, commute, so the same levels
-    over the lanes give the same transform; afterwards each fold is undone
-    by masking out the low and the high half-lanes and joining the two
-    halves' bytes.  The final width w decides the level.
-    Where m <= 2^(w-1), a lane holds h - l + 2^(w-1) (the guarded level):
-    its top bit says whether h - l stayed nonnegative, and 2^(w-1) - m
-    comes off the lanes where it did not.  Above that the lanes have no
-    sign bit (the borrow-detecting level): they subtract mod 2^w with
-    their top bits set aside, the borrow out of each lane is read from the
-    top bits of h, l and the difference, and 2^w - m comes off the lanes
-    that borrowed.  So m = 2 runs in 1-bit lanes (k = 0: the level is an
-    XOR), 3 and 4 in 2-bit lanes, 5 to 8 in 4-bit lanes with a sign bit,
-    9 to 16 without, 17 to 128 in 8-bit lanes with one and 129 to 256
-    without (wider fields of a small modulus fold further).
+    ``field_width(m)`` bytes.  The result comes back in the same form: an
+    array of the same typecode, or bytes.  The fields are bit-sliced
+    (Biham 1997): plane b, an int of 2^k bits, holds bit b of every field,
+    for the w = (m - 1).bit_length() bits of a residue, so every level of
+    the butterfly is a few ANDs, XORs and ORs of whole planes plus one
+    shift per plane, whatever the field width.  With s = min(8, 2^k)
+    slices of 2^k / s fields, field i + j 2^k / s sits at bit s i + j of
+    every plane: the slices, read as ints, are transposed bit by bit within
+    each byte, which only relabels the index bits and so leaves the
+    transform the same.  A level subtracts the partners' planes with a
+    ripple borrow and adds m back on the lanes that borrowed (nothing for
+    m = 2^w, so the levels of m = 2 are XORs).
     """
-    width = field_width(m)
     typecode = fields.typecode if isinstance(fields, array) else None
-    if typecode:
-        if fields.itemsize < width:
-            raise ValueError(f"fields of {fields.itemsize} bytes are too narrow for modulus {m}")
-        width = fields.itemsize
-        if sys.byteorder == "big":
-            fields = array(typecode, fields)
-            fields.byteswap()
-    nbytes = memoryview(fields).nbytes
-    size = nbytes // width
-    if not size or size & (size - 1) or size * width != nbytes:
-        raise ValueError("the butterfly needs a power-of-two number of fields")
-    w = 8 * width
-    x = int.from_bytes(fields, "little")
-    del fields  # a buffer the caller passed as a temporary is freed here
-    # fold into lanes of half the width (see above), then pick the level
-    while size // 2 * w >= 8 and m <= 1 << (w // 2):
-        half = size * w // 2
-        x = x & ((1 << half) - 1) | (x >> half) << (w // 2)
-        w //= 2
-    free = m > 1 << (w - 1)
-    # the levels commute, so they run from the top bit down: the lanes
-    # whose index has bit s set are mask ^ (mask >> (2^s lanes)), mask those
-    # of bit s + 1, and bias holds the top bit of each of those lanes; k
-    # comes off the lanes where h < l
-    step = size // 2
-    mask = ((1 << (w * step)) - 1) << (w * step)
-    bias = _lanes(1 << (w - 1), w, size) >> (w * step) << (w * step)
-    k = (1 << w if free else 1 << (w - 1)) - m
-    while step:
-        up = (x << (w * step)) & mask
-        if free:
-            e = x ^ up
-            x = ((x | bias) - (up ^ (up & bias))) ^ bias ^ (e & bias)
-            if k:
-                # borrow out of the top bit: ~h & l = e & l, or ~e & (h - l)
-                x -= ((((up & e) | (x ^ (x & e))) & bias) >> (w - 1)) * k
-            del up, e  # so that no temporary outlives the level
-        else:
-            x |= bias
-            x -= up
-            del up
-            sign = x & bias  # the top bits left set, where h - l >= 0
-            x ^= sign
-            if k:
-                x -= ((bias ^ sign) >> (w - 1)) * k
-            del sign
-        step //= 2
-        mask ^= mask >> (w * step)
-        bias ^= bias >> (w * step)
-    # unfold: the high half-lanes go back above the lower half of the
-    # fields; the halves are joined as bytes, so no shifted copy of the
-    # whole int is made, and each temporary is freed as soon as it is used
-    data = x.to_bytes(size * w // 8, "little")
-    del x
-    while w < 8 * width:
-        x = int.from_bytes(data, "little")
-        del data
-        low = _lanes((1 << w) - 1, 2 * w, size // 2)
-        lo = (x & low).to_bytes(size * w // 8, "little")
-        hi = (x >> w & low).to_bytes(size * w // 8, "little")
-        del x, low
-        data = lo + hi
-        del lo, hi
-        w *= 2
-    if not typecode:
-        return data
-    out = array(typecode, data)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
-def inverse_zeta(vals: list[int], m: int) -> None:
-    """In place: vals[T] <- sum over S subset T of (-1)^|T\\S| vals[S], mod m.
-
-    The list form of ``inverse_zeta_packed``, for any integer m >= 2, prime
-    or not (inputs need not be reduced; outputs are).  An exact result
-    whose values are known to lie in [0, m) is its own residue, so callers
-    with such a bound need no separate exact mode.  ``len(vals)`` must be a
-    power of two.  Native field widths go through ``array`` in chunks, so
-    no temporary list is as long as the input; wider fields (moduli past 8
-    bytes) are packed one value at a time.
-    """
-    width = field_width(m)
-    code = _NATIVE_CODES.get(width)
-    if code:
-        packed = array(code)
-        for i in range(0, len(vals), _CHUNK):
-            packed.fromlist([v % m for v in vals[i:i + _CHUNK]])
-        out = inverse_zeta_packed(packed, m)
-        del packed
-        for i in range(0, len(vals), _CHUNK):
-            vals[i:i + _CHUNK] = out[i:i + _CHUNK]
-    else:
-        data = inverse_zeta_packed(b"".join((v % m).to_bytes(width, "little") for v in vals), m)
-        vals[:] = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    planes, size, width, big = _planes(fields, m)
+    _butterfly(planes, m, size)
+    out = _fields(planes, size, width, big)
+    return array(typecode, out) if typecode else bytes(out)
 
 
 def residue_tally(counts, m: int) -> list[int]:
@@ -365,13 +352,18 @@ def residue_tally(counts, m: int) -> list[int]:
 def inverse_zeta_tally(fields, m: int) -> list[int]:
     """The residue tally of ``inverse_zeta_packed(fields, m)`` for a
     ``field_buffer`` of residues mod m: entry r counts the output fields
-    equal to r.  Small moduli are tallied by a ``count`` scan per residue
-    but the last, which takes what is left, larger ones by a Counter pass."""
-    # handed over through a list, so no local here outlives the butterfly's del
+    equal to r.  Up to ``_POPCOUNT_TALLY_MAX_M`` it is read off the bit
+    planes by popcounts; past it the planes go back into fields, which one
+    Counter pass tallies."""
+    # handed over through a list, so that a buffer the caller passed as a
+    # temporary is freed once its planes are made
     box = [fields]
     del fields
-    out = inverse_zeta_packed(box.pop(), m)
-    if m <= _COUNT_TALLY_MAX_P:
-        tally = [out.count(r) for r in range(m - 1)]
-        return tally + [len(out) - sum(tally)]
-    return residue_tally(Counter(out), m)
+    planes, size = _planes(box.pop(), m)[:2]
+    _butterfly(planes, m, size)
+    if m <= _POPCOUNT_TALLY_MAX_M:
+        return _plane_tally(planes, m, size)
+    width = field_width(m)
+    out = _fields(planes, size, width, sys.byteorder == "big")
+    del planes
+    return residue_tally(Counter(memoryview(out).cast(_NATIVE_CODES[width])), m)

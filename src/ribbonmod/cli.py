@@ -129,11 +129,8 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     if "vector" in record:
         text = {c: _decimal(c, pow2) for c in set(record["vector"])}
         record["vector"] = [text[c] for c in record["vector"]]
-        line = "(" + ", ".join(record["vector"]) + ")"
     elif "value" in record:
-        record["value"] = line = _decimal(record["value"], pow2)
-    else:
-        line = format_multiset(dict(record["classes"]))
+        record["value"] = _decimal(record["value"], pow2)
     if fmt == "json":
         print(json.dumps(record))
     elif fmt == "csv":
@@ -145,7 +142,12 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     else:
         for note in notes:
             print(note, file=sys.stderr)
-        print(line)
+        if "vector" in record:
+            print("(" + ", ".join(record["vector"]) + ")")
+        elif "value" in record:
+            print(record["value"])
+        else:
+            print(format_multiset(dict(record["classes"])))
     return 0
 
 

@@ -14,11 +14,11 @@ single I term by term, over a table of I whose nodes are the generators of
 I and the components of S minus I (so a term costs O(|I| + components)
 bit operations and one division, whatever the rank), and for all 2^rank
 subsets at once by one O(rank 2^(rank - 1)) subset Moebius butterfly over
-the coset counts of the subsets without the last generator, modulo
-|W| + 1 (a class size is at most |W|, so its residue is the size itself;
-a residue histogram runs modulo p instead); the class of each complement
-has the same size.  Both sweeps refuse more than 2^SUBSET_MAX_RANK subsets
-with CapacityError.
+the coset counts of the subsets without the last generator: exact passes
+over Python ints for the class sizes, and for a residue histogram the
+packed butterfly and tally of ``arith`` modulo p; the class of each
+complement has the same size.  Both sweeps refuse more than
+2^SUBSET_MAX_RANK subsets with CapacityError.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from operator import sub
 
-from .arith import inverse_zeta, residue_tally
+from .arith import field_buffer, inverse_zeta_tally
 from .compositions import CapacityError
 from .cvec import _check_tally_prime
 
@@ -378,18 +379,27 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     )
 
 
-def _class_sizes(diagram: CoxeterDiagram, p: int | None = None) -> list[int]:
-    # exact (or, given p, mod p) descent class sizes of the generator subsets
-    # J without the last generator, by bitmask: the masks below 2^(rank - 1),
-    # or the empty one at rank 0; the class of S minus J has the same size
+def _coset_counts(diagram: CoxeterDiagram):
+    # the coset counts |W| / |W_(S minus J)| of the generator subsets J
+    # without the last generator, by bitmask: the masks below 2^(rank - 1),
+    # or the empty one at rank 0; the class of S minus J has the same size.
+    # S minus J has the complementary mask, read from the upper half of the
+    # order table backwards
     _check_subset_sweep(diagram.rank())
     orders = _parabolic_orders(diagram, diagram.generators)
-    # the coset count of J is |W| / |W_(S minus J)|, and S minus J has the
-    # complementary mask, read from the upper half of the table backwards
     whole = orders[-1]
-    m = whole + 1 if p is None else p
-    sizes = [whole // order % m for order in reversed(orders[len(orders) // 2:])]
-    inverse_zeta(sizes, m)
+    return (whole // order for order in reversed(orders[len(orders) // 2:]))
+
+
+def _class_sizes(diagram: CoxeterDiagram) -> list[int]:
+    # the exact class sizes of ``_coset_counts``' subsets: one exact Yates
+    # pass per bit, each taking the entries with bit 0 clear, lo, and those
+    # with it set minus lo, and putting bit 0 on top, so the passes bring
+    # the bits back to their places
+    sizes = list(_coset_counts(diagram))
+    for _ in range(len(sizes).bit_length() - 1):
+        lo = sizes[0::2]
+        sizes = lo + list(map(sub, sizes[1::2], lo))
     return sizes
 
 
@@ -397,14 +407,13 @@ def descent_class_sizes(diagram: CoxeterDiagram) -> dict[frozenset, int]:
     """Every descent class size, keyed by the generator subset.
 
     The order table gives the coset counts |W| / |W_(S minus J)| indexed by
-    the mask of J, and one subset Moebius butterfly turns them into the
-    class sizes.  Every class size lies in [0, |W|], so the butterfly runs
-    modulo |W| + 1 and each residue is the exact size.  The butterfly runs
-    only over the subsets J that avoid the last generator (they are closed
-    under subsets): w -> w0 w maps the class of J onto the class of S minus
-    J, since l(w0 w) = l(w0) - l(w) turns every right descent of w into an
-    ascent and back (Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    Prop. 2.3.2), so the other half is the first one mirrored.
+    the mask of J, and one exact subset Moebius butterfly turns them into
+    the class sizes.  The butterfly runs only over the subsets J that
+    avoid the last generator (they are closed under subsets): w -> w0 w
+    maps the class of J onto the class of S minus J, since l(w0 w) =
+    l(w0) - l(w) turns every right descent of w into an ascent and back
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, Prop. 2.3.2), so
+    the other half is the first one mirrored.
     """
     gens = diagram.generators
     half = _class_sizes(diagram)
@@ -421,7 +430,7 @@ def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
     the classes of the subsets without the last generator, each counted
     twice, once for itself and once for its complement."""
     counts = Counter(_class_sizes(diagram))
-    return counts + counts if diagram.generators else counts
+    return Counter({size: 2 * c for size, c in counts.items()}) if diagram.generators else counts
 
 
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
@@ -430,5 +439,7 @@ def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
     A prime past the index budget of ``cvec`` is refused with CapacityError.
     """
     _check_tally_prime(p)
-    half = residue_tally(Counter(_class_sizes(diagram, p)), p)
+    sizes = field_buffer(0, p)
+    sizes.extend(c % p for c in _coset_counts(diagram))
+    half = inverse_zeta_tally(sizes, p)
     return tuple(2 * c for c in half) if diagram.generators else tuple(half)

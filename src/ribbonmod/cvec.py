@@ -13,10 +13,11 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     with the B/D first-part weight of d, and scaled copies of the blocks
     below, one exact binomial per block (``arith.field_scaler``), so every
     mask carries the weight of its lowest descent.
-    ``arith.inverse_zeta_tally(table, p)`` runs
-    the packed butterfly and tallies its output by residue; no list of 2^n
-    ints and no exact weight is ever made.  The field format is arith's
-    alone: this module passes moduli, never widths.  Only the lower half of
+    ``arith.inverse_zeta_tally(table, p)`` runs the butterfly on the
+    table's (p - 1).bit_length() bit planes and tallies its output by
+    residue; no list of 2^n ints and no exact weight is ever made.  The
+    field format and the planes are arith's alone: this module passes
+    moduli, never widths.  Only the lower half of
     the lattice is swept, the masks without the top descent (closed under
     submasks, so the butterfly over them is exact), and the tally doubles,
     by complement symmetry: bit b of a mask stands for the generator

@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
-    _COUNT_TALLY_MAX_P,
+    _POPCOUNT_TALLY_MAX_M,
     base_p_digits,
     field_buffer,
     field_width,
-    inverse_zeta,
     inverse_zeta_packed,
     inverse_zeta_tally,
     multinomial_exact,
@@ -218,31 +217,6 @@ def test_term_table_matches_term_mod_p():
     assert checked > 300
 
 
-def test_inverse_zeta_mod_matches_inclusion_exclusion():
-    # sizes 2^0 .. 2^11 take both the strided and the contiguous branch,
-    # mod a prime, mod composites (|A12| + 1 among them, a modulus the
-    # Coxeter classes use) and mod a modulus past 2^bits * max|v|
-    for bits in range(12):
-        size = 1 << bits
-        raw = [i * i - 5 * i + 1 for i in range(size)]
-        expected = []
-        for t in range(size):
-            total = 0
-            s = t
-            while True:
-                term = raw[s]
-                total += term if (t ^ s).bit_count() % 2 == 0 else -term
-                if s == 0:
-                    break
-                s = (s - 1) & t
-            expected.append(total)
-        past = (max(abs(v) for v in raw) << bits) + 1
-        for m in (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, past):
-            vals = [v % m for v in raw]
-            inverse_zeta(vals, m)
-            assert vals == [e % m for e in expected], (bits, m)
-
-
 def _moebius_reference(raw):
     # vals[T] = sum over S subset T of (-1)^|T\S| raw[S], term by term
     out = []
@@ -258,39 +232,6 @@ def _moebius_reference(raw):
     return out
 
 
-def test_inverse_zeta_packed_field_widths():
-    # the inputs are unreduced and partly negative; the moduli give 1-, 2-,
-    # 4- and 8-byte fields and wide ones (9 bytes and more), prime or not,
-    # and the last one exceeds 2^bits * max|v|, so the residues are the
-    # exact signed values shifted into [0, m)
-    rng = random.Random(5)
-    for bits in range(13):
-        size = 1 << bits
-        raw = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(size)]
-        expected = _moebius_reference(raw)
-        past = (max(abs(v) for v in raw) << bits) + 1
-        for m in (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, past):
-            vals = raw[:]
-            inverse_zeta(vals, m)
-            assert vals == [e % m for e in expected], (bits, m)
-        # the worst case of the field bound: every term of the full mask
-        # adds, so its value reaches 2^bits * top, past 2^63, and is the
-        # largest residue mod 2^bits * top + 1
-        top = (1 << (64 - bits)) - 1
-        worst = [top if (bits - s.bit_count()) % 2 == 0 else -top for s in range(size)]
-        m = (top << bits) + 1
-        expected = _moebius_reference(worst)
-        inverse_zeta(worst, m)
-        assert worst == [e % m for e in expected] and worst[-1] == m - 1
-    small = [-3, 5, 0, 2**64, -(2**64), 1, 7, -7]
-    for m in (3, 2**68):
-        vals = small[:]
-        inverse_zeta(vals, m)
-        assert vals == [e % m for e in _moebius_reference(small)]
-    with pytest.raises(ValueError):
-        inverse_zeta([1, 2, 3], 7)
-
-
 def _butterfly_reference(vals, m):
     # the subset Moebius transform mod m one pair at a time, level by level
     out = list(vals)
@@ -303,53 +244,100 @@ def _butterfly_reference(vals, m):
     return out
 
 
-def test_inverse_zeta_packed_matches_list_form():
-    # the packed entry point and the list wrapper against a pair-at-a-time
-    # butterfly, on little-endian bytes of field_width(m) bytes per field
-    # (1, 2, 4, 8 and 11), on the field_buffer of each native modulus (a
-    # bytearray, or an array of 2-, 4- or 8-byte items) and on an array
-    # wider than the modulus needs; each result comes back in the form it
-    # went in, and no input changes.  The moduli sit on both sides of every
-    # lane boundary, and the sizes 2^0 and 2^1 skip a fold:
-    #   m                   fields    lanes
-    #   2                   1 byte    1 bit, no sign bit (an XOR)
-    #   3 - 4               1 byte    2 bits, no sign bit
-    #   5 - 8               1 byte    4 bits with a sign bit
-    #   9 - 16              1 byte    4 bits, no sign bit
-    #   17 - 128            1 byte    8 bits with a sign bit
-    #   129 - 256           1 byte    8 bits, no sign bit
-    #   257 - 2^15          2 bytes   16 bits with a sign bit
-    #   2^15 + 1 - 2^16     2 bytes   16 bits, no sign bit
-    #   2^16 + 1 - 2^31     4 bytes   32 bits with a sign bit
-    rng = random.Random(11)
-    for bits in range(14):
+def _packed_butterfly(vals, m):
+    # inverse_zeta_packed on little-endian bytes of field_width(m) bytes per
+    # field, holding the values reduced mod m
+    width = field_width(m)
+    out = inverse_zeta_packed(b"".join((v % m).to_bytes(width, "little") for v in vals), m)
+    return [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
+
+
+def test_inverse_zeta_mod_matches_inclusion_exclusion():
+    # sizes 2^0 .. 2^11, mod a prime, mod composites (|A12| + 1 among
+    # them, 9-byte fields at 2^64 + 1) and mod a modulus past
+    # 2^bits * max|v|
+    for bits in range(12):
         size = 1 << bits
-        for m in (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, 32749, 32768, 32769,
-                  65536, 65537, 2**61 - 1, 2**80 + 13):
+        raw = [i * i - 5 * i + 1 for i in range(size)]
+        expected = _moebius_reference(raw)
+        past = (max(abs(v) for v in raw) << bits) + 1
+        for m in (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, past):
+            assert _packed_butterfly(raw, m) == [e % m for e in expected], (bits, m)
+
+
+def test_inverse_zeta_packed_field_widths():
+    # the inputs are unreduced and partly negative; the moduli give 1-, 2-,
+    # 4- and 8-byte fields and wide ones (9 bytes and more), prime or not,
+    # and the last one exceeds 2^bits * max|v|, so the residues are the
+    # exact signed values shifted into [0, m)
+    rng = random.Random(5)
+    for bits in range(13):
+        size = 1 << bits
+        raw = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(size)]
+        expected = _moebius_reference(raw)
+        past = (max(abs(v) for v in raw) << bits) + 1
+        for m in (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, past):
+            assert _packed_butterfly(raw, m) == [e % m for e in expected], (bits, m)
+        # the worst case of the field bound: every term of the full mask
+        # adds, so its value reaches 2^bits * top, past 2^63, and is the
+        # largest residue mod 2^bits * top + 1
+        top = (1 << (64 - bits)) - 1
+        worst = [top if (bits - s.bit_count()) % 2 == 0 else -top for s in range(size)]
+        m = (top << bits) + 1
+        got = _packed_butterfly(worst, m)
+        assert got == [e % m for e in _moebius_reference(worst)] and got[-1] == m - 1
+    small = [-3, 5, 0, 2**64, -(2**64), 1, 7, -7]
+    for m in (3, 2**68):
+        assert _packed_butterfly(small, m) == [e % m for e in _moebius_reference(small)]
+    with pytest.raises(ValueError):
+        _packed_butterfly([1, 2, 3], 7)
+
+
+def test_inverse_zeta_packed_and_tally_match_pair_reference():
+    # the packed entry point and the tally against a pair-at-a-time
+    # butterfly, for 2^0 .. 2^10 fields: on little-endian bytes of
+    # field_width(m) bytes per field (1, 2, 4, 8 and 11), on the
+    # field_buffer of each native modulus (a bytearray, or an array of 2-,
+    # 4- or 8-byte items) and on an array wider than the modulus needs;
+    # each result comes back in the form it went in, and no input changes.
+    # The kernel makes w = (m - 1).bit_length() bit planes, and the moduli
+    # sit on both sides of each power of two (m = 2^w adds nothing back
+    # after a borrow), of each field width and of the popcount/count
+    # crossover of the tally.  Besides random residues, every field m - 1,
+    # and m - 1 on the even subsets with 0 on the odd ones, so that the
+    # first level borrows in every lane with its bit
+    rng = random.Random(11)
+    moduli = (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, _POPCOUNT_TALLY_MAX_M,
+              _POPCOUNT_TALLY_MAX_M + 1, 32749, 32768, 32769, 65536, 65537, 2**32 - 5, 2**61 - 1,
+              2**80 + 13)
+    for bits in range(11):
+        size = 1 << bits
+        for m in moduli:
             width = field_width(m)
             assert width == next(b for b in (1, 2, 4, 8, 11) if m <= 256**b), m
-            vals = [rng.randrange(m) for _ in range(size)]
-            want = _butterfly_reference(vals, m)
-            listed = vals[:]
-            inverse_zeta(listed, m)
-            assert listed == want, (bits, m)
-            inputs = [b"".join(v.to_bytes(width, "little") for v in vals)]
-            if width <= 8:
-                buf = field_buffer(size, m)
-                assert memoryview(buf).itemsize == width
-                buf[:] = bytearray(vals) if width == 1 else array(buf.typecode, vals)
-                inputs += [buf, array("Q", vals)]
-            for data in inputs:
-                out = inverse_zeta_packed(data, m)
-                if isinstance(data, array):
-                    assert out.typecode == data.typecode and out.tolist() == want, (bits, m)
-                    assert data.tolist() == vals
-                elif isinstance(data, bytearray):
-                    assert type(out) is bytes and list(out) == want and list(data) == vals
-                else:
-                    assert type(out) is bytes and len(out) == len(data)
-                    got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
-                    assert got == want, (bits, m)
+            for vals in ([rng.randrange(m) for _ in range(size)], [m - 1] * size,
+                         [(m - 1) * (s.bit_count() % 2 == 0) for s in range(size)]):
+                want = _butterfly_reference(vals, m)
+                inputs = [b"".join(v.to_bytes(width, "little") for v in vals)]
+                if width <= 8:
+                    buf = field_buffer(0, m)
+                    buf.extend(vals)
+                    assert memoryview(buf).itemsize == width
+                    inputs += [buf, array("Q", vals)]
+                for data in inputs:
+                    out = inverse_zeta_packed(data, m)
+                    if isinstance(data, array):
+                        assert out.typecode == data.typecode and out.tolist() == want, (bits, m)
+                        assert data.tolist() == vals
+                    elif isinstance(data, bytearray):
+                        assert type(out) is bytes and list(out) == want and list(data) == vals
+                    else:
+                        assert type(out) is bytes and len(out) == len(data)
+                        got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
+                        assert got == want, (bits, m)
+                if m <= 65537:
+                    counts = Counter(want)
+                    assert inverse_zeta_tally(buf, m) == [counts[r] for r in range(m)], (bits, m)
     with pytest.raises(ValueError):
         inverse_zeta_packed(array("B", bytes(4)), 257)  # 1-byte fields are too narrow past 256
     with pytest.raises(ValueError):
@@ -397,16 +385,16 @@ def test_weight_table_matches_per_mask_reference():
 def test_half_lattice_tally_matches_full_lattice():
     # cvec_naive sweeps the masks without the top descent and doubles the
     # tally; here the whole lattice is swept instead: covering counts of all
-    # 2^bits masks, the list butterfly, and a tally of every residue
+    # 2^bits masks, the packed butterfly, and a tally of every residue
     primes = (2, 3, 5, 7, 13, 131, 257, 65537)
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 13):
             bits = n - 1 if family == "A" else n
             covers = [_covering_count(family, n, mask) for mask in range(1 << bits)]
             for p in primes:
-                vals = [c % p for c in covers]
-                inverse_zeta(vals, p)
-                full = Counter(vals)
+                table = field_buffer(0, p)
+                table.extend(c % p for c in covers)
+                full = Counter(inverse_zeta_packed(table, p))
                 assert cvec_naive(family, n, p).counts == tuple(full[r] for r in range(p)), (family, n, p)
 
 
@@ -551,36 +539,43 @@ def test_naive_sweep_in_bounded_memory():
 
 
 def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
-    # moduli 3 and 4 run the butterfly in 2-bit lanes and 2 in 1-bit
-    # lanes, so its big ints are a quarter (an eighth) of the 1-byte
-    # fields: traced peaks 7.5 MB for D n=22 p=3 (2^21 fields) and 3.7 MB
-    # for A n=22 p=2 (2^20), as in 4- and 2-bit lanes, against 12.8 and
-    # 6.4 MB with whole bytes
-    for family, n, p, cap in (("D", 22, 3, 10 << 20), ("A", 22, 2, 5 << 20)):
+    # the butterfly and tally of D n=22 (2^21 fields) hold w = (p - 1).
+    # bit_length() bit planes of 2^21 bits, 256 KB each (273 KB as ints of
+    # 30-bit digits), plus temporaries: about 12 planes' worth while the
+    # eight slices of the table are transposed, w + 7 while a level runs
+    # and 2w + 1 while the popcount tree of the tally holds one pending
+    # branch per plane.  So the traced peak scales with w: 1.87 / 2.40 /
+    # 3.11 / 4.53 MB at p = 2 / 3 / 13 / 131 (w = 1 / 2 / 4 / 8), against
+    # 3.74 MB at p = 3 and 13 for a kernel that makes all eight planes of a
+    # byte (at p = 2 such a kernel stays under the ceiling).  The table is
+    # made before the trace starts and freed once it is transposed
+    for p in (2, 3, 13, 131):
+        w = (p - 1).bit_length()
+        box = [_weight_table("D", 22, p)]
         tracemalloc.start()
         try:
-            vec = cvec_naive(family, n, p)
+            tally = inverse_zeta_tally(box.pop(), p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert vec.total() == 1 << (n - 1 if family == "A" else n)
-        assert peak < cap, (family, n, p, peak)
+        assert tuple(2 * c for c in tally) == cvec_naive("D", 22, p).counts
+        plane = (1 << 21) // 8 * 16 // 15
+        assert peak < max(13, w + 8, 2 * w + 2) * plane, (p, peak)
 
 
 def test_field_tally_matches_counter():
-    # the butterfly's output is tallied by bytes.count up to the crossover
-    # prime and by one Counter pass above it, from a field_buffer; both
-    # sides of the crossover are covered, and 1-, 2- and 4-byte fields,
-    # against the list butterfly and a Counter
+    # the butterfly's output is tallied by popcounts of its bit planes up to
+    # the crossover and by one Counter pass over its fields above it, from
+    # a field_buffer; both sides of the crossover are covered, and 1-, 2-
+    # and 4-byte fields, against the pair-at-a-time butterfly and a Counter
     rng = random.Random(8)
-    assert 53 <= _COUNT_TALLY_MAX_P < 59
-    for p in (2, 53, 59, 127, 131, 257, 65537):
+    assert 509 <= _POPCOUNT_TALLY_MAX_M < 769
+    for p in (2, 53, 59, 127, 131, 257, 631, 641, 65537):
         vals = [rng.randrange(p) for _ in range(4096)]
         data = field_buffer(len(vals), p)
         for i, v in enumerate(vals):
             data[i] = v
-        inverse_zeta(vals, p)
-        counts = Counter(vals)
+        counts = Counter(_butterfly_reference(vals, p))
         assert inverse_zeta_tally(data, p) == [counts[r] for r in range(p)], p
 
 
