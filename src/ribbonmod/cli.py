@@ -79,12 +79,13 @@ def format_multiset(sizes: Counter) -> str:
 _STR_BITS = 4096
 
 
-def _decimal(x: int, pow2: list) -> str:
+def _decimal(x: int, pow2: dict) -> str:
     """Decimal text of an int of any size.
 
-    ``pow2`` memoises 2^(_STR_BITS 2^j), j = 0, 1, ..., as Decimals, which
-    cost about as much as the rest of a conversion: pass one list, empty at
-    first, for all the counts of one output.
+    ``pow2`` memoises powers of two as Decimals by exponent, which cost
+    about as much as the rest of a conversion: pass one dict, empty at first,
+    for all the counts of one output.  A theorem or closed-form count is
+    w 2^k, k shared across its vector: w is converted, then scaled by 2^k.
     """
     if x.bit_length() <= _STR_BITS:
         return str(x)
@@ -93,11 +94,13 @@ def _decimal(x: int, pow2: list) -> str:
     import decimal  # here, so short outputs do not pay for it at start-up
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    level = ((x.bit_length() - 1) // _STR_BITS).bit_length()
-    if not pow2:
-        pow2.append(decimal.Decimal(1 << _STR_BITS))
-    while len(pow2) < level:
-        pow2.append(ctx.multiply(pow2[-1], pow2[-1]))
+
+    def power(e: int):
+        # 2^e; a split point (a power of two past the cut) squares the one below
+        if e not in pow2:
+            half = e > _STR_BITS and e & (e - 1) == 0 and power(e >> 1)
+            pow2[e] = ctx.multiply(half, half) if half else ctx.power(decimal.Decimal(2), e)
+        return pow2[e]
 
     def build(v: int, j: int):
         # v < 2^(_STR_BITS 2^j), as v_hi 2^w + v_lo with w = _STR_BITS 2^(j-1)
@@ -105,9 +108,16 @@ def _decimal(x: int, pow2: list) -> str:
             return decimal.Decimal(v)
         w = _STR_BITS << (j - 1)
         hi = v >> w
-        return ctx.fma(build(hi, j - 1), pow2[j - 1], build(v - (hi << w), j - 1))
+        return ctx.fma(build(hi, j - 1), power(w), build(v - (hi << w), j - 1))
 
-    return str(build(x, level))
+    # the trailing zeros rounded down to a multiple of 64, so that counts
+    # whose 2^k differ by a few bits share one power
+    k = (x & -x).bit_length() - 1 & -64
+    if k <= _STR_BITS:
+        k = 0
+    w = x >> k
+    value = build(w, ((w.bit_length() - 1) // _STR_BITS).bit_length())
+    return str(ctx.multiply(value, power(k)) if k else value)
 
 
 D_NOTE = "note: n < 4 is not a Coxeter group of type D"
@@ -125,12 +135,13 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     if fmt == "csv" and "vector" not in record:
         print("error: csv output needs --p", file=sys.stderr)
         return 2
-    pow2: list = []
+    pow2: dict = {}
     if "vector" in record:
         text = {c: _decimal(c, pow2) for c in set(record["vector"])}
         record["vector"] = [text[c] for c in record["vector"]]
     elif "value" in record:
         record["value"] = _decimal(record["value"], pow2)
+    pow2.clear()  # the powers are as long as the counts: free them before printing
     if fmt == "json":
         print(json.dumps(record))
     elif fmt == "csv":

@@ -4,21 +4,21 @@ Parabolic subgroup orders come from pattern-matching induced subdiagrams
 against the classification of finite irreducible diagrams, never from
 element enumeration, so even the largest exceptional groups take only a
 subset sweep of the generator set.  The sweeps read one order table
-indexed by generator bitmask: each generator has a neighbour bitmask, the
-component of a mask's lowest set bit is found by frontier expansion, each
-connected mask is classified once (memoised), and in increasing mask order
-order[mask] = |W_component| * order[mask minus component].  The
-descent-class size for a generator subset I is recovered by inclusion-
-exclusion over the coset counts |W| / |W_(S minus J)| for J inside I: for a
-single I term by term, over a table of I whose nodes are the generators of
-I and the components of S minus I (so a term costs O(|I| + components)
-bit operations and one division, whatever the rank), and for all 2^rank
-subsets at once by one O(rank 2^(rank - 1)) subset Moebius butterfly over
-the coset counts of the subsets without the last generator: exact passes
-over Python ints for the class sizes, and for a residue histogram the
-packed butterfly and tally of ``arith`` modulo p; the class of each
-complement has the same size.  Both sweeps refuse more than
-2^SUBSET_MAX_RANK subsets with CapacityError.
+indexed by generator bitmask, filled by blocks of top bit h: each
+connected mask C whose top bit is h is classified once, and the masks
+C + x of the block, x below h and not touching C, are one scaled copy
+order[C + x] = |W_C| * order[x] of a slice of the lower blocks (a few
+slices at a fork or a scattered numbering).  The descent-class size for a
+generator subset I is recovered by inclusion-exclusion over the coset
+counts |W| / |W_(S minus J)| for J inside I: for a single I term by term,
+over a table of I whose nodes are the generators of I and the components
+of S minus I (2^|I| entries, a term one division, whatever the rank), and
+for all 2^rank subsets at once by one O(rank 2^(rank - 1)) subset Moebius
+butterfly over the coset counts of the subsets without the last
+generator: exact passes over Python ints for the class sizes, and for a
+residue histogram the packed butterfly and tally of ``arith`` modulo p;
+the class of each complement has the same size.  Both sweeps refuse more
+than 2^SUBSET_MAX_RANK subsets with CapacityError.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from operator import sub
 
 from .arith import field_buffer, inverse_zeta_tally
@@ -303,16 +303,18 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     the order of S minus I keeps the entries (and the coset counts taken
     from them) down to the size of the answer.
 
-    Every subdiagram K + (S minus I) is a union of the nodes of a quotient
-    graph: the generators of I (bits 0 .. |I| - 1) and the components of S
-    minus I (the bits above), two of which never touch.  In increasing
-    order of K, the component of its lowest set bit is found by frontier
-    expansion over neighbour bitmasks, and order[K] = ratio(comp) *
-    order[K minus comp], where ratio(comp) is |W_comp| over the orders of
-    the components of S minus I inside it (for I = S, |W_comp| itself).  The
-    ratio is memoised by the quotient mask, which names one connected
-    generator mask, so each connected mask met is classified once, by the
-    rules of ``_classify_component``.
+    The table runs over a quotient graph on the bits of I, two bits being
+    neighbours when their generators touch or both touch one component of
+    S minus I, and is filled by blocks of top bit h.  Each connected set C
+    with top bit h is grown from h once, by taking or fencing off each lower
+    neighbour (the fenced ones are its lower boundary B), and classified
+    once by the rules of ``_classify_component``.  Each K of the block is
+    C + x with x below h avoiding C + B, and order[C + x] = ratio(C) *
+    order[x], ratio(C) being |W| of C and the components of S minus I it
+    touches over their orders.  The x below the lowest bit 2^t of (C - h) +
+    B fill a slice, so C is one scaled copy of 2^t entries per subset of its
+    free bits between t and h: one copy on a path numbered in order (A, B,
+    F, H, I), a few one-entry copies more at a fork (D, E).
     """
     gens = diagram.generators
     index = {g: i for i, g in enumerate(gens)}
@@ -331,35 +333,47 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
         return _classify_component([gens[i] for i in nodes], adj).order
 
     items = [i for i, g in enumerate(gens) if g in subset]
-    blocks = [1 << i for i in items]
     k = len(items)
-    rest = (1 << len(gens)) - 1 - sum(blocks)
+    rest = (1 << len(gens)) - 1 - sum(1 << i for i in items)
+    blocks = []
     while rest:
-        comp = _component(nbr, rest & -rest, rest)
-        blocks.append(comp)
-        rest ^= comp
-    block_orders = [component_order(block) for block in blocks[k:]]
-    qnbr = [0] * len(blocks)
-    for a in range(k):
+        blocks.append(_component(nbr, rest & -rest, rest))
+        rest ^= blocks[-1]
+    block_orders = [component_order(block) for block in blocks]
+    # per bit of I: its generator with the components of S minus I it
+    # touches (span), their bits in ``blocks`` (att), its quotient neighbours
+    span, att = [1 << i for i in items], [0] * k
+    for a, i in enumerate(items):
         for b, block in enumerate(blocks):
-            if nbr[items[a]] & block:
-                qnbr[a] |= 1 << b
-                qnbr[b] |= 1 << a
-    outside = (1 << len(blocks)) - (1 << k)
+            if nbr[i] & block:
+                span[a] |= block
+                att[a] |= 1 << b
+    qnbr = [sum(1 << b for b in range(k) if b != a and nbr[i] & span[b]) for a, i in enumerate(items)]
     orders = [1] * (1 << k)
-    ratios: dict[int, int] = {}
-    for K in range(1, 1 << k):
-        comp = _component(qnbr, K & -K, K | outside)
-        ratio = ratios.get(comp)
-        if ratio is None:
-            mask, shared = 0, 1
-            for b, block in enumerate(blocks):
-                if comp >> b & 1:
-                    mask |= block
-                    if b >= k:
-                        shared *= block_orders[b - k]
-            ratio = ratios[comp] = component_order(mask) // shared
-        orders[K] = ratio * orders[K & ~comp]
+    for h in range(k):
+        below = (1 << h) - 1
+        # C, its lower neighbours not yet taken or fenced, B, C's span, att
+        stack = [(1 << h, qnbr[h] & below, 0, span[h], att[h])]
+        while stack:
+            conn, open_, fence, mask, attached = stack.pop()
+            if open_:
+                low = open_ & -open_
+                a = low.bit_length() - 1
+                stack.append((conn, open_ ^ low, fence | low, mask, attached))
+                grown = conn | low
+                stack.append((grown, (open_ | qnbr[a]) & below & ~grown & ~fence,
+                              fence, mask | span[a], attached | att[a]))
+                continue
+            ratio = component_order(mask)
+            for b in range(attached.bit_length()):
+                if attached >> b & 1:
+                    ratio //= block_orders[b]
+            low = conn & below | fence
+            size = low & -low or 1 << h
+            free = y = below & ~(size - 1) & ~conn & ~fence
+            while y >= 0:
+                orders[conn | y:(conn | y) + size] = [ratio * o for o in orders[y:y + size]]
+                y = (y - 1) & free if y else -1
     return orders
 
 

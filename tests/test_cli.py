@@ -155,7 +155,7 @@ def test_decimal_matches_a_chunked_parse():
     edges = [0, 1, 2**4096 - 1, 2**4096, 2**4097, 2**8192, 2**8193 - 1]
     sizes = [rng.randrange(4000, 20000) for _ in range(8)] + [rng.randrange(10**5, 10**6) for _ in range(3)]
     values = edges + [rng.getrandbits(b) for b in sizes] + [(1 << 10**6) - 1]
-    pow2 = []
+    pow2 = {}
     for x in values:
         for v in (x, -x):
             text = _decimal(v, pow2)
@@ -163,6 +163,25 @@ def test_decimal_matches_a_chunked_parse():
             assert text != "-0"
             assert _parse_signed_decimal(text) == v, v.bit_length()
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_of_a_shared_power_of_two_matches_a_chunked_parse():
+    # w 2^k: at the cut k = 4096 the count is converted whole, past it as w
+    # times a memoised power of two; one memo serves odd and even k, a wide
+    # w, and split points already memoised by earlier counts
+    pow2 = {}
+    rng = random.Random(25)
+    for k in (4096, 4097, 4098, 8192, 8193, 12289, 10**5 + 1, 4097, 8192):
+        for w in (1, 3, 5**50, rng.getrandbits(9000) | 1):
+            for v in (w << k, -(w << k)):
+                text = _decimal(v, pow2)
+                assert text.lstrip("-")[0] != "0"
+                assert _parse_signed_decimal(text) == v, (k, w.bit_length())
+    # counts whose k differ by a few bits share one memoised power
+    before = len(pow2)
+    for k in (10**5 + 2, 10**5 + 3, 10**5 + 5):
+        assert _parse_long_decimal(_decimal(7 << k, pow2)) == 7 << k
+    assert len(pow2) == before
 
 
 def test_each_distinct_count_is_converted_once(capsys, monkeypatch):

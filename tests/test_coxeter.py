@@ -155,6 +155,20 @@ def test_order_table_of_a_subset_matches_per_subset_reference():
             _check_order_table(diagram, {g for i, g in enumerate(gens) if mask >> i & 1})
 
 
+def test_order_table_of_a_scrambled_numbering_matches_per_subset_reference():
+    # E8 and D8 with their generators listed in a fixed non-monotone order
+    # (same edges): the connected sets and their boundaries fall on
+    # scattered bits, so most blocks take several slice copies, some long
+    order = (5, 0, 7, 2, 6, 1, 4, 3)
+    for name, subsets in (("E8", ({1, 2, 3, 4, 5, 8}, {2, 4, 6, 7}, {1, 3, 8})),
+                          ("D8", ({0, 1, 2, 5, 6}, {1, 3, 4, 7}, {0, 6}))):
+        diagram = builtin_diagram(name)
+        scrambled = CoxeterDiagram(tuple(diagram.generators[i] for i in order), diagram.edges)
+        _check_order_table(scrambled, scrambled.generators)
+        for subset in subsets:
+            _check_order_table(scrambled, subset)
+
+
 def test_each_connected_mask_classified_once(monkeypatch):
     seen = []
 
@@ -335,15 +349,16 @@ def test_residue_histograms_match_golden_tables():
 
 def test_residue_histograms_match_naive_route_at_high_rank():
     # the fourth route past the golden tables: every A/B/D group of rank
-    # 12-16 against the naive sweep, two primes each, all five per family
+    # 12-16 against the naive sweep, two primes each, all five per family,
+    # and one prime each at the subset budget, rank 18
     primes = (2, 3, 5, 7, 13)
-    for family in "ABD":
-        for rank in range(12, 17):
-            n = rank + 1 if family == "A" else rank
-            diagram = builtin_diagram(f"{family}{rank}")
-            for p in (primes[rank % 5], primes[(rank + 2) % 5]):
-                expected = cvec_naive(family, n, p).counts
-                assert residue_histogram(diagram, p) == expected, (family, rank, p)
+    cases = [(family, rank, p) for family in "ABD" for rank in range(12, 17)
+             for p in (primes[rank % 5], primes[(rank + 2) % 5])]
+    cases += [("A", SUBSET_MAX_RANK, 5), ("B", SUBSET_MAX_RANK, 3), ("D", SUBSET_MAX_RANK, 7)]
+    for family, rank, p in cases:
+        n = rank + 1 if family == "A" else rank
+        expected = cvec_naive(family, n, p).counts
+        assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, rank, p)
 
 
 def test_multisets_match_chain_recurrence_across_field_widths():
