@@ -1,10 +1,14 @@
 """General finite Coxeter diagrams and their descent-class sizes.
 
-Parabolic subgroup orders come from pattern-matching induced subdiagrams
-against the classification of finite irreducible diagrams, never from
-element enumeration, so even the largest exceptional groups take only a
-subset sweep of the generator set.  The sweeps read one order table
-indexed by generator bitmask, filled by blocks of top bit h: each
+Parabolic subgroup orders come from matching induced subdiagrams against
+the classification of finite irreducible diagrams, never from element
+enumeration, so even the largest exceptional groups take only a subset
+sweep of the generator set.  One classifier reads a connected generator
+bitmask by bit operations on a view of the diagram built once per call
+(neighbour masks, labeled edges as pair masks, the nodes of degree >= 3,
+a forest flag): local degrees are popcounts, the arms of a fork are the
+components of the mask without its centre.  The sweeps read one order
+table indexed by generator bitmask, filled by blocks of top bit h: each
 connected mask C whose top bit is h is classified once, and the masks
 C + x of the block, x below h and not touching C, are one scaled copy
 order[C + x] = |W_C| * order[x] of a slice of the lower blocks (a few
@@ -26,6 +30,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
 from operator import sub
 
@@ -183,54 +188,120 @@ class UnclassifiableError(ValueError):
     """A component does not match any finite irreducible diagram."""
 
 
-def _classify_component(nodes: list[int], adj: dict[int, list[tuple[int, int]]]) -> IrreducibleType:
-    k = len(nodes)
+def _component(nbr: list[int], seed: int, allowed: int) -> int:
+    # the connected component of the seed bits inside the allowed mask, by
+    # frontier expansion over the neighbour bitmasks nbr[i] of node i
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & allowed & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+@cache
+def _irreducible(family: str, rank: int, m: int | None = None) -> IrreducibleType:
+    # one shared instance per (family, rank, m): a lookup, not a construction
+    return IrreducibleType(family, rank, m)
+
+
+def _root(parent: list[int], a: int) -> int:
+    # union-find root of node a, halving its path on the way up
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _diagram_view(diagram: CoxeterDiagram):
+    # what the classifier reads of a diagram, built once per call: the bit
+    # index of each generator, the neighbour bitmask nbr[i] of each bit, the
+    # labeled edges (m >= 4) as (pair mask, m), the mask of the nodes of
+    # degree >= 3, and whether the diagram is a forest, in which case every
+    # connected mask is a tree
+    gens = diagram.generators
+    index = {g: i for i, g in enumerate(gens)}
+    nbr, degree, parent = [0] * len(gens), [0] * len(gens), list(range(len(gens)))
+    labeled, forest = [], True
+    for s, t, m in diagram.edges:
+        i, j = index[s], index[t]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        degree[i] += 1
+        degree[j] += 1
+        if m >= 4:
+            labeled.append((1 << i | 1 << j, m))
+        # an edge inside one tree of the forest so far closes a cycle
+        a, b = _root(parent, i), _root(parent, j)
+        forest = forest and a != b
+        parent[a] = b
+    branch = sum(1 << i for i, d in enumerate(degree) if d >= 3)
+    return index, (nbr, labeled, branch, forest)
+
+
+def _classify_mask(mask: int, view) -> IrreducibleType:
+    # the classification entry of a connected generator bitmask; degrees
+    # are local, the popcounts of nbr[i] & mask
+    nbr, labeled, branch, forest = view
+    k = mask.bit_count()
     if k == 1:
-        return IrreducibleType("A", 1)
-    degrees = {v: len(adj[v]) for v in nodes}
-    edge_count = sum(degrees.values()) // 2
-    if edge_count != k - 1:
-        raise UnclassifiableError("component is not a tree")
-    labeled = [(v, w, m) for v in nodes for w, m in adj[v] if v < w and m >= 4]
-    branch = [v for v in nodes if degrees[v] >= 3]
-    if branch:
-        if labeled or len(branch) > 1 or degrees[branch[0]] > 3:
+        return _irreducible("A", 1)
+    if not forest:
+        degree_sum, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            degree_sum += (nbr[low.bit_length() - 1] & mask).bit_count()
+        if degree_sum != 2 * (k - 1):
+            raise UnclassifiableError("component is not a tree")
+    edges = [(pair, m) for pair, m in labeled if pair & mask == pair]
+    hubs, rest = [], branch & mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        degree = (nbr[low.bit_length() - 1] & mask).bit_count()
+        if degree >= 3:
+            hubs.append((low, degree))
+    if hubs:
+        if edges or len(hubs) > 1 or hubs[0][1] > 3:
             raise UnclassifiableError("unrecognized branched component")
-        center = branch[0]
-        arms = []
-        for start, _ in adj[center]:
-            length = 1
-            prev, cur = center, start
-            while degrees[cur] == 2:
-                nxt = next(w for w, _ in adj[cur] if w != prev)
-                prev, cur = cur, nxt
-                length += 1
-            arms.append(length)
+        # the arms are the components of the tree without its centre
+        center = hubs[0][0]
+        arms, ends = [], nbr[center.bit_length() - 1] & mask
+        while ends:
+            arm = _component(nbr, ends & -ends, mask ^ center)
+            ends &= ~arm
+            arms.append(arm.bit_count())
         arms.sort()
         if arms[:2] == [1, 1]:
-            return IrreducibleType("D", arms[2] + 3)
+            return _irreducible("D", arms[2] + 3)
         if arms[0] == 1 and arms[1] == 2 and arms[2] in (2, 3, 4):
-            return IrreducibleType("E", arms[2] + 4)
+            return _irreducible("E", arms[2] + 4)
         raise UnclassifiableError(f"branched component with arms {arms}")
     # a path from here on
-    if len(labeled) > 1:
+    if len(edges) > 1:
         raise UnclassifiableError("more than one labeled edge")
-    if not labeled:
-        return IrreducibleType("A", k)
-    v, w, m = labeled[0]
+    if not edges:
+        return _irreducible("A", k)
+    pair, m = edges[0]
     if k == 2:
         if m == 4:
-            return IrreducibleType("B", 2)
-        return IrreducibleType("I", 2, m)
-    terminal = degrees[v] == 1 or degrees[w] == 1
+            return _irreducible("B", 2)
+        return _irreducible("I", 2, m)
+    # terminal: an end of the labeled edge has no other neighbour in mask
+    v = pair & -pair
+    w = pair ^ v
+    terminal = (nbr[v.bit_length() - 1] & mask) == w or (nbr[w.bit_length() - 1] & mask) == v
     if m == 4:
         if terminal:
-            return IrreducibleType("B", k)
+            return _irreducible("B", k)
         if k == 4:
-            return IrreducibleType("F", 4)
+            return _irreducible("F", 4)
         raise UnclassifiableError("interior 4-edge on a path of rank != 4")
     if m == 5 and terminal and k in (3, 4):
-        return IrreducibleType("H", k)
+        return _irreducible("H", k)
     raise UnclassifiableError(f"path with a {m}-edge of rank {k}")
 
 
@@ -240,29 +311,19 @@ def classify_components(diagram: CoxeterDiagram, subset=None) -> list[Irreducibl
     ``subset`` defaults to the full generator set.  Components are reported
     in order of their smallest generator.
     """
-    nodes = set(diagram.generators if subset is None else subset)
-    if not nodes <= set(diagram.generators):
+    gens = diagram.generators
+    nodes = set(gens if subset is None else subset)
+    if not nodes <= set(gens):
         raise ValueError("subset must consist of generators of the diagram")
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
-    for s, t, m in diagram.edges:
-        if s in nodes and t in nodes:
-            adj[s].append((t, m))
-            adj[t].append((s, m))
+    index, view = _diagram_view(diagram)
+    rest = sum(1 << index[g] for g in nodes)
     out = []
-    remaining = set(nodes)
-    while remaining:
-        start = min(remaining)
-        comp = [start]
-        remaining.discard(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w, _ in adj[v]:
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.append(w)
-                    frontier.append(w)
-        out.append(_classify_component(comp, adj))
+    for g in sorted(nodes):
+        bit = 1 << index[g]
+        if rest & bit:
+            comp = _component(view[0], bit, rest)
+            rest ^= comp
+            out.append(_classify_mask(comp, view))
     return out
 
 
@@ -282,19 +343,6 @@ def _check_subset_sweep(size: int) -> None:
         )
 
 
-def _component(nbr: list[int], seed: int, allowed: int) -> int:
-    # the connected component of the seed bits inside the allowed mask, by
-    # frontier expansion over the neighbour bitmasks nbr[i] of node i
-    comp = frontier = seed
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = nbr[low.bit_length() - 1] & allowed & ~comp
-        comp |= new
-        frontier |= new
-    return comp
-
-
 def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     """The order table of a generator subset I: entry K is the index
     |W_(K + S minus I)| / |W_(S minus I)| for every K inside I, with bit j of
@@ -307,31 +355,19 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     neighbours when their generators touch or both touch one component of
     S minus I, and is filled by blocks of top bit h.  Each connected set C
     with top bit h is grown from h once, by taking or fencing off each lower
-    neighbour (the fenced ones are its lower boundary B), and classified
-    once by the rules of ``_classify_component``.  Each K of the block is
-    C + x with x below h avoiding C + B, and order[C + x] = ratio(C) *
-    order[x], ratio(C) being |W| of C and the components of S minus I it
-    touches over their orders.  The x below the lowest bit 2^t of (C - h) +
-    B fill a slice, so C is one scaled copy of 2^t entries per subset of its
-    free bits between t and h: one copy on a path numbered in order (A, B,
-    F, H, I), a few one-entry copies more at a fork (D, E).
+    neighbour (the fenced ones are its lower boundary B), and its span, C
+    with the components of S minus I it touches, is classified once as a
+    bitmask by ``_classify_mask``.  Each K of the block is C + x with x
+    below h avoiding C + B, and order[C + x] = ratio(C) * order[x],
+    ratio(C) being |W| of the span over the orders of those components.
+    The x below the lowest bit 2^t of (C - h) + B fill a slice, so C is one
+    scaled copy of 2^t entries per subset of its free bits between t and h:
+    one copy on a path numbered in order (A, B, F, H, I), a few one-entry
+    copies more at a fork (D, E).
     """
     gens = diagram.generators
-    index = {g: i for i, g in enumerate(gens)}
-    nbr = [0] * len(gens)
-    links: list[list[tuple[int, int]]] = [[] for _ in gens]
-    for s, t, m in diagram.edges:
-        i, j = index[s], index[t]
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-        links[i].append((j, m))
-        links[j].append((i, m))
-
-    def component_order(mask: int) -> int:
-        nodes = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        adj = {gens[i]: [(gens[j], m) for j, m in links[i] if mask >> j & 1] for i in nodes}
-        return _classify_component([gens[i] for i in nodes], adj).order
-
+    _, view = _diagram_view(diagram)
+    nbr = view[0]
     items = [i for i, g in enumerate(gens) if g in subset]
     k = len(items)
     rest = (1 << len(gens)) - 1 - sum(1 << i for i in items)
@@ -339,7 +375,7 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     while rest:
         blocks.append(_component(nbr, rest & -rest, rest))
         rest ^= blocks[-1]
-    block_orders = [component_order(block) for block in blocks]
+    block_orders = [_classify_mask(block, view).order for block in blocks]
     # per bit of I: its generator with the components of S minus I it
     # touches (span), their bits in ``blocks`` (att), its quotient neighbours
     span, att = [1 << i for i in items], [0] * k
@@ -364,7 +400,7 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
                 stack.append((grown, (open_ | qnbr[a]) & below & ~grown & ~fence,
                               fence, mask | span[a], attached | att[a]))
                 continue
-            ratio = component_order(mask)
+            ratio = _classify_mask(mask, view).order
             for b in range(attached.bit_length()):
                 if attached >> b & 1:
                     ratio //= block_orders[b]

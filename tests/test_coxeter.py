@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from math import factorial
@@ -31,7 +32,7 @@ from ribbonmod.coxeter import (
 )
 from ribbonmod.cli import TABLE_FILES, golden_vectors
 from ribbonmod.cvec import cvec_naive
-from ribbonmod.ribbon import ribbon_exact
+from ribbonmod.ribbon import oracle_descent_class_sizes, ribbon_exact
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
 
@@ -172,21 +173,103 @@ def test_order_table_of_a_scrambled_numbering_matches_per_subset_reference():
 def test_each_connected_mask_classified_once(monkeypatch):
     seen = []
 
-    def counting(nodes, adj):
-        seen.append(frozenset(nodes))
-        return classify(nodes, adj)
+    def counting(mask, view):
+        seen.append(mask)
+        return classify(mask, view)
 
-    classify = coxeter._classify_component
-    monkeypatch.setattr(coxeter, "_classify_component", counting)
+    classify = coxeter._classify_mask
+    monkeypatch.setattr(coxeter, "_classify_mask", counting)
     # a path of rank 12 has 12 * 13 / 2 = 78 connected masks, against 4096
     # subsets that each classified every component before
     assert sum(descent_class_multiset(builtin_diagram("A12")).values()) == 1 << 12
-    assert len(seen) == len(set(seen)) <= 78
+    assert len(seen) == len(set(seen)) == 78
     sweeps = (("E8", range(1, 9)), ("D10", [0, 3, 5, 9]), ("A200", range(10, 200, 16)))
     for name, subset in sweeps:
         seen.clear()
         ribbon_general(builtin_diagram(name), subset)
-        assert len(seen) == len(set(seen)), name
+        assert seen and len(seen) == len(set(seen)), name
+
+
+def _diagram(edges):
+    # a diagram on the generators its edges name, numbered in sorted order
+    return CoxeterDiagram(tuple(sorted({g for s, t, _ in edges for g in (s, t)})), tuple(edges))
+
+
+def test_classifier_accepts_each_finite_type():
+    # one diagram per accepting rule; along each path or arm the generators
+    # are not in their numbering order, so neighbours sit on scattered bits
+    cases = [
+        (CoxeterDiagram((4,), ()), IrreducibleType("A", 1)),
+        (_diagram([(2, 9, 3), (5, 9, 3), (1, 5, 3)]), IrreducibleType("A", 4)),
+        (_diagram([(3, 8, 4)]), IrreducibleType("B", 2)),
+        (_diagram([(3, 8, 7)]), IrreducibleType("I", 2, 7)),
+        (_diagram([(2, 9, 3), (5, 9, 3), (1, 5, 4)]), IrreducibleType("B", 4)),
+        (_diagram([(2, 9, 3), (5, 9, 4), (1, 5, 3)]), IrreducibleType("F", 4)),
+        (_diagram([(2, 9, 3), (2, 7, 5)]), IrreducibleType("H", 3)),
+        (_diagram([(2, 9, 3), (2, 7, 3), (4, 9, 5)]), IrreducibleType("H", 4)),
+        (_diagram([(1, 6, 3), (2, 6, 3), (6, 9, 3), (3, 9, 3)]), IrreducibleType("D", 5)),
+        (_diagram([(1, 6, 3), (2, 6, 3), (2, 5, 3), (6, 9, 3), (3, 9, 3)]), IrreducibleType("E", 6)),
+    ]
+    for diagram, kind in cases:
+        assert classify_components(diagram) == [kind], kind
+        assert parabolic_order(diagram) == kind.order, kind
+        assert sum(descent_class_sizes(diagram).values()) == kind.order, kind
+
+
+def _fork(arms):
+    # a centre 0 with paths of the given lengths, generators numbered
+    # along each arm from the centre
+    edges, g = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, g, 3))
+            prev, g = g, g + 1
+    return _diagram(edges)
+
+
+REJECTED = [
+    # a 4-cycle: each proper connected subset is a path
+    ("component is not a tree", _diagram([(1, 2, 3), (2, 3, 3), (3, 4, 3), (1, 4, 3)])),
+    ("unrecognized branched component", _fork((1, 1, 1, 1))),
+    ("branched component with arms [1, 2, 5]", _fork((1, 2, 5))),
+    ("more than one labeled edge", _diagram([(1, 2, 4), (2, 3, 4)])),
+    ("interior 4-edge on a path of rank != 4", _diagram([(1, 2, 3), (2, 3, 4), (3, 4, 3), (4, 5, 3)])),
+    ("path with a 5-edge of rank 5", _diagram([(1, 2, 5), (2, 3, 3), (3, 4, 3), (4, 5, 3)])),
+]
+
+
+@pytest.mark.parametrize("message, diagram", REJECTED, ids=[m for m, _ in REJECTED])
+def test_classifier_rejects_each_infinite_shape(message, diagram):
+    # every proper subset classifies, so each route fails only on the whole
+    # diagram, with the same message
+    gens = diagram.generators
+    for mask in range(1, (1 << len(gens)) - 1):
+        subset = [g for i, g in enumerate(gens) if mask >> i & 1]
+        assert parabolic_order(diagram, subset) >= 2
+    match = "^" + re.escape(message) + "$"
+    for call in (lambda: classify_components(diagram),
+                 lambda: parabolic_order(diagram),
+                 lambda: descent_class_sizes(diagram),
+                 lambda: descent_class_multiset(diagram),
+                 lambda: ribbon_general(diagram, []),
+                 lambda: ribbon_general(diagram, gens[1::2]),
+                 lambda: ribbon_general(diagram, gens)):
+        with pytest.raises(UnclassifiableError, match=match):
+            call()
+
+
+def test_components_listed_by_smallest_generator_on_a_scrambled_numbering():
+    # bit order (9, 4, 1, 6, 2, 8, 5) puts A2 {9, 2} first and B2 {1, 6}
+    # third; by smallest generator B2 comes first
+    diagram = CoxeterDiagram((9, 4, 1, 6, 2, 8, 5), ((2, 9, 3), (4, 8, 5), (1, 6, 4)))
+    a2, i25, b2, a1 = (IrreducibleType("A", 2), IrreducibleType("I", 2, 5),
+                       IrreducibleType("B", 2), IrreducibleType("A", 1))
+    assert classify_components(diagram) == [b2, a2, i25, a1]
+    assert classify_components(diagram, [8, 5, 4, 6, 1]) == [b2, i25, a1]
+    assert classify_components(diagram, (2, 4, 8, 9)) == [a2, i25]
+    assert classify_components(diagram, []) == []
+    assert parabolic_order(diagram) == 8 * 6 * 10 * 2
 
 
 def test_unclassifiable_diagram_refused_by_the_sweeps():
@@ -262,6 +345,20 @@ def test_ribbon_general_matches_type_d():
         diagram = builtin_diagram(f"D{n}")
         for alpha in enumerate_pseudo_compositions(n):
             assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("D", alpha)
+
+
+def test_descent_class_sizes_match_the_element_oracle():
+    # the order table and its classifier against counting group elements:
+    # the generators of A(n-1), B(n) and D(n) are the descent positions
+    cases = [("A", n) for n in range(2, 10)] + [("B", n) for n in range(2, 8)]
+    cases += [("D", n) for n in range(4, 8)]
+    for family, n in cases:
+        rank = n - 1 if family == "A" else n
+        sizes = descent_class_sizes(builtin_diagram(f"{family}{rank}"))
+        oracle = oracle_descent_class_sizes(family, n)
+        assert len(oracle) == len(sizes) == 1 << rank, (family, n)
+        for alpha, size in oracle.items():
+            assert sizes[frozenset(alpha.descents())] == size, (family, n, alpha)
 
 
 def test_mass_and_symmetry_all_builtins():
