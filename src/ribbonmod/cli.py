@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import re
 import sys
 from collections import Counter
 from functools import cache
@@ -22,8 +22,8 @@ from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram,
 from .cvec import NoClosedFormError, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
 from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
 
-TABLE_FILES = ("type_a.csv", "type_b.csv", "type_d.csv")
-EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.csv"
+TABLE_FILES = ("type_a.txt", "type_b.txt", "type_d.txt")
+EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.txt"
 EXCEPTIONAL_MULTISETS = "exceptional_multisets.txt"
 
 
@@ -31,23 +31,50 @@ def _data_text(name: str) -> str:
     return resources.files("ribbonmod").joinpath(f"data/{name}").read_text()
 
 
+# a published vector 2^k(a_0, ..., a_{p-1}): "2(...)" is k = 1, "(...)" k = 0
+_SHORTHAND = r"(?:(2)(?:\^(\d+))?)?\(([^()]*)\)"
+
+
+def expand(shorthand: str) -> tuple[int, ...]:
+    """The vector a 2^k of its shorthand 2^k(a_0, ..., a_{p-1})."""
+    match = re.fullmatch(_SHORTHAND, shorthand.strip())
+    if not match:
+        raise ValueError(f"bad shorthand {shorthand!r}")
+    two, k, body = match.groups()
+    shift = int(k) if k else 1 if two else 0
+    return tuple(int(tok) << shift for tok in body.split(","))
+
+
 def golden_vectors(name: str) -> dict[tuple, tuple[int, ...]]:
-    """The rows of a golden table, (label, p, n, residue, count), grouped
-    into {(label, p, n): vector}; n is None for an exceptional group."""
-    reader = csv.reader(io.StringIO(_data_text(name)))
-    header = next(reader)
-    if header[1:] != ["p", "n", "residue", "count"] or header[0] not in ("family", "group"):
-        raise ValueError(f"unexpected header in {name}: {header}")
-    grouped: dict[tuple, dict[int, int]] = {}
-    for label, p, n, residue, count in reader:
-        key = (label, int(p), None if n == "-" else int(n))
-        grouped.setdefault(key, {})[int(residue)] = int(count)
-    out = {}
-    for key, by_residue in grouped.items():
-        p = key[1]
-        if sorted(by_residue) != list(range(p)):
-            raise ValueError(f"golden rows for {key} do not cover the residues once each")
-        out[key] = tuple(by_residue[i] for i in range(p))
+    """The vectors of a golden table as {(label, p, n): vector}; n is None
+    for an exceptional group.
+
+    A ``p: ...`` line names the primes of the rows below it, and a row
+    ``LABEL N: v | v | ...`` (``LABEL: ...`` for a group) gives one
+    shorthand vector per prime, in order.
+    """
+    out: dict[tuple, tuple[int, ...]] = {}
+    primes: list[int] = []
+    for line in _data_text(name).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, body = line.split(": ", 1)
+        if head == "p":
+            primes = [int(tok) for tok in body.split(",")]
+            continue
+        label, _, n = head.partition(" ")
+        cells = body.split("|")
+        if len(cells) != len(primes):
+            raise ValueError(f"{name}: row {head} has {len(cells)} vectors for {len(primes)} primes")
+        for p, cell in zip(primes, cells):
+            key = (label, p, int(n) if n else None)
+            vector = expand(cell)
+            if len(vector) != p:
+                raise ValueError(f"golden vector for {key} does not have length p")
+            if key in out:
+                raise ValueError(f"golden vector for {key} is given twice")
+            out[key] = vector
     return out
 
 

@@ -112,14 +112,15 @@ MACDONALD_DIGIT_MAX = 1000
 # and its series takes about m^2 / 2 products of one of them by a small
 # int, so m^2 * s; the product of the digits' coefficients, of S bits
 # together, adds S^2 / 30, the cost of a running product (30-bit int
-# digits times each other).  The product is a balanced tree now, so that
-# term is a conservative bound that is still to be re-measured.
-# Measured with the running product (2-core machine, Python 3.11, best of
-# 3): digit 1000 at p = 1009, j = 1 (1.0e10) 0.15 s, and at j = 2 (2.0e10)
-# 0.32 s; the 1000 digits 1 of 2^1000 - 1 at p = 2 (8.4e9) 0.16 s, of
-# 2^1250 - 1 (2.0e10) 0.38 s; the 650 digits 2 of 3^650 - 1 (1.5e10)
-# 0.31 s; 2^200 - 1 1.5 ms.  With the tree, 2^1000 - 1 takes 0.008 s and
-# 3^650 - 1 0.12 s.
+# digits times each other).  The product is a balanced tree, so that term
+# overcharges it.  Measured in process with the tree (2-core machine,
+# Python 3.11, best of 3, three runs): digit 1000 at p = 1009, j = 1
+# (series 1.0e10) 0.07-0.13 s, and at j = 2 (2.0e10, refused) 0.22-0.38 s;
+# the 1000 digits 1 of 2^1000 - 1 at p = 2 (product 8.4e9) 0.006-0.011 s,
+# of which the product 0.004-0.006 s; the 650 digits 2 of 3^650 - 1
+# (product 1.5e10) 0.06-0.10 s, of which the product 0.05-0.09 s.  Per
+# estimated step the product runs 2 to 15 times faster than a series.
+# The cap and the estimate stay until the budget edges are re-run together.
 MACDONALD_COST_MAX = 15 * 10**9
 
 

@@ -278,7 +278,10 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
 
 
 class SignedPermutation:
-    """A signed permutation of [n], stored by its window w(1), ..., w(n)."""
+    """A signed permutation of [n], stored by its window w(1), ..., w(n).
+
+    The empty window is the one element of the trivial group B_0, and its
+    type-B descent set is empty; type D needs n >= 2."""
 
     __slots__ = ("images",)
 
@@ -301,9 +304,12 @@ class SignedPermutation:
         return self.negatives() % 2 == 0
 
     def descent_set(self, family: str) -> tuple[int, ...]:
-        """The descent positions in {0, ..., n-1}, ascending."""
+        """The descent positions in {0, ..., n-1}, ascending; empty for the
+        empty window in type B."""
         if family not in ("B", "D"):
             raise ValueError("signed-permutation descents are defined for families B and D")
+        if family == "D" and self.n < 2:
+            raise ValueError("type D needs n >= 2")
         return PseudoComposition.from_mask(self.n, _signed_descent_mask(self.images, family)).descents()
 
     def __eq__(self, other):
@@ -319,7 +325,7 @@ class SignedPermutation:
 def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
     # Position 0 compares against w(0) := 0 in type B and w(0) := -w(2) in type D.
     if family == "B":
-        mask = 1 if w[0] < 0 else 0
+        mask = 1 if w and w[0] < 0 else 0
     else:
         mask = 1 if -w[1] > w[0] else 0
     for i in range(1, len(w)):

@@ -39,7 +39,7 @@ def _finish(number: int, description: str, started: float, limit: float, problem
 def test_criterion_1_type_a_table():
     started = time.time()
     problems = []
-    vectors = golden_vectors("type_a.csv")
+    vectors = golden_vectors("type_a.txt")
     assert len(vectors) == 14 * 5
     for (family, p, n), expected in sorted(vectors.items()):
         got = cvec(family, n, p).counts
@@ -51,7 +51,7 @@ def test_criterion_1_type_a_table():
 def test_criterion_2_type_b_table():
     started = time.time()
     problems = []
-    vectors = golden_vectors("type_b.csv")
+    vectors = golden_vectors("type_b.txt")
     assert len(vectors) == 14 * 4
     for (family, p, n), expected in sorted(vectors.items()):
         got = cvec(family, n, p).counts
@@ -66,7 +66,7 @@ def test_criterion_2_type_b_table():
 def test_criterion_3_type_d_table():
     started = time.time()
     problems = []
-    vectors = golden_vectors("type_d.csv")
+    vectors = golden_vectors("type_d.txt")
     assert len(vectors) == 13 * 4
     for (family, p, n), expected in sorted(vectors.items()):
         got = cvec(family, n, p).counts
@@ -90,7 +90,7 @@ def test_criterion_4_exceptional_data():
             problems.append((group, "multiset"))
     if descent_class_multiset(builtin_diagram("H3")) != {1: 2, 11: 2, 19: 2, 29: 2}:
         problems.append(("H3", "corrected multiset"))
-    for (group, p, _), expected in sorted(golden_vectors("exceptional_histograms.csv").items()):
+    for (group, p, _), expected in sorted(golden_vectors("exceptional_histograms.txt").items()):
         got = residue_histogram(builtin_diagram(group), p)
         if got != expected:
             problems.append((group, p, expected, got))

@@ -1,21 +1,22 @@
 import csv
+import fnmatch
 import importlib
-import importlib.util
 import io
 import json
 import pathlib
 import random
 import sys
-from importlib import resources
 
 import pytest
 
+from ribbonmod.arith import residue_tally
 from ribbonmod.cli import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
     ORACLE_GRID,
     TABLE_FILES,
     build_parser,
+    expand,
     format_multiset,
     golden_multisets,
     golden_vectors,
@@ -23,6 +24,7 @@ from ribbonmod.cli import (
     _decimal,
     main,
 )
+from ribbonmod.coxeter import IrreducibleType
 from ribbonmod.cvec import cvec
 
 
@@ -90,7 +92,7 @@ def test_cvec_csv_round_trip(capsys, tmp_path):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["family", "p", "n", "residue", "count"]
     parsed = {int(r[3]): int(r[4]) for r in rows[1:]}
-    golden = golden_vectors("type_a.csv")[("A", 3, 5)]
+    golden = golden_vectors("type_a.txt")[("A", 3, 5)]
     assert tuple(parsed[i] for i in range(3)) == golden
 
 
@@ -282,18 +284,75 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_golden_loaders():
-    assert golden_vectors("type_a.csv")[("A", 2, 2)][1] == 2
-    vectors = golden_vectors("type_d.csv")
+    assert golden_vectors("type_a.txt")[("A", 2, 2)][1] == 2
+    vectors = golden_vectors("type_d.txt")
     assert vectors[("D", 3, 4)] == (0, 8, 8)
     multis = golden_multisets()
     assert multis["I2:3"] == {1: 2, 2: 2}
     assert format_multiset(multis["H3"]) == "1^2, 11^2, 19^2, 29^2"
 
 
+def test_golden_shorthand_and_its_checks(monkeypatch):
+    assert expand("2^3(0, 1)") == (0, 8)
+    assert expand("2(1, 1, 0)") == (2, 2, 0)
+    assert expand(" (6, 2) ") == (6, 2)
+    for bad in ("3(1, 1)", "2^(1, 1)", "2^3 1, 1", "(1, (2))"):
+        with pytest.raises(ValueError, match="bad shorthand"):
+            expand(bad)
+    cli = importlib.import_module("ribbonmod.cli")
+    tables = {
+        "ok": "# comment\np: 2, 3\nA 3: 2(1, 1) | 2(0, 1, 1)\n\np: 5\nH3: 2^2(0, 1, 0, 0, 1)\n",
+        "short": "p: 3\nA 4: 2(2, 1)\n",
+        "twice": "p: 3, 3\nA 4: 2(2, 1, 1) | 2(2, 1, 1)\n",
+        "columns": "p: 2, 3\nA 3: 2(1, 1)\n",
+    }
+    monkeypatch.setattr(cli, "_data_text", tables.__getitem__)
+    assert golden_vectors("ok") == {("A", 2, 3): (2, 2), ("A", 3, 3): (0, 2, 2), ("H3", 5, None): (0, 4, 0, 0, 4)}
+    for name, message in (("short", "length p"), ("twice", "given twice"), ("columns", "1 vectors for 2 primes")):
+        with pytest.raises(ValueError, match=message):
+            golden_vectors(name)
+
+
+def _group_type(label: str) -> IrreducibleType:
+    # "E6" is E6, "I2:5" is I2(5)
+    name, _, m = label.partition(":")
+    return IrreducibleType(name[0], int(name[1:]), int(m) if m else None)
+
+
+def test_golden_data_is_consistent_with_itself():
+    # counts that any correct table meets, checked with no route run
+    for name in TABLE_FILES:
+        for (family, p, n), vector in golden_vectors(name).items():
+            assert sum(vector) == 1 << (n - 1 if family == "A" else n), (family, p, n)
+    multisets = golden_multisets()
+    for group, sizes in multisets.items():
+        group_type = _group_type(group)
+        assert sum(sizes.values()) == 1 << group_type.rank, group
+        assert sum(size * mult for size, mult in sizes.items()) == group_type.order, group
+    histograms = golden_vectors(EXCEPTIONAL_HISTOGRAMS)
+    assert {group for group, _, _ in histograms} == {"E6", "E7", "F4", "H3", "H4", "I2:5", "I2:6", "I2:7"}
+    for (group, p, _), vector in histograms.items():
+        assert sum(vector) == 1 << _group_type(group).rank, (group, p)
+        assert tuple(residue_tally(multisets[group], p)) == vector, (group, p)
+
+
+def test_loaded_data_files_are_package_data():
+    # CI installs in editable mode, which reads src/ribbonmod/data directly:
+    # a data file that no package-data glob matches passes every other test
+    # and is missing from the wheel
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with (root / "pyproject.toml").open("rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["ribbonmod"]
+    for name in TABLE_FILES + (EXCEPTIONAL_HISTOGRAMS, EXCEPTIONAL_MULTISETS):
+        assert (root / "src" / "ribbonmod" / "data" / name).is_file(), name
+        assert any(fnmatch.fnmatch(f"data/{name}", glob) for glob in globs), name
+
+
 def test_verify_tables_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tables")
     assert code == 0
-    assert "PASS type_a.csv (70 vectors)" in out
+    assert "PASS type_a.txt (70 vectors)" in out
     assert "verify: OK" in out
 
 
@@ -342,17 +401,6 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     pinned = {row[0]: row[1:] for row in SURFACE}
     for argv in ("ribbon --family B --alpha 0,3 --mod 5", "coxeter --group H3 --p 5"):
         assert run(capsys, *argv.split()) == pinned[argv], argv
-
-
-def test_make_golden_regenerates_package_data(tmp_path):
-    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_golden.py"
-    spec = importlib.util.spec_from_file_location("make_golden", script)
-    make_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_golden)
-    make_golden.main(tmp_path)
-    for name in TABLE_FILES + (EXCEPTIONAL_HISTOGRAMS, EXCEPTIONAL_MULTISETS):
-        packaged = resources.files("ribbonmod").joinpath(f"data/{name}").read_bytes()
-        assert (tmp_path / name).read_bytes() == packaged, name
 
 
 D_NOTE = "note: n < 4 is not a Coxeter group of type D\n"

@@ -340,6 +340,11 @@ def test_signed_permutation_descents():
     assert SignedPermutation((-3, 1, -2)).descent_set("D") == (0, 2)
     with pytest.raises(ValueError):
         SignedPermutation((1, 2)).descent_set("A")
+    # the empty window is B_0's one element; type D starts at n = 2
+    assert SignedPermutation(()).descent_set("B") == ()
+    for window in ((), (1,), (-1,)):
+        with pytest.raises(ValueError, match="type D needs n >= 2"):
+            SignedPermutation(window).descent_set("D")
 
 
 def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
