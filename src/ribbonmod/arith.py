@@ -203,15 +203,26 @@ def field_scaler(m: int):
     return scale
 
 
-def _transpose(rows: list, step: int) -> list:
+def _transpose(rows: list, step: int, bits: int) -> list:
     # eight ints of ``step`` bytes (missing ones 0) with the 8 x 8 bit matrix
     # at each byte position transposed (bit j of byte i of row b becomes bit
     # b of byte i of row j), by three rounds of block swaps (Warren, Hacker's
-    # Delight, 7-3); rows are replaced in the list, so each old one is freed
+    # Delight, 7-3); rows are replaced in the list, so each old one is freed.
+    # Only the low ``bits`` bits of an input byte may be set, so a round whose
+    # shift s is at least ``bits`` finds the upper half of every 2s-bit block
+    # empty: it merges row j + s into row j and drops it.  The rows returned
+    # are the first ``bits``, rounded up to a power of two, of the transpose
     rows += [0] * (8 - len(rows))
-    for s, pattern in ((4, b"\x0f"), (2, b"\x33"), (1, b"\x55")):
-        mask = int.from_bytes(pattern * step, "little")
-        for j in range(8):
+    mask = int.from_bytes(b"\x0f" * step, "little")
+    for s in (4, 2, 1):
+        if s < 4:
+            mask ^= mask << s  # 0x33, then 0x55, in every byte
+        if s >= bits:
+            for j in range(s):
+                rows[j] |= rows[j + s] << s
+            del rows[s:]
+            continue
+        for j in range(len(rows)):
             if not j & s:
                 t = (rows[j] >> s ^ rows[j + s]) & mask
                 rows[j] ^= t << s
@@ -246,7 +257,7 @@ def _planes(fields, m: int):
     del fields, view
     planes = []
     while columns:
-        planes += _transpose(columns.pop(0), step)[:w - len(planes)]
+        planes += _transpose(columns.pop(0), step, w - len(planes))[:w - len(planes)]
     return planes, size, width, big
 
 
@@ -257,7 +268,7 @@ def _fields(planes, size: int, width: int, big: bool) -> bytearray:
     out = bytearray(size * width)
     for c in range(0, len(planes), 8):
         offset = width - 1 - c // 8 if big else c // 8
-        rows = _transpose(planes[c:c + 8], step)[:slices]
+        rows = _transpose(planes[c:c + 8], step, 8)[:slices]
         out[offset::width] = b"".join(row.to_bytes(step, "little") for row in rows)
     return out
 
@@ -265,26 +276,42 @@ def _fields(planes, size: int, width: int, big: bool) -> bytearray:
 def _butterfly(planes: list, m: int, size: int) -> None:
     # the levels, in place: the partner of each position with the level's
     # bit lies d positions below, so (x << d) & upper is plane x of the
-    # partners there and 0 elsewhere; m is added back with a ripple carry
+    # partners there and 0 elsewhere; m is added back with a ripple carry.
+    # Plane 0 has no borrow in, the carry is 0 up to the first set bit of m,
+    # the carry out of the top plane is not read, and m = 2 needs no borrow
     d = size // 2
     upper = ((1 << d) - 1) << d
+    top = len(planes) - 1
+    add_back = m != 1 << len(planes)
+    low = (m & -m).bit_length() - 1
     while d:
-        borrow = 0
-        for b, x in enumerate(planes):
+        x = planes[0]
+        q = (x << d) & upper
+        x ^= q
+        planes[0] = x
+        borrow = q & x if top else 0
+        for b in range(1, top + 1):
+            x = planes[b]
             q = (x << d) & upper
             x ^= q
             planes[b] = x ^ borrow
             borrow ^= (borrow ^ q) & x
         del q, x
-        if borrow and m != 1 << len(planes):
-            carry = 0
-            for b, x in enumerate(planes):
+        if borrow and add_back:
+            # m is not a power of two: its lowest set bit lies below its
+            # top one, which is bit top
+            x = planes[low]
+            planes[low] = x ^ borrow
+            carry = x & borrow
+            for b in range(low + 1, top):
+                x = planes[b]
                 if m >> b & 1:
                     planes[b] = x ^ borrow ^ carry
                     carry |= x & borrow
                 elif carry:
                     planes[b] = x ^ carry
                     carry &= x
+            planes[top] ^= borrow ^ carry
             del x, carry
         del borrow
         d //= 2

@@ -1,20 +1,24 @@
 """Command-line surface: compute ribbon numbers and p-vectors, export them,
 and verify the package against its bundled reference data.
 
+Command lines are parsed from the ``COMMANDS`` table, one entry per
+command with its handler, help text and options, by ``parse_args`` on the
+standard library's ``getopt``; ``main`` parses and dispatches.
+
 Exit codes: 0 success, 1 verification mismatch (or no closed form under
 ``--method closed``), 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
+import getopt
 import json
 import re
 import sys
 from collections import Counter
-from functools import cache
 from importlib import resources
+from types import SimpleNamespace
 
 from .arith import residue_tally
 from .compositions import mask_offset, parse_parts
@@ -217,7 +221,10 @@ def cmd_cvec(args) -> int:
 def cmd_coxeter(args) -> int:
     diagram = builtin_diagram(args.group)
     if args.subset is not None:
-        subset = sorted(int(tok) for tok in args.subset.split(",")) if args.subset else []
+        try:
+            subset = sorted(int(tok) for tok in args.subset.split(",")) if args.subset else []
+        except ValueError:
+            raise ValueError(f"--subset takes comma-separated generator indices, got {args.subset!r}") from None
         if len(set(subset)) < len(subset):
             raise ValueError(f"--subset repeats a generator: {args.subset}")
         value = ribbon_general(diagram, subset)
@@ -357,60 +364,146 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command lines
 
 
-# built once per process: every add_argument makes a help formatter, which
-# reads the terminal size, so a build costs about 1 ms, most of an
-# in-process closed-form query; parse_args leaves the parser unchanged
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ribbonmod",
-        description="Exact descent-class sizes of finite Coxeter groups and "
-        "their distribution modulo a prime.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    p_ribbon = sub.add_parser("ribbon", help="one ribbon number, exact or mod p")
-    p_ribbon.add_argument("--family", required=True, choices=["A", "B", "D"])
-    p_ribbon.add_argument("--alpha", required=True, help="comma-separated parts, e.g. 2,2")
-    p_ribbon.add_argument("--mod", type=int, default=None, metavar="P")
-    p_ribbon.add_argument("--format", choices=["text", "json"], default="text")
-    p_ribbon.set_defaults(func=cmd_ribbon)
+# name: (handler, help, {option: (kind, default, hint)}), where kind is int,
+# str or a tuple of choices; an option's value is the attribute
+# option[2:] of the namespace its handler gets
+COMMANDS = {
+    "ribbon": (cmd_ribbon, "one ribbon number, exact or mod p", {
+        "--family": (("A", "B", "D"), REQUIRED, ""),
+        "--alpha": (str, REQUIRED, "comma-separated parts, e.g. 2,2"),
+        "--mod": (int, None, ""),
+        "--format": (("text", "json"), "text", ""),
+    }),
+    "cvec": (cmd_cvec, "dimension p-vector for one (family, n, p)", {
+        "--family": (("A", "B", "D"), REQUIRED, ""),
+        "--n": (int, REQUIRED, ""),
+        "--p": (int, REQUIRED, ""),
+        "--method": (("naive", "theorem", "closed", "auto"), "auto", ""),
+        "--format": (("text", "json", "csv"), "text", ""),
+    }),
+    "coxeter": (cmd_coxeter, "descent-class data for any finite Coxeter group", {
+        "--group": (str, REQUIRED, "A5 | B4 | D6 | E7 | F4 | H3 | I2:9 ..."),
+        "--subset": (str, None, "distinct generator indices, e.g. 0,2; not with --p"),
+        "--p": (int, None, "not with --subset"),
+        "--format": (("text", "json", "csv"), "text", ""),
+    }),
+    "macdonald": (cmd_macdonald, "irreducibles of S_n with dimension coprime to p", {
+        "--n": (int, REQUIRED, ""),
+        "--p": (int, REQUIRED, ""),
+    }),
+    "verify": (cmd_verify, "check computations against the bundled reference data", {
+        "--suite": (("tables", "oracles", "formulas", "all"), "all", ""),
+    }),
+}
+EXCLUSIVE = ("--subset", "--p")  # options no command line may give together
 
-    p_cvec = sub.add_parser("cvec", help="dimension p-vector for one (family, n, p)")
-    p_cvec.add_argument("--family", required=True, choices=["A", "B", "D"])
-    p_cvec.add_argument("--n", required=True, type=int)
-    p_cvec.add_argument("--p", required=True, type=int)
-    p_cvec.add_argument("--method", choices=["naive", "theorem", "closed", "auto"], default="auto")
-    p_cvec.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_cvec.set_defaults(func=cmd_cvec)
+DESCRIPTION = (
+    "Exact descent-class sizes of finite Coxeter groups and their distribution modulo a prime."
+)
 
-    p_cox = sub.add_parser("coxeter", help="descent-class data for any finite Coxeter group")
-    p_cox.add_argument("--group", required=True, help="A5 | B4 | D6 | E7 | F4 | H3 | I2:9 ...")
-    one = p_cox.add_mutually_exclusive_group()
-    one.add_argument("--subset", default=None, help="distinct generator indices, e.g. 0,2")
-    one.add_argument("--p", type=int, default=None)
-    p_cox.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_cox.set_defaults(func=cmd_coxeter)
 
-    p_mac = sub.add_parser("macdonald", help="irreducibles of S_n with dimension coprime to p")
-    p_mac.add_argument("--n", required=True, type=int)
-    p_mac.add_argument("--p", required=True, type=int)
-    p_mac.set_defaults(func=cmd_macdonald)
+def _metavar(option: str, kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else option[2:].upper()
 
-    p_verify = sub.add_parser("verify", help="check computations against the bundled reference data")
-    p_verify.add_argument("--suite", choices=["tables", "oracles", "formulas", "all"], default="all")
-    p_verify.set_defaults(func=cmd_verify)
 
-    return parser
+def _usage(name) -> str:
+    if name is None:
+        return "usage: ribbonmod [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [f"usage: ribbonmod {name} [-h]"]
+    for option, (kind, default, _) in COMMANDS[name][2].items():
+        word = f"{option} {_metavar(option, kind)}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(name) -> str:
+    """The usage line and the commands, or one command's options."""
+    if name is None:
+        head, title = DESCRIPTION, "commands:"
+        rows = [(command, text) for command, (_, text, _) in COMMANDS.items()]
+    else:
+        _, head, options = COMMANDS[name]
+        title = "options:"
+        rows = [("-h, --help", "show this help message and exit")]
+        for option, (kind, default, hint) in options.items():
+            state = "required" if default is REQUIRED else None if default is None else f"default: {default}"
+            rows.append((f"{option} {_metavar(option, kind)}", "; ".join(filter(None, (hint, state)))))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [_usage(name), "", head, "", title] + [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join(lines)
+
+
+def _usage_error(name, message: str):
+    # as argparse reports one: the usage line, the error, exit code 2
+    prog = "ribbonmod" if name is None else f"ribbonmod {name}"
+    print(_usage(name), file=sys.stderr)
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _choices(kind) -> str:
+    return ", ".join(map(repr, kind))
+
+
+def parse_args(argv: list[str]):
+    """(handler, namespace) of a command line, checked against ``COMMANDS``.
+
+    Options take ``--opt value`` or ``--opt=value`` and may be shortened to
+    a unique prefix.  A usage error prints the usage line and the error to
+    stderr and raises ``SystemExit(2)``; ``-h`` or ``--help`` prints the
+    command list, or a command's options, and raises ``SystemExit(0)``.
+    """
+    try:
+        top, rest = getopt.getopt(argv, "h", ["help"])
+    except getopt.GetoptError as exc:
+        _usage_error(None, str(exc))
+    if top:
+        print(_help(None))
+        raise SystemExit(0)
+    if not rest:
+        _usage_error(None, "the following arguments are required: command")
+    name = rest[0]
+    if name not in COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {name!r} (choose from {_choices(COMMANDS)})")
+    handler, _, options = COMMANDS[name]
+    try:
+        pairs, extra = getopt.getopt(rest[1:], "h", ["help"] + [option[2:] + "=" for option in options])
+    except getopt.GetoptError as exc:
+        _usage_error(name, str(exc))
+    given = dict(pairs)  # a repeated option keeps its last value
+    if "-h" in given or "--help" in given:
+        print(_help(name))
+        raise SystemExit(0)
+    if extra:
+        _usage_error(name, "unrecognized arguments: " + " ".join(extra))
+    missing = [option for option, (_, default, _) in options.items() if default is REQUIRED and option not in given]
+    if missing:
+        _usage_error(name, "the following arguments are required: " + ", ".join(missing))
+    if all(option in given for option in EXCLUSIVE):
+        _usage_error(name, f"argument {EXCLUSIVE[1]}: not allowed with argument {EXCLUSIVE[0]}")
+    args = SimpleNamespace(**{option[2:]: default for option, (_, default, _) in options.items()})
+    for option, value in given.items():
+        kind = options[option][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(name, f"argument {option}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            _usage_error(name, f"argument {option}: invalid choice: {value!r} (choose from {_choices(kind)})")
+        setattr(args, option[2:], value)
+    return handler, args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

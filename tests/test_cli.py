@@ -5,17 +5,18 @@ import io
 import json
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import (
+    COMMANDS,
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
     ORACLE_GRID,
     TABLE_FILES,
-    build_parser,
     expand,
     format_multiset,
     golden_multisets,
@@ -245,6 +246,13 @@ def test_coxeter_subset_rejects_repeated_generators(capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_coxeter_subset_names_a_malformed_index(capsys):
+    for subset in ("0,x", "0,,1"):
+        code, out, err = run(capsys, "coxeter", "--group", "B3", "--subset", subset)
+        assert (code, out) == (2, ""), subset
+        assert "--subset" in err and repr(subset) in err, err
+
+
 def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):
     for mod in ("2", "3"):
         code, out, err = run(capsys, "ribbon", "--family", "D", "--alpha", "1", "--mod", mod)
@@ -385,24 +393,6 @@ def test_compare_reports_each_mismatch():
     assert lines == ["FAIL m.txt g: expected <3>, computed <4>"]
 
 
-def test_parser_help_smoke():
-    parser = build_parser()
-    assert parser.prog == "ribbonmod"
-
-
-def test_parser_is_built_once_and_survives_a_usage_error(capsys):
-    # main parses with one shared parser; a usage error (exit 2) in the
-    # same process leaves it answering the next calls as it did before
-    assert build_parser() is build_parser()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["cvec", "--family", "Q", "--n", "4", "--p", "3"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
-    pinned = {row[0]: row[1:] for row in SURFACE}
-    for argv in ("ribbon --family B --alpha 0,3 --mod 5", "coxeter --group H3 --p 5"):
-        assert run(capsys, *argv.split()) == pinned[argv], argv
-
-
 D_NOTE = "note: n < 4 is not a Coxeter group of type D\n"
 H3_CSV = "family,p,n,residue,count\n" + "".join(
     f"H3,5,-,{i},{c}\n" for i, c in enumerate((0, 4, 0, 0, 4))
@@ -444,3 +434,71 @@ SURFACE = [
 @pytest.mark.parametrize("argv, code, out, err", SURFACE, ids=[row[0] for row in SURFACE])
 def test_cli_surface_is_pinned(capsys, argv, code, out, err):
     assert run(capsys, *argv.split()) == (code, out, err)
+
+
+# (argv, text the error line must name): each is a usage error, exit code 2
+USAGE_ERRORS = [
+    ("", "required: command"),
+    ("frobnicate --n 3", "'frobnicate'"),
+    ("cvec --family A --n 5 --p 3 --colour red", "--colour"),
+    ("cvec --family A --n 5 --p", "--p"),
+    ("cvec --family Q --n 4 --p 3", "--family"),
+    ("cvec --family A --n five --p 3", "--n"),
+    ("cvec --family A --n 5", "--p"),
+    ("coxeter --group B3 --subset 0 --p 5", "--p: not allowed with argument --subset"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS, ids=[row[0] or "bare" for row in USAGE_ERRORS])
+def test_usage_errors_exit_2(capsys, argv, named):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: ribbonmod")
+    assert error.startswith("ribbonmod") and ": error: " in error and named in error, error
+
+
+def test_usage_error_leaves_the_process_answering(capsys):
+    # parsing keeps no state: after usage errors the same process prints
+    # the pinned rows
+    for argv, _ in USAGE_ERRORS:
+        with pytest.raises(SystemExit):
+            main(argv.split())
+    capsys.readouterr()
+    pinned = {row[0]: row[1:] for row in SURFACE}
+    for argv in ("ribbon --family B --alpha 0,3 --mod 5", "coxeter --group H3 --p 5"):
+        assert run(capsys, *argv.split()) == pinned[argv], argv
+
+
+@pytest.mark.parametrize("argv, short", [
+    ("cvec --family A --n 5 --p 3 --format json", "cvec --fam A --n=5 --p 3 --format=json"),
+    ("coxeter --group H3 --p 5 --format csv", "coxeter --gr=H3 --p=5 --fo csv"),
+    ("ribbon --family D --alpha 0,3", "ribbon --fa=D --a 0,3"),
+])
+def test_equals_and_prefix_forms_match_the_pinned_rows(capsys, argv, short):
+    pinned = {row[0]: row[1:] for row in SURFACE}
+    assert run(capsys, *short.split()) == pinned[argv]
+
+
+@pytest.mark.parametrize("argv", ["-h", "--help"] + [f"{name} -h" for name in COMMANDS])
+def test_help_exits_0_and_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ribbonmod")
+    name = argv.split()[0]
+    names = list(COMMANDS) if name not in COMMANDS else ["--help", *COMMANDS[name][2]]
+    for word in names:
+        assert word in out, (argv, word)
+
+
+def test_cli_import_leaves_argparse_unloaded():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import ribbonmod.cli; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-B", "-c", probe, str(src)], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False"
