@@ -12,13 +12,22 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     by block: the masks with top descent d are a seed, the mask of d alone
     with the B/D first-part weight of d, and scaled copies of the blocks
     below, one exact binomial per block (``arith.field_scaler``), so every
-    mask carries the weight of its lowest descent.
+    mask carries the weight of its lowest descent.  At p <= n most of those
+    weights are 0 mod p, as a multinomial is once one of its partial sums
+    d has C(n, d) = 0 mod p.  A position whose seed is 0 and whose block
+    constants to the live positions below it are 0 has an all-zero block,
+    and every mask through it is 0: the table keeps only the live
+    positions as its bits (and type D's 0 and 1, for its copy rule),
+    decided from the same exact binomials, never from base-p digits.
     ``arith.inverse_zeta_tally(table, p)`` runs the butterfly on the
     table's (p - 1).bit_length() bit planes and tallies its output by
     residue; no list of 2^n ints and no exact weight is ever made.  The
     field format and the planes are arith's alone: this module passes
-    moduli, never widths.  Only the lower half of
-    the lattice is swept, the masks without the top descent (closed under
+    moduli, never widths.  Each dropped position e comes back by the
+    transform identity beta(T + e) = -beta(T), for every T without e: with
+    d >= 1 of them dropped the tally t becomes 2^(d - 1) (t[r] +
+    t[-r mod p]) (``_chain_tally``).  Only the lower half of
+    the lattice is tallied, the masks without the top descent (closed under
     submasks, so the butterfly over them is exact), and the tally doubles,
     by complement symmetry: bit b of a mask stands for the generator
     s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A numbered
@@ -215,38 +224,57 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# naive method: butterfly over the full index lattice
+# naive method: butterfly over the index lattice
 
 
 def _chain_table(family: str, p: int, seeds, const):
-    """Chain products mod p over len(seeds) positions, in a ``field_buffer``
-    for p.  The masks whose top bit is h form the block [2^h, 2^(h+1)):
-    ``seeds[h]`` at bit h alone, and one ``field_scaler`` copy of each lower
+    """Chain products mod p over the positions of ``seeds``, as a pair: a
+    ``field_buffer`` for p and the number of positions it drops.
+
+    The block of position h holds the masks whose top position is h:
+    ``seeds[h]`` (a residue mod p) at h alone, and the masks of each lower
     block k scaled by ``const(h, k)``, the factor of a step from position k
-    up to h.  So a mask holds the seed of its lowest bit times one constant
-    per step.  In type D (positions 0 and 1 at bits 0 and 1), one copy then
-    sets mask 4j + 2 to mask 4j + 1: a lone descent at 1 counts as one at 0,
-    ``ribbon._first_step``'s rule; the last field is never read, so the two
-    slices match even in a table of two fields."""
-    scale = field_scaler(p)
-    g = field_buffer(1 << len(seeds), p)
-    g[0] = 1
+    up to h.  So a mask holds the seed of its lowest position times one
+    constant per step.  The constants are reduced once; a position is live
+    when its seed is nonzero or a nonzero constant links it to a live lower
+    position.  Any other position has an all-zero block, and every mask
+    through it is 0, as the blocks above reach it only through its block.
+    The table's bits are the kept positions, in order, and no block is
+    copied by a constant of 0; with every position live it is the whole
+    table.  Type D keeps positions 0 and 1, live or not, at bits 0 and 1,
+    because one copy then sets mask 4j + 2 to mask 4j + 1: a lone descent
+    at 1 counts as one at 0, ``ribbon._first_step``'s rule; the last field
+    is never read, so the two slices match even in a table of two
+    fields."""
+    consts = [[const(h, k) % p for k in range(h)] for h in range(len(seeds))]
+    live = []
     for h, seed in enumerate(seeds):
-        base = 1 << h
-        g[base] = seed
-        for k in range(h):
-            g[base + (1 << k):base + (2 << k)] = scale(g[1 << k:2 << k], const(h, k))
+        if seed or any(consts[h][k] for k in live):
+            live.append(h)
+    keep = sorted(set(live).union(range(min(2, len(seeds))))) if family == "D" else live
+    scale = field_scaler(p)
+    g = field_buffer(1 << len(keep), p)
+    g[0] = 1
+    for i, h in enumerate(keep):
+        base = 1 << i
+        g[base] = seeds[h]
+        for j, c in enumerate(consts[h][k] for k in keep[:i]):
+            if c:
+                g[base + (1 << j):base + (2 << j)] = scale(g[1 << j:2 << j], c)
     if family == "D":
         g[2::4] = g[1:-1:4]
-    return g
+    return g, len(seeds) - len(keep)
 
 
 def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
-    ``field_buffer`` for p: entry mask, for every mask without the top
-    descent (bit bits - 1, where bits = n - mask_offset(family) >= 1), is
+    ``field_buffer`` for p, and the number of positions dropped from it
+    (``_chain_table``): the masks without the top descent (bit bits - 1,
+    where bits = n - mask_offset(family) >= 1) are over the other bits - 1
+    positions, and entry mask, for every mask over the positions kept, is
     the number of group elements whose descent set is contained in the
-    mask's descent set."""
+    mask's descent set.  Every mask through a dropped position has a count
+    of 0 mod p."""
     # The multinomial of the composition whose descent set is mask (bit b
     # encodes descent position b + lo) grows one factor per descent: adding
     # d above a rest whose top descent is t splits the last part n - t into
@@ -262,6 +290,26 @@ def _weight_table(family: str, n: int, p: int):
     return _chain_table(family, p, seeds, lambda h, k: comb(n - k - lo, h - k))
 
 
+def _chain_tally(chain, p: int) -> list[int]:
+    """The residue tally of the subset transform over every mask of the
+    positions of a ``_chain_table``, from its (table, dropped) pair.
+
+    The table is handed to ``arith.inverse_zeta_tally`` as a temporary, so
+    its fields are freed once its planes are made.  A dropped position e
+    holds 0 on every mask through it, so the transform gives
+    beta(T + e) = -beta(T) for every T without e: the masks of d >= 1
+    dropped positions spread each residue r of the table's tally t over
+    2^(d - 1) copies of r and as many of -r, t[r] <- 2^(d - 1) (t[r] +
+    t[-r mod p]).
+    """
+    *box, dropped = chain
+    del chain
+    tally = inverse_zeta_tally(box.pop(), p)
+    if dropped:
+        tally = [(tally[r] + tally[-r % p]) << (dropped - 1) for r in range(p)]
+    return tally
+
+
 def _naive_tally(family: str, n: int, p: int) -> list[int]:
     bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
@@ -274,8 +322,7 @@ def _naive_tally(family: str, n: int, p: int) -> list[int]:
     # field mask becomes the ribbon number mod p of the index with that
     # descent mask; the masks with the top descent are the complements of
     # the half, with the same ribbon numbers, so each count doubles
-    half = inverse_zeta_tally(_weight_table(family, n, p), p)
-    return [2 * c for c in half]
+    return [2 * c for c in _chain_tally(_weight_table(family, n, p), p)]
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
@@ -321,7 +368,10 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     support position but type D's adjoined 1, where 0 stands in for its
     inverse: there every chain from 0 through 1 is 0 (no support position
     is digitwise above 1), and the type-D copy overwrites the chains that
-    start at 1.  Agrees with ``term_mod_p`` on every mask.
+    start at 1.  Agrees with ``term_mod_p`` on every mask.  Every seed is a
+    unit mod p, so ``_chain_table`` drops no position, except at p = 2 in
+    types B and D: every weight there is even, so every position but type
+    D's 0 and 1 is dropped (``cvec_theorem`` answers those by parity).
     """
     nd = base_p_digits(n, p)
     digits = [base_p_digits(d, p) for d in pos]
@@ -350,12 +400,12 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
     free = n - mask_offset(family) - m
     if not pos:
         # type A, n = p^d: the one subset is its own complement
-        return inverse_zeta_tally(_term_table(family, n, p, pos), p), free
+        return _chain_tally(_term_table(family, n, p, pos), p), free
     # the subsets without the top position are closed under submasks, so
     # the butterfly over them alone is exact; their complements, the
     # subsets with it, have the residues r(S - T) = (-1)^free r(T) (module
     # docstring), so the whole tally is the half one plus its signed mirror
-    half = inverse_zeta_tally(_term_table(family, n, p, pos[:-1]), p)
+    half = _chain_tally(_term_table(family, n, p, pos[:-1]), p)
     sign = -1 if free % 2 else 1
     return [half[r] + half[sign * r % p] for r in range(p)], free
 

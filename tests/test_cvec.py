@@ -47,6 +47,7 @@ from ribbonmod.cvec import (
     support_set,
     _RULES,
     _assemble,
+    _chain_table,
     _colored_partition_count,
     _support_size,
     _term_table,
@@ -188,10 +189,26 @@ def _digit_cache(p: int, width: int):
     return functools.cache(row)
 
 
+def _dead_positions(family, values, bits, p):
+    # the positions of a lattice of 2^bits masks that are 0 mod p on every
+    # mask through them, read off the values of all its masks; type D's
+    # positions 0 and 1 count as live whatever they hold
+    low = min(2, bits) if family == "D" else 0
+    return [e for e in range(low, bits)
+            if all(v % p == 0 for mask, v in enumerate(values) if mask >> e & 1)]
+
+
+def _full_mask(mask, kept):
+    # the mask over every position of a mask over the positions kept
+    return sum(1 << e for i, e in enumerate(kept) if mask >> i & 1)
+
+
 def test_term_table_matches_term_mod_p():
     # the block-scaled chain table against the per-subset digit evaluation;
     # 11 and 13 have digits up to 12, 131 takes 1-byte fields without a
-    # sign bit and 257 2-byte fields
+    # sign bit and 257 2-byte fields.  The table drops the positions whose
+    # subsets all have a term of 0: none, but at p = 2 in types B and D,
+    # where every first-step weight is even
     checked = 0
     for family in ("A", "B", "D"):
         for p in (2, 3, 5, 7, 11, 13, 131, 257):
@@ -202,17 +219,24 @@ def test_term_table_matches_term_mod_p():
                 nd = base_p_digits(n, p)
                 digit_row = _digit_cache(p, len(nd))
                 inv2 = pow(2, p - 2, p) if p > 2 else 1
-                table = _term_table(family, n, p, pos)
-                assert len(table) == 1 << len(pos)
+                table, dropped = _term_table(family, n, p, pos)
                 # the descents of subset sel: those of sel without its top
                 # bit h, then pos[h]
                 chosen = [()]
                 for d in pos:
                     chosen += [c + (d,) for c in chosen]
-                for sel, (got, descents) in enumerate(zip(table, chosen)):
+                terms = []
+                for descents in chosen:
                     cuts = (0, *descents, n)
                     parts = tuple(map(sub, cuts[1:], cuts))
-                    assert got == term_mod_p(family, parts, nd, p, digit_row, inv2), (family, n, p, sel)
+                    terms.append(term_mod_p(family, parts, nd, p, digit_row, inv2))
+                dead = _dead_positions(family, terms, len(pos), p)
+                want = 0 if p > 2 or family == "A" else len(pos) - 2 * (family == "D")
+                assert dropped == len(dead) == want, (family, n, p)
+                kept = [e for e in range(len(pos)) if e not in dead]
+                assert len(table) == 1 << len(kept)
+                for sel, got in enumerate(table):
+                    assert got == terms[_full_mask(sel, kept)], (family, n, p, sel)
                 checked += 1
     assert checked > 300
 
@@ -365,21 +389,85 @@ def _covering_count(family, n, mask):
 
 def test_weight_table_matches_per_mask_reference():
     # the table holds the lower half of the lattice, the masks without the
-    # top descent, and every entry it holds is the covering count mod p.
-    # The primes give 1-byte fields (up to 131), 2-byte (257) and 4-byte
-    # ones (65537)
+    # top descent, over the positions it keeps.  Read off the covering
+    # counts alone, every mask through a position it drops is 0 mod p, and
+    # it drops every such position but type D's 0 and 1; every entry it
+    # holds is the covering count mod p.  The primes give 1-byte fields (up
+    # to 131), 2-byte (257) and 4-byte ones (65537); only those up to n
+    # drop positions
     primes = (2, 3, 7, 127, 131, 257, 65537)
+    dropping = set()
     for family in "ABD":
         for n in range(2 if family == "D" else 1, 11):
             bits = n - 1 if family == "A" else n
             if not bits:
                 continue  # A n = 1 is answered without a table
-            tables = {p: _weight_table(family, n, p) for p in primes}
-            assert all(len(table) == 1 << (bits - 1) for table in tables.values())
-            for mask in range(1 << (bits - 1)):
-                want = _covering_count(family, n, mask)
-                for p, table in tables.items():
-                    assert table[mask] == want % p, (family, n, p, mask)
+            covers = [_covering_count(family, n, mask) for mask in range(1 << (bits - 1))]
+            for p in primes:
+                table, dropped = _weight_table(family, n, p)
+                dead = _dead_positions(family, covers, bits - 1, p)
+                assert dropped == len(dead), (family, n, p)
+                kept = [e for e in range(bits - 1) if e not in dead]
+                assert len(table) == 1 << len(kept), (family, n, p)
+                for mask, got in enumerate(table):
+                    assert got == covers[_full_mask(mask, kept)] % p, (family, n, p, mask)
+                if dropped:
+                    dropping.add(p)
+    assert dropping == {2, 3, 7}
+
+
+def test_chain_table_drops_only_all_zero_blocks():
+    # a position is live when its seed is nonzero or a nonzero step links
+    # it to a live lower position.  In the routes' tables a zero seed comes
+    # with a zero step from every live position, as C(n, k) C(n - k, d - k)
+    # = C(n, d) C(d, k), so only a table made here shows the second case:
+    # position 1 has a zero seed and a step of 1 from position 0, position
+    # 2 a zero seed and zero steps
+    table, dropped = _chain_table("A", 5, [1, 0, 0], lambda h, k: 0 if h == 2 else 1)
+    assert (list(table), dropped) == ([1, 1, 0, 1], 1)
+
+
+def test_naive_table_drops_the_positions_outside_the_support():
+    # two derivations of the dead positions: the naive table's own exact
+    # binomials, and the base-p digits of the theorem route's support set.
+    # At odd p every first-step weight is a unit, so a half-lattice
+    # position is dropped exactly when its digits are not bounded by those
+    # of n (type D keeps 0 and 1, both in its support).  The seeds at the
+    # single-position masks name the positions kept
+    cases = 0
+    for family in "ABD":
+        lo = mask_offset(family)
+        for p in ODD_PRIMES:
+            for n in range(4, 21):
+                table, dropped = _weight_table(family, n, p)
+                support = set(support_set(family, n, p))
+                kept = [d for d in range(lo, n - 1) if d in support]
+                assert dropped == n - 1 - lo - len(kept), (family, n, p)
+                assert len(table) == 1 << len(kept), (family, n, p)
+                for i, d in enumerate(kept):
+                    if family == "D" and i == 1:
+                        continue  # the copy rule set mask 2 to mask 1
+                    shift = 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d
+                    assert table[1 << i] == (comb(n, d) << shift) % p, (family, n, p, d)
+                cases += 1
+    assert cases == 255
+
+
+@pytest.mark.parametrize("family, n, p", [("A", 19, 3), ("D", 18, 11), ("B", 18, 5)])
+def test_naive_route_drops_positions_without_base_p_digits(monkeypatch, family, n, p):
+    # the naive route decides what to drop from its own exact binomials, so
+    # it answers with the digit machinery of the theorem route broken, on
+    # queries that drop 14, 3 and 3 of their positions
+    want = cvec_theorem(family, n, p)
+    assert _weight_table(family, n, p)[1]
+    module = importlib.import_module("ribbonmod.cvec")
+
+    def refuse(*args):
+        raise AssertionError("the naive route read base-p digits")
+
+    for name in ("base_p_digits", "lucas_binomial", "support_set"):
+        monkeypatch.setattr(module, name, refuse)
+    assert cvec_naive(family, n, p) == want
 
 
 def test_half_lattice_tally_matches_full_lattice():
@@ -434,7 +522,9 @@ def test_theorem_tally_matches_dense_reference():
     # mirrors them by complement, r(S - T) = (-1)^free r(T); the reference
     # runs the butterfly over every subset.  Odd free tells the signed
     # mirror from plain doubling; free = 0 (A n = p^k - 1, S every
-    # position) and supports of sizes 0 and 1 are the edges
+    # position) and supports of sizes 0 and 1 are the edges.  No term table
+    # drops a position, but at p = 2 in types B and D, where every weight
+    # is even and every residue 1
     seen = set()
     for family in "ABD":
         for p in (2, 3, 5, 7, 13):
@@ -443,9 +533,13 @@ def test_theorem_tally_matches_dense_reference():
                 if m > 12:
                     continue
                 pos = support_set(family, n, p)
-                dense = inverse_zeta_tally(_term_table(family, n, p, pos), p)
+                table, dropped = _term_table(family, n, p, pos)
                 tally, free = _theorem_tally(family, n, p)
-                assert tally == dense, (family, n, p)
+                if p == 2 and family != "A":
+                    assert tally == [0, 1 << m], (family, n)
+                    continue
+                assert not dropped, (family, n, p)
+                assert tally == inverse_zeta_tally(table, p), (family, n, p)
                 seen.add("free 0" if free == 0 else f"free {'odd' if free % 2 else 'even'}")
                 if m < 2:
                     seen.add(f"support {m}")
@@ -523,11 +617,13 @@ def test_methods_agree_across_field_widths():
 
 def test_naive_sweep_in_bounded_memory():
     # 2^20 indices: the table, the butterfly and the tally stay in packed
-    # fields over the half lattice, so the peak is a few copies of the
-    # 0.5 MB field buffer: 1.9 MB in 2-bit and 2.4 MB in 4-bit lanes, 3.2
-    # and 3.3 MB in whole bytes (6.4 and 6.7 MB over the whole lattice;
-    # with an exact weight table and a list of ints 60 and 96 MB)
-    for family, n, p in (("A", 21, 3), ("D", 20, 13)):
+    # fields over the half lattice, so the peak is about two copies of the
+    # 0.5 MB field buffer, 1.1 MB traced in 5 and 8 bit planes (with an
+    # exact weight table and a list of ints 60 and 96 MB).  At p > n every
+    # binomial is a unit mod p, so the table drops no position and holds
+    # all 2^19 fields
+    for family, n, p in (("A", 21, 23), ("D", 20, 131)):
+        assert _weight_table(family, n, p)[1] == 0
         tracemalloc.start()
         try:
             vec = cvec_naive(family, n, p)
@@ -538,20 +634,46 @@ def test_naive_sweep_in_bounded_memory():
         assert peak < 5 << 20, (family, n, p, peak)
 
 
+def _full_weight_table(family, n, p):
+    # the naive route's table over every position of the half lattice, 0 on
+    # every mask through a position it drops: at odd p those outside the
+    # support set, at p = 2 every weight is even (type D keeps 0 and 1).
+    # For 1-byte fields; a dropped position e goes in as a zero bit, each
+    # run of 2^e fields followed by as many zeros
+    bits = n - 1 - mask_offset(family)
+    if p > 2:
+        kept = [d - mask_offset(family) for d in support_set(family, n, p) if d < n - 1]
+    else:
+        kept = [0, 1] if family == "D" else []
+    table, dropped = _weight_table(family, n, p)
+    assert len(table) == 1 << len(kept) and dropped == bits - len(kept)
+    for e in range(bits):
+        if e not in kept:
+            out = bytearray(2 * len(table))
+            for i in range(0, len(table), 1 << e):
+                out[2 * i:2 * i + (1 << e)] = table[i:i + (1 << e)]
+            table = out
+    return table
+
+
 def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
     # the butterfly and tally of D n=22 (2^21 fields) hold w = (p - 1).
     # bit_length() bit planes of 2^21 bits, 256 KB each (273 KB as ints of
     # 30-bit digits), plus temporaries: about 12 planes' worth while the
     # eight slices of the table are transposed, w + 7 while a level runs
     # and 2w + 1 while the popcount tree of the tally holds one pending
-    # branch per plane.  So the traced peak scales with w: 1.87 / 2.40 /
-    # 3.11 / 4.53 MB at p = 2 / 3 / 13 / 131 (w = 1 / 2 / 4 / 8), against
-    # 3.74 MB at p = 3 and 13 for a kernel that makes all eight planes of a
-    # byte (at p = 2 such a kernel stays under the ceiling).  The table is
-    # made before the trace starts and freed once it is transposed
+    # branch per plane.  So the traced peak scales with w: 1.07 / 2.13 /
+    # 2.85 / 4.53 MB at p = 2 / 3 / 13 / 131 (w = 1 / 2 / 4 / 8), against
+    # 3.73 MB at p = 2, 3 and 13 for a kernel that makes all eight planes of
+    # a byte, over the 3.47 MB ceiling.  The table is
+    # made before the trace starts and freed once it is transposed.  At
+    # p = 2, 3 and 13 the naive route drops 19, 11 and 3 of the 21
+    # positions, so the test spreads its table over all 21, with 0 on every
+    # mask through a dropped one: the table of 2^21 fields the route would
+    # sweep without dropping, whose doubled tally is the p-vector
     for p in (2, 3, 13, 131):
         w = (p - 1).bit_length()
-        box = [_weight_table("D", 22, p)]
+        box = [_full_weight_table("D", 22, p)]
         tracemalloc.start()
         try:
             tally = inverse_zeta_tally(box.pop(), p)
