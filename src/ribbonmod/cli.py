@@ -5,26 +5,27 @@ Command lines are parsed from the ``COMMANDS`` table, one entry per
 command with its handler, help text and options, by ``parse_args`` on the
 standard library's ``getopt``; ``main`` parses and dispatches.
 
+Start-up imports only what the computing commands share: ``verify`` loads
+its suites (``ribbonmod.verify``) when it runs, and the standard modules of
+one output format or of the bundled data (``json``, ``csv``, ``decimal``,
+``importlib.resources``) are imported where they are used.
+
 Exit codes: 0 success, 1 verification mismatch (or no closed form under
 ``--method closed``), 2 usage error.
 """
 
 from __future__ import annotations
 
-import csv
 import getopt
-import json
 import re
 import sys
 from collections import Counter
-from importlib import resources
 from types import SimpleNamespace
 
-from .arith import residue_tally
-from .compositions import mask_offset, parse_parts
+from .compositions import parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
-from .cvec import NoClosedFormError, cvec, cvec_closed_form, cvec_naive, cvec_theorem, macdonald_mp
-from .ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
+from .cvec import NoClosedFormError, cvec, macdonald_mp
+from .ribbon import ribbon_exact, ribbon_mod_p
 
 TABLE_FILES = ("type_a.txt", "type_b.txt", "type_d.txt")
 EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.txt"
@@ -32,6 +33,8 @@ EXCEPTIONAL_MULTISETS = "exceptional_multisets.txt"
 
 
 def _data_text(name: str) -> str:
+    from importlib import resources
+
     return resources.files("ribbonmod").joinpath(f"data/{name}").read_text()
 
 
@@ -174,8 +177,12 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
         record["value"] = _decimal(record["value"], pow2)
     pow2.clear()  # the powers are as long as the counts: free them before printing
     if fmt == "json":
+        import json
+
         print(json.dumps(record))
     elif fmt == "csv":
+        import csv
+
         label = record.get("family", record.get("group"))
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["family", "p", "n", "residue", "count"])
@@ -240,127 +247,10 @@ def cmd_macdonald(args) -> int:
     return _emit("text", {"value": macdonald_mp(args.n, args.p)})
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _compare(report, title: str, unit: str, triples, fmt=str) -> bool:
-    """Report a FAIL line for each (label, expected, computed) triple that
-    disagrees, or else one PASS line counting the triples."""
-    checked = 0
-    ok = True
-    for label, expected, computed in triples:
-        checked += 1
-        if computed != expected:
-            ok = False
-            report(f"FAIL {title} {label}: expected {fmt(expected)}, computed {fmt(computed)}")
-    if ok:
-        report(f"PASS {title} ({checked} {unit})")
-    return ok
-
-
-def _verify_tables(report) -> bool:
-    ok = True
-    for name in TABLE_FILES:
-        vectors = sorted(golden_vectors(name).items())
-        triples = ((f"{fam} p={p} n={n}", want, cvec(fam, n, p).counts) for (fam, p, n), want in vectors)
-        ok = _compare(report, name, "vectors", triples) and ok
-    vectors = sorted(golden_vectors(EXCEPTIONAL_HISTOGRAMS).items())
-    triples = ((f"{g} p={p}", want, residue_histogram(builtin_diagram(g), p)) for (g, p, _), want in vectors)
-    ok = _compare(report, EXCEPTIONAL_HISTOGRAMS, "vectors", triples) and ok
-    multisets = sorted(golden_multisets().items())
-    triples = ((g, want, descent_class_multiset(builtin_diagram(g))) for g, want in multisets)
-    return _compare(report, EXCEPTIONAL_MULTISETS, "groups", triples, format_multiset) and ok
-
-
-ORACLE_GRID = {"A": range(2, 10), "B": range(2, 8), "D": range(2, 8)}
-ORACLE_PRIMES = (2, 3, 5, 7)
-
-
-def _verify_oracles(report) -> bool:
-    ok = True
-    for family, ns in ORACLE_GRID.items():
-        for n in ns:
-            classes = oracle_descent_class_sizes(family, n)
-            bad = 0
-            for alpha, size in classes.items():
-                if ribbon_exact(family, alpha) != size:
-                    bad += 1
-            if len(classes) != 1 << (n - mask_offset(family)):
-                bad += 1
-            sizes = Counter(classes.values())
-            for p in ORACLE_PRIMES:
-                # cvec_naive refuses a p past the tally budget before the
-                # tally below allocates p entries
-                expected = cvec_naive(family, n, p).counts
-                if tuple(residue_tally(sizes, p)) != expected:
-                    bad += 1
-            if bad:
-                ok = False
-                report(f"FAIL oracle {family} n={n}: {bad} mismatches")
-            else:
-                report(f"PASS oracle {family} n={n} ({len(classes)} classes)")
-    return ok
-
-
-def closed_form_grid():
-    """(family, n, p) triples that should hit a closed form: the documented
-    grid of digit patterns with d in {1,2}, e in {0..3}, m < p, n <= 40."""
-    out = set()
-    for p in (2, 3, 5, 7, 11):
-        for d in (1, 2):
-            for m in range(1, p):
-                n = m * p**d
-                if 2 <= n <= 40:
-                    out.add(("A", n, p))
-                    if p > 2:
-                        out.add(("B", n, p))
-                    if n >= 4 and p > 2 and m <= 3:
-                        out.add(("D", n, p))
-            for e in range(4):
-                if e == d:
-                    continue
-                n = p**d + p**e
-                if n <= 40:
-                    out.add(("A", n, p))
-                    if p > 2:
-                        out.add(("B", n, p))
-                    if p > 2 and n >= 4:
-                        out.add(("D", n, p))
-                if p > 2 and 2 * p**d + p**e <= 40:
-                    out.add(("A", 2 * p**d + p**e, p))
-        # sums of three or four distinct powers, type A only
-        for mask in range(1 << 4):
-            if mask.bit_count() in (3, 4):
-                n = sum(p**e for e in range(4) if mask >> e & 1)
-                if n <= 40:
-                    out.add(("A", n, p))
-    return sorted(out)
-
-
-def _verify_formulas(report) -> bool:
-    def triples():
-        for family, n, p in closed_form_grid():
-            closed = cvec_closed_form(family, n, p)
-            method = closed.method if closed else "missing"
-            computed = closed.counts if closed else None
-            yield f"({family}, n={n}, p={p}) [{method}]", cvec_theorem(family, n, p).counts, computed
-
-    return _compare(report, "closed forms against the theorem method", "vectors", triples())
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "tables": _verify_tables,
-        "oracles": _verify_oracles,
-        "formulas": _verify_formulas,
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    ok = True
-    for name in selected:
-        ok = suites[name](print) and ok
-    print("verify: OK" if ok else "verify: MISMATCH")
-    return 0 if ok else 1
+    from .verify import run_suites  # here, so no other command loads the suites
+
+    return run_suites(args.suite)
 
 
 # ---------------------------------------------------------------------------

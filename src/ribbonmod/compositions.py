@@ -19,9 +19,9 @@ Full enumeration is capped at 63 mask bits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate
 from operator import sub
-from typing import Iterator
 
 MAX_MASK_BITS = 63
 
@@ -62,6 +62,48 @@ def _positions(mask: int, lo: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Record:
+    """A frozen record over the fields its subclass names in ``__slots__``,
+    in constructor order.
+
+    Equality and hash read the fields in ``_compared`` (all of them unless
+    a subclass narrows it), and only between records of one class; the
+    repr names every field.  Copies and pickles rebuild through the
+    constructor, so they pass its checks.
+    """
+
+    __slots__ = ()
+    _compared = None  # the fields equality and hash read; None: all
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared or self.__slots__)
+
+    def __setattr__(self, name, _):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class _MaskBacked:
     """Shared machinery for the two composition kinds."""
 
@@ -96,6 +138,8 @@ class _MaskBacked:
 
     def __setattr__(self, *_):
         raise AttributeError("immutable value")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # copy and pickle rebuild through from_descents, so a payload runs

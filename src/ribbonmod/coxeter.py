@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 from operator import sub
 
 from .arith import field_buffer, inverse_zeta_tally
-from .compositions import CapacityError
+from .compositions import CapacityError, _Record
 from .cvec import _check_tally_prime
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
@@ -57,18 +56,16 @@ _EXCEPTIONAL_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class IrreducibleType:
+class IrreducibleType(_Record):
     """One entry of the classification: a family letter, a rank, and for the
     dihedral family the edge label m."""
 
-    family: str
-    rank: int
-    m: int | None = None
+    __slots__ = ("family", "rank", "m")
 
-    def __post_init__(self):
-        if self.family == "I" and (self.rank != 2 or self.m is None or self.m < 3):
+    def __init__(self, family: str, rank: int, m: int | None = None):
+        if family == "I" and (rank != 2 or m is None or m < 3):
             raise ValueError("dihedral types are I2(m) with m >= 3")
+        _Record.__init__(self, family, rank, m)
 
     @property
     def order(self) -> int:
@@ -88,20 +85,18 @@ class IrreducibleType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
+class CoxeterDiagram(_Record):
     """Labeled graph on generator indices; a missing edge means label 2."""
 
-    generators: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (s, t, label), s < t, label >= 3
-    name: str | None = None
+    __slots__ = ("generators", "edges", "name")  # edges: (s, t, label), s < t, label >= 3
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        if len(gens) != len(self.generators):
+    def __init__(self, generators: tuple[int, ...], edges: tuple[tuple[int, int, int], ...],
+                 name: str | None = None):
+        gens = set(generators)
+        if len(gens) != len(generators):
             raise ValueError("duplicate generator")
         seen = set()
-        for s, t, m in self.edges:
+        for s, t, m in edges:
             if s >= t or s not in gens or t not in gens:
                 raise ValueError(f"bad edge ({s}, {t})")
             if m < 3:
@@ -109,6 +104,7 @@ class CoxeterDiagram:
             if (s, t) in seen:
                 raise ValueError(f"duplicate edge ({s}, {t})")
             seen.add((s, t))
+        _Record.__init__(self, generators, edges, name)
 
     def label(self, s: int, t: int) -> int:
         if s == t:

@@ -83,7 +83,6 @@ Every p-vector has p entries, so a prime past the index budget
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, factorial, prod
 from operator import mul
 
@@ -96,7 +95,7 @@ from .arith import (
     lucas_binomial,
     residue_tally,
 )
-from .compositions import CapacityError, mask_offset
+from .compositions import CapacityError, _Record, mask_offset
 from .ribbon import _check_family, _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
@@ -154,19 +153,16 @@ def _check_query(family: str, n: int, p: int) -> None:
         raise ValueError(f"n={n} out of range for family {family}")
 
 
-@dataclass(frozen=True)
-class DimensionPVector:
+class DimensionPVector(_Record):
     """Length-p vector of exact counts, one per residue class, with provenance."""
 
-    family: str
-    n: int
-    p: int
-    counts: tuple[int, ...]
-    method: str = field(compare=False, default="naive")
+    __slots__ = ("family", "n", "p", "counts", "method")
+    _compared = ("family", "n", "p", "counts")  # the method tag is provenance
 
-    def __post_init__(self):
-        if len(self.counts) != self.p:
+    def __init__(self, family: str, n: int, p: int, counts: tuple[int, ...], method: str = "naive"):
+        if len(counts) != p:
             raise ValueError("counts must have one entry per residue class")
+        _Record.__init__(self, family, n, p, counts, method)
 
     def __iter__(self):
         return iter(self.counts)

@@ -25,7 +25,8 @@ from ribbonmod.ribbon import (
     ribbon_a_det,
     ribbon_exact,
 )
-from ribbonmod.cli import closed_form_grid, golden_multisets, golden_vectors
+from ribbonmod.cli import golden_multisets, golden_vectors
+from ribbonmod.verify import closed_form_grid
 
 
 def _finish(number: int, description: str, started: float, limit: float, problems: list):

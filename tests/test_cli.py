@@ -15,18 +15,17 @@ from ribbonmod.cli import (
     COMMANDS,
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
-    ORACLE_GRID,
     TABLE_FILES,
     expand,
     format_multiset,
     golden_multisets,
     golden_vectors,
-    _compare,
     _decimal,
     main,
 )
 from ribbonmod.coxeter import IrreducibleType
 from ribbonmod.cvec import cvec
+from ribbonmod.verify import ORACLE_GRID, _compare
 
 
 def run(capsys, *argv):
@@ -496,9 +495,15 @@ def test_help_exits_0_and_names_every_option(capsys, argv):
         assert word in out, (argv, word)
 
 
-def test_cli_import_leaves_argparse_unloaded():
+def test_cli_import_loads_only_what_commands_share():
+    # a fresh interpreter without site (whose .pth files may import typing
+    # or importlib.resources first) and without bytecode; getopt itself
+    # loads re and gettext, so those are not checked
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import ribbonmod.cli; print('argparse' in sys.modules)"
-    done = subprocess.run([sys.executable, "-B", "-c", probe, str(src)], capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    deferred = ("argparse", "dataclasses", "inspect", "typing", "json", "csv", "importlib.resources",
+                "ribbonmod.verify")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ribbonmod; import ribbonmod.cli; "
+             "print(' '.join(name for name in sys.argv[2:] if name in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", probe, str(src), *deferred], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == []

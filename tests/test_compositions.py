@@ -16,6 +16,8 @@ from ribbonmod.compositions import (
     mask_offset,
     parse_parts,
 )
+from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram
+from ribbonmod.cvec import DimensionPVector, cvec_naive, cvec_theorem
 
 
 def test_descent_set_examples():
@@ -264,6 +266,8 @@ def test_value_semantics():
     assert repr(Composition((1, 2))) == "Composition(1, 2)"
     with pytest.raises(AttributeError):
         Composition((2, 2)).n = 5
+    with pytest.raises(AttributeError):
+        del Composition((2, 2)).n
 
 
 def test_copy_and_pickle_round_trip():
@@ -288,3 +292,61 @@ def test_tampered_pickle_payload_refused():
         assert payload.count(b"(I3\n") == 1
         with pytest.raises(ValueError):
             pickle.loads(payload.replace(b"(I3\n", b"(I1\n"))
+
+
+# The three frozen records share one base: keyword construction, value
+# equality and hash over the compared fields, the field-by-field repr, no
+# assignment or deletion, and copies and pickles rebuilt through the
+# constructor.  Each case: (record, an equal record built another way, a
+# record one compared field away, the compared fields, the repr, and a
+# protocol-0 pickle edit with the constructor message it must raise).
+RECORDS = {
+    "DimensionPVector": lambda: (
+        DimensionPVector(family="A", n=4, p=3, counts=(4, 2, 2), method="naive"),
+        cvec_theorem("A", 4, 3),  # the method tag is not compared
+        cvec_naive("B", 4, 3),
+        ("A", 4, 3, (4, 2, 2)),
+        "DimensionPVector(family='A', n=4, p=3, counts=(4, 2, 2), method='naive')",
+        (b"I3\n(", b"I5\n(", "one entry per residue class"),  # p=5 with 3 counts
+    ),
+    "IrreducibleType": lambda: (
+        IrreducibleType(family="I", rank=2, m=5),
+        IrreducibleType("I", 2, 5),
+        IrreducibleType("I", 2, 7),
+        ("I", 2, 5),
+        "IrreducibleType(family='I', rank=2, m=5)",
+        (b"I5\nt", b"I2\nt", "dihedral types"),  # I2(2)
+    ),
+    "CoxeterDiagram": lambda: (
+        CoxeterDiagram(generators=(0, 1, 2), edges=((0, 1, 4), (1, 2, 3)), name="B3"),
+        builtin_diagram("B3"),
+        builtin_diagram("A3"),
+        ((0, 1, 2), ((0, 1, 4), (1, 2, 3)), "B3"),
+        "CoxeterDiagram(generators=(0, 1, 2), edges=((0, 1, 4), (1, 2, 3)), name='B3')",
+        (b"I4\nt", b"I2\nt", "edge labels start at 3"),  # a label-2 edge
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    record, twin, other, compared, text, (old, new, message) = RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == twin and hash(record) == hash(twin) == hash(compared)
+    assert record != other and record != compared
+    assert repr(record) == text
+    field = type(record).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == text
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record) and repr(clone) == text
+    # a dataclass unpickles without its __post_init__ check; these rebuild
+    # through the constructor and refuse the edited payload
+    payload = pickle.dumps(record, 0)
+    assert payload.count(old) == 1
+    with pytest.raises(ValueError, match=message):
+        pickle.loads(payload.replace(old, new))

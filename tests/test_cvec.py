@@ -894,7 +894,7 @@ def test_rule_table_p_powers_rows_from_chain_statistics():
 # -- closed forms -----------------------------------------------------------
 
 def test_closed_form_grid_matches_theorem():
-    from ribbonmod.cli import closed_form_grid
+    from ribbonmod.verify import closed_form_grid
 
     grid = closed_form_grid()
     assert len(grid) > 80

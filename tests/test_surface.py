@@ -50,11 +50,14 @@ PUBLIC = {
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ribbonmod"
 
 # (importer, source, name) of every private name one module may take from
-# another: ribbon's family gate and first-step rule, and cvec's tally budget
+# another: ribbon's family gate and first-step rule, cvec's tally budget, and
+# the frozen-record base of compositions
 PRIVATE_IMPORTS = {
     ("cvec", "ribbon", "_check_family"),
     ("cvec", "ribbon", "_first_step"),
     ("coxeter", "cvec", "_check_tally_prime"),
+    ("cvec", "compositions", "_Record"),
+    ("coxeter", "compositions", "_Record"),
 }
 
 
