@@ -15,6 +15,10 @@ offset <= n <= MAX_DESCENT_N and a mask of n - offset bits.  Copies and
 pickles rebuild through ``from_descents``, so they pass it too.
 
 Full enumeration is capped at 63 mask bits.
+
+``_Record`` is the frozen base of the package's other value records
+(``cvec.DimensionPVector``, ``coxeter.IrreducibleType`` and
+``coxeter.CoxeterDiagram``), in the same idiom as the indices.
 """
 
 from __future__ import annotations
