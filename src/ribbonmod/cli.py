@@ -6,9 +6,9 @@ command with its handler, help text and options, by ``parse_args`` on the
 standard library's ``getopt``; ``main`` parses and dispatches.
 
 Start-up imports only what the computing commands share: ``verify`` loads
-its suites (``ribbonmod.verify``) when it runs, and the standard modules of
-one output format or of the bundled data (``json``, ``csv``, ``decimal``,
-``importlib.resources``) are imported where they are used.
+its suites and the golden-table loaders (``ribbonmod.verify``) when it
+runs, and the standard modules of one output format (``json``, ``csv``,
+``decimal``) are imported where they are used.
 
 Exit codes: 0 success, 1 verification mismatch (or no closed form under
 ``--method closed``), 2 usage error.
@@ -17,92 +17,13 @@ Exit codes: 0 success, 1 verification mismatch (or no closed form under
 from __future__ import annotations
 
 import getopt
-import re
 import sys
-from collections import Counter
 from types import SimpleNamespace
 
 from .compositions import parse_parts
-from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram, ribbon_general
+from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram, ribbon_general
 from .cvec import NoClosedFormError, cvec, macdonald_mp
 from .ribbon import ribbon_exact, ribbon_mod_p
-
-TABLE_FILES = ("type_a.txt", "type_b.txt", "type_d.txt")
-EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.txt"
-EXCEPTIONAL_MULTISETS = "exceptional_multisets.txt"
-
-
-def _data_text(name: str) -> str:
-    from importlib import resources
-
-    return resources.files("ribbonmod").joinpath(f"data/{name}").read_text()
-
-
-# a published vector 2^k(a_0, ..., a_{p-1}): "2(...)" is k = 1, "(...)" k = 0
-_SHORTHAND = r"(?:(2)(?:\^(\d+))?)?\(([^()]*)\)"
-
-
-def expand(shorthand: str) -> tuple[int, ...]:
-    """The vector a 2^k of its shorthand 2^k(a_0, ..., a_{p-1})."""
-    match = re.fullmatch(_SHORTHAND, shorthand.strip())
-    if not match:
-        raise ValueError(f"bad shorthand {shorthand!r}")
-    two, k, body = match.groups()
-    shift = int(k) if k else 1 if two else 0
-    return tuple(int(tok) << shift for tok in body.split(","))
-
-
-def golden_vectors(name: str) -> dict[tuple, tuple[int, ...]]:
-    """The vectors of a golden table as {(label, p, n): vector}; n is None
-    for an exceptional group.
-
-    A ``p: ...`` line names the primes of the rows below it, and a row
-    ``LABEL N: v | v | ...`` (``LABEL: ...`` for a group) gives one
-    shorthand vector per prime, in order.
-    """
-    out: dict[tuple, tuple[int, ...]] = {}
-    primes: list[int] = []
-    for line in _data_text(name).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, body = line.split(": ", 1)
-        if head == "p":
-            primes = [int(tok) for tok in body.split(",")]
-            continue
-        label, _, n = head.partition(" ")
-        cells = body.split("|")
-        if len(cells) != len(primes):
-            raise ValueError(f"{name}: row {head} has {len(cells)} vectors for {len(primes)} primes")
-        for p, cell in zip(primes, cells):
-            key = (label, p, int(n) if n else None)
-            vector = expand(cell)
-            if len(vector) != p:
-                raise ValueError(f"golden vector for {key} does not have length p")
-            if key in out:
-                raise ValueError(f"golden vector for {key} is given twice")
-            out[key] = vector
-    return out
-
-
-def golden_multisets() -> dict[str, Counter]:
-    out: dict[str, Counter] = {}
-    for line in _data_text(EXCEPTIONAL_MULTISETS).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, body = line.split(": ", 1)
-        sizes = Counter()
-        for item in body.split(","):
-            size, _, mult = item.strip().partition("^")
-            sizes[int(size)] += int(mult) if mult else 1
-        out[label] = sizes
-    return out
-
-
-def format_multiset(sizes: Counter) -> str:
-    return ", ".join(f"{size}^{mult}" for size, mult in sorted(sizes.items()))
-
 
 # str() refuses ints longer than the interpreter's digit limit (4300 by
 # default) and is quadratic in their length.  Counts of at most _STR_BITS
@@ -397,6 +318,21 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+# the golden-table loaders live in ribbonmod.verify, their reader; scripts
+# that read them as cli attributes (perfbench/make_catalog.py reads
+# cli.golden_multisets) get them from there, loaded on first use
+_LOADERS = ("TABLE_FILES", "EXCEPTIONAL_HISTOGRAMS", "EXCEPTIONAL_MULTISETS",
+            "expand", "golden_vectors", "golden_multisets")
+
+
+def __getattr__(name: str):
+    if name in _LOADERS:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def console_entry() -> None:

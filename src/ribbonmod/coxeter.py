@@ -479,6 +479,12 @@ def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
     return Counter({size: 2 * c for size, c in counts.items()}) if diagram.generators else counts
 
 
+def format_multiset(sizes: Counter) -> str:
+    """A multiset {size: multiplicity} as text, ``size^multiplicity`` by
+    increasing size."""
+    return ", ".join(f"{size}^{mult}" for size, mult in sorted(sizes.items()))
+
+
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
     """Tally of the descent-class sizes modulo p, indexed by residue.
 

@@ -23,29 +23,19 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     table's (p - 1).bit_length() bit planes and tallies its output by
     residue; no list of 2^n ints and no exact weight is ever made.  The
     field format and the planes are arith's alone: this module passes
-    moduli, never widths.  Each dropped position e comes back by the
-    transform identity beta(T + e) = -beta(T), for every T without e: with
-    d >= 1 of them dropped the tally t becomes 2^(d - 1) (t[r] +
-    t[-r mod p]) (``_chain_tally``).  Only the lower half of
-    the lattice is tallied, the masks without the top descent (closed under
-    submasks, so the butterfly over them is exact), and the tally doubles,
-    by complement symmetry: bit b of a mask stands for the generator
-    s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A numbered
-    from 1; types B and D from 0, with s_0, s_1 the fork tips in type D),
-    and the covering count of a mask is the coset count |W| / |W_(S - J)|
-    of its generator set J: for the parts a_0, a_1, ... S - J splits into
-    B_(a_0) (type B) or D_(a_0) (type D, a_0 >= 2) times A_(a_i - 1) for
-    i >= 1, and in type D a first part of 1 (a lone descent at 1) leaves
-    s_0 on the path s_0 - s_2 - ..., as a descent at 0 leaves s_1.  So the
-    ribbon number of a mask is the size of the descent class of J, and
-    w -> w0 w maps that class onto the class of S - J, since
-    l(w0 w) = l(w0) - l(w) turns every right descent into an ascent and
-    back (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, Prop.
-    2.3.2).  The complement of a half mask has the top descent, so the
-    upper half repeats the lower one's ribbon numbers.  The tests check
-    the numbering against ``coxeter.ribbon_general`` (n <= 6) and the
-    doubled tally against a sweep of the whole lattice (n <= 12).  The
-    theorem method mirrors its sweep by the same symmetry.
+    moduli, never widths.  Only the lower half of the lattice is tallied,
+    the masks without the top descent.  Bit b of a mask stands for the
+    generator s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A
+    numbered from 1; types B and D from 0, with s_0, s_1 the fork tips in
+    type D), and the covering count of a mask is the coset count
+    |W| / |W_(S - J)| of its generator set J: for the parts a_0, a_1, ...
+    S - J splits into B_(a_0) (type B) or D_(a_0) (type D, a_0 >= 2) times
+    A_(a_i - 1) for i >= 1, and in type D a first part of 1 (a lone
+    descent at 1) leaves s_0 on the path s_0 - s_2 - ..., as a descent at
+    0 leaves s_1.  So the ribbon number of a mask is the size of the
+    descent class of J.  The tests check the numbering against
+    ``coxeter.ribbon_general`` (n <= 6) and the vector against a sweep of
+    the whole lattice (n <= 12).
   * ``cvec_theorem``  -- the digit method.  Only descent positions whose
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
@@ -56,16 +46,11 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     is made.  For m support positions it fills the terms of the 2^(m - 1)
     subsets without the top position by the naive method's
     ``_chain_table``, with O(m^2) block constants from Lucas binomials on
-    digit tuples made once per position, runs the same packed butterfly
-    and tally over them (closed under submasks, so exact), and mirrors the
-    tally onto the subsets with the top position.
-    The mirror is complement symmetry: an index with descent set D and
-    T = D & S has beta(D) = (-1)^|D - S| r(T) mod p, where r(T) is the
-    residue of T and free the number of positions outside S; beta(D) =
-    beta(D^c) and D^c & S = S - T, so r(S - T) = (-1)^free r(T), and the
-    tally over all subsets is full[r] = half[r] + half[(-1)^free r mod p].
-    Plain doubling would tally wrongly when free is odd.  An empty
-    support (type A, n = p^d) keeps its one self-complementary subset.
+    digit tuples made once per position, and runs the same packed
+    butterfly and tally over them.  By Lucas's theorem every term through
+    a position outside the support is 0 mod p, so each of these free
+    positions is one more that holds 0 on every mask through it: an index
+    with descent set D has the residue (-1)^|D - S| r(D & S).
     The seeds come from ``ribbon._first_step``, the first-step rule (the
     power-of-two weight and binomial base of the lowest descent) that the
     chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so the
@@ -76,6 +61,25 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     other pattern picks one entry of a frozen table of exact residue
     tallies.  Every pattern leaves the positions outside the support free.
 
+Every method ends in one rule, ``_spread``, which writes the vector as
+the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
+on every mask through it (dropped from a table, or outside the support)
+only flips signs: the transform gives beta(T + e) = -beta(T) for every T
+without e, so f >= 1 of them turn the tally t of the masks kept into
+2^(f - 1) (t[r] + t[-r mod p]).  A sweep of the masks without the top
+position (closed under submasks, so the butterfly over them is exact) is
+then doubled by complement symmetry: w -> w0 w maps the descent class of
+a generator set onto the class of its complement, since
+l(w0 w) = l(w0) - l(w) turns every right descent into an ascent and back
+(Bjorner and Brenti, *Combinatorics of Coxeter Groups*, Prop. 2.3.2), so
+an index and its complement have the same ribbon number.  In the theorem
+method the complement of a subset T of the support S is S - T, whose
+residue is that of T times (-1)^free: the sign is +1 with no free
+position, and with one the spread has made the tally symmetric under
+r <-> -r, so it never matters.  With no top position (type A at n = 1, or
+an empty support at n = p^d) the one mask is its own complement and
+nothing doubles.
+
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
 Every p-vector has p entries, so a prime past the index budget
 2^NAIVE_MAX_BITS is refused with ``CapacityError`` before any work.
@@ -84,7 +88,7 @@ Every p-vector has p entries, so a prime past the index budget
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from operator import mul
+from operator import add, mul
 
 from .arith import (
     base_p_digits,
@@ -266,8 +270,9 @@ def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
     ``field_buffer`` for p, and the number of positions dropped from it
     (``_chain_table``): the masks without the top descent (bit bits - 1,
-    where bits = n - mask_offset(family) >= 1) are over the other bits - 1
-    positions, and entry mask, for every mask over the positions kept, is
+    where bits = n - mask_offset(family)) are over the other bits - 1
+    positions (A n = 1 has none: its table is the one field of the empty
+    mask), and entry mask, for every mask over the positions kept, is
     the number of group elements whose descent set is contained in the
     mask's descent set.  Every mask through a dropped position has a count
     of 0 mod p."""
@@ -282,73 +287,63 @@ def _weight_table(family: str, n: int, p: int):
     seeds = []
     for d in range(lo, n - 1):
         shift = 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d
-        seeds.append((comb(n, d) << shift) % p)
+        seeds.append(comb(n, d) * pow(2, shift, p) % p)
     return _chain_table(family, p, seeds, lambda h, k: comb(n - k - lo, h - k))
 
 
-def _chain_tally(chain, p: int) -> list[int]:
-    """The residue tally of the subset transform over every mask of the
-    positions of a ``_chain_table``, from its (table, dropped) pair.
+def _spread(tally, p: int, flips: int, doubled: bool) -> tuple[int, ...]:
+    """The p-vector from the residue tally of the masks kept, in the
+    paper's shorthand 2^k (a_0, ..., a_(p-1)) (module docstring).
+
+    Each of ``flips`` positions that hold 0 on every mask through them
+    pairs r with -r: with flips >= 1 the tally t becomes
+    2^(flips - 1) (t[r] + t[-r mod p]).  ``doubled`` adds the complements
+    of a half lattice.  The whole power of two is one shift per distinct
+    weight, so equal entries are one int object, not copies of a number
+    that may be megabytes long.
+    """
+    shift = flips + doubled
+    if flips:
+        tally = list(map(add, tally, tally[:1] + tally[:0:-1]))
+        shift -= 1
+    shifted = {w: w << shift for w in set(tally)}
+    return tuple(shifted[w] for w in tally)
+
+
+def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
+    """The p-vector of the subset transform over the masks of a
+    ``_chain_table``, from its (table, dropped) pair: the residue tally of
+    the table, spread over its dropped positions and ``free`` more that
+    hold 0 on every mask through them.
 
     The table is handed to ``arith.inverse_zeta_tally`` as a temporary, so
-    its fields are freed once its planes are made.  A dropped position e
-    holds 0 on every mask through it, so the transform gives
-    beta(T + e) = -beta(T) for every T without e: the masks of d >= 1
-    dropped positions spread each residue r of the table's tally t over
-    2^(d - 1) copies of r and as many of -r, t[r] <- 2^(d - 1) (t[r] +
-    t[-r mod p]).
+    its fields are freed once its planes are made.
     """
     *box, dropped = chain
     del chain
-    tally = inverse_zeta_tally(box.pop(), p)
-    if dropped:
-        tally = [(tally[r] + tally[-r % p]) << (dropped - 1) for r in range(p)]
-    return tally
+    return _spread(inverse_zeta_tally(box.pop(), p), p, dropped + free, doubled)
 
 
-def _naive_tally(family: str, n: int, p: int) -> list[int]:
+def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
         raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
-    if not bits:
-        # A n = 1: the one index is its own complement, with ribbon number 1
-        return residue_tally({1: 1}, p)
     # field mask becomes the ribbon number mod p of the index with that
-    # descent mask; the masks with the top descent are the complements of
-    # the half, with the same ribbon numbers, so each count doubles
-    return [2 * c for c in _chain_tally(_weight_table(family, n, p), p)]
+    # descent mask; the masks with the top descent, if there is one, are
+    # the complements of the half, with the same ribbon numbers
+    return _chain_counts(_weight_table(family, n, p), p, 0, bits > 0)
 
 
 def cvec_naive(family: str, n: int, p: int) -> DimensionPVector:
     """Histogram of all ribbon numbers mod p, by sweeping the index lattice."""
     _check_query(family, n, p)
-    return DimensionPVector(family, n, p, tuple(_naive_tally(family, n, p)), "naive")
+    return DimensionPVector(family, n, p, _naive_counts(family, n, p), "naive")
 
 
 # ---------------------------------------------------------------------------
 # theorem method: support-subset sweep
-
-
-def _assemble(p: int, tally: list[int], free: int) -> tuple[int, ...]:
-    """The p-vector from a residue tally over the support patterns.
-
-    free = number of descent positions outside the support; each support
-    pattern is shared by 2^free indices.  When p is odd and some free
-    position exists, half of those indices flip the sign of the residue,
-    pairing i with p - i.  Every entry is a weight shifted left, as in the
-    paper's shorthand 2^k (a_0, ..., a_(p-1)); each distinct weight is
-    shifted once, so equal entries are one int object, not copies of a
-    number that may be megabytes long.
-    """
-    if p == 2 or free == 0:
-        weights, shift = tally, free
-    else:
-        weights = [2 * tally[0]] + [tally[i] + tally[p - i] for i in range(1, p)]
-        shift = free - 1
-    shifted = {w: w << shift for w in set(weights)}
-    return tuple(shifted[w] for w in weights)
 
 
 def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
@@ -383,7 +378,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     )
 
 
-def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
+def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
     nd = base_p_digits(n, p)
@@ -394,16 +389,10 @@ def _theorem_tally(family: str, n: int, p: int) -> tuple[list[int], int]:
         )
     pos = support_set(family, n, p)
     free = n - mask_offset(family) - m
-    if not pos:
-        # type A, n = p^d: the one subset is its own complement
-        return _chain_tally(_term_table(family, n, p, pos), p), free
     # the subsets without the top position are closed under submasks, so
-    # the butterfly over them alone is exact; their complements, the
-    # subsets with it, have the residues r(S - T) = (-1)^free r(T) (module
-    # docstring), so the whole tally is the half one plus its signed mirror
-    half = _chain_tally(_term_table(family, n, p, pos[:-1]), p)
-    sign = -1 if free % 2 else 1
-    return [half[r] + half[sign * r % p] for r in range(p)], free
+    # the butterfly over them alone is exact; their complements are the
+    # subsets with it (module docstring)
+    return _chain_counts(_term_table(family, n, p, pos[:-1]), p, free, bool(pos))
 
 
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
@@ -416,8 +405,7 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
         # every type-B/D ribbon number is odd
         counts = (0, 1 << n)
         return DimensionPVector(family, n, p, counts, "theorem")
-    tally, free = _theorem_tally(family, n, p)
-    return DimensionPVector(family, n, p, _assemble(p, tally, free), "theorem")
+    return DimensionPVector(family, n, p, _theorem_counts(family, n, p), "theorem")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +467,7 @@ def cvec_closed_form(family: str, n: int, p: int):
     nonzero = [(j, d) for j, d in enumerate(digits) if d]
     if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:
         rule = "m*p^d"
-        tally = _naive_tally(family, nonzero[0][1], p)
+        tally = _naive_counts(family, nonzero[0][1], p)
     else:
         rule = _closed_rule(family, nonzero)
         raw = _RULES.get((family, rule, len(nonzero)))
@@ -487,7 +475,7 @@ def cvec_closed_form(family: str, n: int, p: int):
             return None
         tally = residue_tally(raw, p)
     free = n - mask_offset(family) - _support_size(family, digits)
-    return DimensionPVector(family, n, p, _assemble(p, tally, free), f"closed-form:{rule}")
+    return DimensionPVector(family, n, p, _spread(tally, p, free, False), f"closed-form:{rule}")
 
 
 # ---------------------------------------------------------------------------

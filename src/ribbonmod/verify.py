@@ -3,33 +3,100 @@ reference data.
 
   * ``tables``   -- the golden p-vectors of types A, B and D and of the
     exceptional groups, and the exceptional descent-class multisets, read
-    by the loaders of ``cli``;
+    from the package's ``data`` files by ``golden_vectors`` and
+    ``golden_multisets``;
   * ``oracles``  -- ribbon numbers and naive p-vectors against descent
     classes counted by enumerating the group (``ORACLE_GRID``);
   * ``formulas`` -- every closed form of ``closed_form_grid`` against the
     theorem method.
 
 ``cli.cmd_verify`` imports this module when it runs, so no other command
-loads it.
+loads it; it imports nothing from ``cli``, so ``python -m ribbonmod.cli
+verify`` loads ``cli.py`` once.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from .arith import residue_tally
-from .cli import (
-    EXCEPTIONAL_HISTOGRAMS,
-    EXCEPTIONAL_MULTISETS,
-    TABLE_FILES,
-    format_multiset,
-    golden_multisets,
-    golden_vectors,
-)
 from .compositions import mask_offset
-from .coxeter import builtin_diagram, descent_class_multiset, residue_histogram
+from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram
 from .cvec import cvec, cvec_closed_form, cvec_naive, cvec_theorem
 from .ribbon import oracle_descent_class_sizes, ribbon_exact
+
+TABLE_FILES = ("type_a.txt", "type_b.txt", "type_d.txt")
+EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.txt"
+EXCEPTIONAL_MULTISETS = "exceptional_multisets.txt"
+
+
+def _data_text(name: str) -> str:
+    from importlib import resources
+
+    return resources.files("ribbonmod").joinpath(f"data/{name}").read_text()
+
+
+# a published vector 2^k(a_0, ..., a_{p-1}): "2(...)" is k = 1, "(...)" k = 0
+_SHORTHAND = r"(?:(2)(?:\^(\d+))?)?\(([^()]*)\)"
+
+
+def expand(shorthand: str) -> tuple[int, ...]:
+    """The vector a 2^k of its shorthand 2^k(a_0, ..., a_{p-1})."""
+    match = re.fullmatch(_SHORTHAND, shorthand.strip())
+    if not match:
+        raise ValueError(f"bad shorthand {shorthand!r}")
+    two, k, body = match.groups()
+    shift = int(k) if k else 1 if two else 0
+    return tuple(int(tok) << shift for tok in body.split(","))
+
+
+def golden_vectors(name: str) -> dict[tuple, tuple[int, ...]]:
+    """The vectors of a golden table as {(label, p, n): vector}; n is None
+    for an exceptional group.
+
+    A ``p: ...`` line names the primes of the rows below it, and a row
+    ``LABEL N: v | v | ...`` (``LABEL: ...`` for a group) gives one
+    shorthand vector per prime, in order.
+    """
+    out: dict[tuple, tuple[int, ...]] = {}
+    primes: list[int] = []
+    for line in _data_text(name).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, body = line.split(": ", 1)
+        if head == "p":
+            primes = [int(tok) for tok in body.split(",")]
+            continue
+        label, _, n = head.partition(" ")
+        cells = body.split("|")
+        if len(cells) != len(primes):
+            raise ValueError(f"{name}: row {head} has {len(cells)} vectors for {len(primes)} primes")
+        for p, cell in zip(primes, cells):
+            key = (label, p, int(n) if n else None)
+            vector = expand(cell)
+            if len(vector) != p:
+                raise ValueError(f"golden vector for {key} does not have length p")
+            if key in out:
+                raise ValueError(f"golden vector for {key} is given twice")
+            out[key] = vector
+    return out
+
+
+def golden_multisets() -> dict[str, Counter]:
+    out: dict[str, Counter] = {}
+    for line in _data_text(EXCEPTIONAL_MULTISETS).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        label, body = line.split(": ", 1)
+        sizes = Counter()
+        for item in body.split(","):
+            size, _, mult = item.strip().partition("^")
+            sizes[int(size)] += int(mult) if mult else 1
+        out[label] = sizes
+    return out
 
 
 def _compare(report, title: str, unit: str, triples, fmt=str) -> bool:

@@ -25,7 +25,7 @@ from ribbonmod.ribbon import (
     ribbon_a_det,
     ribbon_exact,
 )
-from ribbonmod.cli import golden_multisets, golden_vectors
+from ribbonmod.verify import golden_multisets, golden_vectors
 from ribbonmod.verify import closed_form_grid
 
 

@@ -1,3 +1,5 @@
+import random
+import sys
 import tracemalloc
 from itertools import product
 from math import comb
@@ -6,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
+    _POPCOUNT_TALLY_MAX_M,
     MILLER_RABIN_LIMIT,
     base_p_digits,
     check_prime,
+    field_buffer,
+    inverse_zeta_packed,
+    inverse_zeta_tally,
     is_prime,
     lucas_binomial,
     multinomial_exact,
@@ -203,3 +209,29 @@ def test_digit_vector_is_value_object():
     assert base_p_digits(9, 3) == (0, 0, 1)
     assert len(base_p_digits(9, 3)) == 3
     assert base_p_digits(9, 3)[2] == 1
+
+
+@pytest.mark.parametrize("m", [257, 641, 65537, 2**32 - 5, 2**61 - 1])
+def test_big_endian_fields_match_little_endian(monkeypatch, m):
+    # a big-endian machine keeps each multi-byte field high byte first, so
+    # the planes read the byte columns in the other order: a byteswapped
+    # field_buffer under sys.byteorder "big" must give the little-endian
+    # transform byteswapped, and the same popcount tally (m <= 640), for
+    # 2^0 to 2^11 fields of 2, 4 and 8 bytes
+    rng = random.Random(m)
+    cases = []
+    for k in range(12):
+        fields = field_buffer(0, m)
+        fields.extend(rng.randrange(m) for _ in range(1 << k))
+        tally = inverse_zeta_tally(fields, m) if m <= _POPCOUNT_TALLY_MAX_M else None
+        cases.append((fields, inverse_zeta_packed(fields, m), tally))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    for fields, packed, tally in cases:
+        swapped = fields[:]
+        swapped.byteswap()
+        out = inverse_zeta_packed(swapped, m)
+        assert out.typecode == packed.typecode
+        out.byteswap()
+        assert out == packed, (m, len(fields))
+        if tally is not None:
+            assert inverse_zeta_tally(swapped, m) == tally, (m, len(fields))

@@ -11,21 +11,19 @@ import sys
 import pytest
 
 from ribbonmod.arith import residue_tally
-from ribbonmod.cli import (
-    COMMANDS,
+from ribbonmod.cli import COMMANDS, _decimal, main
+from ribbonmod.coxeter import IrreducibleType, format_multiset
+from ribbonmod.cvec import cvec
+from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
+    ORACLE_GRID,
     TABLE_FILES,
+    _compare,
     expand,
-    format_multiset,
     golden_multisets,
     golden_vectors,
-    _decimal,
-    main,
 )
-from ribbonmod.coxeter import IrreducibleType
-from ribbonmod.cvec import cvec
-from ribbonmod.verify import ORACLE_GRID, _compare
 
 
 def run(capsys, *argv):
@@ -306,14 +304,14 @@ def test_golden_shorthand_and_its_checks(monkeypatch):
     for bad in ("3(1, 1)", "2^(1, 1)", "2^3 1, 1", "(1, (2))"):
         with pytest.raises(ValueError, match="bad shorthand"):
             expand(bad)
-    cli = importlib.import_module("ribbonmod.cli")
+    verify = importlib.import_module("ribbonmod.verify")
     tables = {
         "ok": "# comment\np: 2, 3\nA 3: 2(1, 1) | 2(0, 1, 1)\n\np: 5\nH3: 2^2(0, 1, 0, 0, 1)\n",
         "short": "p: 3\nA 4: 2(2, 1)\n",
         "twice": "p: 3, 3\nA 4: 2(2, 1, 1) | 2(2, 1, 1)\n",
         "columns": "p: 2, 3\nA 3: 2(1, 1)\n",
     }
-    monkeypatch.setattr(cli, "_data_text", tables.__getitem__)
+    monkeypatch.setattr(verify, "_data_text", tables.__getitem__)
     assert golden_vectors("ok") == {("A", 2, 3): (2, 2), ("A", 3, 3): (0, 2, 2), ("H3", 5, None): (0, 4, 0, 0, 4)}
     for name, message in (("short", "length p"), ("twice", "given twice"), ("columns", "1 vectors for 2 primes")):
         with pytest.raises(ValueError, match=message):
@@ -507,3 +505,19 @@ def test_cli_import_loads_only_what_commands_share():
     done = subprocess.run([sys.executable, "-S", "-B", "-c", probe, str(src), *deferred], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.split() == []
+
+
+def test_verify_does_not_load_cli():
+    # the suites and the golden loaders they read import nothing from cli,
+    # so `python -m ribbonmod.cli verify` loads cli.py once, as __main__;
+    # the loaders are still readable as cli attributes
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ribbonmod.verify; "
+             "print('ribbonmod.cli' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", probe, str(src)], capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["False"]
+    cli = importlib.import_module("ribbonmod.cli")
+    assert cli.golden_multisets is golden_multisets and cli.TABLE_FILES == TABLE_FILES
+    with pytest.raises(AttributeError):
+        cli.no_such_name

@@ -30,7 +30,7 @@ from ribbonmod.coxeter import (
     _class_sizes,
     _parabolic_orders,
 )
-from ribbonmod.cli import TABLE_FILES, golden_vectors
+from ribbonmod.verify import TABLE_FILES, golden_vectors
 from ribbonmod.cvec import cvec_naive
 from ribbonmod.ribbon import oracle_descent_class_sizes, ribbon_exact
 

@@ -46,12 +46,12 @@ from ribbonmod.cvec import (
     standard_tableau_count,
     support_set,
     _RULES,
-    _assemble,
     _chain_table,
     _colored_partition_count,
+    _spread,
     _support_size,
     _term_table,
-    _theorem_tally,
+    _theorem_counts,
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
@@ -108,15 +108,14 @@ def test_support_set_at_p_2_in_types_b_and_d():
 
 def test_theorem_tally_at_p_2_in_types_b_and_d_is_all_odd():
     # mod 2 every first-step weight is a positive power of 2, so only the
-    # empty subset has a nonzero term and the route assembles to (0, 2^n)
+    # empty subset has a nonzero term and the route spreads it to (0, 2^n)
     # without the O(1) shortcut of cvec_theorem
     checked = 0
     for family in "BD":
         for n in range(4, 300):
             if _support_size(family, base_p_digits(n, 2)) > 14:
                 continue
-            tally, free = _theorem_tally(family, n, 2)
-            assert _assemble(2, tally, free) == (0, 1 << n), (family, n)
+            assert _theorem_counts(family, n, 2) == (0, 1 << n), (family, n)
             checked += 1
     assert checked > 200
 
@@ -162,8 +161,11 @@ def test_support_residue_large_n_in_bounded_memory():
 
 
 def test_support_residue_matches_bulk_sweep():
-    # type D with a lowest digit 0 (so 1 is adjoined) at p = 3, 5 and 7,
-    # and p = 2 in types B and D
+    # the per-subset residues against the butterfly over the term table of
+    # every support position; type D with a lowest digit 0 (so 1 is
+    # adjoined) at p = 3, 5 and 7, and p = 2 in types B and D, where the
+    # table drops positions and each dropped one doubles every residue
+    # (-r = r mod 2)
     cases = (
         ("A", 8, 3), ("A", 10, 5), ("B", 7, 3), ("D", 8, 3), ("D", 10, 5),
         ("D", 12, 3), ("D", 18, 3), ("D", 14, 7), ("D", 21, 7),
@@ -171,12 +173,14 @@ def test_support_residue_matches_bulk_sweep():
     )
     for family, n, p in cases:
         pos = support_set(family, n, p)
-        tally, _ = _theorem_tally(family, n, p)
+        table, dropped = _term_table(family, n, p, pos)
+        assert not dropped or p == 2, (family, n, p)
+        tally = [t << dropped for t in inverse_zeta_tally(table, p)]
         recomputed = Counter()
         for mask in range(1 << len(pos)):
             subset = [pos[i] for i in range(len(pos)) if mask >> i & 1]
             recomputed[chain_mod_p(family, n, subset, p)] += 1
-        assert [recomputed[i] for i in range(p)] == tally
+        assert [recomputed[i] for i in range(p)] == tally, (family, n, p)
 
 
 def _digit_cache(p: int, width: int):
@@ -499,32 +503,45 @@ def test_half_lattice_tally_on_the_tiniest_lattices():
 
 
 def test_theorem_tally_complement_pairing():
-    # complementing a subset negates the residue free-bit-count many times,
-    # so tallies are all even when that count is even and palindromic (with
-    # an even zero entry) when it is odd; either way the support must be
-    # nonempty for the pairing to be free
+    # complementing a support subset negates its residue free-count many
+    # times, and each free position pairs r with -r: with no free position
+    # complements share residues, so every entry is even, and with one the
+    # vector is symmetric under r <-> -r whatever the complements' sign.
+    # The five cases have nonempty supports and free 0, 4, 8, 7 and 1;
+    # the sweep is every theorem vector with free >= 1 for n < 40
     for family, n, p in (("A", 8, 3), ("A", 12, 5), ("B", 9, 3), ("D", 9, 3), ("D", 12, 7)):
         assert len(support_set(family, n, p)) > 0
-        tally, free = _theorem_tally(family, n, p)
-        if free % 2 == 0:
-            assert all(t % 2 == 0 for t in tally)
+        counts = cvec_theorem(family, n, p).counts
+        if n - mask_offset(family) == len(support_set(family, n, p)):
+            assert all(c % 2 == 0 for c in counts)
         else:
-            assert tally[0] % 2 == 0
-            assert all(tally[i] == tally[p - i] for i in range(1, p))
-    # the lone exception: an empty support (type A, n a power of p) has the
-    # single self-complementary subset, whose residue is 1
-    tally, free = _theorem_tally("A", 9, 3)
-    assert tally == [0, 1, 0] and free == 8
+            assert all(counts[r] == counts[-r % p] for r in range(p)), (family, n, p)
+    checked = 0
+    for family in "ABD":
+        for p in ODD_PRIMES:
+            for n in range(4 if family == "D" else 2, 40):
+                m = _support_size(family, base_p_digits(n, p))
+                if m > 12 or n - mask_offset(family) == m:
+                    continue
+                counts = cvec_theorem(family, n, p).counts
+                assert all(counts[r] == counts[-r % p] for r in range(p)), (family, n, p)
+                checked += 1
+    assert checked > 250
+    # an empty support (type A, n a power of p) has the single
+    # self-complementary subset, whose residue 1 is spread over its 8 free
+    # positions and not doubled
+    assert cvec_theorem("A", 9, 3).counts == (0, 128, 128)
 
 
 def test_theorem_tally_matches_dense_reference():
     # the route sweeps the subsets without the top support position and
-    # mirrors them by complement, r(S - T) = (-1)^free r(T); the reference
-    # runs the butterfly over every subset.  Odd free tells the signed
-    # mirror from plain doubling; free = 0 (A n = p^k - 1, S every
-    # position) and supports of sizes 0 and 1 are the edges.  No term table
-    # drops a position, but at p = 2 in types B and D, where every weight
-    # is even and every residue 1
+    # doubles them by complement; the reference runs the butterfly over
+    # every subset and spreads that tally over the free positions, with
+    # nothing doubled.  Odd free is where a signed complement would differ
+    # from plain doubling; free = 0 (A n = p^k - 1, S every position) and
+    # supports of sizes 0 and 1 are the edges.  No term table drops a
+    # position, but at p = 2 in types B and D, where every weight is even
+    # and every residue 1, so the reference there is the parity vector
     seen = set()
     for family in "ABD":
         for p in (2, 3, 5, 7, 13):
@@ -534,12 +551,13 @@ def test_theorem_tally_matches_dense_reference():
                     continue
                 pos = support_set(family, n, p)
                 table, dropped = _term_table(family, n, p, pos)
-                tally, free = _theorem_tally(family, n, p)
+                free = n - mask_offset(family) - m
+                reference = _spread(inverse_zeta_tally(table, p), p, dropped + free, False)
+                assert reference == cvec_theorem(family, n, p).counts, (family, n, p)
                 if p == 2 and family != "A":
-                    assert tally == [0, 1 << m], (family, n)
+                    assert reference == (0, 1 << n), (family, n)
                     continue
                 assert not dropped, (family, n, p)
-                assert tally == inverse_zeta_tally(table, p), (family, n, p)
                 seen.add("free 0" if free == 0 else f"free {'odd' if free % 2 else 'even'}")
                 if m < 2:
                     seen.add(f"support {m}")
@@ -984,13 +1002,11 @@ def test_method_tag_is_not_compared():
 
 # -- shared entries ---------------------------------------------------------
 
-def _assemble_unshared(p, tally, free):
+def _spread_unshared(tally, p, flips, doubled):
     # the p-vector formula with every entry shifted on its own
-    if p == 2 or free == 0:
-        return tuple(t << free for t in tally)
-    counts = [tally[0] << free]
-    counts.extend((tally[i] + tally[p - i]) << (free - 1) for i in range(1, p))
-    return tuple(counts)
+    if not flips:
+        return tuple(t << doubled for t in tally)
+    return tuple((tally[r] + tally[(p - r) % p]) << (flips - 1 + doubled) for r in range(p))
 
 
 def test_equal_entries_are_one_int():
@@ -998,20 +1014,20 @@ def test_equal_entries_are_one_int():
     assert counts[1] == counts[2] and counts[1] is counts[2]
 
 
-def test_assemble_matches_the_unshared_formula(monkeypatch):
-    # every closed-form and theorem p-vector of A/B/D with n <= 40 and
-    # p <= 7 (where the support fits the budget) is what shifting each entry
-    # on its own gives, its equal entries are one object, and the routes
-    # agree with each other and with the naive sweep where it is small
+def test_spread_matches_the_unshared_formula(monkeypatch):
+    # every closed-form, theorem and naive p-vector of A/B/D with n <= 40
+    # and p <= 7 (where the support fits the budget, and the lattice for
+    # the naive sweep) is what shifting each entry on its own gives, its
+    # equal entries are one object, and the routes agree with each other
     module = importlib.import_module("ribbonmod.cvec")
     calls = []
 
-    def recording(p, tally, free):
-        counts = _assemble(p, tally, free)
-        calls.append((p, list(tally), free, counts))
+    def recording(tally, p, flips, doubled):
+        counts = _spread(tally, p, flips, doubled)
+        calls.append((list(tally), p, flips, doubled, counts))
         return counts
 
-    monkeypatch.setattr(module, "_assemble", recording)
+    monkeypatch.setattr(module, "_spread", recording)
     for family, low in (("A", 2), ("B", 2), ("D", 4)):
         for n in range(low, 41):
             for p in (2, 3, 5, 7):
@@ -1022,11 +1038,13 @@ def test_assemble_matches_the_unshared_formula(monkeypatch):
                     vecs.append(cvec_naive(family, n, p))
                 vecs = [v for v in vecs if v is not None]
                 assert all(v == vecs[0] for v in vecs), (family, n, p)
-    assert len(calls) > 300
-    for p, tally, free, counts in calls:
-        assert counts == _assemble_unshared(p, tally, free), (p, tally, free)
+    assert len(calls) > 600
+    assert {(bool(flips), doubled) for _, _, flips, doubled, _ in calls} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    for tally, p, flips, doubled, counts in calls:
+        assert counts == _spread_unshared(tally, p, flips, doubled), (tally, p, flips, doubled)
         first = {}
-        assert all(first.setdefault(c, c) is c for c in counts), (p, tally, free)
+        assert all(first.setdefault(c, c) is c for c in counts), (tally, p, flips, doubled)
 
 
 def test_shared_entries_in_bounded_memory():

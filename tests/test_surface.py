@@ -128,3 +128,29 @@ def test_one_chain_table_in_cvec():
         assert returns[name]
         for value in returns[name]:
             assert isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_chain_table", name
+
+
+def _mirrored(index) -> bool:
+    # a tally read at -r: a reversed slice, or an index -r % p or p - r
+    if isinstance(index, ast.Slice):
+        return isinstance(index.step, ast.UnaryOp) and isinstance(index.step.op, ast.USub)
+    if isinstance(index, ast.BinOp) and isinstance(index.op, ast.Mod):
+        return isinstance(index.left, ast.UnaryOp) and isinstance(index.left.op, ast.USub)
+    return (isinstance(index, ast.BinOp) and isinstance(index.op, ast.Sub)
+            and getattr(index.left, "id", None) == "p")
+
+
+def test_one_spread_in_cvec():
+    # every p-vector of cvec is written by cvec._spread: no other code in
+    # cvec shifts a value left (a constant shifted makes a power of two) or
+    # pairs a tally entry with the entry of -r
+    tree = ast.parse((SRC / "cvec.py").read_text(encoding="utf-8"))
+    users = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            shifts = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                      and not isinstance(node.left, ast.Constant))
+            shifts |= isinstance(node, ast.AugAssign) and isinstance(node.op, ast.LShift)
+            if shifts or (isinstance(node, ast.Subscript) and _mirrored(node.slice)):
+                users.add(getattr(stmt, "name", None))
+    assert users == {"_spread"}
