@@ -320,21 +320,6 @@ def main(argv=None) -> int:
         return 2
 
 
-# the golden-table loaders live in ribbonmod.verify, their reader; scripts
-# that read them as cli attributes (perfbench/make_catalog.py reads
-# cli.golden_multisets) get them from there, loaded on first use
-_LOADERS = ("TABLE_FILES", "EXCEPTIONAL_HISTOGRAMS", "EXCEPTIONAL_MULTISETS",
-            "expand", "golden_vectors", "golden_multisets")
-
-
-def __getattr__(name: str):
-    if name in _LOADERS:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def console_entry() -> None:
     sys.exit(main())
 

@@ -291,7 +291,7 @@ def _weight_table(family: str, n: int, p: int):
     return _chain_table(family, p, seeds, lambda h, k: comb(n - k - lo, h - k))
 
 
-def _spread(tally, p: int, flips: int, doubled: bool) -> tuple[int, ...]:
+def _spread(tally, flips: int, doubled: bool) -> tuple[int, ...]:
     """The p-vector from the residue tally of the masks kept, in the
     paper's shorthand 2^k (a_0, ..., a_(p-1)) (module docstring).
 
@@ -321,7 +321,7 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
     """
     *box, dropped = chain
     del chain
-    return _spread(inverse_zeta_tally(box.pop(), p), p, dropped + free, doubled)
+    return _spread(inverse_zeta_tally(box.pop(), p), dropped + free, doubled)
 
 
 def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
@@ -475,7 +475,7 @@ def cvec_closed_form(family: str, n: int, p: int):
             return None
         tally = residue_tally(raw, p)
     free = n - mask_offset(family) - _support_size(family, digits)
-    return DimensionPVector(family, n, p, _spread(tally, p, free, False), f"closed-form:{rule}")
+    return DimensionPVector(family, n, p, _spread(tally, free, False), f"closed-form:{rule}")
 
 
 # ---------------------------------------------------------------------------

@@ -509,15 +509,10 @@ def test_cli_import_loads_only_what_commands_share():
 
 def test_verify_does_not_load_cli():
     # the suites and the golden loaders they read import nothing from cli,
-    # so `python -m ribbonmod.cli verify` loads cli.py once, as __main__;
-    # the loaders are still readable as cli attributes
+    # so `python -m ribbonmod.cli verify` loads cli.py once, as __main__
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import ribbonmod.verify; "
              "print('ribbonmod.cli' in sys.modules)")
     done = subprocess.run([sys.executable, "-S", "-B", "-c", probe, str(src)], capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.split() == ["False"]
-    cli = importlib.import_module("ribbonmod.cli")
-    assert cli.golden_multisets is golden_multisets and cli.TABLE_FILES == TABLE_FILES
-    with pytest.raises(AttributeError):
-        cli.no_such_name

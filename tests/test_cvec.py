@@ -552,7 +552,7 @@ def test_theorem_tally_matches_dense_reference():
                 pos = support_set(family, n, p)
                 table, dropped = _term_table(family, n, p, pos)
                 free = n - mask_offset(family) - m
-                reference = _spread(inverse_zeta_tally(table, p), p, dropped + free, False)
+                reference = _spread(inverse_zeta_tally(table, p), dropped + free, False)
                 assert reference == cvec_theorem(family, n, p).counts, (family, n, p)
                 if p == 2 and family != "A":
                     assert reference == (0, 1 << n), (family, n)
@@ -1002,10 +1002,11 @@ def test_method_tag_is_not_compared():
 
 # -- shared entries ---------------------------------------------------------
 
-def _spread_unshared(tally, p, flips, doubled):
+def _spread_unshared(tally, flips, doubled):
     # the p-vector formula with every entry shifted on its own
     if not flips:
         return tuple(t << doubled for t in tally)
+    p = len(tally)
     return tuple((tally[r] + tally[(p - r) % p]) << (flips - 1 + doubled) for r in range(p))
 
 
@@ -1022,9 +1023,9 @@ def test_spread_matches_the_unshared_formula(monkeypatch):
     module = importlib.import_module("ribbonmod.cvec")
     calls = []
 
-    def recording(tally, p, flips, doubled):
-        counts = _spread(tally, p, flips, doubled)
-        calls.append((list(tally), p, flips, doubled, counts))
+    def recording(tally, flips, doubled):
+        counts = _spread(tally, flips, doubled)
+        calls.append((list(tally), flips, doubled, counts))
         return counts
 
     monkeypatch.setattr(module, "_spread", recording)
@@ -1039,12 +1040,12 @@ def test_spread_matches_the_unshared_formula(monkeypatch):
                 vecs = [v for v in vecs if v is not None]
                 assert all(v == vecs[0] for v in vecs), (family, n, p)
     assert len(calls) > 600
-    assert {(bool(flips), doubled) for _, _, flips, doubled, _ in calls} == {
+    assert {(bool(flips), doubled) for _, flips, doubled, _ in calls} == {
         (False, False), (False, True), (True, False), (True, True)}
-    for tally, p, flips, doubled, counts in calls:
-        assert counts == _spread_unshared(tally, p, flips, doubled), (tally, p, flips, doubled)
+    for tally, flips, doubled, counts in calls:
+        assert counts == _spread_unshared(tally, flips, doubled), (tally, flips, doubled)
         first = {}
-        assert all(first.setdefault(c, c) is c for c in counts), (tally, p, flips, doubled)
+        assert all(first.setdefault(c, c) is c for c in counts), (tally, flips, doubled)
 
 
 def test_shared_entries_in_bounded_memory():
