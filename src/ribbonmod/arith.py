@@ -13,6 +13,8 @@ output by residue, or to ``inverse_zeta_packed``, which returns the output
 fields in the same kind of buffer.  Both run one bit-sliced kernel, on the
 (m - 1).bit_length() bit planes of the fields, for every field width.
 ``residue_tally`` tallies a ``{value: count}`` mapping mod m.
+``check_tally_prime`` is the budget of every p-entry tally: a p-vector and
+a residue histogram.
 """
 
 from __future__ import annotations
@@ -84,6 +86,23 @@ def check_prime(p: int) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"modulus must be a prime, got {p!r}")
     return p
+
+
+# Largest p of a p-entry residue tally (a p-vector or a residue histogram)
+# is 2^TALLY_MAX_BITS.  Just under it, `cvec --family A --n 3 --p 67108859
+# --format json` took 27 s and 1.68 GB peak RSS (2-core machine, Python
+# 3.11): with 4 indices, that cost is the p entries.
+TALLY_MAX_BITS = 26
+
+
+def check_tally_prime(p: int) -> None:
+    """Refuse a p that is not a prime (ValueError) or is past
+    2^TALLY_MAX_BITS (CapacityError), before anything of size p is made."""
+    check_prime(p)
+    if p > 1 << TALLY_MAX_BITS:
+        raise CapacityError(
+            f"a tally of {p} residue classes is past the budget of 2^{TALLY_MAX_BITS}"
+        )
 
 
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:

@@ -3,7 +3,9 @@ and verify the package against its bundled reference data.
 
 Command lines are parsed from the ``COMMANDS`` table, one entry per
 command with its handler, help text and options, by ``parse_args`` on the
-standard library's ``getopt``; ``main`` parses and dispatches.
+standard library's ``getopt``; ``main`` parses and dispatches, and returns
+the exit code, which the console script and ``python -m ribbonmod.cli``
+pass to ``sys.exit``.
 
 Start-up imports only what the computing commands share: ``verify`` loads
 its suites and the golden-table loaders (``ribbonmod.verify``) when it
@@ -320,9 +322,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def console_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_entry()
+    sys.exit(main())

@@ -16,9 +16,11 @@ pickles rebuild through ``from_descents``, so they pass it too.
 
 Full enumeration is capped at 63 mask bits.
 
-``_Record`` is the frozen base of the package's other value records
-(``cvec.DimensionPVector``, ``coxeter.IrreducibleType`` and
-``coxeter.CoxeterDiagram``), in the same idiom as the indices.
+``_Record`` is the frozen base of every value record of the package: the
+two index kinds, ``ribbon.SignedPermutation``, ``cvec.DimensionPVector``,
+``coxeter.IrreducibleType`` and ``coxeter.CoxeterDiagram``.  The family
+gate ``check_family`` is here too, beside ``mask_offset``, for every module
+that takes a family letter.
 """
 
 from __future__ import annotations
@@ -35,17 +37,26 @@ MAX_MASK_BITS = 63
 # Python 3.11), and n = 10^10 would ask for several GB.
 MAX_DESCENT_N = 1 << 30
 
+# The descent families: type A is indexed by Composition, types B and D by
+# PseudoComposition
+FAMILIES = ("A", "B", "D")
+
 
 class CapacityError(ValueError):
     """A requested enumeration exceeds the documented budget."""
 
 
+def check_family(family: str) -> str:
+    """Return the family letter, raising ValueError unless it is A, B or D."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    return family
+
+
 def mask_offset(family: str) -> int:
     """The descent position that mask bit 0 encodes: 1 for family A, 0 for
     B or D.  A mask for n has n - mask_offset(family) bits."""
-    if family not in ("A", "B", "D"):
-        raise ValueError(f"unknown descent family {family!r}")
-    return 1 if family == "A" else 0
+    return 1 if check_family(family) == "A" else 0
 
 
 def _check_mask(n: int, mask: int, offset: int) -> None:
@@ -73,7 +84,10 @@ class _Record:
     Equality and hash read the fields in ``_compared`` (all of them unless
     a subclass narrows it), and only between records of one class; the
     repr names every field.  Copies and pickles rebuild through the
-    constructor, so they pass its checks.
+    constructor, so they pass its checks.  A subclass whose constructor
+    does not take its fields (the indices) overrides every method that
+    reads ``__slots__``: ``__init__``, ``_key``, ``__reduce__`` and
+    ``__repr__``.
     """
 
     __slots__ = ()
@@ -108,8 +122,9 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class _MaskBacked:
-    """Shared machinery for the two composition kinds."""
+class _MaskBacked(_Record):
+    """Shared machinery for the two composition kinds: a ``_Record`` whose
+    fields are built from the parts by ``__new__``."""
 
     __slots__ = ("n", "mask")
     offset = 0  # the descent position of mask bit 0, and the least first part
@@ -119,6 +134,10 @@ class _MaskBacked:
         if not parts or parts[0] < cls.offset or any(a < 1 for a in parts[1:]):
             raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1: {parts}")
         return cls.from_descents(sum(parts), accumulate(parts[:-1]))
+
+    def __init__(self, parts):
+        # __new__ has set the fields; _Record.__init__ would store the parts in n
+        pass
 
     @classmethod
     def from_descents(cls, n: int, positions):
@@ -140,10 +159,9 @@ class _MaskBacked:
         object.__setattr__(self, "mask", mask)
         return self
 
-    def __setattr__(self, *_):
-        raise AttributeError("immutable value")
-
-    __delattr__ = __setattr__
+    def _key(self) -> tuple:
+        # the fields read directly, and the offset, so the two kinds hash apart
+        return (self.offset, self.n, self.mask)
 
     def __reduce__(self):
         # copy and pickle rebuild through from_descents, so a payload runs
@@ -157,16 +175,6 @@ class _MaskBacked:
 
     def __len__(self) -> int:
         return self.mask.bit_count() + 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.n, self.mask))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
@@ -188,6 +196,7 @@ class _MaskBacked:
 class Composition(_MaskBacked):
     """Composition of n: positive parts, in bijection with subsets of [n-1]."""
 
+    __slots__ = ()
     offset = 1
 
 
@@ -197,6 +206,7 @@ class PseudoComposition(_MaskBacked):
     In bijection with subsets of {0, ..., n-1}; there are 2**n of them.
     """
 
+    __slots__ = ()
     offset = 0
 
 

@@ -22,7 +22,9 @@ butterfly over the coset counts of the subsets without the last
 generator: exact passes over Python ints for the class sizes, and for a
 residue histogram the packed butterfly and tally of ``arith`` modulo p;
 the class of each complement has the same size.  Both sweeps refuse more
-than 2^SUBSET_MAX_RANK subsets with CapacityError.
+than 2^SUBSET_MAX_RANK subsets with CapacityError, and a residue histogram
+a prime past ``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``:
+this route is the independent check of its p-vectors.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from functools import cache
 from math import factorial, prod
 from operator import sub
 
-from .arith import field_buffer, inverse_zeta_tally
+from .arith import check_tally_prime, field_buffer, inverse_zeta_tally
 from .compositions import CapacityError, _Record
-from .cvec import _check_tally_prime
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
 # terms of one class) are capped to keep memory and time sane.
@@ -488,9 +489,9 @@ def format_multiset(sizes: Counter) -> str:
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
     """Tally of the descent-class sizes modulo p, indexed by residue.
 
-    A prime past the index budget of ``cvec`` is refused with CapacityError.
+    A prime past ``arith.TALLY_MAX_BITS`` is refused with CapacityError.
     """
-    _check_tally_prime(p)
+    check_tally_prime(p)
     sizes = field_buffer(0, p)
     sizes.extend(c % p for c in _coset_counts(diagram))
     half = inverse_zeta_tally(sizes, p)

@@ -81,8 +81,8 @@ an empty support at n = p^d) the one mask is its own complement and
 nothing doubles.
 
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
-Every p-vector has p entries, so a prime past the index budget
-2^NAIVE_MAX_BITS is refused with ``CapacityError`` before any work.
+Every p-vector has p entries, so a prime past ``arith``'s tally budget
+2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.
 """
 
 from __future__ import annotations
@@ -93,18 +93,18 @@ from operator import add, mul
 from .arith import (
     base_p_digits,
     check_prime,
+    check_tally_prime,
     field_buffer,
     field_scaler,
     inverse_zeta_tally,
     lucas_binomial,
     residue_tally,
 )
-from .compositions import CapacityError, _Record, mask_offset
-from .ribbon import _check_family, _first_step
+from .compositions import CapacityError, _Record, check_family, mask_offset
+from .ribbon import _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
-# (theorem method) are capped to keep memory and time sane.  The index
-# budget also caps p, the length of every residue tally.
+# (theorem method) are capped to keep memory and time sane.
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
 
@@ -136,21 +136,11 @@ MACDONALD_DIGIT_MAX = 1000
 MACDONALD_COST_MAX = 15 * 10**9
 
 
-def _check_tally_prime(p: int) -> None:
-    # refuse a prime whose p-entry residue tally would be past the index
-    # budget, before anything of size p is allocated
-    check_prime(p)
-    if p > 1 << NAIVE_MAX_BITS:
-        raise CapacityError(
-            f"a tally of {p} residue classes is past the budget of 2^{NAIVE_MAX_BITS}"
-        )
-
-
 def _check_query(family: str, n: int, p: int) -> None:
     # the argument gate of every cvec method: family, prime, and an int n at
     # least the family minimum (a bool is refused, as check_prime refuses it)
-    _check_family(family)
-    _check_tally_prime(p)
+    check_family(family)
+    check_tally_prime(p)
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1 or (family == "D" and n < 2):
@@ -198,7 +188,7 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
     more than 2^SUPPORT_MAX sums is refused with CapacityError before any
     is made.
     """
-    _check_family(family)
+    check_family(family)
     check_prime(p)
     if n < _THEOREM_MIN_N[family]:
         kind = "type-D support set" if family == "D" else "support set"

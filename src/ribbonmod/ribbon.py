@@ -32,9 +32,7 @@ from itertools import permutations
 from math import comb, factorial
 
 from .arith import base_p_digits, check_prime, lucas_binomial, multinomial_exact
-from .compositions import CapacityError, Composition, PseudoComposition
-
-FAMILIES = ("A", "B", "D")
+from .compositions import CapacityError, Composition, PseudoComposition, _Record, check_family
 
 # Group-enumeration budgets for the oracle, by family: the largest n.  At
 # the budget (S_9, 362880 elements; B7, 645120; D7, 322560) one oracle call
@@ -44,14 +42,8 @@ FAMILIES = ("A", "B", "D")
 ORACLE_MAX_N = {"A": 9, "B": 7, "D": 7}
 
 
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    return family
-
-
 def _check_index(family: str, alpha):
-    _check_family(family)
+    check_family(family)
     if family == "A":
         if not isinstance(alpha, Composition):
             raise TypeError("family A is indexed by Composition")
@@ -277,11 +269,12 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
 # brute-force group oracles
 
 
-class SignedPermutation:
+class SignedPermutation(_Record):
     """A signed permutation of [n], stored by its window w(1), ..., w(n).
 
     The empty window is the one element of the trivial group B_0, and its
-    type-B descent set is empty; type D needs n >= 2."""
+    type-B descent set is empty; type D needs n >= 2.  A frozen record:
+    copies and pickles rebuild through the window check."""
 
     __slots__ = ("images",)
 
@@ -290,7 +283,7 @@ class SignedPermutation:
         n = len(images)
         if sorted(abs(v) for v in images) != list(range(1, n + 1)) or 0 in images:
             raise ValueError(f"not a signed permutation window: {images}")
-        self.images = images
+        _Record.__init__(self, images)
 
     @property
     def n(self) -> int:
@@ -311,15 +304,6 @@ class SignedPermutation:
         if family == "D" and self.n < 2:
             raise ValueError("type D needs n >= 2")
         return PseudoComposition.from_mask(self.n, _signed_descent_mask(self.images, family)).descents()
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPermutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"SignedPermutation({self.images})"
 
 
 def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
@@ -400,7 +384,7 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
     0 compares w(1) with w(0) = 0 in type B and with w(0) = -w(2) in type D
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.1-8.2).
     """
-    _check_family(family)
+    check_family(family)
     lo = 2 if family == "D" else 1
     if not lo <= n <= ORACLE_MAX_N[family]:
         raise CapacityError(

@@ -177,6 +177,8 @@ def test_lucas_binomial_of_large_digits_matches_exact():
         for b in (0, 1, 511, 512, 513, 40000, a // 2, a - 513, a - 512, a - 511, a):
             assert lucas_binomial(top, base_p_digits(b, p), p) == comb(a, b) % p, (p, b)
         assert lucas_binomial(base_p_digits(a // 2, p), base_p_digits(a // 2 + 1, p), p) == 0
+        # a bottom with more digits than the top is larger: C(a, b) = 0
+        assert lucas_binomial(top, base_p_digits(a + p ** len(top), p), p) == 0
 
 
 def test_lucas_binomial_of_a_million_stays_small():

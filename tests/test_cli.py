@@ -377,6 +377,18 @@ def test_verify_oracles_suite(capsys):
     assert "PASS oracle B n=7 (128 classes)" in lines
 
 
+def test_verify_oracles_reports_each_mismatch(monkeypatch):
+    # a route that disagrees with the group oracle on n = 3 only: each of
+    # the 4 classes is one mismatch, and the suite fails
+    verify = importlib.import_module("ribbonmod.verify")
+    exact = verify.ribbon_exact
+    monkeypatch.setattr(verify, "ORACLE_GRID", {"A": range(2, 4)})
+    monkeypatch.setattr(verify, "ribbon_exact", lambda f, alpha: exact(f, alpha) + (alpha.n == 3))
+    lines = []
+    assert not verify._verify_oracles(lines.append)
+    assert lines == ["PASS oracle A n=2 (2 classes)", "FAIL oracle A n=3: 4 mismatches"]
+
+
 def test_compare_reports_each_mismatch():
     lines = []
     triples = [("x", (1, 2), (1, 2)), ("y", (3,), (4,)), ("z", 5, 5)]

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ribbonmod.compositions import (
+    FAMILIES,
     MAX_DESCENT_N,
     CapacityError,
     Composition,
     PseudoComposition,
+    check_family,
     enumerate_compositions,
     enumerate_pseudo_compositions,
     mask_offset,
@@ -18,6 +20,7 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram
 from ribbonmod.cvec import DimensionPVector, cvec_naive, cvec_theorem
+from ribbonmod.ribbon import SignedPermutation
 
 
 def test_descent_set_examples():
@@ -54,11 +57,14 @@ def test_descent_positions_out_of_range():
 
 
 def test_mask_offset_by_family():
+    # mask_offset reads the family through the one family gate
     assert [mask_offset(f) for f in "ABD"] == [1, 0, 0]
+    assert [check_family(f) for f in FAMILIES] == list("ABD")
     assert (Composition.offset, PseudoComposition.offset) == (1, 0)
     for family in ("C", "BD", "a", ""):
-        with pytest.raises(ValueError):
-            mask_offset(family)
+        for gate in (mask_offset, check_family):
+            with pytest.raises(ValueError, match=r"family must be one of \('A', 'B', 'D'\)"):
+                gate(family)
 
 
 def test_mask_below_the_family_minimum_refused():
@@ -294,12 +300,13 @@ def test_tampered_pickle_payload_refused():
             pickle.loads(payload.replace(b"(I3\n", b"(I1\n"))
 
 
-# The three frozen records share one base: keyword construction, value
-# equality and hash over the compared fields, the field-by-field repr, no
-# assignment or deletion, and copies and pickles rebuilt through the
-# constructor.  Each case: (record, an equal record built another way, a
-# record one compared field away, the compared fields, the repr, and a
-# protocol-0 pickle edit with the constructor message it must raise).
+# The frozen records share one base: value equality and hash over the
+# compared fields, the repr, no __dict__, no assignment or deletion, and
+# copies and pickles rebuilt through the constructor.  Each case: (record,
+# an equal record built another way, a record one compared field away, the
+# compared key, the repr, the field names, and a payload edit with the
+# constructor message it must raise: bytes at protocol 0, then at protocols
+# 2 and 5).
 RECORDS = {
     "DimensionPVector": lambda: (
         DimensionPVector(family="A", n=4, p=3, counts=(4, 2, 2), method="naive"),
@@ -307,7 +314,8 @@ RECORDS = {
         cvec_naive("B", 4, 3),
         ("A", 4, 3, (4, 2, 2)),
         "DimensionPVector(family='A', n=4, p=3, counts=(4, 2, 2), method='naive')",
-        (b"I3\n(", b"I5\n(", "one entry per residue class"),  # p=5 with 3 counts
+        ("family", "n", "p", "counts", "method"),
+        ((b"I3\n(", b"I5\n("), (b"K\x03", b"K\x05"), "one entry per residue class"),  # p=5 with 3 counts
     ),
     "IrreducibleType": lambda: (
         IrreducibleType(family="I", rank=2, m=5),
@@ -315,7 +323,8 @@ RECORDS = {
         IrreducibleType("I", 2, 7),
         ("I", 2, 5),
         "IrreducibleType(family='I', rank=2, m=5)",
-        (b"I5\nt", b"I2\nt", "dihedral types"),  # I2(2)
+        ("family", "rank", "m"),
+        ((b"I5\nt", b"I2\nt"), (b"K\x05", b"K\x02"), "dihedral types"),  # I2(2)
     ),
     "CoxeterDiagram": lambda: (
         CoxeterDiagram(generators=(0, 1, 2), edges=((0, 1, 4), (1, 2, 3)), name="B3"),
@@ -323,30 +332,65 @@ RECORDS = {
         builtin_diagram("A3"),
         ((0, 1, 2), ((0, 1, 4), (1, 2, 3)), "B3"),
         "CoxeterDiagram(generators=(0, 1, 2), edges=((0, 1, 4), (1, 2, 3)), name='B3')",
-        (b"I4\nt", b"I2\nt", "edge labels start at 3"),  # a label-2 edge
+        ("generators", "edges", "name"),
+        ((b"I4\nt", b"I2\nt"), (b"K\x04", b"K\x02"), "edge labels start at 3"),  # a label-2 edge
+    ),
+    # the indices compare their offset too, so the two kinds hash apart, and
+    # rebuild through from_descents; n = 1 leaves a descent past n - 1
+    "Composition": lambda: (
+        Composition((2, 2)),
+        Composition.from_descents(4, (2,)),
+        Composition((1, 3)),
+        (1, 4, 2),
+        "Composition(2, 2)",
+        ("n", "mask"),
+        ((b"(I4\n", b"(I1\n"), (b"K\x04K\x02", b"K\x01K\x02"), "out of range"),
+    ),
+    "PseudoComposition": lambda: (
+        PseudoComposition((0, 2, 1)),
+        PseudoComposition.from_mask(3, 0b101),
+        PseudoComposition((2, 1)),
+        (0, 3, 0b101),
+        "PseudoComposition(0, 2, 1)",
+        ("n", "mask"),
+        ((b"(I3\n", b"(I1\n"), (b"K\x03K\x00", b"K\x01K\x00"), "out of range"),
+    ),
+    "SignedPermutation": lambda: (
+        SignedPermutation(images=(2, -1)),
+        SignedPermutation(iter([2, -1])),
+        SignedPermutation((-2, 1)),
+        ((2, -1),),
+        "SignedPermutation(images=(2, -1))",
+        ("images",),
+        ((b"I-1\n", b"I2\n"), (b"J\xff\xff\xff\xff", b"J\x02\x00\x00\x00"),  # the window (2, 2)
+         "not a signed permutation window"),
     ),
 }
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_contract(name):
-    record, twin, other, compared, text, (old, new, message) = RECORDS[name]()
+    record, twin, other, compared, text, fields, (text_edit, binary_edit, message) = RECORDS[name]()
     assert type(record).__name__ == name
     assert record == twin and hash(record) == hash(twin) == hash(compared)
     assert record != other and record != compared
     assert repr(record) == text
-    field = type(record).__slots__[0]
-    with pytest.raises(AttributeError):
-        setattr(record, field, getattr(other, field))
-    with pytest.raises(AttributeError):
-        delattr(record, field)
-    assert repr(record) == text
-    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+    assert not hasattr(record, "__dict__")
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert record == twin and hash(record) == hash(compared) and repr(record) == text
+    clones = [copy.copy(record), copy.deepcopy(record)]
+    clones += [pickle.loads(pickle.dumps(record, protocol)) for protocol in (0, 2, 5)]
+    for clone in clones:
         assert type(clone) is type(record)
         assert clone == record and hash(clone) == hash(record) and repr(clone) == text
     # a dataclass unpickles without its __post_init__ check; these rebuild
-    # through the constructor and refuse the edited payload
-    payload = pickle.dumps(record, 0)
-    assert payload.count(old) == 1
-    with pytest.raises(ValueError, match=message):
-        pickle.loads(payload.replace(old, new))
+    # through the constructor and refuse the edited payload at every protocol
+    for protocol, (old, new) in ((0, text_edit), (2, binary_edit), (5, binary_edit)):
+        payload = pickle.dumps(record, protocol)
+        assert payload.count(old) == 1
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(payload.replace(old, new))

@@ -43,6 +43,7 @@ def test_builtin_shapes():
     assert b3.label(0, 1) == 4
     assert b3.label(1, 2) == 3
     assert b3.label(0, 2) == 2
+    assert [b3.label(s, s) for s in b3.generators] == [1, 1, 1]
     d4 = builtin_diagram("D4")
     assert sorted(e[:2] for e in d4.edges) == [(0, 2), (1, 2), (2, 3)]
     i25 = builtin_diagram("I2 5")
@@ -529,5 +530,6 @@ def test_irreducible_type_order_table():
     assert IrreducibleType("D", 5).order == 1920
     assert IrreducibleType("I", 2, 6).order == 12
     assert str(IrreducibleType("I", 2, 6)) == "I2(6)"
+    assert str(IrreducibleType("E", 8)) == "E8"
     with pytest.raises(ValueError):
         IrreducibleType("I", 3, 6)

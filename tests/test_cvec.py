@@ -121,10 +121,14 @@ def test_theorem_tally_at_p_2_in_types_b_and_d_is_all_odd():
 
 
 def test_support_set_validation():
+    # the support set and the theorem method refuse n below the family minimum
     with pytest.raises(ValueError):
         support_set("A", 1, 3)
     with pytest.raises(ValueError):
         support_set("D", 3, 5)
+    for family, n in (("A", 1), ("B", 1), ("D", 3)):
+        with pytest.raises(ValueError, match=f"theorem method needs n >= {n + 1} in type {family}"):
+            cvec_theorem(family, n, 3)
 
 
 # -- per-subset residues ----------------------------------------------------
@@ -1153,6 +1157,9 @@ def test_methods_agree_random(family, n, p):
 def test_partitions():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert sum(1 for _ in partitions(10)) == 42
+    assert list(partitions(0)) == [()]
+    with pytest.raises(ValueError):
+        next(partitions(-1))
 
 
 def test_standard_tableau_count():

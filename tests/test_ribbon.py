@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -16,6 +17,7 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.ribbon import (
     SignedPermutation,
+    _bareiss_det,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
@@ -136,6 +138,32 @@ def test_ribbon_a_det_known_values():
     assert ribbon_a_det(Composition((1, 2, 1))) == 5
     assert ribbon_a_det(Composition((2,))) == 1
     assert ribbon_a_det(Composition((1, 1, 1, 1))) == 1
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+def test_bareiss_det_matches_cofactor_expansion():
+    # ribbon_a_det's matrices have positive leading minors, so the zero-pivot
+    # row swap and the singular 0 are reached only from matrices like these:
+    # every matrix of size 1 to 3 with entries in {-1, 0, 1}, and sparse
+    # random ones of size 4 and 5
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[0, 2, 1], [0, 1, 1], [3, 0, 1]]) == 3
+    assert _bareiss_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    for size in (1, 2, 3):
+        for entries in product((-1, 0, 1), repeat=size * size):
+            rows = [list(entries[i:i + size]) for i in range(0, size * size, size)]
+            assert _bareiss_det(rows) == _cofactor_det(rows), rows
+    rng = random.Random(7)
+    for size in (4, 5):
+        for _ in range(300):
+            rows = [[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(size)] for _ in range(size)]
+            assert _bareiss_det(rows) == _cofactor_det(rows), rows
 
 
 def test_determinant_route_matches_inclusion_exclusion():

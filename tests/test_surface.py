@@ -50,14 +50,14 @@ PUBLIC = {
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ribbonmod"
 
 # (importer, source, name) of every private name one module may take from
-# another: ribbon's family gate and first-step rule, cvec's tally budget, and
-# the frozen-record base of compositions
+# another: ribbon's first-step rule and the frozen-record base of
+# compositions.  The family gate (compositions) and the tally budget (arith)
+# are public names of their owners.
 PRIVATE_IMPORTS = {
-    ("cvec", "ribbon", "_check_family"),
     ("cvec", "ribbon", "_first_step"),
-    ("coxeter", "cvec", "_check_tally_prime"),
     ("cvec", "compositions", "_Record"),
     ("coxeter", "compositions", "_Record"),
+    ("ribbon", "compositions", "_Record"),
 }
 
 
@@ -86,20 +86,26 @@ def test_tracer_bindings_resolve(monkeypatch):
 def test_layering():
     # the packed-field format (array items, field widths, chunking) is
     # known only to arith, every private import between modules is listed
-    # in PRIVATE_IMPORTS, and none of them reaches into arith
+    # in PRIVATE_IMPORTS, none of them reaches into arith, and coxeter, the
+    # independent check of cvec's p-vectors, imports nothing from cvec
     field_format = set()
     private = set()
+    sources = set()
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 if any(alias.name == "array" for alias in node.names):
                     field_format.add(module)
+                sources |= {(module, alias.name.rpartition(".")[2]) for alias in node.names
+                            if alias.name.startswith("ribbonmod.")}
             elif isinstance(node, ast.ImportFrom):
                 source = (node.module or "").rpartition(".")[2]
                 if node.module == "array":
                     field_format.add(module)
                 if node.level or (node.module or "").startswith("ribbonmod"):
+                    # "from . import m" names the module m as an alias
+                    sources |= {(module, source or alias.name) for alias in node.names}
                     private |= {(module, source, alias.name) for alias in node.names
                                 if alias.name.startswith("_")}
             names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
@@ -108,6 +114,7 @@ def test_layering():
     assert field_format == {"arith"}
     assert not {entry for entry in private if entry[1] == "arith"}
     assert private == PRIVATE_IMPORTS
+    assert ("coxeter", "arith") in sources and ("coxeter", "cvec") not in sources
 
 
 def test_one_chain_table_in_cvec():
