@@ -82,7 +82,11 @@ nothing doubles.
 
 ``cvec`` dispatches: closed form if one applies, else theorem, else naive.
 Every p-vector has p entries, so a prime past ``arith``'s tally budget
-2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.
+2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.  Its
+counts may have about n bits each, so ``_spread`` refuses, also with
+``CapacityError`` and before any shift, a vector whose distinct nonzero
+counts would take more than RESULT_BITS_MAX bits together; the parity
+answers at p = 2 in types B and D, (0, 2^n), are spread like any other.
 """
 
 from __future__ import annotations
@@ -107,6 +111,14 @@ from .ribbon import _first_step
 # (theorem method) are capped to keep memory and time sane.
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
+
+# Largest p-vector ``_spread`` writes, in bits of its distinct nonzero
+# counts (equal counts share one int).  It admits B n = 3^19 at p = 3,
+# 1,162,261,467 bits.  At the edge, cvec("A", 2**32, 2), one count of 2^32
+# bits, took 0.7-1.0 s and 561 MB in a fresh process under a 1 GB
+# address-space cap (2-core machine, Python 3.11); B n = 2^32 at p = 2,
+# one bit past it, is refused in under 1 ms.
+RESULT_BITS_MAX = 1 << 32
 
 # The least n of the theorem route, by family: support_set and cvec_theorem
 # refuse a smaller n, cvec sweeps it naively, and no closed form applies
@@ -290,13 +302,21 @@ def _spread(tally, flips: int, doubled: bool) -> tuple[int, ...]:
     2^(flips - 1) (t[r] + t[-r mod p]).  ``doubled`` adds the complements
     of a half lattice.  The whole power of two is one shift per distinct
     weight, so equal entries are one int object, not copies of a number
-    that may be megabytes long.
+    that may be megabytes long.  Before any shift, a vector whose distinct
+    nonzero entries would take more than RESULT_BITS_MAX bits together is
+    refused with CapacityError.
     """
     shift = flips + doubled
     if flips:
         tally = list(map(add, tally, tally[:1] + tally[:0:-1]))
         shift -= 1
-    shifted = {w: w << shift for w in set(tally)}
+    weights = set(tally)
+    bits = sum(w.bit_length() + shift for w in weights if w)
+    if bits > RESULT_BITS_MAX:
+        raise CapacityError(
+            f"the p-vector needs {bits} bits of distinct counts; the budget is {RESULT_BITS_MAX} bits"
+        )
+    shifted = {w: w << shift for w in weights}
     return tuple(shifted[w] for w in tally)
 
 
@@ -392,9 +412,9 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
     if n < low:
         raise ValueError(f"the theorem method needs n >= {low} in type {family}")
     if p == 2 and family in ("B", "D"):
-        # every type-B/D ribbon number is odd
-        counts = (0, 1 << n)
-        return DimensionPVector(family, n, p, counts, "theorem")
+        # every type-B/D ribbon number is odd: the 2^n indices are n
+        # doublings of the empty mask's residue 1 (at p = 2, -r = r)
+        return DimensionPVector(family, n, p, _spread((0, 1), n, False), "theorem")
     return DimensionPVector(family, n, p, _theorem_counts(family, n, p), "theorem")
 
 
@@ -452,7 +472,7 @@ def cvec_closed_form(family: str, n: int, p: int):
     if family == "D" and n < _THEOREM_MIN_N[family]:
         return None
     if p == 2 and family != "A":
-        return DimensionPVector(family, n, p, (0, 1 << n), "closed-form:parity")
+        return DimensionPVector(family, n, p, _spread((0, 1), n, False), "closed-form:parity")
     digits = base_p_digits(n, p)
     nonzero = [(j, d) for j, d in enumerate(digits) if d]
     if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:

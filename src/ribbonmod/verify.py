@@ -24,7 +24,7 @@ from .arith import residue_tally
 from .compositions import mask_offset
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram
 from .cvec import cvec, cvec_closed_form, cvec_naive, cvec_theorem
-from .ribbon import oracle_descent_class_sizes, ribbon_exact
+from .ribbon import ORACLE_MAX_N, oracle_descent_class_sizes, ribbon_exact
 
 TABLE_FILES = ("type_a.txt", "type_b.txt", "type_d.txt")
 EXCEPTIONAL_HISTOGRAMS = "exceptional_histograms.txt"
@@ -128,7 +128,7 @@ def _verify_tables(report) -> bool:
     return _compare(report, EXCEPTIONAL_MULTISETS, "groups", triples, format_multiset) and ok
 
 
-ORACLE_GRID = {"A": range(2, 10), "B": range(2, 8), "D": range(2, 8)}
+ORACLE_GRID = {family: range(2, top + 1) for family, top in ORACLE_MAX_N.items()}
 ORACLE_PRIMES = (2, 3, 5, 7)
 
 

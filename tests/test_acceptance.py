@@ -1,16 +1,30 @@
 """Acceptance suite: every criterion runs exactly, one pass/fail line each.
 
+This file is the one home of cross-route agreement and of the end-to-end
+identities.  Criterion 5 compares single descent classes, and criterion 6
+p-vectors, by every route that answers at each point of their tables;
+criteria 7 and 8 hold the identities.  The unit tests compare a route with
+a reference of another kind.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  All comparisons are exact integer equality; the stated runtime
 ceilings are asserted too.
 """
 
 import time
+from itertools import combinations
 from math import factorial
 
 from ribbonmod.arith import base_p_digits
-from ribbonmod.compositions import enumerate_compositions, enumerate_pseudo_compositions
-from ribbonmod.coxeter import builtin_diagram, descent_class_multiset, residue_histogram
+from ribbonmod.compositions import enumerate_compositions, enumerate_pseudo_compositions, mask_offset
+from ribbonmod.coxeter import (
+    SUBSET_MAX_RANK,
+    builtin_diagram,
+    descent_class_multiset,
+    descent_class_sizes,
+    residue_histogram,
+    ribbon_general,
+)
 from ribbonmod.cvec import (
     cvec,
     cvec_closed_form,
@@ -21,12 +35,13 @@ from ribbonmod.cvec import (
     standard_tableau_count,
 )
 from ribbonmod.ribbon import (
+    ORACLE_MAX_N,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
+    ribbon_mod_p,
 )
-from ribbonmod.verify import golden_multisets, golden_vectors
-from ribbonmod.verify import closed_form_grid
+from ribbonmod.verify import closed_form_grid, golden_multisets, golden_vectors
 
 
 def _finish(number: int, description: str, started: float, limit: float, problems: list):
@@ -98,48 +113,164 @@ def test_criterion_4_exceptional_data():
     _finish(4, "exceptional multisets (H3 corrected) and residue histograms", started, 5, problems)
 
 
-ORACLE_GRID = {"A": (1, 9), "B": (1, 7), "D": (2, 7)}
-ORACLE_PRIMES = (2, 3, 5, 7, 11)
+# -- criteria 5 and 6: where two routes answer, they agree ------------------
+#
+# A route is a function of a point that returns its answer, or None for the
+# reason noted with it; any other exception fails the criterion.  A row is
+# (required routes, optional routes, points): at each point each of its
+# routes runs once, the required ones and at least two answer, and every
+# answer is the same.
+
+
+def _check_rows(routes, rows, problems):
+    for required, optional, points in rows:
+        for point in points:
+            answers = {name: routes[name](*point) for name in required + optional}
+            answered = [name for name, answer in answers.items() if answer is not None]
+            if len(answered) < 2 or not set(required) <= set(answered):
+                problems.append((point, "answered only by", answered))
+            elif any(answers[name] != answers[answered[0]] for name in answered):
+                problems.append((point, answers))
+
+
+# the documented least n of the theorem route and least rank of a builtin
+# A, B or D diagram, and the largest n of a family at which ribbon_general,
+# 2^|I| terms a class, runs here
+THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
+BUILTIN_MIN_RANK = {"A": 1, "B": 2, "D": 4}
+GENERAL_MAX_N = {"A": 8, "B": 6, "D": 6}
+
+
+def _indices(family, n):
+    return enumerate_compositions(n) if family == "A" else enumerate_pseudo_compositions(n)
+
+
+def _diagram(family, n):
+    # the builtin A(n - 1), B(n) or D(n), whose generators are the descent
+    # positions, or the group named family when n is None
+    if n is None:
+        return builtin_diagram(family)
+    rank = n - mask_offset(family)
+    return builtin_diagram(f"{family}{rank}") if rank >= BUILTIN_MIN_RANK[family] else None
+
+
+def _tally(values, p):
+    counts = [0] * p
+    for value in values:
+        counts[value % p] += 1
+    return tuple(counts)
+
+
+def _closed(family, n, p):
+    vec = cvec_closed_form(family, n, p)
+    assert vec is None or vec.method.startswith("closed-form:"), (family, n, p, vec.method)
+    return None if vec is None else vec.counts
+
+
+def _coxeter(family, n, p):
+    diagram = _diagram(family, n)
+    return None if diagram is None else residue_histogram(diagram, p)
+
+
+VECTOR_ROUTES = {
+    "naive": lambda family, n, p: cvec_naive(family, n, p).counts,
+    # None below the family minimum
+    "theorem": lambda family, n, p: cvec_theorem(family, n, p).counts if n >= THEOREM_MIN_N[family] else None,
+    "closed": _closed,  # None when no pattern applies
+    "coxeter": _coxeter,  # None below the least builtin rank
+    "per-index": lambda family, n, p: _tally((ribbon_mod_p(family, a, p) for a in _indices(family, n)), p),
+    # None past the oracle budget
+    "oracle": lambda family, n, p: (
+        _tally(oracle_descent_class_sizes(family, n).values(), p) if n <= ORACLE_MAX_N[family] else None),
+}
+
+
+def _classes(family, n, sizes):
+    # {descent set: size} from {index: size}, with all 2^(n - offset) classes
+    assert len(sizes) == 1 << (n - mask_offset(family)), (family, n, len(sizes))
+    return {frozenset(alpha.descents()): size for alpha, size in sizes.items()}
+
+
+def _bulk(family, n):
+    diagram = _diagram(family, n)
+    if diagram is None:
+        return None
+    sizes = descent_class_sizes(diagram)
+    assert len(sizes) == 1 << diagram.rank(), (family, n, len(sizes))
+    return sizes
+
+
+def _general(family, n):
+    diagram = _diagram(family, n)
+    if diagram is None or (n is not None and n > GENERAL_MAX_N[family]):
+        return None
+    gens = diagram.generators
+    subsets = (subset for k in range(len(gens) + 1) for subset in combinations(gens, k))
+    return {frozenset(subset): ribbon_general(diagram, subset) for subset in subsets}
+
+
+# a named group (n None) has no ribbon formula and no element oracle
+CLASS_ROUTES = {
+    "exact": lambda family, n: (
+        None if n is None else _classes(family, n, {a: ribbon_exact(family, a) for a in _indices(family, n)})),
+    "oracle": lambda family, n: (
+        _classes(family, n, oracle_descent_class_sizes(family, n)) if n and n <= ORACLE_MAX_N[family] else None),
+    "bulk": _bulk,
+    "general": _general,
+}
+
+
+def _grid(ns, primes):
+    return [(family, n, p) for family, family_ns in ns.items() for n in family_ns for p in primes]
+
+
+ORACLE_NS = {family: range(1 + (family == "D"), top + 1) for family, top in ORACLE_MAX_N.items()}
+CLOSED_FORM_POINTS = closed_form_grid()
+# 127 and 131 take 1-byte fields, with a sign bit and without, 257 and 32749
+# take 2 bytes and 65537 takes 4, in the naive table and the theorem's alike
+FIELD_PRIMES = (127, 131, 257, 32749, 65537)
+# the Coxeter sweep past the golden tables: ranks 12-16 at two of these
+# primes each, and the subset budget's rank at one prime per family
+RANK_PRIMES = (2, 3, 5, 7, 13)
+HIGH_RANKS = [(family, rank, p) for family in "ABD" for rank in range(12, 17)
+              for p in (RANK_PRIMES[rank % 5], RANK_PRIMES[(rank + 2) % 5])]
+HIGH_RANKS += [("A", SUBSET_MAX_RANK, 5), ("B", SUBSET_MAX_RANK, 3), ("D", SUBSET_MAX_RANK, 7)]
+
+VECTOR_ROWS = (
+    # the two sweeps on the small grid, then in wider fields
+    (("naive", "theorem"), ("closed",),
+     _grid({"A": range(2, 19), "B": range(2, 17), "D": range(4, 17)}, (2, 3, 5, 7, 11, 13))),
+    (("naive", "theorem"), ("closed",),
+     _grid({"A": range(2, 10), "B": range(2, 10), "D": range(4, 10)}, FIELD_PRIMES)),
+    # every ribbon number reduced on its own
+    (("naive", "per-index"), (), _grid({"A": [7], "B": [7], "D": [7]}, FIELD_PRIMES)),
+    (("naive", "per-index"), ("theorem", "closed"),
+     _grid({"A": range(1, 8), "B": range(2, 7), "D": range(2, 7)}, (2, 3, 5))),
+    # the element oracles over their whole budget
+    (("naive", "oracle"), ("theorem", "closed", "coxeter"), _grid(ORACLE_NS, (2, 3, 5, 7, 11))),
+    (("closed", "theorem"), (), CLOSED_FORM_POINTS),
+    (("naive", "coxeter"), ("theorem", "closed"),
+     [(family, rank + mask_offset(family), p) for family, rank, p in HIGH_RANKS]),
+)
+CLASS_ROWS = (
+    (("exact", "oracle"), ("bulk", "general"), [(family, n) for family, ns in ORACLE_NS.items() for n in ns]),
+    (("bulk", "general"), (), [(name, None) for name in ("F4", "H3", "B4", "I2:8")]),
+)
 
 
 def test_criterion_5_oracle_equivalence():
     started = time.time()
     problems = []
-    for family, (lo, hi) in ORACLE_GRID.items():
-        for n in range(lo, hi + 1):
-            classes = oracle_descent_class_sizes(family, n)
-            width = n - 1 if family == "A" else n
-            if len(classes) != 1 << width:
-                problems.append((family, n, "missing classes"))
-            for alpha, size in classes.items():
-                if ribbon_exact(family, alpha) != size:
-                    problems.append((family, n, alpha))
-            for p in ORACLE_PRIMES:
-                histogram = [0] * p
-                for size in classes.values():
-                    histogram[size % p] += 1
-                if tuple(histogram) != cvec_naive(family, n, p).counts:
-                    problems.append((family, n, p, "histogram"))
-    _finish(5, "group-enumeration oracles match formulas and histograms", started, 60, problems)
-
-
-CROSS_PRIMES = (2, 3, 5, 7, 11, 13)
+    _check_rows(CLASS_ROUTES, CLASS_ROWS, problems)
+    _finish(5, "group oracles, ribbon formulas and Coxeter sweeps agree class by class", started, 60, problems)
 
 
 def test_criterion_6_method_cross_validation():
     started = time.time()
     problems = []
-    grids = (("A", range(2, 19)), ("B", range(2, 16)), ("D", range(4, 16)))
-    for family, ns in grids:
-        for n in ns:
-            for p in CROSS_PRIMES:
-                if cvec_naive(family, n, p) != cvec_theorem(family, n, p):
-                    problems.append((family, n, p))
-    for family, n, p in closed_form_grid():
-        closed = cvec_closed_form(family, n, p)
-        if closed is None or closed.counts != cvec_theorem(family, n, p).counts:
-            problems.append(("closed", family, n, p))
-    _finish(6, "naive = theorem on the full grid; closed forms = theorem", started, 600, problems)
+    assert len(CLOSED_FORM_POINTS) > 80
+    _check_rows(VECTOR_ROUTES, VECTOR_ROWS, problems)
+    _finish(6, "every p-vector route that answers agrees, at every point of seven rows", started, 600, problems)
 
 
 def test_criterion_7_formula_identities():

@@ -13,7 +13,7 @@ import pytest
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
 from ribbonmod.coxeter import IrreducibleType, format_multiset
-from ribbonmod.cvec import cvec
+from ribbonmod.cvec import RESULT_BITS_MAX, cvec
 from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
@@ -103,6 +103,8 @@ def test_cvec_exit_codes(capsys):
     assert code == 2 and "primality" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**31 - 1))
     assert code == 2 and "budget" in err
+    code, out, err = run(capsys, "cvec", "--family", "A", "--n", str(2**40), "--p", "2")
+    assert (code, out) == (2, "") and err.startswith("error:") and f"{RESULT_BITS_MAX} bits" in err
 
 
 def test_every_command_refuses_a_composite_modulus(capsys):
