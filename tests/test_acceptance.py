@@ -1,10 +1,9 @@
 """Acceptance suite: every criterion runs exactly, one pass/fail line each.
 
-This file is the one home of cross-route agreement and of the end-to-end
-identities.  Criterion 5 compares single descent classes, and criterion 6
-p-vectors, by every route that answers at each point of their tables;
-criteria 7 and 8 hold the identities.  The unit tests compare a route with
-a reference of another kind.
+Criterion 5 compares single descent classes, and criterion 6 p-vectors,
+by every route that answers at each point of their tables; criteria 7 and
+8 hold the end-to-end identities.  Some unit tests still check a slice of
+these tables or identities on their own.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  All comparisons are exact integer equality; the stated runtime

@@ -265,6 +265,41 @@ def test_parse_parts():
         parse_parts("")
 
 
+def test_value_semantics():
+    assert Composition((2, 2)) == Composition((2, 2))
+    assert Composition((2, 2)) != PseudoComposition((2, 2))
+    assert hash(Composition((2, 2))) != hash(PseudoComposition((2, 2)))
+    assert repr(Composition((1, 2))) == "Composition(1, 2)"
+    with pytest.raises(AttributeError):
+        Composition((2, 2)).n = 5
+    with pytest.raises(AttributeError):
+        del Composition((2, 2)).n
+
+
+def test_copy_and_pickle_round_trip():
+    for alpha in (
+        PseudoComposition((0,)),
+        PseudoComposition((0, 2, 1)),
+        Composition((1,)),
+        Composition(range(1, 101)),
+        PseudoComposition(range(100)),
+    ):
+        for clone in (copy.copy(alpha), copy.deepcopy(alpha), pickle.loads(pickle.dumps(alpha))):
+            assert type(clone) is type(alpha)
+            assert clone == alpha and hash(clone) == hash(alpha)
+            assert clone.parts == alpha.parts
+
+
+def test_tampered_pickle_payload_refused():
+    # protocol 0 writes n as the text b"I3"; shrinking it to 1 leaves a
+    # descent position past n - 1, which the rebuild refuses
+    for alpha in (Composition((1, 2)), PseudoComposition((0, 2, 1))):
+        payload = pickle.dumps(alpha, 0)
+        assert payload.count(b"(I3\n") == 1
+        with pytest.raises(ValueError):
+            pickle.loads(payload.replace(b"(I3\n", b"(I1\n"))
+
+
 # The frozen records share one base: value equality and hash over the
 # compared fields, the repr, no __dict__, no assignment or deletion, and
 # copies and pickles rebuilt through the constructor.  Each case: (record,

@@ -30,7 +30,8 @@ from ribbonmod.coxeter import (
     _parabolic_orders,
 )
 from ribbonmod.verify import TABLE_FILES, golden_vectors
-from ribbonmod.ribbon import ribbon_exact
+from ribbonmod.cvec import cvec_naive
+from ribbonmod.ribbon import oracle_descent_class_sizes, ribbon_exact
 
 ALL_BUILTINS = ["A1", "A4", "B2", "B5", "D4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2:5", "I2:9"]
 
@@ -325,6 +326,41 @@ def test_ribbon_general_examples():
         assert ribbon_general(diagram, [2]) == m - 1
 
 
+def test_ribbon_general_matches_type_a():
+    for n in range(2, 9):
+        diagram = builtin_diagram(f"A{n - 1}")
+        for alpha in enumerate_compositions(n):
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("A", alpha)
+
+
+def test_ribbon_general_matches_type_b():
+    for n in range(2, 7):
+        diagram = builtin_diagram(f"B{n}")
+        for alpha in enumerate_pseudo_compositions(n):
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("B", alpha)
+
+
+def test_ribbon_general_matches_type_d():
+    for n in range(4, 7):
+        diagram = builtin_diagram(f"D{n}")
+        for alpha in enumerate_pseudo_compositions(n):
+            assert ribbon_general(diagram, alpha.descents()) == ribbon_exact("D", alpha)
+
+
+def test_descent_class_sizes_match_the_element_oracle():
+    # the order table and its classifier against counting group elements:
+    # the generators of A(n-1), B(n) and D(n) are the descent positions
+    cases = [("A", n) for n in range(2, 10)] + [("B", n) for n in range(2, 8)]
+    cases += [("D", n) for n in range(4, 8)]
+    for family, n in cases:
+        rank = n - 1 if family == "A" else n
+        sizes = descent_class_sizes(builtin_diagram(f"{family}{rank}"))
+        oracle = oracle_descent_class_sizes(family, n)
+        assert len(oracle) == len(sizes) == 1 << rank, (family, n)
+        for alpha, size in oracle.items():
+            assert sizes[frozenset(alpha.descents())] == size, (family, n, alpha)
+
+
 def test_mass_and_symmetry_all_builtins():
     for name in ALL_BUILTINS:
         diagram = builtin_diagram(name)
@@ -367,6 +403,13 @@ def test_half_sweep_matches_full_butterfly():
     assert descent_class_multiset(empty) == {1: 1}
 
 
+def test_ribbon_general_agrees_with_bulk_sizes():
+    for name in ("F4", "H3", "B4", "I2:8"):
+        diagram = builtin_diagram(name)
+        for subset, size in descent_class_sizes(diagram).items():
+            assert ribbon_general(diagram, subset) == size
+
+
 def test_exceptional_multisets():
     f4 = descent_class_multiset(builtin_diagram("F4"))
     assert f4 == {1: 2, 23: 4, 73: 2, 95: 4, 97: 2, 169: 2}
@@ -399,6 +442,20 @@ def test_residue_histograms_match_golden_tables():
             assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, n, p)
             checked += 1
     assert checked > 100
+
+
+def test_residue_histograms_match_naive_route_at_high_rank():
+    # the fourth route past the golden tables: every A/B/D group of rank
+    # 12-16 against the naive sweep, two primes each, all five per family,
+    # and one prime each at the subset budget, rank 18
+    primes = (2, 3, 5, 7, 13)
+    cases = [(family, rank, p) for family in "ABD" for rank in range(12, 17)
+             for p in (primes[rank % 5], primes[(rank + 2) % 5])]
+    cases += [("A", SUBSET_MAX_RANK, 5), ("B", SUBSET_MAX_RANK, 3), ("D", SUBSET_MAX_RANK, 7)]
+    for family, rank, p in cases:
+        n = rank + 1 if family == "A" else rank
+        expected = cvec_naive(family, n, p).counts
+        assert residue_histogram(builtin_diagram(f"{family}{rank}"), p) == expected, (family, rank, p)
 
 
 def test_multisets_match_chain_recurrence_across_field_widths():

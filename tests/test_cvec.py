@@ -58,6 +58,7 @@ from ribbonmod.cvec import (
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
 
+PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
 
@@ -590,7 +591,7 @@ def test_theorem_route_at_the_support_budget_in_bounded_memory():
         assert peak < ceiling << 20, (family, n, p, peak)
 
 
-# -- known vectors and the naive sweep in bounded memory --------------------
+# -- the three methods agree ------------------------------------------------
 
 def test_cvec_naive_known_values():
     assert cvec_naive("A", 4, 2).counts == (0, 8)
@@ -607,6 +608,35 @@ def test_cvec_theorem_known_values():
     expected[0] = 2**10
     expected[1] = expected[10] = 2**9
     assert cvec_theorem("D", 11, 11).counts == tuple(expected)
+
+
+def test_methods_agree_small_grid():
+    for p in PRIMES:
+        for n in range(2, 13):
+            assert cvec_naive("A", n, p) == cvec_theorem("A", n, p)
+        for n in range(2, 11):
+            assert cvec_naive("B", n, p) == cvec_theorem("B", n, p)
+        for n in range(4, 11):
+            assert cvec_naive("D", n, p) == cvec_theorem("D", n, p)
+
+
+def test_methods_agree_across_field_widths():
+    # 127 and 131 take 1-byte fields, with a sign bit and without, 257 and
+    # 32749 take 2 bytes and 65537 takes 4, in the naive table and the
+    # theorem term table alike; n = 7 is also reduced index by index
+    for p in (127, 131, 257, 32749, 65537):
+        for n in range(2, 10):
+            assert cvec_naive("A", n, p) == cvec_theorem("A", n, p), (n, p)
+            assert cvec_naive("B", n, p) == cvec_theorem("B", n, p), (n, p)
+        for n in range(4, 10):
+            assert cvec_naive("D", n, p) == cvec_theorem("D", n, p), (n, p)
+        for family in "ABD":
+            n = 7
+            hist = [0] * p
+            indices = enumerate_compositions(n) if family == "A" else enumerate_pseudo_compositions(n)
+            for alpha in indices:
+                hist[ribbon_mod_p(family, alpha, p)] += 1
+            assert cvec_naive(family, n, p).counts == tuple(hist), (family, p)
 
 
 def test_naive_sweep_in_bounded_memory():
@@ -695,6 +725,26 @@ def test_field_tally_matches_counter():
         assert inverse_zeta_tally(data, p) == [counts[r] for r in range(p)], p
 
 
+def test_methods_agree_type_d_sixteen():
+    for p in PRIMES:
+        assert cvec_naive("D", 16, p) == cvec_theorem("D", 16, p)
+
+
+def test_naive_matches_per_index_reduction():
+    for p in (2, 3, 5):
+        for n in range(1, 8):
+            hist = [0] * p
+            for alpha in enumerate_compositions(n):
+                hist[ribbon_mod_p("A", alpha, p)] += 1
+            assert cvec_naive("A", n, p).counts == tuple(hist)
+        for family in ("B", "D"):
+            for n in range(2, 7):
+                hist = [0] * p
+                for alpha in enumerate_pseudo_compositions(n):
+                    hist[ribbon_mod_p(family, alpha, p)] += 1
+                assert cvec_naive(family, n, p).counts == tuple(hist)
+
+
 def test_ground_truth_two_two_powers():
     # n = 2*3^2 + 2*3^0: no closed form, pinned by an independent report
     assert cvec_theorem("A", 20, 3).counts == (42 * 2**12, 43 * 2**12, 43 * 2**12)
@@ -719,6 +769,45 @@ def test_mass_and_palindromicity():
                 assert vec.total() == expected_total
                 if not _saturated(n, p):
                     assert all(vec[i] == vec[p - i] for i in range(1, p))
+
+
+def test_parity_theorems():
+    for n in range(2, 16):
+        assert cvec("B", n, 2).counts == (0, 1 << n)
+        if n >= 4:
+            assert cvec("D", n, 2).counts == (0, 1 << n)
+
+
+def test_two_adic_divisibility():
+    # One carve-out: with an empty support set (type A, n a power of p) the
+    # subset/complement pairing degenerates and the guaranteed power drops
+    # by one; the n = p^d rows of the reference tables pin this down.
+    for p in (3, 5, 7, 11):
+        for n in range(2, 17):
+            digits = base_p_digits(n, p)
+            prod = 1
+            for dj in digits:
+                prod *= dj + 1
+            saturated = _saturated(n, p)
+            n0 = digits[0]
+            for family in ("A", "B", "D"):
+                if family == "D" and n < 4:
+                    continue
+                vec = cvec_theorem(family, n, p)
+                for i, count in enumerate(vec):
+                    if family == "D":
+                        if (n0 > 0 and i == 0) or saturated:
+                            need = n + 2 - prod
+                        elif n0 == 0 and i != 0:
+                            need = n - prod
+                        else:
+                            need = n + 1 - prod
+                    else:
+                        need = (n + 2 - prod) if (i == 0 or saturated) else (n + 1 - prod)
+                    if family == "A" and prod == 2:
+                        need -= 1
+                    if need > 0:
+                        assert count % (1 << need) == 0, (family, n, p, i)
 
 
 # -- chain statistics -------------------------------------------------------
@@ -827,6 +916,18 @@ def test_rule_table_p_powers_rows_from_chain_statistics():
 
 
 # -- closed forms -----------------------------------------------------------
+
+def test_closed_form_grid_matches_theorem():
+    from ribbonmod.verify import closed_form_grid
+
+    grid = closed_form_grid()
+    assert len(grid) > 80
+    for family, n, p in grid:
+        closed = cvec_closed_form(family, n, p)
+        assert closed is not None, (family, n, p)
+        assert closed.method.startswith("closed-form:")
+        assert closed.counts == cvec_theorem(family, n, p).counts, (family, n, p, closed.method)
+
 
 def test_closed_form_four_powers_of_two():
     n = 2**0 + 2**1 + 2**3 + 2**5  # 43
@@ -1085,6 +1186,16 @@ def test_auto_refusal_names_both_budgets_for_a_single_digit():
             cvec(family, n, p, method="closed")
 
 
+@given(
+    family=st.sampled_from(["A", "B", "D"]),
+    n=st.integers(min_value=4, max_value=13),
+    p=st.sampled_from(PRIMES),
+)
+@settings(max_examples=60, deadline=None)
+def test_methods_agree_random(family, n, p):
+    assert cvec_naive(family, n, p) == cvec_theorem(family, n, p)
+
+
 # -- symmetric-group counts -------------------------------------------------
 
 def test_partitions():
@@ -1191,3 +1302,16 @@ def test_colored_partition_count_matches_the_convolution():
     assert _colored_partition_count(120, 7) == _convolved_partition_count(120, 7)
 
 
+def test_macdonald_matches_hook_sweep():
+    for n in range(1, 11):
+        for p in (2, 3, 5, 7):
+            brute = sum(1 for lam in partitions(n) if standard_tableau_count(lam) % p != 0)
+            assert macdonald_mp(n, p) == brute
+
+
+def test_macdonald_distinct_power_formula():
+    for p in (2, 3, 5, 7):
+        for mask in range(1, 1 << 4):
+            exponents = [e for e in range(4) if mask >> e & 1]
+            n = sum(p**e for e in exponents)
+            assert macdonald_mp(n, p) == p ** sum(exponents)

@@ -166,6 +166,23 @@ def test_bareiss_det_matches_cofactor_expansion():
             assert _bareiss_det(rows) == _cofactor_det(rows), rows
 
 
+def test_determinant_route_matches_inclusion_exclusion():
+    for n in range(1, 10):
+        for alpha in enumerate_compositions(n):
+            assert ribbon_a_det(alpha) == ribbon_exact("A", alpha)
+
+
+def test_mass_sums():
+    for n in range(1, 11):
+        assert sum(ribbon_exact("A", a) for a in enumerate_compositions(n)) == factorial(n)
+    for n in range(1, 9):
+        total_b = sum(ribbon_exact("B", a) for a in enumerate_pseudo_compositions(n))
+        assert total_b == (1 << n) * factorial(n)
+    for n in range(2, 9):
+        total_d = sum(ribbon_exact("D", a) for a in enumerate_pseudo_compositions(n))
+        assert total_d == (1 << (n - 1)) * factorial(n)
+
+
 def test_positivity_and_oddness():
     for n in range(1, 9):
         for alpha in enumerate_pseudo_compositions(n):
@@ -174,6 +191,16 @@ def test_positivity_and_oddness():
             if n >= 4:
                 d = ribbon_exact("D", alpha)
                 assert d >= 1 and d % 2 == 1
+
+
+def test_complement_symmetry():
+    for n in range(1, 13):
+        for alpha in enumerate_compositions(n):
+            assert ribbon_exact("A", alpha) == ribbon_exact("A", alpha.complement())
+    for n in range(2, 11):
+        for alpha in enumerate_pseudo_compositions(n):
+            assert ribbon_exact("B", alpha) == ribbon_exact("B", alpha.complement())
+            assert ribbon_exact("D", alpha) == ribbon_exact("D", alpha.complement())
 
 
 @given(n=st.integers(min_value=1, max_value=14), data=st.data())
