@@ -192,6 +192,13 @@ class _MaskBacked(_Record):
         full = (1 << (self.n - self.offset)) - 1
         return type(self).from_mask(self.n, self.mask ^ full)
 
+    def fewer_descents(self):
+        """This index, or its complement when that has strictly fewer
+        descents.  The two counts come from the mask's popcount, so the
+        complement's n-bit mask is built only when it is returned."""
+        d = self.mask.bit_count()
+        return self.complement() if self.n - self.offset - d < d else self
+
 
 class Composition(_MaskBacked):
     """Composition of n: positive parts, in bijection with subsets of [n-1]."""

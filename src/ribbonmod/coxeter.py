@@ -15,15 +15,16 @@ order[C + x] = |W_C| * order[x] of a slice of the lower blocks (a few
 slices at a fork or a scattered numbering).  The descent-class size for a
 generator subset I is recovered by inclusion-exclusion over the coset
 counts |W| / |W_(S minus J)| for J inside I: for a single I term by term,
-over a table of I whose nodes are the generators of I and the components
-of S minus I (2^|I| entries, a term one division, whatever the rank), and
-for all 2^rank subsets at once by one O(rank 2^(rank - 1)) subset Moebius
-butterfly over the coset counts of the subsets without the last
-generator: exact passes over Python ints for the class sizes, and for a
-residue histogram the packed butterfly and tally of ``arith`` modulo p;
-the class of each complement has the same size.  Both sweeps refuse more
-than 2^SUBSET_MAX_RANK subsets with CapacityError, and a residue histogram
-a prime past ``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``:
+on I or S minus I, whichever is smaller, over a table of I whose nodes are
+the generators of I and the components of S minus I (2^|I| entries, a term
+one division, whatever the rank), and for all 2^rank subsets at once by
+one O(rank 2^(rank - 1)) subset Moebius butterfly over the coset counts of
+the subsets without the last generator: exact passes over Python ints for
+the class sizes, and for a residue histogram the packed butterfly and
+tally of ``arith`` modulo p; the class of each complement has the same
+size.  Both sweeps refuse more than 2^SUBSET_MAX_RANK subsets with
+CapacityError (one class counts the subsets of its smaller side), and a
+residue histogram a prime past ``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``:
 this route is the independent check of its p-vectors.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import cache
-from math import factorial, prod
+from math import factorial
 from operator import sub
 
 from .arith import check_tally_prime, field_buffer, inverse_zeta_tally
@@ -413,10 +414,18 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
 def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
     """Size of the descent class of a generator subset I, by inclusion-
     exclusion over the coset counts |W| / |W_(S minus J)|, J inside I, read
-    from the order table of I: they are order[I] / order[K] for K = I minus J."""
+    from the order table of I: they are order[I] / order[K] for K = I minus J.
+
+    I is first replaced by S minus I when that has strictly fewer
+    generators, since the two classes have the same size (see
+    ``descent_class_sizes``), so the 2^|I| terms and the subset budget
+    read min(|I|, |S| - |I|)."""
+    S = frozenset(diagram.generators)
     I = frozenset(subset)
-    if not I <= frozenset(diagram.generators):
+    if not I <= S:
         raise ValueError("subset must consist of generators of the diagram")
+    if len(S) - len(I) < len(I):
+        I = S - I
     _check_subset_sweep(len(I))
     orders = _parabolic_orders(diagram, I)
     whole = orders[-1]

@@ -35,6 +35,7 @@ from ribbonmod.cvec import (
 )
 from ribbonmod.ribbon import (
     ORACLE_MAX_N,
+    _chain_exact,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
@@ -275,18 +276,25 @@ def test_criterion_6_method_cross_validation():
 def test_criterion_7_formula_identities():
     started = time.time()
     problems = []
-    for n in range(1, 13):
-        for alpha in enumerate_compositions(n):
-            if ribbon_exact("A", alpha) != ribbon_a_det(alpha):
-                problems.append(("det", alpha.parts))
-            if ribbon_exact("A", alpha) != ribbon_exact("A", alpha.complement()):
-                problems.append(("sym A", alpha.parts))
-    for n in range(2, 13):
-        for alpha in enumerate_pseudo_compositions(n):
-            if ribbon_exact("B", alpha) != ribbon_exact("B", alpha.complement()):
-                problems.append(("sym B", alpha.parts))
-            if ribbon_exact("D", alpha) != ribbon_exact("D", alpha.complement()):
-                problems.append(("sym D", alpha.parts))
+    # ribbon_exact runs on the side with fewer descents; the determinant and
+    # the chain sum on each index's own descents (given) run on the side
+    # they are given, so they check the flip and the complement symmetry
+    # behind it, type D at n = 2, 3 included
+    def given(family, alpha):
+        return _chain_exact(family, alpha.n, alpha.descents())
+
+    for family, indices, ns in (("A", enumerate_compositions, range(1, 13)),
+                                ("B", enumerate_pseudo_compositions, range(2, 13)),
+                                ("D", enumerate_pseudo_compositions, range(2, 13))):
+        for n in ns:
+            for alpha in indices(n):
+                value, own = ribbon_exact(family, alpha), given(family, alpha)
+                if family == "A" and value != ribbon_a_det(alpha):
+                    problems.append(("det", alpha.parts))
+                if value != own:
+                    problems.append(("flip " + family, alpha.parts))
+                if own != given(family, alpha.complement()):
+                    problems.append(("sym " + family, alpha.parts))
     for n in range(1, 11):
         if sum(ribbon_exact("A", a) for a in enumerate_compositions(n)) != factorial(n):
             problems.append(("mass A", n))

@@ -1,7 +1,6 @@
 import random
 import sys
 import tracemalloc
-from itertools import product
 from math import comb
 
 import pytest

@@ -261,8 +261,12 @@ def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):
 def test_coxeter_budget_exit_codes(capsys):
     code, _, err = run(capsys, "coxeter", "--group", "A30")
     assert code == 2 and "budget" in err
-    code, _, err = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 41))))
+    # 20 of 40 generators: 2^20 subsets on either side
+    code, _, err = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 21))))
     assert code == 2 and "budget" in err
+    # all 40: the complement is empty, the class of the identity
+    code, out, _ = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 41))))
+    assert (code, out.strip()) == (0, "1")
 
 
 def test_coxeter_csv(capsys):

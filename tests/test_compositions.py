@@ -236,6 +236,24 @@ def test_complement_involution():
             assert alpha.complement().complement() == alpha
 
 
+def test_fewer_descents_flips_only_to_a_strictly_smaller_side():
+    for n in range(1, 11):
+        for alpha in (*enumerate_compositions(n), *enumerate_pseudo_compositions(n)):
+            if 2 * (len(alpha) - 1) > n - alpha.offset:
+                assert alpha.fewer_descents() == alpha.complement()
+            else:
+                assert alpha.fewer_descents() is alpha
+    # one descent in 2^25 - 1 positions: the 4 MB complement is never built
+    alpha = Composition((1 << 24, 1 << 24))
+    tracemalloc.start()
+    try:
+        assert alpha.fewer_descents() is alpha
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_prefix_sums():
     assert Composition((1, 2, 1)).prefix_sums() == (0, 1, 3, 4)
     assert PseudoComposition((0, 3, 2)).prefix_sums() == (0, 0, 3, 5)

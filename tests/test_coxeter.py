@@ -500,12 +500,13 @@ def test_diagram_rank_past_the_budget_refused_before_allocating():
 
 
 def test_subset_sweeps_past_the_budget_refused_before_allocating():
-    # 2^30 descent classes, and one class of 2^40 inclusion-exclusion terms
+    # 2^30 descent classes, and one class of 2^20 inclusion-exclusion terms
+    # on either side of its complement
     wide, wider = builtin_diagram("A30"), builtin_diagram("A40")
     for call in (lambda: descent_class_sizes(wide),
                  lambda: descent_class_multiset(wide),
                  lambda: residue_histogram(wide, 3),
-                 lambda: ribbon_general(wider, wider.generators)):
+                 lambda: ribbon_general(wider, wider.generators[:20])):
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
@@ -514,8 +515,19 @@ def test_subset_sweeps_past_the_budget_refused_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError):  # 19 generators of 40, 21 in the complement
         ribbon_general(wider, wider.generators[:SUBSET_MAX_RANK + 1])
+    # a class whose complement is within the budget answers in the same
+    # memory: A30 without its last generator is the complement of {30},
+    # C(31, 30) - 1 elements, and A40 with every generator is w0 alone
+    for diagram, subset, size in ((wide, wide.generators[:-1], 30), (wider, wider.generators, 1)):
+        tracemalloc.start()
+        try:
+            value = ribbon_general(diagram, subset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == size and peak < 1 << 20
 
 
 def test_ribbon_general_rejects_foreign_generators():

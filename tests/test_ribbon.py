@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -16,8 +17,10 @@ from ribbonmod.compositions import (
     enumerate_pseudo_compositions,
 )
 from ribbonmod.ribbon import (
+    _COMB_MAX_N,
     SignedPermutation,
     _bareiss_det,
+    _chain_exact,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
@@ -193,22 +196,53 @@ def test_positivity_and_oddness():
                 assert d >= 1 and d % 2 == 1
 
 
+def _given_side(family, alpha):
+    # the chain recurrence on alpha's own descents, where ribbon_exact may
+    # run on the complement's
+    return _chain_exact(family, alpha.n, alpha.descents())
+
+
 def test_complement_symmetry():
+    # a class and its complement have the same size, on the given side of
+    # each, and ribbon_exact, which runs on the side with fewer descents,
+    # agrees with both; type D includes n = 2, 3
     for n in range(1, 13):
         for alpha in enumerate_compositions(n):
-            assert ribbon_exact("A", alpha) == ribbon_exact("A", alpha.complement())
+            given = _given_side("A", alpha)
+            assert ribbon_exact("A", alpha) == given == _given_side("A", alpha.complement())
     for n in range(2, 11):
         for alpha in enumerate_pseudo_compositions(n):
-            assert ribbon_exact("B", alpha) == ribbon_exact("B", alpha.complement())
-            assert ribbon_exact("D", alpha) == ribbon_exact("D", alpha.complement())
+            for family in "BD":
+                given = _given_side(family, alpha)
+                assert ribbon_exact(family, alpha) == given == _given_side(family, alpha.complement())
 
 
 @given(n=st.integers(min_value=1, max_value=14), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_complement_symmetry_random(n, data):
+    # the determinant runs on the given side, ribbon_exact on the smaller one
     mask = data.draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
     alpha = Composition.from_mask(n, mask)
-    assert ribbon_exact("A", alpha) == ribbon_exact("A", alpha.complement())
+    assert ribbon_exact("A", alpha) == ribbon_a_det(alpha) == ribbon_a_det(alpha.complement())
+
+
+def test_many_part_classes_run_on_the_complement():
+    # 1^3000 has 2999 descents (0, 1^3000 has 3000 in types B and D) and
+    # its complement none, the class of the identity: the given side takes
+    # minutes, the complement answers at once
+    for family, parts in (("A", (1,) * 3000), ("B", (0,) + (1,) * 3000), ("D", (0,) + (1,) * 3000)):
+        alpha = (Composition if family == "A" else PseudoComposition)(parts)
+        started = time.perf_counter()
+        assert ribbon_exact(family, alpha) == 1
+        assert ribbon_mod_p(family, alpha, 3) == 1
+        assert time.perf_counter() - started < 1
+    alpha = Composition((1,) * 200000)
+    started = time.perf_counter()
+    assert ribbon_mod_p("A", alpha, 3) == 1
+    assert time.perf_counter() - started < 1
+    # the complement of 2, 1^1198 is 1, 1199: one descent, C(1200, 1) - 1
+    alpha = Composition((2,) + (1,) * 1198)
+    assert ribbon_exact("A", alpha) == 1199
 
 
 # -- modular values ---------------------------------------------------------
@@ -246,6 +280,17 @@ def test_ribbon_mod_p_matches_exact():
             for alpha, (value_b, value_d) in table.items():
                 assert ribbon_mod_p("B", alpha, p) == value_b % p
                 assert ribbon_mod_p("D", alpha, p) == value_d % p
+
+
+def test_ribbon_mod_p_either_side_of_the_comb_path():
+    # below p, n up to _COMB_MAX_N takes math.comb and n past it the digit
+    # tuples; both give the exact value reduced, in every family
+    p = 1031
+    for n in (_COMB_MAX_N, _COMB_MAX_N + 1):
+        for family, alpha in (("A", Composition((300, n - 600, 300))),
+                              ("B", PseudoComposition((0, 1, n - 201, 200))),
+                              ("D", PseudoComposition((0, 1, n - 201, 200)))):
+            assert ribbon_mod_p(family, alpha, p) == ribbon_exact(family, alpha) % p
 
 
 def test_ribbon_mod_p_large_index():
@@ -376,7 +421,7 @@ def test_signed_permutation_descents():
 
 
 def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
-    # 299 descents, each expanded in base p: the Miller-Rabin loop (one
+    # 100 descents, each expanded in base p: the Miller-Rabin loop (one
     # modular power per base for a prime) runs once, not once per descent
     p = 10**11 + 3
     powers = []
@@ -386,8 +431,12 @@ def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
             powers.append(args[0])
         return pow(*args)
 
+    # n = 1100 is past the one-digit comb path, so the positions go through
+    # base_p_digits, and the complement has 999 descents, so none is flipped
+    alpha = Composition((1000,) + (1,) * 100)
+    assert alpha.n > _COMB_MAX_N and alpha.fewer_descents() is alpha
+    expected = _given_side("A", alpha) % p
     arith.is_prime.cache_clear()
     monkeypatch.setattr(arith, "pow", counting, raising=False)
-    alpha = Composition((1,) * 300)
-    assert ribbon_mod_p("A", alpha, p) == ribbon_mod_p("A", alpha, p) == 1
+    assert ribbon_mod_p("A", alpha, p) == ribbon_mod_p("A", alpha, p) == expected
     assert powers == list(arith._MR_BASES)

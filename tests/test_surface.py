@@ -1,5 +1,7 @@
-"""The package's public names, the names the benchmark tracer binds, and
-which module may import what from which."""
+"""The package's public names, the names the benchmark tracer binds,
+which module may import what from which, and a hygiene census: every
+imported name is used, and every module-level function is called, exported
+or listed with a reason."""
 
 import ast
 import importlib
@@ -48,6 +50,16 @@ PUBLIC = {
 }
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ribbonmod"
+TESTS = pathlib.Path(__file__).resolve().parent
+
+# (module, function) of every module-level function of src/ that nothing in
+# src/ calls and the package does not export, with the reason it stays
+UNCALLED = {
+    ("ribbon", "term_mod_p"): "the per-term reference of the theorem's term table; "
+                              "ROADMAP item 9 moves it into that test",
+    ("arith", "inverse_zeta_packed"): "the butterfly tests' reference for the packed output; "
+                                      "ROADMAP item 9 moves it into those tests",
+}
 
 # (importer, source, name) of every private name one module may take from
 # another: ribbon's first-step rule and the frozen-record base of
@@ -161,3 +173,44 @@ def test_one_spread_in_cvec():
             if shifts or (isinstance(node, ast.Subscript) and _mirrored(node.slice)):
                 users.add(getattr(stmt, "name", None))
     assert users == {"_spread"}
+
+
+def _parsed(paths):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def test_every_imported_name_is_used():
+    # in src/ and tests/: a name bound by an import is read somewhere in its
+    # module, or re-exported through __all__
+    unused = []
+    for path, tree in _parsed([*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]).items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name: node.lineno for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= {element.value for element in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused
+
+
+def test_every_src_function_is_called_exported_or_listed():
+    # a module-level function of src/ is read by other code of src/ (its own
+    # body does not count), is in ribbonmod.__all__, or is in UNCALLED, and
+    # every UNCALLED entry exists and still has no caller
+    defined, read = set(), set()
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))).items():
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if own:
+                defined.add((path.stem, own))
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    exported = set(ribbonmod.__all__)
+    assert {(module, name) for module, name in defined if name not in read | exported} == set(UNCALLED)
