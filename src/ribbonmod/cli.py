@@ -102,7 +102,7 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     if fmt == "json":
         import json
 
-        print(json.dumps(record))
+        print(json.dumps(record, check_circular=False))  # every record is a tree
     elif fmt == "csv":
         import csv
 
@@ -163,7 +163,8 @@ def cmd_coxeter(args) -> int:
         counts = residue_histogram(diagram, args.p)
         return _emit(args.format, {"group": diagram.name, "p": args.p, "vector": counts})
     sizes = descent_class_multiset(diagram)
-    return _emit(args.format, {"group": diagram.name, "classes": sorted(sizes.items())})
+    order = sorted(sizes)  # the sizes alone: their pairs need no tuple comparisons
+    return _emit(args.format, {"group": diagram.name, "classes": list(zip(order, map(sizes.__getitem__, order)))})
 
 
 def cmd_macdonald(args) -> int:

@@ -19,22 +19,26 @@ on I or S minus I, whichever is smaller, over a table of I whose nodes are
 the generators of I and the components of S minus I (2^|I| entries, a term
 one division, whatever the rank), and for all 2^rank subsets at once by
 one O(rank 2^(rank - 1)) subset Moebius butterfly over the coset counts of
-the subsets without the last generator: exact passes over Python ints for
-the class sizes, and for a residue histogram the packed butterfly and
-tally of ``arith`` modulo p; the class of each complement has the same
-size.  Both sweeps refuse more than 2^SUBSET_MAX_RANK subsets with
-CapacityError (one class counts the subsets of its smaller side), and a
-residue histogram a prime past ``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``:
-this route is the independent check of its p-vectors.
+the subsets without the last generator: for the class sizes, an exact
+transform over one Python int that holds the counts in lanes of 64 t bits
+(t words, from |W|), a shift, a mask and a subtraction per level, and for
+a residue histogram the packed butterfly and tally of ``arith`` modulo p;
+the class of each complement has the same size.  Both sweeps refuse more
+than 2^SUBSET_MAX_RANK subsets with CapacityError (one class counts the
+subsets of its smaller side), and a residue histogram a prime past
+``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``: this route is
+the independent check of its p-vectors.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from collections import Counter
 from functools import cache
+from itertools import repeat
 from math import factorial
-from operator import sub
+from operator import floordiv
 
 from .arith import check_tally_prime, field_buffer, inverse_zeta_tally
 from .compositions import CapacityError, _Record
@@ -436,26 +440,50 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
 
 
 def _coset_counts(diagram: CoxeterDiagram):
-    # the coset counts |W| / |W_(S minus J)| of the generator subsets J
-    # without the last generator, by bitmask: the masks below 2^(rank - 1),
+    # |W| and the coset counts |W| / |W_(S minus J)| of the generator subsets
+    # J without the last generator, by bitmask: the masks below 2^(rank - 1),
     # or the empty one at rank 0; the class of S minus J has the same size.
     # S minus J has the complementary mask, read from the upper half of the
     # order table backwards
     _check_subset_sweep(diagram.rank())
     orders = _parabolic_orders(diagram, diagram.generators)
     whole = orders[-1]
-    return (whole // order for order in reversed(orders[len(orders) // 2:]))
+    return whole, map(floordiv, repeat(whole), reversed(orders[len(orders) // 2:]))
 
 
 def _class_sizes(diagram: CoxeterDiagram) -> list[int]:
-    # the exact class sizes of ``_coset_counts``' subsets: one exact Yates
-    # pass per bit, each taking the entries with bit 0 clear, lo, and those
-    # with it set minus lo, and putting bit 0 on top, so the passes bring
-    # the bits back to their places
-    sizes = list(_coset_counts(diagram))
-    for _ in range(len(sizes).bit_length() - 1):
-        lo = sizes[0::2]
-        sizes = lo + list(map(sub, sizes[1::2], lo))
+    """The exact class sizes of ``_coset_counts``' subsets J, by mask, from
+    one subset Moebius transform over a single int.
+
+    The int holds the coset counts in lanes of 64 t bits, t = ceil(bits(|W|)
+    / 64) words, lane i at bit 64 t i.  The level of lane distance d takes
+    every lane whose index has the bit d from the lane d below it:
+    x -= (x << d lane) & U_d, where U_d covers the lanes with that bit:
+    U_d = U_2d ^ (U_2d >> d lane), from U_N covering all N lanes.  No lane
+    ever borrows from the next: after the levels of a bit set P, lane J
+    holds #{w : Des(w) inside J, Des(w) containing J & P}, a count in
+    [0, |W|].  The counts go in and come out as little-endian 64-bit words,
+    by ``struct``; past one word a count goes in by ``int.to_bytes`` and
+    comes out joined from its words.
+    """
+    whole, counts = _coset_counts(diagram)
+    t = -(-whole.bit_length() // 64)
+    lane, lanes = 64 * t, max(1 << diagram.rank() >> 1, 1)
+    if t == 1:
+        x = int.from_bytes(struct.pack(f"<{lanes}Q", *counts), "little")
+    else:
+        x = int.from_bytes(b"".join(map(int.to_bytes, counts, repeat(8 * t), repeat("little"))), "little")
+    d, upper = lanes, (1 << lanes * lane) - 1
+    while d > 1:
+        d >>= 1
+        upper ^= upper >> d * lane
+        x -= (x << d * lane) & upper
+    words = struct.unpack(f"<{t * lanes}Q", x.to_bytes(8 * t * lanes, "little"))
+    del x
+    # the top word of each lane first, then one word below it per pass
+    sizes = list(words[t - 1::t])
+    for k in range(t - 2, -1, -1):
+        sizes = [s << 64 | w if s else w for s, w in zip(sizes, words[k::t])]
     return sizes
 
 
@@ -485,8 +513,11 @@ def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
     """Sizes of all 2^rank descent classes, as a Counter {size: multiplicity}:
     the classes of the subsets without the last generator, each counted
     twice, once for itself and once for its complement."""
-    counts = Counter(_class_sizes(diagram))
-    return Counter({size: 2 * c for size, c in counts.items()}) if diagram.generators else counts
+    sizes = _class_sizes(diagram)
+    counts = Counter(sizes)
+    if diagram.generators:
+        counts.update(sizes)
+    return counts
 
 
 def format_multiset(sizes: Counter) -> str:
@@ -502,6 +533,6 @@ def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
     """
     check_tally_prime(p)
     sizes = field_buffer(0, p)
-    sizes.extend(c % p for c in _coset_counts(diagram))
+    sizes.extend(c % p for c in _coset_counts(diagram)[1])
     half = inverse_zeta_tally(sizes, p)
     return tuple(2 * c for c in half) if diagram.generators else tuple(half)

@@ -148,6 +148,12 @@ MACDONALD_DIGIT_MAX = 1000
 MACDONALD_COST_MAX = 15 * 10**9
 
 
+class _SweepTooLarge(CapacityError):
+    """A sweep refused by its own size budget, before any work: ``cvec``'s
+    auto path then tries the next route.  Every other refusal, such as a
+    vector past RESULT_BITS_MAX, holds for every route and ends the call."""
+
+
 def _check_query(family: str, n: int, p: int) -> None:
     # the argument gate of every cvec method: family, prime, and an int n at
     # least the family minimum (a bool is refused, as check_prime refuses it)
@@ -337,7 +343,7 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
 def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
-        raise CapacityError(
+        raise _SweepTooLarge(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
     # field mask becomes the ribbon number mod p of the index with that
@@ -394,7 +400,7 @@ def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     nd = base_p_digits(n, p)
     m = _support_size(family, nd)
     if m > SUPPORT_MAX:
-        raise CapacityError(
+        raise _SweepTooLarge(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p)
@@ -496,10 +502,12 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
     ``auto`` prefers a closed form, then the theorem method, then the
-    naive sweep; when both sweeps are past their budgets, the
-    ``CapacityError`` names both, also where the m*p^d closed form's naive
-    sweep on m was past its own.  Each method's function checks the
-    arguments.
+    naive sweep; only a sweep past its own size budget passes the query on
+    to the next route (the m*p^d closed form's naive sweep on m among
+    them), and when both sweeps on n are past theirs, the
+    ``CapacityError`` names both.  Any other refusal, such as a vector
+    past RESULT_BITS_MAX, holds for every route and ends the call.  Each
+    method's function checks the arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -507,11 +515,10 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return cvec_naive(family, n, p)
     if method == "theorem":
         return cvec_theorem(family, n, p)
-    # past the argument checks, a closed form refuses only its naive sweep on m
     _check_query(family, n, p)
     try:
         vec = cvec_closed_form(family, n, p)
-    except CapacityError:
+    except _SweepTooLarge:
         if method == "closed":
             raise
         vec = None
@@ -523,7 +530,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return cvec_naive(family, n, p)
     try:
         return cvec_theorem(family, n, p)
-    except CapacityError as exc:
+    except _SweepTooLarge as exc:
         refused = exc
     try:
         return cvec_naive(family, n, p)

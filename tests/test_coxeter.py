@@ -403,6 +403,30 @@ def test_half_sweep_matches_full_butterfly():
     assert descent_class_multiset(empty) == {1: 1}
 
 
+@pytest.mark.parametrize("name, words", [
+    ("B16", 1), ("D16", 1), ("B17", 2), ("D17", 2), ("I2:" + str(10**40), 3), ("SCATTERED", 1),
+])
+def test_packed_class_sizes_at_the_lane_width_edges(name, words):
+    # _class_sizes packs the coset counts in lanes of 64 t bits, t words
+    # from |W|; here a list Yates over the same counts, one level at a time
+    diagram = SCATTERED if name == "SCATTERED" else builtin_diagram(name)
+    whole, counts = coxeter._coset_counts(diagram)
+    assert -(-whole.bit_length() // 64) == words
+    sizes = list(counts)
+    bit = 1
+    while bit < len(sizes):
+        for mask in range(len(sizes)):
+            if mask & bit:
+                sizes[mask] -= sizes[mask ^ bit]
+        bit <<= 1
+    assert _class_sizes(diagram) == sizes
+    assert sum(sizes) * 2 == whole
+    if name.startswith("I2:"):
+        m = 10**40
+        assert whole.bit_length() == 134
+        assert descent_class_multiset(diagram) == {1: 2, m - 1: 2}
+
+
 def test_ribbon_general_agrees_with_bulk_sizes():
     for name in ("F4", "H3", "B4", "I2:8"):
         diagram = builtin_diagram(name)

@@ -1097,6 +1097,23 @@ def test_results_past_the_bit_budget_refused_before_any_shift():
         assert time.perf_counter() - started < 1
 
 
+def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
+    # a result past the bit budget is past it on every route: the closed
+    # form's refusal of A n = 2^40 at p = 2 ends the call before the theorem
+    # route, and the theorem route's refusal of D n = 7^12 + 7^5 + 3 at p = 7
+    # ends it before the naive route
+    module = importlib.import_module("ribbonmod.cvec")
+
+    def entered(*args):
+        raise AssertionError("a second route ran after a result-budget refusal")
+
+    for name, family, n, p in (("cvec_theorem", "A", 2**40, 2), ("cvec_naive", "D", 7**12 + 7**5 + 3, 7)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, entered)
+            with pytest.raises(CapacityError, match=f"the budget is {RESULT_BITS_MAX} bits"):
+                cvec(family, n, p)
+
+
 def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
     # the budget counts the bits of the distinct nonzero counts: a budget of
     # exactly their sum writes the vector, one bit less refuses it
