@@ -49,6 +49,7 @@ def _decimal(x: int, pow2: dict) -> str:
     if x < 0:
         return "-" + _decimal(-x, pow2)
     import decimal  # here, so short outputs do not pay for it at start-up
+    import re
 
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
 
@@ -68,8 +69,11 @@ def _decimal(x: int, pow2: dict) -> str:
         return ctx.fma(build(hi, j - 1), power(w), build(v - (hi << w), j - 1))
 
     # the trailing zeros rounded down to a multiple of 64, so that counts
-    # whose 2^k differ by a few bits share one power
-    k = (x & -x).bit_length() - 1 & -64
+    # whose 2^k differ by a few bits share one power: the zero bytes that
+    # begin x's little-endian bytes, by one scan of one copy of x
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    k = 8 * (re.match(b"\0*", data).end() & -8)
+    del data
     if k <= _STR_BITS:
         k = 0
     w = x >> k
@@ -119,7 +123,7 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
         elif "value" in record:
             print(record["value"])
         else:
-            print(format_multiset(dict(record["classes"])))
+            print(format_multiset(record["classes"]))
     return 0
 
 

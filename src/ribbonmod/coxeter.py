@@ -19,15 +19,15 @@ on I or S minus I, whichever is smaller, over a table of I whose nodes are
 the generators of I and the components of S minus I (2^|I| entries, a term
 one division, whatever the rank), and for all 2^rank subsets at once by
 one O(rank 2^(rank - 1)) subset Moebius butterfly over the coset counts of
-the subsets without the last generator: for the class sizes, an exact
-transform over one Python int that holds the counts in lanes of 64 t bits
-(t words, from |W|), a shift, a mask and a subtraction per level, and for
-a residue histogram the packed butterfly and tally of ``arith`` modulo p;
-the class of each complement has the same size.  Both sweeps refuse more
-than 2^SUBSET_MAX_RANK subsets with CapacityError (one class counts the
-subsets of its smaller side), and a residue histogram a prime past
-``arith.TALLY_MAX_BITS``.  Nothing here comes from ``cvec``: this route is
-the independent check of its p-vectors.
+the subsets without the last generator: an exact transform over one Python
+int that holds the counts in lanes of 64 t bits (t words, from |W|), a
+shift, a mask and a subtraction per level; the class of each complement
+has the same size.  A residue histogram reduces those exact sizes mod p.
+Both sweeps refuse more than 2^SUBSET_MAX_RANK subsets with CapacityError
+(one class counts the subsets of its smaller side), and a residue
+histogram a prime past ``arith.TALLY_MAX_BITS``.  Nothing here comes from
+``cvec`` or from the packed mod-p butterfly it runs: this route is the
+independent check of its p-vectors.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from itertools import repeat
 from math import factorial
 from operator import floordiv
 
-from .arith import check_tally_prime, field_buffer, inverse_zeta_tally
+from .arith import check_tally_prime, residue_tally
 from .compositions import CapacityError, _Record
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
@@ -520,19 +520,16 @@ def descent_class_multiset(diagram: CoxeterDiagram) -> Counter:
     return counts
 
 
-def format_multiset(sizes: Counter) -> str:
-    """A multiset {size: multiplicity} as text, ``size^multiplicity`` by
-    increasing size."""
-    return ", ".join(f"{size}^{mult}" for size, mult in sorted(sizes.items()))
+def format_multiset(pairs) -> str:
+    """A multiset as text, ``size^multiplicity`` for each of its (size,
+    multiplicity) pairs, given by increasing size."""
+    return ", ".join(f"{size}^{mult}" for size, mult in pairs)
 
 
 def residue_histogram(diagram: CoxeterDiagram, p: int) -> tuple[int, ...]:
-    """Tally of the descent-class sizes modulo p, indexed by residue.
-
-    A prime past ``arith.TALLY_MAX_BITS`` is refused with CapacityError.
+    """Tally of the descent-class sizes modulo p, indexed by residue: the
+    sizes of ``descent_class_multiset`` taken mod p.  A prime past
+    ``arith.TALLY_MAX_BITS`` is refused with CapacityError before any sweep.
     """
     check_tally_prime(p)
-    sizes = field_buffer(0, p)
-    sizes.extend(c % p for c in _coset_counts(diagram)[1])
-    half = inverse_zeta_tally(sizes, p)
-    return tuple(2 * c for c in half) if diagram.generators else tuple(half)
+    return tuple(residue_tally(descent_class_multiset(diagram), p))

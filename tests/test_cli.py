@@ -300,7 +300,7 @@ def test_golden_loaders():
     assert vectors[("D", 3, 4)] == (0, 8, 8)
     multis = golden_multisets()
     assert multis["I2:3"] == {1: 2, 2: 2}
-    assert format_multiset(multis["H3"]) == "1^2, 11^2, 19^2, 29^2"
+    assert format_multiset(sorted(multis["H3"].items())) == "1^2, 11^2, 19^2, 29^2"
 
 
 def test_golden_shorthand_and_its_checks(monkeypatch):

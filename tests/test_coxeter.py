@@ -496,16 +496,25 @@ def test_multisets_match_chain_recurrence_across_field_widths():
 
 
 def test_residue_histograms_match_multiset_tallies_across_field_widths():
-    # the histogram's butterfly runs mod p in packed fields, the multiset's
-    # passes are exact; the primes take 1- (up to 131), 2- (257) and 4-byte
-    # (65537) fields, and the groups run from rank 0 to E8
-    names = [f"A{r}" for r in range(1, 13)] + [f"B{r}" for r in range(2, 12)]
-    names += [f"D{r}" for r in range(4, 12)] + ["E6", "E7", "E8", "F4", "H3", "H4"]
-    names += [f"I2:{m}" for m in range(3, 13)]
+    # the histogram reduces the exact class sizes mod p; the references share
+    # no transform with them: cvec's naive sweep in its 1- (p up to 131),
+    # 2- (257) and 4-byte (65537) fields for A, B and D, and the mod-p
+    # tally of ribbon_general over every generator subset for the rest,
+    # from rank 0 to E8
+    primes = (2, 3, 5, 7, 13, 131, 257, 65537)
+    groups = [("A", r, r + 1) for r in range(1, 13)] + [("B", r, r) for r in range(2, 12)]
+    groups += [("D", r, r) for r in range(4, 12)]
+    for family, rank, n in groups:
+        diagram = builtin_diagram(f"{family}{rank}")
+        for p in primes:
+            assert residue_histogram(diagram, p) == cvec_naive(family, n, p).counts, (diagram.name, p)
+    names = ["E6", "E7", "E8", "F4", "H3", "H4"] + [f"I2:{m}" for m in range(3, 13)]
     for diagram in [builtin_diagram(name) for name in names] + [CoxeterDiagram((), ())]:
-        multiset = descent_class_multiset(diagram)
-        for p in (2, 3, 5, 7, 13, 131, 257, 65537):
-            assert residue_histogram(diagram, p) == tuple(residue_tally(multiset, p)), (diagram.name, p)
+        gens = diagram.generators
+        sizes = Counter(ribbon_general(diagram, [g for i, g in enumerate(gens) if mask >> i & 1])
+                        for mask in range(1 << len(gens)))
+        for p in primes:
+            assert residue_histogram(diagram, p) == tuple(residue_tally(sizes, p)), (diagram.name, p)
 
 
 def test_diagram_rank_past_the_budget_refused_before_allocating():
