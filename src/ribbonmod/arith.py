@@ -3,14 +3,16 @@ modular subset Moebius transform.
 
 Everything here is pure integer arithmetic on Python ints, so results are
 exact at any size.  Base-p digits are plain tuples, least significant
-first, and ``lucas_binomial`` reads two of them.  Prime moduli are checked
-by a deterministic Miller-Rabin test on entry.  The Moebius transform works
-modulo any integer m >= 2 on residues packed into fixed-width fields, and
-the field format is known only here: callers build their residues mod m in
-a ``field_buffer(size, m)`` (scaling blocks of it with ``field_scaler(m)``)
-and hand it with m to ``inverse_zeta_tally``, which tallies the transform's
-output by residue, or to ``inverse_zeta_packed``, which returns the output
-fields in the same kind of buffer.  Both run one bit-sliced kernel, on the
+first.  ``lucas_binomial`` takes its two ints and reads their digits
+itself, so no caller builds a digit tuple to get a binomial mod p.  Prime
+moduli are checked by a deterministic Miller-Rabin test on entry.  The
+Moebius transform works modulo any integer m >= 2 on residues packed into
+fixed-width fields, and the field format is known only here: callers
+build their residues mod m in a ``field_buffer(size, m)`` (scaling blocks
+of it with ``field_scaler(m)``) and hand it with m to
+``inverse_zeta_tally``, which tallies the transform's output by residue,
+or to ``inverse_zeta_packed``, which returns the output fields in the
+same kind of buffer.  Both run one bit-sliced kernel, on the
 (m - 1).bit_length() bit planes of the fields, for every field width.
 ``residue_tally`` tallies a ``{value: count}`` mapping mod m.
 ``check_tally_prime`` is the budget of every p-entry tally: a p-vector and
@@ -161,21 +163,26 @@ def _binomial_mod(a: int, b: int, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def lucas_binomial(top: tuple[int, ...], bottom: tuple[int, ...], p: int) -> int:
-    """C(top, bottom) mod p from little-endian base-p digit tuples, by
-    Lucas's theorem; 0 unless bottom is digitwise at most top.  A digit
-    binomial past ``_LUCAS_EXACT_MAX`` is built from residues mod p, so its
-    intermediates stay below p^2."""
-    if len(bottom) > len(top):
-        return 0
+def lucas_binomial(top: int, bottom: int, p: int) -> int:
+    """C(top, bottom) mod p for nonnegative ints and a prime p, by Lucas's
+    theorem: the product of the binomials of their base-p digits, taken
+    from the lowest digit up until bottom has no digits left, so 0 unless
+    every digit of bottom is at most top's.  Once top is one digit it is
+    the last factor, C(top, bottom) itself, which is 0 for a larger
+    bottom; a top below p, as in a single class whose prime is past n,
+    takes that step alone.  A digit binomial past ``_LUCAS_EXACT_MAX`` is
+    built from residues mod p, so its intermediates stay below p^2."""
     r = 1
-    for a, b in zip(top, bottom):
+    while bottom and r:
+        if top < p:
+            a, b, bottom = top, bottom, 0
+        else:
+            top, a = divmod(top, p)
+            bottom, b = divmod(bottom, p)
         if b <= _LUCAS_EXACT_MAX or a - b <= _LUCAS_EXACT_MAX:
             r = r * comb(a, b) % p
         else:
             r = r * _binomial_mod(a, b, p) % p
-        if not r:
-            return 0
     return r
 
 

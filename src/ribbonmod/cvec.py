@@ -45,12 +45,13 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     digits of n and refused past 2^SUPPORT_MAX subsets before the support
     is made.  For m support positions it fills the terms of the 2^(m - 1)
     subsets without the top position by the naive method's
-    ``_chain_table``, with O(m^2) block constants from Lucas binomials on
-    digit tuples made once per position, and runs the same packed
-    butterfly and tally over them.  By Lucas's theorem every term through
-    a position outside the support is 0 mod p, so each of these free
-    positions is one more that holds 0 on every mask through it: an index
-    with descent set D has the residue (-1)^|D - S| r(D & S).
+    ``_chain_table``, with O(m^2) block constants from
+    ``arith.lucas_binomial`` on the positions and n as ints, the binomials
+    that ``ribbon_mod_p`` runs too, and runs the same packed butterfly and
+    tally over them.  By Lucas's theorem every term through a position
+    outside the support is 0 mod p, so each of these free positions is one
+    more that holds 0 on every mask through it: an index with descent set
+    D has the residue (-1)^|D - S| r(D & S).
     The seeds come from ``ribbon._first_step``, the first-step rule (the
     power-of-two weight and binomial base of the lowest descent) that the
     chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so the
@@ -370,8 +371,8 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     A term is the ``ribbon._first_step`` weight of its lowest descent times
     the multinomial C(n, d_1) C(n - d_1, d_2 - d_1) ..., so ``_chain_table``
     builds the terms from the seeds weight * C(n, base) and the constants
-    C(n - a, b - a) = C(n, b) C(b, a) / C(n, a), by Lucas's theorem on digit
-    tuples made once per position.  C(n, a) is a unit mod p at every
+    C(n - a, b - a) = C(n, b) C(b, a) / C(n, a), each binomial mod p from
+    ``lucas_binomial`` on the positions.  C(n, a) is a unit mod p at every
     support position but type D's adjoined 1, where 0 stands in for its
     inverse: there every chain from 0 through 1 is 0 (no support position
     is digitwise above 1), and the type-D copy overwrites the chains that
@@ -380,9 +381,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     types B and D: every weight there is even, so every position but type
     D's 0 and 1 is dropped (``cvec_theorem`` answers those by parity).
     """
-    nd = base_p_digits(n, p)
-    digits = [base_p_digits(d, p) for d in pos]
-    top = [lucas_binomial(nd, dd, p) for dd in digits]
+    top = [lucas_binomial(n, d, p) for d in pos]
     inv = [pow(t, -1, p) if t else 0 for t in top]
     # C(n, base) of each position's first step (a type-D base 0 is pos[0])
     binom = dict(zip(pos, top))
@@ -390,7 +389,7 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     seeds = [weight * binom[base] % p for weight, base in map(first, pos)]
     return _chain_table(
         family, p, seeds,
-        lambda h, k: top[h] * lucas_binomial(digits[h], digits[k], p) * inv[k] % p,
+        lambda h, k: top[h] * lucas_binomial(pos[h], pos[k], p) * inv[k] % p,
     )
 
 

@@ -16,11 +16,12 @@ Three independent routes are provided and cross-checked by the test suite:
     with their counts, to signed descent masks.
 
 ``ribbon_mod_p`` runs the same recurrence modulo a prime with binomials
-from Lucas's theorem, after dropping the descent positions whose base-p
-digits are not bounded by those of n: every chain through one of them
-vanishes.  Its kernel ``chain_mod_p(family, n, pos, p)`` takes bare sorted
-descent positions, so it also gives the residue of any one subset of a
-theorem-method support set.
+from Lucas's theorem (``arith.lucas_binomial`` on the positions as ints),
+after dropping the descent positions whose base-p digits are not bounded
+by those of n: every chain through one of them vanishes.  Its kernel
+``chain_mod_p(family, n, pos, p)`` takes bare sorted descent positions, so
+it also gives the residue of any one subset of a theorem-method support
+set.
 
 The class of a descent set J and the class of its complement have the same
 size: w -> w0 w turns every descent into an ascent and back (Bjorner and
@@ -42,7 +43,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import comb, factorial
 
-from .arith import base_p_digits, check_prime, lucas_binomial, multinomial_exact
+from .arith import check_prime, lucas_binomial, multinomial_exact
 from .compositions import CapacityError, Composition, PseudoComposition, _Record, check_family
 
 # Group-enumeration budgets for the oracle, by family: the largest n.  At
@@ -51,14 +52,6 @@ from .compositions import CapacityError, Composition, PseudoComposition, _Record
 # 7), since the type-A pass tallies cosets, not elements; the budget waits
 # for a measured edge run before it moves.
 ORACLE_MAX_N = {"A": 9, "B": 7, "D": 7}
-
-# Largest n whose chain binomials mod p (n < p) are math.comb reduced: the
-# smaller side of each is at most 512, where lucas_binomial builds a digit
-# binomial exactly too.  ribbon_mod_p of the 13-descent classes of n = 24..33
-# at p = 29..59 took 105-160 us each through the digit tuples, 32-39 us this
-# way (in process, 2-core machine, Python 3.11).
-_COMB_MAX_N = 1024
-
 
 def _check_index(family: str, alpha):
     check_family(family)
@@ -131,26 +124,17 @@ def _first_step(family: str, n: int, pow2):
 def chain_mod_p(family: str, n: int, pos, p: int) -> int:
     """The signed chain sum of the sorted descent positions ``pos`` mod p.
 
-    Binomials come from Lucas's theorem on digit tuples computed once per
-    position.  A position whose digits are not bounded by those of n lies
-    on no nonzero chain, so it only flips the sign; a type-D descent at 1
-    is kept, because a chain started there merges into the next part.
-    When n is one base-p digit, at most ``_COMB_MAX_N``, every position is
-    live and every binomial is ``math.comb`` reduced mod p, which is what
-    ``lucas_binomial`` computes there, without the digit tuples.
+    Binomials come from ``lucas_binomial`` on the positions themselves.
+    A position s with C(n, s) = 0 mod p (some base-p digit of s above that
+    of n) lies on no nonzero chain, so it only flips the sign; a type-D
+    descent at 1 is kept, because a chain started there merges into the
+    next part.  The modulus is checked here, since the kernel also runs on
+    bare positions.
     """
-    nd = base_p_digits(n, p)
+    check_prime(p)
     first = _first_step(family, n, lambda e: pow(2, e, p))
-    if len(nd) == 1 and n <= _COMB_MAX_N:
-        return _chain_sum(n, pos, first, lambda top, bottom: comb(top, bottom) % p, p)
-    digits = {0: (0,), n: nd}
-    live = []
-    for s in pos:
-        row = base_p_digits(s, p)
-        if lucas_binomial(nd, row, p) or (family == "D" and s == 1):
-            digits[s] = row
-            live.append(s)
-    value = _chain_sum(n, live, first, lambda top, bottom: lucas_binomial(digits[top], digits[bottom], p), p)
+    live = [s for s in pos if lucas_binomial(n, s, p) or (family == "D" and s == 1)]
+    value = _chain_sum(n, live, first, lambda top, bottom: lucas_binomial(top, bottom, p), p)
     return -value % p if (len(pos) - len(live)) % 2 else value
 
 

@@ -17,10 +17,10 @@ from ribbonmod.compositions import (
     enumerate_pseudo_compositions,
 )
 from ribbonmod.ribbon import (
-    _COMB_MAX_N,
     SignedPermutation,
     _bareiss_det,
     _chain_exact,
+    chain_mod_p,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
@@ -282,15 +282,24 @@ def test_ribbon_mod_p_matches_exact():
                 assert ribbon_mod_p("D", alpha, p) == value_d % p
 
 
-def test_ribbon_mod_p_either_side_of_the_comb_path():
-    # below p, n up to _COMB_MAX_N takes math.comb and n past it the digit
-    # tuples; both give the exact value reduced, in every family
+def test_ribbon_mod_p_on_one_digit_and_two():
+    # n = p - 1 is one base-p digit, n = p and p + 1 are two, with the low
+    # digit 0 and 1; every family gives the exact value reduced
     p = 1031
-    for n in (_COMB_MAX_N, _COMB_MAX_N + 1):
+    for n in (p - 1, p, p + 1):
         for family, alpha in (("A", Composition((300, n - 600, 300))),
                               ("B", PseudoComposition((0, 1, n - 201, 200))),
                               ("D", PseudoComposition((0, 1, n - 201, 200)))):
             assert ribbon_mod_p(family, alpha, p) == ribbon_exact(family, alpha) % p
+
+
+def test_chain_mod_p_refuses_a_composite_modulus():
+    # the kernel takes bare positions, so it checks its modulus itself; at
+    # 1030 > n every binomial would otherwise be one digit and 4 would read
+    # base-4 digits
+    for bad in (1, 4, 1030):
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            chain_mod_p("A", 10, (3, 7), bad)
 
 
 def test_ribbon_mod_p_large_index():
@@ -431,10 +440,9 @@ def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
             powers.append(args[0])
         return pow(*args)
 
-    # n = 1100 is past the one-digit comb path, so the positions go through
-    # base_p_digits, and the complement has 999 descents, so none is flipped
+    # n = 1100, and the complement has 999 descents, so none is flipped
     alpha = Composition((1000,) + (1,) * 100)
-    assert alpha.n > _COMB_MAX_N and alpha.fewer_descents() is alpha
+    assert alpha.n == 1100 and alpha.fewer_descents() is alpha
     expected = _given_side("A", alpha) % p
     arith.is_prime.cache_clear()
     monkeypatch.setattr(arith, "pow", counting, raising=False)

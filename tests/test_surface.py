@@ -101,7 +101,8 @@ def test_layering():
     # in PRIVATE_IMPORTS, none of them reaches into arith, and coxeter, the
     # independent check of cvec's p-vectors, imports nothing from cvec and
     # from arith only the prime check and the tally of exact values, never
-    # the packed mod-p butterfly that cvec runs
+    # the packed mod-p butterfly that cvec runs; ribbon takes its binomials
+    # mod p from lucas_binomial alone, never from digit tuples of its own
     field_format = set()
     private = set()
     sources = {}  # (module, source module): the names imported, "*" for the module
@@ -132,6 +133,31 @@ def test_layering():
     assert private == PRIVATE_IMPORTS
     assert ("coxeter", "cvec") not in sources
     assert sources.get(("coxeter", "arith"), set()) <= {"check_tally_prime", "residue_tally"}
+    assert sources[("ribbon", "arith")] == {"check_prime", "lucas_binomial", "multinomial_exact"}
+
+
+def test_lucas_routes_build_no_digit_tuples(monkeypatch):
+    # chain_mod_p and the theorem's term table take every binomial from
+    # lucas_binomial on ints: with base_p_digits refused everywhere, they
+    # still answer at an n of three base-7 digits, as before
+    arith, cvec_module, ribbon_module = (importlib.import_module(f"ribbonmod.{name}")
+                                         for name in ("arith", "cvec", "ribbon"))
+    n, p = 2 * 49 + 7 + 1, 7
+    supports = {family: cvec_module.support_set(family, n, p) for family in "ABD"}
+    assert all(len(pos) >= 10 and pos[-1] > 49 for pos in supports.values())
+
+    def answers():
+        return [(ribbon_module.chain_mod_p(family, n, pos, p), bytes(cvec_module._term_table(family, n, p, pos)[0]))
+                for family, pos in supports.items()]
+
+    expected = answers()
+
+    def refused(*args):
+        raise AssertionError("base_p_digits called")
+
+    for module in (arith, cvec_module, ribbon_module):
+        monkeypatch.setattr(module, "base_p_digits", refused, raising=False)
+    assert answers() == expected
 
 
 def test_one_chain_table_in_cvec():
