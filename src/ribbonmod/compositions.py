@@ -3,16 +3,18 @@
 A composition of n is a sequence of positive integers summing to n; a
 pseudo-composition additionally allows its first part to be 0.  Either kind
 is determined by its descent set (the set of proper prefix sums), so the
-canonical in-memory form is a bitmask over the descent positions together
-with n; the parts sequence is derived on demand.
+canonical in-memory form is n with the ascending tuple of descent
+positions; the parts and the descent mask are derived on demand.
 
-The encoding lives here alone.  Each class's ``offset`` is the descent
-position of bit 0 and the least first part: 1 for a ``Composition`` (type
-A, positions [1, n-1]), 0 for a ``PseudoComposition`` (types B and D,
-positions {0, ..., n-1}); ``mask_offset(family)`` gives it by family.  The
-constructor, ``from_descents`` and ``from_mask`` share one check:
-offset <= n <= MAX_DESCENT_N and a mask of n - offset bits.  Copies and
-pickles rebuild through ``from_descents``, so they pass it too.
+The encoding lives here alone.  Each class's ``offset`` is the least
+descent position, mask bit 0 and the least first part: 1 for a
+``Composition`` (type A, positions [1, n-1]), 0 for a ``PseudoComposition``
+(types B and D, positions {0, ..., n-1}); ``mask_offset(family)`` gives it
+by family.  Every index is built by ``from_descents``, which checks
+offset <= n and each position in [offset, n-1]: the constructor,
+``from_mask``, ``complement``, copies and pickles go through it.  Only
+``complement`` creates positions, and it refuses past
+COMPLEMENT_MAX_POSITIONS before it allocates.
 
 Full enumeration is capped at 63 mask bits.
 
@@ -26,16 +28,15 @@ that takes a family letter.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, chain, compress, count, groupby
+from operator import index, itemgetter, sub
 
 MAX_MASK_BITS = 63
 
-# Largest n of any descent mask.  A mask is one int of n - offset bits
-# however few descents it has: `ribbonmod ribbon --family A --alpha
-# 1000000000,1 --mod 3` took 1.4 s and 525 MB peak RSS (2-core machine,
-# Python 3.11), and n = 10^10 would ask for several GB.
-MAX_DESCENT_N = 1 << 30
+# Most positions one complement may create.  At the budget,
+# `Composition((2**22 + 1,)).complement()` took 0.9-1.1 s and 214 MB peak
+# RSS in a fresh process (2-core machine, Python 3.11).
+COMPLEMENT_MAX_POSITIONS = 1 << 22
 
 # The descent families: type A is indexed by Composition, types B and D by
 # PseudoComposition
@@ -59,22 +60,10 @@ def mask_offset(family: str) -> int:
     return 1 if check_family(family) == "A" else 0
 
 
-def _check_mask(n: int, mask: int, offset: int) -> None:
-    if n > MAX_DESCENT_N:
-        raise CapacityError(f"a descent mask for n={n} is past the budget of n <= {MAX_DESCENT_N}")
-    width = n - offset
-    if width < 0 or mask < 0 or mask >> width:
-        raise ValueError(f"descent mask {mask} out of range for n={n} with bit 0 at position {offset}")
-
-
-def _positions(mask: int, lo: int) -> tuple[int, ...]:
-    # the descent positions of a mask whose bit 0 is position lo, ascending
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1 + lo)
-        mask ^= low
-    return tuple(out)
+def _positions(mask: int, lo: int) -> Iterator[int]:
+    # the descent positions of a mask whose bit 0 is position lo, ascending:
+    # one pass over its binary digits, bit 0 first, each "0" made a zero byte
+    return compress(count(lo), bin(mask)[:1:-1].encode().replace(b"0", b"\0"))
 
 
 class _Record:
@@ -123,11 +112,11 @@ class _Record:
 
 
 class _MaskBacked(_Record):
-    """Shared machinery for the two composition kinds: a ``_Record`` whose
-    fields are built from the parts by ``__new__``."""
+    """Shared machinery for the two composition kinds: a ``_Record`` of n and
+    the ascending descent positions, built from the parts by ``__new__``."""
 
-    __slots__ = ("n", "mask")
-    offset = 0  # the descent position of mask bit 0, and the least first part
+    __slots__ = ("n", "positions")
+    offset = 0  # the least descent position, the mask bit 0, and the least first part
 
     def __new__(cls, parts):
         parts = tuple(int(a) for a in parts)
@@ -141,62 +130,72 @@ class _MaskBacked(_Record):
 
     @classmethod
     def from_descents(cls, n: int, positions):
-        """The index of n whose descent set holds the given positions."""
-        lo = cls.offset
-        _check_mask(n, 0, lo)  # before any n-bit int is built
-        mask = 0
-        for j in positions:
-            if not lo <= j <= n - 1:
-                raise ValueError(f"descent position {j} out of range for n={n}")
-            mask |= 1 << (j - lo)
-        return cls.from_mask(n, mask)
+        """The index of n whose descent set holds the given positions, in any
+        order, a repeated one counted once."""
+        n, lo = index(n), cls.offset
+        positions = tuple(map(itemgetter(0), groupby(sorted(map(index, positions)))))
+        if n < lo or positions and not lo <= positions[0] <= positions[-1] < n:
+            raise ValueError(f"descent positions out of range for n={n}: n >= {lo}, each in [{lo}, n - 1]")
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "positions", positions)
+        return self
 
     @classmethod
     def from_mask(cls, n: int, mask: int):
-        _check_mask(n, mask, cls.offset)
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-        return self
+        """The index of n whose descents are the set bits of mask, bit 0 at offset."""
+        if n < cls.offset or mask < 0 or mask >> (n - cls.offset):
+            raise ValueError(f"descent mask {mask} out of range for n={n} with bit 0 at position {cls.offset}")
+        return cls.from_descents(n, _positions(mask, cls.offset))
 
     def _key(self) -> tuple:
-        # the fields read directly, and the offset, so the two kinds hash apart
-        return (self.offset, self.n, self.mask)
+        # the fields, and the offset, so the two kinds hash apart
+        return (self.offset, self.n, self.positions)
 
     def __reduce__(self):
         # copy and pickle rebuild through from_descents, so a payload runs
         # the same range check as every constructor
-        return type(self).from_descents, (self.n, self.descents())
+        return type(self).from_descents, (self.n, self.positions)
+
+    @property
+    def mask(self) -> int:
+        """The descent set as bits, bit 0 at offset, in O(n/8 + d) bytes."""
+        lo, buf = self.offset, bytearray((self.n - self.offset + 7) // 8)
+        for j in self.positions:
+            buf[(j - lo) >> 3] |= 1 << ((j - lo) & 7)
+        return int.from_bytes(buf, "little")
 
     @property
     def parts(self) -> tuple[int, ...]:
-        cuts = (0, *self.descents(), self.n)
-        return tuple(map(sub, cuts[1:], cuts))
+        return tuple(map(sub, (*self.positions, self.n), (0, *self.positions)))
 
     def __len__(self) -> int:
-        return self.mask.bit_count() + 1
+        return len(self.positions) + 1
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
 
     def descents(self) -> tuple[int, ...]:
         """Proper prefix sums, ascending."""
-        return _positions(self.mask, self.offset)
+        return self.positions
 
     def prefix_sums(self) -> tuple[int, ...]:
         """All prefix sums, from the empty one (0) up to n."""
-        return (0, *accumulate(self.parts))
+        return (0, *self.positions, self.n)
 
     def complement(self):
-        """The composition whose descent set is the complement of this one's."""
-        full = (1 << (self.n - self.offset)) - 1
-        return type(self).from_mask(self.n, self.mask ^ full)
+        """The index whose descent set is the complement of this one's; past
+        COMPLEMENT_MAX_POSITIONS new positions it is refused unbuilt."""
+        lo, n, pos = self.offset, self.n, self.positions
+        size = n - lo - len(pos)
+        if size > COMPLEMENT_MAX_POSITIONS:
+            raise CapacityError(f"a complement of {size} positions is past the budget of {COMPLEMENT_MAX_POSITIONS}")
+        gaps = map(range, (lo, *(j + 1 for j in pos)), (*pos, n))
+        return type(self).from_descents(n, chain.from_iterable(gaps))
 
     def fewer_descents(self):
-        """This index, or its complement when that has strictly fewer
-        descents.  The two counts come from the mask's popcount, so the
-        complement's n-bit mask is built only when it is returned."""
-        d = self.mask.bit_count()
+        """This index, or its complement when that has strictly fewer descents."""
+        d = len(self.positions)
         return self.complement() if self.n - self.offset - d < d else self
 
 

@@ -6,9 +6,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonmod import cli, compositions
 from ribbonmod.compositions import (
     FAMILIES,
-    MAX_DESCENT_N,
     CapacityError,
     Composition,
     PseudoComposition,
@@ -20,7 +20,7 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram
 from ribbonmod.cvec import DimensionPVector, cvec_naive, cvec_theorem
-from ribbonmod.ribbon import SignedPermutation
+from ribbonmod.ribbon import SignedPermutation, ribbon_exact, ribbon_mod_p
 
 
 def test_descent_set_examples():
@@ -157,29 +157,77 @@ def test_enumeration_capacity():
         next(enumerate_compositions(0))
 
 
-def test_descent_mask_past_the_budget_refused_before_allocating():
-    # one part of 10^10 would make a mask of 10^10 bits (over a GB); n is
-    # refused by the one mask check before any n-bit int is built
-    calls = [
-        lambda: Composition((10**10, 1)),
-        lambda: PseudoComposition((0, 10**10)),
-        lambda: parse_parts("10000000000,1"),
-        lambda: Composition.from_descents(10**10, (1,)),
-        lambda: PseudoComposition.from_descents(MAX_DESCENT_N + 1, (0,)),
-        lambda: PseudoComposition.from_mask(MAX_DESCENT_N + 1, 1),
-        lambda: Composition.from_mask(MAX_DESCENT_N + 2, 1),
-    ]
-    for call in calls:
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_an_index_of_ten_billion_stays_small():
+    # an index holds its descent positions, not an n-bit mask: one part of
+    # 10^10 costs what one part of 10 does, and so does the ribbon route
+    # (the class of (a, 1) has a elements, and 10^10 = 1 mod 3)
+    alpha = Composition((10**10, 1))
+    for call, expected in ((lambda: Composition((10**10, 1)), alpha),
+                           (lambda: parse_parts("10000000000,1"), alpha),
+                           (lambda: Composition.from_descents(10**10 + 1, (10**10,)), alpha),
+                           (lambda: Composition.from_mask(10**10 + 1, 1), Composition((1, 10**10))),
+                           (lambda: alpha.parts, (10**10, 1)),
+                           (lambda: alpha.fewer_descents() is alpha, True),
+                           (lambda: len(alpha), 2),
+                           (lambda: ribbon_mod_p("A", alpha, 3), 1),
+                           (lambda: PseudoComposition((0, 10**10)).descents(), (0,))):
+        result, peak = _traced_peak(call)
+        assert peak < 1 << 20
+        assert result == expected
+
+
+def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
+    alpha = Composition((10**10, 1))
+    for index in (alpha, PseudoComposition((0, 10**10))):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
-                call()
+            with pytest.raises(CapacityError, match="past the budget"):
+                index.complement()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-    assert 10**9 + 1 <= MAX_DESCENT_N
-    assert PseudoComposition.from_mask(MAX_DESCENT_N, 1).parts == (0, MAX_DESCENT_N)
+    # at the budget the complement is built; one position past it, refused
+    monkeypatch.setattr(compositions, "COMPLEMENT_MAX_POSITIONS", 10)
+    assert Composition((11,)).complement() == Composition((1,) * 11)
+    assert PseudoComposition((3, 7)).complement() == PseudoComposition((0, 1, 1, 2) + (1,) * 6)
+    for index in (Composition((12,)), PseudoComposition((11,)), PseudoComposition((3, 9))):
+        with pytest.raises(CapacityError):
+            index.complement()
+
+
+def test_many_part_index_never_decodes_a_mask(monkeypatch, capsys):
+    # 200000 parts build, print and answer both ribbon routes from their
+    # positions alone: the mask decoder is never reached
+    def refuse(*_):
+        raise AssertionError("a mask was decoded")
+
+    monkeypatch.setattr(compositions, "_positions", refuse)
+    ones = (1,) * 200000
+    alpha, beta = Composition(ones), PseudoComposition((0, *ones))
+    assert alpha.parts == ones and len(alpha) == 200000 and beta.parts == (0, *ones)
+    for family, index in (("A", alpha), ("B", beta), ("D", beta)):
+        assert ribbon_exact(family, index) == 1 and ribbon_mod_p(family, index, 3) == 1
+    assert cli.main(["ribbon", "--family", "A", "--alpha", ",".join(["1"] * 200000), "--mod", "3",
+                     "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"family": "A", "alpha": [' + ", ".join(["1"] * 200000) + '], "value": "1"}\n'
+
+
+def test_from_descents_merges_repeats_in_any_order():
+    assert Composition.from_descents(6, (5, 2, 2, 5)) == Composition((2, 3, 1))
+    assert Composition.from_descents(6, [5, 2, 2, 5]).descents() == (2, 5)
+    assert PseudoComposition.from_descents(3, iter((2, 0, 0))).parts == (0, 2, 1)
+    assert len(PseudoComposition.from_descents(3, (1, 1, 1))) == 2
 
 
 def _coarsenings(alpha):
@@ -364,9 +412,9 @@ RECORDS = {
         Composition((2, 2)),
         Composition.from_descents(4, (2,)),
         (Composition((1, 3)), PseudoComposition((2, 2))),
-        (1, 4, 2),
+        (1, 4, (2,)),
         "Composition(2, 2)",
-        ("n", "mask"),
+        ("n", "positions"),
         ((b"(I4\n", b"(I1\n"), (b"K\x04K\x02", b"K\x01K\x02"), "out of range"),
         (Composition((1,)), Composition(range(1, 101))),
     ),
@@ -374,9 +422,9 @@ RECORDS = {
         PseudoComposition((0, 2, 1)),
         PseudoComposition.from_mask(3, 0b101),
         (PseudoComposition((2, 1)),),
-        (0, 3, 0b101),
+        (0, 3, (0, 2)),
         "PseudoComposition(0, 2, 1)",
-        ("n", "mask"),
+        ("n", "positions"),
         ((b"(I3\n", b"(I1\n"), (b"K\x03K\x00", b"K\x01K\x00"), "out of range"),
         (PseudoComposition((0,)), PseudoComposition(range(100))),
     ),
