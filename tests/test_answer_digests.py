@@ -47,8 +47,6 @@ HISTOGRAM_PRIMES = (2, 3, 5, 7, 11, 13, 4)  # 4: the composite refusal
 
 
 def _text(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return repr(value)
     if isinstance(value, int):
         return hex(value)
     if isinstance(value, (tuple, list)):

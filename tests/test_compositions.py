@@ -187,15 +187,12 @@ def test_an_index_of_ten_billion_stays_small():
 
 
 def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
-    alpha = Composition((10**10, 1))
-    for index in (alpha, PseudoComposition((0, 10**10))):
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError, match="past the budget"):
-                index.complement()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def refused(index):
+        with pytest.raises(CapacityError, match="past the budget"):
+            index.complement()
+
+    for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10))):
+        _, peak = _traced_peak(lambda: refused(index))
         assert peak < 1 << 20
     # at the budget the complement is built; one position past it, refused
     monkeypatch.setattr(compositions, "COMPLEMENT_MAX_POSITIONS", 10)
