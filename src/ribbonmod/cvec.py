@@ -56,11 +56,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     power-of-two weight and binomial base of the lowest descent) that the
     chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so the
     family rules, type D's included, are stated once, for every prime.
-  * ``cvec_closed_form`` -- closed forms for special digit patterns of n
-    (single nonzero digit, digits all 0/1, and a handful of type-D shapes).
-    A single digit m at p^d (types A, B) runs the naive method on m; every
-    other pattern picks one entry of a frozen table of exact residue
-    tallies.  Every pattern leaves the positions outside the support free.
+  * ``cvec_closed_form`` -- the shape rule.  The theorem method's tally
+    depends only on the multiset of nonzero base-p digits of n (and on n_0
+    in type D), so the vector of n is that of n*, the least n of the same
+    shape, swept by the naive method and spread over the n - n* more free
+    positions of n; the paper's m*p^d closed form is the case of one digit.
+    It answers None when n* is past the naive budget.
 
 Every method ends in one rule, ``_spread``, which writes the vector as
 the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
@@ -81,7 +82,8 @@ r <-> -r, so it never matters.  With no top position (type A at n = 1, or
 an empty support at n = p^d) the one mask is its own complement and
 nothing doubles.
 
-``cvec`` dispatches: closed form if one applies, else theorem, else naive.
+``cvec`` dispatches: the shape rule when n* fits the naive budget, else
+theorem, else naive.
 Every p-vector has p entries, so a prime past ``arith``'s tally budget
 2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.  Its
 counts may have about n bits each, so ``_spread`` refuses, also with
@@ -103,7 +105,6 @@ from .arith import (
     field_scaler,
     inverse_zeta_tally,
     lucas_binomial,
-    residue_tally,
 )
 from .compositions import CapacityError, _Record, check_family, mask_offset
 from .ribbon import _first_step
@@ -122,8 +123,8 @@ SUPPORT_MAX = 22
 RESULT_BITS_MAX = 1 << 32
 
 # The least n of the theorem route, by family: support_set and cvec_theorem
-# refuse a smaller n, cvec sweeps it naively, and no closed form applies
-# below it in type D
+# refuse a smaller n, the shape rule, a reduction of the theorem route's
+# tally, answers None for it, and cvec sweeps it naively
 _THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
 
 # Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
@@ -431,66 +432,57 @@ class NoClosedFormError(LookupError):
     """No closed form applies to the requested (family, n, p)."""
 
 
-# Exact residue tallies {value: count} of the closed-form rules, one count
-# per subset of the support, keyed by (family, rule, number of nonzero
-# base-p digits of n) and reduced mod p on use.  The p-powers rows (n a sum
-# of k distinct powers of p) tally, over every subset of the proper
-# sub-sums, a chain statistic of the nonempty ones: signed chain counts
-# (type A) or 2-weighted ones (type B), as rebuilt by
-# test_rule_table_p_powers_rows_from_chain_statistics; the other rows come
-# from the support-subset analysis of their digit shapes.
-_RULES = {
-    ("A", "p-powers", 2): {1: 1, 0: 2, -1: 1},
-    ("A", "p-powers", 3): {1: 2, 0: 30, -1: 30, -2: 2},
-    ("A", "p-powers", 4): {5: 1, -5: 1, 4: 6, -4: 6, 3: 81, -3: 81,
-                           2: 672, -2: 672, 1: 3630, -1: 3630, 0: 7604},
-    ("A", "2p^d+p^e", 2): {0: 6, 1: 6, -1: 2, -2: 2},
-    ("B", "p-powers", 2): {1: 2, -1: 4, -3: 2},
-    ("D", "p^d", 1): {1: 1, 0: 2, -1: 1},
-    ("D", "2p^d", 1): {1: 3, -1: 3, 3: 1, -3: 1},
-    ("D", "3p^d", 1): {1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1},
-    ("D", "1+p^d", 2): {1: 4, -1: 4},
-    ("D", "p^a+p^b", 2): {1: 10, -1: 4, -3: 2},
-}
-
-
-def _closed_rule(family: str, nonzero) -> str | None:
-    # the rule named by the nonzero (position, digit) pairs of n; whether it
-    # holds for this many digits is up to _RULES
-    digits = sorted(d for _, d in nonzero)
-    if family == "D" and len(digits) == 1:
-        return {1: "p^d", 2: "2p^d", 3: "3p^d"}.get(digits[0])
-    if digits == [1] * len(digits):
-        if family != "D":
-            return "p-powers"
-        return "1+p^d" if nonzero[0][0] == 0 else "p^a+p^b"
-    return "2p^d+p^e" if digits == [1, 2] else None
-
-
 def cvec_closed_form(family: str, n: int, p: int):
-    """The dimension p-vector when n matches a pattern with a closed form.
+    """The dimension p-vector of n from that of n*, the least n of the same
+    shape, swept by the naive method; None when n* is past its budget.
 
-    Returns None when no pattern applies.  The provenance tag records the
-    pattern, e.g. ``closed-form:p^a+p^b``.
+    The shape of n is the multiset of its nonzero base-p digits, and in
+    type D also its digit n_0.  The theorem method's tally depends on
+    nothing else, and the paper's m*p^d closed form is the case of one
+    digit:
+
+      * by Dickson's congruence a multinomial mod p is the product of the
+        multinomials of the digits in each place, and 0 once a part's
+        digits carry, so the term of a subset of the support is 0 unless
+        its positions rise digit by digit, and then it is a product over
+        the places, each reading that place's digits alone;
+      * the support is the product over the places of the chains
+        [0, n_j], so moving the nonzero digits of n to other places maps
+        its support onto that of the moved n, keeping that order and
+        every term;
+      * the type-B weight 2^(n - s) mod p depends only on n - s mod p - 1,
+        the digit sum of n - s, which the move keeps; the type-D
+        first-part rule (``ribbon._first_step``) treats a lowest descent
+        s <= 1 apart, which reads place 0 alone, so type D keeps n_0 in
+        place 0, and with it the adjoined 1.
+
+    The support's size and whether it has a top position follow the
+    digits too, so only the free count differs, by n - n*, and n's vector
+    is n*'s spread over n - n* more free positions (when n* has a free
+    position its vector is already symmetric under r <-> -r, and the
+    spread only doubles it).  n* puts the digits in descending order from
+    place 0 (type D from place 1, after n_0).  Types B and D at p = 2 take
+    the parity answer, as ``cvec_theorem`` does, and below the theorem
+    method's least n, whose tally the rule reduces, the answer is None.
+    The provenance tag is ``closed-form:shape`` (``closed-form:parity``).
     """
     _check_query(family, n, p)
-    if family == "D" and n < _THEOREM_MIN_N[family]:
+    if n < _THEOREM_MIN_N[family]:
         return None
     if p == 2 and family != "A":
         return DimensionPVector(family, n, p, _spread((0, 1), n, False), "closed-form:parity")
     digits = base_p_digits(n, p)
-    nonzero = [(j, d) for j, d in enumerate(digits) if d]
-    if family != "D" and len(nonzero) == 1 and nonzero[0][0] >= 1:
-        rule = "m*p^d"
-        tally = _naive_counts(family, nonzero[0][1], p)
-    else:
-        rule = _closed_rule(family, nonzero)
-        raw = _RULES.get((family, rule, len(nonzero)))
-        if raw is None:
+    fixed = digits[:1] if family == "D" else ()
+    shape = fixed + tuple(sorted(filter(None, digits[len(fixed):]), reverse=True))
+    # n* grows with each digit placed, so a shape of many digits stops
+    # after a few, before p**j grows with them
+    least = 0
+    for j, d in enumerate(shape):
+        least += d * p**j
+        if least - mask_offset(family) > NAIVE_MAX_BITS:
             return None
-        tally = residue_tally(raw, p)
-    free = n - mask_offset(family) - _support_size(family, digits)
-    return DimensionPVector(family, n, p, _spread(tally, free, False), f"closed-form:{rule}")
+    counts = _spread(_naive_counts(family, least, p), n - least, False)
+    return DimensionPVector(family, n, p, counts, "closed-form:shape")
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +492,11 @@ def cvec_closed_form(family: str, n: int, p: int):
 def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
-    ``auto`` prefers a closed form, then the theorem method, then the
-    naive sweep; only a sweep past its own size budget passes the query on
-    to the next route (the m*p^d closed form's naive sweep on m among
-    them), and when both sweeps on n are past theirs, the
+    ``auto`` prefers the closed form (the shape rule, which answers None
+    when the least n of n's shape is past the naive budget, or n is below
+    the theorem method's least n), then the theorem method, then the naive
+    sweep.  Only a sweep past its own size budget passes the query on to
+    the next route, and when both sweeps on n are past theirs, the
     ``CapacityError`` names both.  Any other refusal, such as a vector
     past RESULT_BITS_MAX, holds for every route and ends the call.  Each
     method's function checks the arguments.
@@ -514,13 +507,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return cvec_naive(family, n, p)
     if method == "theorem":
         return cvec_theorem(family, n, p)
-    _check_query(family, n, p)
-    try:
-        vec = cvec_closed_form(family, n, p)
-    except _SweepTooLarge:
-        if method == "closed":
-            raise
-        vec = None
+    vec = cvec_closed_form(family, n, p)
     if vec is not None:
         return vec
     if method == "closed":

@@ -25,6 +25,7 @@ from ribbonmod.coxeter import (
     ribbon_general,
 )
 from ribbonmod.cvec import (
+    NAIVE_MAX_BITS,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -163,8 +164,21 @@ def _tally(values, p):
     return tuple(counts)
 
 
+def _least_of_shape(family, n, p):
+    # n*: the nonzero base-p digits of n in descending order from place 0,
+    # in type D from place 1, after n_0
+    digits = base_p_digits(n, p)
+    head = digits[:1] if family == "D" else ()
+    shape = [*head, *sorted(filter(None, digits[len(head):]), reverse=True)]
+    return sum(d * p**j for j, d in enumerate(shape))
+
+
 def _closed(family, n, p):
+    # required from the theorem route's least n on, wherever n* fits the
+    # naive budget (types B and D at p = 2 by parity), and None elsewhere
     vec = cvec_closed_form(family, n, p)
+    fits = (p == 2 and family != "A") or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS
+    assert (vec is not None) == (n >= THEOREM_MIN_N[family] and fits), (family, n, p, vec)
     assert vec is None or vec.method.startswith("closed-form:"), (family, n, p, vec.method)
     return None if vec is None else vec.counts
 
@@ -201,7 +215,7 @@ VECTOR_ROUTES = {
     "naive": lambda family, n, p: cvec_naive(family, n, p).counts,
     # None below the family minimum
     "theorem": lambda family, n, p: cvec_theorem(family, n, p).counts if n >= THEOREM_MIN_N[family] else None,
-    "closed": _closed,  # None when no pattern applies
+    "closed": _closed,  # None below the theorem's least n and past the budget on n*
     "coxeter": _coxeter,  # None below the least builtin rank
     "per-index": lambda family, n, p: _tally((ribbon_mod_p(family, a, p) for a in _indices(family, n)), p),
     # None past the oracle budget
@@ -262,8 +276,9 @@ HIGH_RANKS = [(family, rank, p) for family in "ABD" for rank in range(12, 17)
               for p in (RANK_PRIMES[rank % 5], RANK_PRIMES[(rank + 2) % 5])]
 HIGH_RANKS += [("A", SUBSET_MAX_RANK, 5), ("B", SUBSET_MAX_RANK, 3), ("D", SUBSET_MAX_RANK, 7)]
 # the paper's regime, past every size the per-index route and the oracles
-# reach: n from 10^2 to about 10^6 with at most 10 support positions, where
-# the last four have closed forms
+# reach: n from 10^2 to about 10^6 with at most 10 support positions; the
+# closed form answers the 15 whose least n of the same shape fits the naive
+# budget
 LARGE_N_POINTS = (
     ("B", 127, 5), ("D", 441, 7), ("A", 144, 11), ("B", 2535, 13), ("D", 811, 3),
     ("D", 2684, 11), ("A", 2704, 13), ("B", 15309, 3), ("D", 15700, 5), ("A", 50423, 7),

@@ -35,7 +35,8 @@ DATA = Path(__file__).with_name("answer_digests.json")
 REFUSALS = (ValueError, LookupError, TypeError)
 
 # the cvec grid: n = 2..39 and 60 n spread over [40, 5000) at every prime
-# of CVEC_PRIMES; the naive sweep only up to n = 16
+# of CVEC_PRIMES; the naive sweep only up to n = 16, and so the closed form
+# below p, where it is the naive sweep of n itself
 CVEC_NS = (*range(2, 40), *(40 + k * 7919 % 4960 for k in range(60)))
 CVEC_PRIMES = (2, 3, 5, 7, 11, 13, 131, 257)
 CVEC_NAIVE_MAX_N = 16
@@ -70,9 +71,9 @@ def _cvec_lines(method):
     def lines():
         for family in "ABD":
             for n in CVEC_NS:
-                if method == "naive" and n > CVEC_NAIVE_MAX_N:
-                    continue
                 for p in CVEC_PRIMES:
+                    if n > CVEC_NAIVE_MAX_N and (method == "naive" or method == "closed" and n < p):
+                        continue
                     yield family, f"{n} {p} -> {_answer(_cvec_answer, family, n, p, method)}"
     return lines
 

@@ -97,7 +97,7 @@ def test_cvec_csv_round_trip(capsys, tmp_path):
 def test_cvec_exit_codes(capsys):
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", "4")
     assert code == 2
-    code, _, err = run(capsys, "cvec", "--family", "A", "--n", "11", "--p", "7", "--method", "closed")
+    code, _, err = run(capsys, "cvec", "--family", "A", "--n", "40", "--p", "3", "--method", "closed")
     assert code == 1 and "closed" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
     assert code == 2 and "primality" in err
@@ -424,9 +424,9 @@ SURFACE = [
     ("ribbon --family D --alpha 0,3", 0, "3\n", D_NOTE),
     ("ribbon --family D --alpha 0,3 --format json", 0,
      '{"family": "D", "alpha": [0, 3], "value": "3"}\n', ""),
-    ("cvec --family A --n 5 --p 3", 0, "(6, 8, 2)\n", "method: closed-form:2p^d+p^e\n"),
+    ("cvec --family A --n 5 --p 3", 0, "(6, 8, 2)\n", "method: closed-form:shape\n"),
     ("cvec --family A --n 5 --p 3 --format json", 0,
-     '{"family": "A", "n": 5, "p": 3, "method": "closed-form:2p^d+p^e", "vector": ["6", "8", "2"]}\n', ""),
+     '{"family": "A", "n": 5, "p": 3, "method": "closed-form:shape", "vector": ["6", "8", "2"]}\n', ""),
     ("cvec --family A --n 5 --p 3 --format csv", 0,
      "family,p,n,residue,count\nA,3,5,0,6\nA,3,5,1,8\nA,3,5,2,2\n", ""),
     ("cvec --family D --n 3 --p 3", 0, "(4, 2, 2)\n", D_NOTE + "method: naive\n"),

@@ -21,6 +21,7 @@ from ribbonmod.arith import (
     inverse_zeta_packed,
     inverse_zeta_tally,
     multinomial_exact,
+    residue_tally,
 )
 from ribbonmod.compositions import (
     CapacityError,
@@ -47,7 +48,6 @@ from ribbonmod.cvec import (
     partitions,
     standard_tableau_count,
     support_set,
-    _RULES,
     _chain_table,
     _colored_partition_count,
     _spread,
@@ -746,9 +746,11 @@ def test_naive_matches_per_index_reduction():
 
 
 def test_ground_truth_two_two_powers():
-    # n = 2*3^2 + 2*3^0: no closed form, pinned by an independent report
-    assert cvec_theorem("A", 20, 3).counts == (42 * 2**12, 43 * 2**12, 43 * 2**12)
-    assert cvec_closed_form("A", 20, 3) is None
+    # n = 2*3^2 + 2*3^0, pinned by an independent report; the shape rule
+    # answers it from n* = 2 + 2*3 = 8
+    want = (42 * 2**12, 43 * 2**12, 43 * 2**12)
+    assert cvec_theorem("A", 20, 3).counts == want
+    assert cvec_closed_form("A", 20, 3).counts == want
 
 
 # -- structural invariants --------------------------------------------------
@@ -811,8 +813,45 @@ def test_two_adic_divisibility():
 
 
 # -- chain statistics -------------------------------------------------------
-# The closed-form rule table freezes tallies of these statistics; they live
-# here, next to the test that rebuilds the table from them.
+# The rule table below freezes tallies of these statistics; they live here,
+# next to the test that rebuilds the table from them.
+
+# The exact residue tallies {value: count} of the theorem route for ten
+# digit shapes of n, one count per subset of the support, keyed by (family,
+# rule, number of nonzero base-p digits of n): the table the closed form
+# once read, reduced mod p on use.  The p-powers rows (n a sum of k
+# distinct powers of p) tally, over every subset of the proper sub-sums, a
+# chain statistic of the nonempty ones: signed chain counts (type A) or
+# 2-weighted ones (type B), as test_rule_table_p_powers_rows_from_chain_statistics
+# rebuilds them; the other rows come from the support-subset analysis of
+# their digit shapes.
+RULE_TALLIES = {
+    ("A", "p-powers", 2): {1: 1, 0: 2, -1: 1},
+    ("A", "p-powers", 3): {1: 2, 0: 30, -1: 30, -2: 2},
+    ("A", "p-powers", 4): {5: 1, -5: 1, 4: 6, -4: 6, 3: 81, -3: 81,
+                           2: 672, -2: 672, 1: 3630, -1: 3630, 0: 7604},
+    ("A", "2p^d+p^e", 2): {0: 6, 1: 6, -1: 2, -2: 2},
+    ("B", "p-powers", 2): {1: 2, -1: 4, -3: 2},
+    ("D", "p^d", 1): {1: 1, 0: 2, -1: 1},
+    ("D", "2p^d", 1): {1: 3, -1: 3, 3: 1, -3: 1},
+    ("D", "3p^d", 1): {1: 1, -1: 1, 3: 4, -3: 4, 5: 1, -5: 1, 7: 1, -7: 1, 11: 1, -11: 1},
+    ("D", "1+p^d", 2): {1: 4, -1: 4},
+    ("D", "p^a+p^b", 2): {1: 10, -1: 4, -3: 2},
+}
+# one n of each row's shape, as {place: digit}: the digits away from their
+# least places, so that the shape rule moves them
+RULE_DIGITS = {
+    ("A", "p-powers", 2): {0: 1, 3: 1},
+    ("A", "p-powers", 3): {1: 1, 2: 1, 4: 1},
+    ("A", "p-powers", 4): {0: 1, 1: 1, 3: 1, 4: 1},
+    ("A", "2p^d+p^e", 2): {1: 1, 3: 2},
+    ("B", "p-powers", 2): {2: 1, 5: 1},
+    ("D", "p^d", 1): {3: 1},
+    ("D", "2p^d", 1): {2: 2},
+    ("D", "3p^d", 1): {1: 3},
+    ("D", "1+p^d", 2): {0: 1, 4: 1},
+    ("D", "p^a+p^b", 2): {2: 1, 3: 1},
+}
 
 
 def _poset_chain_sum(elems: list[frozenset], weight) -> int:
@@ -908,11 +947,57 @@ def test_rule_table_p_powers_rows_from_chain_statistics():
 
     for k in (2, 3, 4):
         members = [frozenset(c) for r in range(1, k) for c in itertools.combinations(range(k), r)]
-        assert _RULES["A", "p-powers", k] == tally(members, signed_chain_count)
+        assert RULE_TALLIES["A", "p-powers", k] == tally(members, signed_chain_count)
         assert _support_size("A", (1,) * k) == len(members)
     members = [frozenset(c) for r in range(2) for c in itertools.combinations(range(2), r)]
-    assert _RULES["B", "p-powers", 2] == tally(members, lambda t: weighted_chain_count(t, 2))
+    assert RULE_TALLIES["B", "p-powers", 2] == tally(members, lambda t: weighted_chain_count(t, 2))
     assert _support_size("B", (1, 1)) == len(members)
+
+
+def _rule_spread(key, n, p):
+    # the (tally, flips, doubled) of _spread that a RULE_TALLIES row gives n:
+    # its tally mod p, spread over the positions outside n's support
+    family = key[0]
+    free = n - mask_offset(family) - _support_size(family, base_p_digits(n, p))
+    return residue_tally(RULE_TALLIES[key], p), free, False
+
+
+def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
+    # each row is n's p-vector by the shape rule wherever the least n of its
+    # shape, n*, fits the naive budget, and None past it; and by the
+    # theorem route at two large primes, compared before the shift, as
+    # there n is about p^4.  The rows hold at odd p in types B and D, where
+    # the weights are units
+    module = importlib.import_module("ribbonmod.cvec")
+    answered = 0
+    for key, places in RULE_DIGITS.items():
+        family = key[0]
+        for p in PRIMES:
+            if max(places.values()) >= p or (p == 2 and family != "A"):
+                continue
+            n = sum(d * p**j for j, d in places.items())
+            # n*: type D keeps its digit in place 0, the rest descend
+            head = [places.get(0, 0)] if family == "D" else []
+            shape = head + sorted((d for j, d in places.items() if j or not head), reverse=True)
+            least = sum(d * p**j for j, d in enumerate(shape))
+            vec = cvec_closed_form(family, n, p)
+            if least - mask_offset(family) > NAIVE_MAX_BITS:
+                assert vec is None, (key, p)
+                continue
+            assert vec.counts == _spread(*_rule_spread(key, n, p)), (key, p)
+            answered += 1
+        for p in (101, 1009):
+            n = sum(d * p**j for j, d in places.items())
+            recorded = []
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_spread", lambda *args: recorded.append(args) or tuple(args[0]))
+                cvec_theorem(family, n, p)
+            (tally, flips, doubled), = recorded
+            want, free, _ = _rule_spread(key, n, p)
+            # both vectors over 2^(min(flips, free) - 1), flips and free being about n
+            base = min(flips, free) - 1
+            assert _spread_unshared(tally, flips - base, doubled) == _spread_unshared(want, free - base, False), (key, p)
+    assert answered == 37
 
 
 # -- closed forms -----------------------------------------------------------
@@ -943,20 +1028,23 @@ def test_closed_form_two_powers_plus_one():
 
 
 def test_closed_form_type_d_patterns():
-    n = 25  # 5^2
+    n = 25  # 5^2, from n* = 5
     vec = cvec_closed_form("D", n, 5)
-    assert vec.method == "closed-form:p^d"
+    assert vec.method == "closed-form:shape"
     assert vec.counts == (2**24, 2**23, 0, 0, 2**23)
-    n = 10  # 1 + 3^2
+    n = 10  # 1 + 3^2, from n* = 1 + 3
     vec = cvec_closed_form("D", n, 3)
-    assert vec.method == "closed-form:1+p^d"
+    assert vec.method == "closed-form:shape"
     assert vec.counts == (0, 2**9, 2**9)
 
 
 def test_closed_form_absent():
-    assert cvec_closed_form("A", 11, 7) is None
-    assert cvec_closed_form("B", 7, 3) is None
-    assert cvec_closed_form("D", 7, 3) is None
+    # n = 1 + 3 + 3^2 + 3^3 = 40 is its own least n, past the naive budget
+    # in every family, as is n = 1 + 3^2 + 3^5 + 3^7 of the same shape;
+    # type D below n = 4 has no shape
+    for family in "ABD":
+        assert cvec_closed_form(family, 40, 3) is None
+        assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
     assert cvec_closed_form("D", 3, 3) is None
 
 
@@ -966,15 +1054,73 @@ def test_closed_form_parity():
     assert cvec_closed_form("D", 3, 2) is None
 
 
+def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
+    # n* puts the nonzero digits of n in descending order from place 0 (type
+    # D from place 1, after n_0), and is swept naively with the support,
+    # Lucas binomials and term table of the theorem route broken
+    module = importlib.import_module("ribbonmod.cvec")
+    swept = []
+    naive = module._naive_counts
+
+    def recording(family, n, p):
+        swept.append(n)
+        return naive(family, n, p)
+
+    def refuse(*args):
+        raise AssertionError("the shape rule ran the theorem route's digit machinery")
+
+    cases = (
+        ("A", 1 + 3 * 13**2, 13, 3 + 13),
+        ("A", 3**16 + 2 * 3**9 + 3**2, 3, 2 + 3 + 3**2),
+        ("B", 3**6 + 2 * 3**4 + 3, 3, 2 + 3 + 3**2),
+        ("D", 2 + 3**3 + 2 * 3**5, 3, 2 + 2 * 3 + 3**2),
+        ("D", 3**4, 3, 3),
+        ("D", 3**3 + 2 * 3**5, 3, 2 * 3 + 3**2),
+    )
+    theorem = [cvec_theorem(family, n, p) for family, n, p, _ in cases]
+    for name in ("support_set", "lucas_binomial", "_term_table"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(module, "_naive_counts", recording)
+    for (family, n, p, least), want in zip(cases, theorem):
+        swept.clear()
+        assert cvec_closed_form(family, n, p) == want, (family, n, p)
+        assert swept == [least], (family, n, p, swept)
+
+
+def test_theorem_tally_depends_only_on_the_shape():
+    # a check with no second route: moving the nonzero base-p digits of n to
+    # other places (type D keeping n_0 in place 0) leaves the theorem
+    # route's vector in units of 2^(free - 1) as it was, free being the
+    # positions outside the support
+    cases = (
+        ("A", 3, 3**16 + 2 * 3**9 + 3**2, 3**15 + 3**12 + 2 * 3**3, (812, 618, 618)),
+        ("A", 7, 3 + 7**4 + 7**6, 7 + 3 * 7**2 + 7**5, None),
+        ("B", 5, 4 * 5**3 + 5**7, 5 + 4 * 5**8, None),
+        ("B", 11, 2 * 11 + 11**4 + 11**5, 1 + 2 * 11**3 + 11**4, None),
+        ("D", 3, 2 + 3**7 + 2 * 3**11, 2 + 2 * 3**4 + 3**13, None),
+        ("D", 5, 5**2 + 3 * 5**6, 3 * 5 + 5**9, None),
+        ("D", 13, 1 + 3 * 13**3 + 13**4, 1 + 13 + 3 * 13**5, None),
+    )
+    for family, p, n, moved, units in cases:
+        got = []
+        for m in (n, moved):
+            free = m - mask_offset(family) - _support_size(family, base_p_digits(m, p))
+            counts = cvec_theorem(family, m, p).counts
+            assert all(c % (1 << (free - 1)) == 0 for c in counts), (family, m, p)
+            got.append(tuple(c >> (free - 1) for c in counts))
+        assert got[0] == got[1], (family, p, n, moved)
+        assert units is None or got[0] == units
+
+
 # -- dispatch and the value type --------------------------------------------
 
 def test_cvec_dispatch():
     assert cvec("A", 5, 3).method.startswith("closed-form")
-    assert cvec("A", 20, 3).method == "theorem"
+    assert cvec("A", 40, 3).method == "theorem"
     assert cvec("A", 1, 5).method == "naive"
     assert cvec("A", 5, 3, method="naive").method == "naive"
     with pytest.raises(NoClosedFormError):
-        cvec("A", 11, 7, method="closed")
+        cvec("A", 40, 3, method="closed")
     with pytest.raises(ValueError):
         cvec("A", 5, 3, method="fancy")
     with pytest.raises(ValueError):
@@ -1191,15 +1337,16 @@ def test_auto_refusal_names_both_budgets():
 
 
 def test_auto_refusal_names_both_budgets_for_a_single_digit():
-    # n = m * p^d takes the closed form that sweeps m naively; when that
-    # sweep is past its budget, auto still tries both sweeps on n
+    # n = m * p^d has the shape of m, which the shape rule sweeps naively;
+    # when m is past the naive budget there is no closed form, and auto
+    # still tries both sweeps on n
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
         message = str(excinfo.value)
         assert f"support sweep needs 2^{support} subsets" in message
         assert f"naive sweep needs 2^{n - mask_offset(family)} indices" in message
-        with pytest.raises(CapacityError):
+        with pytest.raises(NoClosedFormError):
             cvec(family, n, p, method="closed")
 
 
