@@ -26,9 +26,10 @@ from ribbonmod.compositions import (
     PseudoComposition,
     enumerate_compositions,
     enumerate_pseudo_compositions,
+    mask_offset,
 )
 from ribbonmod.coxeter import builtin_diagram, descent_class_multiset, residue_histogram
-from ribbonmod.cvec import cvec
+from ribbonmod.cvec import NAIVE_MAX_BITS, cvec
 from ribbonmod.ribbon import ribbon_exact, ribbon_mod_p
 
 DATA = Path(__file__).with_name("answer_digests.json")
@@ -36,7 +37,9 @@ REFUSALS = (ValueError, LookupError, TypeError)
 
 # the cvec grid: n = 2..39 and 60 n spread over [40, 5000) at every prime
 # of CVEC_PRIMES; the naive sweep only up to n = 16, and so the closed form
-# below p, where it is the naive sweep of n itself
+# below p, where it is the naive sweep of n itself, skips the n past 16
+# that fit the naive budget (n = 17..27 in type A, 17..26 in B and D, at
+# p = 131 and 257); past the budget its refusal costs nothing and stays
 CVEC_NS = (*range(2, 40), *(40 + k * 7919 % 4960 for k in range(60)))
 CVEC_PRIMES = (2, 3, 5, 7, 11, 13, 131, 257)
 CVEC_NAIVE_MAX_N = 16
@@ -72,7 +75,8 @@ def _cvec_lines(method):
         for family in "ABD":
             for n in CVEC_NS:
                 for p in CVEC_PRIMES:
-                    if n > CVEC_NAIVE_MAX_N and (method == "naive" or method == "closed" and n < p):
+                    if n > CVEC_NAIVE_MAX_N and (method == "naive" or method == "closed" and n < p
+                                                 and n - mask_offset(family) <= NAIVE_MAX_BITS):
                         continue
                     yield family, f"{n} {p} -> {_answer(_cvec_answer, family, n, p, method)}"
     return lines

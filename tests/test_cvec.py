@@ -57,6 +57,7 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
+from test_acceptance import _least_of_shape
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -976,10 +977,7 @@ def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
             if max(places.values()) >= p or (p == 2 and family != "A"):
                 continue
             n = sum(d * p**j for j, d in places.items())
-            # n*: type D keeps its digit in place 0, the rest descend
-            head = [places.get(0, 0)] if family == "D" else []
-            shape = head + sorted((d for j, d in places.items() if j or not head), reverse=True)
-            least = sum(d * p**j for j, d in enumerate(shape))
+            least = _least_of_shape(family, n, p)
             vec = cvec_closed_form(family, n, p)
             if least - mask_offset(family) > NAIVE_MAX_BITS:
                 assert vec is None, (key, p)
