@@ -24,7 +24,6 @@ from .coxeter import (
 )
 from .cvec import (
     DimensionPVector,
-    NoClosedFormError,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -60,7 +59,6 @@ __all__ = [
     "ribbon_mod_p",
     "oracle_descent_class_sizes",
     "DimensionPVector",
-    "NoClosedFormError",
     "support_set",
     "cvec",
     "cvec_naive",

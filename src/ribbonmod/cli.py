@@ -12,8 +12,8 @@ its suites and the golden-table loaders (``ribbonmod.verify``) when it
 runs, and the standard modules of one output format (``json``, ``csv``,
 ``decimal``) are imported where they are used.
 
-Exit codes: 0 success, 1 verification mismatch (or no closed form under
-``--method closed``), 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or a
+refusal (a bad argument, or a computation past its budget).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 from .compositions import parse_parts
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram, ribbon_general
-from .cvec import NoClosedFormError, cvec, macdonald_mp
+from .cvec import cvec, macdonald_mp
 from .ribbon import ribbon_exact, ribbon_mod_p
 
 # str() refuses ints longer than the interpreter's digit limit (4300 by
@@ -142,11 +142,7 @@ def cmd_ribbon(args) -> int:
 
 
 def cmd_cvec(args) -> int:
-    try:
-        vec = cvec(args.family, args.n, args.p, method=args.method)
-    except NoClosedFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    vec = cvec(args.family, args.n, args.p, method=args.method)
     notes = [D_NOTE] if args.family == "D" and args.n < 4 else []
     record = {"family": vec.family, "n": vec.n, "p": vec.p, "method": vec.method, "vector": vec.counts}
     return _emit(args.format, record, notes + [f"method: {vec.method}"])

@@ -82,8 +82,10 @@ r <-> -r, so it never matters.  With no top position (type A at n = 1, or
 an empty support at n = p^d) the one mask is its own complement and
 nothing doubles.
 
-``cvec`` dispatches: the shape rule when n* fits the naive budget, else
-theorem, else naive.
+``cvec`` dispatches by one rule: the shape rule when n* fits the naive
+budget, else the theorem method.  Since n* <= n, a query past the shape
+rule's budget is past the naive sweep's too, so ``auto`` never sweeps n
+naively, and a sweep past its budget ends the call with ``CapacityError``.
 Every p-vector has p entries, so a prime past ``arith``'s tally budget
 2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.  Its
 counts may have about n bits each, so ``_spread`` refuses, also with
@@ -123,8 +125,9 @@ SUPPORT_MAX = 22
 RESULT_BITS_MAX = 1 << 32
 
 # The least n of the theorem route, by family: support_set and cvec_theorem
-# refuse a smaller n, the shape rule, a reduction of the theorem route's
-# tally, answers None for it, and cvec sweeps it naively
+# refuse a smaller n.  Below it n is its own least n of the same shape (or
+# takes the parity answer at p = 2 in types B and D), so the shape rule
+# sweeps such an n itself
 _THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
 
 # Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
@@ -148,12 +151,6 @@ MACDONALD_DIGIT_MAX = 1000
 # estimated step the product runs 2 to 15 times faster than a series.
 # The cap and the estimate stay until the budget edges are re-run together.
 MACDONALD_COST_MAX = 15 * 10**9
-
-
-class _SweepTooLarge(CapacityError):
-    """A sweep refused by its own size budget, before any work: ``cvec``'s
-    auto path then tries the next route.  Every other refusal, such as a
-    vector past RESULT_BITS_MAX, holds for every route and ends the call."""
 
 
 def _check_query(family: str, n: int, p: int) -> None:
@@ -345,7 +342,7 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
 def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
-        raise _SweepTooLarge(
+        raise CapacityError(
             f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
         )
     # field mask becomes the ribbon number mod p of the index with that
@@ -400,7 +397,7 @@ def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     nd = base_p_digits(n, p)
     m = _support_size(family, nd)
     if m > SUPPORT_MAX:
-        raise _SweepTooLarge(
+        raise CapacityError(
             f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
         )
     pos = support_set(family, n, p)
@@ -426,10 +423,6 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-class NoClosedFormError(LookupError):
-    """No closed form applies to the requested (family, n, p)."""
 
 
 def cvec_closed_form(family: str, n: int, p: int):
@@ -462,13 +455,12 @@ def cvec_closed_form(family: str, n: int, p: int):
     position its vector is already symmetric under r <-> -r, and the
     spread only doubles it).  n* puts the digits in descending order from
     place 0 (type D from place 1, after n_0).  Types B and D at p = 2 take
-    the parity answer, as ``cvec_theorem`` does, and below the theorem
-    method's least n, whose tally the rule reduces, the answer is None.
+    the parity answer, as ``cvec_theorem`` does.  Below the theorem
+    method's least n (A and B n = 1, D n = 2 and 3), n is its own n*, so
+    the rule sweeps n itself.
     The provenance tag is ``closed-form:shape`` (``closed-form:parity``).
     """
     _check_query(family, n, p)
-    if n < _THEOREM_MIN_N[family]:
-        return None
     if p == 2 and family != "A":
         return DimensionPVector(family, n, p, _spread((0, 1), n, False), "closed-form:parity")
     digits = base_p_digits(n, p)
@@ -492,14 +484,13 @@ def cvec_closed_form(family: str, n: int, p: int):
 def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
-    ``auto`` prefers the closed form (the shape rule, which answers None
-    when the least n of n's shape is past the naive budget, or n is below
-    the theorem method's least n), then the theorem method, then the naive
-    sweep.  Only a sweep past its own size budget passes the query on to
-    the next route, and when both sweeps on n are past theirs, the
-    ``CapacityError`` names both.  Any other refusal, such as a vector
-    past RESULT_BITS_MAX, holds for every route and ends the call.  Each
-    method's function checks the arguments.
+    ``auto`` runs the closed form (the shape rule, which answers None only
+    when n*, the least n of n's shape, is past the naive budget), then the
+    theorem method; n* <= n, so the naive sweep of n is past its budget
+    too.  When the theorem method refuses, the ``CapacityError`` names its
+    refusal and the shape rule's budget.  ``closed`` refuses with
+    ``CapacityError`` where the shape rule answers None.  Each method's
+    function checks the arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -510,18 +501,13 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     vec = cvec_closed_form(family, n, p)
     if vec is not None:
         return vec
+    shape = f"shape rule: n* is past the naive budget of 2^{NAIVE_MAX_BITS} indices"
     if method == "closed":
-        raise NoClosedFormError(f"no closed form applies to ({family}, n={n}, p={p})")
-    if n < _THEOREM_MIN_N[family]:
-        return cvec_naive(family, n, p)
+        raise CapacityError(shape)
     try:
         return cvec_theorem(family, n, p)
-    except _SweepTooLarge as exc:
-        refused = exc
-    try:
-        return cvec_naive(family, n, p)
     except CapacityError as exc:
-        raise CapacityError(f"theorem route: {refused}; naive route: {exc}") from None
+        raise CapacityError(f"theorem route: {exc}; {shape}") from None
 
 
 # ---------------------------------------------------------------------------

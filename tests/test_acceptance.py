@@ -174,11 +174,11 @@ def _least_of_shape(family, n, p):
 
 
 def _closed(family, n, p):
-    # required from the theorem route's least n on, wherever n* fits the
-    # naive budget (types B and D at p = 2 by parity), and None elsewhere
+    # required from the family's least n on, wherever n* fits the naive
+    # budget (types B and D at p = 2 by parity), and None elsewhere
     vec = cvec_closed_form(family, n, p)
     fits = (p == 2 and family != "A") or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS
-    assert (vec is not None) == (n >= THEOREM_MIN_N[family] and fits), (family, n, p, vec)
+    assert (vec is not None) == fits, (family, n, p, vec)
     assert vec is None or vec.method.startswith("closed-form:"), (family, n, p, vec.method)
     return None if vec is None else vec.counts
 
@@ -215,7 +215,7 @@ VECTOR_ROUTES = {
     "naive": lambda family, n, p: cvec_naive(family, n, p).counts,
     # None below the family minimum
     "theorem": lambda family, n, p: cvec_theorem(family, n, p).counts if n >= THEOREM_MIN_N[family] else None,
-    "closed": _closed,  # None below the theorem's least n and past the budget on n*
+    "closed": _closed,  # None past the budget on n*
     "coxeter": _coxeter,  # None below the least builtin rank
     "per-index": lambda family, n, p: _tally((ribbon_mod_p(family, a, p) for a in _indices(family, n)), p),
     # None past the oracle budget

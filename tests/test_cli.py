@@ -13,7 +13,7 @@ import pytest
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
 from ribbonmod.coxeter import IrreducibleType, format_multiset
-from ribbonmod.cvec import RESULT_BITS_MAX, cvec
+from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec
 from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
@@ -98,7 +98,7 @@ def test_cvec_exit_codes(capsys):
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", "4")
     assert code == 2
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "40", "--p", "3", "--method", "closed")
-    assert code == 1 and "closed" in err
+    assert code == 2 and err.startswith("error:") and "shape rule" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
     assert code == 2 and "primality" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**31 - 1))
@@ -395,6 +395,32 @@ def test_verify_oracles_reports_each_mismatch(monkeypatch):
     assert lines == ["PASS oracle A n=2 (2 classes)", "FAIL oracle A n=3: 4 mismatches"]
 
 
+def test_verify_oracles_reports_a_missing_class_and_a_wrong_vector(monkeypatch):
+    # a naive vector off by one at A n = 2 is one mismatch per prime; an
+    # oracle that loses one class of A n = 3 is one for the class count and
+    # one per prime, whose tallies lose that class's size
+    verify = importlib.import_module("ribbonmod.verify")
+    oracle, naive = verify.oracle_descent_class_sizes, verify.cvec_naive
+
+    def short(family, n):
+        classes = oracle(family, n)
+        if n == 3:
+            classes.popitem()
+        return classes
+
+    def off_by_one(family, n, p):
+        vec = naive(family, n, p)
+        return DimensionPVector(family, n, p, (vec.counts[0] + (n == 2),) + vec.counts[1:])
+
+    monkeypatch.setattr(verify, "ORACLE_GRID", {"A": range(2, 4)})
+    monkeypatch.setattr(verify, "oracle_descent_class_sizes", short)
+    monkeypatch.setattr(verify, "cvec_naive", off_by_one)
+    lines = []
+    assert not verify._verify_oracles(lines.append)
+    primes = len(verify.ORACLE_PRIMES)
+    assert lines == [f"FAIL oracle A n=2: {primes} mismatches", f"FAIL oracle A n=3: {1 + primes} mismatches"]
+
+
 def test_compare_reports_each_mismatch():
     lines = []
     triples = [("x", (1, 2), (1, 2)), ("y", (3,), (4,)), ("z", 5, 5)]
@@ -429,9 +455,9 @@ SURFACE = [
      '{"family": "A", "n": 5, "p": 3, "method": "closed-form:shape", "vector": ["6", "8", "2"]}\n', ""),
     ("cvec --family A --n 5 --p 3 --format csv", 0,
      "family,p,n,residue,count\nA,3,5,0,6\nA,3,5,1,8\nA,3,5,2,2\n", ""),
-    ("cvec --family D --n 3 --p 3", 0, "(4, 2, 2)\n", D_NOTE + "method: naive\n"),
+    ("cvec --family D --n 3 --p 3", 0, "(4, 2, 2)\n", D_NOTE + "method: closed-form:shape\n"),
     ("cvec --family D --n 3 --p 3 --format json", 0,
-     '{"family": "D", "n": 3, "p": 3, "method": "naive", "vector": ["4", "2", "2"]}\n', ""),
+     '{"family": "D", "n": 3, "p": 3, "method": "closed-form:shape", "vector": ["4", "2", "2"]}\n', ""),
     ("coxeter --group H3", 0, "1^2, 11^2, 19^2, 29^2\n", ""),
     ("coxeter --group H3 --format json", 0,
      '{"group": "H3", "classes": [[1, 2], [11, 2], [19, 2], [29, 2]]}\n', ""),
@@ -454,7 +480,9 @@ def test_cli_surface_is_pinned(capsys, argv, code, out, err):
 # (argv, text the error line must name): each is a usage error, exit code 2
 USAGE_ERRORS = [
     ("", "required: command"),
+    ("--bogus cvec", "--bogus"),
     ("frobnicate --n 3", "'frobnicate'"),
+    ("cvec --family A --n 5 --p 3 stray", "unrecognized arguments: stray"),
     ("cvec --family A --n 5 --p 3 --colour red", "--colour"),
     ("cvec --family A --n 5 --p", "--p"),
     ("cvec --family Q --n 4 --p 3", "--family"),

@@ -39,7 +39,6 @@ from ribbonmod.cvec import (
     RESULT_BITS_MAX,
     SUPPORT_MAX,
     DimensionPVector,
-    NoClosedFormError,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -57,7 +56,7 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
-from test_acceptance import _least_of_shape
+from test_acceptance import VECTOR_ROWS, _least_of_shape
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -1000,18 +999,6 @@ def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
 
 # -- closed forms -----------------------------------------------------------
 
-def test_closed_form_grid_matches_theorem():
-    from ribbonmod.verify import closed_form_grid
-
-    grid = closed_form_grid()
-    assert len(grid) > 80
-    for family, n, p in grid:
-        closed = cvec_closed_form(family, n, p)
-        assert closed is not None, (family, n, p)
-        assert closed.method.startswith("closed-form:")
-        assert closed.counts == cvec_theorem(family, n, p).counts, (family, n, p, closed.method)
-
-
 def test_closed_form_four_powers_of_two():
     n = 2**0 + 2**1 + 2**3 + 2**5  # 43
     vec = cvec_closed_form("A", n, 2)
@@ -1039,17 +1026,19 @@ def test_closed_form_type_d_patterns():
 def test_closed_form_absent():
     # n = 1 + 3 + 3^2 + 3^3 = 40 is its own least n, past the naive budget
     # in every family, as is n = 1 + 3^2 + 3^5 + 3^7 of the same shape;
-    # type D below n = 4 has no shape
+    # type D below n = 4 is its own least n, and is answered
     for family in "ABD":
         assert cvec_closed_form(family, 40, 3) is None
         assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
-    assert cvec_closed_form("D", 3, 3) is None
+    vec = cvec_closed_form("D", 3, 3)
+    assert vec.method == "closed-form:shape" and vec == cvec_naive("D", 3, 3)
 
 
 def test_closed_form_parity():
     assert cvec_closed_form("B", 9, 2).method == "closed-form:parity"
     assert cvec_closed_form("D", 9, 2).counts == (0, 2**9)
-    assert cvec_closed_form("D", 3, 2) is None
+    vec = cvec_closed_form("D", 3, 2)
+    assert vec.method == "closed-form:parity" and vec == cvec_naive("D", 3, 2)
 
 
 def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
@@ -1115,10 +1104,11 @@ def test_theorem_tally_depends_only_on_the_shape():
 def test_cvec_dispatch():
     assert cvec("A", 5, 3).method.startswith("closed-form")
     assert cvec("A", 40, 3).method == "theorem"
-    assert cvec("A", 1, 5).method == "naive"
+    assert cvec("A", 1, 5).method == "closed-form:shape"
     assert cvec("A", 5, 3, method="naive").method == "naive"
-    with pytest.raises(NoClosedFormError):
+    with pytest.raises(CapacityError, match=f"naive budget of 2\\^{NAIVE_MAX_BITS} indices") as excinfo:
         cvec("A", 40, 3, method="closed")
+    assert type(excinfo.value) is CapacityError
     with pytest.raises(ValueError):
         cvec("A", 5, 3, method="fancy")
     with pytest.raises(ValueError):
@@ -1326,26 +1316,54 @@ def test_oversized_support_refused_before_it_is_built():
 
 
 def test_auto_refusal_names_both_budgets():
-    # past both sweeps' budgets, the auto path says why each route refused
+    # past both routes' budgets, the auto path says why each refused
     with pytest.raises(CapacityError) as excinfo:
         cvec("A", 3**13 - 1, 3)
     message = str(excinfo.value)
     assert f"2^{SUPPORT_MAX}" in message and "support sweep" in message
-    assert f"2^{NAIVE_MAX_BITS}" in message and "naive sweep" in message
+    assert f"2^{NAIVE_MAX_BITS}" in message and "shape rule" in message
 
 
 def test_auto_refusal_names_both_budgets_for_a_single_digit():
     # n = m * p^d has the shape of m, which the shape rule sweeps naively;
-    # when m is past the naive budget there is no closed form, and auto
-    # still tries both sweeps on n
+    # when m is past the naive budget, closed refuses with that budget, and
+    # auto names the theorem route's refusal on n with it
+    shape = f"shape rule: n* is past the naive budget of 2^{NAIVE_MAX_BITS} indices"
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
-        message = str(excinfo.value)
-        assert f"support sweep needs 2^{support} subsets" in message
-        assert f"naive sweep needs 2^{n - mask_offset(family)} indices" in message
-        with pytest.raises(NoClosedFormError):
+        assert str(excinfo.value) == (
+            f"theorem route: support sweep needs 2^{support} subsets; the budget is 2^{SUPPORT_MAX}; {shape}")
+        with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p, method="closed")
+        assert str(excinfo.value) == shape
+
+
+def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch):
+    # n* <= n, so where the shape rule is past the naive budget the naive
+    # sweep of n is too: with cvec_naive broken, auto answers criterion 6's
+    # small grid and the families' least n below it, and at the nine
+    # capacity points of the benchmark's bignum workload refuses with
+    # CapacityError itself (the benchmark matches the class by name),
+    # naming both budgets
+    module = importlib.import_module("ribbonmod.cvec")
+
+    def refuse(*args):
+        raise AssertionError("auto ran the naive route")
+
+    monkeypatch.setattr(module, "cvec_naive", refuse)
+    (_, _, small), *_ = VECTOR_ROWS
+    tiny = [(family, n, p) for family, n in (("A", 1), ("B", 1), ("D", 2), ("D", 3)) for p in (2, 3, 5, 7, 11, 13)]
+    for family, n, p in small + tiny:
+        assert cvec(family, n, p).method.startswith(("closed-form:", "theorem")), (family, n, p)
+    for family in "ABD":
+        for n, p in ((11**5 - 1, 11), (13**5 - 1, 13), (13**6 - 1, 13)):
+            with pytest.raises(CapacityError) as excinfo:
+                cvec(family, n, p)
+            assert type(excinfo.value) is CapacityError, (family, n, p)
+            message = str(excinfo.value)
+            assert f"the budget is 2^{SUPPORT_MAX}" in message, (family, n, p)
+            assert f"naive budget of 2^{NAIVE_MAX_BITS}" in message, (family, n, p)
 
 
 @given(
