@@ -61,7 +61,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     in type D), so the vector of n is that of n*, the least n of the same
     shape, swept by the naive method and spread over the n - n* more free
     positions of n; the paper's m*p^d closed form is the case of one digit.
-    It answers None when n* is past the naive budget.
+    It answers None when n* is past the naive budget.  n*'s vector is kept
+    in a per-process memo keyed by (family, n*, p), at most
+    SHAPE_MEMO_SHAPES of them, least recently used out first, and only at
+    p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each time), so a process
+    sweeps each n* once; the spread, ints as long as n, is never kept.
+    ``_least_counts.cache_clear()`` empties it.
 
 Every method ends in one rule, ``_spread``, which writes the vector as
 the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
@@ -424,6 +429,41 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 # ---------------------------------------------------------------------------
 # closed forms
 
+# The shape rule's memo: n*'s p-vector by (family, n*, p), so that a process
+# sweeps each n* once.  n* fits the naive budget, so each of its counts is
+# at most 2^26, its number of indices; the spread over the n - n* more free
+# positions of n, ints as long as n, is made per call and never kept.  Only
+# p <= SHAPE_MEMO_MAX_P is kept (one-byte fields, at most 256 small ints a
+# vector); a larger p sweeps n* every time.  Past SHAPE_MEMO_SHAPES shapes
+# the least recently used goes.  Worst case kept, in bytes as tracemalloc
+# counts them (CPython 3.11, 64-bit): 256 shapes, each a tuple of 256
+# pointers (2,088) and 256 distinct ints below 2^30 (32 each as allocated,
+# 8,192) under a key of 96, and the dict's table (18,512 at 256 keys),
+# 2,674,768 in all, under SHAPE_MEMO_BYTES_MAX.
+SHAPE_MEMO_SHAPES = 256
+SHAPE_MEMO_MAX_P = 256
+SHAPE_MEMO_BYTES_MAX = 2_700_000
+_shape_memo: dict[tuple[str, int, int], tuple[int, ...]] = {}
+
+
+def _least_counts(family: str, least: int, p: int) -> tuple[int, ...]:
+    # n*'s p-vector, from the memo at p <= SHAPE_MEMO_MAX_P; a refusal
+    # raises before anything is kept
+    if p > SHAPE_MEMO_MAX_P:
+        return _naive_counts(family, least, p)
+    key = (family, least, p)
+    counts = _shape_memo.pop(key, None)
+    if counts is None:
+        counts = _naive_counts(family, least, p)
+        if len(_shape_memo) >= SHAPE_MEMO_SHAPES:
+            del _shape_memo[next(iter(_shape_memo))]
+    _shape_memo[key] = counts
+    return counts
+
+
+# the functools name: ``cvec._least_counts.cache_clear()`` empties the memo
+_least_counts.cache_clear = _shape_memo.clear
+
 
 def cvec_closed_form(family: str, n: int, p: int):
     """The dimension p-vector of n from that of n*, the least n of the same
@@ -458,6 +498,8 @@ def cvec_closed_form(family: str, n: int, p: int):
     the parity answer, as ``cvec_theorem`` does.  Below the theorem
     method's least n (A and B n = 1, D n = 2 and 3), n is its own n*, so
     the rule sweeps n itself.
+    n*'s vector comes from the memo (``_least_counts``) when an earlier
+    call swept it; a refusal is never kept.
     The provenance tag is ``closed-form:shape`` (``closed-form:parity``).
     """
     _check_query(family, n, p)
@@ -473,7 +515,7 @@ def cvec_closed_form(family: str, n: int, p: int):
         least += d * p**j
         if least - mask_offset(family) > NAIVE_MAX_BITS:
             return None
-    counts = _spread(_naive_counts(family, least, p), n - least, False)
+    counts = _spread(_least_counts(family, least, p), n - least, False)
     return DimensionPVector(family, n, p, counts, "closed-form:shape")
 
 

@@ -20,6 +20,7 @@ from ribbonmod.arith import (
     field_width,
     inverse_zeta_packed,
     inverse_zeta_tally,
+    is_prime,
     multinomial_exact,
     residue_tally,
 )
@@ -37,6 +38,9 @@ from ribbonmod.cvec import (
     MACDONALD_DIGIT_MAX,
     NAIVE_MAX_BITS,
     RESULT_BITS_MAX,
+    SHAPE_MEMO_BYTES_MAX,
+    SHAPE_MEMO_MAX_P,
+    SHAPE_MEMO_SHAPES,
     SUPPORT_MAX,
     DimensionPVector,
     cvec,
@@ -1044,8 +1048,11 @@ def test_closed_form_parity():
 def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
     # n* puts the nonzero digits of n in descending order from place 0 (type
     # D from place 1, after n_0), and is swept naively with the support,
-    # Lucas binomials and term table of the theorem route broken
+    # Lucas binomials and term table of the theorem route broken; from an
+    # empty memo each n* is swept once, and a second n of its shape (the
+    # last column) sweeps nothing
     module = importlib.import_module("ribbonmod.cvec")
+    module._least_counts.cache_clear()
     swept = []
     naive = module._naive_counts
 
@@ -1057,21 +1064,97 @@ def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
         raise AssertionError("the shape rule ran the theorem route's digit machinery")
 
     cases = (
-        ("A", 1 + 3 * 13**2, 13, 3 + 13),
-        ("A", 3**16 + 2 * 3**9 + 3**2, 3, 2 + 3 + 3**2),
-        ("B", 3**6 + 2 * 3**4 + 3, 3, 2 + 3 + 3**2),
-        ("D", 2 + 3**3 + 2 * 3**5, 3, 2 + 2 * 3 + 3**2),
-        ("D", 3**4, 3, 3),
-        ("D", 3**3 + 2 * 3**5, 3, 2 * 3 + 3**2),
+        ("A", 1 + 3 * 13**2, 13, 3 + 13, 3 + 13**3),
+        ("A", 3**16 + 2 * 3**9 + 3**2, 3, 2 + 3 + 3**2, 2 * 3 + 3**4 + 3**5),
+        ("B", 3**6 + 2 * 3**4 + 3, 3, 2 + 3 + 3**2, 2 + 3**3 + 3**5),
+        ("D", 2 + 3**3 + 2 * 3**5, 3, 2 + 2 * 3 + 3**2, 2 + 2 * 3**2 + 3**4),
+        ("D", 3**4, 3, 3, 3**2),
+        ("D", 3**3 + 2 * 3**5, 3, 2 * 3 + 3**2, 3**2 + 2 * 3**4),
     )
-    theorem = [cvec_theorem(family, n, p) for family, n, p, _ in cases]
+    theorem = [[cvec_theorem(family, n, p) for n in (n, again)] for family, n, p, _, again in cases]
     for name in ("support_set", "lucas_binomial", "_term_table"):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(module, "_naive_counts", recording)
-    for (family, n, p, least), want in zip(cases, theorem):
+    for (family, n, p, least, again), (want, want_again) in zip(cases, theorem):
         swept.clear()
         assert cvec_closed_form(family, n, p) == want, (family, n, p)
         assert swept == [least], (family, n, p, swept)
+        assert cvec_closed_form(family, again, p) == want_again, (family, again, p)
+        assert swept == [least], (family, again, p, swept)
+
+
+def test_shape_memo_answers_as_an_empty_one():
+    # on a grid where shapes repeat (many n to one n*, the same n* at other
+    # primes, type D's n that differ only in n_0), the shape rule answers
+    # with a warm memo as with an empty one before each query, and as the
+    # theorem route, sweeping each (family, n*, p) once
+    module = importlib.import_module("ribbonmod.cvec")
+    grid = [(family, n, p) for family, low in (("A", 2), ("B", 2), ("D", 4)) for p in (3, 5, 7)
+            for n in range(low, 160) if _least_of_shape(family, n, p) - mask_offset(family) <= 14]
+    cold = []
+    for point in grid:
+        module._least_counts.cache_clear()
+        cold.append(cvec_closed_form(*point))
+    module._least_counts.cache_clear()
+    warm = [cvec_closed_form(*point) for point in grid]
+    shapes = {(family, _least_of_shape(family, n, p), p) for family, n, p in grid}
+    assert warm == cold == [cvec_theorem(*point) for point in grid]
+    assert all(vec.method == "closed-form:shape" for vec in warm)
+    assert len(module._shape_memo) == len(shapes) < len(grid) / 2
+
+
+def test_shape_memo_keeps_no_refusal():
+    # n* past the naive budget is refused each time it is asked, and nothing
+    # is kept for it; a result past the bit budget is refused each time too,
+    # though its n* (A n* = 1 at p = 2) is kept
+    module = importlib.import_module("ribbonmod.cvec")
+    module._least_counts.cache_clear()
+    for _ in range(2):
+        for family in "ABD":
+            assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
+            with pytest.raises(CapacityError, match="shape rule: n. is past the naive budget"):
+                cvec(family, 40, 3, method="closed")
+        assert not module._shape_memo
+    for _ in range(2):
+        with pytest.raises(CapacityError, match=f"the budget is {RESULT_BITS_MAX} bits"):
+            cvec_closed_form("A", 2**40, 2)
+    assert list(module._shape_memo) == [("A", 1, 2)]
+
+
+def test_shape_memo_in_bounded_memory(monkeypatch):
+    # more shapes than the memo keeps, at primes up to SHAPE_MEMO_MAX_P and
+    # then past it, leave SHAPE_MEMO_SHAPES vectors, none past that prime,
+    # in under SHAPE_MEMO_BYTES_MAX; so does the worst case, a stand-in sweep
+    # giving 251 distinct ints near 2^26 for every n*
+    module = importlib.import_module("ribbonmod.cvec")
+
+    def retained(run):
+        module._least_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            run()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    primes = [p for p in range(11, SHAPE_MEMO_MAX_P) if is_prime(p)] + [257, 65537]
+    queries = [(family, d if family == "D" else d * p, p) for p in primes for family in "ABD" for d in range(2, 8)]
+    assert len(queries) > 2 * SHAPE_MEMO_SHAPES
+    for point in queries:
+        cvec_closed_form(*point)  # caches other than the memo fill here
+    assert retained(lambda: [cvec_closed_form(*point) for point in queries]) < SHAPE_MEMO_BYTES_MAX
+    assert len(module._shape_memo) == SHAPE_MEMO_SHAPES
+    assert all(p <= SHAPE_MEMO_MAX_P for _, _, p in module._shape_memo)
+
+    monkeypatch.setattr(module, "_naive_counts", lambda family, n, p: tuple(range((1 << 26) - p, 1 << 26)))
+    try:
+        worst = retained(lambda: [module._least_counts("A", n, 251) for n in range(2 * SHAPE_MEMO_SHAPES)])
+        assert len(module._shape_memo) == SHAPE_MEMO_SHAPES
+    finally:
+        module._least_counts.cache_clear()
+    # near the bound, whether an int takes 28 or 32 bytes (by version)
+    assert SHAPE_MEMO_BYTES_MAX * 0.8 < worst < SHAPE_MEMO_BYTES_MAX
 
 
 def test_theorem_tally_depends_only_on_the_shape():
