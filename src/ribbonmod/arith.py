@@ -27,7 +27,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
-from .compositions import CapacityError
+from .compositions import CapacityError, int_text
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
 # this bound (Sorenson and Webster, 2015), so the test is exact under it.
@@ -65,9 +65,7 @@ def is_prime(p: int) -> bool:
         if p % q == 0:
             return p == q
     if p >= MILLER_RABIN_LIMIT:
-        raise CapacityError(
-            f"primality of {p} is only decided below {MILLER_RABIN_LIMIT}"
-        )
+        raise CapacityError("arith.MILLER_RABIN_LIMIT", p, MILLER_RABIN_LIMIT)
     shift = ((p - 1) & -(p - 1)).bit_length() - 1
     odd = (p - 1) >> shift
     for a in _MR_BASES:
@@ -84,9 +82,12 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    """Return p, raising ValueError if it is not a prime."""
+    """Return p, raising ValueError if it is not a prime, and CapacityError
+    past MILLER_RABIN_LIMIT, prime or not, before any primality test."""
+    if isinstance(p, int) and p >= MILLER_RABIN_LIMIT:
+        raise CapacityError("arith.MILLER_RABIN_LIMIT", p, MILLER_RABIN_LIMIT)
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise ValueError(f"modulus must be a prime, got {p!r}")
+        raise ValueError(f"modulus must be a prime, got {int_text(p)}")
     return p
 
 
@@ -102,9 +103,7 @@ def check_tally_prime(p: int) -> None:
     2^TALLY_MAX_BITS (CapacityError), before anything of size p is made."""
     check_prime(p)
     if p > 1 << TALLY_MAX_BITS:
-        raise CapacityError(
-            f"a tally of {p} residue classes is past the budget of 2^{TALLY_MAX_BITS}"
-        )
+        raise CapacityError("arith.TALLY_MAX_BITS", p.bit_length(), TALLY_MAX_BITS)
 
 
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
@@ -113,7 +112,7 @@ def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     the digits of 0."""
     check_prime(p)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+        raise ValueError(f"n must be a nonnegative int, got {int_text(n)}")
     if n == 0:
         return (0,)
     digits = []

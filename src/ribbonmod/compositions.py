@@ -14,9 +14,8 @@ by family.  Every index is built by ``from_descents``, which checks
 offset <= n and each position in [offset, n-1]: the constructor,
 ``from_mask``, ``complement``, copies and pickles go through it.  Only
 ``complement`` creates positions, and it refuses past
-COMPLEMENT_MAX_POSITIONS before it allocates.
-
-Full enumeration is capped at 63 mask bits.
+COMPLEMENT_MAX_POSITIONS before it allocates; full enumeration is capped
+at 63 mask bits.  Every refusal past a budget is a ``CapacityError``.
 
 ``_Record`` is the frozen base of every value record of the package: the
 two index kinds, ``ribbon.SignedPermutation``, ``cvec.DimensionPVector``,
@@ -44,7 +43,26 @@ FAMILIES = ("A", "B", "D")
 
 
 class CapacityError(ValueError):
-    """A requested enumeration exceeds the documented budget."""
+    """A request past a budget, refused before its work.  ``budget`` names
+    the budget's constant, e.g. ``"cvec.NAIVE_MAX_BITS"``; ``needed`` (a
+    lower bound where the check stops early) and ``cap`` are in its unit.
+    ``int_text`` writes them, so the message never raises; ``also``,
+    another budget's refusal of the request, ends the message."""
+
+    def __init__(self, budget: str, needed: int, cap: int, also: CapacityError | None = None):
+        self.budget, self.needed, self.cap, self.also = budget, needed, cap, also
+        text = f"{budget}: the request needs {int_text(needed)}; the budget is {int_text(cap)}"
+        ValueError.__init__(self, text if also is None else f"{text}; {also}")
+
+    def __reduce__(self):
+        return type(self), (self.budget, self.needed, self.cap, self.also)
+
+
+def int_text(value) -> str:
+    """``repr(value)``, but an int past 128 bits as its bit length, read
+    first: ``str()`` refuses an int past the interpreter's digit limit."""
+    bits = value.bit_length() if isinstance(value, int) else 0
+    return f"an int of {bits} bits" if bits > 128 else repr(value)
 
 
 def check_family(family: str) -> str:
@@ -189,7 +207,7 @@ class _MaskBacked(_Record):
         lo, n, pos = self.offset, self.n, self.positions
         size = n - lo - len(pos)
         if size > COMPLEMENT_MAX_POSITIONS:
-            raise CapacityError(f"a complement of {size} positions is past the budget of {COMPLEMENT_MAX_POSITIONS}")
+            raise CapacityError("compositions.COMPLEMENT_MAX_POSITIONS", size, COMPLEMENT_MAX_POSITIONS)
         gaps = map(range, (lo, *(j + 1 for j in pos)), (*pos, n))
         return type(self).from_descents(n, chain.from_iterable(gaps))
 
@@ -221,9 +239,7 @@ def _enumerate(cls, n: int):
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_MASK_BITS:
-        raise CapacityError(
-            f"full enumeration is limited to n <= {MAX_MASK_BITS} (mask width)"
-        )
+        raise CapacityError("compositions.MAX_MASK_BITS", n, MAX_MASK_BITS)
     for mask in range(1 << (n - cls.offset)):
         yield cls.from_mask(n, mask)
 

@@ -143,11 +143,13 @@ def builtin_diagram(name: str) -> CoxeterDiagram:
     refused with CapacityError before anything is built.
     """
     label = name.strip().upper().replace(" ", "")
-    match = re.fullmatch(r"([ABD])(\d+)", label)
+    match = re.fullmatch(r"([ABD])0*(\d+)", label)
     if match:
-        fam, rank = match.group(1), int(match.group(2))
+        # a rank of more digits than the budget is refused by its least value, before int() reads it
+        fam, digits = match.groups()
+        rank = int(digits) if len(digits) <= len(str(DIAGRAM_MAX_RANK)) else 10 ** (len(digits) - 1)
         if rank > DIAGRAM_MAX_RANK:
-            raise CapacityError(f"rank {rank} is past the diagram budget of {DIAGRAM_MAX_RANK}")
+            raise CapacityError("coxeter.DIAGRAM_MAX_RANK", rank, DIAGRAM_MAX_RANK)
         if fam == "A":
             if rank < 1:
                 raise ValueError("type A needs rank >= 1")
@@ -338,13 +340,6 @@ def parabolic_order(diagram: CoxeterDiagram, subset=None) -> int:
     return order
 
 
-def _check_subset_sweep(size: int) -> None:
-    if size > SUBSET_MAX_RANK:
-        raise CapacityError(
-            f"a sweep over 2^{size} generator subsets is past the budget of 2^{SUBSET_MAX_RANK}"
-        )
-
-
 def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     """The order table of a generator subset I: entry K is the index
     |W_(K + S minus I)| / |W_(S minus I)| for every K inside I, with bit j of
@@ -430,7 +425,8 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
         raise ValueError("subset must consist of generators of the diagram")
     if len(S) - len(I) < len(I):
         I = S - I
-    _check_subset_sweep(len(I))
+    if len(I) > SUBSET_MAX_RANK:
+        raise CapacityError("coxeter.SUBSET_MAX_RANK", len(I), SUBSET_MAX_RANK)
     orders = _parabolic_orders(diagram, I)
     whole = orders[-1]
     return sum(
@@ -445,7 +441,8 @@ def _coset_counts(diagram: CoxeterDiagram):
     # or the empty one at rank 0; the class of S minus J has the same size.
     # S minus J has the complementary mask, read from the upper half of the
     # order table backwards
-    _check_subset_sweep(diagram.rank())
+    if diagram.rank() > SUBSET_MAX_RANK:
+        raise CapacityError("coxeter.SUBSET_MAX_RANK", diagram.rank(), SUBSET_MAX_RANK)
     orders = _parabolic_orders(diagram, diagram.generators)
     whole = orders[-1]
     return whole, map(floordiv, repeat(whole), reversed(orders[len(orders) // 2:]))

@@ -40,12 +40,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     base-p digits are bounded by the digits of n can carry surviving
     refinement terms; sweeping the subsets T of that support set and
     weighting the residue tally by powers of two gives the vector without
-    ever enumerating the index lattice, so n may be astronomically large
-    as long as the support stays small.  The support's size is read off the
-    digits of n and refused past 2^SUPPORT_MAX subsets before the support
-    is made.  For m support positions it fills the terms of the 2^(m - 1)
-    subsets without the top position by the naive method's
-    ``_chain_table``, with O(m^2) block constants from
+    ever enumerating the index lattice, so n may reach the gate on n
+    below, 2^32 + 27, as long as the support stays small.  The support's
+    size is read off the digits of n and refused past 2^SUPPORT_MAX
+    subsets before the support is made.  For m support positions it fills
+    the terms of the 2^(m - 1) subsets without the top position by the
+    naive method's ``_chain_table``, with O(m^2) block constants from
     ``arith.lucas_binomial`` on the positions and n as ints, the binomials
     that ``ribbon_mod_p`` runs too, and runs the same packed butterfly and
     tally over them.  By Lucas's theorem every term through a position
@@ -93,10 +93,11 @@ rule's budget is past the naive sweep's too, so ``auto`` never sweeps n
 naively, and a sweep past its budget ends the call with ``CapacityError``.
 Every p-vector has p entries, so a prime past ``arith``'s tally budget
 2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.  Its
-counts may have about n bits each, so ``_spread`` refuses, also with
-``CapacityError`` and before any shift, a vector whose distinct nonzero
-counts would take more than RESULT_BITS_MAX bits together; the parity
-answers at p = 2 in types B and D, (0, 2^n), are spread like any other.
+counts may have about n bits each, so a vector whose distinct nonzero
+counts would take more than RESULT_BITS_MAX bits together is refused
+with ``CapacityError`` by ``_spread`` before any shift (the parity
+answers at p = 2 in types B and D, (0, 2^n), too), and so is an n past
+RESULT_BITS_MAX + TALLY_MAX_BITS + 1, before any digit of n is read.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ from math import comb, factorial, prod
 from operator import add, mul
 
 from .arith import (
+    TALLY_MAX_BITS,
     base_p_digits,
     check_prime,
     check_tally_prime,
@@ -113,7 +115,7 @@ from .arith import (
     inverse_zeta_tally,
     lucas_binomial,
 )
-from .compositions import CapacityError, _Record, check_family, mask_offset
+from .compositions import CapacityError, _Record, check_family, int_text, mask_offset
 from .ribbon import _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
@@ -160,13 +162,17 @@ MACDONALD_COST_MAX = 15 * 10**9
 
 def _check_query(family: str, n: int, p: int) -> None:
     # the argument gate of every cvec method: family, prime, and an int n at
-    # least the family minimum (a bool is refused, as check_prime refuses it)
+    # least the family minimum (a bool is refused, as check_prime refuses it).
+    # The gate on n moves no answer: a largest count >= 2^(n - 1) / p, with
+    # p <= 2^TALLY_MAX_BITS, has >= n - TALLY_MAX_BITS bits, which _spread refuses
     check_family(family)
     check_tally_prime(p)
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={n} out of range for family {family}")
+        raise ValueError(f"n={int_text(n)} out of range for family {family}")
+    if n > RESULT_BITS_MAX + TALLY_MAX_BITS + 1:
+        raise CapacityError("cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX)
 
 
 class DimensionPVector(_Record):
@@ -217,7 +223,7 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
         raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
     digits = base_p_digits(n, p)
     if _support_size(family, digits) > 1 << SUPPORT_MAX:
-        raise CapacityError("support set too large to materialize")
+        raise CapacityError("cvec.SUPPORT_MAX", _support_size(family, digits), 1 << SUPPORT_MAX)
     vals = [0]
     for j, dj in enumerate(digits):
         if dj == 0:
@@ -323,9 +329,7 @@ def _spread(tally, flips: int, doubled: bool) -> tuple[int, ...]:
     weights = set(tally)
     bits = sum(w.bit_length() + shift for w in weights if w)
     if bits > RESULT_BITS_MAX:
-        raise CapacityError(
-            f"the p-vector needs {bits} bits of distinct counts; the budget is {RESULT_BITS_MAX} bits"
-        )
+        raise CapacityError("cvec.RESULT_BITS_MAX", bits, RESULT_BITS_MAX)
     shifted = {w: w << shift for w in weights}
     return tuple(shifted[w] for w in tally)
 
@@ -347,9 +351,7 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
 def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     bits = n - mask_offset(family)
     if bits > NAIVE_MAX_BITS:
-        raise CapacityError(
-            f"naive sweep needs 2^{bits} indices; the budget is 2^{NAIVE_MAX_BITS}"
-        )
+        raise CapacityError("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS)
     # field mask becomes the ribbon number mod p of the index with that
     # descent mask; the masks with the top descent, if there is one, are
     # the complements of the half, with the same ribbon numbers
@@ -399,12 +401,9 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
 def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
-    nd = base_p_digits(n, p)
-    m = _support_size(family, nd)
+    m = _support_size(family, base_p_digits(n, p))
     if m > SUPPORT_MAX:
-        raise CapacityError(
-            f"support sweep needs 2^{m} subsets; the budget is 2^{SUPPORT_MAX}"
-        )
+        raise CapacityError("cvec.SUPPORT_MAX", m, SUPPORT_MAX)
     pos = support_set(family, n, p)
     free = n - mask_offset(family) - m
     # the subsets without the top position are closed under submasks, so
@@ -508,13 +507,9 @@ def cvec_closed_form(family: str, n: int, p: int):
     digits = base_p_digits(n, p)
     fixed = digits[:1] if family == "D" else ()
     shape = fixed + tuple(sorted(filter(None, digits[len(fixed):]), reverse=True))
-    # n* grows with each digit placed, so a shape of many digits stops
-    # after a few, before p**j grows with them
-    least = 0
-    for j, d in enumerate(shape):
-        least += d * p**j
-        if least - mask_offset(family) > NAIVE_MAX_BITS:
-            return None
+    least = sum(d * p**j for j, d in enumerate(shape))
+    if least - mask_offset(family) > NAIVE_MAX_BITS:
+        return None
     counts = _spread(_least_counts(family, least, p), n - least, False)
     return DimensionPVector(family, n, p, counts, "closed-form:shape")
 
@@ -529,10 +524,10 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     ``auto`` runs the closed form (the shape rule, which answers None only
     when n*, the least n of n's shape, is past the naive budget), then the
     theorem method; n* <= n, so the naive sweep of n is past its budget
-    too.  When the theorem method refuses, the ``CapacityError`` names its
-    refusal and the shape rule's budget.  ``closed`` refuses with
-    ``CapacityError`` where the shape rule answers None.  Each method's
-    function checks the arguments.
+    too.  Where the shape rule answers None, n* needs at least one index
+    bit past NAIVE_MAX_BITS: ``closed`` refuses with that ``CapacityError``,
+    and ``auto`` when the theorem method refuses too, with the theorem's
+    refusal as ``also``.  Each method's function checks the arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -543,13 +538,12 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     vec = cvec_closed_form(family, n, p)
     if vec is not None:
         return vec
-    shape = f"shape rule: n* is past the naive budget of 2^{NAIVE_MAX_BITS} indices"
     if method == "closed":
-        raise CapacityError(shape)
+        raise CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
     try:
         return cvec_theorem(family, n, p)
     except CapacityError as exc:
-        raise CapacityError(f"theorem route: {exc}; {shape}") from None
+        raise CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +608,7 @@ def macdonald_mp(n: int, p: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if max(digits) > MACDONALD_DIGIT_MAX:
-        raise CapacityError(f"base-{p} digit {max(digits)} of n is past the budget of {MACDONALD_DIGIT_MAX}")
+        raise CapacityError("cvec.MACDONALD_DIGIT_MAX", max(digits), MACDONALD_DIGIT_MAX)
     series = size = 0
     for j, nj in enumerate(digits):
         if nj:
@@ -623,10 +617,7 @@ def macdonald_mp(n: int, p: int) -> int:
             size += bits
             cost = series + size * size // 30
             if cost > MACDONALD_COST_MAX:
-                raise CapacityError(
-                    f"the base-{p} digits of n cost at least {cost:.2e} bit steps"
-                    f" to expand; the budget is {MACDONALD_COST_MAX:.2e}"
-                )
+                raise CapacityError("cvec.MACDONALD_COST_MAX", cost, MACDONALD_COST_MAX)
     return _tree_product([_colored_partition_count(nj, p**j) for j, nj in enumerate(digits) if nj])
 
 

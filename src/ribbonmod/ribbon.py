@@ -273,7 +273,6 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
     number there is odd.
     """
     alpha = _check_index(family, alpha).fewer_descents()
-    check_prime(p)
     return chain_mod_p(family, alpha.n, alpha.descents(), p)
 
 
@@ -399,9 +398,7 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
     check_family(family)
     lo = 2 if family == "D" else 1
     if not lo <= n <= ORACLE_MAX_N[family]:
-        raise CapacityError(
-            f"oracle budget for family {family} is {lo} <= n <= {ORACLE_MAX_N[family]}"
-        )
+        raise CapacityError("ribbon.ORACLE_MAX_N", n, ORACLE_MAX_N[family])
     base = _type_a_mask_counts(n)
     if family == "A":
         return {Composition.from_mask(n, mask): c for mask, c in base.items()}

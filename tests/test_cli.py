@@ -98,13 +98,13 @@ def test_cvec_exit_codes(capsys):
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", "4")
     assert code == 2
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "40", "--p", "3", "--method", "closed")
-    assert code == 2 and err.startswith("error:") and "shape rule" in err
+    assert code == 2 and err.startswith("error:") and "cvec.NAIVE_MAX_BITS" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
-    assert code == 2 and "primality" in err
+    assert code == 2 and "arith.MILLER_RABIN_LIMIT" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**31 - 1))
-    assert code == 2 and "budget" in err
+    assert code == 2 and "arith.TALLY_MAX_BITS" in err
     code, out, err = run(capsys, "cvec", "--family", "A", "--n", str(2**40), "--p", "2")
-    assert (code, out) == (2, "") and err.startswith("error:") and f"{RESULT_BITS_MAX} bits" in err
+    assert (code, out) == (2, "") and err.startswith("error:") and f"cvec.RESULT_BITS_MAX: the request needs {2**40 - 26}; the budget is {RESULT_BITS_MAX}" in err
 
 
 def test_every_command_refuses_a_composite_modulus(capsys):
@@ -260,10 +260,10 @@ def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):
 
 def test_coxeter_budget_exit_codes(capsys):
     code, _, err = run(capsys, "coxeter", "--group", "A30")
-    assert code == 2 and "budget" in err
+    assert code == 2 and "coxeter.SUBSET_MAX_RANK" in err
     # 20 of 40 generators: 2^20 subsets on either side
     code, _, err = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 21))))
-    assert code == 2 and "budget" in err
+    assert code == 2 and "coxeter.SUBSET_MAX_RANK" in err
     # all 40: the complement is empty, the class of the identity
     code, out, _ = run(capsys, "coxeter", "--group", "A40", "--subset", ",".join(map(str, range(1, 41))))
     assert (code, out.strip()) == (0, "1")

@@ -15,6 +15,7 @@ from ribbonmod.compositions import (
     check_family,
     enumerate_compositions,
     enumerate_pseudo_compositions,
+    int_text,
     mask_offset,
     parse_parts,
 )
@@ -186,9 +187,34 @@ def test_an_index_of_ten_billion_stays_small():
         assert result == expected
 
 
+def test_capacity_error_is_written_from_its_budget():
+    # the message names the budget and writes both ints, another budget's
+    # refusal after it; copies and pickles rebuild it through the constructor
+    inner = CapacityError("compositions.MAX_MASK_BITS", 64, 63)
+    outer = CapacityError("cvec.NAIVE_MAX_BITS", 27, 26, inner)
+    assert str(inner) == "compositions.MAX_MASK_BITS: the request needs 64; the budget is 63"
+    assert str(outer) == f"cvec.NAIVE_MAX_BITS: the request needs 27; the budget is 26; {inner}"
+    assert (outer.budget, outer.needed, outer.cap, outer.also) == ("cvec.NAIVE_MAX_BITS", 27, 26, inner)
+    for copied in (copy.deepcopy(outer), pickle.loads(pickle.dumps(outer))):
+        assert type(copied) is CapacityError and str(copied) == str(outer)
+        assert (copied.budget, copied.also.budget) == ("cvec.NAIVE_MAX_BITS", "compositions.MAX_MASK_BITS")
+
+
+def test_int_text_writes_a_long_int_by_its_bit_length():
+    # up to 128 bits in decimal, past it by the bit length, so no int past
+    # the interpreter's digit limit reaches str(); other values by repr
+    assert int_text(2**128 - 1) == str(2**128 - 1)
+    assert int_text(-(2**128) + 1) == str(-(2**128) + 1)
+    assert int_text(2**128) == "an int of 129 bits"
+    assert int_text(-(10**5000)) == "an int of 16610 bits"
+    assert (int_text(True), int_text("7"), int_text(2.5)) == ("True", "'7'", "2.5")
+    message = str(CapacityError("compositions.COMPLEMENT_MAX_POSITIONS", 10**5000, 1 << 21))
+    assert message == "compositions.COMPLEMENT_MAX_POSITIONS: the request needs an int of 16610 bits; the budget is 2097152"
+
+
 def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
     def refused(index):
-        with pytest.raises(CapacityError, match="past the budget"):
+        with pytest.raises(CapacityError, match="compositions.COMPLEMENT_MAX_POSITIONS"):
             index.complement()
 
     for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10))):

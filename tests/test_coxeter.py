@@ -519,17 +519,21 @@ def test_residue_histograms_match_multiset_tallies_across_field_widths():
 
 def test_diagram_rank_past_the_budget_refused_before_allocating():
     # A10^9 would be 10^9 generator ints and edge tuples; the rank is
-    # checked as soon as it is parsed from the label
-    for label in ("A1000000000", "B1000000000", "D1000000000", f"A{DIAGRAM_MAX_RANK + 1}"):
+    # checked as soon as it is parsed from the label, and a rank of more
+    # digits than the budget (5000, past the interpreter's int() limit) is
+    # refused before int() reads it; leading zeros are not digits of it
+    for label in ("A1000000000", "B1000000000", "D1000000000", f"A{DIAGRAM_MAX_RANK + 1}", "d" + "1" * 5000,
+                  "B" + "0" * 5000 + f"{DIAGRAM_MAX_RANK + 1}"):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError):
+            with pytest.raises(CapacityError, match="^coxeter.DIAGRAM_MAX_RANK: "):
                 builtin_diagram(label)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
     assert len(builtin_diagram(f"D{DIAGRAM_MAX_RANK}").generators) == DIAGRAM_MAX_RANK
+    assert builtin_diagram("A" + "0" * 5000 + "3") == builtin_diagram("A3")
 
 
 def test_subset_sweeps_past_the_budget_refused_before_allocating():

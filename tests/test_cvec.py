@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
     _POPCOUNT_TALLY_MAX_M,
+    TALLY_MAX_BITS,
     base_p_digits,
+    check_prime,
     field_buffer,
     field_width,
     inverse_zeta_packed,
@@ -991,7 +993,9 @@ def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
             n = sum(d * p**j for j, d in places.items())
             recorded = []
             with monkeypatch.context() as patch:
+                # the result budget is _spread's, and the gate on n reads it too
                 patch.setattr(module, "_spread", lambda *args: recorded.append(args) or tuple(args[0]))
+                patch.setattr(module, "RESULT_BITS_MAX", n)
                 cvec_theorem(family, n, p)
             (tally, flips, doubled), = recorded
             want, free, _ = _rule_spread(key, n, p)
@@ -1106,19 +1110,20 @@ def test_shape_memo_answers_as_an_empty_one():
 def test_shape_memo_keeps_no_refusal():
     # n* past the naive budget is refused each time it is asked, and nothing
     # is kept for it; a result past the bit budget is refused each time too,
-    # though its n* (A n* = 1 at p = 2) is kept
+    # though its n* is kept: A n = 2^32 + 16, under the gate on n, at p = 2
+    # has n* = 3
     module = importlib.import_module("ribbonmod.cvec")
     module._least_counts.cache_clear()
     for _ in range(2):
         for family in "ABD":
             assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
-            with pytest.raises(CapacityError, match="shape rule: n. is past the naive budget"):
+            with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
                 cvec(family, 40, 3, method="closed")
         assert not module._shape_memo
     for _ in range(2):
-        with pytest.raises(CapacityError, match=f"the budget is {RESULT_BITS_MAX} bits"):
-            cvec_closed_form("A", 2**40, 2)
-    assert list(module._shape_memo) == [("A", 1, 2)]
+        with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
+            cvec_closed_form("A", 2**32 + 16, 2)
+    assert list(module._shape_memo) == [("A", 3, 2)]
 
 
 def test_shape_memo_in_bounded_memory(monkeypatch):
@@ -1189,9 +1194,11 @@ def test_cvec_dispatch():
     assert cvec("A", 40, 3).method == "theorem"
     assert cvec("A", 1, 5).method == "closed-form:shape"
     assert cvec("A", 5, 3, method="naive").method == "naive"
-    with pytest.raises(CapacityError, match=f"naive budget of 2\\^{NAIVE_MAX_BITS} indices") as excinfo:
+    with pytest.raises(CapacityError) as excinfo:
         cvec("A", 40, 3, method="closed")
     assert type(excinfo.value) is CapacityError
+    assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
+        "cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
     with pytest.raises(ValueError):
         cvec("A", 5, 3, method="fancy")
     with pytest.raises(ValueError):
@@ -1291,22 +1298,20 @@ def test_results_past_the_bit_budget_refused_before_any_shift():
     # A n = 2^40 at p = 2 has one count of 2^40 bits, D n = 7^12 + 7^5 + 3
     # at p = 7 four of about 1.4 * 10^10, and the parity answers of types B
     # and D at n = 2^40 one of 2^40 + 1: each is refused before a count is
-    # shifted, by the auto path and by the route that answers
-    n = 7**12 + 7**5 + 3
-    calls = [
-        lambda: cvec("A", 2**40, 2),
-        lambda: cvec_closed_form("A", 2**40, 2),
-        lambda: cvec("D", n, 7),
-        lambda: cvec_theorem("D", n, 7),
-        lambda: cvec_theorem("B", 2**40, 2),
-        lambda: cvec_closed_form("D", 2**40, 2),
-    ]
-    for call in calls:
+    # shifted, by the auto path and by the route that answers, at the gate
+    # on n.  Under the gate _spread refuses A n = 2^32 + 16 at p = 2 (two
+    # equal counts of 2^32 + 15 bits), D n = 7^11 + 7^5 + 3 at p = 7 (four
+    # of about 2 * 10^9) and the parity answer of B n = 2^32 + 1
+    calls = []
+    for a, d, b in ((2**40, 7**12 + 7**5 + 3, 2**40), (2**32 + 16, 7**11 + 7**5 + 3, 2**32 + 1)):
+        calls += [(cvec, "A", a, 2), (cvec_closed_form, "A", a, 2), (cvec, "D", d, 7),
+                  (cvec_theorem, "D", d, 7), (cvec_theorem, "B", b, 2), (cvec_closed_form, "D", b, 2)]
+    for call, *args in calls:
         started = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match=f"the budget is {RESULT_BITS_MAX} bits"):
-                call()
+            with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
+                call(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1327,7 +1332,7 @@ def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
     for name, family, n, p in (("cvec_theorem", "A", 2**40, 2), ("cvec_naive", "D", 7**12 + 7**5 + 3, 7)):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, entered)
-            with pytest.raises(CapacityError, match=f"the budget is {RESULT_BITS_MAX} bits"):
+            with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
                 cvec(family, n, p)
 
 
@@ -1342,7 +1347,7 @@ def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
             patch.setattr(module, "RESULT_BITS_MAX", bits)
             assert cvec(family, n, p).counts == counts
             patch.setattr(module, "RESULT_BITS_MAX", bits - 1)
-            with pytest.raises(CapacityError, match=f"needs {bits} bits"):
+            with pytest.raises(CapacityError, match=f"cvec.RESULT_BITS_MAX: the request needs {bits};"):
                 cvec(family, n, p)
 
 
@@ -1398,25 +1403,91 @@ def test_oversized_support_refused_before_it_is_built():
         assert peak < 1 << 20
 
 
+def test_support_set_refusals(monkeypatch):
+    # below the theorem route's least n each family names its set; past
+    # 2^SUPPORT_MAX positions (patched to 2^3, so the edge is cheap) the set
+    # is refused by its size, read off the digits, and at the edge it is built
+    for family, n, text in (("A", 1, "the support set needs n >= 2"), ("B", 1, "the support set needs n >= 2"),
+                            ("D", 3, "the type-D support set needs n >= 4")):
+        with pytest.raises(ValueError) as excinfo:
+            support_set(family, n, 3)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == text
+    module = importlib.import_module("ribbonmod.cvec")
+    monkeypatch.setattr(module, "SUPPORT_MAX", 3)
+    # n = 9 = 4 + 1 * 5: 10 digit-bounded sums, less {0, n} in type A (8)
+    # and {n} in types B and D (9)
+    assert support_set("A", 9, 5) == (1, 2, 3, 4, 5, 6, 7, 8)
+    for family in "BD":
+        with pytest.raises(CapacityError) as excinfo:
+            support_set(family, 9, 5)
+        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == ("cvec.SUPPORT_MAX", 9, 8)
+
+
+# ints past the interpreter's 4300-digit limit, each refused by a budget
+# whose name the refusal carries, and written by its bit length
+PROBES = {
+    "cvec-p-10^5000+1": (lambda: cvec("A", 5, 10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
+    "check_prime-10^5000+1": (lambda: check_prime(10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
+    "cvec-n-3^20000+1": (lambda: cvec("A", 3**20000 + 1, 3), "cvec.RESULT_BITS_MAX"),
+    "cvec-n-2^40000": (lambda: cvec("A", 2**40000, 3), "cvec.RESULT_BITS_MAX"),
+    "cvec-n-2^200000": (lambda: cvec("A", 2**200000, 3), "cvec.RESULT_BITS_MAX"),
+    "diagram-A-5000-ones": (lambda: builtin_diagram("A" + "1" * 5000), "coxeter.DIAGRAM_MAX_RANK"),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_probe_past_a_budget_refused_by_its_name(probe):
+    call, budget = PROBES[probe]
+    started = time.perf_counter()
+    with pytest.raises(CapacityError) as excinfo:
+        call()
+    assert time.perf_counter() - started < 0.1
+    assert excinfo.value.budget == budget
+    assert str(excinfo.value).startswith(f"{budget}: the request needs an int of ")
+
+
+def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
+    # past RESULT_BITS_MAX + TALLY_MAX_BITS + 1 every method refuses n with
+    # the result budget before base_p_digits reads it; at the gate the
+    # closed form reads the digits of n
+    module = importlib.import_module("ribbonmod.cvec")
+    gate = RESULT_BITS_MAX + TALLY_MAX_BITS + 1
+
+    def unread(n, p):
+        raise AssertionError("a digit of n was read")
+
+    monkeypatch.setattr(module, "base_p_digits", unread)
+    for n in (gate + 1, 2**200000):
+        for family in "ABD":
+            for method in ("auto", "naive", "theorem", "closed"):
+                with pytest.raises(CapacityError) as excinfo:
+                    cvec(family, n, 3, method)
+                assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
+                    "cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX), (family, n, method)
+    with pytest.raises(AssertionError, match="a digit of n was read"):
+        cvec("A", gate, 3, "closed")
+
+
 def test_auto_refusal_names_both_budgets():
     # past both routes' budgets, the auto path says why each refused
     with pytest.raises(CapacityError) as excinfo:
         cvec("A", 3**13 - 1, 3)
     message = str(excinfo.value)
-    assert f"2^{SUPPORT_MAX}" in message and "support sweep" in message
-    assert f"2^{NAIVE_MAX_BITS}" in message and "shape rule" in message
+    assert f"cvec.SUPPORT_MAX: the request needs {3**13 - 2}; the budget is {SUPPORT_MAX}" in message
+    assert f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}" in message
+    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.NAIVE_MAX_BITS", "cvec.SUPPORT_MAX")
 
 
 def test_auto_refusal_names_both_budgets_for_a_single_digit():
     # n = m * p^d has the shape of m, which the shape rule sweeps naively;
     # when m is past the naive budget, closed refuses with that budget, and
     # auto names the theorem route's refusal on n with it
-    shape = f"shape rule: n* is past the naive budget of 2^{NAIVE_MAX_BITS} indices"
+    shape = f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}; the budget is {NAIVE_MAX_BITS}"
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
         assert str(excinfo.value) == (
-            f"theorem route: support sweep needs 2^{support} subsets; the budget is 2^{SUPPORT_MAX}; {shape}")
+            f"{shape}; cvec.SUPPORT_MAX: the request needs {support}; the budget is {SUPPORT_MAX}")
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p, method="closed")
         assert str(excinfo.value) == shape
@@ -1445,8 +1516,8 @@ def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch
                 cvec(family, n, p)
             assert type(excinfo.value) is CapacityError, (family, n, p)
             message = str(excinfo.value)
-            assert f"the budget is 2^{SUPPORT_MAX}" in message, (family, n, p)
-            assert f"naive budget of 2^{NAIVE_MAX_BITS}" in message, (family, n, p)
+            assert "cvec.SUPPORT_MAX: the request needs" in message, (family, n, p)
+            assert "cvec.NAIVE_MAX_BITS: the request needs" in message, (family, n, p)
 
 
 @given(

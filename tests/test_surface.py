@@ -1,12 +1,13 @@
 """The package's public names, the names the benchmark tracer binds,
-which module may import what from which, and a hygiene census: every
-imported name is used, and every module-level function is called, exported
-or listed with a reason."""
+which module may import what from which, the budgets every refusal names,
+and a hygiene census: every imported name is used, and every module-level
+function is called, exported or listed with a reason."""
 
 import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
 import ribbonmod
@@ -207,6 +208,33 @@ def test_one_spread_in_cvec():
 
 def _parsed(paths):
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _readme_budget_constants() -> set[str]:
+    # the constant column of README's budget table: the first `module.NAME`
+    # of each row's second cell
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| budget | constant | at the edge | in CI |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]
+    assert rows and all(row.startswith("| ") for row in rows)
+    return {re.match(r" `(\w+\.\w+)`", row.split("|")[2]).group(1) for row in rows}
+
+
+def test_every_refusal_names_a_budget_of_the_readme_table():
+    # every CapacityError of src/ is built from the qualified name of its
+    # budget's constant, as a string literal that resolves by import and
+    # getattr, and those names are the README budget table's, both ways
+    names = set()
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CapacityError":
+                where = f"{path.name}:{node.lineno}"
+                assert node.args and isinstance(node.args[0], ast.Constant), where
+                budget = node.args[0].value
+                module, _, name = budget.partition(".")
+                assert hasattr(importlib.import_module(f"ribbonmod.{module}"), name), where
+                names.add(budget)
+    assert names == _readme_budget_constants()
 
 
 def test_every_imported_name_is_used():
