@@ -14,8 +14,10 @@ by family.  Every index is built by ``from_descents``, which checks
 offset <= n and each position in [offset, n-1]: the constructor,
 ``from_mask``, ``complement``, copies and pickles go through it.  Only
 ``complement`` creates positions, and it refuses past
-COMPLEMENT_MAX_POSITIONS before it allocates; full enumeration is capped
-at 63 mask bits.  Every refusal past a budget is a ``CapacityError``.
+COMPLEMENT_MAX_POSITIONS before it allocates.
+
+Full enumeration is capped at 63 mask bits.  Every refusal past a budget
+is a ``CapacityError``.
 
 ``_Record`` is the frozen base of every value record of the package: the
 two index kinds, ``ribbon.SignedPermutation``, ``cvec.DimensionPVector``,
@@ -50,12 +52,15 @@ class CapacityError(ValueError):
     another budget's refusal of the request, ends the message."""
 
     def __init__(self, budget: str, needed: int, cap: int, also: CapacityError | None = None):
-        self.budget, self.needed, self.cap, self.also = budget, needed, cap, also
-        text = f"{budget}: the request needs {int_text(needed)}; the budget is {int_text(cap)}"
-        ValueError.__init__(self, text if also is None else f"{text}; {also}")
+        ValueError.__init__(self, budget, needed, cap, also)
+        self.budget = budget
+        self.needed = needed
+        self.cap = cap
+        self.also = also
 
-    def __reduce__(self):
-        return type(self), (self.budget, self.needed, self.cap, self.also)
+    def __str__(self) -> str:
+        text = f"{self.budget}: the request needs {int_text(self.needed)}; the budget is {int_text(self.cap)}"
+        return text if self.also is None else f"{text}; {self.also}"
 
 
 def int_text(value) -> str:

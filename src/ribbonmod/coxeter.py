@@ -37,7 +37,7 @@ import struct
 from collections import Counter
 from functools import cache
 from itertools import repeat
-from math import factorial
+from math import factorial, prod
 from operator import floordiv
 
 from .arith import check_tally_prime, residue_tally
@@ -126,10 +126,7 @@ class CoxeterDiagram(_Record):
 
 
 def _path(labels_between: dict[int, int], gens: list[int]) -> tuple:
-    edges = []
-    for i in range(len(gens) - 1):
-        edges.append((gens[i], gens[i + 1], labels_between.get(i, 3)))
-    return tuple(edges)
+    return tuple((gens[i], gens[i + 1], labels_between.get(i, 3)) for i in range(len(gens) - 1))
 
 
 def builtin_diagram(name: str) -> CoxeterDiagram:
@@ -334,10 +331,7 @@ def classify_components(diagram: CoxeterDiagram, subset=None) -> list[Irreducibl
 def parabolic_order(diagram: CoxeterDiagram, subset=None) -> int:
     """Order of the subgroup generated by the subset (the whole group when
     subset is None): the product of its components' classification orders."""
-    order = 1
-    for part in classify_components(diagram, subset):
-        order *= part.order
-    return order
+    return prod(part.order for part in classify_components(diagram, subset))
 
 
 def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
@@ -360,8 +354,10 @@ def _parabolic_orders(diagram: CoxeterDiagram, subset) -> list[int]:
     The x below the lowest bit 2^t of (C - h) + B fill a slice, so C is one
     scaled copy of 2^t entries per subset of its free bits between t and h:
     one copy on a path numbered in order (A, B, F, H, I), a few one-entry
-    copies more at a fork (D, E).
+    copies more at a fork (D, E).  An I past SUBSET_MAX_RANK is refused first.
     """
+    if len(subset) > SUBSET_MAX_RANK:
+        raise CapacityError("coxeter.SUBSET_MAX_RANK", len(subset), SUBSET_MAX_RANK)
     gens = diagram.generators
     _, view = _diagram_view(diagram)
     nbr = view[0]
@@ -425,8 +421,6 @@ def ribbon_general(diagram: CoxeterDiagram, subset) -> int:
         raise ValueError("subset must consist of generators of the diagram")
     if len(S) - len(I) < len(I):
         I = S - I
-    if len(I) > SUBSET_MAX_RANK:
-        raise CapacityError("coxeter.SUBSET_MAX_RANK", len(I), SUBSET_MAX_RANK)
     orders = _parabolic_orders(diagram, I)
     whole = orders[-1]
     return sum(
@@ -441,8 +435,6 @@ def _coset_counts(diagram: CoxeterDiagram):
     # or the empty one at rank 0; the class of S minus J has the same size.
     # S minus J has the complementary mask, read from the upper half of the
     # order table backwards
-    if diagram.rank() > SUBSET_MAX_RANK:
-        raise CapacityError("coxeter.SUBSET_MAX_RANK", diagram.rank(), SUBSET_MAX_RANK)
     orders = _parabolic_orders(diagram, diagram.generators)
     whole = orders[-1]
     return whole, map(floordiv, repeat(whole), reversed(orders[len(orders) // 2:]))

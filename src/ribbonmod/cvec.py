@@ -222,8 +222,9 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
         kind = "type-D support set" if family == "D" else "support set"
         raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
     digits = base_p_digits(n, p)
-    if _support_size(family, digits) > 1 << SUPPORT_MAX:
-        raise CapacityError("cvec.SUPPORT_MAX", _support_size(family, digits), 1 << SUPPORT_MAX)
+    size = _support_size(family, digits)
+    if size > 1 << SUPPORT_MAX:
+        raise CapacityError("cvec.SUPPORT_MAX", size, 1 << SUPPORT_MAX)
     vals = [0]
     for j, dj in enumerate(digits):
         if dj == 0:
@@ -401,7 +402,8 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
 def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
-    m = _support_size(family, base_p_digits(n, p))
+    nd = base_p_digits(n, p)
+    m = _support_size(family, nd)
     if m > SUPPORT_MAX:
         raise CapacityError("cvec.SUPPORT_MAX", m, SUPPORT_MAX)
     pos = support_set(family, n, p)
@@ -526,8 +528,8 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     theorem method; n* <= n, so the naive sweep of n is past its budget
     too.  Where the shape rule answers None, n* needs at least one index
     bit past NAIVE_MAX_BITS: ``closed`` refuses with that ``CapacityError``,
-    and ``auto`` when the theorem method refuses too, with the theorem's
-    refusal as ``also``.  Each method's function checks the arguments.
+    and ``auto``, if the theorem method refuses too, raises that refusal
+    with the shape rule's as ``also``.  Each method checks its arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -538,12 +540,14 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     vec = cvec_closed_form(family, n, p)
     if vec is not None:
         return vec
+    shape = CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
     if method == "closed":
-        raise CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
+        raise shape
     try:
         return cvec_theorem(family, n, p)
     except CapacityError as exc:
-        raise CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS, exc) from None
+        exc.also = shape
+        raise
 
 
 # ---------------------------------------------------------------------------

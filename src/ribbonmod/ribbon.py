@@ -41,10 +41,10 @@ in type A, PseudoComposition in types B and D) and n >= 2 in type D.
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .arith import check_prime, lucas_binomial, multinomial_exact
-from .compositions import CapacityError, Composition, PseudoComposition, _Record, check_family
+from .compositions import CapacityError, Composition, PseudoComposition, _Record, check_family, int_text
 
 # Group-enumeration budgets for the oracle, by family: the largest n.  At
 # the budget (S_9, 362880 elements; B7, 645120; D7, 322560) one oracle call
@@ -212,15 +212,10 @@ def ribbon_a_det(alpha: Composition) -> int:
                 row.append(0)
             else:
                 # (n - base)! / k!  as a falling-factorial product
-                val = 1
-                for t in range(k + 1, n - base + 1):
-                    val *= t
-                row.append(val)
+                row.append(prod(range(k + 1, n - base + 1)))
         rows.append(row)
     det = _bareiss_det(rows)
-    denom = 1
-    for i in range(1, ell + 1):
-        denom *= factorial(n - sigma[i - 1])
+    denom = prod(factorial(n - sigma[i - 1]) for i in range(1, ell + 1))
     num = factorial(n) * det
     if num % denom:
         raise ArithmeticError("determinant route produced a non-integer")
@@ -397,7 +392,9 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
     """
     check_family(family)
     lo = 2 if family == "D" else 1
-    if not lo <= n <= ORACLE_MAX_N[family]:
+    if n < lo:
+        raise ValueError(f"n={int_text(n)} out of range for the type-{family} oracle, which needs n >= {lo}")
+    if n > ORACLE_MAX_N[family]:
         raise CapacityError("ribbon.ORACLE_MAX_N", n, ORACLE_MAX_N[family])
     base = _type_a_mask_counts(n)
     if family == "A":

@@ -105,6 +105,9 @@ def test_cvec_exit_codes(capsys):
     assert code == 2 and "arith.TALLY_MAX_BITS" in err
     code, out, err = run(capsys, "cvec", "--family", "A", "--n", str(2**40), "--p", "2")
     assert (code, out) == (2, "") and err.startswith("error:") and f"cvec.RESULT_BITS_MAX: the request needs {2**40 - 26}; the budget is {RESULT_BITS_MAX}" in err
+    # under the gate on n, the result budget refuses the vector's counts
+    code, out, err = run(capsys, "cvec", "--family", "A", "--n", str(2**32 + 16), "--p", "2")
+    assert (code, out) == (2, "") and f"cvec.RESULT_BITS_MAX: the request needs {2**32 + 15}; the budget is {RESULT_BITS_MAX}" in err
 
 
 def test_every_command_refuses_a_composite_modulus(capsys):

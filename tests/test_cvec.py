@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -1320,20 +1321,26 @@ def test_results_past_the_bit_budget_refused_before_any_shift():
 
 
 def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
-    # a result past the bit budget is past it on every route: the closed
-    # form's refusal of A n = 2^40 at p = 2 ends the call before the theorem
-    # route, and the theorem route's refusal of D n = 7^12 + 7^5 + 3 at p = 7
-    # ends it before the naive route
+    # a result past the bit budget is past it on every route, and both
+    # points are under the gate on n, so _spread refuses them: the closed
+    # form's refusal of A n = 2^32 + 16 at p = 2 (n* = 3) ends the call
+    # before the theorem route, and the theorem route's refusal of
+    # D n = 7^11 + 7^5 + 3 at p = 7 (n* past the naive budget) ends it
+    # before the naive route, with the shape rule's refusal as ``also``
     module = importlib.import_module("ribbonmod.cvec")
 
     def entered(*args):
         raise AssertionError("a second route ran after a result-budget refusal")
 
-    for name, family, n, p in (("cvec_theorem", "A", 2**40, 2), ("cvec_naive", "D", 7**12 + 7**5 + 3, 7)):
+    for name, family, n, p, also in (("cvec_theorem", "A", 2**32 + 16, 2, None),
+                                     ("cvec_naive", "D", 7**11 + 7**5 + 3, 7, "cvec.NAIVE_MAX_BITS")):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, entered)
-            with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
+            with pytest.raises(CapacityError) as excinfo:
                 cvec(family, n, p)
+        assert excinfo.value.budget == "cvec.RESULT_BITS_MAX", (family, n)
+        assert excinfo.value.needed > RESULT_BITS_MAX, (family, n)
+        assert getattr(excinfo.value.also, "budget", None) == also, (family, n)
 
 
 def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
@@ -1475,19 +1482,22 @@ def test_auto_refusal_names_both_budgets():
     message = str(excinfo.value)
     assert f"cvec.SUPPORT_MAX: the request needs {3**13 - 2}; the budget is {SUPPORT_MAX}" in message
     assert f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}" in message
-    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.NAIVE_MAX_BITS", "cvec.SUPPORT_MAX")
+    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SUPPORT_MAX", "cvec.NAIVE_MAX_BITS")
+    # the shape rule's refusal is attached after the theorem route raised,
+    # and a pickle keeps it
+    assert str(pickle.loads(pickle.dumps(excinfo.value))) == message
 
 
 def test_auto_refusal_names_both_budgets_for_a_single_digit():
     # n = m * p^d has the shape of m, which the shape rule sweeps naively;
     # when m is past the naive budget, closed refuses with that budget, and
-    # auto names the theorem route's refusal on n with it
+    # auto raises the theorem route's refusal on n, with that one as ``also``
     shape = f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}; the budget is {NAIVE_MAX_BITS}"
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
         assert str(excinfo.value) == (
-            f"{shape}; cvec.SUPPORT_MAX: the request needs {support}; the budget is {SUPPORT_MAX}")
+            f"cvec.SUPPORT_MAX: the request needs {support}; the budget is {SUPPORT_MAX}; {shape}")
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p, method="closed")
         assert str(excinfo.value) == shape
@@ -1515,6 +1525,7 @@ def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch
             with pytest.raises(CapacityError) as excinfo:
                 cvec(family, n, p)
             assert type(excinfo.value) is CapacityError, (family, n, p)
+            assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SUPPORT_MAX", "cvec.NAIVE_MAX_BITS")
             message = str(excinfo.value)
             assert "cvec.SUPPORT_MAX: the request needs" in message, (family, n, p)
             assert "cvec.NAIVE_MAX_BITS: the request needs" in message, (family, n, p)

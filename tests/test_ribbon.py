@@ -395,8 +395,11 @@ def test_oracle_budget():
         oracle_descent_class_sizes("A", 10)
     with pytest.raises(CapacityError):
         oracle_descent_class_sizes("B", 8)
-    with pytest.raises(CapacityError):
-        oracle_descent_class_sizes("D", 1)
+    # an n below the family's least n is out of range, not past a budget
+    for family, n, lo in (("D", 1, 2), ("A", 0, 1), ("B", -10**5000, 1)):
+        with pytest.raises(ValueError, match=f"oracle, which needs n >= {lo}") as excinfo:
+            oracle_descent_class_sizes(family, n)
+        assert type(excinfo.value) is ValueError
 
 
 # -- signed permutations ----------------------------------------------------
