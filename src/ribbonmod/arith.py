@@ -106,6 +106,14 @@ def check_tally_prime(p: int) -> None:
         raise CapacityError("arith.TALLY_MAX_BITS", p.bit_length(), TALLY_MAX_BITS)
 
 
+# Past this many bits, base_p_digits splits n at p^(2^k) and reads the two
+# halves apart: one division of all of n per digit is quadratic in its bits.
+# At p = 3 (2-core machine, Python 3.11, best of 5) the split read a 512-bit
+# n in 30 us against the loop's 38, a 256-bit one in 24 against 16, and
+# 3^200000 + 1 (316,993 bits) in 0.05 s against 7.2 s.
+_DIGITS_SPLIT_BITS = 500
+
+
 def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     """Digits of n in base p, least significant first: entry j is the
     coefficient of p**j, and the top digit is nonzero except in ``(0,)``,
@@ -115,11 +123,31 @@ def base_p_digits(n: int, p: int) -> tuple[int, ...]:
         raise ValueError(f"n must be a nonnegative int, got {int_text(n)}")
     if n == 0:
         return (0,)
+    powers = [p]  # powers[k] = p^(2^k), up to about the square root of n
+    while n.bit_length() > _DIGITS_SPLIT_BITS and powers[-1].bit_length() * 2 <= n.bit_length():
+        powers.append(powers[-1] * powers[-1])
     digits = []
-    while n:
-        n, r = divmod(n, p)
-        digits.append(r)
+    _read_digits(n, p, powers, len(powers) - 1, 0, digits)
     return tuple(digits)
+
+
+def _read_digits(n: int, p: int, powers, k: int, width: int, digits: list) -> None:
+    # append the base-p digits of n, least significant first: exactly width
+    # of them (n < p^width), or up to its top nonzero digit when width is 0.
+    # Past the split size n is split at powers[k], its low half read to
+    # 2^k digits and its high half on, each at the power below
+    if n.bit_length() <= _DIGITS_SPLIT_BITS:
+        start = len(digits)
+        while n:
+            n, r = divmod(n, p)
+            digits.append(r)
+        digits.extend([0] * (start + width - len(digits)))
+        return
+    while not width and n < powers[k]:
+        k -= 1  # no zero digits above the top one
+    high, low = divmod(n, powers[k])
+    _read_digits(low, p, powers, k - 1, 1 << k, digits)
+    _read_digits(high, p, powers, k - 1, width and width - (1 << k), digits)
 
 
 def multinomial_exact(n: int, parts) -> int:

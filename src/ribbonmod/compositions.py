@@ -144,7 +144,8 @@ class _MaskBacked(_Record):
     def __new__(cls, parts):
         parts = tuple(int(a) for a in parts)
         if not parts or parts[0] < cls.offset or any(a < 1 for a in parts[1:]):
-            raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1: {parts}")
+            shown = ", ".join(map(int_text, parts))
+            raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1: ({shown})")
         return cls.from_descents(sum(parts), accumulate(parts[:-1]))
 
     def __init__(self, parts):
@@ -158,7 +159,7 @@ class _MaskBacked(_Record):
         n, lo = index(n), cls.offset
         positions = tuple(sorted(set(map(index, positions))))
         if n < lo or positions and not lo <= positions[0] <= positions[-1] < n:
-            raise ValueError(f"descent positions out of range for n={n}: n >= {lo}, each in [{lo}, n - 1]")
+            raise ValueError(f"descent positions out of range for n={int_text(n)}: n >= {lo}, each in [{lo}, n - 1]")
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", positions)
@@ -168,7 +169,7 @@ class _MaskBacked(_Record):
     def from_mask(cls, n: int, mask: int):
         """The index of n whose descents are the set bits of mask, bit 0 at offset."""
         if n < cls.offset or mask < 0 or mask >> (n - cls.offset):
-            raise ValueError(f"descent mask {mask} out of range for n={n} with bit 0 at position {cls.offset}")
+            raise ValueError(f"descent mask {int_text(mask)} out of range for n={int_text(n)} with bit 0 at position {cls.offset}")
         return cls.from_descents(n, _positions(mask, cls.offset))
 
     def _key(self) -> tuple:

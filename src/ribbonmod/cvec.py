@@ -66,7 +66,7 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     SHAPE_MEMO_SHAPES of them, least recently used out first, and only at
     p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each time), so a process
     sweeps each n* once; the spread, ints as long as n, is never kept.
-    ``_least_counts.cache_clear()`` empties it.
+    It is a ``functools.lru_cache``: ``_memo_counts.cache_clear()`` empties it.
 
 Every method ends in one rule, ``_spread``, which writes the vector as
 the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
@@ -102,6 +102,7 @@ RESULT_BITS_MAX + TALLY_MAX_BITS + 1, before any digit of n is read.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add, mul
 
@@ -254,30 +255,31 @@ def _chain_table(family: str, p: int, seeds, const):
     ``seeds[h]`` (a residue mod p) at h alone, and the masks of each lower
     block k scaled by ``const(h, k)``, the factor of a step from position k
     up to h.  So a mask holds the seed of its lowest position times one
-    constant per step.  The constants are reduced once; a position is live
-    when its seed is nonzero or a nonzero constant links it to a live lower
-    position.  Any other position has an all-zero block, and every mask
-    through it is 0, as the blocks above reach it only through its block.
-    The table's bits are the kept positions, in order, and no block is
-    copied by a constant of 0; with every position live it is the whole
-    table.  Type D keeps positions 0 and 1, live or not, at bits 0 and 1,
-    because one copy then sets mask 4j + 2 to mask 4j + 1: a lone descent
-    at 1 counts as one at 0, ``ribbon._first_step``'s rule; the last field
-    is never read, so the two slices match even in a table of two
-    fields."""
-    consts = [[const(h, k) % p for k in range(h)] for h in range(len(seeds))]
-    live = []
+    constant per step.  One upward pass finds the live positions, those
+    whose seed is nonzero or a nonzero constant links to a live lower one,
+    so ``const`` runs only toward live positions.  Any other position has
+    an all-zero block, and every mask through it is 0, as the blocks above
+    reach it only through its block.  The table's bits are the kept
+    positions, in order, and no block is copied by a constant of 0.  Type
+    D keeps positions 0 and 1, live or not (a dead one's block stays 0),
+    at bits 0 and 1, because one copy then sets mask 4j + 2 to mask
+    4j + 1: a lone descent at 1 counts as one at 0, ``ribbon._first_step``'s
+    rule; the last field is never read, so the two slices match even in a
+    table of two fields."""
+    rows = {}  # live position: its constants toward the live ones below it
     for h, seed in enumerate(seeds):
-        if seed or any(consts[h][k] for k in live):
-            live.append(h)
-    keep = sorted(set(live).union(range(min(2, len(seeds))))) if family == "D" else live
+        row = [const(h, k) % p for k in rows]
+        if seed or any(row):
+            rows[h] = row
+    keep = sorted(set(rows).union(range(min(2, len(seeds))))) if family == "D" else list(rows)
+    at = [keep.index(h) for h in rows]
     scale = field_scaler(p)
     g = field_buffer(1 << len(keep), p)
     g[0] = 1
-    for i, h in enumerate(keep):
+    for (h, row), i in zip(rows.items(), at):
         base = 1 << i
         g[base] = seeds[h]
-        for j, c in enumerate(consts[h][k] for k in keep[:i]):
+        for j, c in zip(at, row):
             if c:
                 g[base + (1 << j):base + (2 << j)] = scale(g[1 << j:2 << j], c)
     if family == "D":
@@ -439,31 +441,21 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 # the least recently used goes.  Worst case kept, in bytes as tracemalloc
 # counts them (CPython 3.11, 64-bit): 256 shapes, each a tuple of 256
 # pointers (2,088) and 256 distinct ints below 2^30 (32 each as allocated,
-# 8,192) under a key of 96, and the dict's table (18,512 at 256 keys),
-# 2,674,768 in all, under SHAPE_MEMO_BYTES_MAX.
+# 8,192), with lru_cache's key and link per shape, 2,636,336 in all, under
+# SHAPE_MEMO_BYTES_MAX.
 SHAPE_MEMO_SHAPES = 256
 SHAPE_MEMO_MAX_P = 256
 SHAPE_MEMO_BYTES_MAX = 2_700_000
-_shape_memo: dict[tuple[str, int, int], tuple[int, ...]] = {}
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SHAPES)
+def _memo_counts(family: str, least: int, p: int) -> tuple[int, ...]:
+    return _naive_counts(family, least, p)
 
 
 def _least_counts(family: str, least: int, p: int) -> tuple[int, ...]:
-    # n*'s p-vector, from the memo at p <= SHAPE_MEMO_MAX_P; a refusal
-    # raises before anything is kept
-    if p > SHAPE_MEMO_MAX_P:
-        return _naive_counts(family, least, p)
-    key = (family, least, p)
-    counts = _shape_memo.pop(key, None)
-    if counts is None:
-        counts = _naive_counts(family, least, p)
-        if len(_shape_memo) >= SHAPE_MEMO_SHAPES:
-            del _shape_memo[next(iter(_shape_memo))]
-    _shape_memo[key] = counts
-    return counts
-
-
-# the functools name: ``cvec._least_counts.cache_clear()`` empties the memo
-_least_counts.cache_clear = _shape_memo.clear
+    # n*'s p-vector, memoised at p <= SHAPE_MEMO_MAX_P; a refusal is never cached
+    return (_memo_counts if p <= SHAPE_MEMO_MAX_P else _naive_counts)(family, least, p)
 
 
 def cvec_closed_form(family: str, n: int, p: int):

@@ -94,6 +94,28 @@ def test_base_p_digits_round_trip(n, p):
     assert _value(base_p_digits(n, p), p) == n
 
 
+def _digits_by_one_division_each(n, p):
+    digits = []
+    while n:
+        n, r = divmod(n, p)
+        digits.append(r)
+    return tuple(digits) or (0,)
+
+
+def test_base_p_digits_split_matches_the_loop():
+    # past a few hundred bits n is split at p^(2^k); the digits equal those
+    # of one division per digit on random n up to 2*10^4 bits and next to
+    # powers of p, where a half's leading zeros are kept
+    rng = random.Random(48)
+    big = next(q for q in range(MILLER_RABIN_LIMIT - 2, 0, -2) if is_prime(q))
+    for p in (2, 3, 5, 131, 65537, big):
+        cases = [rng.getrandbits(rng.randrange(1, 20001)) for _ in range(8)]
+        for k in (1, 600 // p.bit_length(), 1200 // p.bit_length(), 20000 // p.bit_length()):
+            cases += [p**k - 1, p**k, p**k + 1]
+        for n in cases:
+            assert base_p_digits(n, p) == _digits_by_one_division_each(n, p), (p, n.bit_length())
+
+
 def test_multinomial_exact_known_values():
     assert multinomial_exact(4, (2, 2)) == 6
     assert multinomial_exact(5, (5,)) == 1

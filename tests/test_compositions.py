@@ -57,6 +57,22 @@ def test_descent_positions_out_of_range():
         Composition.from_mask(4, -1)
 
 
+@pytest.mark.parametrize("cls", [Composition, PseudoComposition])
+def test_index_refusals_write_a_long_int_by_its_bit_length(cls):
+    # each constructor's own message, not the interpreter's int -> str
+    # limit, for an int of 5001 digits where the caller gave it
+    huge = 10**5000
+    refusals = (
+        (lambda: cls.from_mask(5, huge), "descent mask an int of 16610 bits out of range for n=5"),
+        (lambda: cls.from_mask(huge, -1), "descent mask -1 out of range for n=an int of 16610 bits"),
+        (lambda: cls((1, -huge)), rf"needs a first part >= {cls.offset} and the rest >= 1: \(1, an int of 16610 bits\)"),
+        (lambda: cls.from_descents(-huge, ()), "out of range for n=an int of 16610 bits"),
+    )
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_mask_offset_by_family():
     # mask_offset reads the family through the one family gate
     assert [mask_offset(f) for f in "ABD"] == [1, 0, 0]

@@ -129,6 +129,16 @@ def test_theorem_tally_at_p_2_in_types_b_and_d_is_all_odd():
     assert checked > 200
 
 
+def test_support_set_and_macdonald_read_a_long_n_in_bounded_time():
+    # 3^200000 + 1 has two digits 1 at p = 3; one division per digit read
+    # them in about 7 s
+    n = 3**200000 + 1
+    start = time.process_time()
+    assert support_set("A", n, 3) == (1, 3**200000)
+    assert macdonald_mp(n, 3) == 3**200000
+    assert time.process_time() - start < 1
+
+
 def test_support_set_validation():
     # the support set and the theorem method refuse n below the family minimum
     with pytest.raises(ValueError):
@@ -444,6 +454,23 @@ def test_chain_table_drops_only_all_zero_blocks():
     assert (list(table), dropped) == ([1, 1, 0, 1], 1)
 
 
+def test_chain_table_steps_only_toward_live_positions(monkeypatch):
+    # liveness and constants are one pass: a position's constants are made
+    # only toward the live positions below it.  D n = 26 at p = 13 keeps 3
+    # of its 25 positions, so at most 25 * 3 constants, not 25 * 24 / 2
+    module = importlib.import_module("ribbonmod.cvec")
+    chain = module._chain_table
+    steps = []
+
+    def counting(family, p, seeds, const):
+        return chain(family, p, seeds, lambda h, k: steps.append((h, k)) or const(h, k))
+
+    monkeypatch.setattr(module, "_chain_table", counting)
+    table, dropped = _weight_table("D", 26, 13)
+    assert (len(table), dropped) == (1 << 3, 22)
+    assert 0 < len(steps) <= 25 * 3
+
+
 def test_naive_table_drops_the_positions_outside_the_support():
     # two derivations of the dead positions: the naive table's own exact
     # binomials, and the base-p digits of the theorem route's support set.
@@ -663,6 +690,44 @@ def test_naive_sweep_in_bounded_memory():
             tracemalloc.stop()
         assert vec.total() == 1 << 20
         assert peak < 5 << 20, (family, n, p, peak)
+
+
+def check_kernel_at_size(family, n, p, samples=2000):
+    """The naive route's table and kernel at size, against ``ribbon_mod_p``.
+
+    ``_weight_table`` fills the covering counts mod p of the half lattice
+    and ``inverse_zeta_packed`` turns them into ribbon numbers mod p.  Each
+    of ``samples`` random masks over the kept positions (the empty and the
+    full one among them) is compared with ``ribbon_mod_p`` of its index,
+    and a Counter of the packed output with ``inverse_zeta_tally``.
+    ``ribbon_mod_p`` runs the chain recurrence over the index's own
+    descents with Lucas binomials, so it shares nothing with the table or
+    the kernel.  The kept positions come from the support set at odd p,
+    whose digits the table never reads: a half-lattice position is kept
+    exactly when it is in the support (type D's 0 and 1 are)."""
+    lo = mask_offset(family)
+    support = set(support_set(family, n, p))
+    kept = [d for d in range(lo, n - 1) if d in support]
+    table, dropped = _weight_table(family, n, p)
+    assert len(table) == 1 << len(kept) and dropped == n - 1 - lo - len(kept), (family, n, p)
+    tally = inverse_zeta_tally(table, p)
+    packed = inverse_zeta_packed(table, p)
+    assert Counter(packed) == {r: c for r, c in enumerate(tally) if c}, (family, n, p)
+    cls = Composition if family == "A" else PseudoComposition
+    rng = random.Random(n * p)
+    masks = [0, len(table) - 1] + [rng.randrange(len(table)) for _ in range(samples - 2)]
+    for mask in masks:
+        index = cls.from_descents(n, (d for b, d in enumerate(kept) if mask >> b & 1))
+        assert packed[mask] == ribbon_mod_p(family, index, p), (family, n, p, mask)
+
+
+@pytest.mark.parametrize("p", [3, 131])
+@pytest.mark.parametrize("family, n", [("A", 20), ("B", 19), ("D", 19)])
+def test_kernel_at_2_18_fields_matches_ribbon_mod_p(family, n, p):
+    # 2^18 half-lattice fields; at p = 3 the table drops positions
+    # (n = 202 and 201 in base 3), at p = 131 none
+    check_kernel_at_size(family, n, p)
+    assert (_weight_table(family, n, p)[1] > 0) == (p == 3)
 
 
 def _full_weight_table(family, n, p):
@@ -1050,6 +1115,14 @@ def test_closed_form_parity():
     assert vec.method == "closed-form:parity" and vec == cvec_naive("D", 3, 2)
 
 
+def _recording_sweeps(monkeypatch, module):
+    # the (family, n*, p) of every naive sweep the shape rule runs, in order
+    swept = []
+    naive = module._naive_counts
+    monkeypatch.setattr(module, "_naive_counts", lambda *point: swept.append(point) or naive(*point))
+    return swept
+
+
 def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
     # n* puts the nonzero digits of n in descending order from place 0 (type
     # D from place 1, after n_0), and is swept naively with the support,
@@ -1057,13 +1130,7 @@ def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
     # empty memo each n* is swept once, and a second n of its shape (the
     # last column) sweeps nothing
     module = importlib.import_module("ribbonmod.cvec")
-    module._least_counts.cache_clear()
-    swept = []
-    naive = module._naive_counts
-
-    def recording(family, n, p):
-        swept.append(n)
-        return naive(family, n, p)
+    module._memo_counts.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the shape rule ran the theorem route's digit machinery")
@@ -1079,16 +1146,16 @@ def test_shape_rule_sweeps_the_least_n_of_the_shape(monkeypatch):
     theorem = [[cvec_theorem(family, n, p) for n in (n, again)] for family, n, p, _, again in cases]
     for name in ("support_set", "lucas_binomial", "_term_table"):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(module, "_naive_counts", recording)
+    swept = _recording_sweeps(monkeypatch, module)
     for (family, n, p, least, again), (want, want_again) in zip(cases, theorem):
         swept.clear()
         assert cvec_closed_form(family, n, p) == want, (family, n, p)
-        assert swept == [least], (family, n, p, swept)
+        assert swept == [(family, least, p)], (family, n, p, swept)
         assert cvec_closed_form(family, again, p) == want_again, (family, again, p)
-        assert swept == [least], (family, again, p, swept)
+        assert swept == [(family, least, p)], (family, again, p, swept)
 
 
-def test_shape_memo_answers_as_an_empty_one():
+def test_shape_memo_answers_as_an_empty_one(monkeypatch):
     # on a grid where shapes repeat (many n to one n*, the same n* at other
     # primes, type D's n that differ only in n_0), the shape rule answers
     # with a warm memo as with an empty one before each query, and as the
@@ -1098,33 +1165,37 @@ def test_shape_memo_answers_as_an_empty_one():
             for n in range(low, 160) if _least_of_shape(family, n, p) - mask_offset(family) <= 14]
     cold = []
     for point in grid:
-        module._least_counts.cache_clear()
+        module._memo_counts.cache_clear()
         cold.append(cvec_closed_form(*point))
-    module._least_counts.cache_clear()
+    module._memo_counts.cache_clear()
+    swept = _recording_sweeps(monkeypatch, module)
     warm = [cvec_closed_form(*point) for point in grid]
     shapes = {(family, _least_of_shape(family, n, p), p) for family, n, p in grid}
     assert warm == cold == [cvec_theorem(*point) for point in grid]
     assert all(vec.method == "closed-form:shape" for vec in warm)
-    assert len(module._shape_memo) == len(shapes) < len(grid) / 2
+    assert len(swept) == len(set(swept)) and set(swept) == shapes
+    assert module._memo_counts.cache_info().currsize == len(shapes) < len(grid) / 2
 
 
-def test_shape_memo_keeps_no_refusal():
+def test_shape_memo_keeps_no_refusal(monkeypatch):
     # n* past the naive budget is refused each time it is asked, and nothing
     # is kept for it; a result past the bit budget is refused each time too,
-    # though its n* is kept: A n = 2^32 + 16, under the gate on n, at p = 2
-    # has n* = 3
+    # though its n* is kept, and swept once: A n = 2^32 + 16, under the gate
+    # on n, at p = 2 has n* = 3
     module = importlib.import_module("ribbonmod.cvec")
-    module._least_counts.cache_clear()
+    module._memo_counts.cache_clear()
+    swept = _recording_sweeps(monkeypatch, module)
     for _ in range(2):
         for family in "ABD":
             assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
             with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
                 cvec(family, 40, 3, method="closed")
-        assert not module._shape_memo
+        assert module._memo_counts.cache_info().currsize == 0
     for _ in range(2):
         with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
             cvec_closed_form("A", 2**32 + 16, 2)
-    assert list(module._shape_memo) == [("A", 3, 2)]
+    assert swept == [("A", 3, 2)]
+    assert module._memo_counts.cache_info().currsize == 1
 
 
 def test_shape_memo_in_bounded_memory(monkeypatch):
@@ -1135,7 +1206,7 @@ def test_shape_memo_in_bounded_memory(monkeypatch):
     module = importlib.import_module("ribbonmod.cvec")
 
     def retained(run):
-        module._least_counts.cache_clear()
+        module._memo_counts.cache_clear()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -1150,15 +1221,23 @@ def test_shape_memo_in_bounded_memory(monkeypatch):
     for point in queries:
         cvec_closed_form(*point)  # caches other than the memo fill here
     assert retained(lambda: [cvec_closed_form(*point) for point in queries]) < SHAPE_MEMO_BYTES_MAX
-    assert len(module._shape_memo) == SHAPE_MEMO_SHAPES
-    assert all(p <= SHAPE_MEMO_MAX_P for _, _, p in module._shape_memo)
+    memo = module._memo_counts.cache_info()
+    assert memo.currsize == SHAPE_MEMO_SHAPES
+    # the last queries, past that prime, were not kept: each sweeps again,
+    # and the memo neither answers nor keeps it
+    with monkeypatch.context() as patch:
+        swept = _recording_sweeps(patch, module)
+        past = [point for point in queries if point[2] > SHAPE_MEMO_MAX_P]
+        for point in past:
+            cvec_closed_form(*point)
+        assert len(swept) == len(past) and module._memo_counts.cache_info() == memo
 
     monkeypatch.setattr(module, "_naive_counts", lambda family, n, p: tuple(range((1 << 26) - p, 1 << 26)))
     try:
         worst = retained(lambda: [module._least_counts("A", n, 251) for n in range(2 * SHAPE_MEMO_SHAPES)])
-        assert len(module._shape_memo) == SHAPE_MEMO_SHAPES
+        assert module._memo_counts.cache_info().currsize == SHAPE_MEMO_SHAPES
     finally:
-        module._least_counts.cache_clear()
+        module._memo_counts.cache_clear()
     # near the bound, whether an int takes 28 or 32 bytes (by version)
     assert SHAPE_MEMO_BYTES_MAX * 0.8 < worst < SHAPE_MEMO_BYTES_MAX
 
