@@ -1,0 +1,141 @@
+"""Run every budget edge, `python scripts/edges.py`: each row of ROWS in a fresh interpreter under its own timeout and
+address-space cap (RLIMIT_AS in KiB, set in the child only; an API refusal exits 2 as at the CLI), one JSON line per row.
+A row passes on its exit code and its one check, if any: its stripped stdout, a partner row's equal JSON "vector", or the
+budget constants its stderr names.  `at` names the budget whose edge a row runs at; exits 1 if any row fails."""
+
+import json
+import os
+import resource
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")])))
+Row = namedtuple("Row", "name argv cap timeout code stdout partner names at", defaults=(400000, 20, 0, None, None, (), None))
+
+
+def cli(line, *flags):
+    return [*flags, "-m", "ribbonmod.cli", *line.split()]
+
+
+def api(line):
+    return ["-c", f"import sys\nfrom ribbonmod import *\ntry:\n    {line}\nexcept CapacityError as exc:\n"
+                  '    print(f"error: {exc}", file=sys.stderr)\n    sys.exit(2)']
+
+
+def check(module, call):
+    # a check function of the tests, run in the child
+    return ["-c", f"from {module} import {call.partition('(')[0]}; {call}"]
+
+
+def past(name, argv, *names):
+    return Row(f"refuse-{name}", argv, code=2, names=names)
+
+
+def pair(first, second, family, n, p):
+    # one query by two methods; the second's JSON vector must equal the first's
+    line, name = f"cvec --family {family} --n {n} --p {p} --format json --method ", f"{family}{n}-p{p}"
+    return [Row(f"{first}-{name}", cli(line + first), timeout=60),
+            Row(f"{second}-{name}", cli(line + second), timeout=60, partner=f"{first}-{name}")]
+
+
+ROWS = [
+    Row("verify", cli("verify", "-S", "-B"), timeout=60, at="ribbon.ORACLE_MAX_N"),
+    *(Row(f"deferred-{line.split()[0]}-{line.split()[-1]}", cli(line, "-S", "-B"), None, 60) for line in (
+        "cvec --family A --n 5 --p 3 --format csv", "cvec --family A --n 5 --p 3 --format json",
+        "coxeter --group H3 --p 5 --format csv", "ribbon --family B --alpha 0,2,1 --mod 3 --format json")),
+    Row("naive-D24-p5", cli("cvec --family D --n 24 --p 5 --method naive --format json"), 1500000, 300),
+    Row("naive-A23-p257", cli("cvec --family A --n 23 --p 257 --method naive --format json"), 512000, 120),
+    *(Row(f"naive-D26-p{p}", cli(f"cvec --family D --n 26 --p {p} --method naive --format json"), 1000000, 120, at=at)
+      for p, at in ((3, "cvec.NAIVE_MAX_BITS"), (131, None))),
+    Row("coxeter-D18-p3", cli("coxeter --group D18 --p 3"), 1000000, 120, at="coxeter.SUBSET_MAX_RANK"),
+    *(Row(f"coxeter-{g}-classes", check("test_cli", f"check_classes_add_up({g!r})"), 1000000, 120) for g in ("D18", "A18", "B18")),
+    *(row for f in "BD" for row in (Row(f"coxeter-{f}18-p257", cli(f"coxeter --group {f}18 --p 257 --format json"), 1000000, 120),
+      Row(f"naive-{f}18-p257", cli(f"cvec --family {f} --n 18 --p 257 --method naive --format json"), 1000000, 120,
+          partner=f"coxeter-{f}18-p257"))),
+    Row("coxeter-A36-odd", cli("coxeter --group A36 --subset " + ",".join(map(str, range(1, 36, 2)))), 1000000, 120),
+    *(Row(f"ribbon-{f}-1^3000", cli(f"ribbon --family {f} --alpha {'' if f == 'A' else '0,'}{'1,' * 2999}1"), stdout="1")
+      for f in "ABD"),
+    Row("ribbon-A-10^10,1-mod3", cli("ribbon --family A --alpha 10000000000,1 --mod 3"), stdout="1"),
+    Row("ribbon-A-1^200000-mod3", ["-c", 'import sys; from ribbonmod.cli import main; sys.exit(main(["ribbon", "--family", "A", '
+                                         '"--alpha", ",".join(["1"] * 200000), "--mod", "3"]))'], stdout="1"),
+    *(Row(f"theorem-{f}{n}-p{p}", cli(f"cvec --family {f} --n {n} --p {p} --method theorem"), timeout=60, at=at)
+      for f, n, p, at in (("A", 49, 3, "cvec.SUPPORT_MAX"), ("D", 140, 7, None), ("A", 23, 101, None))),
+    *(row for query in (("A", 23, 3), ("B", 20, 7), ("D", 23, 5), ("A", 23, 2), ("D", 22, 13), ("B", 20, 131), ("D", 26, 13))
+      for row in pair("theorem", "naive", *query)),
+    *(row for f, n in (("A", 63423), ("B", 63423), ("D", 59052)) for row in pair("closed", "theorem", f, n, 3)),
+    Row("shape-memo", check("test_cvec", "check_shape_rule_table()"), timeout=60),
+    Row("mutants", ["scripts/mutants.py"], timeout=120),
+    *(Row(f"kernel-{f}{n}-p{p}", check("test_cvec", f"check_kernel_at_size({f!r}, {n}, {p})"), cap, timeout) for m, cap, timeout in
+      ((25, 400000, 120), (26, 600000, 120)) for f, n in (("A", m + 1), ("B", m), ("D", m)) for p in (3, 131, 257)),
+    Row("digits-support_set-3^200000+1", api("assert support_set('A', 3**200000 + 1, 3) == (1, 3**200000)")),
+    Row("digits-macdonald-3^200000+1", api("assert macdonald_mp(3**200000 + 1, 3) == 3**200000")),
+    Row("cvec-A-3^14-json", cli("cvec --family A --n 4782969 --p 3 --format json")),
+    Row("ribbon-A-500000,500000-mod", cli("ribbon --family A --alpha 500000,500000 --mod 1000000007")),
+    Row("ribbon-A-1000,3053-mod2053", cli("ribbon --family A --alpha 1000,3053 --mod 2053"), stdout="1205"),
+    *(past(name, cli(line), *names.split()) for name, names, line in (row.split("|") for row in (  # name|budgets|line
+        "macdonald-digit|cvec.MACDONALD_DIGIT_MAX|macdonald --n 1000000000 --p 1000000007",
+        "macdonald-cost|cvec.MACDONALD_COST_MAX|macdonald --n 1018081000 --p 1009",
+        "diagram-rank|coxeter.DIAGRAM_MAX_RANK|coxeter --group A1000000000 --subset 1",
+        "diagram-rank-5000-digits|coxeter.DIAGRAM_MAX_RANK|coxeter --group A" + "1" * 5000,
+        "support|cvec.SUPPORT_MAX cvec.NAIVE_MAX_BITS|cvec --family A --n 1594322 --p 3",
+        "result-2^40|cvec.RESULT_BITS_MAX|cvec --family A --n 1099511627776 --p 2",
+        "result-2^32+16|cvec.RESULT_BITS_MAX|cvec --family A --n 4294967312 --p 2",
+        "closed-naive|cvec.NAIVE_MAX_BITS|cvec --family A --n 5050 --p 101 --method closed",
+        "usage-family||cvec --family Q --n 4 --p 3", "usage-no-command||",
+        "usage-subset-with-p||coxeter --group B3 --subset 0 --p 5",
+        "tally|arith.TALLY_MAX_BITS|cvec --family A --n 5 --p 67108879", "subset-rank|coxeter.SUBSET_MAX_RANK|coxeter --group A19",
+        "miller-rabin|arith.MILLER_RABIN_LIMIT|cvec --family A --n 5 --p 618970019642690137449562111"))),
+    Row("tally-A2-p67108859", api("print(sum(cvec('A', 2, 67108859)))"), 1500000, 60, stdout="2", at="arith.TALLY_MAX_BITS"),
+    Row("result-A-2^32-p2", api("print(max(cvec('A', 2**32, 2)).bit_length())"), 1000000, stdout=str(2**32), at="cvec.RESULT_BITS_MAX"),
+    Row("enumerate-63", api("print(next(enumerate_compositions(63)))"), stdout="Composition(63)",
+        at="compositions.MAX_MASK_BITS"),
+    Row("complement-2^21+1", api("print(len(Composition((2**21 + 1,)).complement()))"), stdout="2097153",
+        at="compositions.COMPLEMENT_MAX_POSITIONS"),
+    Row("coxeter-A10000-subset", cli("coxeter --group A10000 --subset 1,2"), at="coxeter.DIAGRAM_MAX_RANK"),
+    Row("macdonald-1000-p1009", cli("macdonald --n 1000 --p 1009"), stdout="24061467864032622473692149727991",
+        at="cvec.MACDONALD_DIGIT_MAX"),
+    Row("macdonald-1009000-p1009", cli("macdonald --n 1009000 --p 1009"), at="cvec.MACDONALD_COST_MAX"),
+    Row("macdonald-5-p-at-limit", cli("macdonald --n 5 --p 3317044064679887385961813"), stdout="7", at="arith.MILLER_RABIN_LIMIT"),
+    Row("support_set-n-of-2^19-bits", api("assert support_set('A', 2**524287 + 1, 2) == (1, 2**524287)"), at="cvec.SUPPORT_N_BITS_MAX"),
+    Row("support_set-2^22-1-p2", api("print(len(support_set('A', 2**22 - 1, 2)))"), 600000, stdout="4194302",
+        at="cvec.SUPPORT_SET_BITS_MAX"),
+    past("support_set-3^10^7+1", api("support_set('A', 3**10**7 + 1, 3)"), "cvec.SUPPORT_N_BITS_MAX"),
+    past("macdonald-3^10^7+1", api("macdonald_mp(3**10**7 + 1, 3)"), "cvec.MACDONALD_COST_MAX"),
+    *(past(f"support_set-{k}-places", api(f"support_set('A', sum(3**(1500 * j) for j in range({k})), 3)"), "cvec.SUPPORT_SET_BITS_MAX")
+      for k in (18, 22)),
+    past("oracle-A10", api("oracle_descent_class_sizes('A', 10)"), "ribbon.ORACLE_MAX_N"),
+    past("enumerate-64", api("next(enumerate_compositions(64))"), "compositions.MAX_MASK_BITS"),
+    past("complement-2^21+2", api("Composition((2**21 + 2,)).complement()"), "compositions.COMPLEMENT_MAX_POSITIONS"),
+]
+
+
+def run(row, outputs):
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        child = subprocess.Popen([sys.executable, *row.argv], cwd=ROOT, env=ENV, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+                                 preexec_fn=row.cap and (lambda: resource.setrlimit(resource.RLIMIT_AS, (row.cap << 10,) * 2)))
+        signal.signal(signal.SIGALRM, lambda *_: child.kill())  # no thread, as preexec_fn needs
+        signal.alarm(row.timeout)
+        _, status, usage = os.wait4(child.pid, 0)
+        signal.alarm(0)
+        child.returncode = code = os.waitstatus_to_exitcode(status)
+        seconds = time.perf_counter() - started
+        text, errors = (file.seek(0) or file.read().decode() for file in (out, err))
+    passed = code == row.code and row.stdout in (None, text.strip()) and all(name in errors for name in row.names)
+    if passed and row.partner:  # a partner that failed kept no output
+        passed = json.loads(text)["vector"] == json.loads(outputs[row.partner]).get("vector")
+    outputs[row.name] = text if passed else "{}"
+    print(json.dumps({"name": row.name, "seconds": round(seconds, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+                      "code": code, "pass": passed, **({} if passed else {"output": (text + errors)[-2000:]})}), flush=True)
+    return passed
+
+
+if __name__ == "__main__":
+    outputs = {}
+    sys.exit(0 if all([run(row, outputs) for row in ROWS]) else 1)

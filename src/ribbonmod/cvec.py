@@ -124,6 +124,20 @@ from .ribbon import _first_step
 NAIVE_MAX_BITS = 26
 SUPPORT_MAX = 22
 
+# Largest n, in bits, whose base-p digits support_set reads: the split
+# digit reader is quadratic in them: 0.06-0.08 s at 2^18 bits, 0.24-0.28 s
+# at 2^19 and 0.87-1.07 s at 2^20, at p = 2, 3, 1009 and 2^61 - 1 (in
+# process, 2-core machine, Python 3.11).  It admits 3^200000 + 1, of
+# 316,993 bits.
+SUPPORT_N_BITS_MAX = 1 << 19
+
+# Largest set support_set builds, in its positions times the bits of n,
+# read off the digits before the set is made.  At the edge,
+# support_set("A", 2**22 - 1, 2), 2^22 - 2 positions of 22 bits, took
+# 2.1-2.4 s and 402-403 MB peak RSS in a fresh process; no set of more
+# positions fits, since an n of b bits has fewer than 2^b.
+SUPPORT_SET_BITS_MAX = 22 << 22
+
 # Largest p-vector ``_spread`` writes, in bits of its distinct nonzero
 # counts (equal counts share one int).  It admits B n = 3^19 at p = 3,
 # 1,162,261,467 bits.  At the edge, cvec("A", 2**32, 2), one count of 2^32
@@ -213,19 +227,24 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 
     Starting from all sums b_0 + b_1 p + ... with 0 <= b_j <= (j-th digit
     of n): family A drops {0, n}, family B drops {n}, family D adjoins {1}
-    and drops {n}.  Any prime p is accepted in every family.  A set of
-    more than 2^SUPPORT_MAX sums is refused with CapacityError before any
-    is made.
+    and drops {n}.  Any prime p is accepted in every family.  An n past
+    SUPPORT_N_BITS_MAX bits is refused with CapacityError before any of
+    its digits is read, and a set whose positions times the bits of n
+    would pass SUPPORT_SET_BITS_MAX before any position is made.
     """
     check_family(family)
     check_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {int_text(n)}")
     if n < _THEOREM_MIN_N[family]:
         kind = "type-D support set" if family == "D" else "support set"
         raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
+    if n.bit_length() > SUPPORT_N_BITS_MAX:
+        raise CapacityError("cvec.SUPPORT_N_BITS_MAX", n.bit_length(), SUPPORT_N_BITS_MAX)
     digits = base_p_digits(n, p)
-    size = _support_size(family, digits)
-    if size > 1 << SUPPORT_MAX:
-        raise CapacityError("cvec.SUPPORT_MAX", size, 1 << SUPPORT_MAX)
+    bits = _support_size(family, digits) * n.bit_length()
+    if bits > SUPPORT_SET_BITS_MAX:
+        raise CapacityError("cvec.SUPPORT_SET_BITS_MAX", bits, SUPPORT_SET_BITS_MAX)
     vals = [0]
     for j, dj in enumerate(digits):
         if dj == 0:
@@ -599,10 +618,17 @@ def macdonald_mp(n: int, p: int) -> int:
     for the series of digit n_j, whose coefficients have about
     s_j = n_j * log2(p^j) bits, plus (sum of the s_j)^2 / 30, a bound on
     the balanced product of the coefficients), is refused with
-    CapacityError before any series is built."""
+    CapacityError before any series is built.  The top digit's coefficient
+    alone has at least bits(n) - bits(p) bits, so an n whose product term
+    from that bound is past MACDONALD_COST_MAX is refused before any of
+    its digits is read."""
+    check_prime(p)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive int, got {int_text(n)}")
+    floor = max(n.bit_length() - p.bit_length(), 0) ** 2 // 30
+    if floor > MACDONALD_COST_MAX:
+        raise CapacityError("cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)
     digits = base_p_digits(n, p)
-    if n < 1:
-        raise ValueError("n must be positive")
     if max(digits) > MACDONALD_DIGIT_MAX:
         raise CapacityError("cvec.MACDONALD_DIGIT_MAX", max(digits), MACDONALD_DIGIT_MAX)
     series = size = 0

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import fnmatch
 import importlib
@@ -7,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from math import factorial
 
 import pytest
 
@@ -30,6 +32,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def check_classes_add_up(group):
+    """``coxeter --group G --format json`` for a builtin A, B or D group of
+    rank r, through ``cli.main``: the multiplicities sum to 2^r and the
+    sizes times the multiplicities to |W|, an order taken from factorials,
+    not from the package."""
+    rank = int(group[1:])
+    order = {"A": factorial(rank + 1), "B": 2**rank * factorial(rank), "D": 2 ** (rank - 1) * factorial(rank)}[group[0]]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["coxeter", "--group", group, "--format", "json"]) == 0
+    classes = json.loads(out.getvalue())["classes"]
+    assert sum(m for _, m in classes) == 1 << rank and sum(s * m for s, m in classes) == order, group
+
+
+@pytest.mark.parametrize("group", ["A8", "B8", "D8"])
+def test_coxeter_classes_add_up(group):
+    check_classes_add_up(group)
 
 
 def test_ribbon_command(capsys):

@@ -45,6 +45,8 @@ from ribbonmod.cvec import (
     SHAPE_MEMO_MAX_P,
     SHAPE_MEMO_SHAPES,
     SUPPORT_MAX,
+    SUPPORT_N_BITS_MAX,
+    SUPPORT_SET_BITS_MAX,
     DimensionPVector,
     cvec,
     cvec_closed_form,
@@ -690,6 +692,20 @@ def test_naive_sweep_in_bounded_memory():
             tracemalloc.stop()
         assert vec.total() == 1 << 20
         assert peak < 5 << 20, (family, n, p, peak)
+
+
+def check_shape_rule_table():
+    """The shape rule on 396 n = 3^a + 2*3^b (a != b, both < 12) in A, B
+    and D at p = 3, in one fresh process: five shapes, so five n* swept
+    once into the memo, and every 20th point against the theorem route.
+    It needs an empty memo, so it runs at the start of a process."""
+    module = importlib.import_module("ribbonmod.cvec")
+    points = [(family, 3**a + 2 * 3**b) for family in "ABD" for a in range(12) for b in range(12) if a != b]
+    vecs = [cvec(family, n, 3) for family, n in points]
+    assert all(vec.method == "closed-form:shape" for vec in vecs)
+    assert module._memo_counts.cache_info().currsize == 5, module._memo_counts.cache_info()
+    for (family, n), vec in list(zip(points, vecs))[::20]:
+        assert vec == cvec_theorem(family, n, 3), (family, n)
 
 
 def check_kernel_at_size(family, n, p, samples=2000):
@@ -1491,22 +1507,102 @@ def test_oversized_support_refused_before_it_is_built():
 
 def test_support_set_refusals(monkeypatch):
     # below the theorem route's least n each family names its set; past
-    # 2^SUPPORT_MAX positions (patched to 2^3, so the edge is cheap) the set
-    # is refused by its size, read off the digits, and at the edge it is built
+    # SUPPORT_SET_BITS_MAX (patched to 32, so the edge is cheap) the set is
+    # refused by its positions times the bits of n, read off the digits, and
+    # at the edge it is built
     for family, n, text in (("A", 1, "the support set needs n >= 2"), ("B", 1, "the support set needs n >= 2"),
                             ("D", 3, "the type-D support set needs n >= 4")):
         with pytest.raises(ValueError) as excinfo:
             support_set(family, n, 3)
         assert type(excinfo.value) is ValueError and str(excinfo.value) == text
+    for n in ("5", 5.0, None, True):
+        with pytest.raises(ValueError, match="n must be an int") as excinfo:
+            support_set("A", n, 3)
+        assert type(excinfo.value) is ValueError
     module = importlib.import_module("ribbonmod.cvec")
-    monkeypatch.setattr(module, "SUPPORT_MAX", 3)
-    # n = 9 = 4 + 1 * 5: 10 digit-bounded sums, less {0, n} in type A (8)
-    # and {n} in types B and D (9)
+    monkeypatch.setattr(module, "SUPPORT_SET_BITS_MAX", 32)
+    # n = 9 = 4 + 1 * 5, of 4 bits: 10 digit-bounded sums, less {0, n} in
+    # type A (8 positions, 32 bits) and {n} in types B and D (9, 36 bits)
     assert support_set("A", 9, 5) == (1, 2, 3, 4, 5, 6, 7, 8)
     for family in "BD":
         with pytest.raises(CapacityError) as excinfo:
             support_set(family, 9, 5)
-        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == ("cvec.SUPPORT_MAX", 9, 8)
+        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == ("cvec.SUPPORT_SET_BITS_MAX", 36, 32)
+
+
+def test_support_set_past_its_bits_refused_before_the_set_is_made():
+    # 18 and 22 places of digit 1, 1500 places apart at p = 3: 2^18 - 2 and
+    # 2^22 - 2 positions of up to 40,000 and 50,000 bits, far past the
+    # budget (the first ended in MemoryError under a 600 MB cap when the
+    # budget counted positions alone); the largest set, 2^22 - 2 positions
+    # of 22 bits, fits it
+    assert (2**22 - 2) * 22 <= SUPPORT_SET_BITS_MAX < (3**14 - 2) * (3**14).bit_length()
+    for places in (18, 22):
+        n = sum(3 ** (1500 * j) for j in range(places))
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as excinfo:
+                support_set("A", n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 0.1 and peak < 1 << 20
+        assert (excinfo.value.budget, excinfo.value.needed) == ("cvec.SUPPORT_SET_BITS_MAX", (2**places - 2) * n.bit_length())
+
+
+def test_support_set_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
+    # past SUPPORT_N_BITS_MAX bits support_set refuses n before base_p_digits
+    # reads it; at the gate it reads the digits, and 3^200000 + 1 is well
+    # under it
+    module = importlib.import_module("ribbonmod.cvec")
+    assert (3**200000 + 1).bit_length() < SUPPORT_N_BITS_MAX
+
+    def unread(n, p):
+        raise AssertionError("a digit of n was read")
+
+    monkeypatch.setattr(module, "base_p_digits", unread)
+    for n in (1 << SUPPORT_N_BITS_MAX, 1 << 10**7):
+        for family in "ABD":
+            with pytest.raises(CapacityError) as excinfo:
+                support_set(family, n, 3)
+            assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
+                "cvec.SUPPORT_N_BITS_MAX", n.bit_length(), SUPPORT_N_BITS_MAX), (family, n.bit_length())
+    with pytest.raises(AssertionError, match="a digit of n was read"):
+        support_set("A", (1 << SUPPORT_N_BITS_MAX) - 1, 3)
+
+
+def test_macdonald_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
+    # the top digit's coefficient has at least bits(n) - bits(p) bits, so
+    # an n whose (bits(n) - bits(p))^2 // 30 is past MACDONALD_COST_MAX is
+    # refused by the product term; the gate refuses it before base_p_digits
+    # reads n, after the argument checks.  With the cap patched to that
+    # floor for 2^1000 at p = 1009 (991^2 // 30), n passes the gate and its
+    # digits are read, and one below the floor it is refused
+    module = importlib.import_module("ribbonmod.cvec")
+
+    def unread(n, p):
+        raise AssertionError("a digit of n was read")
+
+    monkeypatch.setattr(module, "base_p_digits", unread)
+    for n, p in ((1 << 10**7, 3), (3 << 700000, 2)):
+        with pytest.raises(CapacityError) as excinfo:
+            macdonald_mp(n, p)
+        floor = (n.bit_length() - p.bit_length()) ** 2 // 30
+        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
+            "cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)
+    for n, p in ((0, 3), (True, 3), (-(1 << 10**6), 3), (1 << 10**6, 4)):
+        with pytest.raises(ValueError) as excinfo:
+            macdonald_mp(n, p)
+        assert type(excinfo.value) is ValueError, (n, p)
+    floor = 991**2 // 30
+    monkeypatch.setattr(module, "MACDONALD_COST_MAX", floor)
+    with pytest.raises(AssertionError, match="a digit of n was read"):
+        macdonald_mp(2**1000, 1009)
+    monkeypatch.setattr(module, "MACDONALD_COST_MAX", floor - 1)
+    with pytest.raises(CapacityError) as excinfo:
+        macdonald_mp(2**1000, 1009)
+    assert (excinfo.value.needed, excinfo.value.cap) == (floor, floor - 1)
 
 
 # ints past the interpreter's 4300-digit limit, each refused by a budget
