@@ -61,11 +61,12 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     in type D), so the vector of n is that of n*, the least n of the same
     shape, swept by the naive method and spread over the n - n* more free
     positions of n; the paper's m*p^d closed form is the case of one digit.
-    It answers None when n* is past the naive budget.  n*'s vector is kept
-    in a per-process memo keyed by (family, n*, p), at most
-    SHAPE_MEMO_SHAPES of them, least recently used out first, and only at
-    p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each time), so a process
-    sweeps each n* once; the spread, ints as long as n, is never kept.
+    The sweep's own CapacityError, naming n*'s index bits, refuses an n*
+    past its budget.  n*'s vector is kept in a per-process memo keyed by
+    (family, n*, p), at most SHAPE_MEMO_SHAPES of them, least recently used
+    out first, and only at p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each
+    time), so a process sweeps each n* once; the spread, ints as long as n,
+    is never kept.
     It is a ``functools.lru_cache``: ``_memo_counts.cache_clear()`` empties it.
 
 Every method ends in one rule, ``_spread``, which writes the vector as
@@ -87,10 +88,11 @@ r <-> -r, so it never matters.  With no top position (type A at n = 1, or
 an empty support at n = p^d) the one mask is its own complement and
 nothing doubles.
 
-``cvec`` dispatches by one rule: the shape rule when n* fits the naive
-budget, else the theorem method.  Since n* <= n, a query past the shape
-rule's budget is past the naive sweep's too, so ``auto`` never sweeps n
-naively, and a sweep past its budget ends the call with ``CapacityError``.
+``cvec`` dispatches by one rule: the shape rule, else, when its sweep of
+n* is past the naive budget, the theorem method.  Since n* <= n, a query
+past the shape rule's budget is past the naive sweep's too, so ``auto``
+never sweeps n naively, and a sweep past its budget ends the call with
+``CapacityError``.
 Every p-vector has p entries, so a prime past ``arith``'s tally budget
 2^TALLY_MAX_BITS is refused with ``CapacityError`` before any work.  Its
 counts may have about n bits each, so a vector whose distinct nonzero
@@ -472,14 +474,10 @@ def _memo_counts(family: str, least: int, p: int) -> tuple[int, ...]:
     return _naive_counts(family, least, p)
 
 
-def _least_counts(family: str, least: int, p: int) -> tuple[int, ...]:
-    # n*'s p-vector, memoised at p <= SHAPE_MEMO_MAX_P; a refusal is never cached
-    return (_memo_counts if p <= SHAPE_MEMO_MAX_P else _naive_counts)(family, least, p)
-
-
-def cvec_closed_form(family: str, n: int, p: int):
+def cvec_closed_form(family: str, n: int, p: int) -> DimensionPVector:
     """The dimension p-vector of n from that of n*, the least n of the same
-    shape, swept by the naive method; None when n* is past its budget.
+    shape, swept by the naive method, whose CapacityError refuses n* past
+    its budget.
 
     The shape of n is the multiset of its nonzero base-p digits, and in
     type D also its digit n_0.  The theorem method's tally depends on
@@ -510,8 +508,8 @@ def cvec_closed_form(family: str, n: int, p: int):
     the parity answer, as ``cvec_theorem`` does.  Below the theorem
     method's least n (A and B n = 1, D n = 2 and 3), n is its own n*, so
     the rule sweeps n itself.
-    n*'s vector comes from the memo (``_least_counts``) when an earlier
-    call swept it; a refusal is never kept.
+    n*'s vector comes from the memo (``_memo_counts``, at p <=
+    SHAPE_MEMO_MAX_P) when an earlier call swept it; a refusal is never kept.
     The provenance tag is ``closed-form:shape`` (``closed-form:parity``).
     """
     _check_query(family, n, p)
@@ -521,10 +519,8 @@ def cvec_closed_form(family: str, n: int, p: int):
     fixed = digits[:1] if family == "D" else ()
     shape = fixed + tuple(sorted(filter(None, digits[len(fixed):]), reverse=True))
     least = sum(d * p**j for j, d in enumerate(shape))
-    if least - mask_offset(family) > NAIVE_MAX_BITS:
-        return None
-    counts = _spread(_least_counts(family, least, p), n - least, False)
-    return DimensionPVector(family, n, p, counts, "closed-form:shape")
+    counts = (_memo_counts if p <= SHAPE_MEMO_MAX_P else _naive_counts)(family, least, p)
+    return DimensionPVector(family, n, p, _spread(counts, n - least, False), "closed-form:shape")
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +530,13 @@ def cvec_closed_form(family: str, n: int, p: int):
 def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     """Compute the dimension p-vector by the requested method.
 
-    ``auto`` runs the closed form (the shape rule, which answers None only
-    when n*, the least n of n's shape, is past the naive budget), then the
-    theorem method; n* <= n, so the naive sweep of n is past its budget
-    too.  Where the shape rule answers None, n* needs at least one index
-    bit past NAIVE_MAX_BITS: ``closed`` refuses with that ``CapacityError``,
-    and ``auto``, if the theorem method refuses too, raises that refusal
-    with the shape rule's as ``also``.  Each method checks its arguments.
+    ``auto`` runs the closed form (the shape rule), and the theorem method
+    only when the shape rule's sweep of n*, the least n of n's shape, is
+    refused past NAIVE_MAX_BITS; n* <= n, so the naive sweep of n is past
+    its budget too.  ``closed`` raises that refusal, which names n*'s index
+    bits, and ``auto``, if the theorem method refuses too, raises that
+    method's refusal with the shape rule's as ``also``.  Every other
+    refusal ends the call.  Each method checks its arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -548,17 +544,16 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
         return cvec_naive(family, n, p)
     if method == "theorem":
         return cvec_theorem(family, n, p)
-    vec = cvec_closed_form(family, n, p)
-    if vec is not None:
-        return vec
-    shape = CapacityError("cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
-    if method == "closed":
-        raise shape
     try:
-        return cvec_theorem(family, n, p)
-    except CapacityError as exc:
-        exc.also = shape
-        raise
+        return cvec_closed_form(family, n, p)
+    except CapacityError as shape:
+        if method == "closed" or shape.budget != "cvec.NAIVE_MAX_BITS":
+            raise
+        try:
+            return cvec_theorem(family, n, p)
+        except CapacityError as exc:
+            exc.also = shape
+            raise
 
 
 # ---------------------------------------------------------------------------

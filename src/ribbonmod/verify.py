@@ -8,7 +8,7 @@ reference data.
   * ``oracles``  -- ribbon numbers and naive p-vectors against descent
     classes counted by enumerating the group (``ORACLE_GRID``);
   * ``formulas`` -- every closed form of ``closed_form_grid`` against the
-    theorem method.
+    theorem method; a refusal is a FAIL line.
 
 ``cli.cmd_verify`` imports this module when it runs, so no other command
 loads it; it imports nothing from ``cli``, so ``python -m ribbonmod.cli
@@ -21,7 +21,7 @@ import re
 from collections import Counter
 
 from .arith import residue_tally
-from .compositions import mask_offset
+from .compositions import CapacityError, mask_offset
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram
 from .cvec import cvec, cvec_closed_form, cvec_naive, cvec_theorem
 from .ribbon import ORACLE_MAX_N, oracle_descent_class_sizes, ribbon_exact
@@ -199,9 +199,11 @@ def closed_form_grid():
 def _verify_formulas(report) -> bool:
     def triples():
         for family, n, p in closed_form_grid():
-            closed = cvec_closed_form(family, n, p)
-            method = closed.method if closed else "missing"
-            computed = closed.counts if closed else None
+            try:
+                closed = cvec_closed_form(family, n, p)
+                method, computed = closed.method, closed.counts
+            except CapacityError as exc:
+                method, computed = "refused", str(exc)
             yield f"({family}, n={n}, p={p}) [{method}]", cvec_theorem(family, n, p).counts, computed
 
     return _compare(report, "closed forms against the theorem method", "vectors", triples())

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from ribbonmod.arith import base_p_digits
-from ribbonmod.compositions import enumerate_compositions, enumerate_pseudo_compositions, mask_offset
+from ribbonmod.compositions import CapacityError, enumerate_compositions, enumerate_pseudo_compositions, mask_offset
 from ribbonmod.coxeter import (
     SUBSET_MAX_RANK,
     builtin_diagram,
@@ -175,12 +175,17 @@ def _least_of_shape(family, n, p):
 
 def _closed(family, n, p):
     # required from the family's least n on, wherever n* fits the naive
-    # budget (types B and D at p = 2 by parity), and None elsewhere
-    vec = cvec_closed_form(family, n, p)
-    fits = (p == 2 and family != "A") or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS
-    assert (vec is not None) == fits, (family, n, p, vec)
-    assert vec is None or vec.method.startswith("closed-form:"), (family, n, p, vec.method)
-    return None if vec is None else vec.counts
+    # budget (types B and D at p = 2 by parity), and None elsewhere, where
+    # the naive sweep of n* refuses it with n*'s index bits
+    bits = _least_of_shape(family, n, p) - mask_offset(family)
+    fits = (p == 2 and family != "A") or bits <= NAIVE_MAX_BITS
+    try:
+        vec = cvec_closed_form(family, n, p)
+    except CapacityError as exc:
+        assert not fits and exc.args[:3] == ("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS), (family, n, p, exc)
+        return None
+    assert fits and vec.method.startswith("closed-form:"), (family, n, p, vec.method)
+    return vec.counts
 
 
 def _coxeter(family, n, p):

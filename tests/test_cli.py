@@ -15,7 +15,7 @@ import pytest
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
 from ribbonmod.coxeter import IrreducibleType, format_multiset
-from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec
+from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec, cvec_theorem
 from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
@@ -394,6 +394,18 @@ def test_verify_formulas_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "formulas")
     assert code == 0
     assert "PASS closed forms" in out
+
+
+def test_verify_formulas_reports_a_refusal_as_a_fail_line(monkeypatch):
+    # A n = 40 at p = 3 is its own n*, past the naive budget: the shape
+    # rule's refusal is one FAIL line, and the suite fails
+    verify = importlib.import_module("ribbonmod.verify")
+    monkeypatch.setattr(verify, "closed_form_grid", lambda: [("A", 40, 3), ("A", 5, 3)])
+    lines = []
+    assert not verify._verify_formulas(lines.append)
+    assert lines == [f"FAIL closed forms against the theorem method (A, n=40, p=3) [refused]: expected "
+                     f"{cvec_theorem('A', 40, 3).counts}, computed cvec.NAIVE_MAX_BITS: the request needs 39; "
+                     f"the budget is 26"]
 
 
 def test_verify_oracles_suite(capsys):

@@ -1052,7 +1052,8 @@ def _rule_spread(key, n, p):
 
 def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
     # each row is n's p-vector by the shape rule wherever the least n of its
-    # shape, n*, fits the naive budget, and None past it; and by the
+    # shape, n*, fits the naive budget, and refused with n*'s index bits
+    # past it; and by the
     # theorem route at two large primes, compared before the shift, as
     # there n is about p^4.  The rows hold at odd p in types B and D, where
     # the weights are units
@@ -1065,11 +1066,13 @@ def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
                 continue
             n = sum(d * p**j for j, d in places.items())
             least = _least_of_shape(family, n, p)
-            vec = cvec_closed_form(family, n, p)
-            if least - mask_offset(family) > NAIVE_MAX_BITS:
-                assert vec is None, (key, p)
+            bits = least - mask_offset(family)
+            if bits > NAIVE_MAX_BITS:
+                with pytest.raises(CapacityError) as excinfo:
+                    cvec_closed_form(family, n, p)
+                assert excinfo.value.args[:3] == ("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS), (key, p)
                 continue
-            assert vec.counts == _spread(*_rule_spread(key, n, p)), (key, p)
+            assert cvec_closed_form(family, n, p).counts == _spread(*_rule_spread(key, n, p)), (key, p)
             answered += 1
         for p in (101, 1009):
             n = sum(d * p**j for j, d in places.items())
@@ -1115,11 +1118,18 @@ def test_closed_form_type_d_patterns():
 
 def test_closed_form_absent():
     # n = 1 + 3 + 3^2 + 3^3 = 40 is its own least n, past the naive budget
-    # in every family, as is n = 1 + 3^2 + 3^5 + 3^7 of the same shape;
+    # in every family, as is n = 1 + 3^2 + 3^5 + 3^7 of the same shape: the
+    # naive sweep of 40 refuses both, with the bits of its index lattice;
     # type D below n = 4 is its own least n, and is answered
     for family in "ABD":
-        assert cvec_closed_form(family, 40, 3) is None
-        assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
+        refusal = ("cvec.NAIVE_MAX_BITS", 40 - mask_offset(family), NAIVE_MAX_BITS)
+        for n in (40, 1 + 3**2 + 3**5 + 3**7):
+            with pytest.raises(CapacityError) as excinfo:
+                cvec_closed_form(family, n, 3)
+            assert excinfo.value.args[:3] == refusal, (family, n)
+        with pytest.raises(CapacityError) as excinfo:
+            cvec_naive(family, 40, 3)
+        assert excinfo.value.args[:3] == refusal, family
     vec = cvec_closed_form("D", 3, 3)
     assert vec.method == "closed-form:shape" and vec == cvec_naive("D", 3, 3)
 
@@ -1194,23 +1204,24 @@ def test_shape_memo_answers_as_an_empty_one(monkeypatch):
 
 
 def test_shape_memo_keeps_no_refusal(monkeypatch):
-    # n* past the naive budget is refused each time it is asked, and nothing
-    # is kept for it; a result past the bit budget is refused each time too,
-    # though its n* is kept, and swept once: A n = 2^32 + 16, under the gate
-    # on n, at p = 2 has n* = 3
+    # n* past the naive budget is refused by its sweep each time it is
+    # asked, and nothing is kept for it; a result past the bit budget is
+    # refused each time too, though its n* is kept, and swept once:
+    # A n = 2^32 + 16, under the gate on n, at p = 2 has n* = 3
     module = importlib.import_module("ribbonmod.cvec")
     module._memo_counts.cache_clear()
     swept = _recording_sweeps(monkeypatch, module)
     for _ in range(2):
         for family in "ABD":
-            assert cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3) is None
+            with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
+                cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3)
             with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
                 cvec(family, 40, 3, method="closed")
         assert module._memo_counts.cache_info().currsize == 0
     for _ in range(2):
         with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
             cvec_closed_form("A", 2**32 + 16, 2)
-    assert swept == [("A", 3, 2)]
+    assert swept == [(family, 40, 3) for _ in range(2) for family in "ABD" for _ in range(2)] + [("A", 3, 2)]
     assert module._memo_counts.cache_info().currsize == 1
 
 
@@ -1250,7 +1261,7 @@ def test_shape_memo_in_bounded_memory(monkeypatch):
 
     monkeypatch.setattr(module, "_naive_counts", lambda family, n, p: tuple(range((1 << 26) - p, 1 << 26)))
     try:
-        worst = retained(lambda: [module._least_counts("A", n, 251) for n in range(2 * SHAPE_MEMO_SHAPES)])
+        worst = retained(lambda: [module._memo_counts("A", n, 251) for n in range(2 * SHAPE_MEMO_SHAPES)])
         assert module._memo_counts.cache_info().currsize == SHAPE_MEMO_SHAPES
     finally:
         module._memo_counts.cache_clear()
@@ -1293,8 +1304,9 @@ def test_cvec_dispatch():
     with pytest.raises(CapacityError) as excinfo:
         cvec("A", 40, 3, method="closed")
     assert type(excinfo.value) is CapacityError
+    # n* = 40 needs the 39 index bits that the naive sweep of 40 names
     assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-        "cvec.NAIVE_MAX_BITS", NAIVE_MAX_BITS + 1, NAIVE_MAX_BITS)
+        "cvec.NAIVE_MAX_BITS", 39, NAIVE_MAX_BITS)
     with pytest.raises(ValueError):
         cvec("A", 5, 3, method="fancy")
     with pytest.raises(ValueError):
@@ -1343,8 +1355,9 @@ def test_equal_entries_are_one_int():
 
 def test_spread_matches_the_unshared_formula(monkeypatch):
     # every closed-form, theorem and naive p-vector of A/B/D with n <= 40
-    # and p <= 7 (where the support fits the budget, and the lattice for
-    # the naive sweep) is what shifting each entry on its own gives, its
+    # and p <= 7 (where the support fits the budget, n*'s lattice for the
+    # shape rule, and n's for the naive sweep) is what shifting each entry
+    # on its own gives, its
     # equal entries are one object, and the routes agree with each other
     module = importlib.import_module("ribbonmod.cvec")
     calls = []
@@ -1358,12 +1371,13 @@ def test_spread_matches_the_unshared_formula(monkeypatch):
     for family, low in (("A", 2), ("B", 2), ("D", 4)):
         for n in range(low, 41):
             for p in (2, 3, 5, 7):
-                vecs = [cvec_closed_form(family, n, p)]
+                vecs = []
+                if p == 2 and family != "A" or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS:
+                    vecs.append(cvec_closed_form(family, n, p))
                 if _support_size(family, base_p_digits(n, p)) <= SUPPORT_MAX:
                     vecs.append(cvec_theorem(family, n, p))
                 if n - mask_offset(family) <= 14:
                     vecs.append(cvec_naive(family, n, p))
-                vecs = [v for v in vecs if v is not None]
                 assert all(v == vecs[0] for v in vecs), (family, n, p)
     assert len(calls) > 600
     assert {(bool(flips), doubled) for _, flips, doubled, _ in calls} == {
@@ -1656,7 +1670,7 @@ def test_auto_refusal_names_both_budgets():
         cvec("A", 3**13 - 1, 3)
     message = str(excinfo.value)
     assert f"cvec.SUPPORT_MAX: the request needs {3**13 - 2}; the budget is {SUPPORT_MAX}" in message
-    assert f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}" in message
+    assert f"cvec.NAIVE_MAX_BITS: the request needs {3**13 - 2}; the budget is {NAIVE_MAX_BITS}" in message
     assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SUPPORT_MAX", "cvec.NAIVE_MAX_BITS")
     # the shape rule's refusal is attached after the theorem route raised,
     # and a pickle keeps it
@@ -1665,10 +1679,11 @@ def test_auto_refusal_names_both_budgets():
 
 def test_auto_refusal_names_both_budgets_for_a_single_digit():
     # n = m * p^d has the shape of m, which the shape rule sweeps naively;
-    # when m is past the naive budget, closed refuses with that budget, and
-    # auto raises the theorem route's refusal on n, with that one as ``also``
-    shape = f"cvec.NAIVE_MAX_BITS: the request needs {NAIVE_MAX_BITS + 1}; the budget is {NAIVE_MAX_BITS}"
+    # when m is past the naive budget, closed refuses with that budget and
+    # m's index bits, and auto raises the theorem route's refusal on n, with
+    # that one as ``also``
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
+        shape = f"cvec.NAIVE_MAX_BITS: the request needs {support}; the budget is {NAIVE_MAX_BITS}"
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
         assert str(excinfo.value) == (
