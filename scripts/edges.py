@@ -78,9 +78,11 @@ ROWS = [
     Row("cvec-A-3^14-json", cli("cvec --family A --n 4782969 --p 3 --format json")),
     Row("ribbon-A-500000,500000-mod", cli("ribbon --family A --alpha 500000,500000 --mod 1000000007")),
     Row("ribbon-A-1000,3053-mod2053", cli("ribbon --family A --alpha 1000,3053 --mod 2053"), stdout="1205"),
+    Row("ribbon-A-5000-digits,1-mod3", cli(f"ribbon --family A --alpha {'1' * 5000},1 --mod 3"), stdout="2"),
     *(past(name, cli(line), *names.split()) for name, names, line in (row.split("|") for row in (  # name|budgets|line
         "macdonald-digit|cvec.MACDONALD_DIGIT_MAX|macdonald --n 1000000000 --p 1000000007",
         "macdonald-cost|cvec.MACDONALD_COST_MAX|macdonald --n 1018081000 --p 1009",
+        "macdonald-5000-digits|cvec.MACDONALD_COST_MAX|macdonald --p 3 --n " + "1" * 5000,
         "diagram-rank|coxeter.DIAGRAM_MAX_RANK|coxeter --group A1000000000 --subset 1",
         "diagram-rank-5000-digits|coxeter.DIAGRAM_MAX_RANK|coxeter --group A" + "1" * 5000,
         "support|cvec.SUPPORT_MAX cvec.NAIVE_MAX_BITS|cvec --family A --n 1594322 --p 3",

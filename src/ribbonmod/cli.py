@@ -22,7 +22,7 @@ import getopt
 import sys
 from types import SimpleNamespace
 
-from .compositions import parse_parts
+from .compositions import int_value, parse_parts, text_head
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram, ribbon_general
 from .cvec import cvec, macdonald_mp
 from .ribbon import ribbon_exact, ribbon_mod_p
@@ -152,9 +152,9 @@ def cmd_coxeter(args) -> int:
     diagram = builtin_diagram(args.group)
     if args.subset is not None:
         try:
-            subset = sorted(int(tok) for tok in args.subset.split(",")) if args.subset else []
+            subset = sorted(int_value(tok) for tok in args.subset.split(",")) if args.subset else []
         except ValueError:
-            raise ValueError(f"--subset takes comma-separated generator indices, got {args.subset!r}") from None
+            raise ValueError(f"--subset takes comma-separated generator indices, got {text_head(args.subset)}") from None
         if len(set(subset)) < len(subset):
             raise ValueError(f"--subset repeats a generator: {args.subset}")
         value = ribbon_general(diagram, subset)
@@ -305,9 +305,9 @@ def parse_args(argv: list[str]):
         kind = options[option][0]
         if kind is int:
             try:
-                value = int(value)
+                value = int_value(value)
             except ValueError:
-                _usage_error(name, f"argument {option}: invalid int value: {value!r}")
+                _usage_error(name, f"argument {option}: invalid int value: {text_head(value)}")
         elif kind is not str and value not in kind:
             _usage_error(name, f"argument {option}: invalid choice: {value!r} (choose from {_choices(kind)})")
         setattr(args, option[2:], value)

@@ -118,7 +118,7 @@ from .arith import (
     inverse_zeta_tally,
     lucas_binomial,
 )
-from .compositions import CapacityError, _Record, check_family, int_text, mask_offset
+from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset
 from .ribbon import _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
@@ -184,9 +184,7 @@ def _check_query(family: str, n: int, p: int) -> None:
     # p <= 2^TALLY_MAX_BITS, has >= n - TALLY_MAX_BITS bits, which _spread refuses
     check_family(family)
     check_tally_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1 or (family == "D" and n < 2):
+    if check_n(n) < 1 or (family == "D" and n < 2):
         raise ValueError(f"n={int_text(n)} out of range for family {family}")
     if n > RESULT_BITS_MAX + TALLY_MAX_BITS + 1:
         raise CapacityError("cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX)
@@ -236,9 +234,7 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
     """
     check_family(family)
     check_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {int_text(n)}")
-    if n < _THEOREM_MIN_N[family]:
+    if check_n(n) < _THEOREM_MIN_N[family]:
         kind = "type-D support set" if family == "D" else "support set"
         raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
     if n.bit_length() > SUPPORT_N_BITS_MAX:
@@ -560,16 +556,21 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
 # symmetric-group side counts
 
 
-def partitions(n: int, _max: int | None = None):
-    """Weakly decreasing positive tuples summing to n, largest part first."""
-    if n < 0:
+def partitions(n: int):
+    """Weakly decreasing positive tuples summing to n, largest part first;
+    n is checked when this is called, before the first is asked for."""
+    if check_n(n) < 0:
         raise ValueError("n must be nonnegative")
+    return _partitions(n, n)
+
+
+def _partitions(n: int, top: int):
+    # the partitions of n whose parts are at most top
     if n == 0:
         yield ()
         return
-    top = n if _max is None or _max > n else _max
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from math import factorial
 
 import pytest
@@ -273,6 +274,34 @@ def test_coxeter_subset_names_a_malformed_index(capsys):
         code, out, err = run(capsys, "coxeter", "--group", "B3", "--subset", subset)
         assert (code, out) == (2, ""), subset
         assert "--subset" in err and repr(subset) in err, err
+
+
+def test_command_line_ints_past_the_digit_limit(capsys):
+    # 5000 digits, past int()'s 4300: N = 11...1 is a part, an n or a
+    # prime; the ribbon number of (N, 1) is N, whose digit sum 5000 is 2
+    # mod 3, and the budgets refuse the rest as they refuse a short int
+    ones = "1" * 5000
+    code, out, _ = run(capsys, "ribbon", "--family", "A", "--alpha", f"{ones},1", "--mod", "3")
+    assert (code, out) == (0, "2\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "macdonald", "--n", ones, "--p", "3")
+    assert (code, out) == (2, "") and err.startswith("error: cvec.MACDONALD_COST_MAX: ")
+    assert time.perf_counter() - started < 1
+    code, out, err = run(capsys, "cvec", "--family", "A", "--n", ones, "--p", "3")
+    assert (code, out) == (2, "") and err.startswith("error: cvec.RESULT_BITS_MAX: ")
+    code, out, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", ones)
+    assert (code, out) == (2, "") and "arith.MILLER_RABIN_LIMIT" in err
+    # a malformed part, int option or index of 5000 characters is named by
+    # its head, in a message of one short line
+    head = f"{ones[:60]!r}... (5003 characters)"
+    code, _, err = run(capsys, "ribbon", "--family", "A", "--alpha", f"{ones}x,1")
+    assert code == 2 and err == f"error: malformed composition {head}\n"
+    code, _, err = run(capsys, "coxeter", "--group", "A5", "--subset", f"{ones}x,1")
+    assert code == 2 and err == f"error: --subset takes comma-separated generator indices, got {head}\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cvec", "--family", "A", "--n", f"{ones}x,1", "--p", "3"])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2 and err.endswith(f"error: argument --n: invalid int value: {head}\n")
 
 
 def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -16,8 +18,10 @@ from ribbonmod.compositions import (
     enumerate_compositions,
     enumerate_pseudo_compositions,
     int_text,
+    int_value,
     mask_offset,
     parse_parts,
+    text_head,
 )
 from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram
 from ribbonmod.cvec import DimensionPVector, cvec_naive, cvec_theorem
@@ -475,3 +479,30 @@ def test_record_contract(name):
         assert payload.count(old) == 1
         with pytest.raises(ValueError, match=message):
             pickle.loads(payload.replace(old, new))
+
+
+def test_int_value_reads_a_text_of_any_length():
+    # on both sides of the interpreter's digit limit and of the halving
+    # points past it, with a sign and leading zeros, against the CLI's
+    # output writer; a text at most the limit long is int()'s alone
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(50)
+    for digits in (1, limit - 1, limit, limit + 1, 2 * limit, 2 * limit + 1, 4 * limit + 3, 50000):
+        x = rng.randrange(10 ** (digits - 1), 10**digits)
+        text = cli._decimal(x, {})
+        assert len(text) == digits
+        for written, value in ((text, x), ("-" + text, -x), ("+" + text, x), ("0" * limit + text, x)):
+            assert int_value(written) == value, digits
+    for text in (" 12 ", "1_000", "-7", "\u0661\u0662"):
+        assert int_value(text) == int(text)
+
+
+def test_int_value_past_the_limit_takes_ascii_digits_and_quotes_a_short_head():
+    limit = sys.get_int_max_str_digits()
+    ones = "1" * (limit + 1)
+    for text in (ones + "x", " " + ones, "1_" * limit, "\u0661" * (limit + 1), "--" + ones, "-" * (limit + 1)):
+        with pytest.raises(ValueError) as excinfo:
+            int_value(text)
+        message = str(excinfo.value)
+        assert message.endswith(f"{text[:60]!r}... ({len(text)} characters)") and len(message) < 150, text[:4]
+    assert text_head("1,x") == repr("1,x") and text_head("1" * 60) == repr("1" * 60)

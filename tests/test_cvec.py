@@ -64,7 +64,7 @@ from ribbonmod.cvec import (
     _theorem_counts,
     _weight_table,
 )
-from ribbonmod.ribbon import _chain_sum, chain_mod_p, ribbon_mod_p, term_mod_p
+from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
 from test_acceptance import VECTOR_ROWS, _least_of_shape
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -1331,6 +1331,24 @@ def test_n_must_be_an_int(call, n):
     # as check_prime refuses a bool or non-int p: a bool would pass for 0 or
     # 1, and a float would give float digits
     with pytest.raises(ValueError):
+        call(n)
+
+
+N_TAKING = {
+    "enumerate_compositions": enumerate_compositions,
+    "enumerate_pseudo_compositions": enumerate_pseudo_compositions,
+    "oracle_descent_class_sizes": lambda n: oracle_descent_class_sizes("A", n),
+    "partitions": partitions,
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.5, "3"])
+@pytest.mark.parametrize("call", N_TAKING.values(), ids=N_TAKING.keys())
+def test_n_taking_entries_refuse_a_bool_or_non_int_n_when_called(call, n):
+    # as the cvec methods do: True would pass for n = 1, and 2.5 or "3" ended
+    # in a TypeError; the two enumerations and partitions refuse when
+    # called, before their first item is asked for
+    with pytest.raises(ValueError, match="n must be an int, got "):
         call(n)
 
 
