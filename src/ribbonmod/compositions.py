@@ -50,8 +50,8 @@ class CapacityError(ValueError):
     """A request past a budget, refused before its work.  ``budget`` names
     the budget's constant, e.g. ``"cvec.NAIVE_MAX_BITS"``; ``needed`` (a
     lower bound where the check stops early) and ``cap`` are in its unit.
-    ``int_text`` writes them, so the message never raises; ``also``,
-    another budget's refusal of the request, ends the message."""
+    ``int_text`` writes them, so neither the message nor the repr raises;
+    ``also``, another budget's refusal of the request, ends the message."""
 
     def __init__(self, budget: str, needed: int, cap: int, also: CapacityError | None = None):
         ValueError.__init__(self, budget, needed, cap, also)
@@ -63,6 +63,11 @@ class CapacityError(ValueError):
     def __str__(self) -> str:
         text = f"{self.budget}: the request needs {int_text(self.needed)}; the budget is {int_text(self.cap)}"
         return text if self.also is None else f"{text}; {self.also}"
+
+    def __repr__(self) -> str:
+        # BaseException.__repr__ would write the ints in decimal
+        ints = f"{int_text(self.needed)}, {int_text(self.cap)}"
+        return f"{type(self).__name__}({self.budget!r}, {ints}, {self.also!r})"
 
 
 def int_text(value) -> str:

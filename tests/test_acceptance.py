@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion runs exactly, one pass/fail line each.
 
-Criterion 5 compares single descent classes, and criterion 6 p-vectors,
-by every route that answers at each point of their tables; criteria 7 and
-8 hold the end-to-end identities.  Some unit tests still check a slice of
-these tables or identities on their own.
+Criterion 4 checks the Coxeter sweep against the bundled exceptional
+data.  Criterion 5 compares single descent classes, and criterion 6
+p-vectors, by every route that answers at each point of their tables; a
+new route or point is added there, and a unit test compares two routes
+only to test what no row holds.  Criteria 7 and 8 hold the end-to-end
+identities, of which some unit tests still check a slice on their own.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  All comparisons are exact integer equality; the stated runtime

@@ -214,6 +214,7 @@ def test_capacity_error_is_written_from_its_budget():
     outer = CapacityError("cvec.NAIVE_MAX_BITS", 27, 26, inner)
     assert str(inner) == "compositions.MAX_MASK_BITS: the request needs 64; the budget is 63"
     assert str(outer) == f"cvec.NAIVE_MAX_BITS: the request needs 27; the budget is 26; {inner}"
+    assert repr(outer) == "CapacityError('cvec.NAIVE_MAX_BITS', 27, 26, CapacityError('compositions.MAX_MASK_BITS', 64, 63, None))"
     assert (outer.budget, outer.needed, outer.cap, outer.also) == ("cvec.NAIVE_MAX_BITS", 27, 26, inner)
     for copied in (copy.deepcopy(outer), pickle.loads(pickle.dumps(outer))):
         assert type(copied) is CapacityError and str(copied) == str(outer)
