@@ -1,7 +1,8 @@
 """Run every budget edge, `python scripts/edges.py`: each row of ROWS in a fresh interpreter under its own timeout and
 address-space cap (RLIMIT_AS in KiB, set in the child only; an API refusal exits 2 as at the CLI), one JSON line per row.
 A row passes on its exit code and its one check, if any: its stripped stdout, a partner row's equal JSON "vector", or the
-budget constants its stderr names.  `at` names the budget whose edge a row runs at; exits 1 if any row fails."""
+budget constants its stderr names.  `at` names the budget whose edge a row runs at; exits 1 if any row fails.  `run` returns
+the row's JSON record, which scripts/bench.py reads."""
 
 import json
 import os
@@ -70,6 +71,12 @@ ROWS = [
       for row in pair("theorem", "naive", *query)),
     *(row for f, n in (("A", 63423), ("B", 63423), ("D", 59052)) for row in pair("closed", "theorem", f, n, 3)),
     Row("shape-memo", check("test_cvec", "check_shape_rule_table()"), timeout=60),
+    # the points of tier-1 tests too large to run on every pass: each test's check with at_size=True
+    *(Row(f"digests-{entry}", check("test_answer_digests", f"check_digests({entry!r})"), timeout=60)
+      for entry in ("cvec.closed.edge", "cvec.theorem.edge")),
+    Row("decimal-at-size", check("test_cli", "check_decimal(at_size=True)"), timeout=60),
+    Row("term-table-at-size", check("test_cvec", "check_term_table(at_size=True)"), timeout=60),
+    Row("spread-at-size", check("test_cvec", "check_spread(at_size=True)"), timeout=60),
     Row("mutants", ["scripts/mutants.py"], timeout=120),
     *(Row(f"kernel-{f}{n}-p{p}", check("test_cvec", f"check_kernel_at_size({f!r}, {n}, {p})"), cap, timeout) for m, cap, timeout in
       ((25, 400000, 120), (26, 600000, 120)) for f, n in (("A", m + 1), ("B", m), ("D", m)) for p in (3, 131, 257)),
@@ -133,11 +140,12 @@ def run(row, outputs):
     if passed and row.partner:  # a partner that failed kept no output
         passed = json.loads(text)["vector"] == json.loads(outputs[row.partner]).get("vector")
     outputs[row.name] = text if passed else "{}"
-    print(json.dumps({"name": row.name, "seconds": round(seconds, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-                      "code": code, "pass": passed, **({} if passed else {"output": (text + errors)[-2000:]})}), flush=True)
-    return passed
+    record = {"name": row.name, "seconds": round(seconds, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+              "code": code, "pass": passed, **({} if passed else {"output": (text + errors)[-2000:]})}
+    print(json.dumps(record), flush=True)
+    return record
 
 
 if __name__ == "__main__":
     outputs = {}
-    sys.exit(0 if all([run(row, outputs) for row in ROWS]) else 1)
+    sys.exit(0 if all([run(row, outputs)["pass"] for row in ROWS]) else 1)

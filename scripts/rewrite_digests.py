@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 spec = importlib.util.spec_from_file_location("answer_digests", ROOT / "tests" / "test_answer_digests.py")
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)

@@ -50,8 +50,9 @@ class CapacityError(ValueError):
     """A request past a budget, refused before its work.  ``budget`` names
     the budget's constant, e.g. ``"cvec.NAIVE_MAX_BITS"``; ``needed`` (a
     lower bound where the check stops early) and ``cap`` are in its unit.
-    ``int_text`` writes them, so neither the message nor the repr raises;
-    ``also``, another budget's refusal of the request, ends the message."""
+    ``_bound_text`` writes them, so neither the message nor the repr
+    raises; ``also``, another budget's refusal of the request, ends the
+    message."""
 
     def __init__(self, budget: str, needed: int, cap: int, also: CapacityError | None = None):
         ValueError.__init__(self, budget, needed, cap, also)
@@ -61,12 +62,12 @@ class CapacityError(ValueError):
         self.also = also
 
     def __str__(self) -> str:
-        text = f"{self.budget}: the request needs {int_text(self.needed)}; the budget is {int_text(self.cap)}"
+        text = f"{self.budget}: the request needs {_bound_text(self.needed)}; the budget is {_bound_text(self.cap)}"
         return text if self.also is None else f"{text}; {self.also}"
 
     def __repr__(self) -> str:
         # BaseException.__repr__ would write the ints in decimal
-        ints = f"{int_text(self.needed)}, {int_text(self.cap)}"
+        ints = f"{_bound_text(self.needed)}, {_bound_text(self.cap)}"
         return f"{type(self).__name__}({self.budget!r}, {ints}, {self.also!r})"
 
 
@@ -75,6 +76,15 @@ def int_text(value) -> str:
     first: ``str()`` refuses an int past the interpreter's digit limit."""
     bits = value.bit_length() if isinstance(value, int) else 0
     return f"an int of {bits} bits" if bits > 128 else repr(value)
+
+
+def _bound_text(value) -> str:
+    # a refusal's needed or cap: a positive int past 128 bits as the lower
+    # bound 2^(b - 1) of its b bits, which stays in the budget's unit also
+    # where that unit is itself bits
+    if isinstance(value, int) and value > 0 and value.bit_length() > 128:
+        return f"2^{value.bit_length() - 1} or more"
+    return int_text(value)
 
 
 def text_head(text: str) -> str:

@@ -5,7 +5,7 @@ data.  Criterion 5 compares single descent classes, and criterion 6
 p-vectors, by every route that answers at each point of their tables; a
 new route or point is added there, and a unit test compares two routes
 only to test what no row holds.  Criteria 7 and 8 hold the end-to-end
-identities, of which some unit tests still check a slice on their own.
+identities, which no unit test repeats.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  All comparisons are exact integer equality; the stated runtime
@@ -15,6 +15,8 @@ ceilings are asserted too.
 import time
 from itertools import combinations
 from math import factorial
+
+from hypothesis import assume, given, settings, strategies as st
 
 from ribbonmod.arith import base_p_digits
 from ribbonmod.compositions import CapacityError, enumerate_compositions, enumerate_pseudo_compositions, mask_offset
@@ -28,6 +30,7 @@ from ribbonmod.coxeter import (
 )
 from ribbonmod.cvec import (
     NAIVE_MAX_BITS,
+    SUPPORT_MAX,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -36,6 +39,7 @@ from ribbonmod.cvec import (
     partitions,
     standard_tableau_count,
     support_set,
+    _support_size,
 )
 from ribbonmod.ribbon import (
     ORACLE_MAX_N,
@@ -173,6 +177,22 @@ def _least_of_shape(family, n, p):
     head = digits[:1] if family == "D" else ()
     shape = [*head, *sorted(filter(None, digits[len(head):]), reverse=True)]
     return sum(d * p**j for j, d in enumerate(shape))
+
+
+# a point whose sweep covers 2^SIZE_BITS masks or more is checked once, by
+# an edge row of scripts/edges.py, and not in tier-1
+SIZE_BITS = 20
+
+
+def _sweep_bits(family, n, p, method):
+    # log2 of the masks a route sweeps at a point: the support's subsets
+    # (theorem) or n*'s index lattice (closed); 0 where it refuses the
+    # point or answers by parity
+    if method == "theorem":
+        size = _support_size(family, base_p_digits(n, p)) if n >= THEOREM_MIN_N[family] else 0
+        return size if size <= SUPPORT_MAX else 0
+    bits = _least_of_shape(family, n, p) - mask_offset(family)
+    return 0 if (p == 2 and family != "A") or bits > NAIVE_MAX_BITS else bits
 
 
 def _closed(family, n, p):
@@ -330,6 +350,34 @@ def test_criterion_6_method_cross_validation():
     assert len(CLOSED_FORM_POINTS) > 80
     _check_rows(VECTOR_ROUTES, VECTOR_ROWS, problems)
     _finish(6, "every p-vector route that answers agrees, at every point of eight rows", started, 600, problems)
+
+
+@st.composite
+def _large_n_points(draw):
+    # a family, a prime and n in [10^2, 10^6] built from at most three
+    # nonzero base-p digits, each bounded so that prod(d_j + 1) <= 12: at
+    # most 10 support positions, checked after the draw
+    family = draw(st.sampled_from("ABD"))
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    places = draw(st.lists(st.integers(0, len(base_p_digits(10**6, p)) - 1), min_size=1, max_size=3, unique=True))
+    n, room = 0, 12
+    for place in places:
+        if room < 2:
+            break
+        digit = draw(st.integers(1, min(p, room) - 1))
+        n, room = n + digit * p**place, room // (digit + 1)
+    assume(10**2 <= n <= 10**6 and _support_size(family, base_p_digits(n, p)) <= 10)
+    return family, n, p
+
+
+@given(_large_n_points())
+@settings(max_examples=100, deadline=None)
+def test_large_n_routes_agree_on_drawn_points(point):
+    # the theorem route against the per-support one, and the shape rule
+    # where n* fits the naive budget, beside LARGE_N_POINTS' fixed points
+    theorem = VECTOR_ROUTES["theorem"](*point)
+    assert theorem == VECTOR_ROUTES["per-support"](*point)
+    assert VECTOR_ROUTES["closed"](*point) in (None, theorem)
 
 
 def test_criterion_7_formula_identities():

@@ -10,6 +10,11 @@ moved and why.
 Each entry turns a point into one text line: the call's arguments, then its
 answer or the refusal's exception type and message.  Ints are written in
 hex, so exact counts of any length hash without a decimal conversion.
+
+The cvec points whose sweep covers 2^SIZE_BITS masks or more are an entry
+of their own, ``<entry>.edge``, whose lines are the rest of the parent
+grid's: tier-1 leaves it out, and an edge row of ``scripts/edges.py`` runs
+``check_digests`` on it.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ from ribbonmod.compositions import (
 from ribbonmod.coxeter import builtin_diagram, descent_class_multiset, residue_histogram
 from ribbonmod.cvec import NAIVE_MAX_BITS, cvec
 from ribbonmod.ribbon import ribbon_exact, ribbon_mod_p
+from test_acceptance import SIZE_BITS, _sweep_bits
 
 DATA = Path(__file__).with_name("answer_digests.json")
 REFUSALS = (ValueError, TypeError)
@@ -70,13 +76,17 @@ def _cvec_answer(family, n, p, method):
     return vec.method, vec.counts
 
 
-def _cvec_lines(method):
+def _cvec_lines(method, at_size=False):
+    # the grid's points whose sweep is below 2^SIZE_BITS masks, or with
+    # at_size those at or past it
     def lines():
         for family in "ABD":
             for n in CVEC_NS:
                 for p in CVEC_PRIMES:
                     if n > CVEC_NAIVE_MAX_N and (method == "naive" or method == "closed" and n < p
                                                  and n - mask_offset(family) <= NAIVE_MAX_BITS):
+                        continue
+                    if method != "naive" and (_sweep_bits(family, n, p, method) >= SIZE_BITS) != at_size:
                         continue
                     yield family, f"{n} {p} -> {_answer(_cvec_answer, family, n, p, method)}"
     return lines
@@ -164,7 +174,9 @@ def _cli_ribbon_lines():
 ENTRIES = {
     "cvec.naive": _cvec_lines("naive"),
     "cvec.theorem": _cvec_lines("theorem"),
+    "cvec.theorem.edge": _cvec_lines("theorem", at_size=True),
     "cvec.closed": _cvec_lines("closed"),
+    "cvec.closed.edge": _cvec_lines("closed", at_size=True),
     "ribbon_exact": _ribbon_exact_lines,
     "ribbon_mod_p": _ribbon_mod_p_lines,
     "descent_class_multiset": _multiset_lines,
@@ -185,13 +197,17 @@ def all_digests() -> dict[str, str]:
     return {key: value for entry in ENTRIES for key, value in digests(entry).items()}
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
-def test_answers_match_their_digests(entry):
+def check_digests(entry):
     stored = {key: value for key, value in json.loads(DATA.read_text()).items()
               if key.split(" ")[0] == entry}
     got = digests(entry)
     moved = sorted(key for key in stored.keys() | got.keys() if stored.get(key) != got.get(key))
     assert not moved, f"answers changed for {moved}; if that is meant, run scripts/rewrite_digests.py"
+
+
+@pytest.mark.parametrize("entry", [entry for entry in ENTRIES if not entry.endswith(".edge")])
+def test_answers_match_their_digests(entry):
+    check_digests(entry)
 
 
 def test_every_stored_digest_has_an_entry():

@@ -204,16 +204,19 @@ def test_lucas_binomial_of_large_digits_matches_exact():
 def test_lucas_binomial_of_a_million_stays_small():
     # C(10^6, 5*10^5) has about 10^6 bits; mod p it is built from residues.
     # The expected value is math.comb(10**6, 5 * 10**5) % p, which takes
-    # about 11 s to compute
+    # about 11 s to compute.  The memory bound is traced at 10^5, where the
+    # exact C(10^5, 5*10^4) alone takes about 12.5 KB: tracing slows the
+    # loop of residues about 25 times
     p = 10**9 + 7
+    assert lucas_binomial(10**6, 5 * 10**5, p) == 996692777
     tracemalloc.start()
     try:
-        value = lucas_binomial(10**6, 5 * 10**5, p)
+        value = lucas_binomial(10**5, 5 * 10**4, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value == 996692777
-    assert peak < 1 << 20
+    assert value == comb(10**5, 5 * 10**4) % p
+    assert peak < 1 << 12
 
 
 def test_pow2_digitwise_identity():

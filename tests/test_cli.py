@@ -173,9 +173,15 @@ def _parse_signed_decimal(text):
     return _parse_long_decimal(text)
 
 
-def test_decimal_matches_a_chunked_parse():
+# ints of this many bits or more are converted by the edge row
+# decimal-at-size of scripts/edges.py, not in tier-1
+DECIMAL_SIZE_BITS = 10**5
+
+
+def check_decimal(at_size=False):
     # both sides of the str() cut at 4096 bits, and ints far past the
-    # interpreter's digit limit, which stays as it was
+    # interpreter's digit limit, which stays as it was: those below
+    # DECIMAL_SIZE_BITS, or with at_size those at or past it
     limit = sys.get_int_max_str_digits()
     rng = random.Random(14)
     edges = [0, 1, 2**4096 - 1, 2**4096, 2**4097, 2**8192, 2**8193 - 1]
@@ -183,12 +189,18 @@ def test_decimal_matches_a_chunked_parse():
     values = edges + [rng.getrandbits(b) for b in sizes] + [(1 << 10**6) - 1]
     pow2 = {}
     for x in values:
+        if (x.bit_length() >= DECIMAL_SIZE_BITS) != at_size:
+            continue
         for v in (x, -x):
             text = _decimal(v, pow2)
             assert text.lstrip("-")[0] != "0" or v == 0
             assert text != "-0"
             assert _parse_signed_decimal(text) == v, v.bit_length()
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_matches_a_chunked_parse():
+    check_decimal()
 
 
 def test_decimal_of_a_shared_power_of_two_matches_a_chunked_parse():

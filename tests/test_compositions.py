@@ -223,14 +223,18 @@ def test_capacity_error_is_written_from_its_budget():
 
 def test_int_text_writes_a_long_int_by_its_bit_length():
     # up to 128 bits in decimal, past it by the bit length, so no int past
-    # the interpreter's digit limit reaches str(); other values by repr
+    # the interpreter's digit limit reaches str(); other values by repr.  A
+    # refusal writes its needed and cap past 128 bits as the lower bound
+    # 2^(b - 1), in the budget's unit
     assert int_text(2**128 - 1) == str(2**128 - 1)
     assert int_text(-(2**128) + 1) == str(-(2**128) + 1)
     assert int_text(2**128) == "an int of 129 bits"
     assert int_text(-(10**5000)) == "an int of 16610 bits"
     assert (int_text(True), int_text("7"), int_text(2.5)) == ("True", "'7'", "2.5")
     message = str(CapacityError("compositions.COMPLEMENT_MAX_POSITIONS", 10**5000, 1 << 21))
-    assert message == "compositions.COMPLEMENT_MAX_POSITIONS: the request needs an int of 16610 bits; the budget is 2097152"
+    assert message == "compositions.COMPLEMENT_MAX_POSITIONS: the request needs 2^16609 or more; the budget is 2097152"
+    assert str(CapacityError("cvec.RESULT_BITS_MAX", 2**128 - 1, 2**128)) == (
+        f"cvec.RESULT_BITS_MAX: the request needs {2**128 - 1}; the budget is 2^128 or more")
 
 
 def test_complement_past_its_budget_refused_before_allocating(monkeypatch):

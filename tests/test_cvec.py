@@ -65,7 +65,7 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
-from test_acceptance import VECTOR_ROWS, _least_of_shape
+from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -232,18 +232,24 @@ def _full_mask(mask, kept):
     return sum(1 << e for i, e in enumerate(kept) if mask >> i & 1)
 
 
-def test_term_table_matches_term_mod_p():
+# supports of this many positions or more are checked by the edge row
+# term-table-at-size of scripts/edges.py, not in tier-1
+TERM_TABLE_SIZE = 10
+
+
+def check_term_table(at_size=False):
     # the block-scaled chain table against the per-subset digit evaluation;
     # 11 and 13 have digits up to 12, 131 takes 1-byte fields without a
     # sign bit and 257 2-byte fields.  The table drops the positions whose
     # subsets all have a term of 0: none, but at p = 2 in types B and D,
-    # where every first-step weight is even
+    # where every first-step weight is even.  Supports of up to 12
+    # positions: those below TERM_TABLE_SIZE, or with at_size the rest
     checked = 0
     for family in ("A", "B", "D"):
         for p in (2, 3, 5, 7, 11, 13, 131, 257):
             for n in range(4 if family == "D" else 2, 80):
                 pos = support_set(family, n, p)
-                if len(pos) > 12:
+                if len(pos) > 12 or (len(pos) >= TERM_TABLE_SIZE) != at_size:
                     continue
                 nd = base_p_digits(n, p)
                 digit_row = _digit_cache(p, len(nd))
@@ -267,7 +273,11 @@ def test_term_table_matches_term_mod_p():
                 for sel, got in enumerate(table):
                     assert got == terms[_full_mask(sel, kept)], (family, n, p, sel)
                 checked += 1
-    assert checked > 300
+    assert checked > (100 if at_size else 300)
+
+
+def test_term_table_matches_term_mod_p():
+    check_term_table()
 
 
 def _moebius_reference(raw):
@@ -812,45 +822,6 @@ def test_mass_and_palindromicity():
                     assert all(vec[i] == vec[p - i] for i in range(1, p))
 
 
-def test_parity_theorems():
-    for n in range(2, 16):
-        assert cvec("B", n, 2).counts == (0, 1 << n)
-        if n >= 4:
-            assert cvec("D", n, 2).counts == (0, 1 << n)
-
-
-def test_two_adic_divisibility():
-    # One carve-out: with an empty support set (type A, n a power of p) the
-    # subset/complement pairing degenerates and the guaranteed power drops
-    # by one; the n = p^d rows of the reference tables pin this down.
-    for p in (3, 5, 7, 11):
-        for n in range(2, 17):
-            digits = base_p_digits(n, p)
-            prod = 1
-            for dj in digits:
-                prod *= dj + 1
-            saturated = _saturated(n, p)
-            n0 = digits[0]
-            for family in ("A", "B", "D"):
-                if family == "D" and n < 4:
-                    continue
-                vec = cvec_theorem(family, n, p)
-                for i, count in enumerate(vec):
-                    if family == "D":
-                        if (n0 > 0 and i == 0) or saturated:
-                            need = n + 2 - prod
-                        elif n0 == 0 and i != 0:
-                            need = n - prod
-                        else:
-                            need = n + 1 - prod
-                    else:
-                        need = (n + 2 - prod) if (i == 0 or saturated) else (n + 1 - prod)
-                    if family == "A" and prod == 2:
-                        need -= 1
-                    if need > 0:
-                        assert count % (1 << need) == 0, (family, n, p, i)
-
-
 # -- chain statistics -------------------------------------------------------
 # The rule table below freezes tallies of these statistics; they live here,
 # next to the test that rebuilds the table from them.
@@ -1322,12 +1293,13 @@ def test_equal_entries_are_one_int():
     assert counts[1] == counts[2] and counts[1] is counts[2]
 
 
-def test_spread_matches_the_unshared_formula(monkeypatch):
+def check_spread(at_size=False):
     # every closed-form, theorem and naive p-vector of A/B/D with n <= 40
     # and p <= 7 (where the support fits the budget, n*'s lattice for the
     # shape rule, and n's for the naive sweep) is what shifting each entry
-    # on its own gives, its
-    # equal entries are one object, and the routes agree with each other
+    # on its own gives, its equal entries are one object, and the routes
+    # agree with each other: at the points whose sweeps are below
+    # 2^SIZE_BITS masks, or with at_size at the rest
     module = importlib.import_module("ribbonmod.cvec")
     calls = []
 
@@ -1336,25 +1308,34 @@ def test_spread_matches_the_unshared_formula(monkeypatch):
         calls.append((list(tally), flips, doubled, counts))
         return counts
 
-    monkeypatch.setattr(module, "_spread", recording)
-    for family, low in (("A", 2), ("B", 2), ("D", 4)):
-        for n in range(low, 41):
-            for p in (2, 3, 5, 7):
-                vecs = []
-                if p == 2 and family != "A" or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS:
-                    vecs.append(cvec_closed_form(family, n, p))
-                if _support_size(family, base_p_digits(n, p)) <= SUPPORT_MAX:
-                    vecs.append(cvec_theorem(family, n, p))
-                if n - mask_offset(family) <= 14:
-                    vecs.append(cvec_naive(family, n, p))
-                assert all(v == vecs[0] for v in vecs), (family, n, p)
-    assert len(calls) > 600
+    module._spread = recording
+    try:
+        for family, low in (("A", 2), ("B", 2), ("D", 4)):
+            for n in range(low, 41):
+                for p in (2, 3, 5, 7):
+                    if (max(_sweep_bits(family, n, p, method) for method in ("closed", "theorem")) >= SIZE_BITS) != at_size:
+                        continue
+                    vecs = []
+                    if p == 2 and family != "A" or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS:
+                        vecs.append(cvec_closed_form(family, n, p))
+                    if _support_size(family, base_p_digits(n, p)) <= SUPPORT_MAX:
+                        vecs.append(cvec_theorem(family, n, p))
+                    if n - mask_offset(family) <= 14:
+                        vecs.append(cvec_naive(family, n, p))
+                    assert all(v == vecs[0] for v in vecs), (family, n, p)
+    finally:
+        module._spread = _spread
+    assert len(calls) > (50 if at_size else 600)
     assert {(bool(flips), doubled) for _, flips, doubled, _ in calls} == {
         (False, False), (False, True), (True, False), (True, True)}
     for tally, flips, doubled, counts in calls:
         assert counts == _spread_unshared(tally, flips, doubled), (tally, flips, doubled)
         first = {}
         assert all(first.setdefault(c, c) is c for c in counts), (tally, flips, doubled)
+
+
+def test_spread_matches_the_unshared_formula():
+    check_spread()
 
 
 def test_shared_entries_in_bounded_memory():
@@ -1589,8 +1570,8 @@ def test_macdonald_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
 
 
 # ints past the interpreter's 4300-digit limit, each refused by a budget
-# whose name the refusal carries, and written by its bit length in the
-# message and the repr alike
+# whose name the refusal carries, and whose need is written as its lower
+# bound 2^(b - 1) in the message and the repr alike
 PROBES = {
     "cvec-p-10^5000+1": (lambda: cvec("A", 5, 10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
     "check_prime-10^5000+1": (lambda: check_prime(10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
@@ -1609,8 +1590,9 @@ def test_probe_past_a_budget_refused_by_its_name(probe):
         call()
     assert time.perf_counter() - started < 0.1
     assert excinfo.value.budget == budget
-    assert str(excinfo.value).startswith(f"{budget}: the request needs an int of ")
-    assert repr(excinfo.value).startswith(f"CapacityError({budget!r}, an int of ")
+    bound = f"2^{excinfo.value.needed.bit_length() - 1} or more"
+    assert str(excinfo.value).startswith(f"{budget}: the request needs {bound}; the budget is ")
+    assert repr(excinfo.value).startswith(f"CapacityError({budget!r}, {bound}, ")
 
 
 def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
@@ -1796,18 +1778,3 @@ def test_colored_partition_count_matches_the_convolution():
         for m in range(40):
             assert _colored_partition_count(m, colors) == _convolved_partition_count(m, colors), (m, colors)
     assert _colored_partition_count(120, 7) == _convolved_partition_count(120, 7)
-
-
-def test_macdonald_matches_hook_sweep():
-    for n in range(1, 11):
-        for p in (2, 3, 5, 7):
-            brute = sum(1 for lam in partitions(n) if standard_tableau_count(lam) % p != 0)
-            assert macdonald_mp(n, p) == brute
-
-
-def test_macdonald_distinct_power_formula():
-    for p in (2, 3, 5, 7):
-        for mask in range(1, 1 << 4):
-            exponents = [e for e in range(4) if mask >> e & 1]
-            n = sum(p**e for e in exponents)
-            assert macdonald_mp(n, p) == p ** sum(exponents)

@@ -3,18 +3,23 @@ its rows: ``python scripts/edges.py`` runs them."""
 
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from ribbonmod.cli import main, parse_args
+from test_answer_digests import ENTRIES
 from test_surface import _readme_budget_constants
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("edges", ROOT / "scripts" / "edges.py")
 edges = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(edges)
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
 CLI = ["-m", "ribbonmod.cli"]
 
 
@@ -81,3 +86,40 @@ def test_readme_budget_table_cites_rows_by_name():
     for line in table.splitlines()[1:]:
         cited = re.findall(r"`([^`]+)`", line.split(" | ")[-1])
         assert cited and set(cited) <= names, line[:60]
+
+
+def test_each_point_tier1_leaves_out_has_a_row():
+    # the digest entries tier-1 leaves out, and the at-size half of each
+    # tier-1 check split by size, are each run by one row
+    argvs = [row.argv for row in edges.ROWS]
+    calls = [("test_answer_digests", f"check_digests({entry!r})") for entry in ENTRIES if entry.endswith(".edge")]
+    calls += [(module, f"{name}(at_size=True)") for module, name in (
+        ("test_cli", "check_decimal"), ("test_cvec", "check_term_table"), ("test_cvec", "check_spread"))]
+    assert len(calls) == 5
+    for module, call in calls:
+        assert argvs.count(edges.check(module, call)) == 1, call
+
+
+def _quartiles(value):
+    return set(value) == {"median", "q1", "q3"} and 0 <= value["q1"] <= value["median"] <= value["q3"]
+
+
+def test_bench_files_keep_the_schema_and_name_rows_of_the_runner():
+    # scripts/bench.py's default rows, and every BENCH_<number>.json, name
+    # rows of the runner; each file holds what bench.py writes
+    names = {row.name for row in edges.ROWS}
+    assert set(bench.ROWS) <= names
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text())
+        assert path.stem.split("_", 1)[1].isdigit(), path.name
+        assert set(record) == {"sha", "dirty", "python", "machine", "cpus", "runs", "rows", "tier1"}, path.name
+        assert re.fullmatch(r"[0-9a-f]{40}", record["sha"]) and isinstance(record["dirty"], bool), path.name
+        assert record["runs"] >= 3 and record["rows"] and set(record["rows"]) <= names, path.name
+        for name, row in record["rows"].items():
+            assert set(row) == {"seconds", "peak_rss_mb", "pass"} and row["pass"] is True, name
+            assert _quartiles(row["seconds"]) and _quartiles(row["peak_rss_mb"]), name
+        tier1 = record["tier1"]
+        assert set(tier1) == {"wall_s", "exit", "durations_sum_s", "slowest"} and tier1["exit"] == 0, path.name
+        seconds = [phase["seconds"] for phase in tier1["slowest"]]
+        assert len(seconds) == 10 and seconds == sorted(seconds, reverse=True), path.name
+        assert sum(seconds) <= tier1["durations_sum_s"] + 0.01 and tier1["durations_sum_s"] <= tier1["wall_s"], path.name
