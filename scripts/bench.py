@@ -1,9 +1,9 @@
 """Write BENCH_<number>.json, a perf record of this checkout, number being the change's own:
 
-    python scripts/bench.py NUMBER [ROW ...]
+    python scripts/bench.py NUMBER
 
-Each named row of scripts/edges.py (ROWS below when none is named) runs RUNS times through `edges.run`, under the row's own
-cap, timeout and check; the file keeps each row's median and quartiles of seconds and of peak RSS, and whether every run
+Each row of scripts/edges.py that ROWS below names runs RUNS times through `edges.run`, under the row's own cap, timeout
+and check; the file keeps each row's median and quartiles of seconds and of peak RSS, and whether every run
 passed.  Then tier-1 runs once: its wall time, its summed `--durations=0` seconds and its ten slowest test phases.  `sha`
 is HEAD's, and `dirty` tells whether tracked files differ from it.  Exits 1 if a run of a row or tier-1 fails."""
 
@@ -26,7 +26,9 @@ RUNS = 3
 # the hot paths at their edges, and the tier-1 points that run once at size
 ROWS = ("verify", "naive-D26-p3", "naive-D26-p131", "theorem-A49-p3", "coxeter-D18-p3", "result-A-2^32-p2",
         "digests-cvec.closed.edge", "digests-cvec.theorem.edge", "decimal-at-size", "term-table-at-size", "spread-at-size")
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
+# --durations-min=0: pytest leaves phases under 5 ms out of --durations=0 unless told otherwise
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0",
+         "--durations-min=0"]
 DURATION = re.compile(r"^([\d.]+)s (call|setup|teardown) +(\S+)$", re.M)
 
 
@@ -35,10 +37,10 @@ def quartiles(values):
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def bench_rows(names):
+def bench_rows():
     outputs, records = {}, {}
-    for row in edges.ROWS:  # in table order, so a partner runs before its row
-        if row.name in names:
+    for row in edges.ROWS:
+        if row.name in ROWS:
             runs = [edges.run(row, outputs) for _ in range(RUNS)]
             records[row.name] = {"seconds": quartiles([run["seconds"] for run in runs]),
                                  "peak_rss_mb": quartiles([run["peak_rss_mb"] for run in runs]),
@@ -60,18 +62,12 @@ def git(*args):
 
 
 def main(argv) -> int:
-    if not argv or not argv[0].isdigit():
+    if len(argv) != 1 or not argv[0].isdigit():
         print(__doc__, file=sys.stderr)
-        return 2
-    names = set(argv[1:] or ROWS)
-    partners = {row.partner for row in edges.ROWS if row.name in names and row.partner}
-    unknown = names - {row.name for row in edges.ROWS}
-    if unknown or not partners <= names:
-        print(f"no such row: {sorted(unknown)}; partners not named: {sorted(partners - names)}", file=sys.stderr)
         return 2
     record = {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
               "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(), "runs": RUNS,
-              "rows": bench_rows(names), "tier1": tier1()}
+              "rows": bench_rows(), "tier1": tier1()}
     out = ROOT / f"BENCH_{argv[0]}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")

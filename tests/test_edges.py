@@ -109,6 +109,7 @@ def test_bench_files_keep_the_schema_and_name_rows_of_the_runner():
     # rows of the runner; each file holds what bench.py writes
     names = {row.name for row in edges.ROWS}
     assert set(bench.ROWS) <= names
+    assert {row.partner for row in edges.ROWS if row.name in bench.ROWS} <= {None, *bench.ROWS}
     for path in sorted(ROOT.glob("BENCH_*.json")):
         record = json.loads(path.read_text())
         assert path.stem.split("_", 1)[1].isdigit(), path.name

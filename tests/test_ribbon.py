@@ -170,14 +170,12 @@ def test_bareiss_det_matches_cofactor_expansion():
             assert _bareiss_det(rows) == _cofactor_det(rows), rows
 
 
-
 def test_determinant_route_refuses_a_non_integer(monkeypatch):
     # for (2, 2) the determinant is 10 and n! 10 / (4! 2!) = 5; one more
     # leaves a remainder, which is refused, never rounded away
     monkeypatch.setattr(ribbon, "_bareiss_det", lambda rows: _bareiss_det(rows) + 1)
     with pytest.raises(ArithmeticError, match="non-integer"):
         ribbon_a_det(Composition((2, 2)))
-
 
 
 def test_positivity_and_oddness():
