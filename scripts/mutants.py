@@ -8,8 +8,7 @@ and its tests run with ``pytest -x``.  The run fails when a mutant
 survives (its tests pass), when its old text does not occur exactly once,
 or when pytest stops for any reason other than a failing test.
 
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py NAME ...   # only these
+    python scripts/mutants.py
 """
 
 import json
@@ -25,20 +24,14 @@ DATA = ROOT / "scripts" / "mutants.json"
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", ".benchmarks")
 
 
-def main(names) -> int:
+def main() -> int:
     mutants = json.loads(DATA.read_text())
-    unknown = set(names) - {m["name"] for m in mutants}
-    if unknown:
-        print(f"no such mutant: {sorted(unknown)}", file=sys.stderr)
-        return 2
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=SKIP)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         for mutant in mutants:
-            if names and mutant["name"] not in names:
-                continue
             path = copy / mutant["file"]
             text = path.read_text()
             if text.count(mutant["old"]) != 1:
@@ -60,4 +53,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

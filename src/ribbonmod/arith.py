@@ -10,10 +10,9 @@ Moebius transform works modulo any integer m >= 2 on residues packed into
 fixed-width fields, and the field format is known only here: callers
 build their residues mod m in a ``field_buffer(size, m)`` (scaling blocks
 of it with ``field_scaler(m)``) and hand it with m to
-``inverse_zeta_tally``, which tallies the transform's output by residue,
-or to ``inverse_zeta_packed``, which returns the output fields in the
-same kind of buffer.  Both run one bit-sliced kernel, on the
-(m - 1).bit_length() bit planes of the fields, for every field width.
+``inverse_zeta_tally``, which tallies the transform's output by residue.
+It runs one bit-sliced kernel, on the (m - 1).bit_length() bit planes of
+the fields, for every field width.
 ``residue_tally`` tallies a ``{value: count}`` mapping mod m.
 ``check_tally_prime`` is the budget of every p-entry tally: a p-vector and
 a residue histogram.
@@ -226,7 +225,7 @@ def field_buffer(size: int, m: int):
     """``size`` zeroed fields for residues mod m, of ``field_width(m)``
     bytes: a bytearray for 1-byte fields, an unsigned ``array`` for 2, 4
     or 8.  Both take item and slice assignment and ``extend``, and both
-    are input to ``inverse_zeta_packed`` as they stand."""
+    are input to ``inverse_zeta_tally`` as they stand."""
     width = field_width(m)
     if width == 1:
         return bytearray(size)
@@ -393,33 +392,6 @@ def _plane_tally(planes: list, m: int, size: int) -> list[int]:
     return tally
 
 
-def inverse_zeta_packed(fields, m: int):
-    """The subset Moebius transform (Yates 1937) modulo any integer m >= 2,
-    on packed fields: field T <- sum over S subset T of (-1)^|T\\S| field S,
-    mod m.
-
-    ``fields`` holds 2^k residues in [0, m): an ``array`` whose items fit
-    m (a ``field_buffer``), or bytes-like data of little-endian fields of
-    ``field_width(m)`` bytes.  The result comes back in the same form: an
-    array of the same typecode, or bytes.  The fields are bit-sliced
-    (Biham 1997): plane b, an int of 2^k bits, holds bit b of every field,
-    for the w = (m - 1).bit_length() bits of a residue, so every level of
-    the butterfly is a few ANDs, XORs and ORs of whole planes plus one
-    shift per plane, whatever the field width.  With s = min(8, 2^k)
-    slices of 2^k / s fields, field i + j 2^k / s sits at bit s i + j of
-    every plane: the slices, read as ints, are transposed bit by bit within
-    each byte, which only relabels the index bits and so leaves the
-    transform the same.  A level subtracts the partners' planes with a
-    ripple borrow and adds m back on the lanes that borrowed (nothing for
-    m = 2^w, so the levels of m = 2 are XORs).
-    """
-    typecode = fields.typecode if isinstance(fields, array) else None
-    planes, size, width, big = _planes(fields, m)
-    _butterfly(planes, m, size)
-    out = _fields(planes, size, width, big)
-    return array(typecode, out) if typecode else bytes(out)
-
-
 def residue_tally(counts, m: int) -> list[int]:
     """[#0, ..., #(m - 1)] from a mapping {value: count}, each value taken
     mod m."""
@@ -430,10 +402,24 @@ def residue_tally(counts, m: int) -> list[int]:
 
 
 def inverse_zeta_tally(fields, m: int) -> list[int]:
-    """The residue tally of ``inverse_zeta_packed(fields, m)`` for a
-    ``field_buffer`` of residues mod m: entry r counts the output fields
-    equal to r.  Up to ``_POPCOUNT_TALLY_MAX_M`` it is read off the bit
-    planes by popcounts; past it the planes go back into fields, which one
+    """The residue tally of the subset Moebius transform (Yates 1937)
+    modulo any integer m >= 2, field T <- sum over S subset T of
+    (-1)^|T\\S| field S, mod m, of a ``field_buffer`` (or an unsigned
+    ``array`` whose items fit m) of 2^k residues in [0, m): entry r counts
+    the output fields equal to r.
+
+    The fields are bit-sliced (Biham 1997): plane b, an int of 2^k bits,
+    holds bit b of every field, for the w = (m - 1).bit_length() bits of a
+    residue, so every level of the butterfly is a few ANDs, XORs and ORs
+    of whole planes plus one shift per plane, whatever the field width.
+    With s = min(8, 2^k) slices of 2^k / s fields, field i + j 2^k / s
+    sits at bit s i + j of every plane: the slices, read as ints, are
+    transposed bit by bit within each byte, which only relabels the index
+    bits and so leaves the transform the same.  A level subtracts the
+    partners' planes with a ripple borrow and adds m back on the lanes
+    that borrowed (nothing for m = 2^w, so the levels of m = 2 are XORs).
+    Up to ``_POPCOUNT_TALLY_MAX_M`` the tally is read off the bit planes
+    by popcounts; past it the planes go back into fields, which one
     Counter pass tallies."""
     # handed over through a list, so that a buffer the caller passed as a
     # temporary is freed once its planes are made

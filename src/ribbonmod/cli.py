@@ -90,7 +90,9 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
     ``record`` is the JSON record of a residue ``vector``, one ``value`` or
     the ``classes`` multiset; its counts become decimal text here, by
     ``_decimal``, and each distinct count of a vector is converted once
-    (equal entries share the text).  Only a residue vector has a CSV form.
+    (equal entries share the text).  JSON writes the parts of an ``alpha``
+    as decimal text too, since a part may pass the interpreter's digit
+    limit.  Only a residue vector has a CSV form.
     Text prints one line, with ``notes`` on stderr.
     """
     if fmt == "csv" and "vector" not in record:
@@ -102,6 +104,8 @@ def _emit(fmt: str, record: dict, notes=()) -> int:
         record["vector"] = [text[c] for c in record["vector"]]
     elif "value" in record:
         record["value"] = _decimal(record["value"], pow2)
+    if fmt == "json" and "alpha" in record:
+        record["alpha"] = [_decimal(part, pow2) for part in record["alpha"]]
     pow2.clear()  # the powers are as long as the counts: free them before printing
     if fmt == "json":
         import json

@@ -1,7 +1,23 @@
 """Fixed hypothesis draws: every ``@given`` test draws the same examples on
-every run, and no example database is read or written."""
+every run, and no example database is read or written.  ``traced_peak`` is
+the one ``tracemalloc`` reading of the bounded-memory tests."""
+
+import tracemalloc
 
 from hypothesis import settings
 
 settings.register_profile("fixed", derandomize=True, database=None)
 settings.load_profile("fixed")
+
+
+def traced_peak(call):
+    """``(call(), peak)``: the result of ``call()`` and the peak of the
+    memory traced while it ran, in bytes.  Only what ``call`` allocates is
+    traced, so build its arguments first."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

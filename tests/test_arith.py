@@ -1,26 +1,39 @@
 import random
 import sys
-import tracemalloc
+from array import array
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from ribbonmod.arith import (
     _POPCOUNT_TALLY_MAX_M,
     MILLER_RABIN_LIMIT,
+    _butterfly,
+    _fields,
+    _planes,
     base_p_digits,
     check_prime,
     field_buffer,
-    inverse_zeta_packed,
     inverse_zeta_tally,
     is_prime,
     lucas_binomial,
     multinomial_exact,
 )
-from ribbonmod.compositions import CapacityError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def inverse_zeta_packed(fields, m):
+    """The output fields of the bit-plane kernel (arith's planes, butterfly
+    and fields) on ``fields``: a ``field_buffer``, an unsigned ``array``
+    whose items fit m, or bytes of little-endian ``field_width(m)``-byte
+    fields.  A view of them in the input's item format: the packed
+    reference of the butterfly tests, beside ``inverse_zeta_tally``."""
+    planes, size, width, big = _planes(fields, m)
+    _butterfly(planes, m, size)
+    return memoryview(_fields(planes, size, width, big)).cast(memoryview(fields).format)
 
 
 def test_is_prime_small():
@@ -51,13 +64,7 @@ def test_is_prime_pseudoprimes_and_large_primes():
     assert not is_prime(3215031751)  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
     assert is_prime(2**61 - 1)
     assert is_prime(10**11 + 3)
-
-
-def test_is_prime_refuses_beyond_its_exact_range():
-    assert not is_prime(10**30)  # divisible by a base: still decided
-    for p in (MILLER_RABIN_LIMIT, 2**89 - 1):
-        with pytest.raises(CapacityError):
-            is_prime(p)
+    assert not is_prime(10**30)  # past MILLER_RABIN_LIMIT, but divisible by a base: still decided
 
 
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 15, -3, 0])
@@ -209,12 +216,7 @@ def test_lucas_binomial_of_a_million_stays_small():
     # loop of residues about 25 times
     p = 10**9 + 7
     assert lucas_binomial(10**6, 5 * 10**5, p) == 996692777
-    tracemalloc.start()
-    try:
-        value = lucas_binomial(10**5, 5 * 10**4, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: lucas_binomial(10**5, 5 * 10**4, p))
     assert value == comb(10**5, 5 * 10**4) % p
     assert peak < 1 << 12
 
@@ -249,14 +251,13 @@ def test_big_endian_fields_match_little_endian(monkeypatch, m):
         fields = field_buffer(0, m)
         fields.extend(rng.randrange(m) for _ in range(1 << k))
         tally = inverse_zeta_tally(fields, m) if m <= _POPCOUNT_TALLY_MAX_M else None
-        cases.append((fields, inverse_zeta_packed(fields, m), tally))
+        cases.append((fields, inverse_zeta_packed(fields, m).tolist(), tally))
     monkeypatch.setattr(sys, "byteorder", "big")
     for fields, packed, tally in cases:
         swapped = fields[:]
         swapped.byteswap()
-        out = inverse_zeta_packed(swapped, m)
-        assert out.typecode == packed.typecode
+        out = array(swapped.typecode, inverse_zeta_packed(swapped, m))
         out.byteswap()
-        assert out == packed, (m, len(fields))
+        assert out.tolist() == packed, (m, len(fields))
         if tally is not None:
             assert inverse_zeta_tally(swapped, m) == tally, (m, len(fields))

@@ -15,6 +15,7 @@ import pytest
 
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
+from ribbonmod.compositions import int_value
 from ribbonmod.coxeter import IrreducibleType, format_multiset
 from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec, cvec_theorem
 from ribbonmod.verify import (
@@ -65,7 +66,7 @@ def test_ribbon_command(capsys):
 def test_ribbon_json(capsys):
     code, out, _ = run(capsys, "ribbon", "--family", "A", "--alpha", "1,2,1", "--format", "json")
     assert code == 0
-    assert json.loads(out) == {"family": "A", "alpha": [1, 2, 1], "value": "5"}
+    assert json.loads(out) == {"family": "A", "alpha": ["1", "2", "1"], "value": "5"}
 
 
 def test_ribbon_degenerate_d_is_flagged(capsys):
@@ -291,10 +292,15 @@ def test_coxeter_subset_names_a_malformed_index(capsys):
 def test_command_line_ints_past_the_digit_limit(capsys):
     # 5000 digits, past int()'s 4300: N = 11...1 is a part, an n or a
     # prime; the ribbon number of (N, 1) is N, whose digit sum 5000 is 2
-    # mod 3, and the budgets refuse the rest as they refuse a short int
+    # mod 3, and JSON writes the part back as decimal text; the budgets
+    # refuse the rest as they refuse a short int
     ones = "1" * 5000
     code, out, _ = run(capsys, "ribbon", "--family", "A", "--alpha", f"{ones},1", "--mod", "3")
     assert (code, out) == (0, "2\n")
+    code, out, _ = run(capsys, "ribbon", "--family", "A", "--alpha", f"{ones},1", "--mod", "3", "--format", "json")
+    record = json.loads(out)
+    assert code == 0 and record == {"family": "A", "alpha": [ones, "1"], "value": "2"}
+    assert [int_value(part) for part in record["alpha"]] == [int_value(ones), 1]
     started = time.perf_counter()
     code, out, err = run(capsys, "macdonald", "--n", ones, "--p", "3")
     assert (code, out) == (2, "") and err.startswith("error: cvec.MACDONALD_COST_MAX: ")
@@ -519,13 +525,13 @@ H3_CSV = "family,p,n,residue,count\n" + "".join(
 SURFACE = [
     ("ribbon --family A --alpha 1,2,1", 0, "5\n", ""),
     ("ribbon --family A --alpha 1,2,1 --format json", 0,
-     '{"family": "A", "alpha": [1, 2, 1], "value": "5"}\n', ""),
+     '{"family": "A", "alpha": ["1", "2", "1"], "value": "5"}\n', ""),
     ("ribbon --family B --alpha 0,3 --mod 5", 0, "2\n", ""),
     ("ribbon --family B --alpha 0,3 --mod 5 --format json", 0,
-     '{"family": "B", "alpha": [0, 3], "value": "2"}\n', ""),
+     '{"family": "B", "alpha": ["0", "3"], "value": "2"}\n', ""),
     ("ribbon --family D --alpha 0,3", 0, "3\n", D_NOTE),
     ("ribbon --family D --alpha 0,3 --format json", 0,
-     '{"family": "D", "alpha": [0, 3], "value": "3"}\n', ""),
+     '{"family": "D", "alpha": ["0", "3"], "value": "3"}\n', ""),
     ("cvec --family A --n 5 --p 3", 0, "(6, 8, 2)\n", "method: closed-form:shape\n"),
     ("cvec --family A --n 5 --p 3 --format json", 0,
      '{"family": "A", "n": 5, "p": 3, "method": "closed-form:shape", "vector": ["6", "8", "2"]}\n', ""),

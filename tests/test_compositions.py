@@ -2,12 +2,12 @@ import copy
 import pickle
 import random
 import sys
-import tracemalloc
 from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import traced_peak
 from ribbonmod import cli, compositions
 from ribbonmod.compositions import (
     FAMILIES,
@@ -151,6 +151,8 @@ def test_enumerate_compositions_small():
     assert {c.parts for c in enumerate_compositions(3)} == {(3,), (1, 2), (2, 1), (1, 1, 1)}
     assert [c.parts for c in enumerate_compositions(1)] == [(1,)]
     assert sum(1 for _ in enumerate_compositions(15)) == 2**14
+    with pytest.raises(ValueError):
+        enumerate_compositions(0)
 
 
 def test_enumerate_pseudo_compositions_small():
@@ -169,25 +171,6 @@ def test_enumeration_is_ascending_mask_order():
     assert masks == sorted(masks)
 
 
-def test_enumeration_capacity():
-    with pytest.raises(CapacityError):
-        next(enumerate_compositions(64))
-    with pytest.raises(CapacityError):
-        next(enumerate_pseudo_compositions(64))
-    with pytest.raises(ValueError):
-        next(enumerate_compositions(0))
-
-
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_an_index_of_ten_billion_stays_small():
     # an index holds its descent positions, not an n-bit mask: one part of
     # 10^10 costs what one part of 10 does, and so does the ribbon route
@@ -202,7 +185,7 @@ def test_an_index_of_ten_billion_stays_small():
                            (lambda: len(alpha), 2),
                            (lambda: ribbon_mod_p("A", alpha, 3), 1),
                            (lambda: PseudoComposition((0, 10**10)).descents(), (0,))):
-        result, peak = _traced_peak(call)
+        result, peak = traced_peak(call)
         assert peak < 1 << 20
         assert result == expected
 
@@ -237,15 +220,10 @@ def test_int_text_writes_a_long_int_by_its_bit_length():
         f"cvec.RESULT_BITS_MAX: the request needs {2**128 - 1}; the budget is 2^128 or more")
 
 
-def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
-    def refused(index):
-        with pytest.raises(CapacityError, match="compositions.COMPLEMENT_MAX_POSITIONS"):
-            index.complement()
-
-    for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10))):
-        _, peak = _traced_peak(lambda: refused(index))
-        assert peak < 1 << 20
-    # at the budget the complement is built; one position past it, refused
+def test_complement_at_its_budget_is_built_and_one_past_refused(monkeypatch):
+    # tests/test_budgets.py refuses complements of 10^10 positions; with the
+    # budget patched to 10, the complement at it is built and one position
+    # past it refused
     monkeypatch.setattr(compositions, "COMPLEMENT_MAX_POSITIONS", 10)
     assert Composition((11,)).complement() == Composition((1,) * 11)
     assert PseudoComposition((3, 7)).complement() == PseudoComposition((0, 1, 1, 2) + (1,) * 6)
@@ -268,7 +246,7 @@ def test_many_part_index_never_decodes_a_mask(monkeypatch, capsys):
         assert ribbon_exact(family, index) == 1 and ribbon_mod_p(family, index, 3) == 1
     assert cli.main(["ribbon", "--family", "A", "--alpha", ",".join(["1"] * 200000), "--mod", "3",
                      "--format", "json"]) == 0
-    assert capsys.readouterr().out == '{"family": "A", "alpha": [' + ", ".join(["1"] * 200000) + '], "value": "1"}\n'
+    assert capsys.readouterr().out == '{"family": "A", "alpha": [' + ", ".join(['"1"'] * 200000) + '], "value": "1"}\n'
 
 
 def test_from_descents_merges_repeats_in_any_order():
@@ -341,13 +319,8 @@ def test_fewer_descents_flips_only_to_a_strictly_smaller_side():
                 assert alpha.fewer_descents() is alpha
     # one descent in 2^25 - 1 positions: the 4 MB complement is never built
     alpha = Composition((1 << 24, 1 << 24))
-    tracemalloc.start()
-    try:
-        assert alpha.fewer_descents() is alpha
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    same, peak = traced_peak(lambda: alpha.fewer_descents() is alpha)
+    assert same and peak < 1 << 20
 
 
 def test_prefix_sums():

@@ -18,10 +18,8 @@ from ribbonmod.arith import (
     _POPCOUNT_TALLY_MAX_M,
     TALLY_MAX_BITS,
     base_p_digits,
-    check_prime,
     field_buffer,
     field_width,
-    inverse_zeta_packed,
     inverse_zeta_tally,
     is_prime,
     multinomial_exact,
@@ -35,7 +33,6 @@ from ribbonmod.compositions import (
     enumerate_pseudo_compositions,
     mask_offset,
 )
-from ribbonmod.coxeter import builtin_diagram, residue_histogram
 from ribbonmod.cvec import (
     MACDONALD_COST_MAX,
     MACDONALD_DIGIT_MAX,
@@ -47,7 +44,6 @@ from ribbonmod.cvec import (
     SUPPORT_MAX,
     SUPPORT_N_BITS_MAX,
     SUPPORT_SET_BITS_MAX,
-    DimensionPVector,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -65,7 +61,9 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
+from conftest import traced_peak
 from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits
+from test_arith import inverse_zeta_packed
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -174,13 +172,7 @@ def test_support_residue_type_d_prime_power():
 def test_support_residue_large_n_in_bounded_memory():
     # two support positions at n = 3^18 + 1: the residue comes from their
     # digits alone, never from an n-bit descent mask per subset
-    n = 3**18 + 1
-    tracemalloc.start()
-    try:
-        got = chain_mod_p("A", n, (1, 3**18), 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: chain_mod_p("A", 3**18 + 1, (1, 3**18), 3))
     assert got == 2
     assert peak < 2 << 20
 
@@ -362,7 +354,7 @@ def test_inverse_zeta_packed_and_tally_match_pair_reference():
     # field_width(m) bytes per field (1, 2, 4, 8 and 11), on the
     # field_buffer of each native modulus (a bytearray, or an array of 2-,
     # 4- or 8-byte items) and on an array wider than the modulus needs;
-    # each result comes back in the form it went in, and no input changes.
+    # each result comes back in the layout it went in, and no input changes.
     # The kernel makes w = (m - 1).bit_length() bit planes, and the moduli
     # sit on both sides of each power of two (m = 2^w adds nothing back
     # after a borrow), of each field width and of the popcount/count
@@ -389,15 +381,12 @@ def test_inverse_zeta_packed_and_tally_match_pair_reference():
                     inputs += [buf, array("Q", vals)]
                 for data in inputs:
                     out = inverse_zeta_packed(data, m)
-                    if isinstance(data, array):
-                        assert out.typecode == data.typecode and out.tolist() == want, (bits, m)
-                        assert data.tolist() == vals
-                    elif isinstance(data, bytearray):
-                        assert type(out) is bytes and list(out) == want and list(data) == vals
-                    else:
-                        assert type(out) is bytes and len(out) == len(data)
+                    if isinstance(data, bytes):
                         got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
-                        assert got == want, (bits, m)
+                    else:
+                        got = out.tolist()
+                        assert list(data) == vals
+                    assert got == want and out.nbytes == memoryview(data).nbytes, (bits, m)
                 if m <= 65537:
                     counts = Counter(want)
                     assert inverse_zeta_tally(buf, m) == [counts[r] for r in range(m)], (bits, m)
@@ -627,12 +616,7 @@ def test_theorem_route_at_the_support_budget_in_bounded_memory():
     cvec_theorem("A", 8, 3)
     for family, n, p, ceiling in (("A", 49, 3, 16), ("D", 140, 7, 8),
                                   ("A", 19, 101, 4), ("B", 18, 131, 4), ("B", 18, 257, 4)):
-        tracemalloc.start()
-        try:
-            vec = cvec_theorem(family, n, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        vec, peak = traced_peak(lambda: cvec_theorem(family, n, p))
         assert vec.total() == 1 << (n - mask_offset(family))
         assert peak < ceiling << 20, (family, n, p, peak)
 
@@ -665,12 +649,7 @@ def test_naive_sweep_in_bounded_memory():
     # all 2^19 fields
     for family, n, p in (("A", 21, 23), ("D", 20, 131)):
         assert _weight_table(family, n, p)[1] == 0
-        tracemalloc.start()
-        try:
-            vec = cvec_naive(family, n, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        vec, peak = traced_peak(lambda: cvec_naive(family, n, p))
         assert vec.total() == 1 << 20
         assert peak < 5 << 20, (family, n, p, peak)
 
@@ -767,12 +746,7 @@ def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
     for p in (2, 3, 13, 131):
         w = (p - 1).bit_length()
         box = [_full_weight_table("D", 22, p)]
-        tracemalloc.start()
-        try:
-            tally = inverse_zeta_tally(box.pop(), p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        tally, peak = traced_peak(lambda: inverse_zeta_tally(box.pop(), p))
         assert tuple(2 * c for c in tally) == cvec_naive("D", 22, p).counts
         plane = (1 << 21) // 8 * 16 // 15
         assert peak < max(13, w + 8, 2 * w + 2) * plane, (p, peak)
@@ -1155,14 +1129,13 @@ def test_shape_memo_in_bounded_memory(monkeypatch):
     module = importlib.import_module("ribbonmod.cvec")
 
     def retained(run):
+        # the memory traced once run's result is dropped: what the memo keeps
         module._memo_counts.cache_clear()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
+
+        def kept():
             run()
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+            return tracemalloc.get_traced_memory()[0]
+        return traced_peak(kept)[0]
 
     primes = [p for p in range(11, SHAPE_MEMO_MAX_P) if is_prime(p)] + [257, 65537]
     queries = [(family, d if family == "D" else d * p, p) for p in primes for family in "ABD" for d in range(2, 8)]
@@ -1343,40 +1316,10 @@ def test_shared_entries_in_bounded_memory():
     # on its own peaks at about two counts, one shared int at about one;
     # a small query first, so no first-call set-up is traced
     cvec("B", 3**5, 3)
-    tracemalloc.start()
-    try:
-        vec = cvec("B", 3**15, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    vec, peak = traced_peak(lambda: cvec("B", 3**15, 3))
     size = sys.getsizeof(max(vec.counts))
     assert vec.counts[1] is vec.counts[2]
     assert peak < 1.5 * size, (peak, size)
-
-
-def test_results_past_the_bit_budget_refused_before_any_shift():
-    # A n = 2^40 at p = 2 has one count of 2^40 bits, D n = 7^12 + 7^5 + 3
-    # at p = 7 four of about 1.4 * 10^10, and the parity answers of types B
-    # and D at n = 2^40 one of 2^40 + 1: each is refused before a count is
-    # shifted, by the auto path and by the route that answers, at the gate
-    # on n.  Under the gate _spread refuses A n = 2^32 + 16 at p = 2 (two
-    # equal counts of 2^32 + 15 bits), D n = 7^11 + 7^5 + 3 at p = 7 (four
-    # of about 2 * 10^9) and the parity answer of B n = 2^32 + 1
-    calls = []
-    for a, d, b in ((2**40, 7**12 + 7**5 + 3, 2**40), (2**32 + 16, 7**11 + 7**5 + 3, 2**32 + 1)):
-        calls += [(cvec, "A", a, 2), (cvec_closed_form, "A", a, 2), (cvec, "D", d, 7),
-                  (cvec_theorem, "D", d, 7), (cvec_theorem, "B", b, 2), (cvec_closed_form, "D", b, 2)]
-    for call, *args in calls:
-        started = time.perf_counter()
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError, match="cvec.RESULT_BITS_MAX"):
-                call(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        assert time.perf_counter() - started < 1
 
 
 def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
@@ -1417,63 +1360,14 @@ def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
                 cvec(family, n, p)
 
 
-def test_capacity_errors():
-    with pytest.raises(CapacityError):
-        cvec_naive("A", 40, 3)
-    with pytest.raises(ValueError):
-        DimensionPVector("A", 4, 3, (1, 2))
-
-
-def test_huge_prime_refused_before_the_tally():
-    # a p-entry tally of p = 2^31 - 1 would take gigabytes; every entry
-    # point refuses the prime before allocating anything of size p
-    p = 2**31 - 1
-    calls = [
-        lambda: cvec("A", 7, p),
-        lambda: cvec_naive("A", 7, p),
-        lambda: cvec_theorem("A", 7, p),
-        lambda: cvec_closed_form("A", 7, p),
-        lambda: residue_histogram(builtin_diagram("A3"), p),
-    ]
-    for call in calls:
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-
-def test_oversized_support_refused_before_it_is_built():
-    # n = 3^13 - 1 has thirteen digits 2, so its support would hold
-    # 3^13 - 2 positions, and building its 1.6 million sums takes over
-    # 100 MB; the size is read off the digits before anything is built.
-    # n = 3^15 - 1 is past support_set's own cap of 2^22 sums
-    n = 3**13 - 1
-    calls = [
-        lambda: cvec("A", n, 3),
-        lambda: cvec_theorem("A", n, 3),
-        lambda: cvec_theorem("D", n, 3),
-        lambda: support_set("B", 3**15 - 1, 3),
-    ]
-    for call in calls:
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-
 def test_support_set_refusals(monkeypatch):
     # below the theorem route's least n each family names its set; past
     # SUPPORT_SET_BITS_MAX (patched to 32, so the edge is cheap) the set is
     # refused by its positions times the bits of n, read off the digits, and
-    # at the edge it is built
+    # at the edge it is built.  The largest set, 2^22 - 2 positions of 22
+    # bits, fits the real budget, and a support of 3^14 - 2 positions would
+    # not
+    assert (2**22 - 2) * 22 <= SUPPORT_SET_BITS_MAX < (3**14 - 2) * (3**14).bit_length()
     for family, n, text in (("A", 1, "the support set needs n >= 2"), ("B", 1, "the support set needs n >= 2"),
                             ("D", 3, "the type-D support set needs n >= 4")):
         with pytest.raises(ValueError) as excinfo:
@@ -1494,31 +1388,15 @@ def test_support_set_refusals(monkeypatch):
         assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == ("cvec.SUPPORT_SET_BITS_MAX", 36, 32)
 
 
-def test_support_set_past_its_bits_refused_before_the_set_is_made():
-    # 18 and 22 places of digit 1, 1500 places apart at p = 3: 2^18 - 2 and
-    # 2^22 - 2 positions of up to 40,000 and 50,000 bits, far past the
-    # budget (the first ended in MemoryError under a 600 MB cap when the
-    # budget counted positions alone); the largest set, 2^22 - 2 positions
-    # of 22 bits, fits it
-    assert (2**22 - 2) * 22 <= SUPPORT_SET_BITS_MAX < (3**14 - 2) * (3**14).bit_length()
-    for places in (18, 22):
-        n = sum(3 ** (1500 * j) for j in range(places))
-        started = time.perf_counter()
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError) as excinfo:
-                support_set("A", n, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - started < 0.1 and peak < 1 << 20
-        assert (excinfo.value.budget, excinfo.value.needed) == ("cvec.SUPPORT_SET_BITS_MAX", (2**places - 2) * n.bit_length())
-
-
-def test_support_set_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # past SUPPORT_N_BITS_MAX bits support_set refuses n before base_p_digits
-    # reads it; at the gate it reads the digits, and 3^200000 + 1 is well
-    # under it
+def test_gates_on_n_read_the_digits_of_an_n_at_the_gate(monkeypatch):
+    # tests/test_budgets.py refuses an n past each gate on n with base_p_digits
+    # refused; at the gate the digits are read: support_set's at
+    # SUPPORT_N_BITS_MAX bits (3^200000 + 1 is well under it), the p-vector
+    # gate at RESULT_BITS_MAX + TALLY_MAX_BITS + 1, and macdonald_mp's, the
+    # top digit's least cost (bits(n) - bits(p))^2 // 30, with the cap
+    # patched to that floor for 2^1000 at p = 1009 (991^2 // 30); one below
+    # the floor it is refused.  The argument checks come first, so a bad n
+    # or p is a ValueError at any size
     module = importlib.import_module("ribbonmod.cvec")
     assert (3**200000 + 1).bit_length() < SUPPORT_N_BITS_MAX
 
@@ -1526,95 +1404,21 @@ def test_support_set_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
         raise AssertionError("a digit of n was read")
 
     monkeypatch.setattr(module, "base_p_digits", unread)
-    for n in (1 << SUPPORT_N_BITS_MAX, 1 << 10**7):
-        for family in "ABD":
-            with pytest.raises(CapacityError) as excinfo:
-                support_set(family, n, 3)
-            assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-                "cvec.SUPPORT_N_BITS_MAX", n.bit_length(), SUPPORT_N_BITS_MAX), (family, n.bit_length())
-    with pytest.raises(AssertionError, match="a digit of n was read"):
-        support_set("A", (1 << SUPPORT_N_BITS_MAX) - 1, 3)
-
-
-def test_macdonald_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # the top digit's coefficient has at least bits(n) - bits(p) bits, so
-    # an n whose (bits(n) - bits(p))^2 // 30 is past MACDONALD_COST_MAX is
-    # refused by the product term; the gate refuses it before base_p_digits
-    # reads n, after the argument checks.  With the cap patched to that
-    # floor for 2^1000 at p = 1009 (991^2 // 30), n passes the gate and its
-    # digits are read, and one below the floor it is refused
-    module = importlib.import_module("ribbonmod.cvec")
-
-    def unread(n, p):
-        raise AssertionError("a digit of n was read")
-
-    monkeypatch.setattr(module, "base_p_digits", unread)
-    for n, p in ((1 << 10**7, 3), (3 << 700000, 2)):
-        with pytest.raises(CapacityError) as excinfo:
-            macdonald_mp(n, p)
-        floor = (n.bit_length() - p.bit_length()) ** 2 // 30
-        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-            "cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)
-    for n, p in ((0, 3), (True, 3), (-(1 << 10**6), 3), (1 << 10**6, 4)):
-        with pytest.raises(ValueError) as excinfo:
-            macdonald_mp(n, p)
-        assert type(excinfo.value) is ValueError, (n, p)
     floor = 991**2 // 30
     monkeypatch.setattr(module, "MACDONALD_COST_MAX", floor)
-    with pytest.raises(AssertionError, match="a digit of n was read"):
-        macdonald_mp(2**1000, 1009)
+    for call in (lambda: support_set("A", (1 << SUPPORT_N_BITS_MAX) - 1, 3),
+                 lambda: cvec("A", RESULT_BITS_MAX + TALLY_MAX_BITS + 1, 3, "closed"),
+                 lambda: macdonald_mp(2**1000, 1009)):
+        with pytest.raises(AssertionError, match="a digit of n was read"):
+            call()
     monkeypatch.setattr(module, "MACDONALD_COST_MAX", floor - 1)
     with pytest.raises(CapacityError) as excinfo:
         macdonald_mp(2**1000, 1009)
     assert (excinfo.value.needed, excinfo.value.cap) == (floor, floor - 1)
-
-
-# ints past the interpreter's 4300-digit limit, each refused by a budget
-# whose name the refusal carries, and whose need is written as its lower
-# bound 2^(b - 1) in the message and the repr alike
-PROBES = {
-    "cvec-p-10^5000+1": (lambda: cvec("A", 5, 10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
-    "check_prime-10^5000+1": (lambda: check_prime(10**5000 + 1), "arith.MILLER_RABIN_LIMIT"),
-    "cvec-n-3^20000+1": (lambda: cvec("A", 3**20000 + 1, 3), "cvec.RESULT_BITS_MAX"),
-    "cvec-n-2^40000": (lambda: cvec("A", 2**40000, 3), "cvec.RESULT_BITS_MAX"),
-    "cvec-n-2^200000": (lambda: cvec("A", 2**200000, 3), "cvec.RESULT_BITS_MAX"),
-    "diagram-A-5000-ones": (lambda: builtin_diagram("A" + "1" * 5000), "coxeter.DIAGRAM_MAX_RANK"),
-}
-
-
-@pytest.mark.parametrize("probe", PROBES)
-def test_probe_past_a_budget_refused_by_its_name(probe):
-    call, budget = PROBES[probe]
-    started = time.perf_counter()
-    with pytest.raises(CapacityError) as excinfo:
-        call()
-    assert time.perf_counter() - started < 0.1
-    assert excinfo.value.budget == budget
-    bound = f"2^{excinfo.value.needed.bit_length() - 1} or more"
-    assert str(excinfo.value).startswith(f"{budget}: the request needs {bound}; the budget is ")
-    assert repr(excinfo.value).startswith(f"CapacityError({budget!r}, {bound}, ")
-
-
-def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # past RESULT_BITS_MAX + TALLY_MAX_BITS + 1 every method refuses n with
-    # the result budget before base_p_digits reads it; at the gate the
-    # closed form reads the digits of n
-    module = importlib.import_module("ribbonmod.cvec")
-    gate = RESULT_BITS_MAX + TALLY_MAX_BITS + 1
-
-    def unread(n, p):
-        raise AssertionError("a digit of n was read")
-
-    monkeypatch.setattr(module, "base_p_digits", unread)
-    for n in (gate + 1, 2**200000):
-        for family in "ABD":
-            for method in ("auto", "naive", "theorem", "closed"):
-                with pytest.raises(CapacityError) as excinfo:
-                    cvec(family, n, 3, method)
-                assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-                    "cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX), (family, n, method)
-    with pytest.raises(AssertionError, match="a digit of n was read"):
-        cvec("A", gate, 3, "closed")
+    for n, p in ((0, 3), (True, 3), (-(1 << 10**6), 3), (1 << 10**6, 4)):
+        with pytest.raises(ValueError) as excinfo:
+            macdonald_mp(n, p)
+        assert type(excinfo.value) is ValueError, (n, p)
 
 
 def test_auto_refusal_names_both_budgets():
@@ -1711,39 +1515,13 @@ def test_macdonald_known_values():
         macdonald_mp(4, 6)
 
 
-def test_macdonald_digit_past_the_budget_refused_before_allocating():
-    # n = 10^9 below p = 10^9 + 7 is one digit of 10^9: its series would be
-    # a list of 10^9 + 1 ints.  The largest allowed digit still runs
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            macdonald_mp(10**9, 10**9 + 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    with pytest.raises(CapacityError):
-        macdonald_mp(MACDONALD_DIGIT_MAX + 1, 1009)
-    assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) > 0
-
-
-def test_macdonald_cost_past_the_budget_refused_before_allocating():
-    # digit 1000 at p^2 = 1009^2 colours (series of about 20000-bit
-    # coefficients, 2.0e10 bit steps) and the 1250 digits 1 of 2^1250 - 1
-    # (a product of 2^j for j < 1250, 2.0e10) are past the budget; digit
-    # 1000 at p^1 (1.0e10) and the 200 digits 1 of 2^200 - 1 (1.3e7, a
-    # product that takes about a millisecond) still answer
-    for n, p in ((1000 * 1009**2, 1009), (2**1250 - 1, 2)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                macdonald_mp(n, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+def test_macdonald_answers_at_its_budgets():
+    # the largest digit, MACDONALD_DIGIT_MAX at p > n, and within the cost
+    # budget digit 1000 at p^1 (1.0e10 bit steps) and the 200 digits 1 of
+    # 2^200 - 1 (1.3e7, a product that takes about a millisecond) answer;
+    # digit 1000 at p^2 = 1009^2 colours is past the budget
     assert 1000**3 * (1009).bit_length() <= MACDONALD_COST_MAX < 1000**3 * (1009**2).bit_length()
-    assert macdonald_mp(1000, 1009) == 24061467864032622473692149727991  # p(1000)
+    assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) == 24061467864032622473692149727991  # p(1000)
     assert macdonald_mp(2**100 - 1, 2) == 2 ** (100 * 99 // 2)
     assert macdonald_mp(2**200 - 1, 2) == 2 ** (200 * 199 // 2)
     assert macdonald_mp(1000 * 1009, 1009) > 0

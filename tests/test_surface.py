@@ -57,8 +57,6 @@ TESTS = pathlib.Path(__file__).resolve().parent
 UNCALLED = {
     ("ribbon", "term_mod_p"): "the per-term reference of the theorem's term table; "
                               "ROADMAP item 9 moves it into that test",
-    ("arith", "inverse_zeta_packed"): "the butterfly tests' reference for the packed output; "
-                                      "ROADMAP item 9 moves it into those tests",
 }
 
 # (importer, source, name) of every private name one module may take from
