@@ -21,6 +21,7 @@ from ribbonmod.arith import (
     lucas_binomial,
     multinomial_exact,
 )
+from ribbonmod.compositions import CapacityError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -64,7 +65,16 @@ def test_is_prime_pseudoprimes_and_large_primes():
     assert not is_prime(3215031751)  # 151 * 751 * 28351, strong pseudoprime to 2, 3, 5, 7
     assert is_prime(2**61 - 1)
     assert is_prime(10**11 + 3)
-    assert not is_prime(10**30)  # past MILLER_RABIN_LIMIT, but divisible by a base: still decided
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    # past MILLER_RABIN_LIMIT a prime or a strong pseudoprime to the bases
+    # is refused (rows of tests/test_budgets.py too); a multiple of a base is
+    # still decided
+    assert not is_prime(10**30)
+    for p in (MILLER_RABIN_LIMIT, 2**89 - 1):
+        with pytest.raises(CapacityError):
+            is_prime(p)
 
 
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 15, -3, 0])

@@ -151,8 +151,6 @@ def test_enumerate_compositions_small():
     assert {c.parts for c in enumerate_compositions(3)} == {(3,), (1, 2), (2, 1), (1, 1, 1)}
     assert [c.parts for c in enumerate_compositions(1)] == [(1,)]
     assert sum(1 for _ in enumerate_compositions(15)) == 2**14
-    with pytest.raises(ValueError):
-        enumerate_compositions(0)
 
 
 def test_enumerate_pseudo_compositions_small():
@@ -169,6 +167,17 @@ def test_enumerate_pseudo_compositions_small():
 def test_enumeration_is_ascending_mask_order():
     masks = [c.mask for c in enumerate_compositions(6)]
     assert masks == sorted(masks)
+
+
+def test_enumeration_capacity():
+    # 2^63 masks are past MAX_MASK_BITS (rows of tests/test_budgets.py too);
+    # n = 0 has no composition to enumerate
+    with pytest.raises(CapacityError):
+        next(enumerate_compositions(64))
+    with pytest.raises(CapacityError):
+        next(enumerate_pseudo_compositions(64))
+    with pytest.raises(ValueError):
+        next(enumerate_compositions(0))
 
 
 def test_an_index_of_ten_billion_stays_small():
@@ -220,10 +229,16 @@ def test_int_text_writes_a_long_int_by_its_bit_length():
         f"cvec.RESULT_BITS_MAX: the request needs {2**128 - 1}; the budget is 2^128 or more")
 
 
-def test_complement_at_its_budget_is_built_and_one_past_refused(monkeypatch):
-    # tests/test_budgets.py refuses complements of 10^10 positions; with the
-    # budget patched to 10, the complement at it is built and one position
-    # past it refused
+def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
+    def refused(index):
+        with pytest.raises(CapacityError, match="compositions.COMPLEMENT_MAX_POSITIONS"):
+            index.complement()
+
+    # complements of 10^10 positions (rows of tests/test_budgets.py too)
+    for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10))):
+        _, peak = traced_peak(lambda: refused(index))
+        assert peak < 1 << 20
+    # at the budget the complement is built; one position past it, refused
     monkeypatch.setattr(compositions, "COMPLEMENT_MAX_POSITIONS", 10)
     assert Composition((11,)).complement() == Composition((1,) * 11)
     assert PseudoComposition((3, 7)).complement() == PseudoComposition((0, 1, 1, 2) + (1,) * 6)
