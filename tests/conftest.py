@@ -1,10 +1,13 @@
 """Fixed hypothesis draws: every ``@given`` test draws the same examples on
 every run, and no example database is read or written.  ``traced_peak`` is
-the one ``tracemalloc`` reading of the bounded-memory tests."""
+the one ``tracemalloc`` reading of the bounded-memory tests, and
+``inverse_zeta_packed`` the packed reference of the butterfly tests."""
 
 import tracemalloc
 
 from hypothesis import settings
+
+from ribbonmod.arith import _butterfly, _fields, _planes
 
 settings.register_profile("fixed", derandomize=True, database=None)
 settings.load_profile("fixed")
@@ -21,3 +24,14 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def inverse_zeta_packed(fields, m):
+    """The output fields of the bit-plane kernel (arith's planes, butterfly
+    and fields) on ``fields``: a ``field_buffer``, an unsigned ``array``
+    whose items fit m, or bytes of little-endian ``field_width(m)``-byte
+    fields.  A view of them in the input's item format, beside
+    ``inverse_zeta_tally``."""
+    planes, size, width, big = _planes(fields, m)
+    _butterfly(planes, m, size)
+    return memoryview(_fields(planes, size, width, big)).cast(memoryview(fields).format)

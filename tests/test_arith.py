@@ -6,13 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import inverse_zeta_packed, traced_peak
 from ribbonmod.arith import (
     _POPCOUNT_TALLY_MAX_M,
     MILLER_RABIN_LIMIT,
-    _butterfly,
-    _fields,
-    _planes,
     base_p_digits,
     check_prime,
     field_buffer,
@@ -21,20 +18,8 @@ from ribbonmod.arith import (
     lucas_binomial,
     multinomial_exact,
 )
-from ribbonmod.compositions import CapacityError
 
 PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def inverse_zeta_packed(fields, m):
-    """The output fields of the bit-plane kernel (arith's planes, butterfly
-    and fields) on ``fields``: a ``field_buffer``, an unsigned ``array``
-    whose items fit m, or bytes of little-endian ``field_width(m)``-byte
-    fields.  A view of them in the input's item format: the packed
-    reference of the butterfly tests, beside ``inverse_zeta_tally``."""
-    planes, size, width, big = _planes(fields, m)
-    _butterfly(planes, m, size)
-    return memoryview(_fields(planes, size, width, big)).cast(memoryview(fields).format)
 
 
 def test_is_prime_small():
@@ -68,13 +53,9 @@ def test_is_prime_pseudoprimes_and_large_primes():
 
 
 def test_is_prime_refuses_beyond_its_exact_range():
-    # past MILLER_RABIN_LIMIT a prime or a strong pseudoprime to the bases
-    # is refused (rows of tests/test_budgets.py too); a multiple of a base is
-    # still decided
+    # tests/test_budgets.py refuses a prime past MILLER_RABIN_LIMIT; a
+    # multiple of a base past it is still decided
     assert not is_prime(10**30)
-    for p in (MILLER_RABIN_LIMIT, 2**89 - 1):
-        with pytest.raises(CapacityError):
-            is_prime(p)
 
 
 @pytest.mark.parametrize("bad", [1, 4, 6, 9, 15, -3, 0])

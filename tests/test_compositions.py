@@ -11,6 +11,7 @@ from conftest import traced_peak
 from ribbonmod import cli, compositions
 from ribbonmod.compositions import (
     FAMILIES,
+    MAX_MASK_BITS,
     CapacityError,
     Composition,
     PseudoComposition,
@@ -170,12 +171,10 @@ def test_enumeration_is_ascending_mask_order():
 
 
 def test_enumeration_capacity():
-    # 2^63 masks are past MAX_MASK_BITS (rows of tests/test_budgets.py too);
-    # n = 0 has no composition to enumerate
-    with pytest.raises(CapacityError):
-        next(enumerate_compositions(64))
-    with pytest.raises(CapacityError):
-        next(enumerate_pseudo_compositions(64))
+    # tests/test_budgets.py refuses an n past MAX_MASK_BITS; at it the
+    # enumeration starts, and n = 0 has no composition to enumerate
+    assert next(enumerate_compositions(MAX_MASK_BITS)) == Composition((MAX_MASK_BITS,))
+    assert next(enumerate_pseudo_compositions(MAX_MASK_BITS)) == PseudoComposition((MAX_MASK_BITS,))
     with pytest.raises(ValueError):
         next(enumerate_compositions(0))
 
@@ -230,15 +229,9 @@ def test_int_text_writes_a_long_int_by_its_bit_length():
 
 
 def test_complement_past_its_budget_refused_before_allocating(monkeypatch):
-    def refused(index):
-        with pytest.raises(CapacityError, match="compositions.COMPLEMENT_MAX_POSITIONS"):
-            index.complement()
-
-    # complements of 10^10 positions (rows of tests/test_budgets.py too)
-    for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10))):
-        _, peak = traced_peak(lambda: refused(index))
-        assert peak < 1 << 20
-    # at the budget the complement is built; one position past it, refused
+    # tests/test_budgets.py refuses complements of 10^10 positions; with the
+    # budget patched to 10, the complement at it is built and one position
+    # past it refused
     monkeypatch.setattr(compositions, "COMPLEMENT_MAX_POSITIONS", 10)
     assert Composition((11,)).complement() == Composition((1,) * 11)
     assert PseudoComposition((3, 7)).complement() == PseudoComposition((0, 1, 1, 2) + (1,) * 6)

@@ -61,9 +61,8 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
-from conftest import traced_peak
+from conftest import inverse_zeta_packed, traced_peak
 from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits
-from test_arith import inverse_zeta_packed
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -1393,41 +1392,28 @@ def _unread(n, p):
 
 
 def test_support_set_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # past SUPPORT_N_BITS_MAX bits support_set refuses n before base_p_digits
-    # reads it (rows of tests/test_budgets.py too); at the gate it reads the
-    # digits, and 3^200000 + 1 is well under it
+    # tests/test_budgets.py refuses an n past SUPPORT_N_BITS_MAX bits before
+    # any digit is read; at the gate support_set reads the digits, and
+    # 3^200000 + 1 is well under it
     assert (3**200000 + 1).bit_length() < SUPPORT_N_BITS_MAX
     monkeypatch.setattr(importlib.import_module("ribbonmod.cvec"), "base_p_digits", _unread)
-    for n in (1 << SUPPORT_N_BITS_MAX, 1 << 10**7):
-        for family in "ABD":
-            with pytest.raises(CapacityError) as excinfo:
-                support_set(family, n, 3)
-            assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-                "cvec.SUPPORT_N_BITS_MAX", n.bit_length(), SUPPORT_N_BITS_MAX), (family, n.bit_length())
     with pytest.raises(AssertionError, match="a digit of n was read"):
         support_set("A", (1 << SUPPORT_N_BITS_MAX) - 1, 3)
 
 
 def test_macdonald_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # the top digit's coefficient has at least bits(n) - bits(p) bits, so
-    # an n whose (bits(n) - bits(p))^2 // 30 is past MACDONALD_COST_MAX is
-    # refused by the product term; the gate refuses it before base_p_digits
-    # reads n, after the argument checks (rows of tests/test_budgets.py
-    # too).  With the cap patched to that floor for 2^1000 at p = 1009
-    # (991^2 // 30), n passes the gate and its digits are read, and one
-    # below the floor it is refused
-    module = importlib.import_module("ribbonmod.cvec")
-    monkeypatch.setattr(module, "base_p_digits", _unread)
-    for n, p in ((1 << 10**7, 3), (3 << 700000, 2)):
-        with pytest.raises(CapacityError) as excinfo:
-            macdonald_mp(n, p)
-        floor = (n.bit_length() - p.bit_length()) ** 2 // 30
-        assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-            "cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)
+    # tests/test_budgets.py refuses an n whose top digit's least cost,
+    # (bits(n) - bits(p))^2 // 30, is past MACDONALD_COST_MAX before any
+    # digit is read.  The argument checks come first, so a bad n or p is a
+    # ValueError at any size.  With the cap patched to that floor for 2^1000
+    # at p = 1009 (991^2 // 30), n passes the gate and its digits are read,
+    # and one below the floor it is refused
     for n, p in ((0, 3), (True, 3), (-(1 << 10**6), 3), (1 << 10**6, 4)):
         with pytest.raises(ValueError) as excinfo:
             macdonald_mp(n, p)
         assert type(excinfo.value) is ValueError, (n, p)
+    module = importlib.import_module("ribbonmod.cvec")
+    monkeypatch.setattr(module, "base_p_digits", _unread)
     floor = 991**2 // 30
     monkeypatch.setattr(module, "MACDONALD_COST_MAX", floor)
     with pytest.raises(AssertionError, match="a digit of n was read"):
@@ -1439,21 +1425,12 @@ def test_macdonald_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
 
 
 def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
-    # past RESULT_BITS_MAX + TALLY_MAX_BITS + 1 every method refuses n with
-    # the result budget before base_p_digits reads it (rows of
-    # tests/test_budgets.py too); at the gate the closed form reads the
-    # digits of n
-    gate = RESULT_BITS_MAX + TALLY_MAX_BITS + 1
+    # tests/test_budgets.py refuses an n past RESULT_BITS_MAX +
+    # TALLY_MAX_BITS + 1 by every method before any digit is read; at the
+    # gate the closed form reads the digits of n
     monkeypatch.setattr(importlib.import_module("ribbonmod.cvec"), "base_p_digits", _unread)
-    for n in (gate + 1, 2**200000):
-        for family in "ABD":
-            for method in ("auto", "naive", "theorem", "closed"):
-                with pytest.raises(CapacityError) as excinfo:
-                    cvec(family, n, 3, method)
-                assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-                    "cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX), (family, n, method)
     with pytest.raises(AssertionError, match="a digit of n was read"):
-        cvec("A", gate, 3, "closed")
+        cvec("A", RESULT_BITS_MAX + TALLY_MAX_BITS + 1, 3, "closed")
 
 
 def test_auto_refusal_names_both_budgets():
@@ -1551,34 +1528,16 @@ def test_macdonald_known_values():
 
 
 def test_macdonald_digit_past_the_budget_refused_before_allocating():
-    # n = 10^9 below p = 10^9 + 7 is one digit of 10^9: its series would be
-    # a list of 10^9 + 1 ints (rows of tests/test_budgets.py too).  The
+    # tests/test_budgets.py refuses a digit past MACDONALD_DIGIT_MAX; the
     # largest allowed digit still runs
-    def refused():
-        with pytest.raises(CapacityError, match="cvec.MACDONALD_DIGIT_MAX"):
-            macdonald_mp(10**9, 10**9 + 7)
-
-    _, peak = traced_peak(refused)
-    assert peak < 1 << 20
-    with pytest.raises(CapacityError):
-        macdonald_mp(MACDONALD_DIGIT_MAX + 1, 1009)
     assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) == 24061467864032622473692149727991  # p(1000)
 
 
 def test_macdonald_cost_past_the_budget_refused_before_allocating():
-    # digit 1000 at p^2 = 1009^2 colours (series of about 20000-bit
-    # coefficients, 2.0e10 bit steps) and the 1250 digits 1 of 2^1250 - 1
-    # (a product of 2^j for j < 1250, 2.0e10) are past the budget (rows of
-    # tests/test_budgets.py too); digit 1000 at p^1 (1.0e10) and the 200
-    # digits 1 of 2^200 - 1 (1.3e7, a product that takes about a
-    # millisecond) still answer
-    def refused(n, p):
-        with pytest.raises(CapacityError, match="cvec.MACDONALD_COST_MAX"):
-            macdonald_mp(n, p)
-
-    for n, p in ((1000 * 1009**2, 1009), (2**1250 - 1, 2)):
-        _, peak = traced_peak(lambda: refused(n, p))
-        assert peak < 1 << 20
+    # tests/test_budgets.py refuses digit 1000 at p^2 = 1009^2 colours and
+    # the 1250 digits 1 of 2^1250 - 1 (2.0e10 bit steps each); within the
+    # cost budget digit 1000 at p^1 (1.0e10) and the 200 digits 1 of
+    # 2^200 - 1 (1.3e7, a product that takes about a millisecond) answer
     assert 1000**3 * (1009).bit_length() <= MACDONALD_COST_MAX < 1000**3 * (1009**2).bit_length()
     assert macdonald_mp(2**100 - 1, 2) == 2 ** (100 * 99 // 2)
     assert macdonald_mp(2**200 - 1, 2) == 2 ** (200 * 199 // 2)
