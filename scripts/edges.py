@@ -17,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")])))
+GRACE = 1  # second between a timed-out row's SIGTERM and SIGKILL
 Row = namedtuple("Row", "name argv cap timeout code stdout partner names at", defaults=(400000, 20, 0, None, None, (), None))
 
 
@@ -124,14 +125,37 @@ ROWS = [
 ]
 
 
+def _signal_group(group, sig):
+    # whether a process of the group was left to signal
+    try:
+        os.killpg(group, sig)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def run(row, outputs):
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         started = time.perf_counter()
         child = subprocess.Popen([sys.executable, *row.argv], cwd=ROOT, env=ENV, stdin=subprocess.DEVNULL, stdout=out, stderr=err,
+                                 start_new_session=True,
                                  preexec_fn=row.cap and (lambda: resource.setrlimit(resource.RLIMIT_AS, (row.cap << 10,) * 2)))
-        signal.signal(signal.SIGALRM, lambda *_: child.kill())  # no thread, as preexec_fn needs
+        # past its timeout a row's session gets SIGTERM, so that its children stop and clean up too, and whatever is left of
+        # it GRACE seconds later SIGKILL; by alarms, with no thread, as preexec_fn needs
+        signals = [signal.SIGTERM, signal.SIGKILL]
+
+        def stop(*_):
+            _signal_group(child.pid, signals.pop(0))
+            signal.alarm(GRACE if signals else 0)
+        signal.signal(signal.SIGALRM, stop)
         signal.alarm(row.timeout)
-        _, status, usage = os.wait4(child.pid, 0)
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        except BaseException:  # the runner itself is stopped, say by ^C, which the row's own session does not get
+            _signal_group(child.pid, signal.SIGKILL)
+            raise
+        while len(signals) == 1 and _signal_group(child.pid, 0):  # the child stopped on SIGTERM, some of its session not yet
+            time.sleep(0.05)
         signal.alarm(0)
         child.returncode = code = os.waitstatus_to_exitcode(status)
         seconds = time.perf_counter() - started

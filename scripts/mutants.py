@@ -6,7 +6,8 @@ once), the new text and the tests that must kill it.  The checkout is
 copied to a temporary directory once; each mutant is applied there in turn
 and its tests run with ``pytest -x``.  The run fails when a mutant
 survives (its tests pass), when its old text does not occur exactly once,
-or when pytest stops for any reason other than a failing test.
+or when pytest stops for any reason other than a failing test.  On SIGTERM
+it exits with the copy removed.
 
     python scripts/mutants.py
 """
@@ -14,6 +15,7 @@ or when pytest stops for any reason other than a failing test.
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -53,4 +55,5 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))  # an exit that removes the checkout copy
     sys.exit(main())

@@ -1,9 +1,12 @@
 """Fixed hypothesis draws: every ``@given`` test draws the same examples on
 every run, and no example database is read or written.  ``traced_peak`` is
-the one ``tracemalloc`` reading of the bounded-memory tests, and
-``inverse_zeta_packed`` the packed reference of the butterfly tests."""
+the one ``tracemalloc`` reading of the bounded-memory tests,
+``inverse_zeta_packed`` the packed output of the kernel table, and
+``readme_budget_rows`` the one reader of README's budget table."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -35,3 +38,14 @@ def inverse_zeta_packed(fields, m):
     planes, size, width, big = _planes(fields, m)
     _butterfly(planes, m, size)
     return memoryview(_fields(planes, size, width, big)).cast(memoryview(fields).format)
+
+
+def readme_budget_rows():
+    """The rows of README's budget table, each the list of its four cells
+    (budget, constant, at the edge, in CI), stripped; an escaped ``\\|``
+    stays inside its cell."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| budget | constant | at the edge | in CI |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.split(r"(?<!\\)\|", line) for line in table.splitlines()[1:]]
+    assert rows and all(len(row) == 6 and row[0] == row[-1] == "" for row in rows)
+    return [[cell.strip() for cell in row[1:-1]] for row in rows]

@@ -1,7 +1,7 @@
 import random
 import sys
 from array import array
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from ribbonmod.arith import (
     base_p_digits,
     check_prime,
     field_buffer,
+    field_width,
     inverse_zeta_tally,
     is_prime,
     lucas_binomial,
@@ -66,30 +67,14 @@ def test_nonprime_modulus_rejected(bad):
         base_p_digits(10, bad)
 
 
-def test_base_p_digits_known_values():
-    assert base_p_digits(5, 3) == (2, 1)
-    assert base_p_digits(4, 2) == (0, 0, 1)
-    assert base_p_digits(20, 3) == (2, 0, 2)
-    assert base_p_digits(0, 7) == (0,)
-
-
 def _value(digits, p):
-    return sum(d * p**j for j, d in enumerate(digits))
-
-
-def test_base_p_digits_no_high_zero():
-    for n in range(0, 2000):
-        for p in PRIMES:
-            d = base_p_digits(n, p)
-            assert _value(d, p) == n
-            assert all(0 <= x < p for x in d)
-            if n:
-                assert d[-1] != 0
-
-
-@given(n=st.integers(min_value=0, max_value=10**6), p=st.sampled_from(PRIMES))
-def test_base_p_digits_round_trip(n, p):
-    assert _value(base_p_digits(n, p), p) == n
+    # sum of d * p^j, by halves: pairs of digits at p, pairs of pairs at p^2, ...
+    values, power = list(digits), p
+    while len(values) > 1:
+        values += [0] * (len(values) % 2)
+        values = [low + high * power for low, high in zip(values[::2], values[1::2])]
+        power *= power
+    return values[0]
 
 
 def _digits_by_one_division_each(n, p):
@@ -100,18 +85,43 @@ def _digits_by_one_division_each(n, p):
     return tuple(digits) or (0,)
 
 
-def test_base_p_digits_split_matches_the_loop():
-    # past a few hundred bits n is split at p^(2^k); the digits equal those
-    # of one division per digit on random n up to 2*10^4 bits and next to
-    # powers of p, where a half's leading zeros are kept
+def _check_digits(n, p):
+    # base_p_digits against one division per digit: the same tuple, whose
+    # value is n, whose digits lie in [0, p) and whose top digit is nonzero
+    digits = base_p_digits(n, p)
+    assert digits == _digits_by_one_division_each(n, p), (p, n.bit_length())
+    assert _value(digits, p) == n and all(0 <= d < p for d in digits) and (digits[-1] or not n), (p, n.bit_length())
+
+
+def _split_cases(p, rng):
+    # past a few hundred bits n is split at p^(2^k): random n up to 2*10^4
+    # bits, and n next to powers of p, where a half's leading zeros are kept
+    powers = [p**k for k in (1, 600 // p.bit_length(), 1200 // p.bit_length(), 20000 // p.bit_length())]
+    return [rng.getrandbits(rng.randrange(1, 20001)) for _ in range(8)] + [q + d for q in powers for d in (-1, 0, 1)]
+
+
+KNOWN_DIGITS = {(5, 3): (2, 1), (4, 2): (0, 0, 1), (20, 3): (2, 0, 2), (0, 7): (0,), (9, 3): (0, 0, 1)}
+LARGEST_PRIME = next(q for q in range(MILLER_RABIN_LIMIT - 2, 0, -2) if is_prime(q))
+DIGIT_ROWS = (  # (primes, the n checked at each prime)
+    (PRIMES, lambda p, rng: range(2000)),
+    ((2, 3, 5, 131, 65537, LARGEST_PRIME), _split_cases),
+)
+
+
+def test_base_p_digits_match_one_division_per_digit():
     rng = random.Random(48)
-    big = next(q for q in range(MILLER_RABIN_LIMIT - 2, 0, -2) if is_prime(q))
-    for p in (2, 3, 5, 131, 65537, big):
-        cases = [rng.getrandbits(rng.randrange(1, 20001)) for _ in range(8)]
-        for k in (1, 600 // p.bit_length(), 1200 // p.bit_length(), 20000 // p.bit_length()):
-            cases += [p**k - 1, p**k, p**k + 1]
-        for n in cases:
-            assert base_p_digits(n, p) == _digits_by_one_division_each(n, p), (p, n.bit_length())
+    for (n, p), digits in KNOWN_DIGITS.items():
+        assert base_p_digits(n, p) == digits, (n, p)
+        _check_digits(n, p)
+    for primes, cases in DIGIT_ROWS:
+        for p in primes:
+            for n in cases(p, rng):
+                _check_digits(n, p)
+
+
+@given(n=st.integers(min_value=0, max_value=10**6), p=st.sampled_from(PRIMES))
+def test_base_p_digits_match_one_division_per_digit_drawn(n, p):
+    _check_digits(n, p)
 
 
 def test_multinomial_exact_known_values():
@@ -223,32 +233,123 @@ def test_pow2_digitwise_identity():
             assert pow(2, n - 1, p) == digit_product * inv2 % p
 
 
-def test_digit_vector_is_value_object():
-    assert base_p_digits(9, 3) == (0, 0, 1)
-    assert len(base_p_digits(9, 3)) == 3
-    assert base_p_digits(9, 3)[2] == 1
+def _moebius_reference(raw):
+    # the subset Moebius transform, T <- sum over S subset T of
+    # (-1)^|T\S| raw[S], in exact ints one pair at a time, level by level
+    # (Yates 1937): the one reference of the bit-plane kernel
+    out = list(raw)
+    for level in range(len(out).bit_length() - 1):
+        for t in range(len(out)):
+            if t >> level & 1:
+                out[t] -= out[t ^ 1 << level]
+    return out
 
 
-@pytest.mark.parametrize("m", [257, 641, 65537, 2**32 - 5, 2**61 - 1])
-def test_big_endian_fields_match_little_endian(monkeypatch, m):
-    # a big-endian machine keeps each multi-byte field high byte first, so
-    # the planes read the byte columns in the other order: a byteswapped
-    # field_buffer under sys.byteorder "big" must give the little-endian
-    # transform byteswapped, and the same popcount tally (m <= 640), for
-    # 2^0 to 2^11 fields of 2, 4 and 8 bytes
-    rng = random.Random(m)
-    cases = []
-    for k in range(12):
-        fields = field_buffer(0, m)
-        fields.extend(rng.randrange(m) for _ in range(1 << k))
-        tally = inverse_zeta_tally(fields, m) if m <= _POPCOUNT_TALLY_MAX_M else None
-        cases.append((fields, inverse_zeta_packed(fields, m).tolist(), tally))
-    monkeypatch.setattr(sys, "byteorder", "big")
-    for fields, packed, tally in cases:
-        swapped = fields[:]
-        swapped.byteswap()
-        out = array(swapped.typecode, inverse_zeta_packed(swapped, m))
+# The input patterns of the kernel table, each of 2^bits values: unreduced
+# and partly negative ones for any m (and for None, the modulus past
+# 2^bits * max|v|), residues in [0, m) for an int m.  "worst" is the worst
+# case of the field bound: every term of the full mask adds, so its value
+# reaches 2^bits * (2^(64 - bits) - 1) = 2^64 - 2^bits, past 2^63.  "top"
+# sets every one of the kernel's w = (m - 1).bit_length() bit planes, and
+# "even" (m - 1 on the even subsets, 0 on the odd ones) makes the first
+# level borrow in every lane with its bit
+PATTERNS = {
+    "quadratic": lambda rng, bits, m: [i * i - 5 * i + 1 for i in range(1 << bits)],
+    "signed": lambda rng, bits, m: [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(1 << bits)],
+    "worst": lambda rng, bits, m: [(-1) ** (bits - s.bit_count()) * ((1 << (64 - bits)) - 1) for s in range(1 << bits)],
+    "small": lambda rng, bits, m: [-3, 5, 0, 2**64, -(2**64), 1, 7, -7],
+    "residues": lambda rng, bits, m: [rng.randrange(m) for _ in range(1 << bits)],
+    "top": lambda rng, bits, m: [m - 1] * (1 << bits),
+    "even": lambda rng, bits, m: [(m - 1) * (s.bit_count() % 2 == 0) for s in range(1 << bits)],
+}
+
+
+def _layout(vals, m, layout):
+    # residues as kernel input: little-endian bytes of field_width(m) bytes
+    # each, a field_buffer, an array("Q") wider than m needs, or a
+    # byteswapped field_buffer, as a big-endian machine holds its fields
+    if layout == "bytes":
+        return b"".join(v.to_bytes(field_width(m), "little") for v in vals)
+    if layout == "wide":
+        return array("Q", vals)
+    data = field_buffer(0, m)
+    assert memoryview(data).itemsize == field_width(m)
+    data.extend(vals)
+    if layout == "big":
+        data.byteswap()
+    return data
+
+
+def _output(out, data, m, layout):
+    # the output fields of inverse_zeta_packed as ints, read in the input's layout
+    if layout == "bytes":
+        width = field_width(m)
+        return [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
+    if layout == "big":
+        out = array(data.typecode, out)
         out.byteswap()
-        assert out.tolist() == packed, (m, len(fields))
-        if tally is not None:
-            assert inverse_zeta_tally(swapped, m) == tally, (m, len(fields))
+    return out.tolist()
+
+
+# The moduli sit on both sides of each power of two (m = 2^w adds nothing
+# back after a borrow), of each field width and of the popcount/count
+# crossover of the tally; they are prime or not, |A12| + 1 = 13! + 1 among them
+PAIR_MODULI = (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, _POPCOUNT_TALLY_MAX_M,
+               _POPCOUNT_TALLY_MAX_M + 1, 32749, 32768, 32769, 65536, 65537, 2**32 - 5, 2**61 - 1, 2**80 + 13)
+KERNEL_ROWS = (  # (sizes in bits, moduli, input pattern, layouts)
+    (range(12), (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, None), "quadratic", ("bytes",)),
+    (range(13), (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, None), "signed", ("bytes",)),
+    (range(13), (None,), "worst", ("bytes",)),
+    ((3,), (3, 2**68), "small", ("bytes",)),
+    *((range(11), PAIR_MODULI, pattern, ("bytes", "buffer", "wide")) for pattern in ("residues", "top", "even")),
+    ((12,), (2, 53, 59, 127, 131, 257, 631, 641, 65537), "residues", ("buffer",)),
+    (range(12), (257, 641, 65537, 2**32 - 5, 2**61 - 1), "residues", ("buffer", "big")),
+)
+
+
+def _check_kernel_row(sizes, moduli, pattern, layouts, rng):
+    """``inverse_zeta_packed`` and ``inverse_zeta_tally`` against
+    ``_moebius_reference`` on one row of the kernel table: at each size and
+    modulus the pattern's values go in reduced mod m, in each layout (the
+    native ones where m fits 8 bytes), come back in the input's layout and
+    size, and leave the input as it was.  A tally has m entries, so that
+    of a field_buffer is checked up to m = 2^16 + 1, and under the
+    simulated big byte order up to the crossover only: past it the Counter
+    pass reads the fields in the machine's own order."""
+    for bits in sizes:
+        for m in moduli:
+            raw = PATTERNS[pattern](rng, bits, m)
+            if m is None:  # past 2^bits * max|v|: the residues are the exact values shifted into [0, m)
+                m = (max(1, *map(abs, raw)) << bits) + 1
+            width = field_width(m)
+            assert width == next((b for b in (1, 2, 4, 8) if m <= 256**b), -(-(m - 1).bit_length() // 8)), m
+            want = [v % m for v in _moebius_reference(raw)]
+            for layout in layouts if width <= 8 else ("bytes",):
+                data = _layout([v % m for v in raw], m, layout)
+                before = bytes(data)
+                tallied = m <= {"buffer": 65537, "big": _POPCOUNT_TALLY_MAX_M}.get(layout, 0)
+                with pytest.MonkeyPatch.context() as patch:
+                    if layout == "big":
+                        patch.setattr(sys, "byteorder", "big")
+                    out = inverse_zeta_packed(data, m)
+                    tally = inverse_zeta_tally(data, m) if tallied else None
+                where = (pattern, bits, m, layout)
+                assert _output(out, data, m, layout) == want and out.nbytes == len(before) and bytes(data) == before, where
+                if tallied:
+                    counts = [0] * m
+                    for v in want:
+                        counts[v] += 1
+                    assert tally == counts, where
+
+
+def test_inverse_zeta_kernel_table():
+    rng = random.Random(11)
+    for row in KERNEL_ROWS:
+        _check_kernel_row(*row, rng)
+    for bits in range(13):  # the worst case reaches the field bound
+        assert _moebius_reference(PATTERNS["worst"](rng, bits, None))[-1] == (1 << 64) - (1 << bits)
+    assert 509 <= _POPCOUNT_TALLY_MAX_M < 769  # the tally rows cover both sides of the crossover
+    for fields, m in ((bytes([1, 2, 3]), 7), (array("B", bytes(4)), 257), (bytes(6), 257)):
+        # three fields; 1-byte items too narrow past 256; three 2-byte fields
+        with pytest.raises(ValueError):
+            inverse_zeta_packed(fields, m)

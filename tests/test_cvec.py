@@ -6,7 +6,6 @@ import random
 import sys
 import time
 import tracemalloc
-from array import array
 from collections import Counter
 from math import comb, factorial
 from operator import sub
@@ -15,11 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
-    _POPCOUNT_TALLY_MAX_M,
     TALLY_MAX_BITS,
     base_p_digits,
     field_buffer,
-    field_width,
     inverse_zeta_tally,
     is_prime,
     multinomial_exact,
@@ -269,130 +266,6 @@ def check_term_table(at_size=False):
 
 def test_term_table_matches_term_mod_p():
     check_term_table()
-
-
-def _moebius_reference(raw):
-    # vals[T] = sum over S subset T of (-1)^|T\S| raw[S], term by term
-    out = []
-    for t in range(len(raw)):
-        total = 0
-        s = t
-        while True:
-            total += raw[s] if (t ^ s).bit_count() % 2 == 0 else -raw[s]
-            if s == 0:
-                break
-            s = (s - 1) & t
-        out.append(total)
-    return out
-
-
-def _butterfly_reference(vals, m):
-    # the subset Moebius transform mod m one pair at a time, level by level
-    out = list(vals)
-    bit = 1
-    while bit < len(out):
-        for t in range(len(out)):
-            if t & bit:
-                out[t] = (out[t] - out[t ^ bit]) % m
-        bit <<= 1
-    return out
-
-
-def _packed_butterfly(vals, m):
-    # inverse_zeta_packed on little-endian bytes of field_width(m) bytes per
-    # field, holding the values reduced mod m
-    width = field_width(m)
-    out = inverse_zeta_packed(b"".join((v % m).to_bytes(width, "little") for v in vals), m)
-    return [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
-
-
-def test_inverse_zeta_mod_matches_inclusion_exclusion():
-    # sizes 2^0 .. 2^11, mod a prime, mod composites (|A12| + 1 among
-    # them, 9-byte fields at 2^64 + 1) and mod a modulus past
-    # 2^bits * max|v|
-    for bits in range(12):
-        size = 1 << bits
-        raw = [i * i - 5 * i + 1 for i in range(size)]
-        expected = _moebius_reference(raw)
-        past = (max(abs(v) for v in raw) << bits) + 1
-        for m in (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, past):
-            assert _packed_butterfly(raw, m) == [e % m for e in expected], (bits, m)
-
-
-def test_inverse_zeta_packed_field_widths():
-    # the inputs are unreduced and partly negative; the moduli give 1-, 2-,
-    # 4- and 8-byte fields and wide ones (9 bytes and more), prime or not,
-    # and the last one exceeds 2^bits * max|v|, so the residues are the
-    # exact signed values shifted into [0, m)
-    rng = random.Random(5)
-    for bits in range(13):
-        size = 1 << bits
-        raw = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 70, 100))) for _ in range(size)]
-        expected = _moebius_reference(raw)
-        past = (max(abs(v) for v in raw) << bits) + 1
-        for m in (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, past):
-            assert _packed_butterfly(raw, m) == [e % m for e in expected], (bits, m)
-        # the worst case of the field bound: every term of the full mask
-        # adds, so its value reaches 2^bits * top, past 2^63, and is the
-        # largest residue mod 2^bits * top + 1
-        top = (1 << (64 - bits)) - 1
-        worst = [top if (bits - s.bit_count()) % 2 == 0 else -top for s in range(size)]
-        m = (top << bits) + 1
-        got = _packed_butterfly(worst, m)
-        assert got == [e % m for e in _moebius_reference(worst)] and got[-1] == m - 1
-    small = [-3, 5, 0, 2**64, -(2**64), 1, 7, -7]
-    for m in (3, 2**68):
-        assert _packed_butterfly(small, m) == [e % m for e in _moebius_reference(small)]
-    with pytest.raises(ValueError):
-        _packed_butterfly([1, 2, 3], 7)
-
-
-def test_inverse_zeta_packed_and_tally_match_pair_reference():
-    # the packed entry point and the tally against a pair-at-a-time
-    # butterfly, for 2^0 .. 2^10 fields: on little-endian bytes of
-    # field_width(m) bytes per field (1, 2, 4, 8 and 11), on the
-    # field_buffer of each native modulus (a bytearray, or an array of 2-,
-    # 4- or 8-byte items) and on an array wider than the modulus needs;
-    # each result comes back in the layout it went in, and no input changes.
-    # The kernel makes w = (m - 1).bit_length() bit planes, and the moduli
-    # sit on both sides of each power of two (m = 2^w adds nothing back
-    # after a borrow), of each field width and of the popcount/count
-    # crossover of the tally.  Besides random residues, every field m - 1,
-    # and m - 1 on the even subsets with 0 on the odd ones, so that the
-    # first level borrows in every lane with its bit
-    rng = random.Random(11)
-    moduli = (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, _POPCOUNT_TALLY_MAX_M,
-              _POPCOUNT_TALLY_MAX_M + 1, 32749, 32768, 32769, 65536, 65537, 2**32 - 5, 2**61 - 1,
-              2**80 + 13)
-    for bits in range(11):
-        size = 1 << bits
-        for m in moduli:
-            width = field_width(m)
-            assert width == next(b for b in (1, 2, 4, 8, 11) if m <= 256**b), m
-            for vals in ([rng.randrange(m) for _ in range(size)], [m - 1] * size,
-                         [(m - 1) * (s.bit_count() % 2 == 0) for s in range(size)]):
-                want = _butterfly_reference(vals, m)
-                inputs = [b"".join(v.to_bytes(width, "little") for v in vals)]
-                if width <= 8:
-                    buf = field_buffer(0, m)
-                    buf.extend(vals)
-                    assert memoryview(buf).itemsize == width
-                    inputs += [buf, array("Q", vals)]
-                for data in inputs:
-                    out = inverse_zeta_packed(data, m)
-                    if isinstance(data, bytes):
-                        got = [int.from_bytes(out[i:i + width], "little") for i in range(0, len(out), width)]
-                    else:
-                        got = out.tolist()
-                        assert list(data) == vals
-                    assert got == want and out.nbytes == memoryview(data).nbytes, (bits, m)
-                if m <= 65537:
-                    counts = Counter(want)
-                    assert inverse_zeta_tally(buf, m) == [counts[r] for r in range(m)], (bits, m)
-    with pytest.raises(ValueError):
-        inverse_zeta_packed(array("B", bytes(4)), 257)  # 1-byte fields are too narrow past 256
-    with pytest.raises(ValueError):
-        inverse_zeta_packed(bytes(6), 257)  # three 2-byte fields
 
 
 def _covering_count(family, n, mask):
@@ -749,22 +622,6 @@ def test_naive_sweep_in_narrow_lanes_in_bounded_memory():
         assert tuple(2 * c for c in tally) == cvec_naive("D", 22, p).counts
         plane = (1 << 21) // 8 * 16 // 15
         assert peak < max(13, w + 8, 2 * w + 2) * plane, (p, peak)
-
-
-def test_field_tally_matches_counter():
-    # the butterfly's output is tallied by popcounts of its bit planes up to
-    # the crossover and by one Counter pass over its fields above it, from
-    # a field_buffer; both sides of the crossover are covered, and 1-, 2-
-    # and 4-byte fields, against the pair-at-a-time butterfly and a Counter
-    rng = random.Random(8)
-    assert 509 <= _POPCOUNT_TALLY_MAX_M < 769
-    for p in (2, 53, 59, 127, 131, 257, 631, 641, 65537):
-        vals = [rng.randrange(p) for _ in range(4096)]
-        data = field_buffer(len(vals), p)
-        for i, v in enumerate(vals):
-            data[i] = v
-        counts = Counter(_butterfly_reference(vals, p))
-        assert inverse_zeta_tally(data, p) == [counts[r] for r in range(p)], p
 
 
 def test_ground_truth_two_two_powers():

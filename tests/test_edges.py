@@ -4,11 +4,15 @@ its rows: ``python scripts/edges.py`` runs them."""
 import importlib.util
 import inspect
 import json
+import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import readme_budget_rows
 from ribbonmod.cli import main, parse_args
 from test_answer_digests import ENTRIES
 from test_surface import _readme_budget_constants
@@ -80,12 +84,10 @@ def test_command_lines_parse_unless_they_are_usage_errors():
 def test_readme_budget_table_cites_rows_by_name():
     # each row of README's budget table names in its CI column rows of the
     # runner, and every name it cites there is a row
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| budget | constant | at the edge | in CI |\n", 1)[1].split("\n\n", 1)[0]
     names = {row.name for row in edges.ROWS}
-    for line in table.splitlines()[1:]:
-        cited = re.findall(r"`([^`]+)`", line.split(" | ")[-1])
-        assert cited and set(cited) <= names, line[:60]
+    for budget, _, _, in_ci in readme_budget_rows():
+        cited = re.findall(r"`([^`]+)`", in_ci)
+        assert cited and set(cited) <= names, budget
 
 
 def test_each_point_tier1_leaves_out_has_a_row():
@@ -98,6 +100,34 @@ def test_each_point_tier1_leaves_out_has_a_row():
     assert len(calls) == 5
     for module, call in calls:
         assert argvs.count(edges.check(module, call)) == 1, call
+
+
+def _running(pid):
+    # neither gone nor a zombie
+    try:
+        return (Path("/proc") / str(pid) / "stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states under /proc")
+def test_a_timed_out_row_leaves_no_process_behind():
+    # a row whose child starts a sleeping grandchild and outlives its 1 s
+    # timeout fails, and its grandchild is stopped with it
+    code = ("import subprocess, sys, time\n"
+            "grandchild = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+            "print(grandchild.pid, flush=True)\n"
+            "time.sleep(60)")
+    record = edges.run(edges.Row("outlives-its-timeout", ["-c", code], timeout=1), {})
+    pid = int(record["output"].split()[0])
+    try:
+        deadline = time.monotonic() + 5
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not record["pass"] and not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def _quartiles(value):

@@ -11,6 +11,7 @@ import re
 import sys
 
 import ribbonmod
+from conftest import readme_budget_rows
 
 PUBLIC = {
     "CapacityError",
@@ -211,11 +212,7 @@ def _parsed(paths):
 def _readme_budget_constants() -> set[str]:
     # the constant column of README's budget table: the first `module.NAME`
     # of each row's second cell
-    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| budget | constant | at the edge | in CI |\n", 1)[1].split("\n\n", 1)[0]
-    rows = table.splitlines()[1:]
-    assert rows and all(row.startswith("| ") for row in rows)
-    return {re.match(r" `(\w+\.\w+)`", row.split("|")[2]).group(1) for row in rows}
+    return {re.match(r"`(\w+\.\w+)`", row[1]).group(1) for row in readme_budget_rows()}
 
 
 def test_every_refusal_names_a_budget_of_the_readme_table():
