@@ -1,7 +1,7 @@
 """Fixed hypothesis draws: every ``@given`` test draws the same examples on
 every run, and no example database is read or written.  ``traced_peak`` is
 the one ``tracemalloc`` reading of the bounded-memory tests,
-``inverse_zeta_packed`` the packed output of the kernel table, and
+``inverse_zeta_packed`` the packed output of the kernel tests, and
 ``readme_budget_rows`` the one reader of README's budget table."""
 
 import re

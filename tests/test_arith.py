@@ -1,7 +1,7 @@
 import random
 import sys
 from array import array
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,35 +93,39 @@ def _check_digits(n, p):
     assert _value(digits, p) == n and all(0 <= d < p for d in digits) and (digits[-1] or not n), (p, n.bit_length())
 
 
-def _split_cases(p, rng):
-    # past a few hundred bits n is split at p^(2^k): random n up to 2*10^4
-    # bits, and n next to powers of p, where a half's leading zeros are kept
-    powers = [p**k for k in (1, 600 // p.bit_length(), 1200 // p.bit_length(), 20000 // p.bit_length())]
-    return [rng.getrandbits(rng.randrange(1, 20001)) for _ in range(8)] + [q + d for q in powers for d in (-1, 0, 1)]
-
-
-KNOWN_DIGITS = {(5, 3): (2, 1), (4, 2): (0, 0, 1), (20, 3): (2, 0, 2), (0, 7): (0,), (9, 3): (0, 0, 1)}
-LARGEST_PRIME = next(q for q in range(MILLER_RABIN_LIMIT - 2, 0, -2) if is_prime(q))
-DIGIT_ROWS = (  # (primes, the n checked at each prime)
-    (PRIMES, lambda p, rng: range(2000)),
-    ((2, 3, 5, 131, 65537, LARGEST_PRIME), _split_cases),
-)
-
-
-def test_base_p_digits_match_one_division_per_digit():
-    rng = random.Random(48)
-    for (n, p), digits in KNOWN_DIGITS.items():
+def test_base_p_digits_known_values():
+    for (n, p), digits in {(5, 3): (2, 1), (4, 2): (0, 0, 1), (20, 3): (2, 0, 2), (0, 7): (0,)}.items():
         assert base_p_digits(n, p) == digits, (n, p)
         _check_digits(n, p)
-    for primes, cases in DIGIT_ROWS:
-        for p in primes:
-            for n in cases(p, rng):
-                _check_digits(n, p)
+
+
+def test_digit_vector_is_value_object():
+    assert base_p_digits(9, 3) == (0, 0, 1)
+    assert len(base_p_digits(9, 3)) == 3
+    assert base_p_digits(9, 3)[2] == 1
+    _check_digits(9, 3)
+
+
+def test_base_p_digits_no_high_zero():
+    for n in range(2000):
+        for p in PRIMES:
+            _check_digits(n, p)
 
 
 @given(n=st.integers(min_value=0, max_value=10**6), p=st.sampled_from(PRIMES))
-def test_base_p_digits_match_one_division_per_digit_drawn(n, p):
+def test_base_p_digits_round_trip(n, p):
     _check_digits(n, p)
+
+
+def test_base_p_digits_split_matches_the_loop():
+    # past a few hundred bits n is split at p^(2^k): random n up to 2*10^4
+    # bits, and n next to powers of p, where a half's leading zeros are kept
+    rng = random.Random(48)
+    big = next(q for q in range(MILLER_RABIN_LIMIT - 2, 0, -2) if is_prime(q))
+    for p in (2, 3, 5, 131, 65537, big):
+        powers = [p**k for k in (1, 600 // p.bit_length(), 1200 // p.bit_length(), 20000 // p.bit_length())]
+        for n in [rng.getrandbits(rng.randrange(1, 20001)) for _ in range(8)] + [q + d for q in powers for d in (-1, 0, 1)]:
+            _check_digits(n, p)
 
 
 def test_multinomial_exact_known_values():
@@ -245,7 +249,7 @@ def _moebius_reference(raw):
     return out
 
 
-# The input patterns of the kernel table, each of 2^bits values: unreduced
+# The input patterns of the kernel rows, each of 2^bits values: unreduced
 # and partly negative ones for any m (and for None, the modulus past
 # 2^bits * max|v|), residues in [0, m) for an int m.  "worst" is the worst
 # case of the field bound: every term of the full mask adds, so its value
@@ -291,28 +295,14 @@ def _output(out, data, m, layout):
     return out.tolist()
 
 
-# The moduli sit on both sides of each power of two (m = 2^w adds nothing
-# back after a borrow), of each field width and of the popcount/count
-# crossover of the tally; they are prime or not, |A12| + 1 = 13! + 1 among them
-PAIR_MODULI = (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, _POPCOUNT_TALLY_MAX_M,
-               _POPCOUNT_TALLY_MAX_M + 1, 32749, 32768, 32769, 65536, 65537, 2**32 - 5, 2**61 - 1, 2**80 + 13)
-KERNEL_ROWS = (  # (sizes in bits, moduli, input pattern, layouts)
-    (range(12), (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, None), "quadratic", ("bytes",)),
-    (range(13), (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, None), "signed", ("bytes",)),
-    (range(13), (None,), "worst", ("bytes",)),
-    ((3,), (3, 2**68), "small", ("bytes",)),
-    *((range(11), PAIR_MODULI, pattern, ("bytes", "buffer", "wide")) for pattern in ("residues", "top", "even")),
-    ((12,), (2, 53, 59, 127, 131, 257, 631, 641, 65537), "residues", ("buffer",)),
-    (range(12), (257, 641, 65537, 2**32 - 5, 2**61 - 1), "residues", ("buffer", "big")),
-)
-
-
 def _check_kernel_row(sizes, moduli, pattern, layouts, rng):
     """``inverse_zeta_packed`` and ``inverse_zeta_tally`` against
-    ``_moebius_reference`` on one row of the kernel table: at each size and
-    modulus the pattern's values go in reduced mod m, in each layout (the
-    native ones where m fits 8 bytes), come back in the input's layout and
-    size, and leave the input as it was.  A tally has m entries, so that
+    ``_moebius_reference`` on one row (sizes in bits, moduli, input
+    pattern, layouts): the one harness of the kernel tests here and in
+    test_cvec.py.  At each size and modulus the pattern's values go in
+    reduced mod m, in each layout (the native ones where m fits 8 bytes),
+    come back in the input's layout and size, and leave the input as it
+    was.  A tally has m entries, so that
     of a field_buffer is checked up to m = 2^16 + 1, and under the
     simulated big byte order up to the crossover only: past it the Counter
     pass reads the fields in the machine's own order."""
@@ -342,14 +332,11 @@ def _check_kernel_row(sizes, moduli, pattern, layouts, rng):
                     assert tally == counts, where
 
 
-def test_inverse_zeta_kernel_table():
-    rng = random.Random(11)
-    for row in KERNEL_ROWS:
-        _check_kernel_row(*row, rng)
-    for bits in range(13):  # the worst case reaches the field bound
-        assert _moebius_reference(PATTERNS["worst"](rng, bits, None))[-1] == (1 << 64) - (1 << bits)
-    assert 509 <= _POPCOUNT_TALLY_MAX_M < 769  # the tally rows cover both sides of the crossover
-    for fields, m in ((bytes([1, 2, 3]), 7), (array("B", bytes(4)), 257), (bytes(6), 257)):
-        # three fields; 1-byte items too narrow past 256; three 2-byte fields
-        with pytest.raises(ValueError):
-            inverse_zeta_packed(fields, m)
+@pytest.mark.parametrize("m", [257, 641, 65537, 2**32 - 5, 2**61 - 1])
+def test_big_endian_fields_match_little_endian(m):
+    # a big-endian machine keeps each multi-byte field high byte first, so
+    # the planes read the byte columns in the other order: a byteswapped
+    # field_buffer under sys.byteorder "big" must give the little-endian
+    # transform byteswapped, and the same popcount tally (m <= 640), for
+    # 2^0 to 2^11 fields of 2, 4 and 8 bytes
+    _check_kernel_row(range(12), (m,), "residues", ("buffer", "big"), random.Random(m))

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 from math import comb, factorial
 from operator import sub
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribbonmod.arith import (
+    _POPCOUNT_TALLY_MAX_M,
     TALLY_MAX_BITS,
     base_p_digits,
     field_buffer,
@@ -60,6 +62,7 @@ from ribbonmod.cvec import (
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
 from conftest import inverse_zeta_packed, traced_peak
 from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits
+from test_arith import PATTERNS, _check_kernel_row, _moebius_reference
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -266,6 +269,60 @@ def check_term_table(at_size=False):
 
 def test_term_table_matches_term_mod_p():
     check_term_table()
+
+
+def test_inverse_zeta_mod_matches_inclusion_exclusion():
+    # sizes 2^0 .. 2^11, mod a prime, mod composites (|A12| + 1 among
+    # them, 9-byte fields at 2^64 + 1) and mod a modulus past
+    # 2^bits * max|v| (None)
+    _check_kernel_row(range(12), (7, 6, 2**32, 2**64 + 1, factorial(13) + 1, None), "quadratic", ("bytes",), None)
+
+
+def test_inverse_zeta_packed_field_widths():
+    # the inputs are unreduced and partly negative; the moduli give 1-, 2-,
+    # 4- and 8-byte fields and wide ones (9 bytes and more), prime or not,
+    # and None exceeds 2^bits * max|v|, so the residues are the exact
+    # signed values shifted into [0, m)
+    rng = random.Random(5)
+    moduli = (2, 6, 7, 251, 2**31 - 1, 2**32, 2**61 - 1, 2**63 - 1, 2**64 + 1, 2**89 - 1, None)
+    _check_kernel_row(range(13), moduli, "signed", ("bytes",), rng)
+    _check_kernel_row(range(13), (None,), "worst", ("bytes",), rng)
+    for bits in range(13):  # the worst case reaches the field bound
+        assert _moebius_reference(PATTERNS["worst"](rng, bits, None))[-1] == (1 << 64) - (1 << bits)
+    _check_kernel_row((3,), (3, 2**68), "small", ("bytes",), rng)
+    with pytest.raises(ValueError):
+        inverse_zeta_packed(bytes([1, 2, 3]), 7)  # three fields
+
+
+# The moduli sit on both sides of each power of two (m = 2^w adds nothing
+# back after a borrow), of each field width and of the popcount/count
+# crossover of the tally
+PAIR_MODULI = (2, 3, 4, 5, 8, 9, 16, 17, 127, 128, 129, 131, 256, 257, _POPCOUNT_TALLY_MAX_M,
+               _POPCOUNT_TALLY_MAX_M + 1, 32749, 32768, 32769, 65536, 65537, 2**32 - 5, 2**61 - 1, 2**80 + 13)
+
+
+def test_inverse_zeta_packed_and_tally_match_pair_reference():
+    # 2^0 .. 2^10 fields on little-endian bytes of field_width(m) bytes per
+    # field (1, 2, 4, 8 and 11), on the field_buffer of each native modulus
+    # (tallied up to 2^16 + 1) and on an array wider than the modulus
+    # needs: random residues, every field m - 1, and m - 1 on the even
+    # subsets with 0 on the odd ones
+    rng = random.Random(11)
+    for pattern in ("residues", "top", "even"):
+        _check_kernel_row(range(11), PAIR_MODULI, pattern, ("bytes", "buffer", "wide"), rng)
+    with pytest.raises(ValueError):
+        inverse_zeta_packed(array("B", bytes(4)), 257)  # 1-byte fields are too narrow past 256
+    with pytest.raises(ValueError):
+        inverse_zeta_packed(bytes(6), 257)  # three 2-byte fields
+
+
+def test_field_tally_matches_counter():
+    # the butterfly's output is tallied by popcounts of its bit planes up to
+    # the crossover and by one Counter pass over its fields above it, from
+    # a field_buffer; both sides of the crossover are covered, and 1-, 2-
+    # and 4-byte fields
+    assert 509 <= _POPCOUNT_TALLY_MAX_M < 769
+    _check_kernel_row((12,), (2, 53, 59, 127, 131, 257, 631, 641, 65537), "residues", ("buffer",), random.Random(8))
 
 
 def _covering_count(family, n, mask):
