@@ -43,19 +43,17 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     ever enumerating the index lattice, so n may reach the gate on n
     below, 2^32 + 27, as long as the support stays small.  The support's
     size is read off the digits of n and refused past 2^SUPPORT_MAX
-    subsets before the support is made.  For m support positions it fills
-    the terms of the 2^(m - 1) subsets without the top position by the
-    naive method's ``_chain_table``, with O(m^2) block constants from
-    ``arith.lucas_binomial`` on the positions and n as ints, the binomials
-    that ``ribbon_mod_p`` runs too, and runs the same packed butterfly and
-    tally over them.  By Lucas's theorem every term through a position
-    outside the support is 0 mod p, so each of these free positions is one
-    more that holds 0 on every mask through it: an index with descent set
-    D has the residue (-1)^|D - S| r(D & S).
-    The seeds come from ``ribbon._first_step``, the first-step rule (the
-    power-of-two weight and binomial base of the lowest descent) that the
-    chain kernel of ``ribbon_exact`` and ``ribbon_mod_p`` runs, so the
-    family rules, type D's included, are stated once, for every prime.
+    subsets before the support is made.  For m support positions it is
+    the naive sweep restricted to the support: ``_chain_table`` fills the
+    terms of the 2^(m - 1) subsets without the top position by the same
+    seed and step rules, each binomial from ``arith.lucas_binomial`` on
+    ints (as ``ribbon_mod_p`` takes them) in place of an exact one, and
+    the same packed butterfly and tally run over them.  By Lucas's theorem
+    every term through a position outside the support is 0 mod p, so each
+    of these free positions is one more that holds 0 on every mask through
+    it: an index with descent set D has the residue (-1)^|D - S| r(D & S).
+    So the family rules, type D's included, are stated once for both
+    sweeps, for every prime.
   * ``cvec_closed_form`` -- the shape rule.  The theorem method's tally
     depends only on the multiset of nonzero base-p digits of n (and on n_0
     in type D), so the vector of n is that of n*, the least n of the same
@@ -67,7 +65,10 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     out first, and only at p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each
     time), so a process sweeps each n* once; the spread, ints as long as n,
     is never kept.
-    It is a ``functools.lru_cache``: ``_memo_counts.cache_clear()`` empties it.
+    It is a ``functools.lru_cache``: ``_memo_counts.cache_clear()`` empties
+    it and ``cache_info()`` counts it.  The package attribute
+    ``ribbonmod.cvec`` is the function, so the module is reached by
+    ``importlib.import_module("ribbonmod.cvec")``.
 
 Every method ends in one rule, ``_spread``, which writes the vector as
 the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
@@ -119,7 +120,6 @@ from .arith import (
     lucas_binomial,
 )
 from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset
-from .ribbon import _first_step
 
 # Full index-lattice sweeps (naive method) and support-subset sweeps
 # (theorem method) are capped to keep memory and time sane.
@@ -264,29 +264,35 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
 # naive method: butterfly over the index lattice
 
 
-def _chain_table(family: str, p: int, seeds, const):
-    """Chain products mod p over the positions of ``seeds``, as a pair: a
-    ``field_buffer`` for p and the number of positions it drops.
+def _chain_table(family: str, n: int, p: int, positions, binom):
+    """Chain products mod p over the sorted descent ``positions``, as a
+    pair: a ``field_buffer`` for p and the number of positions it drops.
+    ``binom(top, bottom)`` is C(top, bottom), exact or mod p.
 
-    The block of position h holds the masks whose top position is h:
-    ``seeds[h]`` (a residue mod p) at h alone, and the masks of each lower
-    block k scaled by ``const(h, k)``, the factor of a step from position k
-    up to h.  So a mask holds the seed of its lowest position times one
-    constant per step.  One upward pass finds the live positions, those
-    whose seed is nonzero or a nonzero constant links to a live lower one,
-    so ``const`` runs only toward live positions.  Any other position has
-    an all-zero block, and every mask through it is 0, as the blocks above
-    reach it only through its block.  The table's bits are the kept
-    positions, in order, and no block is copied by a constant of 0.  Type
-    D keeps positions 0 and 1, live or not (a dead one's block stays 0),
-    at bits 0 and 1, because one copy then sets mask 4j + 2 to mask
-    4j + 1: a lone descent at 1 counts as one at 0, ``ribbon._first_step``'s
-    rule; the last field is never read, so the two slices match even in a
-    table of two fields."""
+    The block of position h holds the masks whose top position is h.  At
+    h alone sits its seed, the family weight of a lowest descent d times
+    C(n, d): 1 in type A, 2^(n - d) in type B, and in type D 2^(n - d),
+    or 2^(n - 1) for d <= 1 (a first part of at most 1 halves the count
+    2^n).  Each lower block k is copied scaled by the step constant
+    C(n - d_k, d_h - d_k): adding d_h above a top descent d_k splits the
+    last part n - d_k into d_h - d_k and n - d_h.  So a mask holds its
+    multinomial times the weight of its lowest descent, its covering count.
+    One upward pass finds the live positions, those whose seed is nonzero
+    or a nonzero constant links to a live lower one, so constants are made
+    only toward live positions.  Any other position has an all-zero block,
+    and every mask through it is 0, as the blocks above reach it only
+    through its block.  The table's bits are the kept positions, in order,
+    and no block is copied by a constant of 0.  Type D keeps positions 0
+    and 1, live or not (a dead one's block stays 0), at bits 0 and 1,
+    because one copy then sets mask 4j + 2 to mask 4j + 1: a lone descent
+    at 1 merges into the next part, as one at 0 does; the last field is
+    never read, so the two slices match even in a table of two fields."""
+    seeds = [binom(n, d) * pow(2, 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d, p) % p
+             for d in positions]
     rows = {}  # live position: its constants toward the live ones below it
-    for h, seed in enumerate(seeds):
-        row = [const(h, k) % p for k in rows]
-        if seed or any(row):
+    for h, d in enumerate(positions):
+        row = [binom(n - positions[k], d - positions[k]) % p for k in rows]
+        if seeds[h] or any(row):
             rows[h] = row
     keep = sorted(set(rows).union(range(min(2, len(seeds))))) if family == "D" else list(rows)
     at = [keep.index(h) for h in rows]
@@ -307,26 +313,15 @@ def _chain_table(family: str, p: int, seeds, const):
 def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
     ``field_buffer`` for p, and the number of positions dropped from it
-    (``_chain_table``): the masks without the top descent (bit bits - 1,
-    where bits = n - mask_offset(family)) are over the other bits - 1
-    positions (A n = 1 has none: its table is the one field of the empty
-    mask), and entry mask, for every mask over the positions kept, is
-    the number of group elements whose descent set is contained in the
-    mask's descent set.  Every mask through a dropped position has a count
-    of 0 mod p."""
-    # The multinomial of the composition whose descent set is mask (bit b
-    # encodes descent position b + lo) grows one factor per descent: adding
-    # d above a rest whose top descent is t splits the last part n - t into
-    # d - t and n - d, which multiplies the multinomial by C(n - t, d - t),
-    # and d alone gives C(n, d).  In types B and D a mask's covering count
-    # is its multinomial times 2^(n - f) for its lowest descent f
-    # (2^(n - 1) in type D for f <= 1), so the seeds carry the weights.
-    lo = mask_offset(family)
-    seeds = []
-    for d in range(lo, n - 1):
-        shift = 0 if family == "A" else n - 1 if family == "D" and d <= 1 else n - d
-        seeds.append(comb(n, d) * pow(2, shift, p) % p)
-    return _chain_table(family, p, seeds, lambda h, k: comb(n - k - lo, h - k))
+    (``_chain_table``, with exact binomials): the masks without the top
+    descent (bit bits - 1, where bits = n - mask_offset(family)) are over
+    the other bits - 1 positions (A n = 1 has none: its table is the one
+    field of the empty mask), and entry mask, for every mask over the
+    positions kept, is the number of group elements whose descent set is
+    contained in the mask's descent set (bit b encodes descent position
+    b + mask_offset(family)).  Every mask through a dropped position has a
+    count of 0 mod p."""
+    return _chain_table(family, n, p, range(mask_offset(family), n - 1), comb)
 
 
 def _spread(tally, flips: int, doubled: bool) -> tuple[int, ...]:
@@ -393,29 +388,16 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     from the sorted support positions ``pos``, reduced mod p, in a
     ``field_buffer`` for p.
 
-    A term is the ``ribbon._first_step`` weight of its lowest descent times
-    the multinomial C(n, d_1) C(n - d_1, d_2 - d_1) ..., so ``_chain_table``
-    builds the terms from the seeds weight * C(n, base) and the constants
-    C(n - a, b - a) = C(n, b) C(b, a) / C(n, a), each binomial mod p from
-    ``lucas_binomial`` on the positions.  C(n, a) is a unit mod p at every
-    support position but type D's adjoined 1, where 0 stands in for its
-    inverse: there every chain from 0 through 1 is 0 (no support position
-    is digitwise above 1), and the type-D copy overwrites the chains that
-    start at 1.  Agrees with ``term_mod_p`` on every mask.  Every seed is a
-    unit mod p, so ``_chain_table`` drops no position, except at p = 2 in
-    types B and D: every weight there is even, so every position but type
-    D's 0 and 1 is dropped (``cvec_theorem`` answers those by parity).
+    A term is the weight of its lowest descent times the multinomial
+    C(n, d_1) C(n - d_1, d_2 - d_1) ..., the naive method's covering
+    count, so ``_chain_table`` builds it over the support with every
+    binomial mod p from ``lucas_binomial``.  Agrees with ``term_mod_p`` on
+    every mask.  Every seed but that of type D's adjoined 1 is a unit mod
+    p, so ``_chain_table`` drops no position, except at p = 2 in types B
+    and D: every weight there is even, so every position but type D's 0
+    and 1 is dropped (``cvec_theorem`` answers those by parity).
     """
-    top = [lucas_binomial(n, d, p) for d in pos]
-    inv = [pow(t, -1, p) if t else 0 for t in top]
-    # C(n, base) of each position's first step (a type-D base 0 is pos[0])
-    binom = dict(zip(pos, top))
-    first = _first_step(family, n, lambda e: pow(2, e, p))
-    seeds = [weight * binom[base] % p for weight, base in map(first, pos)]
-    return _chain_table(
-        family, p, seeds,
-        lambda h, k: top[h] * lucas_binomial(pos[h], pos[k], p) * inv[k] % p,
-    )
+    return _chain_table(family, n, p, pos, lambda top, bottom: lucas_binomial(top, bottom, p))
 
 
 def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
@@ -490,10 +472,10 @@ def cvec_closed_form(family: str, n: int, p: int) -> DimensionPVector:
         its support onto that of the moved n, keeping that order and
         every term;
       * the type-B weight 2^(n - s) mod p depends only on n - s mod p - 1,
-        the digit sum of n - s, which the move keeps; the type-D
-        first-part rule (``ribbon._first_step``) treats a lowest descent
-        s <= 1 apart, which reads place 0 alone, so type D keeps n_0 in
-        place 0, and with it the adjoined 1.
+        the digit sum of n - s, which the move keeps; the type-D seed
+        rule of ``_chain_table`` treats a lowest descent s <= 1 apart,
+        which reads place 0 alone, so type D keeps n_0 in place 0, and
+        with it the adjoined 1.
 
     The support's size and whether it has a top position follow the
     digits too, so only the free count differs, by n - n*, and n's vector

@@ -377,28 +377,31 @@ def test_chain_table_drops_only_all_zero_blocks():
     # a position is live when its seed is nonzero or a nonzero step links
     # it to a live lower position.  In the routes' tables a zero seed comes
     # with a zero step from every live position, as C(n, k) C(n - k, d - k)
-    # = C(n, d) C(d, k), so only a table made here shows the second case:
-    # position 1 has a zero seed and a step of 1 from position 0, position
-    # 2 a zero seed and zero steps
-    table, dropped = _chain_table("A", 5, [1, 0, 0], lambda h, k: 0 if h == 2 else 1)
+    # = C(n, d) C(d, k), so only binomials made up here show the second
+    # case, over positions 1, 2 and 3 of A n = 5: position 2 has a zero
+    # seed C(5, 2) and a step C(4, 1) of 1 from position 1, position 3 a
+    # zero seed C(5, 3) and zero steps C(4, 2) and C(3, 1)
+    binom = {(5, 1): 1, (5, 2): 0, (5, 3): 0, (4, 1): 1, (4, 2): 0, (3, 1): 0}
+    table, dropped = _chain_table("A", 5, 5, (1, 2, 3), lambda top, bottom: binom[top, bottom])
     assert (list(table), dropped) == ([1, 1, 0, 1], 1)
 
 
 def test_chain_table_steps_only_toward_live_positions(monkeypatch):
     # liveness and constants are one pass: a position's constants are made
     # only toward the live positions below it.  D n = 26 at p = 13 keeps 3
-    # of its 25 positions, so at most 25 * 3 constants, not 25 * 24 / 2
+    # of its 25 positions, so at most 25 * 3 step binomials, not
+    # 25 * 24 / 2, besides the 25 seeds C(26, d)
     module = importlib.import_module("ribbonmod.cvec")
     chain = module._chain_table
-    steps = []
+    calls = []
 
-    def counting(family, p, seeds, const):
-        return chain(family, p, seeds, lambda h, k: steps.append((h, k)) or const(h, k))
+    def counting(family, n, p, positions, binom):
+        return chain(family, n, p, positions, lambda top, bottom: calls.append((top, bottom)) or binom(top, bottom))
 
     monkeypatch.setattr(module, "_chain_table", counting)
     table, dropped = _weight_table("D", 26, 13)
     assert (len(table), dropped) == (1 << 3, 22)
-    assert 0 < len(steps) <= 25 * 3
+    assert 0 < len(calls) - 25 <= 25 * 3
 
 
 def test_naive_table_drops_the_positions_outside_the_support():

@@ -61,11 +61,9 @@ UNCALLED = {
 }
 
 # (importer, source, name) of every private name one module may take from
-# another: ribbon's first-step rule and the frozen-record base of
-# compositions.  The family gate (compositions) and the tally budget (arith)
+# another: the frozen-record base of compositions.  The family gate (compositions) and the tally budget (arith)
 # are public names of their owners.
 PRIVATE_IMPORTS = {
-    ("cvec", "ribbon", "_first_step"),
     ("cvec", "compositions", "_Record"),
     ("coxeter", "compositions", "_Record"),
     ("ribbon", "compositions", "_Record"),
