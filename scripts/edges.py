@@ -54,7 +54,7 @@ ROWS = [
     Row("naive-D24-p5", cli("cvec --family D --n 24 --p 5 --method naive --format json"), 1500000, 300),
     Row("naive-A23-p257", cli("cvec --family A --n 23 --p 257 --method naive --format json"), 512000, 120),
     *(Row(f"naive-D26-p{p}", cli(f"cvec --family D --n 26 --p {p} --method naive --format json"), 1000000, 120, at=at)
-      for p, at in ((3, "cvec.NAIVE_MAX_BITS"), (131, None))),
+      for p, at in ((3, "cvec.SWEEP_MAX_BITS"), (131, None))),
     Row("coxeter-D18-p3", cli("coxeter --group D18 --p 3"), 1000000, 120, at="coxeter.SUBSET_MAX_RANK"),
     *(Row(f"coxeter-{g}-classes", check("test_cli", f"check_classes_add_up({g!r})"), 1000000, 120) for g in ("D18", "A18", "B18")),
     *(row for f in "BD" for row in (Row(f"coxeter-{f}18-p257", cli(f"coxeter --group {f}18 --p 257 --format json"), 1000000, 120),
@@ -67,14 +67,16 @@ ROWS = [
     Row("ribbon-A-1^200000-mod3", ["-c", 'import sys; from ribbonmod.cli import main; sys.exit(main(["ribbon", "--family", "A", '
                                          '"--alpha", ",".join(["1"] * 200000), "--mod", "3"]))'], stdout="1"),
     *(Row(f"theorem-{f}{n}-p{p}", cli(f"cvec --family {f} --n {n} --p {p} --method theorem"), timeout=60, at=at)
-      for f, n, p, at in (("A", 49, 3, "cvec.SUPPORT_MAX"), ("D", 140, 7, None), ("A", 23, 101, None))),
-    *(row for query in (("A", 23, 3), ("B", 20, 7), ("D", 23, 5), ("A", 23, 2), ("D", 22, 13), ("B", 20, 131), ("D", 26, 13))
+      for f, n, p, at in (("A", 49, 3, None), ("D", 140, 7, None), ("A", 23, 101, None), ("A", 62, 7, "cvec.SWEEP_MAX_BITS"))),
+    *(row for query in (("A", 23, 3), ("B", 20, 7), ("D", 23, 5), ("A", 23, 2), ("D", 22, 13), ("B", 20, 131), ("D", 26, 13),
+                        ("A", 26, 3), ("B", 26, 131))
       for row in pair("theorem", "naive", *query)),
+    Row("theorem-past-the-naive-budget", check("test_cvec", "check_theorem_past_the_naive_budget()"), timeout=60),
     *(row for f, n in (("A", 63423), ("B", 63423), ("D", 59052)) for row in pair("closed", "theorem", f, n, 3)),
     Row("shape-memo", check("test_cvec", "check_shape_rule_table()"), timeout=60),
     # the points of tier-1 tests too large to run on every pass: each test's check with at_size=True
-    *(Row(f"digests-{entry}", check("test_answer_digests", f"check_digests({entry!r})"), timeout=60)
-      for entry in ("cvec.closed.edge", "cvec.theorem.edge")),
+    *(Row(f"digests-{entry}", check("test_answer_digests", f"check_digests({entry!r})"), timeout=timeout)
+      for entry, timeout in (("cvec.closed.edge", 60), ("cvec.theorem.edge", 60), ("cvec.theorem.wide.edge", 120))),
     Row("decimal-at-size", check("test_cli", "check_decimal(at_size=True)"), timeout=60),
     Row("term-table-at-size", check("test_cvec", "check_term_table(at_size=True)"), timeout=60),
     Row("spread-at-size", check("test_cvec", "check_spread(at_size=True)"), timeout=60),
@@ -93,10 +95,11 @@ ROWS = [
         "macdonald-5000-digits|cvec.MACDONALD_COST_MAX|macdonald --p 3 --n " + "1" * 5000,
         "diagram-rank|coxeter.DIAGRAM_MAX_RANK|coxeter --group A1000000000 --subset 1",
         "diagram-rank-5000-digits|coxeter.DIAGRAM_MAX_RANK|coxeter --group A" + "1" * 5000,
-        "support|cvec.SUPPORT_MAX cvec.NAIVE_MAX_BITS|cvec --family A --n 1594322 --p 3",
+        "support|cvec.SWEEP_MAX_BITS|cvec --family A --n 1594322 --p 3",
+        "sweep-B62-p7|cvec.SWEEP_MAX_BITS|cvec --family B --n 62 --p 7",
         "result-2^40|cvec.RESULT_BITS_MAX|cvec --family A --n 1099511627776 --p 2",
         "result-2^32+16|cvec.RESULT_BITS_MAX|cvec --family A --n 4294967312 --p 2",
-        "closed-naive|cvec.NAIVE_MAX_BITS|cvec --family A --n 5050 --p 101 --method closed",
+        "closed-naive|cvec.SWEEP_MAX_BITS|cvec --family A --n 5050 --p 101 --method closed",
         "usage-family||cvec --family Q --n 4 --p 3", "usage-no-command||",
         "usage-subset-with-p||coxeter --group B3 --subset 0 --p 5",
         "tally|arith.TALLY_MAX_BITS|cvec --family A --n 5 --p 67108879", "subset-rank|coxeter.SUBSET_MAX_RANK|coxeter --group A19",

@@ -48,7 +48,7 @@ FAMILIES = ("A", "B", "D")
 
 class CapacityError(ValueError):
     """A request past a budget, refused before its work.  ``budget`` names
-    the budget's constant, e.g. ``"cvec.NAIVE_MAX_BITS"``; ``needed`` (a
+    the budget's constant, e.g. ``"cvec.SWEEP_MAX_BITS"``; ``needed`` (a
     lower bound where the check stops early) and ``cap`` are in its unit.
     ``_bound_text`` writes them, so neither the message nor the repr
     raises; ``also``, another budget's refusal of the request, ends the

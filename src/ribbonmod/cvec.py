@@ -42,18 +42,18 @@ whose ribbon number is congruent to each residue mod p.  Three methods:
     weighting the residue tally by powers of two gives the vector without
     ever enumerating the index lattice, so n may reach the gate on n
     below, 2^32 + 27, as long as the support stays small.  The support's
-    size is read off the digits of n and refused past 2^SUPPORT_MAX
-    subsets before the support is made.  For m support positions it is
-    the naive sweep restricted to the support: ``_chain_table`` fills the
-    terms of the 2^(m - 1) subsets without the top position by the same
-    seed and step rules, each binomial from ``arith.lucas_binomial`` on
-    ints (as ``ribbon_mod_p`` takes them) in place of an exact one, and
-    the same packed butterfly and tally run over them.  By Lucas's theorem
-    every term through a position outside the support is 0 mod p, so each
-    of these free positions is one more that holds 0 on every mask through
-    it: an index with descent set D has the residue (-1)^|D - S| r(D & S).
-    So the family rules, type D's included, are stated once for both
-    sweeps, for every prime.
+    size is read off the digits of n and refused past SWEEP_MAX_BITS
+    positions, the naive sweep's budget, before the support is made.  For
+    m support positions it is the naive sweep restricted to the support:
+    ``_chain_table`` fills the terms of the 2^(m - 1) subsets without the
+    top position by the same seed and step rules, each binomial from
+    ``arith.lucas_binomial`` on ints (as ``ribbon_mod_p`` takes them) in
+    place of an exact one, and the same packed butterfly and tally run
+    over them.  By Lucas's theorem every term through a position outside
+    the support is 0 mod p, so each of these free positions is one more
+    that holds 0 on every mask through it: an index with descent set D has
+    the residue (-1)^|D - S| r(D & S).  So the family rules, type D's
+    included, are stated once for both sweeps, for every prime.
   * ``cvec_closed_form`` -- the shape rule.  The theorem method's tally
     depends only on the multiset of nonzero base-p digits of n (and on n_0
     in type D), so the vector of n is that of n*, the least n of the same
@@ -90,7 +90,7 @@ an empty support at n = p^d) the one mask is its own complement and
 nothing doubles.
 
 ``cvec`` dispatches by one rule: the shape rule, else, when its sweep of
-n* is past the naive budget, the theorem method.  Since n* <= n, a query
+n* is past SWEEP_MAX_BITS, the theorem method.  Since n* <= n, a query
 past the shape rule's budget is past the naive sweep's too, so ``auto``
 never sweeps n naively, and a sweep past its budget ends the call with
 ``CapacityError``.
@@ -121,10 +121,14 @@ from .arith import (
 )
 from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset
 
-# Full index-lattice sweeps (naive method) and support-subset sweeps
-# (theorem method) are capped to keep memory and time sane.
-NAIVE_MAX_BITS = 26
-SUPPORT_MAX = 22
+# Largest number of descent positions a p-vector sweep covers, top
+# position included: every position of n in the naive sweep, dropped or
+# kept, and the support's in the theorem sweep, which is the naive sweep
+# restricted to the support.  Either sweeps at most 2^(bits - 1) fields, the
+# half without the top position, and at the same number of positions the
+# two cost the same.  Counted in positions, not fields, so that a refusal
+# never builds 2^(n - 1) to say how far past it is.
+SWEEP_MAX_BITS = 26
 
 # Largest n, in bits, whose base-p digits support_set reads: the split
 # digit reader is quadratic in them: 0.06-0.08 s at 2^18 bits, 0.24-0.28 s
@@ -365,8 +369,8 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
 
 def _naive_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     bits = n - mask_offset(family)
-    if bits > NAIVE_MAX_BITS:
-        raise CapacityError("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS)
+    if bits > SWEEP_MAX_BITS:
+        raise CapacityError("cvec.SWEEP_MAX_BITS", bits, SWEEP_MAX_BITS)
     # field mask becomes the ribbon number mod p of the index with that
     # descent mask; the masks with the top descent, if there is one, are
     # the complements of the half, with the same ribbon numbers
@@ -403,10 +407,9 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
 def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     # the support's size is refused from the digits of n, before the set
     # or anything of its size is made
-    nd = base_p_digits(n, p)
-    m = _support_size(family, nd)
-    if m > SUPPORT_MAX:
-        raise CapacityError("cvec.SUPPORT_MAX", m, SUPPORT_MAX)
+    m = _support_size(family, base_p_digits(n, p))
+    if m > SWEEP_MAX_BITS:
+        raise CapacityError("cvec.SWEEP_MAX_BITS", m, SWEEP_MAX_BITS)
     pos = support_set(family, n, p)
     free = n - mask_offset(family) - m
     # the subsets without the top position are closed under submasks, so
@@ -432,7 +435,7 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 # closed forms
 
 # The shape rule's memo: n*'s p-vector by (family, n*, p), so that a process
-# sweeps each n* once.  n* fits the naive budget, so each of its counts is
+# sweeps each n* once.  n* fits the sweep budget, so each of its counts is
 # at most 2^26, its number of indices; the spread over the n - n* more free
 # positions of n, ints as long as n, is made per call and never kept.  Only
 # p <= SHAPE_MEMO_MAX_P is kept (one-byte fields, at most 256 small ints a
@@ -510,11 +513,12 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
 
     ``auto`` runs the closed form (the shape rule), and the theorem method
     only when the shape rule's sweep of n*, the least n of n's shape, is
-    refused past NAIVE_MAX_BITS; n* <= n, so the naive sweep of n is past
-    its budget too.  ``closed`` raises that refusal, which names n*'s index
-    bits, and ``auto``, if the theorem method refuses too, raises that
-    method's refusal with the shape rule's as ``also``.  Every other
-    refusal ends the call.  Each method checks its arguments.
+    refused past SWEEP_MAX_BITS; n* <= n, so the naive sweep of n is past
+    it too.  ``closed`` raises that refusal, which names n*'s index bits,
+    and ``auto``, if the theorem method refuses too, raises that method's
+    refusal, which names the support's positions against the same budget,
+    with the shape rule's as ``also``.  Every other refusal ends the call.
+    Each method checks its arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
         raise ValueError(f"unknown method {method!r}")
@@ -525,7 +529,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     try:
         return cvec_closed_form(family, n, p)
     except CapacityError as shape:
-        if method == "closed" or shape.budget != "cvec.NAIVE_MAX_BITS":
+        if method == "closed" or shape.budget != "cvec.SWEEP_MAX_BITS":
             raise
         try:
             return cvec_theorem(family, n, p)

@@ -29,8 +29,7 @@ from ribbonmod.coxeter import (
     ribbon_general,
 )
 from ribbonmod.cvec import (
-    NAIVE_MAX_BITS,
-    SUPPORT_MAX,
+    SWEEP_MAX_BITS,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -190,9 +189,9 @@ def _sweep_bits(family, n, p, method):
     # point or answers by parity
     if method == "theorem":
         size = _support_size(family, base_p_digits(n, p)) if n >= THEOREM_MIN_N[family] else 0
-        return size if size <= SUPPORT_MAX else 0
+        return size if size <= SWEEP_MAX_BITS else 0
     bits = _least_of_shape(family, n, p) - mask_offset(family)
-    return 0 if (p == 2 and family != "A") or bits > NAIVE_MAX_BITS else bits
+    return 0 if (p == 2 and family != "A") or bits > SWEEP_MAX_BITS else bits
 
 
 def _closed(family, n, p):
@@ -200,11 +199,11 @@ def _closed(family, n, p):
     # budget (types B and D at p = 2 by parity), and None elsewhere, where
     # the naive sweep of n* refuses it with n*'s index bits
     bits = _least_of_shape(family, n, p) - mask_offset(family)
-    fits = (p == 2 and family != "A") or bits <= NAIVE_MAX_BITS
+    fits = (p == 2 and family != "A") or bits <= SWEEP_MAX_BITS
     try:
         vec = cvec_closed_form(family, n, p)
     except CapacityError as exc:
-        assert not fits and exc.args[:3] == ("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS), (family, n, p, exc)
+        assert not fits and exc.args[:3] == ("cvec.SWEEP_MAX_BITS", bits, SWEEP_MAX_BITS), (family, n, p, exc)
         return None
     assert fits and vec.method.startswith("closed-form:"), (family, n, p, vec.method)
     return vec.counts

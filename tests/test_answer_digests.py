@@ -14,7 +14,9 @@ hex, so exact counts of any length hash without a decimal conversion.
 The cvec points whose sweep covers 2^SIZE_BITS masks or more are an entry
 of their own, ``<entry>.edge``, whose lines are the rest of the parent
 grid's: tier-1 leaves it out, and an edge row of ``scripts/edges.py`` runs
-``check_digests`` on it.
+``check_digests`` on it.  The theorem points with WIDE_BITS support
+positions or more are one more, ``cvec.theorem.wide.edge``, so that each
+edge entry fits its row's timeout.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ from ribbonmod.compositions import (
     mask_offset,
 )
 from ribbonmod.coxeter import builtin_diagram, descent_class_multiset, residue_histogram
-from ribbonmod.cvec import NAIVE_MAX_BITS, cvec
+from ribbonmod.cvec import SWEEP_MAX_BITS, cvec
 from ribbonmod.ribbon import ribbon_exact, ribbon_mod_p
 from test_acceptance import SIZE_BITS, _sweep_bits
 
@@ -49,6 +51,9 @@ REFUSALS = (ValueError, TypeError)
 CVEC_NS = (*range(2, 40), *(40 + k * 7919 % 4960 for k in range(60)))
 CVEC_PRIMES = (2, 3, 5, 7, 11, 13, 131, 257)
 CVEC_NAIVE_MAX_N = 16
+# the least support of the wide theorem entry: its 77 points, of 23 to 26
+# positions, take about a minute together
+WIDE_BITS = 23
 INDEX_PRIMES = (2, 3, 5, 7, 1031)
 BUILTINS = (*(f"A{r}" for r in range(1, 13)), *(f"B{r}" for r in range(2, 13)),
             *(f"D{r}" for r in range(4, 13)), "E6", "E7", "E8", "F4", "H3", "H4",
@@ -76,17 +81,17 @@ def _cvec_answer(family, n, p, method):
     return vec.method, vec.counts
 
 
-def _cvec_lines(method, at_size=False):
-    # the grid's points whose sweep is below 2^SIZE_BITS masks, or with
-    # at_size those at or past it
+def _cvec_lines(method, bits=range(SIZE_BITS)):
+    # the grid's points whose sweep covers 2^b masks for a b in bits (0
+    # where the route refuses the point or answers by parity)
     def lines():
         for family in "ABD":
             for n in CVEC_NS:
                 for p in CVEC_PRIMES:
                     if n > CVEC_NAIVE_MAX_N and (method == "naive" or method == "closed" and n < p
-                                                 and n - mask_offset(family) <= NAIVE_MAX_BITS):
+                                                 and n - mask_offset(family) <= SWEEP_MAX_BITS):
                         continue
-                    if method != "naive" and (_sweep_bits(family, n, p, method) >= SIZE_BITS) != at_size:
+                    if method != "naive" and _sweep_bits(family, n, p, method) not in bits:
                         continue
                     yield family, f"{n} {p} -> {_answer(_cvec_answer, family, n, p, method)}"
     return lines
@@ -174,9 +179,10 @@ def _cli_ribbon_lines():
 ENTRIES = {
     "cvec.naive": _cvec_lines("naive"),
     "cvec.theorem": _cvec_lines("theorem"),
-    "cvec.theorem.edge": _cvec_lines("theorem", at_size=True),
+    "cvec.theorem.edge": _cvec_lines("theorem", range(SIZE_BITS, WIDE_BITS)),
+    "cvec.theorem.wide.edge": _cvec_lines("theorem", range(WIDE_BITS, SWEEP_MAX_BITS + 1)),
     "cvec.closed": _cvec_lines("closed"),
-    "cvec.closed.edge": _cvec_lines("closed", at_size=True),
+    "cvec.closed.edge": _cvec_lines("closed", range(SIZE_BITS, SWEEP_MAX_BITS + 1)),
     "ribbon_exact": _ribbon_exact_lines,
     "ribbon_mod_p": _ribbon_mod_p_lines,
     "descent_class_multiset": _multiset_lines,

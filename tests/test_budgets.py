@@ -40,11 +40,10 @@ from ribbonmod.coxeter import (
 from ribbonmod.cvec import (
     MACDONALD_COST_MAX,
     MACDONALD_DIGIT_MAX,
-    NAIVE_MAX_BITS,
     RESULT_BITS_MAX,
-    SUPPORT_MAX,
     SUPPORT_N_BITS_MAX,
     SUPPORT_SET_BITS_MAX,
+    SWEEP_MAX_BITS,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -69,7 +68,7 @@ def _past_gate(call, *args):
 
 ROWS = [
     # the naive sweep of A n = 40: 39 index bits
-    Row(cvec_naive, ("A", 40, 3), "cvec.NAIVE_MAX_BITS", 39, NAIVE_MAX_BITS),
+    Row(cvec_naive, ("A", 40, 3), "cvec.SWEEP_MAX_BITS", 39, SWEEP_MAX_BITS),
     # a p-entry tally of p = 2^31 - 1 would take gigabytes: every entry
     # refuses the prime by its bits before allocating anything of size p
     *(Row(call, ("A", 7, 2**31 - 1), "arith.TALLY_MAX_BITS", 31, TALLY_MAX_BITS)
@@ -77,11 +76,15 @@ ROWS = [
     Row(residue_histogram, (A3, 2**31 - 1), "arith.TALLY_MAX_BITS", 31, TALLY_MAX_BITS),
     # n = 3^13 - 1 has thirteen digits 2: a support of 3^13 - 2 positions
     # (type D adjoins 1), whose 1.6 million sums would take over 100 MB,
-    # read off the digits; auto names the naive sweep's refusal too
-    Row(cvec, ("A", 3**13 - 1, 3), "cvec.SUPPORT_MAX", 3**13 - 2, SUPPORT_MAX,
-        ("cvec.NAIVE_MAX_BITS", 3**13 - 2, NAIVE_MAX_BITS)),
-    Row(cvec_theorem, ("A", 3**13 - 1, 3), "cvec.SUPPORT_MAX", 3**13 - 2, SUPPORT_MAX),
-    Row(cvec_theorem, ("D", 3**13 - 1, 3), "cvec.SUPPORT_MAX", 3**13 - 1, SUPPORT_MAX),
+    # read off the digits; auto names the naive sweep's refusal too.  One
+    # past the edge, B n = 62 = (6, 1, 1) in base 7 has a support of
+    # 7 * 2 * 2 - 1 = 27 positions, and is its own n*
+    Row(cvec, ("A", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS,
+        ("cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS)),
+    Row(cvec, ("B", 62, 7), "cvec.SWEEP_MAX_BITS", 27, SWEEP_MAX_BITS, ("cvec.SWEEP_MAX_BITS", 62, SWEEP_MAX_BITS)),
+    Row(cvec_theorem, ("A", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS),
+    Row(cvec_theorem, ("D", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 1, SWEEP_MAX_BITS),
+    Row(cvec_theorem, ("B", 62, 7), "cvec.SWEEP_MAX_BITS", 27, SWEEP_MAX_BITS),
     # support_set's own budget, in positions times the bits of n: 3^15 - 1
     # positions of 24 bits, and for 18 and 22 digits 1, 1500 places apart
     # at p = 3, 2^18 - 2 and 2^22 - 2 positions of about 40,000 and 50,000
@@ -106,7 +109,7 @@ ROWS = [
     *(Row(call, (family, 2**32 + 16, 2), "cvec.RESULT_BITS_MAX", 2**32 + 15, RESULT_BITS_MAX)
       for call, family in ((cvec, "A"), (cvec_closed_form, "A"))),
     Row(cvec, ("D", 7**11 + 7**5 + 3, 7), "cvec.RESULT_BITS_MAX", 7909374204, RESULT_BITS_MAX,
-        ("cvec.NAIVE_MAX_BITS", 59, NAIVE_MAX_BITS)),
+        ("cvec.SWEEP_MAX_BITS", 59, SWEEP_MAX_BITS)),
     Row(cvec_theorem, ("D", 7**11 + 7**5 + 3, 7), "cvec.RESULT_BITS_MAX", 7909374204, RESULT_BITS_MAX),
     *(Row(call, (family, 2**32 + 1, 2), "cvec.RESULT_BITS_MAX", 2**32 + 2, RESULT_BITS_MAX)
       for call, family in ((cvec_theorem, "B"), (cvec_closed_form, "D"))),

@@ -120,7 +120,7 @@ def test_cvec_exit_codes(capsys):
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", "4")
     assert code == 2
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "40", "--p", "3", "--method", "closed")
-    assert code == 2 and err.startswith("error:") and "cvec.NAIVE_MAX_BITS" in err
+    assert code == 2 and err.startswith("error:") and "cvec.SWEEP_MAX_BITS" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**89 - 1))
     assert code == 2 and "arith.MILLER_RABIN_LIMIT" in err
     code, _, err = run(capsys, "cvec", "--family", "A", "--n", "5", "--p", str(2**31 - 1))
@@ -451,7 +451,7 @@ def test_verify_formulas_reports_a_refusal_as_a_fail_line(monkeypatch):
     lines = []
     assert not verify._verify_formulas(lines.append)
     assert lines == [f"FAIL closed forms against the theorem method (A, n=40, p=3) [refused]: expected "
-                     f"{cvec_theorem('A', 40, 3).counts}, computed cvec.NAIVE_MAX_BITS: the request needs 39; "
+                     f"{cvec_theorem('A', 40, 3).counts}, computed cvec.SWEEP_MAX_BITS: the request needs 39; "
                      f"the budget is 26"]
 
 

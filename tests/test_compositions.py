@@ -202,14 +202,14 @@ def test_capacity_error_is_written_from_its_budget():
     # the message names the budget and writes both ints, another budget's
     # refusal after it; copies and pickles rebuild it through the constructor
     inner = CapacityError("compositions.MAX_MASK_BITS", 64, 63)
-    outer = CapacityError("cvec.NAIVE_MAX_BITS", 27, 26, inner)
+    outer = CapacityError("cvec.SWEEP_MAX_BITS", 27, 26, inner)
     assert str(inner) == "compositions.MAX_MASK_BITS: the request needs 64; the budget is 63"
-    assert str(outer) == f"cvec.NAIVE_MAX_BITS: the request needs 27; the budget is 26; {inner}"
-    assert repr(outer) == "CapacityError('cvec.NAIVE_MAX_BITS', 27, 26, CapacityError('compositions.MAX_MASK_BITS', 64, 63, None))"
-    assert (outer.budget, outer.needed, outer.cap, outer.also) == ("cvec.NAIVE_MAX_BITS", 27, 26, inner)
+    assert str(outer) == f"cvec.SWEEP_MAX_BITS: the request needs 27; the budget is 26; {inner}"
+    assert repr(outer) == "CapacityError('cvec.SWEEP_MAX_BITS', 27, 26, CapacityError('compositions.MAX_MASK_BITS', 64, 63, None))"
+    assert (outer.budget, outer.needed, outer.cap, outer.also) == ("cvec.SWEEP_MAX_BITS", 27, 26, inner)
     for copied in (copy.deepcopy(outer), pickle.loads(pickle.dumps(outer))):
         assert type(copied) is CapacityError and str(copied) == str(outer)
-        assert (copied.budget, copied.also.budget) == ("cvec.NAIVE_MAX_BITS", "compositions.MAX_MASK_BITS")
+        assert (copied.budget, copied.also.budget) == ("cvec.SWEEP_MAX_BITS", "compositions.MAX_MASK_BITS")
 
 
 def test_int_text_writes_a_long_int_by_its_bit_length():

@@ -35,14 +35,13 @@ from ribbonmod.compositions import (
 from ribbonmod.cvec import (
     MACDONALD_COST_MAX,
     MACDONALD_DIGIT_MAX,
-    NAIVE_MAX_BITS,
     RESULT_BITS_MAX,
     SHAPE_MEMO_BYTES_MAX,
     SHAPE_MEMO_MAX_P,
     SHAPE_MEMO_SHAPES,
-    SUPPORT_MAX,
     SUPPORT_N_BITS_MAX,
     SUPPORT_SET_BITS_MAX,
+    SWEEP_MAX_BITS,
     cvec,
     cvec_closed_form,
     cvec_naive,
@@ -553,6 +552,43 @@ def test_theorem_route_at_the_support_budget_in_bounded_memory():
         assert peak < ceiling << 20, (family, n, p, peak)
 
 
+def test_both_sweeps_answer_at_the_sweep_budget_and_refuse_one_past_it(monkeypatch):
+    # at p > n every descent position is in the support, so the naive and
+    # the theorem sweeps of n cover the same n - mask_offset positions: with
+    # SWEEP_MAX_BITS patched down to 8, both answer at 8 positions as under
+    # the real budget, and both refuse 9 with the same budget and need
+    module = importlib.import_module("ribbonmod.cvec")
+    k, p = 8, 13
+    want = {family: cvec_naive(family, k + mask_offset(family), p) for family in "ABD"}
+    monkeypatch.setattr(module, "SWEEP_MAX_BITS", k)
+    for family in "ABD":
+        n = k + mask_offset(family)
+        assert cvec_naive(family, n, p) == cvec_theorem(family, n, p) == want[family], family
+        for call in (cvec_naive, cvec_theorem):
+            with pytest.raises(CapacityError) as excinfo:
+                call(family, n + 1, p)
+            assert excinfo.value.args[:3] == ("cvec.SWEEP_MAX_BITS", k + 1, k), (call.__name__, family)
+
+
+def check_theorem_past_the_naive_budget():
+    """``cvec`` at supports of 23 to 26 positions, whose n is past the
+    naive sweep's budget, against the naive sweep with the budget raised in
+    this process: A, B and D n = 32 at p = 7, A n = 48 at p = 11 and
+    A n = 62 at p = 7.  The naive sweep decides which of n's positions to
+    keep from exact binomials, never from the digits of n, so it checks the
+    support that the theorem route reads off them."""
+    module = importlib.import_module("ribbonmod.cvec")
+    points = (("A", 32, 7), ("B", 32, 7), ("D", 32, 7), ("A", 48, 11), ("A", 62, 7))
+    assert [_support_size(family, base_p_digits(n, p)) for family, n, p in points] == [23, 24, 24, 23, 26]
+    theorem = [cvec(*point) for point in points]
+    assert all(vec.method == "theorem" for vec in theorem)
+    module.SWEEP_MAX_BITS = max(n for _, n, _ in points)
+    try:
+        assert theorem == [cvec_naive(*point) for point in points]
+    finally:
+        module.SWEEP_MAX_BITS = SWEEP_MAX_BITS
+
+
 # -- the three methods agree ------------------------------------------------
 
 def test_cvec_naive_known_values():
@@ -879,10 +915,10 @@ def test_rule_table_rows_by_the_shape_rule_and_the_theorem(monkeypatch):
             n = sum(d * p**j for j, d in places.items())
             least = _least_of_shape(family, n, p)
             bits = least - mask_offset(family)
-            if bits > NAIVE_MAX_BITS:
+            if bits > SWEEP_MAX_BITS:
                 with pytest.raises(CapacityError) as excinfo:
                     cvec_closed_form(family, n, p)
-                assert excinfo.value.args[:3] == ("cvec.NAIVE_MAX_BITS", bits, NAIVE_MAX_BITS), (key, p)
+                assert excinfo.value.args[:3] == ("cvec.SWEEP_MAX_BITS", bits, SWEEP_MAX_BITS), (key, p)
                 continue
             assert cvec_closed_form(family, n, p).counts == _spread(*_rule_spread(key, n, p)), (key, p)
             answered += 1
@@ -934,7 +970,7 @@ def test_closed_form_absent():
     # naive sweep of 40 refuses both, with the bits of its index lattice;
     # type D below n = 4 is its own least n, and is answered
     for family in "ABD":
-        refusal = ("cvec.NAIVE_MAX_BITS", 40 - mask_offset(family), NAIVE_MAX_BITS)
+        refusal = ("cvec.SWEEP_MAX_BITS", 40 - mask_offset(family), SWEEP_MAX_BITS)
         for n in (40, 1 + 3**2 + 3**5 + 3**7):
             with pytest.raises(CapacityError) as excinfo:
                 cvec_closed_form(family, n, 3)
@@ -1025,9 +1061,9 @@ def test_shape_memo_keeps_no_refusal(monkeypatch):
     swept = _recording_sweeps(monkeypatch, module)
     for _ in range(2):
         for family in "ABD":
-            with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
+            with pytest.raises(CapacityError, match="cvec.SWEEP_MAX_BITS"):
                 cvec_closed_form(family, 1 + 3**2 + 3**5 + 3**7, 3)
-            with pytest.raises(CapacityError, match="cvec.NAIVE_MAX_BITS"):
+            with pytest.raises(CapacityError, match="cvec.SWEEP_MAX_BITS"):
                 cvec(family, 40, 3, method="closed")
         assert module._memo_counts.cache_info().currsize == 0
     for _ in range(2):
@@ -1117,7 +1153,7 @@ def test_cvec_dispatch():
     assert type(excinfo.value) is CapacityError
     # n* = 40 needs the 39 index bits that the naive sweep of 40 names
     assert (excinfo.value.budget, excinfo.value.needed, excinfo.value.cap) == (
-        "cvec.NAIVE_MAX_BITS", 39, NAIVE_MAX_BITS)
+        "cvec.SWEEP_MAX_BITS", 39, SWEEP_MAX_BITS)
     with pytest.raises(ValueError):
         cvec("A", 5, 3, method="fancy")
     with pytest.raises(ValueError):
@@ -1205,9 +1241,9 @@ def check_spread(at_size=False):
                     if (max(_sweep_bits(family, n, p, method) for method in ("closed", "theorem")) >= SIZE_BITS) != at_size:
                         continue
                     vecs = []
-                    if p == 2 and family != "A" or _least_of_shape(family, n, p) - mask_offset(family) <= NAIVE_MAX_BITS:
+                    if p == 2 and family != "A" or _least_of_shape(family, n, p) - mask_offset(family) <= SWEEP_MAX_BITS:
                         vecs.append(cvec_closed_form(family, n, p))
-                    if _support_size(family, base_p_digits(n, p)) <= SUPPORT_MAX:
+                    if _support_size(family, base_p_digits(n, p)) <= SWEEP_MAX_BITS:
                         vecs.append(cvec_theorem(family, n, p))
                     if n - mask_offset(family) <= 14:
                         vecs.append(cvec_naive(family, n, p))
@@ -1251,7 +1287,7 @@ def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
         raise AssertionError("a second route ran after a result-budget refusal")
 
     for name, family, n, p, also in (("cvec_theorem", "A", 2**32 + 16, 2, None),
-                                     ("cvec_naive", "D", 7**11 + 7**5 + 3, 7, "cvec.NAIVE_MAX_BITS")):
+                                     ("cvec_naive", "D", 7**11 + 7**5 + 3, 7, "cvec.SWEEP_MAX_BITS")):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, entered)
             with pytest.raises(CapacityError) as excinfo:
@@ -1351,13 +1387,14 @@ def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
 
 
 def test_auto_refusal_names_both_budgets():
-    # past both routes' budgets, the auto path says why each refused
+    # past the sweep budget on both routes, the auto path says why each
+    # refused: the support's positions, then n*'s index bits
     with pytest.raises(CapacityError) as excinfo:
         cvec("A", 3**13 - 1, 3)
     message = str(excinfo.value)
-    assert f"cvec.SUPPORT_MAX: the request needs {3**13 - 2}; the budget is {SUPPORT_MAX}" in message
-    assert f"cvec.NAIVE_MAX_BITS: the request needs {3**13 - 2}; the budget is {NAIVE_MAX_BITS}" in message
-    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SUPPORT_MAX", "cvec.NAIVE_MAX_BITS")
+    budget = f"cvec.SWEEP_MAX_BITS: the request needs {3**13 - 2}; the budget is {SWEEP_MAX_BITS}"
+    assert message == f"{budget}; {budget}"
+    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SWEEP_MAX_BITS", "cvec.SWEEP_MAX_BITS")
     # the shape rule's refusal is attached after the theorem route raised,
     # and a pickle keeps it
     assert str(pickle.loads(pickle.dumps(excinfo.value))) == message
@@ -1369,11 +1406,11 @@ def test_auto_refusal_names_both_budgets_for_a_single_digit():
     # m's index bits, and auto raises the theorem route's refusal on n, with
     # that one as ``also``
     for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
-        shape = f"cvec.NAIVE_MAX_BITS: the request needs {support}; the budget is {NAIVE_MAX_BITS}"
+        shape = f"cvec.SWEEP_MAX_BITS: the request needs {support}; the budget is {SWEEP_MAX_BITS}"
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p)
         assert str(excinfo.value) == (
-            f"cvec.SUPPORT_MAX: the request needs {support}; the budget is {SUPPORT_MAX}; {shape}")
+            f"cvec.SWEEP_MAX_BITS: the request needs {support}; the budget is {SWEEP_MAX_BITS}; {shape}")
         with pytest.raises(CapacityError) as excinfo:
             cvec(family, n, p, method="closed")
         assert str(excinfo.value) == shape
@@ -1385,7 +1422,7 @@ def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch
     # small grid and the families' least n below it, and at the nine
     # capacity points of the benchmark's bignum workload refuses with
     # CapacityError itself (the benchmark matches the class by name),
-    # naming both budgets
+    # naming the sweep budget once for each route
     module = importlib.import_module("ribbonmod.cvec")
 
     def refuse(*args):
@@ -1401,10 +1438,8 @@ def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch
             with pytest.raises(CapacityError) as excinfo:
                 cvec(family, n, p)
             assert type(excinfo.value) is CapacityError, (family, n, p)
-            assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SUPPORT_MAX", "cvec.NAIVE_MAX_BITS")
-            message = str(excinfo.value)
-            assert "cvec.SUPPORT_MAX: the request needs" in message, (family, n, p)
-            assert "cvec.NAIVE_MAX_BITS: the request needs" in message, (family, n, p)
+            assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SWEEP_MAX_BITS", "cvec.SWEEP_MAX_BITS")
+            assert str(excinfo.value).count("cvec.SWEEP_MAX_BITS: the request needs") == 2, (family, n, p)
 
 
 # -- symmetric-group counts -------------------------------------------------

@@ -66,7 +66,7 @@ def test_api_refusals_exit_2_as_cli_main_does(capsys):
     api_err = capsys.readouterr().err
     assert excinfo.value.code == main(["cvec", "--family", "A", "--n", "5050", "--p", "101", "--method", "closed"]) == 2
     cli_err = capsys.readouterr().err
-    assert api_err.startswith("error: ribbon.ORACLE_MAX_N: ") and cli_err.startswith("error: cvec.NAIVE_MAX_BITS: ")
+    assert api_err.startswith("error: ribbon.ORACLE_MAX_N: ") and cli_err.startswith("error: cvec.SWEEP_MAX_BITS: ")
 
 
 def test_command_lines_parse_unless_they_are_usage_errors():
@@ -97,7 +97,7 @@ def test_each_point_tier1_leaves_out_has_a_row():
     calls = [("test_answer_digests", f"check_digests({entry!r})") for entry in ENTRIES if entry.endswith(".edge")]
     calls += [(module, f"{name}(at_size=True)") for module, name in (
         ("test_cli", "check_decimal"), ("test_cvec", "check_term_table"), ("test_cvec", "check_spread"))]
-    assert len(calls) == 5
+    assert len(calls) == 6
     for module, call in calls:
         assert argvs.count(edges.check(module, call)) == 1, call
 
