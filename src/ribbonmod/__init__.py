@@ -6,8 +6,6 @@ from .compositions import (
     CapacityError,
     Composition,
     PseudoComposition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
     parse_parts,
 )
 from .coxeter import (
@@ -29,12 +27,9 @@ from .cvec import (
     cvec_naive,
     cvec_theorem,
     macdonald_mp,
-    partitions,
-    standard_tableau_count,
     support_set,
 )
 from .ribbon import (
-    SignedPermutation,
     oracle_descent_class_sizes,
     ribbon_a_det,
     ribbon_exact,
@@ -50,10 +45,7 @@ __all__ = [
     "CapacityError",
     "Composition",
     "PseudoComposition",
-    "enumerate_compositions",
-    "enumerate_pseudo_compositions",
     "parse_parts",
-    "SignedPermutation",
     "ribbon_a_det",
     "ribbon_exact",
     "ribbon_mod_p",
@@ -65,8 +57,6 @@ __all__ = [
     "cvec_theorem",
     "cvec_closed_form",
     "macdonald_mp",
-    "standard_tableau_count",
-    "partitions",
     "CoxeterDiagram",
     "IrreducibleType",
     "UnclassifiableError",

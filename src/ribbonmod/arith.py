@@ -24,6 +24,7 @@ import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
 from .compositions import CapacityError, int_text
@@ -197,8 +198,18 @@ def lucas_binomial(top: int, bottom: int, p: int) -> int:
     the last factor, C(top, bottom) itself, which is 0 for a larger
     bottom; a top below p, as in a single class whose prime is past n,
     takes that step alone.  A digit binomial past ``_LUCAS_EXACT_MAX`` is
-    built from residues mod p, so its intermediates stay below p^2."""
+    built from residues mod p, so its intermediates stay below p^2.  Past
+    ``_DIGITS_SPLIT_BITS`` bits of bottom, where a divmod of top per digit is
+    quadratic, ``base_p_digits`` reads bottom's k digits and top's low k
+    once: each digit above them gives C(a, 0) = 1."""
     r = 1
+    if bottom.bit_length() > _DIGITS_SPLIT_BITS:
+        low = base_p_digits(bottom, p)
+        for a, b in zip_longest(base_p_digits(top % p ** len(low), p), low, fillvalue=0):
+            r = r * lucas_binomial(a, b, p) % p
+            if not r:
+                break
+        return r
     while bottom and r:
         if top < p:
             a, b, bottom = top, bottom, 0

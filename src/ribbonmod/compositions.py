@@ -4,7 +4,9 @@ A composition of n is a sequence of positive integers summing to n; a
 pseudo-composition additionally allows its first part to be 0.  Either kind
 is determined by its descent set (the set of proper prefix sums), so the
 canonical in-memory form is n with the ascending tuple of descent
-positions; the parts and the descent mask are derived on demand.
+positions, O(parts) at any n; the parts and the mask are derived on
+demand.  (A composition indexes a projective indecomposable module of the
+0-Hecke algebra, of the size of its descent class.)
 
 The encoding lives here alone.  Each class's ``offset`` is the least
 descent position, mask bit 0 and the least first part: 1 for a
@@ -16,25 +18,21 @@ offset <= n and each position in [offset, n-1]: the constructor,
 ``complement`` creates positions, and it refuses past
 COMPLEMENT_MAX_POSITIONS before it allocates.
 
-Full enumeration is capped at 63 mask bits.  Every refusal past a budget
-is a ``CapacityError``.
-
-``_Record`` is the frozen base of every value record of the package: the
-two index kinds, ``ribbon.SignedPermutation``, ``cvec.DimensionPVector``,
-``coxeter.IrreducibleType`` and ``coxeter.CoxeterDiagram``.  The family
-gate ``check_family`` is here too, beside ``mask_offset``, for every module
-that takes a family letter, and the gate ``check_n`` for every entry that
-takes n.  ``int_value`` reads every int of a command line, of any length.
+Every refusal past a budget is a ``CapacityError``.  ``_Record`` is the
+frozen base of every value record of the package: the two index kinds,
+``cvec.DimensionPVector``, ``coxeter.IrreducibleType`` and
+``coxeter.CoxeterDiagram``.  The family gate ``check_family`` is here too,
+beside ``mask_offset``, for every module that takes a family letter, and
+the gate ``check_n`` for every entry that takes n.  ``int_value`` reads
+every int of a command line, of any length.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from operator import index, sub
-
-MAX_MASK_BITS = 63
 
 # Most positions one complement may create.  At the budget,
 # `Composition((2**21 + 1,)).complement()` took 0.38-0.40 s and 158 MB peak
@@ -303,26 +301,6 @@ class PseudoComposition(_MaskBacked):
 
     __slots__ = ()
     offset = 0
-
-
-def _enumerate(cls, n: int):
-    # every index of cls for n, in ascending descent-mask order; n is
-    # checked when this is called, before the first index is asked for
-    if check_n(n) < 1:
-        raise ValueError("n must be positive")
-    if n > MAX_MASK_BITS:
-        raise CapacityError("compositions.MAX_MASK_BITS", n, MAX_MASK_BITS)
-    return map(cls.from_mask, repeat(n), range(1 << (n - cls.offset)))
-
-
-def enumerate_compositions(n: int) -> Iterator[Composition]:
-    """All 2**(n-1) compositions of n, in ascending descent-mask order."""
-    return _enumerate(Composition, n)
-
-
-def enumerate_pseudo_compositions(n: int) -> Iterator[PseudoComposition]:
-    """All 2**n pseudo-compositions of n, in ascending descent-mask order."""
-    return _enumerate(PseudoComposition, n)
 
 
 def parse_parts(text: str, pseudo: bool = False):

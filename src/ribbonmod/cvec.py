@@ -106,7 +106,7 @@ RESULT_BITS_MAX + TALLY_MAX_BITS + 1, before any digit of n is read.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add, mul
 
 from .arith import (
@@ -540,40 +540,6 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
 
 # ---------------------------------------------------------------------------
 # symmetric-group side counts
-
-
-def partitions(n: int):
-    """Weakly decreasing positive tuples summing to n, largest part first;
-    n is checked when this is called, before the first is asked for."""
-    if check_n(n) < 0:
-        raise ValueError("n must be nonnegative")
-    return _partitions(n, n)
-
-
-def _partitions(n: int, top: int):
-    # the partitions of n whose parts are at most top
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, top), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def standard_tableau_count(shape) -> int:
-    """Number of standard fillings of a partition shape (hook products)."""
-    shape = tuple(shape)
-    if not shape or any(a < 1 for a in shape):
-        raise ValueError("shape parts must be positive")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError("shape must be weakly decreasing")
-    n = sum(shape)
-    cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks *= row - j + cols[j] - i - 1
-    return factorial(n) // hooks
 
 
 def _colored_partition_count(m: int, colors: int) -> int:

@@ -44,7 +44,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .arith import check_prime, lucas_binomial, multinomial_exact
-from .compositions import CapacityError, Composition, PseudoComposition, _Record, check_family, check_n, int_text
+from .compositions import CapacityError, Composition, PseudoComposition, check_family, check_n, int_text
 
 # Group-enumeration budgets for the oracle, by family: the largest n.  At
 # the budget (S_9, 362880 elements; B7, 645120; D7, 322560) one oracle call
@@ -273,55 +273,6 @@ def ribbon_mod_p(family: str, alpha, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # brute-force group oracles
-
-
-class SignedPermutation(_Record):
-    """A signed permutation of [n], stored by its window w(1), ..., w(n).
-
-    The empty window is the one element of the trivial group B_0, and its
-    type-B descent set is empty; type D needs n >= 2.  A frozen record:
-    copies and pickles rebuild through the window check."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        if sorted(abs(v) for v in images) != list(range(1, n + 1)) or 0 in images:
-            raise ValueError(f"not a signed permutation window: {images}")
-        _Record.__init__(self, images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def negatives(self) -> int:
-        return sum(1 for v in self.images if v < 0)
-
-    def is_even(self) -> bool:
-        """Whether this element lies in the type-D subgroup."""
-        return self.negatives() % 2 == 0
-
-    def descent_set(self, family: str) -> tuple[int, ...]:
-        """The descent positions in {0, ..., n-1}, ascending; empty for the
-        empty window in type B."""
-        if family not in ("B", "D"):
-            raise ValueError("signed-permutation descents are defined for families B and D")
-        if family == "D" and self.n < 2:
-            raise ValueError("type D needs n >= 2")
-        return PseudoComposition.from_mask(self.n, _signed_descent_mask(self.images, family)).descents()
-
-
-def _signed_descent_mask(w: tuple[int, ...], family: str) -> int:
-    # Position 0 compares against w(0) := 0 in type B and w(0) := -w(2) in type D.
-    if family == "B":
-        mask = 1 if w and w[0] < 0 else 0
-    else:
-        mask = 1 if -w[1] > w[0] else 0
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            mask |= 1 << i
-    return mask
 
 
 def _descent_bits(w) -> int:

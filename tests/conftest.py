@@ -1,11 +1,13 @@
 """Fixed hypothesis draws: every ``@given`` test draws the same examples on
 every run, and no example database is read or written.  ``traced_peak`` is
 the one ``tracemalloc`` reading of the bounded-memory tests,
-``inverse_zeta_packed`` the packed output of the kernel tests, and
-``readme_budget_rows`` the one reader of README's budget table."""
+``inverse_zeta_packed`` the packed output of the kernel tests,
+``indices`` the walk over every index of one n, and ``readme_budget_rows``
+the one reader of README's budget table."""
 
 import re
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 from hypothesis import settings
@@ -38,6 +40,12 @@ def inverse_zeta_packed(fields, m):
     planes, size, width, big = _planes(fields, m)
     _butterfly(planes, m, size)
     return memoryview(_fields(planes, size, width, big)).cast(memoryview(fields).format)
+
+
+def indices(cls, n):
+    """Every index of n of the class ``cls`` (``Composition`` or
+    ``PseudoComposition``), in ascending descent-mask order."""
+    return map(cls.from_mask, repeat(n), range(1 << (n - cls.offset)))
 
 
 def readme_budget_rows():

@@ -14,12 +14,13 @@ ceilings are asserted too.
 
 import time
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import indices
 from ribbonmod.arith import base_p_digits
-from ribbonmod.compositions import CapacityError, enumerate_compositions, enumerate_pseudo_compositions, mask_offset
+from ribbonmod.compositions import CapacityError, Composition, PseudoComposition, mask_offset
 from ribbonmod.coxeter import (
     SUBSET_MAX_RANK,
     builtin_diagram,
@@ -35,8 +36,6 @@ from ribbonmod.cvec import (
     cvec_naive,
     cvec_theorem,
     macdonald_mp,
-    partitions,
-    standard_tableau_count,
     support_set,
     _support_size,
 )
@@ -150,7 +149,7 @@ GENERAL_MAX_N = {"A": 8, "B": 6, "D": 6}
 
 
 def _indices(family, n):
-    return enumerate_compositions(n) if family == "A" else enumerate_pseudo_compositions(n)
+    return indices(Composition if family == "A" else PseudoComposition, n)
 
 
 def _diagram(family, n):
@@ -389,11 +388,9 @@ def test_criterion_7_formula_identities():
     def given(family, alpha):
         return _chain_exact(family, alpha.n, alpha.descents())
 
-    for family, indices, ns in (("A", enumerate_compositions, range(1, 13)),
-                                ("B", enumerate_pseudo_compositions, range(2, 13)),
-                                ("D", enumerate_pseudo_compositions, range(2, 13))):
+    for family, ns in (("A", range(1, 13)), ("B", range(2, 13)), ("D", range(2, 13))):
         for n in ns:
-            for alpha in indices(n):
+            for alpha in _indices(family, n):
                 value, own = ribbon_exact(family, alpha), given(family, alpha)
                 if family == "A" and value != ribbon_a_det(alpha):
                     problems.append(("det", alpha.parts))
@@ -402,13 +399,13 @@ def test_criterion_7_formula_identities():
                 if own != given(family, alpha.complement()):
                     problems.append(("sym " + family, alpha.parts))
     for n in range(1, 11):
-        if sum(ribbon_exact("A", a) for a in enumerate_compositions(n)) != factorial(n):
+        if sum(ribbon_exact("A", a) for a in _indices("A", n)) != factorial(n):
             problems.append(("mass A", n))
     for n in range(1, 9):
-        if sum(ribbon_exact("B", a) for a in enumerate_pseudo_compositions(n)) != (1 << n) * factorial(n):
+        if sum(ribbon_exact("B", a) for a in _indices("B", n)) != (1 << n) * factorial(n):
             problems.append(("mass B", n))
     for n in range(2, 9):
-        if sum(ribbon_exact("D", a) for a in enumerate_pseudo_compositions(n)) != (1 << (n - 1)) * factorial(n):
+        if sum(ribbon_exact("D", a) for a in _indices("D", n)) != (1 << (n - 1)) * factorial(n):
             problems.append(("mass D", n))
     # 2-adic divisibility.  The published claim degenerates when the support
     # set is empty (type A, n a power of p): the subset/complement pairing
@@ -449,6 +446,23 @@ def test_criterion_7_formula_identities():
         600,
         problems,
     )
+
+
+def partitions(n, top=None):
+    """The partitions of n into parts of at most top (of any size by
+    default), largest part first."""
+    if not n:
+        yield ()
+    for first in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def standard_tableau_count(shape):
+    """The standard tableaux of a partition shape, by the hook-length
+    formula: n! over the product of the hook lengths."""
+    cols = [sum(row > j for row in shape) for j in range(shape[0])]
+    return factorial(sum(shape)) // prod(row - j + cols[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
 
 
 def test_criterion_8_macdonald():

@@ -28,13 +28,8 @@ from pathlib import Path
 import pytest
 
 from ribbonmod import cli
-from ribbonmod.compositions import (
-    Composition,
-    PseudoComposition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
-    mask_offset,
-)
+from conftest import indices
+from ribbonmod.compositions import Composition, PseudoComposition, mask_offset
 from ribbonmod.coxeter import builtin_diagram, descent_class_multiset, residue_histogram
 from ribbonmod.cvec import SWEEP_MAX_BITS, cvec
 from ribbonmod.ribbon import ribbon_exact, ribbon_mod_p
@@ -101,10 +96,10 @@ def _indices():
     # (family, index, primes): every index of n <= 10, then a few of
     # n = q - 1, q, q + 1 for q = 1031 and 2053 (one base-q digit against two)
     for n in range(1, 11):
-        for alpha in enumerate_compositions(n):
+        for alpha in indices(Composition, n):
             yield "A", alpha, INDEX_PRIMES
     for n in range(0, 11):
-        for alpha in enumerate_pseudo_compositions(n) if n else [PseudoComposition((0,))]:
+        for alpha in indices(PseudoComposition, n):
             yield "B", alpha, INDEX_PRIMES
             yield "D", alpha, INDEX_PRIMES
     for q in (1031, 2053):

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ribbonmod.arith as arith
 from conftest import inverse_zeta_packed, traced_peak
 from ribbonmod.arith import (
     _POPCOUNT_TALLY_MAX_M,
@@ -211,6 +212,45 @@ def test_lucas_binomial_of_large_digits_matches_exact():
         assert lucas_binomial(a // 2, a // 2 + 1, p) == 0
         # a bottom with more digits than the top is larger: C(a, b) = 0
         assert lucas_binomial(a, a + p ** len(base_p_digits(a, p)), p) == 0
+
+
+def _long_lucas_cases(rng):
+    # (top, bottom, p): bottoms of the gate's bits, one more and several
+    # thousand, against tops of their own digits or more (a nonzero
+    # binomial), a top far longer, a random top and bottom - 1 (mostly 0),
+    # and the first of those tops without its top digit (0)
+    gate = arith._DIGITS_SPLIT_BITS
+    for p in (2, 3, 131):
+        for bits in (gate - 1, gate, gate + 1, 4000):
+            bottom = rng.getrandbits(bits) | 1 << (bits - 1)
+            digits = base_p_digits(bottom, p)
+            over = sum((d + rng.randrange(p - d)) * p**j for j, d in enumerate(digits))
+            for top in (bottom, over, over + p ** len(digits) * rng.getrandbits(3 * bits), rng.getrandbits(bits + 5), bottom - 1,
+                        over % p ** (len(digits) - 1)):
+                yield top, bottom, p
+    # the long part of a single class, (10^k + 7, 1) at 10^6 + 3: C(n, n - 1)
+    n = 10**300 + 8
+    yield n, n - 1, 1000003
+
+
+def test_lucas_binomial_reads_a_long_bottom_once(monkeypatch):
+    # past _DIGITS_SPLIT_BITS bits of bottom, lucas_binomial reads both
+    # arguments' digits by base_p_digits, and at the gate or below it keeps
+    # its divmod loop; on both sides it answers as the loop does, which is
+    # what it runs with the gate raised past every case
+    cases = list(_long_lucas_cases(random.Random(57)))
+    reads = []
+    monkeypatch.setattr(arith, "base_p_digits", lambda n, p: reads.append(n) or base_p_digits(n, p))
+    answers = []
+    for top, bottom, p in cases:
+        reads.clear()
+        answers.append(lucas_binomial(top, bottom, p))
+        assert bool(reads) == (bottom.bit_length() > arith._DIGITS_SPLIT_BITS), (top, bottom, p)
+    assert sum(map(bool, answers)) >= len(cases) // 3
+    monkeypatch.setattr(arith, "_DIGITS_SPLIT_BITS", max(bottom.bit_length() for _, bottom, _ in cases))
+    reads.clear()
+    assert answers == [lucas_binomial(*case) for case in cases]
+    assert not reads
 
 
 def test_lucas_binomial_of_a_million_stays_small():

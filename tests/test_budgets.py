@@ -20,13 +20,10 @@ import pytest
 from conftest import traced_peak
 from ribbonmod.arith import MILLER_RABIN_LIMIT, TALLY_MAX_BITS, check_prime, is_prime
 from ribbonmod.compositions import (
-    MAX_MASK_BITS,
     COMPLEMENT_MAX_POSITIONS,
     CapacityError,
     Composition,
     PseudoComposition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
 )
 from ribbonmod.coxeter import (
     DIAGRAM_MAX_RANK,
@@ -153,9 +150,6 @@ ROWS = [
     # the group oracles
     Row(oracle_descent_class_sizes, ("A", 10), "ribbon.ORACLE_MAX_N", 10, ORACLE_MAX_N["A"]),
     Row(oracle_descent_class_sizes, ("B", 8), "ribbon.ORACLE_MAX_N", 8, ORACLE_MAX_N["B"]),
-    # the first of 2^63 and 2^64 indices
-    Row(enumerate_compositions, (64,), "compositions.MAX_MASK_BITS", 64, MAX_MASK_BITS),
-    Row(enumerate_pseudo_compositions, (64,), "compositions.MAX_MASK_BITS", 64, MAX_MASK_BITS),
     # the complement of one part of 10^10, read off the positions
     *(Row(type(index).complement, (index,), "compositions.COMPLEMENT_MAX_POSITIONS", 10**10 - 1,
           COMPLEMENT_MAX_POSITIONS) for index in (Composition((10**10, 1)), PseudoComposition((0, 10**10)))),

@@ -7,17 +7,14 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import traced_peak
+from conftest import indices, traced_peak
 from ribbonmod import cli, compositions
 from ribbonmod.compositions import (
     FAMILIES,
-    MAX_MASK_BITS,
     CapacityError,
     Composition,
     PseudoComposition,
     check_family,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
     int_text,
     int_value,
     mask_offset,
@@ -26,7 +23,7 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram
 from ribbonmod.cvec import DimensionPVector, cvec_naive, cvec_theorem
-from ribbonmod.ribbon import SignedPermutation, ribbon_exact, ribbon_mod_p
+from ribbonmod.ribbon import ribbon_exact, ribbon_mod_p
 
 
 def test_descent_set_examples():
@@ -149,34 +146,25 @@ def test_invalid_parts():
 
 
 def test_enumerate_compositions_small():
-    assert {c.parts for c in enumerate_compositions(3)} == {(3,), (1, 2), (2, 1), (1, 1, 1)}
-    assert [c.parts for c in enumerate_compositions(1)] == [(1,)]
-    assert sum(1 for _ in enumerate_compositions(15)) == 2**14
+    assert {c.parts for c in indices(Composition, 3)} == {(3,), (1, 2), (2, 1), (1, 1, 1)}
+    assert [c.parts for c in indices(Composition, 1)] == [(1,)]
+    assert sum(1 for _ in indices(Composition, 15)) == 2**14
 
 
 def test_enumerate_pseudo_compositions_small():
-    assert {c.parts for c in enumerate_pseudo_compositions(2)} == {
+    assert {c.parts for c in indices(PseudoComposition, 2)} == {
         (2,),
         (0, 2),
         (1, 1),
         (0, 1, 1),
     }
-    assert {c.parts for c in enumerate_pseudo_compositions(1)} == {(1,), (0, 1)}
-    assert sum(1 for _ in enumerate_pseudo_compositions(15)) == 2**15
+    assert {c.parts for c in indices(PseudoComposition, 1)} == {(1,), (0, 1)}
+    assert sum(1 for _ in indices(PseudoComposition, 15)) == 2**15
 
 
 def test_enumeration_is_ascending_mask_order():
-    masks = [c.mask for c in enumerate_compositions(6)]
+    masks = [c.mask for c in indices(Composition, 6)]
     assert masks == sorted(masks)
-
-
-def test_enumeration_capacity():
-    # tests/test_budgets.py refuses an n past MAX_MASK_BITS; at it the
-    # enumeration starts, and n = 0 has no composition to enumerate
-    assert next(enumerate_compositions(MAX_MASK_BITS)) == Composition((MAX_MASK_BITS,))
-    assert next(enumerate_pseudo_compositions(MAX_MASK_BITS)) == PseudoComposition((MAX_MASK_BITS,))
-    with pytest.raises(ValueError):
-        next(enumerate_compositions(0))
 
 
 def test_an_index_of_ten_billion_stays_small():
@@ -201,15 +189,15 @@ def test_an_index_of_ten_billion_stays_small():
 def test_capacity_error_is_written_from_its_budget():
     # the message names the budget and writes both ints, another budget's
     # refusal after it; copies and pickles rebuild it through the constructor
-    inner = CapacityError("compositions.MAX_MASK_BITS", 64, 63)
+    inner = CapacityError("ribbon.ORACLE_MAX_N", 10, 9)
     outer = CapacityError("cvec.SWEEP_MAX_BITS", 27, 26, inner)
-    assert str(inner) == "compositions.MAX_MASK_BITS: the request needs 64; the budget is 63"
+    assert str(inner) == "ribbon.ORACLE_MAX_N: the request needs 10; the budget is 9"
     assert str(outer) == f"cvec.SWEEP_MAX_BITS: the request needs 27; the budget is 26; {inner}"
-    assert repr(outer) == "CapacityError('cvec.SWEEP_MAX_BITS', 27, 26, CapacityError('compositions.MAX_MASK_BITS', 64, 63, None))"
+    assert repr(outer) == "CapacityError('cvec.SWEEP_MAX_BITS', 27, 26, CapacityError('ribbon.ORACLE_MAX_N', 10, 9, None))"
     assert (outer.budget, outer.needed, outer.cap, outer.also) == ("cvec.SWEEP_MAX_BITS", 27, 26, inner)
     for copied in (copy.deepcopy(outer), pickle.loads(pickle.dumps(outer))):
         assert type(copied) is CapacityError and str(copied) == str(outer)
-        assert (copied.budget, copied.also.budget) == ("cvec.SWEEP_MAX_BITS", "compositions.MAX_MASK_BITS")
+        assert (copied.budget, copied.also.budget) == ("cvec.SWEEP_MAX_BITS", "ribbon.ORACLE_MAX_N")
 
 
 def test_int_text_writes_a_long_int_by_its_bit_length():
@@ -285,10 +273,10 @@ def test_coarsenings_examples():
 
 
 def test_coarsening_counts():
-    for alpha in enumerate_compositions(9):
+    for alpha in indices(Composition, 9):
         count = sum(1 for _ in _coarsenings(alpha))
         assert count == 1 << (len(alpha) - 1)
-    for alpha in enumerate_pseudo_compositions(7):
+    for alpha in indices(PseudoComposition, 7):
         count = sum(1 for _ in _coarsenings(alpha))
         assert count == 1 << len(alpha.descents())
 
@@ -296,31 +284,31 @@ def test_coarsening_counts():
 def test_descent_bijection_exhaustive():
     for n in range(1, 17):
         seen = set()
-        for alpha in enumerate_compositions(n):
+        for alpha in indices(Composition, n):
             descents = alpha.descents()
             assert descents not in seen
             seen.add(descents)
             assert Composition.from_descents(n, descents) == alpha
             assert len(alpha) == len(descents) + 1
     for n in range(1, 16):
-        for alpha in enumerate_pseudo_compositions(n):
+        for alpha in indices(PseudoComposition, n):
             assert PseudoComposition.from_descents(n, alpha.descents()) == alpha
 
 
 def test_complement_involution():
     for n in range(1, 13):
         full = (1 << (n - 1)) - 1
-        for alpha in enumerate_compositions(n):
+        for alpha in indices(Composition, n):
             comp = alpha.complement()
             assert comp.mask == alpha.mask ^ full
             assert comp.complement() == alpha
-        for alpha in enumerate_pseudo_compositions(min(n, 10)):
+        for alpha in indices(PseudoComposition, min(n, 10)):
             assert alpha.complement().complement() == alpha
 
 
 def test_fewer_descents_flips_only_to_a_strictly_smaller_side():
     for n in range(1, 11):
-        for alpha in (*enumerate_compositions(n), *enumerate_pseudo_compositions(n)):
+        for alpha in (*indices(Composition, n), *indices(PseudoComposition, n)):
             if 2 * (len(alpha) - 1) > n - alpha.offset:
                 assert alpha.fewer_descents() == alpha.complement()
             else:
@@ -421,17 +409,6 @@ RECORDS = {
         ("n", "positions"),
         ((b"(I3\n", b"(I1\n"), (b"K\x03K\x00", b"K\x01K\x00"), "out of range"),
         (PseudoComposition((0,)), PseudoComposition(range(100))),
-    ),
-    "SignedPermutation": lambda: (
-        SignedPermutation(images=(2, -1)),
-        SignedPermutation(iter([2, -1])),
-        (SignedPermutation((-2, 1)),),
-        ((2, -1),),
-        "SignedPermutation(images=(2, -1))",
-        ("images",),
-        ((b"I-1\n", b"I2\n"), (b"J\xff\xff\xff\xff", b"J\x02\x00\x00\x00"),  # the window (2, 2)
-         "not a signed permutation window"),
-        (),
     ),
 }
 

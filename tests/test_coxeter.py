@@ -4,13 +4,9 @@ from math import factorial
 
 import pytest
 
-from conftest import traced_peak
+from conftest import indices, traced_peak
 from ribbonmod.arith import residue_tally
-from ribbonmod.compositions import (
-    Composition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
-)
+from ribbonmod.compositions import Composition, PseudoComposition
 import ribbonmod.coxeter as coxeter
 from ribbonmod.coxeter import (
     DIAGRAM_MAX_RANK,
@@ -417,11 +413,8 @@ def test_multisets_match_chain_recurrence_across_field_widths():
     # grows with the group: |A11| has 29 bits, |A12| 33 (past 4 bytes),
     # |B12| 41, |D13| 45 and |D14| 50
     for family, rank in (("A", 11), ("A", 12), ("B", 12), ("D", 13), ("D", 14)):
-        if family == "A":
-            indices = enumerate_compositions(rank + 1)
-        else:
-            indices = enumerate_pseudo_compositions(rank)
-        expected = Counter(ribbon_exact(family, alpha) for alpha in indices)
+        walk = indices(Composition, rank + 1) if family == "A" else indices(PseudoComposition, rank)
+        expected = Counter(ribbon_exact(family, alpha) for alpha in walk)
         assert descent_class_multiset(builtin_diagram(f"{family}{rank}")) == expected, (family, rank)
 
 

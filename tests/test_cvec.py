@@ -28,8 +28,6 @@ from ribbonmod.compositions import (
     CapacityError,
     Composition,
     PseudoComposition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
     mask_offset,
 )
 from ribbonmod.cvec import (
@@ -47,8 +45,6 @@ from ribbonmod.cvec import (
     cvec_naive,
     cvec_theorem,
     macdonald_mp,
-    partitions,
-    standard_tableau_count,
     support_set,
     _chain_table,
     _colored_partition_count,
@@ -59,8 +55,8 @@ from ribbonmod.cvec import (
     _weight_table,
 )
 from ribbonmod.ribbon import _chain_sum, chain_mod_p, oracle_descent_class_sizes, ribbon_mod_p, term_mod_p
-from conftest import inverse_zeta_packed, traced_peak
-from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits
+from conftest import indices, inverse_zeta_packed, traced_peak
+from test_acceptance import SIZE_BITS, VECTOR_ROWS, _least_of_shape, _sweep_bits, partitions, standard_tableau_count
 from test_arith import PATTERNS, _check_kernel_row, _moebius_reference
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -468,8 +464,7 @@ def test_half_lattice_tally_on_the_tiniest_lattices():
     for family, n in (("A", 1), ("A", 2), ("A", 3), ("B", 1), ("B", 2), ("D", 2), ("D", 3)):
         for p in (2, 3, 5, 7):
             hist = [0] * p
-            indices = enumerate_compositions(n) if family == "A" else enumerate_pseudo_compositions(n)
-            for alpha in indices:
+            for alpha in indices(Composition if family == "A" else PseudoComposition, n):
                 hist[ribbon_mod_p(family, alpha, p)] += 1
             assert cvec_naive(family, n, p).counts == tuple(hist), (family, n, p)
 
@@ -1182,10 +1177,7 @@ def test_n_must_be_an_int(call, n):
 
 
 N_TAKING = {
-    "enumerate_compositions": enumerate_compositions,
-    "enumerate_pseudo_compositions": enumerate_pseudo_compositions,
     "oracle_descent_class_sizes": lambda n: oracle_descent_class_sizes("A", n),
-    "partitions": partitions,
 }
 
 
@@ -1193,8 +1185,7 @@ N_TAKING = {
 @pytest.mark.parametrize("call", N_TAKING.values(), ids=N_TAKING.keys())
 def test_n_taking_entries_refuse_a_bool_or_non_int_n_when_called(call, n):
     # as the cvec methods do: True would pass for n = 1, and 2.5 or "3" ended
-    # in a TypeError; the two enumerations and partitions refuse when
-    # called, before their first item is asked for
+    # in a TypeError
     with pytest.raises(ValueError, match="n must be an int, got "):
         call(n)
 
@@ -1448,18 +1439,12 @@ def test_partitions():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert sum(1 for _ in partitions(10)) == 42
     assert list(partitions(0)) == [()]
-    with pytest.raises(ValueError):
-        next(partitions(-1))
 
 
 def test_standard_tableau_count():
     assert standard_tableau_count((2, 2)) == 2
     assert standard_tableau_count((7,)) == 1
     assert standard_tableau_count((3, 2)) == 5
-    with pytest.raises(ValueError):
-        standard_tableau_count((2, 3))
-    with pytest.raises(ValueError):
-        standard_tableau_count(())
 
 
 def test_rsk_identity():

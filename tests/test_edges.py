@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import shutil
 import signal
 import time
 from pathlib import Path
@@ -134,23 +135,61 @@ def _quartiles(value):
     return set(value) == {"median", "q1", "q3"} and 0 <= value["q1"] <= value["median"] <= value["q3"]
 
 
+def _check_tier1(tier1, where):
+    assert set(tier1) == {"wall_s", "exit", "durations_sum_s", "slowest"} and tier1["exit"] == 0, where
+    seconds = [phase["seconds"] for phase in tier1["slowest"]]
+    assert len(seconds) == 10 and seconds == sorted(seconds, reverse=True), where
+    assert sum(seconds) <= tier1["durations_sum_s"] + 0.01 and tier1["durations_sum_s"] <= tier1["wall_s"], where
+
+
+def _check_paired_row(row, pairs, where):
+    # each side's quartiles, the ratio of the medians, and the pairs won
+    assert set(row) == {"base", "change", "ratio", "wins", "pass"} and row["pass"] is True, where
+    for side in ("base", "change"):
+        assert set(row[side]) == {"seconds", "peak_rss_mb"}, where
+        assert _quartiles(row[side]["seconds"]) and _quartiles(row[side]["peak_rss_mb"]), where
+    assert row["ratio"] == round(row["change"]["seconds"]["median"] / row["base"]["seconds"]["median"], 3), where
+    assert isinstance(row["wins"], int) and 0 <= row["wins"] <= pairs, where
+
+
 def test_bench_files_keep_the_schema_and_name_rows_of_the_runner():
     # scripts/bench.py's default rows, and every BENCH_<number>.json, name
-    # rows of the runner; each file holds what bench.py writes
+    # rows of the runner; each file holds what bench.py wrote when it was
+    # made: one tree's runs up to BENCH_55, paired runs against a base since
     names = {row.name for row in edges.ROWS}
     assert set(bench.ROWS) <= names
     assert {row.partner for row in edges.ROWS if row.name in bench.ROWS} <= {None, *bench.ROWS}
+    paired = 0
     for path in sorted(ROOT.glob("BENCH_*.json")):
         record = json.loads(path.read_text())
         assert path.stem.split("_", 1)[1].isdigit(), path.name
-        assert set(record) == {"sha", "dirty", "python", "machine", "cpus", "runs", "rows", "tier1"}, path.name
         assert re.fullmatch(r"[0-9a-f]{40}", record["sha"]) and isinstance(record["dirty"], bool), path.name
-        assert record["runs"] >= 3 and record["rows"] and set(record["rows"]) <= names, path.name
+        assert record["rows"] and set(record["rows"]) <= names, path.name
+        if "base" not in record:
+            assert set(record) == {"sha", "dirty", "python", "machine", "cpus", "runs", "rows", "tier1"}, path.name
+            assert record["runs"] >= 3, path.name
+            for name, row in record["rows"].items():
+                assert set(row) == {"seconds", "peak_rss_mb", "pass"} and row["pass"] is True, name
+                assert _quartiles(row["seconds"]) and _quartiles(row["peak_rss_mb"]), name
+            _check_tier1(record["tier1"], path.name)
+            continue
+        paired += 1
+        assert set(record) == {"sha", "dirty", "base", "python", "machine", "cpus", "pairs", "rows", "tier1"}, path.name
+        assert re.fullmatch(r"[0-9a-f]{40}", record["base"]) and record["pairs"] >= 5, path.name
         for name, row in record["rows"].items():
-            assert set(row) == {"seconds", "peak_rss_mb", "pass"} and row["pass"] is True, name
-            assert _quartiles(row["seconds"]) and _quartiles(row["peak_rss_mb"]), name
-        tier1 = record["tier1"]
-        assert set(tier1) == {"wall_s", "exit", "durations_sum_s", "slowest"} and tier1["exit"] == 0, path.name
-        seconds = [phase["seconds"] for phase in tier1["slowest"]]
-        assert len(seconds) == 10 and seconds == sorted(seconds, reverse=True), path.name
-        assert sum(seconds) <= tier1["durations_sum_s"] + 0.01 and tier1["durations_sum_s"] <= tier1["wall_s"], path.name
+            _check_paired_row(row, record["pairs"], f"{path.name} {name}")
+        assert set(record["tier1"]) == {"base", "change"}, path.name
+        for side, tier1 in record["tier1"].items():
+            _check_tier1(tier1, f"{path.name} {side}")
+    assert paired, "no paired BENCH file"
+
+
+def test_bench_pairs_a_row_against_a_base_tree(tmp_path):
+    # the verify row, twice on a copy of this tree's src/ and scripts/ as
+    # the base and twice on this tree, alternating, each through its own
+    # tree's edges.run
+    for part in ("src", "scripts"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    records = bench.paired_rows(tmp_path, ("verify",), 2)
+    assert set(records) == {"verify"}
+    _check_paired_row(records["verify"], 2, "verify")

@@ -10,14 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 import ribbonmod.arith as arith
 import ribbonmod.ribbon as ribbon
 from ribbonmod.arith import multinomial_exact
-from ribbonmod.compositions import (
-    Composition,
-    PseudoComposition,
-    enumerate_compositions,
-    enumerate_pseudo_compositions,
-)
+from conftest import indices
+from ribbonmod.compositions import Composition, PseudoComposition
 from ribbonmod.ribbon import (
-    SignedPermutation,
     _bareiss_det,
     _chain_exact,
     chain_mod_p,
@@ -63,7 +58,7 @@ def test_ribbon_b_known_values():
 def test_ribbon_d_known_values():
     assert ribbon_exact("D", PseudoComposition((4,))) == 1
     assert ribbon_exact("D", PseudoComposition((0, 4))) == 7
-    assert sum(ribbon_exact("D", a) for a in enumerate_pseudo_compositions(4)) == 192
+    assert sum(ribbon_exact("D", a) for a in indices(PseudoComposition, 4)) == 192
     with pytest.raises(ValueError):
         ribbon_exact("D", PseudoComposition((0, 1)))
 
@@ -100,9 +95,9 @@ def _coarsening_sum(family, alpha):
 
 def test_chain_recurrence_matches_coarsening_sum():
     for n in range(1, 11):
-        for alpha in enumerate_compositions(n):
+        for alpha in indices(Composition, n):
             assert ribbon_exact("A", alpha) == _coarsening_sum("A", alpha)
-        for alpha in enumerate_pseudo_compositions(n):
+        for alpha in indices(PseudoComposition, n):
             assert ribbon_exact("B", alpha) == _coarsening_sum("B", alpha)
             if n >= 2:
                 assert ribbon_exact("D", alpha) == _coarsening_sum("D", alpha)
@@ -179,7 +174,7 @@ def test_determinant_route_refuses_a_non_integer(monkeypatch):
 
 def test_positivity_and_oddness():
     for n in range(1, 9):
-        for alpha in enumerate_pseudo_compositions(n):
+        for alpha in indices(PseudoComposition, n):
             b = ribbon_exact("B", alpha)
             assert b >= 1 and b % 2 == 1
             if n >= 4:
@@ -198,11 +193,11 @@ def test_complement_symmetry():
     # each, and ribbon_exact, which runs on the side with fewer descents,
     # agrees with both; type D includes n = 2, 3
     for n in range(1, 13):
-        for alpha in enumerate_compositions(n):
+        for alpha in indices(Composition, n):
             given = _given_side("A", alpha)
             assert ribbon_exact("A", alpha) == given == _given_side("A", alpha.complement())
     for n in range(2, 11):
-        for alpha in enumerate_pseudo_compositions(n):
+        for alpha in indices(PseudoComposition, n):
             for family in "BD":
                 given = _given_side(family, alpha)
                 assert ribbon_exact(family, alpha) == given == _given_side(family, alpha.complement())
@@ -241,9 +236,9 @@ def test_many_part_classes_run_on_the_complement():
 def test_ribbon_mod_p_known_values():
     assert ribbon_mod_p("A", Composition((2, 2)), 3) == 2
     for n in (3, 5, 8):
-        for alpha in enumerate_pseudo_compositions(n):
+        for alpha in indices(PseudoComposition, n):
             assert ribbon_mod_p("B", alpha, 2) == 1
-    for alpha in enumerate_pseudo_compositions(5):
+    for alpha in indices(PseudoComposition, 5):
         assert ribbon_mod_p("D", alpha, 2) == 1
 
 
@@ -258,9 +253,9 @@ def test_ribbon_mod_p_type_d_needs_n_at_least_2():
 
 
 def test_ribbon_mod_p_matches_exact():
-    exact_a = {n: {a: ribbon_exact("A", a) for a in enumerate_compositions(n)} for n in range(1, 11)}
+    exact_a = {n: {a: ribbon_exact("A", a) for a in indices(Composition, n)} for n in range(1, 11)}
     exact_bd = {
-        n: {a: (ribbon_exact("B", a), ribbon_exact("D", a)) for a in enumerate_pseudo_compositions(n)}
+        n: {a: (ribbon_exact("B", a), ribbon_exact("D", a)) for a in indices(PseudoComposition, n)}
         for n in range(2, 10)
     }
     for p in PRIMES:
@@ -359,11 +354,18 @@ def _signed_windows(family, n):
             yield tuple(s * v for s, v in zip(signs, base))
 
 
+def _signed_descents(w, family):
+    """The descent positions of a signed window w, ascending: position i
+    compares w(i) with w(i + 1), where w(0) is 0 in type B and -w(2) in
+    type D."""
+    return tuple(i for i, (a, b) in enumerate(zip((-w[1] if family == "D" else 0, *w), w)) if a > b)
+
+
 @pytest.mark.parametrize("family, n", [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
 def test_oracle_counts_each_signed_window(family, n):
     # the sign-pattern x permutation oracle against a tally of the
     # element-level descent sets
-    expected = Counter(SignedPermutation(w).descent_set(family) for w in _signed_windows(family, n))
+    expected = Counter(_signed_descents(w, family) for w in _signed_windows(family, n))
     classes = oracle_descent_class_sizes(family, n)
     assert {alpha.descents(): size for alpha, size in classes.items()} == expected
     order = factorial(n) << n
@@ -381,32 +383,11 @@ def test_oracle_budget():
 
 # -- signed permutations ----------------------------------------------------
 
-def test_signed_permutation_validation():
-    with pytest.raises(ValueError):
-        SignedPermutation((1, 1))
-    with pytest.raises(ValueError):
-        SignedPermutation((1, 3))
-    with pytest.raises(ValueError):
-        SignedPermutation((0, 1))
-
-
 def test_signed_permutation_descents():
-    w = SignedPermutation((-1, 2))
-    assert w.negatives() == 1
-    assert not w.is_even()
-    assert w.descent_set("B") == (0,)
-    assert SignedPermutation((-2, -1)).descent_set("D") == (0,)
-    assert SignedPermutation((2, 1)).descent_set("D") == (1,)
-    assert SignedPermutation((1, 2)).descent_set("D") == ()
-    assert SignedPermutation((3, -1, 2)).descent_set("B") == (1,)
-    assert SignedPermutation((-3, 1, -2)).descent_set("D") == (0, 2)
-    with pytest.raises(ValueError):
-        SignedPermutation((1, 2)).descent_set("A")
-    # the empty window is B_0's one element; type D starts at n = 2
-    assert SignedPermutation(()).descent_set("B") == ()
-    for window in ((), (1,), (-1,)):
-        with pytest.raises(ValueError, match="type D needs n >= 2"):
-            SignedPermutation(window).descent_set("D")
+    # the empty window is B_0's one element, with no descent
+    for w, family, descents in (((-1, 2), "B", (0,)), ((-2, -1), "D", (0,)), ((2, 1), "D", (1,)), ((1, 2), "D", ()),
+                                ((3, -1, 2), "B", (1,)), ((-3, 1, -2), "D", (0, 2)), ((), "B", ())):
+        assert _signed_descents(w, family) == descents, (w, family)
 
 
 def test_ribbon_mod_p_tests_the_prime_once(monkeypatch):
