@@ -91,7 +91,7 @@ ROWS = [
     Row("ribbon-A-5000-digits,1-mod3", cli(f"ribbon --family A --alpha {'1' * 5000},1 --mod 3"), stdout="2"),
     Row("ribbon-A-50000-digits,1-mod1000003", cli(f"ribbon --family A --alpha {'1' * 50000},1 --mod 1000003"), stdout="972777"),
     *(past(name, cli(line), *names.split()) for name, names, line in (row.split("|") for row in (  # name|budgets|line
-        "macdonald-digit|cvec.MACDONALD_DIGIT_MAX|macdonald --n 1000000000 --p 1000000007",
+        "macdonald-cost-digit|cvec.MACDONALD_COST_MAX|macdonald --n 1000000000 --p 1000000007",
         "macdonald-cost|cvec.MACDONALD_COST_MAX|macdonald --n 1018081000 --p 1009",
         "macdonald-5000-digits|cvec.MACDONALD_COST_MAX|macdonald --p 3 --n " + "1" * 5000,
         "diagram-rank|coxeter.DIAGRAM_MAX_RANK|coxeter --group A1000000000 --subset 1",
@@ -110,8 +110,9 @@ ROWS = [
     Row("complement-2^21+1", api("print(len(Composition((2**21 + 1,)).complement()))"), stdout="2097153",
         at="compositions.COMPLEMENT_MAX_POSITIONS"),
     Row("coxeter-A10000-subset", cli("coxeter --group A10000 --subset 1,2"), at="coxeter.DIAGRAM_MAX_RANK"),
-    Row("macdonald-1000-p1009", cli("macdonald --n 1000 --p 1009"), stdout="24061467864032622473692149727991",
-        at="cvec.MACDONALD_DIGIT_MAX"),
+    Row("macdonald-1000-p1009", cli("macdonald --n 1000 --p 1009"), stdout="24061467864032622473692149727991"),
+    Row("macdonald-2466-p2467", cli("macdonald --n 2466 --p 2467"), stdout="1213040219743698104212153283094735988868458164856735",
+        at="cvec.MACDONALD_COST_MAX"),
     Row("macdonald-1009000-p1009", cli("macdonald --n 1009000 --p 1009"), at="cvec.MACDONALD_COST_MAX"),
     Row("macdonald-5-p-at-limit", cli("macdonald --n 5 --p 3317044064679887385961813"), stdout="7", at="arith.MILLER_RABIN_LIMIT"),
     Row("support_set-n-of-2^19-bits", api("assert support_set('A', 2**524287 + 1, 2) == (1, 2**524287)"), at="cvec.SUPPORT_N_BITS_MAX"),

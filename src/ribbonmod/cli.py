@@ -10,7 +10,10 @@ pass to ``sys.exit``.
 Start-up imports only what the computing commands share: ``verify`` loads
 its suites and the golden-table loaders (``ribbonmod.verify``) when it
 runs, and the standard modules of one output format (``json``, ``csv``,
-``decimal``) are imported where they are used.
+``decimal``) are imported where they are used.  Every int of a command
+line (the int options, the parts of ``--alpha``, the indices of
+``--subset``) is read by ``compositions.int_value``, so it may pass the
+interpreter's int() digit limit.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or a
 refusal (a bad argument, or a computation past its budget).

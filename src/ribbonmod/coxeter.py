@@ -134,7 +134,7 @@ def builtin_diagram(name: str) -> CoxeterDiagram:
 
     Accepted labels: ``A<n>`` (n >= 1), ``B<n>`` (n >= 2), ``D<n>``
     (n >= 4), ``E6``/``E7``/``E8``, ``F4``, ``H3``/``H4``, and ``I2:<m>``
-    (m >= 3).  Types B and D are numbered s_0 .. s_{n-1} with the 4-edge on
+    (m >= 3, also ``I2(<m>)`` or ``I2<m>``).  Types B and D are numbered s_0 .. s_{n-1} with the 4-edge on
     s_0 in type B and with s_0, s_1 the two fork tips in type D; the other
     types are numbered from 1.  An A, B or D rank past DIAGRAM_MAX_RANK is
     refused with CapacityError before anything is built.
@@ -176,9 +176,9 @@ def builtin_diagram(name: str) -> CoxeterDiagram:
         rank = int(label[1])
         gens = list(range(1, rank + 1))
         return CoxeterDiagram(tuple(gens), _path({0: 5}, gens), label)
-    match = re.fullmatch(r"I2[:(]?(\d+)\)?", label)
+    match = re.fullmatch(r"I2(?::|(\())?(\d+)(?(1)\))", label)  # I2:m, I2m, or I2(m) with both parentheses
     if match:
-        m = int(match.group(1))
+        m = int(match.group(2))
         if m < 3:
             raise ValueError("I2(m) needs m >= 3")
         return CoxeterDiagram((1, 2), ((1, 2, m),), f"I2:{m}")

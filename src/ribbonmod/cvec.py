@@ -4,90 +4,16 @@ For a family F in {A, B, D}, the vector counts the indices alpha (of the
 2^(n-1) compositions in type A, the 2^n pseudo-compositions otherwise)
 whose ribbon number is congruent to each residue mod p.  Three methods:
 
-  * ``cvec_naive``    -- reduce every ribbon number mod p and tally.  The
-    index lattice is processed at once with an inclusion-exclusion
-    butterfly over multinomial weights, so nothing here touches the digit
-    machinery used by the other two methods.  The weight table is built
-    mod p by ``_chain_table`` into an ``arith.field_buffer`` for p, block
-    by block: the masks with top descent d are a seed, the mask of d alone
-    with the B/D first-part weight of d, and scaled copies of the blocks
-    below, one exact binomial per block (``arith.field_scaler``), so every
-    mask carries the weight of its lowest descent.  At p <= n most of those
-    weights are 0 mod p, as a multinomial is once one of its partial sums
-    d has C(n, d) = 0 mod p.  A position whose seed is 0 and whose block
-    constants to the live positions below it are 0 has an all-zero block,
-    and every mask through it is 0: the table keeps only the live
-    positions as its bits (and type D's 0 and 1, for its copy rule),
-    decided from the same exact binomials, never from base-p digits.
-    ``arith.inverse_zeta_tally(table, p)`` runs the butterfly on the
-    table's (p - 1).bit_length() bit planes and tallies its output by
-    residue; no list of 2^n ints and no exact weight is ever made.  The
-    field format and the planes are arith's alone: this module passes
-    moduli, never widths.  Only the lower half of the lattice is tallied,
-    the masks without the top descent.  Bit b of a mask stands for the
-    generator s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A
-    numbered from 1; types B and D from 0, with s_0, s_1 the fork tips in
-    type D), and the covering count of a mask is the coset count
-    |W| / |W_(S - J)| of its generator set J: for the parts a_0, a_1, ...
-    S - J splits into B_(a_0) (type B) or D_(a_0) (type D, a_0 >= 2) times
-    A_(a_i - 1) for i >= 1, and in type D a first part of 1 (a lone
-    descent at 1) leaves s_0 on the path s_0 - s_2 - ..., as a descent at
-    0 leaves s_1.  So the ribbon number of a mask is the size of the
-    descent class of J.  The tests check the numbering against
-    ``coxeter.ribbon_general`` (n <= 6) and the vector against a sweep of
-    the whole lattice (n <= 12).
-  * ``cvec_theorem``  -- the digit method.  Only descent positions whose
-    base-p digits are bounded by the digits of n can carry surviving
-    refinement terms; sweeping the subsets T of that support set and
-    weighting the residue tally by powers of two gives the vector without
-    ever enumerating the index lattice, so n may reach the gate on n
-    below, 2^32 + 27, as long as the support stays small.  The support's
-    size is read off the digits of n and refused past SWEEP_MAX_BITS
-    positions, the naive sweep's budget, before the support is made.  For
-    m support positions it is the naive sweep restricted to the support:
-    ``_chain_table`` fills the terms of the 2^(m - 1) subsets without the
-    top position by the same seed and step rules, each binomial from
-    ``arith.lucas_binomial`` on ints (as ``ribbon_mod_p`` takes them) in
-    place of an exact one, and the same packed butterfly and tally run
-    over them.  By Lucas's theorem every term through a position outside
-    the support is 0 mod p, so each of these free positions is one more
-    that holds 0 on every mask through it: an index with descent set D has
-    the residue (-1)^|D - S| r(D & S).  So the family rules, type D's
-    included, are stated once for both sweeps, for every prime.
-  * ``cvec_closed_form`` -- the shape rule.  The theorem method's tally
-    depends only on the multiset of nonzero base-p digits of n (and on n_0
-    in type D), so the vector of n is that of n*, the least n of the same
-    shape, swept by the naive method and spread over the n - n* more free
-    positions of n; the paper's m*p^d closed form is the case of one digit.
-    The sweep's own CapacityError, naming n*'s index bits, refuses an n*
-    past its budget.  n*'s vector is kept in a per-process memo keyed by
-    (family, n*, p), at most SHAPE_MEMO_SHAPES of them, least recently used
-    out first, and only at p <= SHAPE_MEMO_MAX_P (a larger p sweeps n* each
-    time), so a process sweeps each n* once; the spread, ints as long as n,
-    is never kept.
-    It is a ``functools.lru_cache``: ``_memo_counts.cache_clear()`` empties
-    it and ``cache_info()`` counts it.  The package attribute
-    ``ribbonmod.cvec`` is the function, so the module is reached by
-    ``importlib.import_module("ribbonmod.cvec")``.
+  * ``cvec_naive``    -- the sweep of the whole index lattice, one
+    inclusion-exclusion butterfly over its covering counts mod p, whose
+    table ``_weight_table`` and ``_chain_table`` state.
+  * ``cvec_theorem``  -- the digit method, the naive sweep restricted to the
+    support set of n, whose terms ``_term_table`` states.
+  * ``cvec_closed_form`` -- the shape rule, the vector of n from that of
+    n*, the least n of the same shape, as its docstring states.
 
-Every method ends in one rule, ``_spread``, which writes the vector as
-the paper does, 2^k (a_0, ..., a_(p-1)).  A position e that holds 0 mod p
-on every mask through it (dropped from a table, or outside the support)
-only flips signs: the transform gives beta(T + e) = -beta(T) for every T
-without e, so f >= 1 of them turn the tally t of the masks kept into
-2^(f - 1) (t[r] + t[-r mod p]).  A sweep of the masks without the top
-position (closed under submasks, so the butterfly over them is exact) is
-then doubled by complement symmetry: w -> w0 w maps the descent class of
-a generator set onto the class of its complement, since
-l(w0 w) = l(w0) - l(w) turns every right descent into an ascent and back
-(Bjorner and Brenti, *Combinatorics of Coxeter Groups*, Prop. 2.3.2), so
-an index and its complement have the same ribbon number.  In the theorem
-method the complement of a subset T of the support S is S - T, whose
-residue is that of T times (-1)^free: the sign is +1 with no free
-position, and with one the spread has made the tally symmetric under
-r <-> -r, so it never matters.  With no top position (type A at n = 1, or
-an empty support at n = p^d) the one mask is its own complement and
-nothing doubles.
+Every method ends in one rule, ``_spread``, whose docstring states how the
+positions that hold 0 mod p and complement symmetry write the vector.
 
 ``cvec`` dispatches by one rule: the shape rule, else, when its sweep of
 n* is past SWEEP_MAX_BITS, the theorem method.  Since n* <= n, a query
@@ -152,18 +78,6 @@ SUPPORT_SET_BITS_MAX = 22 << 22
 # one bit past it, is refused in under 1 ms.
 RESULT_BITS_MAX = 1 << 32
 
-# The least n of the theorem route, by family: support_set and cvec_theorem
-# refuse a smaller n.  Below it n is its own least n of the same shape (or
-# takes the parity answer at p = 2 in types B and D), so the shape rule
-# sweeps such an n itself
-_THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
-
-# Largest base-p digit m of n that macdonald_mp expands (an (m+1)-entry
-# series by the divisor-sum recurrence, about m^2 / 2 big-int products):
-# m = 1000 took 0.05 s with p > n and 0.14 s at p = 1009, j = 1; m = 2000
-# took 0.18 s and 0.47 s (2-core machine, Python 3.11, best of 3).
-MACDONALD_DIGIT_MAX = 1000
-
 # Largest estimated cost of macdonald_mp, in bit steps of a big-int pass:
 # a digit m at position j has coefficients of about s = m * log2(p^j) bits,
 # and its series takes about m^2 / 2 products of one of them by a small
@@ -181,15 +95,20 @@ MACDONALD_DIGIT_MAX = 1000
 MACDONALD_COST_MAX = 15 * 10**9
 
 
+def _check_n_in_range(family: str, n: int) -> None:
+    # an int n at least the family minimum, 1 or 2 in type D (a bool is
+    # refused, as check_prime refuses it)
+    if check_n(n) < 1 or (family == "D" and n < 2):
+        raise ValueError(f"n={int_text(n)} out of range for family {family}")
+
+
 def _check_query(family: str, n: int, p: int) -> None:
-    # the argument gate of every cvec method: family, prime, and an int n at
-    # least the family minimum (a bool is refused, as check_prime refuses it).
-    # The gate on n moves no answer: a largest count >= 2^(n - 1) / p, with
+    # the argument gate of every cvec method: family, prime, and n.  The
+    # gate on n moves no answer: a largest count >= 2^(n - 1) / p, with
     # p <= 2^TALLY_MAX_BITS, has >= n - TALLY_MAX_BITS bits, which _spread refuses
     check_family(family)
     check_tally_prime(p)
-    if check_n(n) < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={int_text(n)} out of range for family {family}")
+    _check_n_in_range(family, n)
     if n > RESULT_BITS_MAX + TALLY_MAX_BITS + 1:
         raise CapacityError("cvec.RESULT_BITS_MAX", n - TALLY_MAX_BITS, RESULT_BITS_MAX)
 
@@ -238,9 +157,7 @@ def support_set(family: str, n: int, p: int) -> tuple[int, ...]:
     """
     check_family(family)
     check_prime(p)
-    if check_n(n) < _THEOREM_MIN_N[family]:
-        kind = "type-D support set" if family == "D" else "support set"
-        raise ValueError(f"the {kind} needs n >= {_THEOREM_MIN_N[family]}")
+    _check_n_in_range(family, n)
     if n.bit_length() > SUPPORT_N_BITS_MAX:
         raise CapacityError("cvec.SUPPORT_N_BITS_MAX", n.bit_length(), SUPPORT_N_BITS_MAX)
     digits = base_p_digits(n, p)
@@ -278,7 +195,7 @@ def _chain_table(family: str, n: int, p: int, positions, binom):
     C(n, d): 1 in type A, 2^(n - d) in type B, and in type D 2^(n - d),
     or 2^(n - 1) for d <= 1 (a first part of at most 1 halves the count
     2^n).  Each lower block k is copied scaled by the step constant
-    C(n - d_k, d_h - d_k): adding d_h above a top descent d_k splits the
+    C(n - d_k, d_h - d_k) (``arith.field_scaler``): adding d_h above a top descent d_k splits the
     last part n - d_k into d_h - d_k and n - d_h.  So a mask holds its
     multinomial times the weight of its lowest descent, its covering count.
     One upward pass finds the live positions, those whose seed is nonzero
@@ -317,29 +234,57 @@ def _chain_table(family: str, n: int, p: int, positions, binom):
 def _weight_table(family: str, n: int, p: int):
     """Covering counts mod p of the lower half of the index lattice, in a
     ``field_buffer`` for p, and the number of positions dropped from it
-    (``_chain_table``, with exact binomials): the masks without the top
-    descent (bit bits - 1, where bits = n - mask_offset(family)) are over
-    the other bits - 1 positions (A n = 1 has none: its table is the one
-    field of the empty mask), and entry mask, for every mask over the
-    positions kept, is the number of group elements whose descent set is
-    contained in the mask's descent set (bit b encodes descent position
-    b + mask_offset(family)).  Every mask through a dropped position has a
-    count of 0 mod p."""
+    (``_chain_table``, with exact binomials, so no base-p digit is read):
+    the masks without the top descent (bit bits - 1, where
+    bits = n - mask_offset(family)) are over the other bits - 1 positions
+    (A n = 1 has none: its table is the one field of the empty mask), and
+    entry mask, for every mask over the positions kept, is the number of
+    group elements whose descent set is contained in the mask's descent
+    set.  Every mask through a dropped position has a count of 0 mod p.
+    At p <= n most positions drop, as a multinomial is 0 mod p once one of
+    its partial sums d has C(n, d) = 0 mod p.
+
+    Bit b of a mask stands for the descent position b + mask_offset(family),
+    the generator s_(b + mask_offset) of ``coxeter.builtin_diagram`` (type A
+    numbered from 1; types B and D from 0, with s_0, s_1 the fork tips in
+    type D), and the covering count of a mask is the coset count
+    |W| / |W_(S - J)| of its generator set J: for the parts a_0, a_1, ...
+    S - J splits into B_(a_0) (type B) or D_(a_0) (type D, a_0 >= 2) times
+    A_(a_i - 1) for i >= 1, and in type D a first part of 1 (a lone
+    descent at 1) leaves s_0 on the path s_0 - s_2 - ..., as a descent at
+    0 leaves s_1.  So the ribbon number of a mask is the size of the
+    descent class of J.  The tests check the numbering against
+    ``coxeter.ribbon_general`` (n <= 6) and the vector against a sweep of
+    the whole lattice (n <= 12)."""
     return _chain_table(family, n, p, range(mask_offset(family), n - 1), comb)
 
 
 def _spread(tally, flips: int, doubled: bool) -> tuple[int, ...]:
     """The p-vector from the residue tally of the masks kept, in the
-    paper's shorthand 2^k (a_0, ..., a_(p-1)) (module docstring).
+    paper's shorthand 2^k (a_0, ..., a_(p-1)): every method ends here.
 
-    Each of ``flips`` positions that hold 0 on every mask through them
-    pairs r with -r: with flips >= 1 the tally t becomes
-    2^(flips - 1) (t[r] + t[-r mod p]).  ``doubled`` adds the complements
-    of a half lattice.  The whole power of two is one shift per distinct
-    weight, so equal entries are one int object, not copies of a number
-    that may be megabytes long.  Before any shift, a vector whose distinct
-    nonzero entries would take more than RESULT_BITS_MAX bits together is
-    refused with CapacityError.
+    A position e that holds 0 mod p on every mask through it (dropped from
+    a table, or outside the support) only flips signs: the transform gives
+    beta(T + e) = -beta(T) for every T without e, so ``flips`` >= 1 such
+    positions turn the tally t into 2^(flips - 1) (t[r] + t[-r mod p]).
+    ``doubled`` adds the complements of a sweep of the masks without the
+    top position (closed under submasks, so the butterfly over them is
+    exact): w -> w0 w maps the descent class of a generator set onto the
+    class of its complement, since l(w0 w) = l(w0) - l(w) turns every right
+    descent into an ascent and back (Bjorner and Brenti, *Combinatorics of
+    Coxeter Groups*, Prop. 2.3.2), so an index and its complement have the
+    same ribbon number.  In the theorem method the complement of a subset
+    T of the support S is S - T, whose residue is that of T times
+    (-1)^free: the sign is +1 with no free position, and with one the
+    spread has made the tally symmetric under r <-> -r, so it never
+    matters.  With no top position (type A at n = 1, or an empty support
+    at n = p^d) the one mask is its own complement and nothing doubles.
+
+    The whole power of two is one shift per distinct weight, so equal
+    entries are one int object, not copies of a number that may be
+    megabytes long.  Before any shift, a vector whose distinct nonzero
+    entries would take more than RESULT_BITS_MAX bits together is refused
+    with CapacityError.
     """
     shift = flips + doubled
     if flips:
@@ -359,8 +304,12 @@ def _chain_counts(chain, p: int, free: int, doubled: bool) -> tuple[int, ...]:
     the table, spread over its dropped positions and ``free`` more that
     hold 0 on every mask through them.
 
-    The table is handed to ``arith.inverse_zeta_tally`` as a temporary, so
-    its fields are freed once its planes are made.
+    ``arith.inverse_zeta_tally`` runs the butterfly on the table's
+    (p - 1).bit_length() bit planes and tallies its output by residue, so
+    no list of 2^n ints and no exact weight is ever made; the field format
+    and the planes are arith's alone, and this module passes moduli, never
+    widths.  The table is handed over as a temporary, so its fields are
+    freed once its planes are made.
     """
     *box, dropped = chain
     del chain
@@ -395,11 +344,22 @@ def _term_table(family: str, n: int, p: int, pos: tuple[int, ...]):
     A term is the weight of its lowest descent times the multinomial
     C(n, d_1) C(n - d_1, d_2 - d_1) ..., the naive method's covering
     count, so ``_chain_table`` builds it over the support with every
-    binomial mod p from ``lucas_binomial``.  Agrees with ``term_mod_p`` on
-    every mask.  Every seed but that of type D's adjoined 1 is a unit mod
-    p, so ``_chain_table`` drops no position, except at p = 2 in types B
-    and D: every weight there is even, so every position but type D's 0
-    and 1 is dropped (``cvec_theorem`` answers those by parity).
+    binomial mod p from ``lucas_binomial`` on ints (as ``ribbon_mod_p``
+    takes them), and the same butterfly and tally run over it: the family
+    rules, type D's included, are stated once for both sweeps, for every
+    prime.  By Lucas's theorem every term through a position outside the
+    support is 0 mod p, so each such free position holds 0 on every mask
+    through it, and an index with descent set D has the residue
+    (-1)^|D - S| r(D & S).  Agrees with ``term_mod_p`` on every mask.
+    For m positions it costs O(m^2) Lucas binomials and one field per
+    subset, whatever p is, also when every subset is a digitwise chain
+    (``cvec --family A --n 23 --p 101 --method theorem``, 22 positions,
+    took 0.14-0.15 s and 21 MB).
+
+    Every seed but that of type D's adjoined 1 is a unit mod p, so
+    ``_chain_table`` drops no position, except at p = 2 in types B and D:
+    every weight there is even, so every position but type D's 0 and 1 is
+    dropped (``cvec_theorem`` answers those by parity).
     """
     return _chain_table(family, n, p, pos, lambda top, bottom: lucas_binomial(top, bottom, p))
 
@@ -414,16 +374,20 @@ def _theorem_counts(family: str, n: int, p: int) -> tuple[int, ...]:
     free = n - mask_offset(family) - m
     # the subsets without the top position are closed under submasks, so
     # the butterfly over them alone is exact; their complements are the
-    # subsets with it (module docstring)
+    # subsets with it (``_spread``)
     return _chain_counts(_term_table(family, n, p, pos[:-1]), p, free, bool(pos))
 
 
 def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
-    """Dimension p-vector by the digit method; never enumerates the lattice."""
+    """Dimension p-vector by the digit method; never enumerates the lattice.
+
+    Only descent positions whose base-p digits are bounded by the digits of
+    n (``support_set``) carry terms that survive mod p, so a sweep of the
+    subsets of that support (``_term_table``) and the power-of-two spread
+    of the other positions give the vector, and n may reach the gate on n,
+    2^32 + 27, as long as the support stays within SWEEP_MAX_BITS.
+    """
     _check_query(family, n, p)
-    low = _THEOREM_MIN_N[family]
-    if n < low:
-        raise ValueError(f"the theorem method needs n >= {low} in type {family}")
     if p == 2 and family in ("B", "D"):
         # every type-B/D ribbon number is odd: the 2^n indices are n
         # doublings of the empty mask's residue 1 (at p = 2, -r = r)
@@ -444,7 +408,10 @@ def cvec_theorem(family: str, n: int, p: int) -> DimensionPVector:
 # counts them (CPython 3.11, 64-bit): 256 shapes, each a tuple of 256
 # pointers (2,088) and 256 distinct ints below 2^30 (32 each as allocated,
 # 8,192), with lru_cache's key and link per shape, 2,636,336 in all, under
-# SHAPE_MEMO_BYTES_MAX.
+# SHAPE_MEMO_BYTES_MAX.  It is a ``functools.lru_cache``:
+# ``_memo_counts.cache_clear()`` empties it and ``cache_info()`` counts it.
+# The package attribute ``ribbonmod.cvec`` is the function, so the module is
+# reached by ``importlib.import_module("ribbonmod.cvec")``.
 SHAPE_MEMO_SHAPES = 256
 SHAPE_MEMO_MAX_P = 256
 SHAPE_MEMO_BYTES_MAX = 2_700_000
@@ -486,9 +453,7 @@ def cvec_closed_form(family: str, n: int, p: int) -> DimensionPVector:
     position its vector is already symmetric under r <-> -r, and the
     spread only doubles it).  n* puts the digits in descending order from
     place 0 (type D from place 1, after n_0).  Types B and D at p = 2 take
-    the parity answer, as ``cvec_theorem`` does.  Below the theorem
-    method's least n (A and B n = 1, D n = 2 and 3), n is its own n*, so
-    the rule sweeps n itself.
+    the parity answer, as ``cvec_theorem`` does.
     n*'s vector comes from the memo (``_memo_counts``, at p <=
     SHAPE_MEMO_MAX_P) when an earlier call swept it; a refusal is never kept.
     The provenance tag is ``closed-form:shape`` (``closed-form:parity``).
@@ -561,12 +526,12 @@ def macdonald_mp(n: int, p: int) -> int:
     dimension coprime to p: the product over base-p digits n_j of the
     coefficient of x^(n_j) in prod_i (1 - x^i)^(-p^j).
 
-    A digit past MACDONALD_DIGIT_MAX, or digits whose series and product
-    are estimated past MACDONALD_COST_MAX bit steps (about n_j^2 * s_j
-    for the series of digit n_j, whose coefficients have about
-    s_j = n_j * log2(p^j) bits, plus (sum of the s_j)^2 / 30, a bound on
-    the balanced product of the coefficients), is refused with
-    CapacityError before any series is built.  The top digit's coefficient
+    Digits whose series and product are estimated past MACDONALD_COST_MAX
+    bit steps (about n_j^2 * s_j for the series of digit n_j, whose
+    coefficients have about s_j = n_j * log2(p^j) bits, plus (sum of the
+    s_j)^2 / 30, a bound on the balanced product of the coefficients) are
+    refused with CapacityError before any series is built, so a digit m,
+    of at least m^3 steps, is at most 2466.  The top digit's coefficient
     alone has at least bits(n) - bits(p) bits, so an n whose product term
     from that bound is past MACDONALD_COST_MAX is refused before any of
     its digits is read."""
@@ -577,8 +542,6 @@ def macdonald_mp(n: int, p: int) -> int:
     if floor > MACDONALD_COST_MAX:
         raise CapacityError("cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)
     digits = base_p_digits(n, p)
-    if max(digits) > MACDONALD_DIGIT_MAX:
-        raise CapacityError("cvec.MACDONALD_DIGIT_MAX", max(digits), MACDONALD_DIGIT_MAX)
     series = size = 0
     for j, nj in enumerate(digits):
         if nj:

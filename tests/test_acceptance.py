@@ -140,10 +140,8 @@ def _check_rows(routes, rows, problems):
                 problems.append((point, answers))
 
 
-# the documented least n of the theorem route and least rank of a builtin
-# A, B or D diagram, and the largest n of a family at which ribbon_general,
-# 2^|I| terms a class, runs here
-THEOREM_MIN_N = {"A": 2, "B": 2, "D": 4}
+# the least rank of a builtin A, B or D diagram, and the largest n of a
+# family at which ribbon_general, 2^|I| terms a class, runs here
 BUILTIN_MIN_RANK = {"A": 1, "B": 2, "D": 4}
 GENERAL_MAX_N = {"A": 8, "B": 6, "D": 6}
 
@@ -187,7 +185,7 @@ def _sweep_bits(family, n, p, method):
     # (theorem) or n*'s index lattice (closed); 0 where it refuses the
     # point or answers by parity
     if method == "theorem":
-        size = _support_size(family, base_p_digits(n, p)) if n >= THEOREM_MIN_N[family] else 0
+        size = _support_size(family, base_p_digits(n, p))
         return size if size <= SWEEP_MAX_BITS else 0
     bits = _least_of_shape(family, n, p) - mask_offset(family)
     return 0 if (p == 2 and family != "A") or bits > SWEEP_MAX_BITS else bits
@@ -238,8 +236,7 @@ def _per_support(family, n, p):
 
 VECTOR_ROUTES = {
     "naive": lambda family, n, p: cvec_naive(family, n, p).counts,
-    # None below the family minimum
-    "theorem": lambda family, n, p: cvec_theorem(family, n, p).counts if n >= THEOREM_MIN_N[family] else None,
+    "theorem": lambda family, n, p: cvec_theorem(family, n, p).counts,
     "closed": _closed,  # None past the budget on n*
     "coxeter": _coxeter,  # None below the least builtin rank
     "per-index": lambda family, n, p: _tally((ribbon_mod_p(family, a, p) for a in _indices(family, n)), p),

@@ -36,7 +36,6 @@ from ribbonmod.coxeter import (
 )
 from ribbonmod.cvec import (
     MACDONALD_COST_MAX,
-    MACDONALD_DIGIT_MAX,
     RESULT_BITS_MAX,
     SUPPORT_N_BITS_MAX,
     SUPPORT_SET_BITS_MAX,
@@ -125,9 +124,11 @@ ROWS = [
     # (a product of 2^j for j < 1250, 2.0e10)
     Row(macdonald_mp, (1000 * 1009**2, 1009), "cvec.MACDONALD_COST_MAX", 20013333333, MACDONALD_COST_MAX),
     Row(macdonald_mp, (2**1250 - 1, 2), "cvec.MACDONALD_COST_MAX", 15011433251, MACDONALD_COST_MAX),
-    # one digit 10^9 below p = 10^9 + 7 would be a series of 10^9 + 1 ints
-    *(Row(macdonald_mp, (n, p), "cvec.MACDONALD_DIGIT_MAX", n, MACDONALD_DIGIT_MAX)
-      for n, p in ((10**9, 10**9 + 7), (MACDONALD_DIGIT_MAX + 1, 1009))),
+    # one digit 2467 below p = 2473, one past the largest lone digit the
+    # cost admits (m^3 + m^2 // 30 bit steps), and one digit 10^9 below
+    # p = 10^9 + 7, whose series would be 10^9 + 1 ints
+    Row(macdonald_mp, (2467, 2473), "cvec.MACDONALD_COST_MAX", 15014584432, MACDONALD_COST_MAX),
+    Row(macdonald_mp, (10**9, 10**9 + 7), "cvec.MACDONALD_COST_MAX", 10**27 + 10**18 // 30, MACDONALD_COST_MAX),
     # a prime past the exact Miller-Rabin range, prime or not, and one of
     # 5000 digits
     *(Row(is_prime, (p,), "arith.MILLER_RABIN_LIMIT", p, MILLER_RABIN_LIMIT) for p in (MILLER_RABIN_LIMIT, 2**89 - 1)),

@@ -51,6 +51,16 @@ def test_unknown_diagrams_rejected(bad):
         builtin_diagram(bad)
 
 
+def test_dihedral_labels_balance_their_parentheses():
+    # I2:m, I2(m) and the bare I2m name one diagram; a parenthesis without
+    # its partner makes an unknown label
+    for label in ("I2:5", "I2(5)", "I25", "i2 (5)"):
+        assert builtin_diagram(label).edges == ((1, 2, 5),)
+    for label in ("I2(5", "I2:5)", "I2:(5)", "I2(5))", "I25)"):
+        with pytest.raises(ValueError, match="unknown diagram label"):
+            builtin_diagram(label)
+
+
 def test_diagram_validation():
     with pytest.raises(ValueError):
         CoxeterDiagram((1, 2), ((1, 2, 2),))  # label 2 means "no edge"

@@ -32,7 +32,6 @@ from ribbonmod.compositions import (
 )
 from ribbonmod.cvec import (
     MACDONALD_COST_MAX,
-    MACDONALD_DIGIT_MAX,
     RESULT_BITS_MAX,
     SHAPE_MEMO_BYTES_MAX,
     SHAPE_MEMO_MAX_P,
@@ -134,14 +133,27 @@ def test_support_set_and_macdonald_read_a_long_n_in_bounded_time():
 
 
 def test_support_set_validation():
-    # the support set and the theorem method refuse n below the family minimum
-    with pytest.raises(ValueError):
-        support_set("A", 1, 3)
-    with pytest.raises(ValueError):
-        support_set("D", 3, 5)
-    for family, n in (("A", 1), ("B", 1), ("D", 3)):
-        with pytest.raises(ValueError, match=f"theorem method needs n >= {n + 1} in type {family}"):
-            cvec_theorem(family, n, 3)
+    # the support set and the theorem method refuse n below the family
+    # minimum, 1 or 2 in type D, with the one message of the argument gate
+    for family, n in (("A", 0), ("B", 0), ("D", 1)):
+        for call in (support_set, cvec_theorem):
+            with pytest.raises(ValueError, match=f"^n={n} out of range for family {family}$"):
+                call(family, n, 3)
+
+
+def test_theorem_route_answers_every_n_of_the_family():
+    # the digit method holds from the family minimum on: at A and B n = 1
+    # and D n = 2 and 3 it equals the naive sweep, and the support set is
+    # the digit-bounded sums (C(n, s) != 0 mod p, by Lucas's theorem) less
+    # {0, n} in type A and {n} in type B, with 1 adjoined and n dropped in
+    # type D
+    for family, n in (("A", 1), ("B", 1), ("D", 2), ("D", 3)):
+        for p in (2, 3, 5, 7, 11, 13, 131, 257):
+            assert cvec_theorem(family, n, p).counts == cvec_naive(family, n, p).counts, (family, n, p)
+            bounded = {s for s in range(n + 1) if comb(n, s) % p}
+            expected = bounded - {0, n} if family == "A" else bounded - {n} if family == "B" else (bounded | {1}) - {n}
+            assert support_set(family, n, p) == tuple(sorted(expected)), (family, n, p)
+    assert support_set("A", 1, 3) == () and support_set("D", 3, 3) == (0, 1)
 
 
 # -- per-subset residues ----------------------------------------------------
@@ -963,7 +975,7 @@ def test_closed_form_absent():
     # n = 1 + 3 + 3^2 + 3^3 = 40 is its own least n, past the naive budget
     # in every family, as is n = 1 + 3^2 + 3^5 + 3^7 of the same shape: the
     # naive sweep of 40 refuses both, with the bits of its index lattice;
-    # type D below n = 4 is its own least n, and is answered
+    # type D n = 3 is its own least n, and is answered
     for family in "ABD":
         refusal = ("cvec.SWEEP_MAX_BITS", 40 - mask_offset(family), SWEEP_MAX_BITS)
         for n in (40, 1 + 3**2 + 3**5 + 3**7):
@@ -1304,18 +1316,17 @@ def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
 
 
 def test_support_set_refusals(monkeypatch):
-    # below the theorem route's least n each family names its set; past
+    # an n below the family minimum is out of range; past
     # SUPPORT_SET_BITS_MAX (patched to 32, so the edge is cheap) the set is
     # refused by its positions times the bits of n, read off the digits, and
     # at the edge it is built.  The largest set, 2^22 - 2 positions of 22
     # bits, fits the real budget, and a support of 3^14 - 2 positions would
     # not
     assert (2**22 - 2) * 22 <= SUPPORT_SET_BITS_MAX < (3**14 - 2) * (3**14).bit_length()
-    for family, n, text in (("A", 1, "the support set needs n >= 2"), ("B", 1, "the support set needs n >= 2"),
-                            ("D", 3, "the type-D support set needs n >= 4")):
+    for family, n in (("A", 0), ("B", 0), ("D", 1)):
         with pytest.raises(ValueError) as excinfo:
             support_set(family, n, 3)
-        assert type(excinfo.value) is ValueError and str(excinfo.value) == text
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == f"n={n} out of range for family {family}"
     for n in ("5", 5.0, None, True):
         with pytest.raises(ValueError, match="n must be an int") as excinfo:
             support_set("A", n, 3)
@@ -1464,10 +1475,30 @@ def test_macdonald_known_values():
         macdonald_mp(4, 6)
 
 
-def test_macdonald_digit_past_the_budget_refused_before_allocating():
-    # tests/test_budgets.py refuses a digit past MACDONALD_DIGIT_MAX; the
-    # largest allowed digit still runs
-    assert macdonald_mp(MACDONALD_DIGIT_MAX, 1009) == 24061467864032622473692149727991  # p(1000)
+def _partition_numbers(m):
+    # p(0), ..., p(m) by Euler's pentagonal recurrence: p(k) is the sum over
+    # j >= 1 of (-1)^(j + 1) (p(k - j(3j - 1)/2) + p(k - j(3j + 1)/2))
+    counts = [1]
+    for k in range(1, m + 1):
+        total, j = 0, 1
+        while j * (3 * j - 1) // 2 <= k:
+            terms = (counts[k - g] for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if g <= k)
+            total += sum(terms) if j % 2 else -sum(terms)
+            j += 1
+        counts.append(total)
+    return counts
+
+
+def test_macdonald_one_digit_is_a_partition_number():
+    # a digit m below p is one series of one colour, whose coefficient is
+    # p(m); the cost budget alone bounds the digit, as m = 2466 costs
+    # m^3 + m^2 // 30 bit steps within it and tests/test_budgets.py refuses
+    # 2467 at p = 2473
+    assert 2466**3 + 2466**2 // 30 <= MACDONALD_COST_MAX < 2467**3 + 2467**2 // 30
+    counts = _partition_numbers(2466)
+    assert counts[1000] == 24061467864032622473692149727991
+    for m, p in ((1000, 1009), (1001, 1009), (2466, 2467)):
+        assert macdonald_mp(m, p) == counts[m], m
 
 
 def test_macdonald_cost_past_the_budget_refused_before_allocating():

@@ -114,6 +114,16 @@ def test_every_readme_dotted_name_resolves():
             target = getattr(target, attr)
 
 
+def test_readme_lines_outside_the_budget_table_are_short():
+    # README points at the docstrings that state each mechanism; only the
+    # budget table, whose rows tests/test_edges.py reads, has long lines
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    head, _, rest = readme.partition("| budget | constant | at the edge | in CI |\n")
+    tail = rest.partition("\n\n")[2]
+    assert rest and tail
+    assert [line[:60] for line in (head + tail).splitlines() if len(line) > 300] == []
+
+
 def test_layering():
     # the packed-field format (array items, field widths, chunking) is
     # known only to arith, every private import between modules is listed
