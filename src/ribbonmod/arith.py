@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .compositions import CapacityError, int_text
+from .compositions import CapacityError, check_n, int_text
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
 # this bound (Sorenson and Webster, 2015), so the test is exact under it.
@@ -119,7 +119,7 @@ def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     coefficient of p**j, and the top digit is nonzero except in ``(0,)``,
     the digits of 0.  A non-int, bool or negative n is refused."""
     check_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if check_n(n) < 0:
         raise ValueError(f"n must be a nonnegative int, got {int_text(n)}")
     if n == 0:
         return (0,)

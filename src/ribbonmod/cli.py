@@ -25,7 +25,7 @@ import getopt
 import sys
 from types import SimpleNamespace
 
-from .compositions import int_value, parse_parts, text_head
+from .compositions import int_text, int_value, parse_parts, text_head
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram, ribbon_general
 from .cvec import cvec, macdonald_mp
 from .ribbon import ribbon_exact, ribbon_mod_p
@@ -162,8 +162,9 @@ def cmd_coxeter(args) -> int:
             subset = sorted(int_value(tok) for tok in args.subset.split(",")) if args.subset else []
         except ValueError:
             raise ValueError(f"--subset takes comma-separated generator indices, got {text_head(args.subset)}") from None
-        if len(set(subset)) < len(subset):
-            raise ValueError(f"--subset repeats a generator: {args.subset}")
+        repeated = next((g for g, h in zip(subset, subset[1:]) if g == h), None)
+        if repeated is not None:
+            raise ValueError(f"--subset repeats a generator: {int_text(repeated)}")
         value = ribbon_general(diagram, subset)
         return _emit(args.format, {"group": diagram.name, "subset": subset, "value": value})
     if args.p is not None:

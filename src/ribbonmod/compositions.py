@@ -49,24 +49,21 @@ class CapacityError(ValueError):
     the budget's constant, e.g. ``"cvec.SWEEP_MAX_BITS"``; ``needed`` (a
     lower bound where the check stops early) and ``cap`` are in its unit.
     ``_bound_text`` writes them, so neither the message nor the repr
-    raises; ``also``, another budget's refusal of the request, ends the
-    message."""
+    raises."""
 
-    def __init__(self, budget: str, needed: int, cap: int, also: CapacityError | None = None):
-        ValueError.__init__(self, budget, needed, cap, also)
+    def __init__(self, budget: str, needed: int, cap: int):
+        ValueError.__init__(self, budget, needed, cap)
         self.budget = budget
         self.needed = needed
         self.cap = cap
-        self.also = also
 
     def __str__(self) -> str:
-        text = f"{self.budget}: the request needs {_bound_text(self.needed)}; the budget is {_bound_text(self.cap)}"
-        return text if self.also is None else f"{text}; {self.also}"
+        return f"{self.budget}: the request needs {_bound_text(self.needed)}; the budget is {_bound_text(self.cap)}"
 
     def __repr__(self) -> str:
         # BaseException.__repr__ would write the ints in decimal
         ints = f"{_bound_text(self.needed)}, {_bound_text(self.cap)}"
-        return f"{type(self).__name__}({self.budget!r}, {ints}, {self.also!r})"
+        return f"{type(self).__name__}({self.budget!r}, {ints})"
 
 
 def int_text(value) -> str:
@@ -85,10 +82,13 @@ def _bound_text(value) -> str:
     return int_text(value)
 
 
-def text_head(text: str) -> str:
-    """``repr(text)``, but a text past 60 characters as the repr of its
-    first 60 and its length, so a message never echoes a long argument."""
-    return repr(text) if len(text) <= 60 else f"{text[:60]!r}... ({len(text)} characters)"
+def text_head(value) -> str:
+    """``repr(value)``, but a text past 60 characters as the repr of its
+    first 60 and its length, and any other value by ``int_text``, so a
+    message never echoes a long argument."""
+    if not isinstance(value, str):
+        return int_text(value)
+    return repr(value) if len(value) <= 60 else f"{value[:60]!r}... ({len(value)} characters)"
 
 
 def int_value(text: str) -> int:
@@ -128,7 +128,7 @@ def int_value(text: str) -> int:
 def check_family(family: str) -> str:
     """Return the family letter, raising ValueError unless it is A, B or D."""
     if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        raise ValueError(f"family must be one of {FAMILIES}, got {text_head(family)}")
     return family
 
 
@@ -207,8 +207,9 @@ class _MaskBacked(_Record):
     def __new__(cls, parts):
         parts = tuple(int(a) for a in parts)
         if not parts or parts[0] < cls.offset or any(a < 1 for a in parts[1:]):
-            shown = ", ".join(map(int_text, parts))
-            raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1: ({shown})")
+            at = next((i for i, a in enumerate(parts) if a < (1 if i else cls.offset)), None)
+            got = "no part" if at is None else f"part {at} = {int_text(parts[at])}"
+            raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1, got {got}")
         return cls.from_descents(sum(parts), accumulate(parts[:-1]))
 
     def __init__(self, parts):

@@ -41,7 +41,7 @@ from math import factorial, prod
 from operator import floordiv
 
 from .arith import check_tally_prime, residue_tally
-from .compositions import CapacityError, _Record
+from .compositions import CapacityError, _Record, text_head
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
 # terms of one class) are capped to keep memory and time sane.
@@ -182,7 +182,7 @@ def builtin_diagram(name: str) -> CoxeterDiagram:
         if m < 3:
             raise ValueError("I2(m) needs m >= 3")
         return CoxeterDiagram((1, 2), ((1, 2, m),), f"I2:{m}")
-    raise ValueError(f"unknown diagram label {name!r}")
+    raise ValueError(f"unknown diagram label {text_head(name)}")
 
 
 class UnclassifiableError(ValueError):

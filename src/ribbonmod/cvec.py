@@ -45,7 +45,7 @@ from .arith import (
     inverse_zeta_tally,
     lucas_binomial,
 )
-from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset
+from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset, text_head
 
 # Largest number of descent positions a p-vector sweep covers, top
 # position included: every position of n in the naive sweep, dropped or
@@ -53,7 +53,8 @@ from .compositions import CapacityError, _Record, check_family, check_n, int_tex
 # restricted to the support.  Either sweeps at most 2^(bits - 1) fields, the
 # half without the top position, and at the same number of positions the
 # two cost the same.  Counted in positions, not fields, so that a refusal
-# never builds 2^(n - 1) to say how far past it is.
+# never builds 2^(n - 1) to say how far past it is.  A budget by estimated
+# cost is ROADMAP item 12.
 SWEEP_MAX_BITS = 26
 
 # Largest n, in bits, whose base-p digits support_set reads: the split
@@ -479,14 +480,13 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     ``auto`` runs the closed form (the shape rule), and the theorem method
     only when the shape rule's sweep of n*, the least n of n's shape, is
     refused past SWEEP_MAX_BITS; n* <= n, so the naive sweep of n is past
-    it too.  ``closed`` raises that refusal, which names n*'s index bits,
-    and ``auto``, if the theorem method refuses too, raises that method's
-    refusal, which names the support's positions against the same budget,
-    with the shape rule's as ``also``.  Every other refusal ends the call.
-    Each method checks its arguments.
+    it too.  ``closed`` raises that refusal, which names n*'s index bits;
+    past it ``auto``'s answer or refusal is the theorem method's, whose
+    refusal names the support's positions against the same budget.  Every
+    other refusal ends the call.  Each method checks its arguments.
     """
     if method not in ("auto", "naive", "theorem", "closed"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {text_head(method)}")
     if method == "naive":
         return cvec_naive(family, n, p)
     if method == "theorem":
@@ -496,11 +496,7 @@ def cvec(family: str, n: int, p: int, method: str = "auto") -> DimensionPVector:
     except CapacityError as shape:
         if method == "closed" or shape.budget != "cvec.SWEEP_MAX_BITS":
             raise
-        try:
-            return cvec_theorem(family, n, p)
-        except CapacityError as exc:
-            exc.also = shape
-            raise
+    return cvec_theorem(family, n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +530,10 @@ def macdonald_mp(n: int, p: int) -> int:
     of at least m^3 steps, is at most 2466.  The top digit's coefficient
     alone has at least bits(n) - bits(p) bits, so an n whose product term
     from that bound is past MACDONALD_COST_MAX is refused before any of
-    its digits is read."""
+    its digits is read, after the argument checks; the estimate over the
+    digits would refuse it too, so no answer moves."""
     check_prime(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if check_n(n) < 1:
         raise ValueError(f"n must be a positive int, got {int_text(n)}")
     floor = max(n.bit_length() - p.bit_length(), 0) ** 2 // 30
     if floor > MACDONALD_COST_MAX:

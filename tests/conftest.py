@@ -2,8 +2,9 @@
 every run, and no example database is read or written.  ``traced_peak`` is
 the one ``tracemalloc`` reading of the bounded-memory tests,
 ``inverse_zeta_packed`` the packed output of the kernel tests,
-``indices`` the walk over every index of one n, and ``readme_budget_rows``
-the one reader of README's budget table."""
+``indices`` the walk over every index of one n, ``coarsenings`` the walk
+over the coarsenings of one index, and ``readme_budget_rows`` the one
+reader of README's budget table."""
 
 import re
 import tracemalloc
@@ -46,6 +47,17 @@ def indices(cls, n):
     """Every index of n of the class ``cls`` (``Composition`` or
     ``PseudoComposition``), in ascending descent-mask order."""
     return map(cls.from_mask, repeat(n), range(1 << (n - cls.offset)))
+
+
+def coarsenings(alpha):
+    """Every index of alpha's kind whose descent set is a subset of
+    alpha's, in ascending submask order."""
+    sub = 0
+    while True:
+        yield type(alpha).from_mask(alpha.n, sub)
+        if sub == alpha.mask:
+            return
+        sub = (sub - alpha.mask) & alpha.mask
 
 
 def readme_budget_rows():

@@ -2,11 +2,13 @@
 
 Each row is one call past one budget of README's budget table, with its
 arguments built when the table is, and the exact refusal it must raise:
-``CapacityError(budget, needed, cap, also)``.  One harness checks every row
+``CapacityError(budget, needed, cap)``.  One harness checks every row
 in process: the exact type, the ints, the ``str()`` and ``repr()`` text
 (an int past 128 bits written as its lower bound ``2^(b - 1) or more``),
-the faster of two calls under 0.1 s, and under 1 MiB traced.  A row marked ``unread`` is refused
-again with ``cvec``'s digit reader broken, so no digit of n is read.
+the faster of two calls under 0.1 s, and under 1 MiB traced; at a row of
+``cvec``'s ``auto``, ``cvec_theorem`` raises the same refusal.  A row
+marked ``unread`` is refused again with ``cvec``'s digit reader broken,
+so no digit of n is read.
 The edge of each budget, and one point past it at the command line, are
 rows of ``scripts/edges.py``, run out of process under ``RLIMIT_AS``.
 """
@@ -50,7 +52,7 @@ from ribbonmod.cvec import (
 from ribbonmod.ribbon import ORACLE_MAX_N, oracle_descent_class_sizes
 from test_surface import _readme_budget_constants
 
-Row = namedtuple("Row", "call args budget needed cap also unread", defaults=(None, False))
+Row = namedtuple("Row", "call args budget needed cap unread", defaults=(False,))
 
 GATE = RESULT_BITS_MAX + TALLY_MAX_BITS + 1  # the largest n of a p-vector
 A3, A30, A40 = (builtin_diagram(name) for name in ("A3", "A30", "A40"))
@@ -72,12 +74,11 @@ ROWS = [
     Row(residue_histogram, (A3, 2**31 - 1), "arith.TALLY_MAX_BITS", 31, TALLY_MAX_BITS),
     # n = 3^13 - 1 has thirteen digits 2: a support of 3^13 - 2 positions
     # (type D adjoins 1), whose 1.6 million sums would take over 100 MB,
-    # read off the digits; auto names the naive sweep's refusal too.  One
+    # read off the digits; auto raises the theorem route's refusal.  One
     # past the edge, B n = 62 = (6, 1, 1) in base 7 has a support of
     # 7 * 2 * 2 - 1 = 27 positions, and is its own n*
-    Row(cvec, ("A", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS,
-        ("cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS)),
-    Row(cvec, ("B", 62, 7), "cvec.SWEEP_MAX_BITS", 27, SWEEP_MAX_BITS, ("cvec.SWEEP_MAX_BITS", 62, SWEEP_MAX_BITS)),
+    Row(cvec, ("A", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS),
+    Row(cvec, ("B", 62, 7), "cvec.SWEEP_MAX_BITS", 27, SWEEP_MAX_BITS),
     Row(cvec_theorem, ("A", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 2, SWEEP_MAX_BITS),
     Row(cvec_theorem, ("D", 3**13 - 1, 3), "cvec.SWEEP_MAX_BITS", 3**13 - 1, SWEEP_MAX_BITS),
     Row(cvec_theorem, ("B", 62, 7), "cvec.SWEEP_MAX_BITS", 27, SWEEP_MAX_BITS),
@@ -97,15 +98,14 @@ ROWS = [
     # (one count of 2^40 bits), D n = 7^12 + 7^5 + 3 at p = 7 and the parity
     # answers of B and D at 2^40; under it _spread refuses A n = 2^32 + 16
     # at p = 2 (two equal counts of 2^32 + 15 bits), D n = 7^11 + 7^5 + 3 at
-    # p = 7 (four of about 2 * 10^9; auto adds the shape rule's n* bits) and
+    # p = 7 (four of about 2 * 10^9, by auto and by the theorem route) and
     # the parity answers of n = 2^32 + 1
     *(_past_gate(call, family, n, p) for call, family, n, p in (
         (cvec, "A", 2**40, 2), (cvec_closed_form, "A", 2**40, 2), (cvec, "D", 7**12 + 7**5 + 3, 7),
         (cvec_theorem, "D", 7**12 + 7**5 + 3, 7), (cvec_theorem, "B", 2**40, 2), (cvec_closed_form, "D", 2**40, 2))),
     *(Row(call, (family, 2**32 + 16, 2), "cvec.RESULT_BITS_MAX", 2**32 + 15, RESULT_BITS_MAX)
       for call, family in ((cvec, "A"), (cvec_closed_form, "A"))),
-    Row(cvec, ("D", 7**11 + 7**5 + 3, 7), "cvec.RESULT_BITS_MAX", 7909374204, RESULT_BITS_MAX,
-        ("cvec.SWEEP_MAX_BITS", 59, SWEEP_MAX_BITS)),
+    Row(cvec, ("D", 7**11 + 7**5 + 3, 7), "cvec.RESULT_BITS_MAX", 7909374204, RESULT_BITS_MAX),
     Row(cvec_theorem, ("D", 7**11 + 7**5 + 3, 7), "cvec.RESULT_BITS_MAX", 7909374204, RESULT_BITS_MAX),
     *(Row(call, (family, 2**32 + 1, 2), "cvec.RESULT_BITS_MAX", 2**32 + 2, RESULT_BITS_MAX)
       for call, family in ((cvec_theorem, "B"), (cvec_closed_form, "D"))),
@@ -181,18 +181,12 @@ def _refused(row):
     return excinfo.value
 
 
-def _check(refusal, budget, needed, cap, also=None):
-    # the exact type, ints, message and repr of a refusal and of its `also`
+def _check(refusal, budget, needed, cap):
+    # the exact type, ints, message and repr of a refusal
     assert type(refusal) is CapacityError
     assert (refusal.budget, refusal.needed, refusal.cap) == (budget, needed, cap)
     text = f"{budget}: the request needs {_text(needed)}; the budget is {_text(cap)}"
-    head = f"CapacityError({budget!r}, {_text(needed)}, {_text(cap)}, "
-    if also is None:
-        assert refusal.also is None
-        assert (str(refusal), repr(refusal)) == (text, head + "None)")
-    else:
-        _check(refusal.also, *also)
-        assert (str(refusal), repr(refusal)) == (f"{text}; {refusal.also}", f"{head}{refusal.also!r})")
+    assert (str(refusal), repr(refusal)) == (text, f"CapacityError({budget!r}, {_text(needed)}, {_text(cap)})")
 
 
 @pytest.mark.parametrize("row", ROWS, ids=_row_id)
@@ -212,8 +206,12 @@ def test_refused_past_the_edge_at_once_in_bounded_memory(row, monkeypatch):
         refusals.append(_refused(row))
         times.append(time.perf_counter() - started)
     traced, peak = traced_peak(lambda: _refused(row))
+    if row.call is cvec and row.args[3:] in ((), ("auto",)):
+        # auto answers by the shape rule, else by the theorem route, whose
+        # refusal is then auto's
+        refusals.append(_refused(row._replace(call=cvec_theorem, args=row.args[:3])))
     for refusal in (*refusals, traced):
-        _check(refusal, row.budget, row.needed, row.cap, row.also)
+        _check(refusal, row.budget, row.needed, row.cap)
     assert min(times) < 0.1 and peak < 1 << 20, (times, peak)
 
 

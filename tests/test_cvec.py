@@ -1,7 +1,6 @@
 import functools
 import importlib
 import itertools
-import pickle
 import random
 import sys
 import time
@@ -1283,21 +1282,19 @@ def test_auto_path_refuses_a_result_past_the_budget_once(monkeypatch):
     # form's refusal of A n = 2^32 + 16 at p = 2 (n* = 3) ends the call
     # before the theorem route, and the theorem route's refusal of
     # D n = 7^11 + 7^5 + 3 at p = 7 (n* past the naive budget) ends it
-    # before the naive route, with the shape rule's refusal as ``also``
+    # before the naive route
     module = importlib.import_module("ribbonmod.cvec")
 
     def entered(*args):
         raise AssertionError("a second route ran after a result-budget refusal")
 
-    for name, family, n, p, also in (("cvec_theorem", "A", 2**32 + 16, 2, None),
-                                     ("cvec_naive", "D", 7**11 + 7**5 + 3, 7, "cvec.SWEEP_MAX_BITS")):
+    for name, family, n, p in (("cvec_theorem", "A", 2**32 + 16, 2), ("cvec_naive", "D", 7**11 + 7**5 + 3, 7)):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, entered)
             with pytest.raises(CapacityError) as excinfo:
                 cvec(family, n, p)
         assert excinfo.value.budget == "cvec.RESULT_BITS_MAX", (family, n)
         assert excinfo.value.needed > RESULT_BITS_MAX, (family, n)
-        assert getattr(excinfo.value.also, "budget", None) == also, (family, n)
 
 
 def test_result_budget_refuses_the_first_bit_past_it(monkeypatch):
@@ -1388,43 +1385,34 @@ def test_gate_on_n_refuses_before_any_digit_is_read(monkeypatch):
         cvec("A", RESULT_BITS_MAX + TALLY_MAX_BITS + 1, 3, "closed")
 
 
-def test_auto_refusal_names_both_budgets():
-    # past the sweep budget on both routes, the auto path says why each
-    # refused: the support's positions, then n*'s index bits
+def _refusal(call, *args):
+    # the type, budget, ints and message of the refusal call(*args) raises
     with pytest.raises(CapacityError) as excinfo:
-        cvec("A", 3**13 - 1, 3)
-    message = str(excinfo.value)
-    budget = f"cvec.SWEEP_MAX_BITS: the request needs {3**13 - 2}; the budget is {SWEEP_MAX_BITS}"
-    assert message == f"{budget}; {budget}"
-    assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SWEEP_MAX_BITS", "cvec.SWEEP_MAX_BITS")
-    # the shape rule's refusal is attached after the theorem route raised,
-    # and a pickle keeps it
-    assert str(pickle.loads(pickle.dumps(excinfo.value))) == message
+        call(*args)
+    refusal = excinfo.value
+    return type(refusal), refusal.budget, refusal.needed, refusal.cap, str(refusal)
 
 
-def test_auto_refusal_names_both_budgets_for_a_single_digit():
-    # n = m * p^d has the shape of m, which the shape rule sweeps naively;
-    # when m is past the naive budget, closed refuses with that budget and
-    # m's index bits, and auto raises the theorem route's refusal on n, with
-    # that one as ``also``
-    for family, n, p, support in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
-        shape = f"cvec.SWEEP_MAX_BITS: the request needs {support}; the budget is {SWEEP_MAX_BITS}"
-        with pytest.raises(CapacityError) as excinfo:
-            cvec(family, n, p)
-        assert str(excinfo.value) == (
-            f"cvec.SWEEP_MAX_BITS: the request needs {support}; the budget is {SWEEP_MAX_BITS}; {shape}")
-        with pytest.raises(CapacityError) as excinfo:
-            cvec(family, n, p, method="closed")
-        assert str(excinfo.value) == shape
+def test_auto_refusal_is_the_theorem_routes():
+    # past the sweep budget on both routes, auto raises the theorem route's
+    # refusal, which names the support's positions, and closed the shape
+    # rule's, which names the index bits of n*, the least n of n's shape:
+    # 3^13 - 1 is its own n*, and n = m * p^d has the shape of m.  At these
+    # points the two needs are one number
+    for family, n, p, needed in (("A", 3**13 - 1, 3, 3**13 - 2), ("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
+        message = f"cvec.SWEEP_MAX_BITS: the request needs {needed}; the budget is {SWEEP_MAX_BITS}"
+        expected = (CapacityError, "cvec.SWEEP_MAX_BITS", needed, SWEEP_MAX_BITS, message)
+        assert _refusal(cvec, family, n, p) == _refusal(cvec_theorem, family, n, p) == expected, (family, n, p)
+        assert _refusal(cvec, family, n, p, "closed") == expected, (family, n, p)
 
 
 def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch):
     # n* <= n, so where the shape rule is past the naive budget the naive
     # sweep of n is too: with cvec_naive broken, auto answers criterion 6's
     # small grid and the families' least n below it, and at the nine
-    # capacity points of the benchmark's bignum workload refuses with
-    # CapacityError itself (the benchmark matches the class by name),
-    # naming the sweep budget once for each route
+    # capacity points of the benchmark's bignum workload raises the theorem
+    # route's refusal, a CapacityError itself (the benchmark matches the
+    # class by name), naming the sweep budget once
     module = importlib.import_module("ribbonmod.cvec")
 
     def refuse(*args):
@@ -1437,11 +1425,10 @@ def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch
         assert cvec(family, n, p).method.startswith(("closed-form:", "theorem")), (family, n, p)
     for family in "ABD":
         for n, p in ((11**5 - 1, 11), (13**5 - 1, 13), (13**6 - 1, 13)):
-            with pytest.raises(CapacityError) as excinfo:
-                cvec(family, n, p)
-            assert type(excinfo.value) is CapacityError, (family, n, p)
-            assert (excinfo.value.budget, excinfo.value.also.budget) == ("cvec.SWEEP_MAX_BITS", "cvec.SWEEP_MAX_BITS")
-            assert str(excinfo.value).count("cvec.SWEEP_MAX_BITS: the request needs") == 2, (family, n, p)
+            refusal = _refusal(cvec, family, n, p)
+            assert refusal == _refusal(cvec_theorem, family, n, p), (family, n, p)
+            assert refusal[:2] == (CapacityError, "cvec.SWEEP_MAX_BITS"), (family, n, p)
+            assert refusal[4].count("cvec.SWEEP_MAX_BITS") == 1, (family, n, p)
 
 
 # -- symmetric-group counts -------------------------------------------------

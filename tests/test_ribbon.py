@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ribbonmod.arith as arith
 import ribbonmod.ribbon as ribbon
 from ribbonmod.arith import multinomial_exact
-from conftest import indices
+from conftest import coarsenings, indices
 from ribbonmod.compositions import Composition, PseudoComposition
 from ribbonmod.ribbon import (
     _bareiss_det,
@@ -63,22 +63,11 @@ def test_ribbon_d_known_values():
         ribbon_exact("D", PseudoComposition((0, 1)))
 
 
-def _coarsenings(alpha):
-    # every composition of alpha's kind whose descent set is a subset of
-    # alpha's, in ascending submask order
-    sub = 0
-    while True:
-        yield type(alpha).from_mask(alpha.n, sub)
-        if sub == alpha.mask:
-            return
-        sub = (sub - alpha.mask) & alpha.mask
-
-
 def _coarsening_sum(family, alpha):
     # reference: the signed sum of covering counts over every coarsening
     n = alpha.n
     total = 0
-    for beta in _coarsenings(alpha):
+    for beta in coarsenings(alpha):
         parts = beta.parts
         if family == "A":
             weight = 1
