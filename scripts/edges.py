@@ -52,7 +52,7 @@ ROWS = [
     *(Row(f"deferred-{line.split()[0]}-{line.split()[-1]}", cli(line, "-S", "-B"), None, 60) for line in (
         "cvec --family A --n 5 --p 3 --format csv", "cvec --family A --n 5 --p 3 --format json",
         "coxeter --group H3 --p 5 --format csv", "ribbon --family B --alpha 0,2,1 --mod 3 --format json")),
-    # the naive sweep at its budget, nothing dropped: 24 = 44 in base 5, so 2^23 fields in 3 bit planes; 2^21 two-byte
+    # the naive sweep up to its budget, nothing dropped: 24 = 44 in base 5, so 2^23 fields in 3 bit planes; 2^21 two-byte
     # fields (257 <= p <= 2^16) in 9 planes; 26 = 222 in base 3, so 2^25 one-byte fields, half the lattice, in 2 planes,
     # and p = 131 > n in 8 planes
     Row("naive-D24-p5", cli("cvec --family D --n 24 --p 5 --method naive --format json"), 1500000, 300),

@@ -41,7 +41,7 @@ from math import factorial, prod
 from operator import floordiv
 
 from .arith import check_tally_prime, residue_tally
-from .compositions import CapacityError, _Record, text_head
+from .compositions import CapacityError, _Record, int_text, text_head
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
 # terms of one class) are capped to keep memory and time sane.
@@ -104,7 +104,7 @@ class CoxeterDiagram(_Record):
         seen = set()
         for s, t, m in edges:
             if s >= t or s not in gens or t not in gens:
-                raise ValueError(f"bad edge ({s}, {t})")
+                raise ValueError(f"bad edge ({int_text(s)}, {int_text(t)})")
             if m < 3:
                 raise ValueError("edge labels start at 3; label 2 means no edge")
             if (s, t) in seen:

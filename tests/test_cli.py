@@ -16,7 +16,7 @@ import pytest
 from ribbonmod.arith import residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
 from ribbonmod.compositions import Composition, PseudoComposition, check_family, int_value
-from ribbonmod.coxeter import IrreducibleType, builtin_diagram, format_multiset
+from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram, format_multiset
 from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec, cvec_theorem
 from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
@@ -325,13 +325,16 @@ def test_command_line_ints_past_the_digit_limit(capsys):
 def test_refusals_of_long_arguments_are_short(capsys):
     # a message names a long argument by its head, and a bad index by its
     # first bad part or a repeated generator by its value, so none echoes a
-    # label, family or method of 10^6 characters, 10^5 parts or 200,000
-    # generators; the command line writes one short line and exits 2
+    # label, family or method of 10^6 characters, 10^5 parts, an edge's int
+    # of 5001 digits or 200,000 generators; the command line writes one
+    # short line and exits 2
     calls = ((lambda: builtin_diagram("Q" * 10**6), "unknown diagram label 'QQQ"),
+             (lambda: CoxeterDiagram((1, 2), ((1, 10**5000, 3),)), "bad edge (1, an int of 16610 bits)"),
              (lambda: check_family("Q" * 10**6), "family must be one of ('A', 'B', 'D'), got 'QQQ"),
              (lambda: cvec("A", 5, 3, "x" * 10**6), "unknown method 'xxx"),
              (lambda: Composition([0] * 10**5), "Composition needs a first part >= 1 and the rest >= 1, got part 0 = 0"),
-             (lambda: PseudoComposition([0] * 10**5), "PseudoComposition needs a first part >= 0 and the rest >= 1, got part 1 = 0"))
+             (lambda: PseudoComposition([0] * 10**5),
+              "PseudoComposition needs a first part >= 0 and the rest >= 1, got part 1 = 0"))
     for call, head in calls:
         with pytest.raises(ValueError) as excinfo:
             call()
