@@ -1,6 +1,7 @@
 import functools
 import importlib
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -1393,17 +1394,30 @@ def _refusal(call, *args):
     return type(refusal), refusal.budget, refusal.needed, refusal.cap, str(refusal)
 
 
-def test_auto_refusal_is_the_theorem_routes():
-    # past the sweep budget on both routes, auto raises the theorem route's
-    # refusal, which names the support's positions, and closed the shape
-    # rule's, which names the index bits of n*, the least n of n's shape:
-    # 3^13 - 1 is its own n*, and n = m * p^d has the shape of m.  At these
-    # points the two needs are one number
-    for family, n, p, needed in (("A", 3**13 - 1, 3, 3**13 - 2), ("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
-        message = f"cvec.SWEEP_MAX_BITS: the request needs {needed}; the budget is {SWEEP_MAX_BITS}"
-        expected = (CapacityError, "cvec.SWEEP_MAX_BITS", needed, SWEEP_MAX_BITS, message)
-        assert _refusal(cvec, family, n, p) == _refusal(cvec_theorem, family, n, p) == expected, (family, n, p)
-        assert _refusal(cvec, family, n, p, "closed") == expected, (family, n, p)
+def _check_auto_refusal(family, n, p, needed):
+    # auto raises the theorem route's refusal, which names the support's
+    # positions, and closed the shape rule's, which names the index bits of
+    # n*, the least n of n's shape; at the points below the two needs are
+    # one number, so both routes' budgets read as one message
+    message = f"cvec.SWEEP_MAX_BITS: the request needs {needed}; the budget is {SWEEP_MAX_BITS}"
+    expected = (CapacityError, "cvec.SWEEP_MAX_BITS", needed, SWEEP_MAX_BITS, message)
+    assert _refusal(cvec, family, n, p) == _refusal(cvec_theorem, family, n, p) == expected, (family, n, p)
+    assert _refusal(cvec, family, n, p, "closed") == expected, (family, n, p)
+
+
+def test_auto_refusal_names_both_budgets():
+    # past the sweep budget on both routes: 3^13 - 1 is its own n*, and a
+    # pickle keeps the refusal
+    _check_auto_refusal("A", 3**13 - 1, 3, 3**13 - 2)
+    with pytest.raises(CapacityError) as excinfo:
+        cvec("A", 3**13 - 1, 3)
+    assert str(pickle.loads(pickle.dumps(excinfo.value))) == str(excinfo.value)
+
+
+def test_auto_refusal_names_both_budgets_for_a_single_digit():
+    # n = m * p^d has the shape of m, which the shape rule sweeps naively
+    for family, n, p, needed in (("A", 50 * 101, 101, 49), ("B", 30 * 31, 31, 30)):
+        _check_auto_refusal(family, n, p, needed)
 
 
 def test_auto_never_sweeps_n_naively_and_refuses_with_capacity_error(monkeypatch):
