@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .compositions import CapacityError, check_n, int_text
+from .compositions import CapacityError, check_n, text_head
 
 # Miller-Rabin with the prime bases up to 41 has no strong pseudoprime below
 # this bound (Sorenson and Webster, 2015), so the test is exact under it.
@@ -87,7 +87,7 @@ def check_prime(p: int) -> int:
     if isinstance(p, int) and p >= MILLER_RABIN_LIMIT:
         raise CapacityError("arith.MILLER_RABIN_LIMIT", p, MILLER_RABIN_LIMIT)
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise ValueError(f"modulus must be a prime, got {int_text(p)}")
+        raise ValueError(f"modulus must be a prime, got {text_head(p)}")
     return p
 
 
@@ -120,7 +120,7 @@ def base_p_digits(n: int, p: int) -> tuple[int, ...]:
     the digits of 0.  A non-int, bool or negative n is refused."""
     check_prime(p)
     if check_n(n) < 0:
-        raise ValueError(f"n must be a nonnegative int, got {int_text(n)}")
+        raise ValueError(f"n must be a nonnegative int, got {text_head(n)}")
     if n == 0:
         return (0,)
     powers = [p]  # powers[k] = p^(2^k), up to about the square root of n

@@ -25,7 +25,7 @@ import getopt
 import sys
 from types import SimpleNamespace
 
-from .compositions import int_text, int_value, parse_parts, text_head
+from .compositions import int_value, parse_parts, text_head
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram, ribbon_general
 from .cvec import cvec, macdonald_mp
 from .ribbon import ribbon_exact, ribbon_mod_p
@@ -164,7 +164,7 @@ def cmd_coxeter(args) -> int:
             raise ValueError(f"--subset takes comma-separated generator indices, got {text_head(args.subset)}") from None
         repeated = next((g for g, h in zip(subset, subset[1:]) if g == h), None)
         if repeated is not None:
-            raise ValueError(f"--subset repeats a generator: {int_text(repeated)}")
+            raise ValueError(f"--subset repeats a generator: {text_head(repeated)}")
         value = ribbon_general(diagram, subset)
         return _emit(args.format, {"group": diagram.name, "subset": subset, "value": value})
     if args.p is not None:
@@ -280,10 +280,14 @@ def parse_args(argv: list[str]):
     stderr and raises ``SystemExit(2)``; ``-h`` or ``--help`` prints the
     command list, or a command's options, and raises ``SystemExit(0)``.
     """
+    def word(text: str) -> str:
+        # a command-line word unquoted, as argparse writes it, unless text_head cuts it
+        return text if text_head(text) == repr(text) else text_head(text)
+
     try:
         top, rest = getopt.getopt(argv, "h", ["help"])
     except getopt.GetoptError as exc:
-        _usage_error(None, str(exc))
+        _usage_error(None, exc.msg.replace(exc.opt, word(exc.opt)))
     if top:
         print(_help(None))
         raise SystemExit(0)
@@ -291,18 +295,18 @@ def parse_args(argv: list[str]):
         _usage_error(None, "the following arguments are required: command")
     name = rest[0]
     if name not in COMMANDS:
-        _usage_error(None, f"argument command: invalid choice: {name!r} (choose from {_choices(COMMANDS)})")
+        _usage_error(None, f"argument command: invalid choice: {text_head(name)} (choose from {_choices(COMMANDS)})")
     handler, _, options = COMMANDS[name]
     try:
         pairs, extra = getopt.getopt(rest[1:], "h", ["help"] + [option[2:] + "=" for option in options])
     except getopt.GetoptError as exc:
-        _usage_error(name, str(exc))
+        _usage_error(name, exc.msg.replace(exc.opt, word(exc.opt)))
     given = dict(pairs)  # a repeated option keeps its last value
     if "-h" in given or "--help" in given:
         print(_help(name))
         raise SystemExit(0)
     if extra:
-        _usage_error(name, "unrecognized arguments: " + " ".join(extra))
+        _usage_error(name, "unrecognized arguments: " + word(" ".join(extra)))
     missing = [option for option, (_, default, _) in options.items() if default is REQUIRED and option not in given]
     if missing:
         _usage_error(name, "the following arguments are required: " + ", ".join(missing))
@@ -317,7 +321,7 @@ def parse_args(argv: list[str]):
             except ValueError:
                 _usage_error(name, f"argument {option}: invalid int value: {text_head(value)}")
         elif kind is not str and value not in kind:
-            _usage_error(name, f"argument {option}: invalid choice: {value!r} (choose from {_choices(kind)})")
+            _usage_error(name, f"argument {option}: invalid choice: {text_head(value)} (choose from {_choices(kind)})")
         setattr(args, option[2:], value)
     return handler, args
 

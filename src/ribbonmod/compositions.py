@@ -46,10 +46,10 @@ FAMILIES = ("A", "B", "D")
 
 class CapacityError(ValueError):
     """A request past a budget, refused before its work.  ``budget`` names
-    the budget's constant, e.g. ``"cvec.SWEEP_MAX_BITS"``; ``needed`` (a
-    lower bound where the check stops early) and ``cap`` are in its unit.
-    ``_bound_text`` writes them, so neither the message nor the repr
-    raises."""
+    its constant, e.g. ``"cvec.SWEEP_MAX_BITS"``; ``needed`` (a lower bound
+    where the check stops early) and ``cap`` are in its unit, and written
+    past 128 bits as the lower bound 2^(b - 1) of their b bits, in that unit
+    also where it is bits, so neither the message nor the repr raises."""
 
     def __init__(self, budget: str, needed: int, cap: int):
         ValueError.__init__(self, budget, needed, cap)
@@ -66,29 +66,24 @@ class CapacityError(ValueError):
         return f"{type(self).__name__}({self.budget!r}, {ints})"
 
 
-def int_text(value) -> str:
-    """``repr(value)``, but an int past 128 bits as its bit length, read
-    first: ``str()`` refuses an int past the interpreter's digit limit."""
-    bits = value.bit_length() if isinstance(value, int) else 0
-    return f"an int of {bits} bits" if bits > 128 else repr(value)
-
-
 def _bound_text(value) -> str:
-    # a refusal's needed or cap: a positive int past 128 bits as the lower
-    # bound 2^(b - 1) of its b bits, which stays in the budget's unit also
-    # where that unit is itself bits
     if isinstance(value, int) and value > 0 and value.bit_length() > 128:
         return f"2^{value.bit_length() - 1} or more"
-    return int_text(value)
+    return text_head(value)
 
 
 def text_head(value) -> str:
-    """``repr(value)``, but a text past 60 characters as the repr of its
-    first 60 and its length, and any other value by ``int_text``, so a
-    message never echoes a long argument."""
-    if not isinstance(value, str):
-        return int_text(value)
-    return repr(value) if len(value) <= 60 else f"{value[:60]!r}... ({len(value)} characters)"
+    """How every message writes a value it echoes, bounded and never raising:
+    an int past 128 bits by its bit length (``str()`` refuses one past the
+    digit limit), a text or another value's repr past 60 characters by its
+    first 60 and its length, one whose repr raises by its type, else repr."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"an int of {value.bit_length()} bits"
+    try:
+        text, write = (value, repr) if isinstance(value, str) else (repr(value), str)  # a text is cut, then quoted
+    except Exception:  # e.g. an int past the digit limit inside a list
+        return f"a {type(value).__name__} whose repr raises"
+    return write(text) if len(text) <= 60 else f"{write(text[:60])}... ({len(text)} characters)"
 
 
 def int_value(text: str) -> int:
@@ -136,7 +131,7 @@ def check_n(n) -> int:
     """Return n, raising ValueError unless it is an int: a bool is refused,
     as it would pass for 0 or 1, and so is a float or a string."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {int_text(n)}")
+        raise ValueError(f"n must be an int, got {text_head(n)}")
     return n
 
 
@@ -176,10 +171,10 @@ class _Record:
         return tuple(getattr(self, name) for name in self._compared or self.__slots__)
 
     def __setattr__(self, name, _):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {text_head(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {text_head(name)}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -205,10 +200,11 @@ class _MaskBacked(_Record):
     offset = 0  # the least descent position, the mask bit 0, and the least first part
 
     def __new__(cls, parts):
-        parts = tuple(int(a) for a in parts)
-        if not parts or parts[0] < cls.offset or any(a < 1 for a in parts[1:]):
-            at = next((i for i, a in enumerate(parts) if a < (1 if i else cls.offset)), None)
-            got = "no part" if at is None else f"part {at} = {int_text(parts[at])}"
+        parts = tuple(parts)  # each an int by check_n's rule: a bool, float or str is refused
+        at = next((i for i, a in enumerate(parts)
+                   if not isinstance(a, int) or isinstance(a, bool) or a < (1 if i else cls.offset)), None)
+        if at is not None or not parts:
+            got = "no part" if at is None else f"part {at} = {text_head(parts[at])}"
             raise ValueError(f"{cls.__name__} needs a first part >= {cls.offset} and the rest >= 1, got {got}")
         return cls.from_descents(sum(parts), accumulate(parts[:-1]))
 
@@ -223,7 +219,7 @@ class _MaskBacked(_Record):
         n, lo = index(n), cls.offset
         positions = tuple(sorted(set(map(index, positions))))
         if n < lo or positions and not lo <= positions[0] <= positions[-1] < n:
-            raise ValueError(f"descent positions out of range for n={int_text(n)}: n >= {lo}, each in [{lo}, n - 1]")
+            raise ValueError(f"descent positions out of range for n={text_head(n)}: n >= {lo}, each in [{lo}, n - 1]")
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", positions)
@@ -233,7 +229,7 @@ class _MaskBacked(_Record):
     def from_mask(cls, n: int, mask: int):
         """The index of n whose descents are the set bits of mask, bit 0 at offset."""
         if n < cls.offset or mask < 0 or mask >> (n - cls.offset):
-            raise ValueError(f"descent mask {int_text(mask)} out of range for n={int_text(n)} with bit 0 at position {cls.offset}")
+            raise ValueError(f"descent mask {text_head(mask)} out of range for n={text_head(n)} with bit 0 at position {cls.offset}")
         return cls.from_descents(n, _positions(mask, cls.offset))
 
     def _key(self) -> tuple:
@@ -311,7 +307,7 @@ def parse_parts(text: str, pseudo: bool = False):
     any number of digits (``int_value``).
     """
     try:
-        parts = tuple(int_value(tok.strip()) for tok in text.split(","))
-    except ValueError:
+        parts = tuple(int_value(tok.strip()) for tok in str.split(text, ","))
+    except (TypeError, ValueError):  # str.split refuses a text that is not a str with TypeError
         raise ValueError(f"malformed composition {text_head(text)}") from None
     return PseudoComposition(parts) if pseudo else Composition(parts)

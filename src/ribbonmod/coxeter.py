@@ -41,7 +41,7 @@ from math import factorial, prod
 from operator import floordiv
 
 from .arith import check_tally_prime, residue_tally
-from .compositions import CapacityError, _Record, int_text, text_head
+from .compositions import CapacityError, _Record, text_head
 
 # Subset sweeps over generators (all 2^rank descent classes, or the 2^|I|
 # terms of one class) are capped to keep memory and time sane.
@@ -104,11 +104,11 @@ class CoxeterDiagram(_Record):
         seen = set()
         for s, t, m in edges:
             if s >= t or s not in gens or t not in gens:
-                raise ValueError(f"bad edge ({int_text(s)}, {int_text(t)})")
+                raise ValueError(f"bad edge ({text_head(s)}, {text_head(t)})")
             if m < 3:
                 raise ValueError("edge labels start at 3; label 2 means no edge")
             if (s, t) in seen:
-                raise ValueError(f"duplicate edge ({s}, {t})")
+                raise ValueError(f"duplicate edge ({text_head(s)}, {text_head(t)})")
             seen.add((s, t))
         _Record.__init__(self, generators, edges, name)
 
@@ -139,7 +139,7 @@ def builtin_diagram(name: str) -> CoxeterDiagram:
     types are numbered from 1.  An A, B or D rank past DIAGRAM_MAX_RANK is
     refused with CapacityError before anything is built.
     """
-    label = name.strip().upper().replace(" ", "")
+    label = name.strip().upper().replace(" ", "") if isinstance(name, str) else ""
     match = re.fullmatch(r"([ABD])0*(\d+)", label)
     if match:
         # a rank of more digits than the budget is refused by its least value, before int() reads it
@@ -303,7 +303,7 @@ def _classify_mask(mask: int, view) -> IrreducibleType:
         raise UnclassifiableError("interior 4-edge on a path of rank != 4")
     if m == 5 and terminal and k in (3, 4):
         return _irreducible("H", k)
-    raise UnclassifiableError(f"path with a {m}-edge of rank {k}")
+    raise UnclassifiableError(f"path with a {text_head(m)}-edge of rank {k}")
 
 
 def classify_components(diagram: CoxeterDiagram, subset=None) -> list[IrreducibleType]:

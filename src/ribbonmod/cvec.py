@@ -45,7 +45,7 @@ from .arith import (
     inverse_zeta_tally,
     lucas_binomial,
 )
-from .compositions import CapacityError, _Record, check_family, check_n, int_text, mask_offset, text_head
+from .compositions import CapacityError, _Record, check_family, check_n, mask_offset, text_head
 
 # Largest number of descent positions a p-vector sweep covers, top
 # position included: every position of n in the naive sweep, dropped or
@@ -100,7 +100,7 @@ def _check_n_in_range(family: str, n: int) -> None:
     # an int n at least the family minimum, 1 or 2 in type D (a bool is
     # refused, as check_prime refuses it)
     if check_n(n) < 1 or (family == "D" and n < 2):
-        raise ValueError(f"n={int_text(n)} out of range for family {family}")
+        raise ValueError(f"n={text_head(n)} out of range for family {family}")
 
 
 def _check_query(family: str, n: int, p: int) -> None:
@@ -534,7 +534,7 @@ def macdonald_mp(n: int, p: int) -> int:
     digits would refuse it too, so no answer moves."""
     check_prime(p)
     if check_n(n) < 1:
-        raise ValueError(f"n must be a positive int, got {int_text(n)}")
+        raise ValueError(f"n must be a positive int, got {text_head(n)}")
     floor = max(n.bit_length() - p.bit_length(), 0) ** 2 // 30
     if floor > MACDONALD_COST_MAX:
         raise CapacityError("cvec.MACDONALD_COST_MAX", floor, MACDONALD_COST_MAX)

@@ -44,7 +44,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .arith import check_prime, lucas_binomial, multinomial_exact
-from .compositions import CapacityError, Composition, PseudoComposition, check_family, check_n, int_text
+from .compositions import CapacityError, Composition, PseudoComposition, check_family, check_n, text_head
 
 # Group-enumeration budgets for the oracle, by family: the largest n.  At
 # the budget (S_9, 362880 elements; B7, 645120; D7, 322560) one oracle call
@@ -344,7 +344,7 @@ def oracle_descent_class_sizes(family: str, n: int) -> dict[Composition | Pseudo
     check_family(family)
     lo = 2 if family == "D" else 1
     if check_n(n) < lo:
-        raise ValueError(f"n={int_text(n)} out of range for the type-{family} oracle, which needs n >= {lo}")
+        raise ValueError(f"n={text_head(n)} out of range for the type-{family} oracle, which needs n >= {lo}")
     if n > ORACLE_MAX_N[family]:
         raise CapacityError("ribbon.ORACLE_MAX_N", n, ORACLE_MAX_N[family])
     base = _type_a_mask_counts(n)

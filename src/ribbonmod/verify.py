@@ -21,7 +21,7 @@ import re
 from collections import Counter
 
 from .arith import residue_tally
-from .compositions import CapacityError, mask_offset
+from .compositions import CapacityError, mask_offset, text_head
 from .coxeter import builtin_diagram, descent_class_multiset, format_multiset, residue_histogram
 from .cvec import cvec, cvec_closed_form, cvec_naive, cvec_theorem
 from .ribbon import ORACLE_MAX_N, oracle_descent_class_sizes, ribbon_exact
@@ -45,7 +45,7 @@ def expand(shorthand: str) -> tuple[int, ...]:
     """The vector a 2^k of its shorthand 2^k(a_0, ..., a_{p-1})."""
     match = re.fullmatch(_SHORTHAND, shorthand.strip())
     if not match:
-        raise ValueError(f"bad shorthand {shorthand!r}")
+        raise ValueError(f"bad shorthand {text_head(shorthand)}")
     two, k, body = match.groups()
     shift = int(k) if k else 1 if two else 0
     return tuple(int(tok) << shift for tok in body.split(","))

@@ -380,3 +380,19 @@ def test_big_endian_fields_match_little_endian(m):
     # transform byteswapped, and the same popcount tally (m <= 640), for
     # 2^0 to 2^11 fields of 2, 4 and 8 bytes
     _check_kernel_row(range(12), (m,), "residues", ("buffer", "big"), random.Random(m))
+
+
+def test_transpose_returns_the_first_bits_rows_of_the_bit_transpose():
+    # _transpose's contract, which _planes hides by slicing its first w
+    # rows: from 1, 3 or 8 rows whose bytes hold only their low ``bits``
+    # bits, the first ``bits`` rows of the 8 x 8 bit transpose at each byte,
+    # rounded up to a power of two, against a bit-by-bit reference
+    rng = random.Random(60)
+    step = 5
+    for bits in range(1, 9):
+        for count in (1, 3, 8):
+            rows = [bytes(rng.randrange(1 << bits) for _ in range(step)) for _ in range(count)]
+            want = [bytes(sum((row[i] >> j & 1) << b for b, row in enumerate(rows)) for i in range(step))
+                    for j in range(1 << (bits - 1).bit_length())]
+            got = arith._transpose([int.from_bytes(row, "little") for row in rows], step, bits)
+            assert [row.to_bytes(step, "little") for row in got] == want, (bits, count)

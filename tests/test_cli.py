@@ -13,11 +13,21 @@ from math import factorial
 
 import pytest
 
-from ribbonmod.arith import residue_tally
+from ribbonmod.arith import base_p_digits, residue_tally
 from ribbonmod.cli import COMMANDS, _decimal, main
-from ribbonmod.compositions import Composition, PseudoComposition, check_family, int_value
-from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram, format_multiset
-from ribbonmod.cvec import RESULT_BITS_MAX, DimensionPVector, cvec, cvec_theorem
+from ribbonmod.compositions import Composition, PseudoComposition, check_family, int_value, text_head
+from ribbonmod.coxeter import CoxeterDiagram, IrreducibleType, builtin_diagram, format_multiset, residue_histogram
+from ribbonmod.cvec import (
+    RESULT_BITS_MAX,
+    DimensionPVector,
+    cvec,
+    cvec_closed_form,
+    cvec_naive,
+    cvec_theorem,
+    macdonald_mp,
+    support_set,
+)
+from ribbonmod.ribbon import oracle_descent_class_sizes, ribbon_exact, ribbon_mod_p
 from ribbonmod.verify import (
     EXCEPTIONAL_HISTOGRAMS,
     EXCEPTIONAL_MULTISETS,
@@ -344,6 +354,39 @@ def test_refusals_of_long_arguments_are_short(capsys):
         code, out, err = run(capsys, "coxeter", *argv)
         assert (code, out) == (2, "") and len(err) < 300, err[:300]
     assert err == "error: --subset repeats a generator: 1\n"
+    # every public entry of the ribbon numbers and p-vectors, one argument
+    # at a time: a text of 10^6 characters, 10^5 parts, 10^6 bytes, or an
+    # int past the digit limit in a list; a ValueError starts with the text
+    # of the site that refused it (None: an index or a diagram, refused by
+    # its type)
+    family, n, p = "family must be one of ('A', 'B', 'D'), got ", "n must be an int, got ", "modulus must be a prime, got "
+    alpha = Composition((2, 1))
+    entries = ((cvec, ("A", 5, 3, "auto"), (family, n, p, "unknown method ")),
+               (cvec_naive, ("A", 5, 3), (family, n, p)), (cvec_theorem, ("A", 5, 3), (family, n, p)),
+               (cvec_closed_form, ("A", 5, 3), (family, n, p)), (support_set, ("A", 5, 3), (family, n, p)),
+               (macdonald_mp, (5, 3), (n, p)), (base_p_digits, (5, 3), (n, p)),
+               (ribbon_exact, ("A", alpha), (family, None)), (ribbon_mod_p, ("A", alpha, 3), (family, None, p)),
+               (oracle_descent_class_sizes, ("A", 3), (family, n)),
+               (residue_histogram, (builtin_diagram("A3"), 3), (None, p)))
+    hostile = ("7" * 10**6, [7] * 10**5, b"7" * 10**6, [10**5000])
+    for entry, args, sites in entries:
+        for at, site in enumerate(sites):
+            for bad in hostile:
+                with pytest.raises(ValueError if site else Exception) as excinfo:
+                    entry(*args[:at], bad, *args[at + 1:])
+                message = str(excinfo.value)
+                assert message.startswith(site or "") and len(message) < 300, (entry.__name__, at, message[:300])
+    # the usage errors of an unknown command, option or choice and of an
+    # extra argument name a word of 100,000 characters by its head
+    word = "7" * 100000
+    for argv, named in ((["x" + word], "x" + word), (["cvec", "--" + word], word),
+                        (["cvec", "--family", word, "--n", "5", "--p", "3"], word),
+                        (["cvec", "--family", "A", "--n", "5", "--p", "3", word], word)):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2 and err.startswith("usage: ribbonmod") and len(err.encode()) < 500, err[:500]
+        assert text_head(named) in err, err
 
 
 def test_ribbon_type_d_below_rank_2_refused_at_every_prime(capsys):

@@ -15,7 +15,6 @@ from ribbonmod.compositions import (
     Composition,
     PseudoComposition,
     check_family,
-    int_text,
     int_value,
     mask_offset,
     parse_parts,
@@ -143,6 +142,13 @@ def test_invalid_parts():
     with pytest.raises(ValueError):
         PseudoComposition((-1, 2))
     PseudoComposition((0, 2))  # leading zero is fine here
+    # each part is an int as check_n reads n, a bool refused: no part is
+    # rounded, and a text is not read digit by digit
+    for cls, parts, got in ((Composition, [2.9, 1.9], "part 0 = 2.9"), (Composition, "12", "part 0 = '1'"),
+                            (Composition, [True, 2], "part 0 = True"), (PseudoComposition, (0, 2, False), "part 2 = False"),
+                            (Composition, (1, "2"), "part 1 = '2'"), (Composition, "7" * 10**6, "part 0 = '7'")):
+        with pytest.raises(ValueError, match=f"needs a first part >= {cls.offset} and the rest >= 1, got {got}$"):
+            cls(parts)
 
 
 def test_enumerate_compositions_small():
@@ -199,15 +205,21 @@ def test_capacity_error_is_written_from_its_budget():
 
 
 def test_int_text_writes_a_long_int_by_its_bit_length():
-    # up to 128 bits in decimal, past it by the bit length, so no int past
-    # the interpreter's digit limit reaches str(); other values by repr.  A
-    # refusal writes its needed and cap past 128 bits as the lower bound
-    # 2^(b - 1), in the budget's unit
-    assert int_text(2**128 - 1) == str(2**128 - 1)
-    assert int_text(-(2**128) + 1) == str(-(2**128) + 1)
-    assert int_text(2**128) == "an int of 129 bits"
-    assert int_text(-(10**5000)) == "an int of 16610 bits"
-    assert (int_text(True), int_text("7"), int_text(2.5)) == ("True", "'7'", "2.5")
+    # text_head, the one writer of an echoed value: up to 128 bits in
+    # decimal, past it by the bit length, so no int past the interpreter's
+    # digit limit reaches str(); other values by repr, past 60 characters
+    # by the first 60 and the repr's length, and by their type where the
+    # repr raises.  A refusal writes its needed and cap past 128 bits as
+    # the lower bound 2^(b - 1), in the budget's unit
+    assert text_head(2**128 - 1) == str(2**128 - 1)
+    assert text_head(-(2**128) + 1) == str(-(2**128) + 1)
+    assert text_head(2**128) == "an int of 129 bits"
+    assert text_head(-(10**5000)) == "an int of 16610 bits"
+    assert (text_head(True), text_head("7"), text_head(2.5)) == ("True", "'7'", "2.5")
+    assert text_head([7] * 20) == repr([7] * 20) and len(repr([7] * 20)) == 60
+    assert text_head([7] * 10**5) == f"{repr([7] * 21)[:60]}... (300000 characters)"
+    assert text_head(b"7" * 10**6) == "b'" + "7" * 58 + "... (1000003 characters)"
+    assert (text_head([10**5000]), text_head((2**128,))) == ("a list whose repr raises", repr((2**128,)))
     message = str(CapacityError("compositions.COMPLEMENT_MAX_POSITIONS", 10**5000, 1 << 21))
     assert message == "compositions.COMPLEMENT_MAX_POSITIONS: the request needs 2^16609 or more; the budget is 2097152"
     assert str(CapacityError("cvec.RESULT_BITS_MAX", 2**128 - 1, 2**128)) == (
@@ -333,6 +345,9 @@ def test_parse_parts():
         parse_parts("1,x")
     with pytest.raises(ValueError):
         parse_parts("")
+    for text in (12, [1], None, True, 2.5, b"1,2"):
+        with pytest.raises(ValueError, match="^malformed composition "):
+            parse_parts(text)
 
 
 # The frozen records share one base: value equality and hash over the

@@ -45,9 +45,10 @@ def test_builtin_shapes():
     assert builtin_diagram("e7").rank() == 7
 
 
-@pytest.mark.parametrize("bad", ["A0", "B1", "D3", "E9", "F5", "H5", "I2:2", "Z9", ""])
+@pytest.mark.parametrize("bad", ["A0", "B1", "D3", "E9", "F5", "H5", "I2:2", "Z9", "", [1], 2.5, None, True, 7])
 def test_unknown_diagrams_rejected(bad):
-    with pytest.raises(ValueError):
+    # a name that is not a str is refused as an unknown label
+    with pytest.raises(ValueError, match=None if isinstance(bad, str) else "^unknown diagram label "):
         builtin_diagram(bad)
 
 
